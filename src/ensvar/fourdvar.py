@@ -17,7 +17,9 @@ Three solver variants compute the damped Gauss-Newton (LM) iteration:
   sample mean.
 * ``finite-difference``: as ``tangent``, but every Jacobian-vector
   product is replaced by a forward-difference quotient with step tau
-  around the same center, so no Jacobians are needed at all.
+  around the same center, so no Jacobians are needed at all.  Each
+  operator is evaluated at its center once per step, and at all N
+  shifted members in one ``Operator.apply_rows`` call.
 
 The two ensemble variants consume identical keyed perturbations (same
 phase, iteration, time, member, kind), as do runs with different tau, so
@@ -76,10 +78,10 @@ class LMConfig:
     initial_trajectory: Trajectory | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
-        if self.tau <= 0:
-            raise ValidationError(f"tau must be > 0, got {self.tau}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValidationError(f"tau must be finite and > 0, got {self.tau}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mode not in _MODES:
@@ -130,7 +132,10 @@ class LMRunResult:
 
 def objective(problem: AssimilationProblem, trajectory: Trajectory) -> float:
     """Weak-constraint 4DVAR objective at a trajectory."""
-    validate_problem(problem)
+    return _objective(validate_problem(problem), trajectory)
+
+
+def _objective(problem: AssimilationProblem, trajectory: Trajectory) -> float:
     x = trajectory.states
     if x.shape != (problem.horizon + 1, problem.state_dim):
         raise ValidationError(
@@ -183,8 +188,8 @@ def augment(
 
 def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> np.ndarray:
     """Forward-difference directional derivative (f(x + tau y) - f(x)) / tau."""
-    if tau <= 0:
-        raise ValidationError(f"tau must be > 0, got {tau}")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValidationError(f"tau must be finite and > 0, got {tau}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return (np.asarray(f(x + tau * y), dtype=float) - np.asarray(f(x), dtype=float)) / tau
@@ -305,11 +310,11 @@ def lm_exact_run(problem: AssimilationProblem, cfg: LMConfig) -> LMRunResult:
         raise ValidationError(f"lm_exact_run requires mode='exact', got {cfg.mode!r}")
     x = _initial_trajectory(problem, cfg)
     iterates = [x]
-    objectives = [objective(problem, x)]
+    objectives = [_objective(problem, x)]
     for _ in range(cfg.max_iterations):
         x = lm_exact_step(problem, x, cfg.gamma)
         iterates.append(x)
-        objectives.append(objective(problem, x))
+        objectives.append(_objective(problem, x))
     return LMRunResult(tuple(iterates), tuple(objectives), "exact")
 
 
@@ -331,19 +336,25 @@ def _lm_ensemble_run(
     if cfg.gamma <= 0:
         raise ValidationError("ensemble LM modes require gamma > 0")
     m, k = problem.state_dim, problem.horizon
-    tau = cfg.tau
+
+    def directional(op: Operator, c: np.ndarray, f_c: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Products of op's Jacobian at c with every row of dirs, f_c = op(c)."""
+        if use_fd:
+            return (op.apply_rows(c + cfg.tau * dirs) - f_c) / cfg.tau
+        return dirs @ op.jacobian_at(c).T
+
     l_b = cholesky_spd(problem.background_cov, "background_cov")
     l_q = [cholesky_spd(q, "model_noise_cov") for q in problem.model_noise_covs]
     # The augmented noise covariance depends on gamma and R_i only, not on
     # the linearization center, so its factor is loop-invariant.
     l_r_aug = [
-        cholesky_spd(aug.noise_cov, "augmented obs cov")
-        for aug in augment(problem, problem.prior_chain(), cfg.gamma)
+        cholesky_spd(_augmented_noise_cov(problem, i, cfg.gamma), "augmented obs cov")
+        for i in range(1, k + 1)
     ]
 
     center = _initial_trajectory(problem, cfg)
     iterates = [center]
-    objectives = [objective(problem, center)]
+    objectives = [_objective(problem, center)]
     ensembles = []
     max_norms = []
 
@@ -358,30 +369,21 @@ def _lm_ensemble_run(
 
         for i in range(1, k + 1):
             c_prev, c_i = center[i - 1], center[i]
-            mop = problem.model_ops[i - 1]
-            hop = problem.obs_ops[i - 1]
-            state = ensemble[:, -m:]
+            mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
+            m_c, h_c = mop(c_prev), hop(c_i)
 
             v = stream.draw_members(Phase.LM, j, i, NoiseKind.MODEL, members, m)
-            dev_prev = state - c_prev
-            if use_fd:
-                prop = np.stack([fd_directional(mop.apply, c_prev, row, tau) for row in dev_prev])
-            else:
-                prop = dev_prev @ mop.jacobian_at(c_prev).T
+            prop = directional(mop, c_prev, m_c, ensemble[:, -m:] - c_prev)
             ensemble = np.hstack(
-                [ensemble, prop + mop(c_prev) + problem.forcings[i - 1] + v @ l_q[i - 1].T]
+                [ensemble, prop + m_c + problem.forcings[i - 1] + v @ l_q[i - 1].T]
             )
 
             sorted_ens = ensemble[order]
             dev = sorted_ens - sorted_ens.mean(axis=0)
             sdev = dev[:, -m:]
-            if use_fd:
-                h_top = np.stack([fd_directional(hop.apply, c_i, row, tau) for row in sdev])
-            else:
-                h_top = sdev @ hop.jacobian_at(c_i).T
             # The stacked operator's lower block is the identity, whose
             # directional derivative is the direction itself.
-            pht, hpht = _sample_products(dev, np.hstack([h_top, sdev]))
+            pht, hpht = _sample_products(dev, np.hstack([directional(hop, c_i, h_c, sdev), sdev]))
 
             r_tilde = aug[i - 1].noise_cov
             d_aug = r_tilde.shape[0]
@@ -389,19 +391,13 @@ def _lm_ensemble_run(
             w = w @ l_r_aug[i - 1].T
 
             dev_center = ensemble[:, -m:] - c_i
-            if use_fd:
-                pred_top = hop(c_i) + np.stack(
-                    [fd_directional(hop.apply, c_i, row, tau) for row in dev_center]
-                )
-            else:
-                pred_top = hop(c_i) + dev_center @ hop.jacobian_at(c_i).T
-            predicted = np.hstack([pred_top, c_i + dev_center])
+            predicted = np.hstack([h_c + directional(hop, c_i, h_c, dev_center), c_i + dev_center])
             innovations = aug[i - 1].observation - w - predicted
             ensemble = _analysis_update(ensemble, innovations, pht, hpht, r_tilde)
 
         center = Trajectory.from_composite(ensemble[order].mean(axis=0), m)
         iterates.append(center)
-        objectives.append(objective(problem, center))
+        objectives.append(_objective(problem, center))
         ensembles.append(ensemble.copy())
         max_norms.append(float(np.max(np.linalg.norm(ensemble, axis=1))))
 

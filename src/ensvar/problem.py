@@ -46,13 +46,16 @@ class Operator:
     registered, maps a state vector to the (out_dim, in_dim) Jacobian
     matrix at that point.  Operators flagged ``linear`` may carry their
     matrix directly; algorithms that require linearity or a Jacobian fail
-    fast instead of silently substituting an approximation.
+    fast instead of silently substituting an approximation.  ``rows``, if
+    registered, is ``apply`` vectorized over the rows of an (N, in_dim)
+    array; it must agree with ``apply`` row by row, bit for bit.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     linear: bool = False
     matrix: np.ndarray | None = None
+    rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "Operator":
@@ -66,6 +69,20 @@ class Operator:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.apply(np.asarray(x, dtype=float)), dtype=float)
+
+    def apply_rows(self, x: np.ndarray) -> np.ndarray:
+        """Apply to every row of an (N, in_dim) array; returns (N, out_dim).
+
+        Row r is ``self(x[r])``: bit for bit through ``rows`` or the
+        per-row loop that serves operators registering neither ``rows``
+        nor ``matrix``, and up to round-off through ``x @ matrix.T``.
+        """
+        x = np.asarray(x, dtype=float)
+        if self.matrix is not None:
+            return x @ self.matrix.T
+        if self.rows is not None:
+            return np.asarray(self.rows(x), dtype=float)
+        return np.stack([self(row) for row in x])
 
     def jacobian_at(self, x: np.ndarray) -> np.ndarray:
         """Exact Jacobian at ``x``; raises if none was registered."""

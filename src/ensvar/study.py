@@ -58,8 +58,8 @@ class StudySpec:
         object.__setattr__(self, "sweep", sweep)
         if len(sweep) < 1:
             raise ValidationError("sweep must contain at least one value")
-        if any(v <= 0 for v in sweep):
-            raise ValidationError("sweep values must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in sweep):
+            raise ValidationError(f"sweep values must be finite and positive, got {sweep}")
         diffs = np.diff(sweep)
         if len(sweep) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValidationError("sweep values must be strictly monotone")

@@ -69,10 +69,15 @@ def _w1_linear() -> AssimilationProblem:
 
 def _w2_quadratic() -> AssimilationProblem:
     base = _w1_linear()
+
+    def quadratic(x):
+        return x + 0.1 * x**2
+
     model = Operator(
-        apply=lambda x: x + 0.1 * x**2,
+        apply=quadratic,
         jacobian=lambda x: np.diag(1.0 + 0.2 * np.asarray(x, dtype=float)),
         linear=False,
+        rows=quadratic,  # elementwise, so rows map exactly as single states do
     )
     return AssimilationProblem(
         state_dim=1,
@@ -133,12 +138,15 @@ def _linear_chain(m: int, k: int, seed: int) -> AssimilationProblem:
 
 
 def _lorenz_rhs(x: np.ndarray) -> np.ndarray:
-    return np.array(
+    # Written on the last axis, so one state or an (N, 3) batch of them.
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack(
         [
-            _LORENZ_SIGMA * (x[1] - x[0]),
-            x[0] * (_LORENZ_RHO - x[2]) - x[1],
-            x[0] * x[1] - _LORENZ_BETA * x[2],
-        ]
+            _LORENZ_SIGMA * (x1 - x0),
+            x0 * (_LORENZ_RHO - x2) - x1,
+            x0 * x1 - _LORENZ_BETA * x2,
+        ],
+        axis=-1,
     )
 
 
@@ -160,7 +168,11 @@ def _lorenz63(k: int, dt: float = 0.05) -> AssimilationProblem:
         raise ValidationError(f"lorenz63 needs k >= 1 and dt > 0, got k={k}, dt={dt}")
     m = 3
     rng = np.random.default_rng(0)
-    model = Operator(apply=lambda x, _dt=dt: _rk4_map(np.asarray(x, dtype=float), _dt))
+
+    def step(x):
+        return _rk4_map(np.asarray(x, dtype=float), dt)
+
+    model = Operator(apply=step, rows=step)
     obs = Operator.from_matrix(np.eye(m))
     background_cov = 4.0 * np.eye(m)
     model_cov = 0.05 * np.eye(m)

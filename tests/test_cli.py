@@ -143,3 +143,14 @@ def test_named_problem_config(tmp_path, capsys):
     assert main(["run-ks", "--config", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["mean"]) == 8
+
+
+def test_run_lm_non_finite_tau_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "nan_tau.yaml"
+    path.write_text(
+        W1_CONFIG.replace("mode: tangent", "mode: finite-difference\n  tau: .nan")
+    )
+    assert main(["run-lm", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tau" in err
+    assert "Traceback" not in err

@@ -7,6 +7,7 @@ from ensvar import (
     fit_loglog_slope,
     LMConfig,
     MissingJacobianError,
+    Operator,
     PerturbationStream,
     Trajectory,
     ValidationError,
@@ -90,6 +91,11 @@ class TestFdDirectional:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValidationError):
             fd_directional(lambda x: x, np.zeros(1), np.ones(1), 0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValidationError, match="tau"):
+            fd_directional(lambda x: x, np.zeros(1), np.ones(1), tau)
 
 
 class TestExactLM:
@@ -226,6 +232,61 @@ class TestFiniteDifferenceLM:
         with pytest.raises(ValidationError):
             enks_4dvar_run(w1, cfg, PerturbationStream(0))
 
+    @pytest.mark.parametrize("name, params", [("w2-quadratic", {}), ("lorenz63", {"k": 3})])
+    def test_row_loop_fallback_matches_batched_rows(self, name, params):
+        problem = make_toy_problem(name, **params)
+        looped = replace(
+            problem, model_ops=tuple(replace(op, rows=None) for op in problem.model_ops)
+        )
+        cfg = LMConfig(gamma=1.0, max_iterations=2, mode="finite-difference",
+                       ensemble_sizes=(16,), tau=1e-3)
+        batched = enks_4dvar_run(problem, cfg, PerturbationStream(4))
+        fallback = enks_4dvar_run(looped, cfg, PerturbationStream(4))
+        for a, b in zip(batched.ensembles, fallback.ensembles):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name, params", [("w2-quadratic", {}), ("lorenz63", {"k": 3})])
+    def test_permuted_member_keys(self, name, params):
+        problem = make_toy_problem(name, **params)
+        perm = np.random.default_rng(2).permutation(8)
+        cfg = LMConfig(gamma=1.0, max_iterations=2, mode="finite-difference",
+                       ensemble_sizes=(8,), tau=1e-3)
+        base = enks_4dvar_run(problem, cfg, PerturbationStream(5))
+        permuted = enks_4dvar_run(problem, cfg, PerturbationStream(5), member_indices=perm)
+        for pe, be in zip(permuted.ensembles, base.ensembles):
+            np.testing.assert_array_equal(pe, be[perm])
+        for a, b in zip(base.iterates, permuted.iterates):
+            np.testing.assert_array_equal(a.states, b.states)
+
+    def test_model_evaluated_at_center_once_per_step(self):
+        k, iterations = 3, 2
+        problem = make_toy_problem("lorenz63", k=k)
+        model = problem.model_ops[0]
+        calls = {"apply": 0, "rows": 0}
+
+        def counted(key, fn):
+            def wrapped(x):
+                calls[key] += 1
+                return fn(x)
+
+            return wrapped
+
+        counting = Operator(apply=counted("apply", model.apply), rows=counted("rows", model.rows))
+        problem = replace(problem, model_ops=(counting,) * k)
+
+        def single_state_calls(n):
+            calls.update(apply=0, rows=0)
+            cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="finite-difference",
+                           ensemble_sizes=(n,), tau=1e-3)
+            enks_4dvar_run(problem, cfg, PerturbationStream(0))
+            # One batched call per step carries every member.
+            assert calls["rows"] == k * iterations
+            return calls["apply"]
+
+        # Besides validation and objective values, the pass evaluates each
+        # step's center once; a per-member f(center) would scale with N.
+        assert single_state_calls(8) == single_state_calls(64)
+
 
 class TestDispatcherAndConfig:
     def test_lm_run_dispatch(self, w1):
@@ -249,6 +310,13 @@ class TestDispatcherAndConfig:
             LMConfig(gamma=1.0, mode="newton")
         with pytest.raises(ValidationError):
             LMConfig(gamma=1.0, ensemble_sizes=(1,))
+
+    @pytest.mark.parametrize("field", ["gamma", "tau"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        kwargs = {"gamma": 1.0, field: value}
+        with pytest.raises(ValidationError, match=field):
+            LMConfig(**kwargs)
 
     def test_shared_stream_keys_between_modes(self, w2):
         # The coupling contract: both ensemble modes consume the identical

@@ -132,3 +132,32 @@ def test_per_step_obs_dims_allowed():
     )
     validate_problem(problem)
     assert problem.obs_dim(1) == 2 and problem.obs_dim(2) == 1
+
+
+def test_apply_rows_default_is_the_row_loop():
+    op = Operator(apply=lambda x: np.array([x[0] * x[1], np.sin(x[0])]))
+    x = np.random.default_rng(0).standard_normal((5, 2))
+    np.testing.assert_array_equal(op.apply_rows(x), np.stack([op(row) for row in x]))
+
+
+def test_apply_rows_uses_registered_rows_callable():
+    calls = []
+
+    def rows(x):
+        calls.append(x.shape)
+        return 2.0 * x
+
+    op = Operator(apply=lambda x: 2.0 * x, rows=rows)
+    x = np.arange(6.0).reshape(3, 2)
+    np.testing.assert_array_equal(op.apply_rows(x), np.stack([op(row) for row in x]))
+    assert calls == [(3, 2)]
+
+
+def test_apply_rows_from_matrix_matches_per_row_apply():
+    rng = np.random.default_rng(1)
+    op = Operator.from_matrix(rng.standard_normal((3, 4)))
+    x = rng.standard_normal((50, 4))
+    loop = np.stack([op(row) for row in x])
+    batched = op.apply_rows(x)
+    assert batched.shape == (50, 3)
+    assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop))

@@ -24,6 +24,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             StudySpec(kind="enks-vs-ks", sweep=(0, 10), replicates=2, problem=w1)
 
+    @pytest.mark.parametrize("sweep", [(np.nan,), (1e-2, np.inf), (np.nan, 1e-3)])
+    def test_rejects_non_finite_sweep(self, w1, sweep):
+        with pytest.raises(ValidationError, match="sweep"):
+            StudySpec(kind="enks-vs-ks", sweep=sweep, replicates=2, problem=w1)
+
     def test_requires_replicates(self, w1):
         with pytest.raises(ValidationError):
             StudySpec(kind="enks-vs-ks", sweep=(10,), replicates=0, problem=w1)

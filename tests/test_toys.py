@@ -51,3 +51,15 @@ def test_lorenz63_shape_and_no_jacobian():
 def test_unknown_name_rejected():
     with pytest.raises(ValidationError, match="unknown toy problem"):
         make_toy_problem("lorenz96")
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("w2-quadratic", {}), ("lorenz63", {"k": 2}), ("lorenz63", {"k": 2, "dt": 0.5})],
+)
+def test_batched_model_rows_bit_equal_to_row_loop(name, params):
+    p = make_toy_problem(name, **params)
+    op = p.model_ops[0]
+    assert op.rows is not None
+    x = p.background_mean + np.random.default_rng(3).standard_normal((64, p.state_dim))
+    np.testing.assert_array_equal(op.apply_rows(x), np.stack([op(row) for row in x]))
