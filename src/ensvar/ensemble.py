@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonlinearOperatorError, ValidationError
+from .errors import NonlinearOperatorError, NotSPDError, ValidationError
 from .kalman import KalmanSmootherResult, ks_run
 from .numerics import cholesky_spd, empirical_lp_norm
 from .problem import AssimilationProblem, validate_problem
@@ -99,7 +99,10 @@ def _analysis_update(
     The gain K = pht @ (hpht + R)^-1 is applied without ever forming a
     covariance matrix; only the two products enter.
     """
-    factor = scipy.linalg.cho_factor(hpht + obs_cov, lower=True)
+    try:
+        factor = scipy.linalg.cho_factor(hpht + obs_cov, lower=True)
+    except scipy.linalg.LinAlgError:
+        raise NotSPDError("innovation covariance is not positive definite") from None
     return ensemble + innovations @ scipy.linalg.cho_solve(factor, pht.T)
 
 

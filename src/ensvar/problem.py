@@ -163,11 +163,17 @@ class GaussianEstimate:
         if np.linalg.norm(cov - cov.T) > _SYMMETRY_RTOL * max(scale, 1.0):
             raise ValidationError("covariance is not symmetric")
         if scale > 0:
-            min_eig = np.linalg.eigvalsh(cov)[0]
-            if min_eig < -_PSD_RTOL * scale:
+            # No eigenvalue below -tol * scale <=> cov + tol * scale * I is PSD,
+            # which one Cholesky checks up to round-off; eigvalsh only reports.
+            shifted = cov.copy()
+            shifted.flat[:: mean.size + 1] += _PSD_RTOL * scale
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                min_eig = np.linalg.eigvalsh(cov)[0]
                 raise ValidationError(
                     f"covariance has eigenvalue {min_eig:.3e} below PSD tolerance"
-                )
+                ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +232,13 @@ def _mat(a) -> np.ndarray:
     return np.atleast_2d(np.asarray(a, dtype=float))
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+
+
 def _check_spd(a: np.ndarray, name: str) -> None:
+    _check_finite(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} is not square: shape {a.shape}")
     scale = np.linalg.norm(a)
@@ -264,7 +276,8 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
     NotSPDError
         Naming the covariance, when a Cholesky factorization fails.
     ValidationError
-        When a linearity flag is contradicted by the operator itself.
+        Naming the field, when an input array holds a non-finite number;
+        and when a linearity flag is contradicted by the operator itself.
     """
     m, k = problem.state_dim, problem.horizon
     if m < 1:
@@ -279,6 +292,7 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
         raise DimensionMismatchError(
             f"background_cov has shape {problem.background_cov.shape}, expected {(m, m)}"
         )
+    _check_finite(problem.background_mean, "background_mean")
     _check_spd(problem.background_cov, "background_cov")
 
     for name, seq in (
@@ -296,6 +310,7 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
     for i in range(1, k + 1):
         if problem.forcings[i - 1].size != m:
             raise DimensionMismatchError(f"forcings[{i}] has length {problem.forcings[i - 1].size}, expected {m}")
+        _check_finite(problem.forcings[i - 1], f"forcings[{i}]")
         if problem.model_noise_covs[i - 1].shape != (m, m):
             raise DimensionMismatchError(
                 f"model_noise_covs[{i}] has shape {problem.model_noise_covs[i - 1].shape}, expected {(m, m)}"
@@ -311,6 +326,7 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
             _check_linear_flag(problem.model_ops[i - 1], m, f"model_ops[{i}]")
 
         d = problem.observations[i - 1].size
+        _check_finite(problem.observations[i - 1], f"observations[{i}]")
         h_out = problem.obs_ops[i - 1](probe)
         if h_out.shape != (d,):
             raise DimensionMismatchError(

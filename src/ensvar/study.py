@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -230,18 +231,34 @@ def run_study(spec: StudySpec) -> StudyResult:
 
 
 def _fmt(value) -> str:
-    """Numbers with 17 significant digits (lossless for float64)."""
+    """Numbers with 17 significant digits (lossless for float64).
+
+    JSON and CSV have no standard spelling of nan or inf, so a non-finite
+    number raises instead of being written.
+    """
     if isinstance(value, bool) or value is None:
         return "null" if value is None else ("true" if value else "false")
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"cannot write non-finite number {value} to the output")
         return f"{value:.17g}"
     raise TypeError(f"unsupported scalar {type(value)!r}")
 
 
 def json_text(value, indent: int = 0) -> str:
     pad = "  " * indent
+    if (
+        isinstance(value, (list, tuple))
+        and value
+        and set(map(type, value)) == {float}
+        and all(map(math.isfinite, value))
+    ):
+        # A row of finite floats, formatted in one pass exactly as _fmt would;
+        # a row holding nan or inf takes the recursion, where _fmt refuses it.
+        body = (",\n" + pad + "  ").join(["%.17g"] * len(value)) % tuple(value)
+        return pad + "[\n" + pad + "  " + body + "\n" + pad + "]"
     if isinstance(value, dict):
         items = [
             f'{pad}  {json.dumps(k)}: {json_text(v, indent + 1).lstrip()}'

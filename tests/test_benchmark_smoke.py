@@ -1,8 +1,10 @@
-"""Smoke run of the benchmark's tau-rate workload at tiny sizes.
+"""Smoke runs of the benchmark's workloads at tiny sizes, in both trace modes.
 
 The benchmark's traced run rebuilds every toy operator from its fields to
-count evaluations, so an ``Operator`` change that breaks that rebuild, or
-an output that drifts from the untraced run, fails here.
+count evaluations and rebinds ``kalman.GaussianEstimate`` to time it, and
+every run checks its outputs against the oracles.  An ``Operator`` change
+that breaks the rebuild, a missing name the tracer rebinds, a broken oracle
+check, or an output that drifts from the untraced run fails here.
 """
 
 import json
@@ -10,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tau_rate_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["tau-rate", "exact-smoother"])
+def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--smoke", "--workload", "tau-rate"],
+        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--smoke", "--workload", workload],
         capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr

@@ -154,3 +154,25 @@ def test_run_lm_non_finite_tau_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "tau" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["run-kf", "run-ks"])
+def test_non_finite_observation_is_validation_error(tmp_path, capsys, verb):
+    path = tmp_path / "nan_y.yaml"
+    path.write_text(W1_CONFIG.replace("y: [[3.0]]", "y: [[.nan]]"))
+    assert main([verb, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "observations[1]" in captured.err
+    assert "Traceback" not in captured.err and "nan" not in captured.out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_result_is_not_written(tmp_path, capsys):
+    # Finite inputs whose forecast overflows: the filter mean becomes nan.
+    path = tmp_path / "overflow.yaml"
+    path.write_text(W1_CONFIG.replace("x_b: [0.0]", "x_b: [1.0e308]").replace("M: [[[1.0]]]", "M: [[[10.0]]]"))
+    out = tmp_path / "kf.json"
+    assert main(["run-kf", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+    assert "Traceback" not in err and not out.exists()

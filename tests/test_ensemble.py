@@ -4,6 +4,7 @@ import pytest
 from ensvar import (
     NoiseKind,
     NonlinearOperatorError,
+    NotSPDError,
     PerturbationStream,
     ValidationError,
     coupled_enks_error,
@@ -16,7 +17,7 @@ from ensvar import (
     reference_enks_run,
     sample_covariance,
 )
-from ensvar.ensemble import _sample_products
+from ensvar.ensemble import _analysis_update, _sample_products
 
 
 class DegenerateStream(PerturbationStream):
@@ -122,6 +123,12 @@ class TestEnKS:
             dense_hpht = h_i @ dense[-m:, -m:] @ h_i.T
             assert np.abs(pht - dense_pht).max() <= 1e-10 * max(np.abs(dense_pht).max(), 1.0)
             assert np.abs(hpht - dense_hpht).max() <= 1e-10 * max(np.abs(dense_hpht).max(), 1.0)
+
+
+def test_analysis_update_non_spd_innovation_covariance():
+    with pytest.raises(NotSPDError, match="innovation covariance"):
+        _analysis_update(np.zeros((3, 1)), np.ones((3, 1)), np.ones((1, 1)), np.array([[-5.0]]),
+                         np.array([[1.0]]))
 
 
 class TestReferenceRun:

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,50 @@ class TestExactLM:
         step = lm_exact_step(problem, x_prev, gamma).composite
         oracle = lm_tangent_ls_oracle(problem, x_prev, gamma)
         assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1e12])
+    @pytest.mark.parametrize("name", ["linear-chain", "w2-quadratic", "lorenz63"])
+    def test_banded_step_matches_oracle(self, name, gamma):
+        problem = _exact_step_problem(name)
+        x_prev = problem.prior_chain()
+        step = lm_exact_step(problem, x_prev, gamma).composite
+        oracle = lm_tangent_ls_oracle(problem, x_prev, gamma)
+        assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+    def test_gauss_newton_step_is_smoothing_mean_on_linear_problem(self):
+        problem = make_toy_problem("linear-chain", m=3, k=6, seed=4)
+        x_prev = Trajectory(np.random.default_rng(5).standard_normal((7, 3)))
+        step = lm_exact_step(problem, x_prev, 0.0).composite
+        target = ks_run(problem).estimate.mean
+        assert np.linalg.norm(step - target) <= 1e-10 * np.linalg.norm(target)
+
+    def test_step_does_not_run_the_smoother(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ks_run called")
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ensvar"]:
+            if hasattr(module, "ks_run"):
+                monkeypatch.setattr(module, "ks_run", refuse)
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
+        lm_exact_step(problem, problem.prior_chain(), 1.0)
+        lm_exact_run(problem, LMConfig(gamma=0.0, max_iterations=2))
+
+
+def _exact_step_problem(name: str):
+    if name == "linear-chain":
+        return make_toy_problem(name, m=4, k=6, seed=2)
+    if name == "w2-quadratic":
+        return make_toy_problem(name)
+    # Lorenz-63 registers no Jacobian; any registered matrix serves to
+    # compare two solvers of the same linearized system.
+    problem = make_toy_problem(name, k=8)
+    model = problem.model_ops[0]
+
+    def jacobian(x):
+        cols = [(model(x + 1e-6 * e) - model(x - 1e-6 * e)) / 2e-6 for e in np.eye(3)]
+        return np.stack(cols, axis=1)
+
+    return replace(problem, model_ops=(replace(model, jacobian=jacobian),) * 8)
 
 
 class TestTangentEnsembleLM:

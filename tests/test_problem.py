@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ensvar import (
     ValidationError,
     validate_problem,
 )
+from ensvar.problem import _PSD_RTOL
 
 
 def _w1_with(**overrides) -> AssimilationProblem:
@@ -75,6 +78,23 @@ def test_false_linear_flag_rejected():
         validate_problem(_w1_with(model_ops=(bogus,)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field, name, value",
+    [
+        ("background_mean", "background_mean", lambda v: np.array([v])),
+        ("background_cov", "background_cov", lambda v: np.array([[v]])),
+        ("forcings", "forcings[1]", lambda v: (np.array([v]),)),
+        ("model_noise_covs", "model_noise_covs[1]", lambda v: (np.array([[v]]),)),
+        ("obs_noise_covs", "obs_noise_covs[1]", lambda v: (np.array([[v]]),)),
+        ("observations", "observations[1]", lambda v: (np.array([v]),)),
+    ],
+)
+def test_non_finite_data_rejected(field, name, value, bad):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(name)} contains non-finite"):
+        validate_problem(_w1_with(**{field: value(bad)}))
+
+
 def test_operator_from_matrix_carries_jacobian():
     op = Operator.from_matrix([[2.0, 0.0], [0.0, 3.0]])
     assert op.linear
@@ -97,6 +117,22 @@ def test_trajectory_composite_round_trip():
     back = Trajectory.from_composite(traj.composite, 2)
     np.testing.assert_array_equal(back.states, traj.states)
     assert traj.horizon == 1 and traj.state_dim == 2
+
+
+def _rotated(eigenvalues) -> np.ndarray:
+    basis, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((len(eigenvalues),) * 2))
+    cov = basis @ np.diag(eigenvalues) @ basis.T
+    return 0.5 * (cov + cov.T)
+
+
+def test_gaussian_estimate_psd_tolerance_boundary():
+    # Eigenvalues 1, 1, 1 (scale ~ sqrt(3)) and one small eigenvalue placed
+    # relative to the PSD tolerance -_PSD_RTOL * scale.
+    tol = _PSD_RTOL * np.sqrt(3.0)
+    GaussianEstimate(np.zeros(4), _rotated([1.0, 1.0, 1.0, 0.0]))
+    GaussianEstimate(np.zeros(4), _rotated([1.0, 1.0, 1.0, -0.5 * tol]))
+    with pytest.raises(ValidationError, match=r"eigenvalue -3\.46\de-10 below PSD tolerance"):
+        GaussianEstimate(np.zeros(4), _rotated([1.0, 1.0, 1.0, -2.0 * tol]))
 
 
 def test_gaussian_estimate_invariants():

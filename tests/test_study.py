@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensvar import LMConfig, StudyResult, StudySpec, ValidationError, emit, run_study
-from ensvar.study import render_csv, render_json
+from ensvar.study import json_text, render_csv, render_json
 
 
 def _strip_wall(csv_text: str) -> list[list[str]]:
@@ -118,3 +121,74 @@ class TestEmission:
         spec = StudySpec(kind="enks-vs-ks", sweep=(16,), replicates=1, problem=w1)
         with pytest.raises(ValidationError):
             emit(run_study(spec), "xml", tmp_path / "x")
+
+
+def _recursive_json_text(value, indent: int = 0) -> str:
+    """The element-by-element writer that json_text must reproduce byte for byte."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        items = [
+            f'{pad}  {json.dumps(k)}: {_recursive_json_text(v, indent + 1).lstrip()}'
+            for k, v in value.items()
+        ]
+        return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        items = [f"{pad}  {_recursive_json_text(v, indent + 1).lstrip()}" for v in value]
+        return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else pad + "[]"
+    if isinstance(value, str):
+        return pad + json.dumps(value)
+    if isinstance(value, bool) or value is None:
+        return pad + ("null" if value is None else ("true" if value else "false"))
+    if isinstance(value, int):
+        return pad + str(value)
+    return pad + f"{value:.17g}"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(_FINITE, st.integers(), st.booleans(), st.none(), st.text(max_size=3))
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(_FINITE, max_size=6),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1.5, -0.0, 5e-324, 1e300, -1e-300, 0.1],
+            [1.0, 2, True, None, 3.5],
+            [False, 0.0],
+            [0, 1, 2],
+            [],
+            [[], [1.0], [[2.0, 3.0], []]],
+            {"a": [[1.0, 2.0], [3.0, 4.0]], "b": (5.0, 6.0), "c": [1.0, "x"]},
+            [np.float64(0.25), 0.5],
+        ],
+    )
+    def test_matches_recursive_writer(self, doc):
+        for indent in (0, 2):
+            assert json_text(doc, indent) == _recursive_json_text(doc, indent)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_DOCS)
+    def test_matches_recursive_writer_on_random_documents(self, doc):
+        assert json_text(doc) == _recursive_json_text(doc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("wrap", [lambda v: [1.0, v], lambda v: [1, v], lambda v: {"x": v}])
+    def test_refuses_non_finite(self, bad, wrap):
+        with pytest.raises(ValidationError, match="non-finite"):
+            json_text(wrap(bad))
+
+    def test_csv_refuses_non_finite(self, w1):
+        spec = StudySpec(kind="enks-vs-ks", sweep=(16,), replicates=1, problem=w1)
+        result = run_study(spec)
+        bad = replace(result, rows=(replace(result.rows[0], error_estimate=np.nan),))
+        with pytest.raises(ValidationError, match="non-finite"):
+            render_csv(bad)
