@@ -1,7 +1,7 @@
 """Ensemble Kalman filter and smoother with matrix-free covariance products.
 
-Three variants share one analysis kernel and differ only in where the
-covariance products come from:
+Three variants share one forecast/analysis step and differ only in where
+the covariance products come from:
 
 * :func:`enkf_run` - per-time state ensembles, sample covariances;
 * :func:`enks_run` - composite-state (trajectory) ensembles, sample
@@ -11,6 +11,10 @@ covariance products come from:
   draws from the smoothing distribution, and it consumes the same keyed
   perturbations as :func:`enks_run`, so the pair forms a coupled run whose
   member-wise difference is pure sampling error of the ensemble method.
+
+:func:`coupled_member_diffs` runs that pair as one pass: each key is drawn
+once and fed to both arms, and the reference arm carries member 1 only,
+since with exact gains no member depends on another.
 
 Sample statistics are always reduced in ascending member-key order, so a
 run whose member keys are permuted reproduces the unpermuted run's
@@ -116,7 +120,7 @@ def _sample_products(
     return pht, 0.5 * (hpht + hpht.T)
 
 
-def _prepare_linear(problem: AssimilationProblem, n_members: int):
+def _prepare_linear(problem: AssimilationProblem):
     validate_problem(problem)
     if not problem.all_linear:
         raise NonlinearOperatorError(
@@ -129,6 +133,76 @@ def _prepare_linear(problem: AssimilationProblem, n_members: int):
     l_q = [cholesky_spd(q, "model_noise_cov") for q in problem.model_noise_covs]
     l_r = [cholesky_spd(r, "obs_noise_cov") for r in problem.obs_noise_covs]
     return models, obs, l_b, l_q, l_r
+
+
+def _initial_ensemble(problem, lin, stream, members) -> np.ndarray:
+    """Members drawn from N(background_mean, background_cov) by their keys."""
+    z = stream.draw_members(Phase.SMOOTHER, 0, 0, NoiseKind.INIT, members, problem.state_dim)
+    return problem.background_mean + z @ lin[2].T
+
+
+def _step_draws(problem, stream, members, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step i's model and observation draws, one row per member key."""
+    v = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.MODEL, members, problem.state_dim)
+    w = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.OBS, members, problem.obs_dim(i))
+    return v, w
+
+
+def _forecast_analysis(problem, lin, i, ensemble, v, w, order=None, cov_f=None, composite=True):
+    """One forecast/analysis step; returns (forecast, analysis) ensembles.
+
+    Rows are advanced with model draws ``v``, then updated with perturbed
+    observations (obs draws ``w``).  The gain comes from sample products
+    over the rows in ``order`` or, when ``cov_f`` is given, from the exact
+    composite forecast covariance, in which case every row is updated
+    independently of the others.  A composite ensemble gains the forecast
+    block as new columns; a filter ensemble (``composite=False``) is
+    replaced by it.
+    """
+    models, obs_mats, _, l_q, l_r = lin
+    m = problem.state_dim
+    h_i = obs_mats[i - 1]
+    state = ensemble[:, -m:] @ models[i - 1].T + problem.forcings[i - 1] + v @ l_q[i - 1].T
+    forecast = np.hstack([ensemble, state]) if composite else state
+    if cov_f is None:
+        sorted_ens = forecast[order]
+        dev = sorted_ens - sorted_ens.mean(axis=0)
+        pht, hpht = _sample_products(dev, dev[:, -m:] @ h_i.T)
+    else:
+        pht = cov_f[:, -m:] @ h_i.T
+        hpht = h_i @ cov_f[-m:, -m:] @ h_i.T
+    innovations = problem.observations[i - 1] - w @ l_r[i - 1].T - forecast[:, -m:] @ h_i.T
+    analysis = _analysis_update(
+        forecast, innovations, pht, hpht, problem.obs_noise_covs[i - 1]
+    )
+    return forecast, analysis
+
+
+def _run(problem, lin, stream, members, order=None, cov_fs=None, composite=True):
+    """The keyed pass of the three runners; returns (analyses, forecasts)."""
+    analyses = [_initial_ensemble(problem, lin, stream, members)]
+    forecasts = []
+    for i in range(1, problem.horizon + 1):
+        v, w = _step_draws(problem, stream, members, i)
+        cov_f = None if cov_fs is None else cov_fs[i - 1]
+        forecast, analysis = _forecast_analysis(
+            problem, lin, i, analyses[-1], v, w, order, cov_f, composite
+        )
+        forecasts.append(forecast)
+        analyses.append(analysis)
+    return tuple(analyses), tuple(forecasts)
+
+
+def _ensemble_result(problem, n_members, stream, member_indices, composite):
+    if n_members < 2:
+        name = "EnKS" if composite else "EnKF"
+        raise ValidationError(f"{name} needs at least 2 members, got {n_members}")
+    members = _member_array(n_members, member_indices)
+    order = _canonical_order(members)
+    lin = _prepare_linear(problem)
+    analyses, forecasts = _run(problem, lin, stream, members, order, composite=composite)
+    means = tuple(a[order].mean(axis=0) for a in analyses)
+    return EnsembleRunResult(analyses, forecasts, means, tuple(members.tolist()))
 
 
 def enkf_run(
@@ -144,42 +218,7 @@ def enkf_run(
     observations; the observation perturbation is subtracted inside the
     innovation, ``y - W_n - H x_n``.
     """
-    if n_members < 2:
-        raise ValidationError(f"EnKF needs at least 2 members, got {n_members}")
-    members = _member_array(n_members, member_indices)
-    order = _canonical_order(members)
-    models, obs_mats, l_b, l_q, l_r = _prepare_linear(problem, n_members)
-    m = problem.state_dim
-
-    z = stream.draw_members(Phase.SMOOTHER, 0, 0, NoiseKind.INIT, members, m)
-    ensemble = problem.background_mean + z @ l_b.T
-
-    analyses = [ensemble.copy()]
-    forecasts = []
-    means = [ensemble[order].mean(axis=0)]
-    for i in range(1, problem.horizon + 1):
-        h_i = obs_mats[i - 1]
-        y_i = problem.observations[i - 1]
-        d = problem.obs_dim(i)
-
-        v = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.MODEL, members, m)
-        ensemble = ensemble @ models[i - 1].T + problem.forcings[i - 1] + v @ l_q[i - 1].T
-        forecasts.append(ensemble.copy())
-
-        dev = ensemble[order] - ensemble[order].mean(axis=0)
-        pht, hpht = _sample_products(dev, dev @ h_i.T)
-
-        w = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.OBS, members, d)
-        innovations = y_i - w @ l_r[i - 1].T - ensemble @ h_i.T
-        ensemble = _analysis_update(
-            ensemble, innovations, pht, hpht, problem.obs_noise_covs[i - 1]
-        )
-
-        analyses.append(ensemble.copy())
-        means.append(ensemble[order].mean(axis=0))
-    return EnsembleRunResult(
-        tuple(analyses), tuple(forecasts), tuple(means), tuple(members.tolist())
-    )
+    return _ensemble_result(problem, n_members, stream, member_indices, composite=False)
 
 
 def enks_run(
@@ -194,44 +233,7 @@ def enks_run(
     composite trajectory, so the time-i marginal of the smoother ensemble
     coincides with the filter ensemble member for member.
     """
-    if n_members < 2:
-        raise ValidationError(f"EnKS needs at least 2 members, got {n_members}")
-    members = _member_array(n_members, member_indices)
-    order = _canonical_order(members)
-    models, obs_mats, l_b, l_q, l_r = _prepare_linear(problem, n_members)
-    m = problem.state_dim
-
-    z = stream.draw_members(Phase.SMOOTHER, 0, 0, NoiseKind.INIT, members, m)
-    ensemble = problem.background_mean + z @ l_b.T
-
-    analyses = [ensemble.copy()]
-    forecasts = []
-    means = [ensemble[order].mean(axis=0)]
-    for i in range(1, problem.horizon + 1):
-        h_i = obs_mats[i - 1]
-        y_i = problem.observations[i - 1]
-        d = problem.obs_dim(i)
-
-        v = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.MODEL, members, m)
-        state = ensemble[:, -m:] @ models[i - 1].T + problem.forcings[i - 1] + v @ l_q[i - 1].T
-        ensemble = np.hstack([ensemble, state])
-        forecasts.append(ensemble.copy())
-
-        sorted_ens = ensemble[order]
-        dev = sorted_ens - sorted_ens.mean(axis=0)
-        pht, hpht = _sample_products(dev, dev[:, -m:] @ h_i.T)
-
-        w = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.OBS, members, d)
-        innovations = y_i - w @ l_r[i - 1].T - ensemble[:, -m:] @ h_i.T
-        ensemble = _analysis_update(
-            ensemble, innovations, pht, hpht, problem.obs_noise_covs[i - 1]
-        )
-
-        analyses.append(ensemble.copy())
-        means.append(ensemble[order].mean(axis=0))
-    return EnsembleRunResult(
-        tuple(analyses), tuple(forecasts), tuple(means), tuple(members.tolist())
-    )
+    return _ensemble_result(problem, n_members, stream, member_indices, composite=True)
 
 
 def reference_enks_run(
@@ -257,8 +259,7 @@ def reference_enks_run(
     if n_members < 1:
         raise ValidationError(f"reference run needs at least 1 member, got {n_members}")
     members = _member_array(n_members, member_indices)
-    models, obs_mats, l_b, l_q, l_r = _prepare_linear(problem, n_members)
-    m = problem.state_dim
+    lin = _prepare_linear(problem)
 
     if forecast_covariances is None:
         if smoother is None:
@@ -270,30 +271,8 @@ def reference_enks_run(
             f"need {problem.horizon} forecast covariances, got {len(forecast_covariances)}"
         )
 
-    z = stream.draw_members(Phase.SMOOTHER, 0, 0, NoiseKind.INIT, members, m)
-    ensemble = problem.background_mean + z @ l_b.T
-
-    analyses = [ensemble.copy()]
-    for i in range(1, problem.horizon + 1):
-        h_i = obs_mats[i - 1]
-        y_i = problem.observations[i - 1]
-        d = problem.obs_dim(i)
-
-        v = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.MODEL, members, m)
-        state = ensemble[:, -m:] @ models[i - 1].T + problem.forcings[i - 1] + v @ l_q[i - 1].T
-        ensemble = np.hstack([ensemble, state])
-
-        cov_f = forecast_covariances[i - 1]
-        pht = cov_f[:, -m:] @ h_i.T
-        hpht = h_i @ cov_f[-m:, -m:] @ h_i.T
-
-        w = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.OBS, members, d)
-        innovations = y_i - w @ l_r[i - 1].T - ensemble[:, -m:] @ h_i.T
-        ensemble = _analysis_update(
-            ensemble, innovations, pht, hpht, problem.obs_noise_covs[i - 1]
-        )
-        analyses.append(ensemble.copy())
-    return ReferenceRunResult(tuple(analyses), forecast_covariances, tuple(members.tolist()))
+    analyses, _ = _run(problem, lin, stream, members, cov_fs=forecast_covariances)
+    return ReferenceRunResult(analyses, forecast_covariances, tuple(members.tolist()))
 
 
 def coupled_member_diffs(
@@ -305,20 +284,34 @@ def coupled_member_diffs(
     """Per-replicate difference of member 1 between EnKS and reference run.
 
     Each replicate derives its own seed from the stream's root seed and
-    feeds *identical* draws to both arms, so the difference measures only
-    the effect of sample versus exact covariances.
+    runs both arms in one pass: every key is drawn once, for all members,
+    and both arms consume that draw, so the difference measures only the
+    effect of sample versus exact covariances.  The EnKS arm updates all
+    members; the reference arm carries member 1 (key 0) alone, which is
+    exact because its gains use no other member.  The result equals the
+    member-1 gap between :func:`enks_run` and :func:`reference_enks_run`
+    up to round-off.
     """
     if replicates < 1:
         raise ValidationError(f"replicates must be >= 1, got {replicates}")
-    smoother = ks_run(problem)
+    if n_members < 2:
+        raise ValidationError(f"EnKS needs at least 2 members, got {n_members}")
+    lin = _prepare_linear(problem)
+    forecast_covariances = ks_run(problem).forecast_covariances
+    members = _member_array(n_members, None)
+    order = _canonical_order(members)
     diffs = []
     for r in range(replicates):
-        seed = derive_seed(stream.seed, r)
-        enks = enks_run(problem, n_members, PerturbationStream(seed))
-        ref = reference_enks_run(
-            problem, n_members, PerturbationStream(seed), smoother=smoother
-        )
-        diffs.append(enks.analysis_ensembles[-1][0] - ref.analysis_ensembles[-1][0])
+        replicate_stream = PerturbationStream(derive_seed(stream.seed, r))
+        ensemble = _initial_ensemble(problem, lin, replicate_stream, members)
+        reference = ensemble[:1]
+        for i in range(1, problem.horizon + 1):
+            v, w = _step_draws(problem, replicate_stream, members, i)
+            _, ensemble = _forecast_analysis(problem, lin, i, ensemble, v, w, order)
+            _, reference = _forecast_analysis(
+                problem, lin, i, reference, v[:1], w[:1], cov_f=forecast_covariances[i - 1]
+            )
+        diffs.append(ensemble[0] - reference[0])
     return diffs
 
 

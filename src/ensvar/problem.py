@@ -12,6 +12,7 @@ are flagged and the linearity claim is checked at validation time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -159,7 +160,10 @@ class GaussianEstimate:
             raise DimensionMismatchError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
+        _check_finite(mean, "mean")
         scale = np.linalg.norm(cov)
+        if not np.isfinite(scale):  # a non-finite entry makes the norm non-finite
+            raise ValidationError(f"covariance has a non-finite Frobenius norm ({scale})")
         if np.linalg.norm(cov - cov.T) > _SYMMETRY_RTOL * max(scale, 1.0):
             raise ValidationError("covariance is not symmetric")
         if scale > 0:
@@ -250,13 +254,27 @@ def _check_spd(a: np.ndarray, name: str) -> None:
         raise NotSPDError(f"{name} is not positive definite") from None
 
 
-def _check_linear_flag(op: Operator, in_dim: int, name: str) -> None:
-    # Deterministic probe vectors; tolerance per the linearity contract.
+@functools.lru_cache(maxsize=64)
+def _linearity_probes(in_dim: int) -> tuple[tuple[np.ndarray, np.ndarray, float, float], ...]:
+    """Three (u, v, alpha, beta) probes drawn in order from ``default_rng(0)``.
+
+    Cached per dimension, since validation probes every linear operator at
+    every step; the arrays are read-only because every caller shares them.
+    """
     rng = np.random.default_rng(0)
+    probes = []
     for _ in range(3):
         u = rng.standard_normal(in_dim)
         v = rng.standard_normal(in_dim)
         alpha, beta = rng.standard_normal(2)
+        u.flags.writeable = v.flags.writeable = False
+        probes.append((u, v, alpha, beta))
+    return tuple(probes)
+
+
+def _check_linear_flag(op: Operator, in_dim: int, name: str) -> None:
+    # Deterministic probe vectors; tolerance per the linearity contract.
+    for u, v, alpha, beta in _linearity_probes(in_dim):
         lhs = op(alpha * u + beta * v)
         rhs = alpha * op(u) + beta * op(v)
         scale = max(np.linalg.norm(rhs), 1.0)

@@ -2,7 +2,8 @@
 
 The benchmark's traced run rebuilds every toy operator from its fields to
 count evaluations and rebinds ``kalman.GaussianEstimate`` to time it, and
-every run checks its outputs against the oracles.  An ``Operator`` change
+every run checks its outputs against the oracles (for ``enks-rate``, the
+N^(-1/2) slope of the coupled EnKS pass).  An ``Operator`` change
 that breaks the rebuild, a missing name the tracer rebinds, a broken oracle
 check, or an output that drifts from the untraced run fails here.
 """
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["tau-rate", "exact-smoother"])
+@pytest.mark.parametrize("workload", ["enks-rate", "tau-rate", "exact-smoother"])
 def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--smoke", "--workload", workload],

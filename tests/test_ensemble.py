@@ -9,6 +9,7 @@ from ensvar import (
     ValidationError,
     coupled_enks_error,
     coupled_member_diffs,
+    derive_seed,
     enkf_run,
     enks_run,
     kf_run,
@@ -165,8 +166,50 @@ class TestReferenceRun:
         diff = np.abs(ref.analysis_ensembles[-1] - enks.analysis_ensembles[-1]).max()
         assert diff <= 1e-12
 
+    def test_single_member_matches_row_of_full_run(self, w1):
+        # With exact gains no member depends on another: member 0 alone
+        # evolves as row 0 of an N-member run.
+        full = reference_enks_run(w1, 25, PerturbationStream(9))
+        single = reference_enks_run(w1, 1, PerturbationStream(9), member_indices=[0])
+        for one, many in zip(single.analysis_ensembles, full.analysis_ensembles):
+            assert np.abs(one[0] - many[0]).max() <= 1e-12 * max(np.abs(many[0]).max(), 1.0)
+
 
 class TestCoupledError:
+    @pytest.mark.parametrize("problem_args", [("w1-linear", {}), ("linear-chain", {"m": 2, "k": 3, "seed": 4})])
+    def test_diffs_match_separate_runs(self, problem_args):
+        name, params = problem_args
+        problem = make_toy_problem(name, **params)
+        stream = PerturbationStream(17)
+        diffs = coupled_member_diffs(problem, 60, stream, 5)
+        for r, diff in enumerate(diffs):
+            seed = derive_seed(stream.seed, r)
+            enks_row = enks_run(problem, 60, PerturbationStream(seed)).analysis_ensembles[-1][0]
+            ref_row = reference_enks_run(problem, 60, PerturbationStream(seed)).analysis_ensembles[-1][0]
+            scale = max(np.abs(enks_row).max(), 1.0)
+            assert np.abs(diff - (enks_row - ref_row)).max() <= 1e-10 * scale
+
+    def test_each_key_drawn_once_per_replicate(self, w1, monkeypatch):
+        calls = []
+        original = PerturbationStream.draw_members
+
+        def recording(self, phase, iteration, time_index, kind, members, dim):
+            calls.append((self.seed, time_index, kind, tuple(np.asarray(members).tolist())))
+            return original(self, phase, iteration, time_index, kind, members, dim)
+
+        monkeypatch.setattr(PerturbationStream, "draw_members", recording)
+        stream = PerturbationStream(4)
+        coupled_member_diffs(w1, 12, stream, 3)
+        seeds = [derive_seed(stream.seed, r) for r in range(3)]
+        expected = [(0, NoiseKind.INIT)] + [
+            (i, kind) for i in range(1, w1.horizon + 1) for kind in (NoiseKind.MODEL, NoiseKind.OBS)
+        ]
+        for seed in seeds:
+            drawn = [(t, kind) for s, t, kind, _ in calls if s == seed]
+            assert sorted(drawn) == sorted(expected)
+        assert {s for s, *_ in calls} == set(seeds)
+        assert all(members == tuple(range(12)) for *_, members in calls)
+
     def test_rate_is_roughly_root_n(self, w1):
         errors = [
             coupled_enks_error(w1, n, PerturbationStream(7), 2.0, 20)

@@ -11,9 +11,10 @@ from ensvar import (
     Operator,
     Trajectory,
     ValidationError,
+    kf_run,
     validate_problem,
 )
-from ensvar.problem import _PSD_RTOL
+from ensvar.problem import _PSD_RTOL, _linearity_probes
 
 
 def _w1_with(**overrides) -> AssimilationProblem:
@@ -74,8 +75,23 @@ def test_asymmetric_cov_rejected():
 
 def test_false_linear_flag_rejected():
     bogus = Operator(apply=lambda x: x**2, linear=True)
-    with pytest.raises(ValidationError, match="linear"):
+    validate_problem(_w1_with())  # the probes for in_dim 1 are now cached
+    with pytest.raises(ValidationError, match="model_ops.*linear"):
         validate_problem(_w1_with(model_ops=(bogus,)))
+    with pytest.raises(ValidationError, match="obs_ops.*linear"):
+        validate_problem(_w1_with(obs_ops=(bogus,)))
+
+
+@pytest.mark.parametrize("in_dim", [1, 3])
+def test_linearity_probes_are_the_default_rng_0_sequence(in_dim):
+    rng = np.random.default_rng(0)
+    probes = _linearity_probes(in_dim)
+    assert _linearity_probes(in_dim) is probes and len(probes) == 3
+    for u, v, alpha, beta in probes:
+        np.testing.assert_array_equal(u, rng.standard_normal(in_dim))
+        np.testing.assert_array_equal(v, rng.standard_normal(in_dim))
+        np.testing.assert_array_equal([alpha, beta], rng.standard_normal(2))
+        assert not u.flags.writeable and not v.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -143,6 +159,30 @@ def test_gaussian_estimate_invariants():
         GaussianEstimate(np.zeros(2), np.diag([1.0, -1.0]))
     with pytest.raises(DimensionMismatchError):
         GaussianEstimate(np.zeros(3), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "mean, cov, name",
+    [
+        (np.zeros(1), [[np.nan]], "covariance"),
+        (np.zeros(2), [[1.0, 0.0], [0.0, np.inf]], "covariance"),
+        (np.array([np.inf]), [[1.0]], "mean"),
+        (np.array([0.0, np.nan]), np.eye(2), "mean"),
+    ],
+)
+def test_gaussian_estimate_rejects_non_finite(mean, cov, name):
+    with pytest.raises(ValidationError, match=rf"^{name} "):
+        GaussianEstimate(mean, cov)
+
+
+def test_kf_run_overflow_raises_instead_of_returning_nan():
+    # Finite inputs whose forecast overflows: 10 * 1e308 = inf.
+    problem = _w1_with(
+        background_mean=np.array([1e308]), model_ops=(Operator.from_matrix([[10.0]]),)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="^mean contains non-finite"):
+            kf_run(problem)
 
 
 def test_prior_chain(w2):
