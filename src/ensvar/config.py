@@ -38,22 +38,57 @@ are reached through the named zoo entries.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import yaml
 
-from .errors import ValidationError
+from .errors import EnsvarError, ValidationError
 from .fourdvar import LMConfig
 from .problem import AssimilationProblem, Operator, Trajectory, validate_problem
 from .study import StudySpec
-from .toys import make_toy_problem
+from .toys import _toy_builder, make_toy_problem
 
 __all__ = ["LoadedConfig", "load_config"]
 
-_PROBLEM_FIELDS = {"state_dim", "horizon", "x_b", "B", "M", "mu", "Q", "H", "R", "y"}
-_LM_FIELDS = {"gamma", "tau", "ensemble_sizes", "max_iterations", "mode", "initial_trajectory"}
-_STUDY_FIELDS = {"kind", "sweep", "replicates", "p_order", "seed"}
+_PER_STEP_FIELDS = ("M", "mu", "Q", "H", "R", "y")
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+# Each section's keys with the converter of their YAML values.
+_PROBLEM_FIELDS = {
+    "state_dim": _integer,
+    "horizon": _integer,
+    "x_b": _float_array,
+    "B": _float_array,
+    **dict.fromkeys(_PER_STEP_FIELDS, lambda steps: tuple(_float_array(v) for v in steps)),
+}
+_LM_FIELDS = {
+    "gamma": float,
+    "tau": float,
+    "ensemble_sizes": lambda v: tuple(_integer(n) for n in v),
+    "max_iterations": _integer,
+    "mode": str,
+    "initial_trajectory": lambda v: Trajectory(_float_array(v)),
+}
+_STUDY_FIELDS = {
+    "kind": str,
+    "sweep": lambda v: tuple(float(x) for x in v),
+    "replicates": _integer,
+    "p_order": float,
+    "seed": _integer,
+}
 
 
 @dataclass(frozen=True)
@@ -63,39 +98,70 @@ class LoadedConfig:
     study: StudySpec | None
 
 
-def _reject_unknown(section: dict, allowed: set[str], name: str) -> None:
-    unknown = set(section) - allowed
+def _reject_unknown(section: dict, allowed, name: str) -> None:
+    unknown = set(section) - set(allowed)
     if unknown:
-        raise ValidationError(f"unknown keys in {name} section: {sorted(unknown)}")
+        raise ValidationError(f"unknown keys in {name} section: {sorted(unknown, key=str)}")
+
+
+def _converted(what: str, convert: Callable, value):
+    """``convert(value)``; a TypeError or ValueError from a malformed YAML
+    value becomes a ValidationError naming ``what`` (the field or the toy).
+    """
+    try:
+        return convert(value)
+    except EnsvarError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
+def _converted_fields(section: dict, converters: dict, name: str) -> dict:
+    return {
+        key: _converted(f"{name} field {key}", convert, section[key])
+        for key, convert in converters.items()
+        if key in section
+    }
+
+
+def _toy_problem(name, params: dict) -> AssimilationProblem:
+    """Bind the toy parameters to the builder's signature, converting each by its annotation."""
+    signature = inspect.signature(_toy_builder(name), eval_str=True)
+    bound = _converted(f"toy {name!r}", lambda p: signature.bind(**p), params)
+    kwargs = {}
+    for key, value in bound.arguments.items():
+        annotation = signature.parameters[key].annotation
+        kwargs[key] = _converted(f"toy {name!r} parameter {key}", _integer if annotation is int else annotation, value)
+    return make_toy_problem(name, **kwargs)
 
 
 def _problem_from_section(section) -> AssimilationProblem:
     if not isinstance(section, dict):
         raise ValidationError("problem section must be a mapping")
     if "name" in section:
-        params = {k: v for k, v in section.items() if k != "name"}
-        return make_toy_problem(section["name"], **params)
+        return _toy_problem(section["name"], {k: v for k, v in section.items() if k != "name"})
     _reject_unknown(section, _PROBLEM_FIELDS, "problem")
-    missing = _PROBLEM_FIELDS - set(section)
+    missing = _PROBLEM_FIELDS.keys() - set(section)
     if missing:
         raise ValidationError(f"problem section missing keys: {sorted(missing)}")
-    horizon = int(section["horizon"])
-    for key in ("M", "mu", "Q", "H", "R", "y"):
-        if len(section[key]) != horizon:
+    fields = _converted_fields(section, _PROBLEM_FIELDS, "problem")
+    horizon = fields["horizon"]
+    for key in _PER_STEP_FIELDS:
+        if len(fields[key]) != horizon:
             raise ValidationError(
-                f"problem field {key} has {len(section[key])} entries, expected {horizon}"
+                f"problem field {key} has {len(fields[key])} entries, expected {horizon}"
             )
     problem = AssimilationProblem(
-        state_dim=int(section["state_dim"]),
+        state_dim=fields["state_dim"],
         horizon=horizon,
-        background_mean=np.asarray(section["x_b"], dtype=float),
-        background_cov=np.asarray(section["B"], dtype=float),
-        model_ops=tuple(Operator.from_matrix(a) for a in section["M"]),
-        forcings=tuple(np.asarray(v, dtype=float) for v in section["mu"]),
-        model_noise_covs=tuple(np.asarray(a, dtype=float) for a in section["Q"]),
-        obs_ops=tuple(Operator.from_matrix(a) for a in section["H"]),
-        obs_noise_covs=tuple(np.asarray(a, dtype=float) for a in section["R"]),
-        observations=tuple(np.asarray(v, dtype=float) for v in section["y"]),
+        background_mean=fields["x_b"],
+        background_cov=fields["B"],
+        model_ops=tuple(Operator.from_matrix(a) for a in fields["M"]),
+        forcings=fields["mu"],
+        model_noise_covs=fields["Q"],
+        obs_ops=tuple(Operator.from_matrix(h) for h in fields["H"]),
+        obs_noise_covs=fields["R"],
+        observations=fields["y"],
     )
     return validate_problem(problem)
 
@@ -106,18 +172,7 @@ def _lm_from_section(section) -> LMConfig:
     _reject_unknown(section, _LM_FIELDS, "lm")
     if "gamma" not in section:
         raise ValidationError("lm section requires a gamma value")
-    kwargs: dict = {"gamma": float(section["gamma"])}
-    if "tau" in section:
-        kwargs["tau"] = float(section["tau"])
-    if "ensemble_sizes" in section:
-        kwargs["ensemble_sizes"] = tuple(int(n) for n in section["ensemble_sizes"])
-    if "max_iterations" in section:
-        kwargs["max_iterations"] = int(section["max_iterations"])
-    if "mode" in section:
-        kwargs["mode"] = str(section["mode"])
-    if "initial_trajectory" in section:
-        kwargs["initial_trajectory"] = Trajectory(np.asarray(section["initial_trajectory"], dtype=float))
-    return LMConfig(**kwargs)
+    return LMConfig(**_converted_fields(section, _LM_FIELDS, "lm"))
 
 
 def _study_from_section(section, problem, lm) -> StudySpec:
@@ -127,15 +182,7 @@ def _study_from_section(section, problem, lm) -> StudySpec:
     for key in ("kind", "sweep", "replicates"):
         if key not in section:
             raise ValidationError(f"study section requires a {key} value")
-    return StudySpec(
-        kind=str(section["kind"]),
-        sweep=tuple(float(v) for v in section["sweep"]),
-        replicates=int(section["replicates"]),
-        problem=problem,
-        p_order=float(section.get("p_order", 2.0)),
-        seed=int(section.get("seed", 0)),
-        lm=lm,
-    )
+    return StudySpec(**_converted_fields(section, _STUDY_FIELDS, "study"), problem=problem, lm=lm)
 
 
 def load_config(path) -> LoadedConfig:

@@ -87,8 +87,16 @@ def _member_array(n_members: int, member_indices) -> np.ndarray:
     return arr
 
 
-def _canonical_order(members: np.ndarray) -> np.ndarray:
+def _canonical_order(members: np.ndarray) -> np.ndarray | None:
+    """Stable ascending order of the member keys; None when already sorted."""
+    if np.all(members[1:] >= members[:-1]):
+        return None
     return np.argsort(members, kind="stable")
+
+
+def _canonical(rows: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """``rows`` in ascending member-key order, without a copy when sorted."""
+    return rows if order is None else rows[order]
 
 
 def _analysis_update(
@@ -165,7 +173,7 @@ def _forecast_analysis(problem, lin, i, ensemble, v, w, order=None, cov_f=None, 
     state = ensemble[:, -m:] @ models[i - 1].T + problem.forcings[i - 1] + v @ l_q[i - 1].T
     forecast = np.hstack([ensemble, state]) if composite else state
     if cov_f is None:
-        sorted_ens = forecast[order]
+        sorted_ens = _canonical(forecast, order)
         dev = sorted_ens - sorted_ens.mean(axis=0)
         pht, hpht = _sample_products(dev, dev[:, -m:] @ h_i.T)
     else:
@@ -201,7 +209,7 @@ def _ensemble_result(problem, n_members, stream, member_indices, composite):
     order = _canonical_order(members)
     lin = _prepare_linear(problem)
     analyses, forecasts = _run(problem, lin, stream, members, order, composite=composite)
-    means = tuple(a[order].mean(axis=0) for a in analyses)
+    means = tuple(_canonical(a, order).mean(axis=0) for a in analyses)
     return EnsembleRunResult(analyses, forecasts, means, tuple(members.tolist()))
 
 

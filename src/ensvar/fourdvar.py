@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .ensemble import _analysis_update, _canonical_order, _member_array, _sample_products
+from .ensemble import _analysis_update, _canonical, _canonical_order, _member_array, _sample_products
 from .errors import ValidationError
 from .numerics import cholesky_spd, spd_solve
 from .problem import AssimilationProblem, Operator, Trajectory, validate_problem
@@ -378,7 +378,7 @@ def _lm_ensemble_run(
                 [ensemble, prop + m_c + problem.forcings[i - 1] + v @ l_q[i - 1].T]
             )
 
-            sorted_ens = ensemble[order]
+            sorted_ens = _canonical(ensemble, order)
             dev = sorted_ens - sorted_ens.mean(axis=0)
             sdev = dev[:, -m:]
             # The stacked operator's lower block is the identity, whose
@@ -395,7 +395,7 @@ def _lm_ensemble_run(
             innovations = aug[i - 1].observation - w - predicted
             ensemble = _analysis_update(ensemble, innovations, pht, hpht, r_tilde)
 
-        center = Trajectory.from_composite(ensemble[order].mean(axis=0), m)
+        center = Trajectory.from_composite(_canonical(ensemble, order).mean(axis=0), m)
         iterates.append(center)
         objectives.append(_objective(problem, center))
         ensembles.append(ensemble.copy())

@@ -28,8 +28,10 @@ def _as_spd_input(a: np.ndarray, name: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise NotSPDError(f"{name} is not square: shape {a.shape}")
-    scale = max(np.linalg.norm(a), 1.0)
-    if np.linalg.norm(a - a.T) > _SYMMETRY_RTOL * scale:
+    norm = np.linalg.norm(a)
+    if not np.isfinite(norm):  # a non-finite entry makes the norm non-finite
+        raise NotSPDError(f"{name} has a non-finite Frobenius norm ({norm})")
+    if np.linalg.norm(a - a.T) > _SYMMETRY_RTOL * max(norm, 1.0):
         raise NotSPDError(f"{name} is not symmetric")
     return a
 
@@ -47,6 +49,8 @@ def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve a @ x = b for SPD a via its Cholesky factorization."""
     a = _as_spd_input(a, name)
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValidationError(f"right-hand side of the {name} solve contains non-finite entries")
     try:
         factor = scipy.linalg.cho_factor(a, lower=True)
     except scipy.linalg.LinAlgError:

@@ -13,7 +13,10 @@ Draws are generated with the Philox 4x32-10 counter-based generator, with
 the key components packed bijectively into the counter/key words, and
 turned into normals by the Box-Muller transform (fixed consumption: one
 128-bit block per pair of normals).  Generation is vectorized across
-members, which is where all the volume is.
+members, which is where all the volume is: the member counters are
+broadcast against the block counters, not tiled.  A normal's last bits
+are those of numpy's float64 log, cos and sin on the host, whose log is
+not libm's where numpy dispatches it to AVX-512.
 """
 
 from __future__ import annotations
@@ -82,52 +85,47 @@ def _check_component(name: str, value: int, limit: int) -> int:
     return value
 
 
-def _philox_blocks(c0: np.ndarray, c1: int, c2: int, c3: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """Run Philox 4x32-10 on a batch of counters sharing (c1, c2, k0, k1).
+def _philox_blocks(c0, c1: int, c2: int, c3, k0: int, k1: int):
+    """Philox 4x32-10 on counters broadcast from (B,) blocks ``c0`` and (N, 1) keys ``c3``.
 
-    Inputs hold 32-bit values in uint64 arrays/scalars; products of two
-    32-bit values fit a uint64 exactly, so no modular multiply is needed.
-    Returns an array of shape (B, 4) of 32-bit output words.
+    A word stays as small as the counters it depends on (scalars and short
+    rows in the first rounds); products of two 32-bit values fit a uint64.
+    Constants are ``np.uint64``: before NEP 50, uint64 combined with a
+    Python int becomes float64.  Returns the four 32-bit output words.
     """
-    x0 = c0.astype(_U64, copy=True)
-    x1 = np.full_like(x0, _U64(c1))
-    x2 = np.full_like(x0, _U64(c2))
-    x3 = c3.astype(_U64, copy=True)
-    key0 = _U64(k0)
-    key1 = _U64(k1)
+    x0, x1, x2, x3 = c0, _U64(c1), _U64(c2), c3
+    key0, key1 = _U64(k0), _U64(k1)
     for _ in range(10):
-        p0 = _M0 * x0
-        p1 = _M1 * x2
-        hi0 = p0 >> _U64(32)
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> _U64(32)
-        lo1 = p1 & _MASK32
-        x0 = hi1 ^ x1 ^ key0
-        x1 = lo1
-        x2 = hi0 ^ x3 ^ key1
-        x3 = lo0
-        key0 = (key0 + _W0) & _MASK32
-        key1 = (key1 + _W1) & _MASK32
-    return np.stack([x0, x1, x2, x3], axis=1)
+        p0, p1 = _M0 * x0, _M1 * x2
+        x0, x1 = (p1 >> _U64(32)) ^ (x1 ^ key0), p1 & _MASK32
+        x2, x3 = (p0 >> _U64(32)) ^ (x3 ^ key1), p0 & _MASK32
+        key0, key1 = (key0 + _W0) & _MASK32, (key1 + _W1) & _MASK32
+    return x0, x1, x2, x3
 
 
-def _normals_from_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Box-Muller: one (B, 4) block of 32-bit words -> (B, 2) standard normals.
+def _normals_from_blocks(x0, x1, x2, x3) -> np.ndarray:
+    """Box-Muller: the (N, B) Philox words -> (N, 2B) standard normals.
 
     Each uniform uses 53 bits (two words), so a block yields exactly one
     normal pair; consumption per key is fixed, which keeps member draws
-    independent of ensemble size and of each other.
+    independent of ensemble size and of each other.  Overwrites the words.
     """
-    hi = blocks[:, 0] << _U64(21)
-    u1 = (hi | (blocks[:, 1] >> _U64(11))).astype(np.float64)
-    hi = blocks[:, 2] << _U64(21)
-    u2 = (hi | (blocks[:, 3] >> _U64(11))).astype(np.float64)
-    scale = 2.0**-53
-    u1 = (u1 + 1.0) * scale  # in (0, 1]: log is finite
-    u2 = u2 * scale  # in [0, 1)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    x0 <<= _U64(21)
+    x0 |= x1 >> _U64(11)
+    x2 <<= _U64(21)
+    x2 |= x3 >> _U64(11)
+    radius = np.add(x0, 1.0)  # (u1 + 1) * 2**-53 in (0, 1]: log is finite
+    radius *= 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = np.multiply(x2, 2.0**-53)  # u2 in [0, 1)
+    angle *= 2.0 * np.pi
+    pairs = np.empty(x0.shape + (2,))
+    for half, trig in enumerate((np.cos, np.sin)):
+        trig(angle, out=pairs[..., half])
+        pairs[..., half] *= radius
+    return pairs.reshape(x0.shape[0], 2 * x0.shape[1])
 
 
 @dataclass
@@ -204,14 +202,16 @@ class PerturbationStream:
         # the Philox key carries the 64-bit seed.  The packing is
         # bijective within the documented bounds, so distinct keys can
         # never alias.
-        c0 = np.tile(np.arange(n_blocks, dtype=np.uint64), n_members)
-        c3 = np.repeat(members_arr.astype(np.uint64), n_blocks)
-        c1 = (phase << 24) | (kind << 16) | iteration
-        blocks = _philox_blocks(
-            c0, c1, time_index, c3, self.seed & 0xFFFFFFFF, self.seed >> 32
+        words = _philox_blocks(
+            np.arange(n_blocks, dtype=np.uint64),
+            (phase << 24) | (kind << 16) | iteration,
+            time_index,
+            members_arr.astype(np.uint64)[:, None],
+            self.seed & 0xFFFFFFFF,
+            self.seed >> 32,
         )
-        normals = _normals_from_blocks(blocks).reshape(n_members, 2 * n_blocks)
-        out = np.ascontiguousarray(normals[:, :dim])
+        normals = _normals_from_blocks(*words)
+        out = normals[:, :dim].copy() if dim % 2 else normals
 
         if self.log is not None:
             for m in members_arr:

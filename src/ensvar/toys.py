@@ -38,17 +38,15 @@ def make_toy_problem(name: str, **params) -> AssimilationProblem:
         only derivative-free solvers apply.  The RK4 map is not globally
         polynomially bounded; this fixture is for qualitative demos only.
     """
-    builders = {
-        "w1-linear": _w1_linear,
-        "w2-quadratic": _w2_quadratic,
-        "linear-chain": _linear_chain,
-        "lorenz63": _lorenz63,
-    }
-    if name not in builders:
-        raise ValidationError(
-            f"unknown toy problem {name!r}; known: {sorted(builders)}"
-        )
-    return validate_problem(builders[name](**params))
+    return validate_problem(_toy_builder(name)(**params))
+
+
+def _toy_builder(name):
+    """The function that builds the named toy; ValidationError if unknown."""
+    builder = _BUILDERS.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise ValidationError(f"unknown toy problem {name!r}; known: {sorted(_BUILDERS)}")
+    return builder
 
 
 def _w1_linear() -> AssimilationProblem:
@@ -105,8 +103,8 @@ def _stable_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _linear_chain(m: int, k: int, seed: int) -> AssimilationProblem:
-    if m < 1 or k < 1:
-        raise ValidationError(f"linear-chain needs m >= 1 and k >= 1, got m={m}, k={k}")
+    if m < 1 or k < 1 or seed < 0:
+        raise ValidationError(f"linear-chain needs m >= 1, k >= 1 and seed >= 0, got m={m}, k={k}, seed={seed}")
     rng = np.random.default_rng(seed)
     background_mean = rng.standard_normal(m)
     background_cov = _random_spd(rng, m)
@@ -198,3 +196,11 @@ def _lorenz63(k: int, dt: float = 0.05) -> AssimilationProblem:
         obs_noise_covs=(obs_cov,) * k,
         observations=tuple(observations),
     )
+
+
+_BUILDERS = {
+    "w1-linear": _w1_linear,
+    "w2-quadratic": _w2_quadratic,
+    "linear-chain": _linear_chain,
+    "lorenz63": _lorenz63,
+}

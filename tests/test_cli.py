@@ -145,6 +145,48 @@ def test_named_problem_config(tmp_path, capsys):
     assert len(doc["mean"]) == 8
 
 
+@pytest.mark.parametrize(
+    "problem,named",
+    [
+        ("{name: linear-chain, m: 2}", "toy 'linear-chain': missing a required argument: 'k'"),
+        ("{name: linear-chain, m: two, k: 3, seed: 1}", "toy 'linear-chain' parameter m"),
+        ("{name: linear-chain, m: 2.5, k: 3, seed: 1}", "toy 'linear-chain' parameter m: 2.5 is not a whole number"),
+        ("{name: linear-chain, m: 2, k: 3, seed: -1}", "seed >= 0"),
+        ("{name: w1-linear, 1: 2}", "toy 'w1-linear'"),
+        ("{name: [w1-linear]}", "unknown toy problem"),
+    ],
+)
+def test_malformed_toy_parameters_are_validation_errors(tmp_path, capsys, problem, named):
+    path = tmp_path / "toy.yaml"
+    path.write_text(f"problem: {problem}\n")
+    assert main(["run-ks", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "old,new,named",
+    [
+        ("x_b: [0.0]", 'x_b: ["a"]', "problem field x_b"),
+        ("M: [[[1.0]]]", "M: 3", "problem field M"),
+        ("horizon: 1", "horizon: [1]", "problem field horizon"),
+        ("horizon: 1", "horizon: 1.5", "problem field horizon"),
+        ("gamma: 1.0", "gamma: abc", "lm field gamma"),
+        ("ensemble_sizes: [64]", "ensemble_sizes: 64", "lm field ensemble_sizes"),
+        ("replicates: 5", "replicates: five", "study field replicates"),
+    ],
+)
+def test_malformed_config_values_are_validation_errors(tmp_path, capsys, old, new, named):
+    path = tmp_path / "bad.yaml"
+    assert old in W1_CONFIG
+    path.write_text(W1_CONFIG.replace(old, new))
+    assert main(["study", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_run_lm_non_finite_tau_is_validation_error(tmp_path, capsys):
     path = tmp_path / "nan_tau.yaml"
     path.write_text(

@@ -18,7 +18,7 @@ from ensvar import (
     reference_enks_run,
     sample_covariance,
 )
-from ensvar.ensemble import _analysis_update, _sample_products
+from ensvar.ensemble import _analysis_update, _canonical_order, _sample_products
 
 
 class DegenerateStream(PerturbationStream):
@@ -87,6 +87,19 @@ class TestEnKS:
             np.testing.assert_array_equal(pe, be[perm])
         for ma, mb in zip(permuted.sample_means, base.sample_means):
             np.testing.assert_array_equal(ma, mb)
+
+    @pytest.mark.parametrize("runner", [enks_run, enkf_run])
+    def test_default_keys_match_explicit_ascending_keys_bitwise(self, runner):
+        # Ascending keys skip the canonical-order gather; the default keys
+        # and an explicit arange must still agree bit for bit.
+        problem = make_toy_problem("linear-chain", m=3, k=4, seed=5)
+        default = runner(problem, 20, PerturbationStream(6))
+        explicit = runner(problem, 20, PerturbationStream(6), member_indices=np.arange(20))
+        for field in ("analysis_ensembles", "forecast_ensembles", "sample_means"):
+            for a, b in zip(getattr(default, field), getattr(explicit, field)):
+                np.testing.assert_array_equal(a, b)
+        assert _canonical_order(np.arange(20)) is None
+        np.testing.assert_array_equal(_canonical_order(np.array([4, 0, 9])), [1, 0, 2])
 
     @pytest.mark.parametrize("problem_args", [("w1-linear", {}), ("linear-chain", {"m": 2, "k": 3, "seed": 4})])
     def test_marginals_match_enkf_members(self, problem_args):

@@ -76,6 +76,17 @@ class TestSpdSolve:
         with pytest.raises(NotSPDError):
             spd_solve(np.diag([1.0, -1.0]), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_not_spd(self, bad):
+        with pytest.raises(NotSPDError, match="gram has a non-finite Frobenius norm"):
+            spd_solve([[bad]], [1.0], name="gram")
+        with pytest.raises(NotSPDError, match="gram has a non-finite Frobenius norm"):
+            cholesky_spd(np.array([[1.0, bad], [bad, 1.0]]), "gram")
+
+    def test_non_finite_right_hand_side(self):
+        with pytest.raises(ValidationError, match="right-hand side of the gram solve"):
+            spd_solve(np.eye(2), [1.0, np.nan], name="gram")
+
 
 class TestSampleStats:
     def test_two_point_mean(self):
