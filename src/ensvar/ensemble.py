@@ -7,10 +7,11 @@ the covariance products come from:
 * :func:`enks_run` - composite-state (trajectory) ensembles, sample
   covariances;
 * :func:`reference_enks_run` - composite ensembles whose gains use the
-  *exact* covariances from the Kalman smoother.  Its members are i.i.d.
-  draws from the smoothing distribution, and it consumes the same keyed
-  perturbations as :func:`enks_run`, so the pair forms a coupled run whose
-  member-wise difference is pure sampling error of the ensemble method.
+  *exact* covariances of the Kalman smoother's recursion.  Its members are
+  i.i.d. draws from the smoothing distribution, and it consumes the same
+  keyed perturbations as :func:`enks_run`, so the pair forms a coupled run
+  whose member-wise difference is pure sampling error of the ensemble
+  method.
 
 :func:`coupled_member_diffs` runs that pair as one pass: each key is drawn
 once and fed to both arms, and the reference arm carries member 1 only,
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonlinearOperatorError, NotSPDError, ValidationError
-from .kalman import KalmanSmootherResult, ks_run
+from .errors import NotSPDError, ValidationError
+from .kalman import KalmanSmootherResult, _column_recursion, _linear_matrices
 from .numerics import cholesky_spd, empirical_lp_norm
-from .problem import AssimilationProblem, validate_problem
+from .problem import AssimilationProblem
 from .streams import NoiseKind, PerturbationStream, Phase, derive_seed
 
 __all__ = [
@@ -67,7 +68,11 @@ class EnsembleRunResult:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceRunResult:
-    """Exact-covariance reference ensembles and the covariances they used."""
+    """Exact-covariance reference ensembles and the covariances they used.
+
+    By default these are the trailing block columns ``cov_f[:, -m:]``, the
+    only part the update reads; supplied covariances are kept as given.
+    """
 
     analysis_ensembles: tuple[np.ndarray, ...]
     forecast_covariances: tuple[np.ndarray, ...]
@@ -129,14 +134,7 @@ def _sample_products(
 
 
 def _prepare_linear(problem: AssimilationProblem):
-    validate_problem(problem)
-    if not problem.all_linear:
-        raise NonlinearOperatorError(
-            "ensemble Kalman runs require every operator to be flagged linear"
-        )
-    m = problem.state_dim
-    models = [op.as_matrix(m) for op in problem.model_ops]
-    obs = [op.as_matrix(m) for op in problem.obs_ops]
+    models, obs = _linear_matrices(problem, "ensemble Kalman runs")
     l_b = cholesky_spd(problem.background_cov, "background_cov")
     l_q = [cholesky_spd(q, "model_noise_cov") for q in problem.model_noise_covs]
     l_r = [cholesky_spd(r, "obs_noise_cov") for r in problem.obs_noise_covs]
@@ -162,10 +160,10 @@ def _forecast_analysis(problem, lin, i, ensemble, v, w, order=None, cov_f=None, 
     Rows are advanced with model draws ``v``, then updated with perturbed
     observations (obs draws ``w``).  The gain comes from sample products
     over the rows in ``order`` or, when ``cov_f`` is given, from the exact
-    composite forecast covariance, in which case every row is updated
-    independently of the others.  A composite ensemble gains the forecast
-    block as new columns; a filter ensemble (``composite=False``) is
-    replaced by it.
+    composite forecast covariance or its trailing block column (only that
+    is read), in which case every row is updated independently of the
+    others.  A composite ensemble gains the forecast block as new columns;
+    a filter ensemble (``composite=False``) is replaced by it.
     """
     models, obs_mats, _, l_q, l_r = lin
     m = problem.state_dim
@@ -256,9 +254,10 @@ def reference_enks_run(
 
     Consumes the same keyed draws as :func:`enks_run` but replaces the
     sample-covariance products in the gain with the exact composite
-    forecast covariances from the Kalman smoother.  Each member then
-    evolves independently of the others, and is an exact draw from the
-    smoothing distribution; a single member (n_members=1) is valid.
+    forecast covariances: by default the trailing block columns of the
+    Kalman smoother's recursion, else those of ``smoother``.  Each member
+    then evolves independently of the others, and is an exact draw from
+    the smoothing distribution; a single member (n_members=1) is valid.
 
     ``forecast_covariances`` may override the exact covariances, which is
     useful for forcing the reference update to coincide with an ensemble
@@ -271,8 +270,9 @@ def reference_enks_run(
 
     if forecast_covariances is None:
         if smoother is None:
-            smoother = ks_run(problem)
-        forecast_covariances = smoother.forecast_covariances
+            forecast_covariances = [col_f for _, col_f, *_ in _column_recursion(problem, *lin[:2])]
+        else:
+            forecast_covariances = smoother.forecast_covariances
     forecast_covariances = tuple(np.asarray(c, dtype=float) for c in forecast_covariances)
     if len(forecast_covariances) != problem.horizon:
         raise ValidationError(
@@ -305,7 +305,7 @@ def coupled_member_diffs(
     if n_members < 2:
         raise ValidationError(f"EnKS needs at least 2 members, got {n_members}")
     lin = _prepare_linear(problem)
-    forecast_covariances = ks_run(problem).forecast_covariances
+    forecast_columns = [col_f for _, col_f, *_ in _column_recursion(problem, *lin[:2])]
     members = _member_array(n_members, None)
     order = _canonical_order(members)
     diffs = []
@@ -317,7 +317,7 @@ def coupled_member_diffs(
             v, w = _step_draws(problem, replicate_stream, members, i)
             _, ensemble = _forecast_analysis(problem, lin, i, ensemble, v, w, order)
             _, reference = _forecast_analysis(
-                problem, lin, i, reference, v[:1], w[:1], cov_f=forecast_covariances[i - 1]
+                problem, lin, i, reference, v[:1], w[:1], cov_f=forecast_columns[i - 1]
             )
         diffs.append(ensemble[0] - reference[0])
     return diffs

@@ -1,10 +1,15 @@
 """Exact recursions for the linear-Gaussian case.
 
-The filter is the textbook forecast/analysis recursion.  The smoother is
-deliberately implemented as the *same filter applied to the growing
-composite state* x_0:i, rather than as a backward pass: the ensemble
-algorithms in this package mirror exactly that structure, and the coupled
-convergence tests rely on the structural parity.
+The smoother is deliberately implemented as the *filter applied to the
+growing composite state* x_0:i, rather than as a backward pass: the
+ensemble algorithms in this package mirror exactly that structure, and
+the coupled convergence tests rely on the structural parity.  Since the
+composite observation operator is [0, ..., 0, H_i], one private
+recursion on the mean and the trailing block column of the covariance
+serves everything: :func:`ks_run` adds the rank-d update of the leading
+block to it, :func:`kf_run` is it with the column cut to its trailing
+m x m block, and the exact-covariance reference ensembles read its
+columns directly.
 
 An independent block least-squares oracle solves the smoothing problem by
 assembling and solving its normal equations directly; it shares no code
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonlinearOperatorError
+from .errors import NonlinearOperatorError, ValidationError
 from .numerics import spd_solve
 from .problem import AssimilationProblem, GaussianEstimate, validate_problem
 
@@ -55,8 +60,9 @@ class KalmanSmootherResult:
 
     ``estimates[i]`` covers the stacked state x_0:i given observations up
     to time i; ``forecast_covariances[i-1]`` is the exact composite
-    forecast covariance used in the step-i update, which the
-    exact-covariance reference ensemble reuses verbatim.
+    forecast covariance used in the step-i update.  Its trailing block
+    column is, bit for bit, the column the exact-covariance reference
+    ensembles use.
     """
 
     estimates: tuple[GaussianEstimate, ...]
@@ -68,52 +74,62 @@ class KalmanSmootherResult:
         return self.estimates[-1]
 
 
-def _linear_matrices(problem: AssimilationProblem):
+def _linear_matrices(problem: AssimilationProblem, what: str = "Kalman recursions"):
+    """Validate ``problem``; return its model and observation matrices."""
+    validate_problem(problem)
     if not problem.all_linear:
-        raise NonlinearOperatorError(
-            "Kalman recursions require every operator to be flagged linear"
-        )
+        raise NonlinearOperatorError(f"{what} require every operator to be flagged linear")
     m = problem.state_dim
-    models = [op.as_matrix(m) for op in problem.model_ops]
-    obs = [op.as_matrix(m) for op in problem.obs_ops]
-    return models, obs
+    return [op.as_matrix(m) for op in problem.model_ops], [op.as_matrix(m) for op in problem.obs_ops]
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _column_recursion(problem: AssimilationProblem, models, obs_mats, composite=True):
+    """The exact recursion on the mean and the trailing block column.
+
+    Yields ``(mean_f, col_f, pht, gain, innovation, mean, col)`` for
+    i = 1..k, where ``col_f`` and ``col`` are the trailing m columns of the
+    forecast and analysis covariances of x_0:i (of x_i alone when not
+    ``composite``).  The column's update never reads the leading block.
+    Each gain is P H^T times the d x d inverse of the innovation covariance.
+    """
+    m = problem.state_dim
+    mean, col = problem.background_mean, problem.background_cov
+    for i in range(1, problem.horizon + 1):
+        m_i, h_i = models[i - 1], obs_mats[i - 1]
+        state = m_i @ mean[-m:] + problem.forcings[i - 1]
+        corner = _symmetrize(m_i @ col[-m:] @ m_i.T + problem.model_noise_covs[i - 1])
+        if composite:
+            mean_f, col_f = np.concatenate([mean, state]), np.vstack([col @ m_i.T, corner])
+        else:
+            mean_f, col_f = state, corner
+        pht = col_f @ h_i.T
+        if not np.isfinite(pht).all():
+            raise ValidationError("P H^T of the gain contains non-finite entries")
+        innovation_cov = h_i @ corner @ h_i.T + problem.obs_noise_covs[i - 1]
+        inverse = spd_solve(innovation_cov, np.eye(h_i.shape[0]), name="innovation covariance")
+        gain = pht @ inverse
+        innovation = problem.observations[i - 1] - h_i @ state
+        mean = mean_f + gain @ innovation
+        col = col_f - gain @ pht[-m:].T
+        col[-m:] = _symmetrize(col[-m:])
+        yield mean_f, col_f, pht, gain, innovation, mean, col
+
+
 def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
     """Kalman filter for a fully linear problem.
 
-    Implements the forecast/gain/update recursion literally, with a
-    symmetrization of the covariance after each update to control
-    round-off drift.
+    The smoother's recursion with the column cut to its trailing m x m
+    block: the forecast/gain/update recursion on x_i alone, with the
+    covariance symmetrized after each update to control round-off drift.
     """
-    validate_problem(problem)
-    models, obs_mats = _linear_matrices(problem)
-
-    mean = problem.background_mean.copy()
-    cov = problem.background_cov.copy()
-    estimates = [GaussianEstimate(mean, cov)]
+    recursion = _column_recursion(problem, *_linear_matrices(problem), composite=False)
+    estimates = [GaussianEstimate(problem.background_mean.copy(), problem.background_cov.copy())]
     steps = []
-    for i in range(1, problem.horizon + 1):
-        m_i = models[i - 1]
-        h_i = obs_mats[i - 1]
-        r_i = problem.obs_noise_covs[i - 1]
-        y_i = problem.observations[i - 1]
-
-        mean_f = m_i @ mean + problem.forcings[i - 1]
-        cov_f = _symmetrize(m_i @ cov @ m_i.T + problem.model_noise_covs[i - 1])
-
-        pht = cov_f @ h_i.T
-        innovation_cov = h_i @ pht + r_i
-        gain = spd_solve(innovation_cov, pht.T, name="innovation covariance").T
-        innovation = y_i - h_i @ mean_f
-
-        mean = mean_f + gain @ innovation
-        cov = _symmetrize(cov_f - gain @ h_i @ cov_f)
-
+    for mean_f, cov_f, _, gain, innovation, mean, cov in recursion:
         estimates.append(GaussianEstimate(mean, cov))
         steps.append(KalmanStepDiag(mean_f, cov_f, gain, innovation))
     return KalmanFilterResult(tuple(estimates), tuple(steps))
@@ -125,45 +141,26 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
     At step i the composite state x_0:i-1 is extended by the forecast of
     x_i, the composite covariance gains one block row/column, and the
     observation y_i (which only sees the trailing block) updates the whole
-    composite estimate.  The trailing block of the final mean therefore
-    reproduces the filter's final estimate.
+    composite estimate.  The trailing block column comes from the shared
+    recursion; the leading block takes the rank-d update -K (P H^T)^T.
+    The trailing block of the final mean therefore reproduces the
+    filter's final estimate.
     """
-    validate_problem(problem)
-    models, obs_mats = _linear_matrices(problem)
-    m = problem.state_dim
-
-    mean = problem.background_mean.copy()
+    recursion = _column_recursion(problem, *_linear_matrices(problem))
     cov = problem.background_cov.copy()
-    estimates = [GaussianEstimate(mean, cov)]
-    forecast_covs = []
-    steps = []
-    for i in range(1, problem.horizon + 1):
-        m_i = models[i - 1]
-        h_i = obs_mats[i - 1]
-        r_i = problem.obs_noise_covs[i - 1]
-        y_i = problem.observations[i - 1]
-        size = mean.size
-
-        # Composite forecast: append the propagated trailing block.
-        mean_f = np.concatenate([mean, m_i @ mean[-m:] + problem.forcings[i - 1]])
-        cross = cov[:, -m:] @ m_i.T
-        corner = m_i @ cov[-m:, -m:] @ m_i.T + problem.model_noise_covs[i - 1]
-        cov_f = np.zeros((size + m, size + m))
+    estimates = [GaussianEstimate(problem.background_mean.copy(), cov)]
+    forecast_covs, steps = [], []
+    for mean_f, col_f, pht, gain, innovation, mean, col in recursion:
+        size = cov.shape[0]
+        cov_f = np.empty((col_f.shape[0],) * 2)
         cov_f[:size, :size] = cov
-        cov_f[:size, size:] = cross
-        cov_f[size:, :size] = cross.T
-        cov_f[size:, size:] = _symmetrize(corner)
-
-        # The stacked observation operator is [0, ..., 0, H_i]: only the
-        # trailing block of the composite covariance enters the gain.
-        pht = cov_f[:, -m:] @ h_i.T
-        innovation_cov = h_i @ cov_f[-m:, -m:] @ h_i.T + r_i
-        gain = spd_solve(innovation_cov, pht.T, name="innovation covariance").T
-        innovation = y_i - h_i @ mean_f[-m:]
-
-        mean = mean_f + gain @ innovation
-        cov = _symmetrize(cov_f - gain @ (h_i @ cov_f[-m:, :]))
-
+        cov_f[:, size:], cov_f[size:, :size] = col_f, col_f[:size].T
+        # Rank-d update of the leading block, symmetrized straight into place.
+        update = cov - gain[:size] @ pht[:size].T
+        cov = np.empty_like(cov_f)
+        np.add(update, update.T, out=cov[:size, :size])
+        cov[:size, :size] *= 0.5
+        cov[:, size:], cov[size:, :size] = col, col[:size].T
         estimates.append(GaussianEstimate(mean, cov))
         forecast_covs.append(cov_f)
         steps.append(KalmanStepDiag(mean_f, cov_f, gain, innovation))
@@ -181,7 +178,6 @@ def ks_least_squares_oracle(problem: AssimilationProblem) -> np.ndarray:
     and solves it with one SPD solve.  Independent of the recursion in
     :func:`ks_run`; used to cross-check it.
     """
-    validate_problem(problem)
     models, obs_mats = _linear_matrices(problem)
     m, k = problem.state_dim, problem.horizon
     size = m * (k + 1)

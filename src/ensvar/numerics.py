@@ -1,8 +1,14 @@
 """Small dense linear-algebra and statistics kernels.
 
 Ensembles are plain float arrays of shape (N, q): one member per row.
-Every matrix inverse in the package is realized as an SPD solve against a
-Cholesky factorization; explicit inverses are never formed.
+Every matrix inverse in the package comes from a Cholesky solve.  Small
+d x d or m x m inverses may be formed explicitly (the innovation
+inverse, Q^-1).  The exact recursions take no solve with a right-hand
+side as wide as the composite state: their Kalman gain is P H^T times
+the d x d inverse, never a solve against (P H^T)^T, because at two BLAS
+threads a triangular solve with hundreds of right-hand sides stalls for
+milliseconds where the same flops as one matrix product do not.  The
+ensemble analysis kernel still solves against its (P H^T)^T.
 """
 
 from __future__ import annotations
@@ -24,12 +30,26 @@ __all__ = [
 _SYMMETRY_RTOL = 1e-12
 
 
+def _frobenius_norm(a: np.ndarray) -> float:
+    """Frobenius norm, non-finite only when an entry is.
+
+    The unscaled norm overflows for entries above about 1e154; only then
+    is it recomputed from ``a`` scaled by its largest entry, so the common
+    path makes no extra pass.
+    """
+    norm = np.linalg.norm(a)
+    if np.isfinite(norm) or not np.isfinite(a).all():
+        return norm
+    amax = np.abs(a).max()
+    return amax * np.linalg.norm(a / amax)
+
+
 def _as_spd_input(a: np.ndarray, name: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise NotSPDError(f"{name} is not square: shape {a.shape}")
-    norm = np.linalg.norm(a)
-    if not np.isfinite(norm):  # a non-finite entry makes the norm non-finite
+    norm = _frobenius_norm(a)
+    if not np.isfinite(norm):  # only a non-finite entry makes the norm non-finite
         raise NotSPDError(f"{name} has a non-finite Frobenius norm ({norm})")
     if np.linalg.norm(a - a.T) > _SYMMETRY_RTOL * max(norm, 1.0):
         raise NotSPDError(f"{name} is not symmetric")

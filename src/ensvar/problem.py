@@ -25,6 +25,7 @@ from .errors import (
     NotSPDError,
     ValidationError,
 )
+from .numerics import _frobenius_norm
 
 __all__ = [
     "Operator",
@@ -161,8 +162,8 @@ class GaussianEstimate:
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
         _check_finite(mean, "mean")
-        scale = np.linalg.norm(cov)
-        if not np.isfinite(scale):  # a non-finite entry makes the norm non-finite
+        scale = _frobenius_norm(cov)
+        if not np.isfinite(scale):  # only a non-finite entry makes the norm non-finite
             raise ValidationError(f"covariance has a non-finite Frobenius norm ({scale})")
         if np.linalg.norm(cov - cov.T) > _SYMMETRY_RTOL * max(scale, 1.0):
             raise ValidationError("covariance is not symmetric")

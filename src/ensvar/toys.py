@@ -35,8 +35,9 @@ def make_toy_problem(name: str, **params) -> AssimilationProblem:
     ``lorenz63``
         Fixed-step RK4 map of the Lorenz-63 system; requires ``k``,
         optional ``dt`` (default 0.05).  No Jacobian is registered, so
-        only derivative-free solvers apply.  The RK4 map is not globally
-        polynomially bounded; this fixture is for qualitative demos only.
+        only derivative-free solvers apply, and the tangent-LM rate
+        claims cannot be checked on it; this fixture is for qualitative
+        demos only.
     """
     return validate_problem(_toy_builder(name)(**params))
 

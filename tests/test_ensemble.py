@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from ensvar import (
     reference_enks_run,
     sample_covariance,
 )
+from ensvar import ensemble
 from ensvar.ensemble import _analysis_update, _canonical_order, _sample_products
 
 
@@ -162,10 +166,16 @@ class TestReferenceRun:
         assert np.abs(sample_covariance(final) - smoother.covariance).max() < 0.1
 
     def test_forecast_covariances_recorded(self, w1):
-        result = reference_enks_run(w1, 4, PerturbationStream(3))
+        # By default the run records the trailing block columns it used;
+        # a supplied smoother's full covariances are recorded as given.
         smoother = ks_run(w1)
-        for got, want in zip(result.forecast_covariances, smoother.forecast_covariances):
-            np.testing.assert_array_equal(got, want)
+        m = w1.state_dim
+        columns = reference_enks_run(w1, 4, PerturbationStream(3)).forecast_covariances
+        supplied = reference_enks_run(w1, 4, PerturbationStream(3), smoother=smoother)
+        assert len(columns) == len(supplied.forecast_covariances) == w1.horizon
+        for column, full, want in zip(columns, supplied.forecast_covariances, smoother.forecast_covariances):
+            np.testing.assert_array_equal(column, want[:, -m:])
+            np.testing.assert_array_equal(full, want)
 
     def test_injected_sample_covariances_reproduce_enks(self, w1):
         # Forcing the reference gain to use the EnKS's own sample
@@ -186,6 +196,48 @@ class TestReferenceRun:
         single = reference_enks_run(w1, 1, PerturbationStream(9), member_indices=[0])
         for one, many in zip(single.analysis_ensembles, full.analysis_ensembles):
             assert np.abs(one[0] - many[0]).max() <= 1e-12 * max(np.abs(many[0]).max(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("w1-linear", {})] + [("linear-chain", {"m": 3, "k": 5, "seed": seed}) for seed in range(4)],
+)
+def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
+    # ks_run writes the shared recursion's column into its full forecast
+    # covariance, so both exact arms read the smoother's column bit for bit.
+    problem = make_toy_problem(name, **params)
+    m = problem.state_dim
+    want = [cov_f[:, -m:] for cov_f in ks_run(problem).forecast_covariances]
+    reference = reference_enks_run(problem, 1, PerturbationStream(0)).forecast_covariances
+
+    used = []
+    original = ensemble._forecast_analysis
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        cov_f = signature.bind(*args, **kwargs).arguments.get("cov_f")
+        if cov_f is not None:
+            used.append(cov_f)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "_forecast_analysis", recording)
+    coupled_member_diffs(problem, 4, PerturbationStream(0), 1)
+    for columns in (reference, used):
+        assert len(columns) == problem.horizon
+        for got, expected in zip(columns, want):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_exact_arms_do_not_run_the_smoother(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ks_run called")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ensvar"]:
+        if hasattr(module, "ks_run"):
+            monkeypatch.setattr(module, "ks_run", refuse)
+    problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
+    assert len(coupled_member_diffs(problem, 4, PerturbationStream(0), 2)) == 2
+    assert len(reference_enks_run(problem, 4, PerturbationStream(0)).analysis_ensembles) == 4
 
 
 class TestCoupledError:

@@ -11,11 +11,14 @@ import pytest
 from ensvar import (
     NonlinearOperatorError,
     Operator,
+    ValidationError,
     kf_run,
     ks_least_squares_oracle,
     ks_run,
     make_toy_problem,
+    spd_solve,
 )
+from ensvar import kalman
 from ensvar.problem import AssimilationProblem
 
 
@@ -70,6 +73,15 @@ class TestFilter:
             assert step.gain.shape == (3, 3)
 
 
+@pytest.mark.parametrize("runner", [kf_run, ks_run])
+def test_non_finite_background_named_before_any_estimate(runner):
+    # Validation runs before the first estimate is built, so the error
+    # names the field rather than the estimate's mean.
+    problem = _w1_variant(background_mean=np.array([np.nan]))
+    with pytest.raises(ValidationError, match="^background_mean contains non-finite"):
+        runner(problem)
+
+
 class TestSmoother:
     def test_w1_ground_truth(self, w1):
         estimate = ks_run(w1).estimate
@@ -107,11 +119,16 @@ class TestSmoother:
         smoother = ks_run(problem)
         flt = kf_run(problem)
         m = problem.state_dim
-        tail_mean = smoother.estimate.mean[-m:]
-        tail_cov = smoother.estimate.covariance[-m:, -m:]
-        final = flt.estimates[-1]
-        np.testing.assert_allclose(tail_mean, final.mean, rtol=1e-10)
-        np.testing.assert_allclose(tail_cov, final.covariance, rtol=1e-10, atol=1e-12)
+        for smoothed, filtered in zip(smoother.estimates, flt.estimates, strict=True):
+            np.testing.assert_allclose(smoothed.mean[-m:], filtered.mean, rtol=1e-10)
+            np.testing.assert_allclose(
+                smoothed.covariance[-m:, -m:], filtered.covariance, rtol=1e-10, atol=1e-12
+            )
+        for smoothed, filtered in zip(smoother.steps, flt.steps, strict=True):
+            np.testing.assert_allclose(smoothed.forecast_mean[-m:], filtered.forecast_mean, rtol=1e-10)
+            np.testing.assert_allclose(
+                smoothed.forecast_cov[-m:, -m:], filtered.forecast_cov, rtol=1e-10, atol=1e-12
+            )
 
     def test_covariances_symmetric_psd(self):
         problem = make_toy_problem("linear-chain", m=3, k=4, seed=9)
@@ -120,6 +137,24 @@ class TestSmoother:
             scale = np.linalg.norm(cov)
             assert np.linalg.norm(cov - cov.T) <= 1e-12 * scale
             assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * scale
+
+    @pytest.mark.parametrize("runner", [ks_run, kf_run])
+    def test_solves_no_wider_than_the_observation(self, runner, monkeypatch):
+        # Each gain is P H^T times the d x d inverse; a solve against the
+        # composite-wide (P H^T)^T stalls in threaded triangular solves.
+        problem = make_toy_problem("linear-chain", m=3, k=5, seed=0)
+        widths = []
+
+        def recording(a, b, name="matrix"):
+            b = np.asarray(b)
+            widths.append(1 if b.ndim == 1 else b.shape[1])
+            return spd_solve(a, b, name)
+
+        monkeypatch.setattr(kalman, "spd_solve", recording)
+        runner(problem)
+        assert len(widths) == problem.horizon
+        for i, width in enumerate(widths, start=1):
+            assert width <= problem.obs_dim(i)
 
     def test_smoother_gain_grows_with_composite(self):
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=9)

@@ -175,6 +175,13 @@ def test_gaussian_estimate_rejects_non_finite(mean, cov, name):
         GaussianEstimate(mean, cov)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_gaussian_estimate_accepts_huge_finite_covariance():
+    # The unscaled Frobenius norm of 1e200 * I overflows; the matrix is SPD.
+    estimate = GaussianEstimate(np.zeros(2), 1e200 * np.eye(2))
+    np.testing.assert_array_equal(estimate.covariance, 1e200 * np.eye(2))
+
+
 def test_kf_run_overflow_raises_instead_of_returning_nan():
     # Finite inputs whose forecast overflows: 10 * 1e308 = inf.
     problem = _w1_with(
