@@ -58,8 +58,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _matrix(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=float).tolist()
+def _matrix(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=float)
 
 
 def _cmd_run_kf(args) -> dict:

@@ -23,14 +23,17 @@ Three solver variants compute the damped Gauss-Newton (LM) iteration:
   operator is evaluated at its center once per step, and at all N
   shifted members in one ``Operator.apply_rows`` call.
 
-The two ensemble variants consume identical keyed perturbations (same
-phase, iteration, time, member, kind), as do runs with different tau, so
-differences between them isolate the approximation under study.
+The two ensemble variants, and runs with different tau, consume identical
+keyed perturbations (same phase, iteration, time, member, kind), so
+differences between them isolate the approximation under study.  All
+arms share each draw, in one pass: a tau sweep advances the tangent arm
+and every tau arm through each LM iteration on one draw of its keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -318,93 +321,86 @@ def lm_exact_run(problem: AssimilationProblem, cfg: LMConfig) -> LMRunResult:
     return LMRunResult(tuple(iterates), tuple(objectives), "exact")
 
 
-def _lm_ensemble_run(
+def _lm_ensemble_runs(
     problem: AssimilationProblem,
     cfg: LMConfig,
     stream: PerturbationStream,
     member_indices,
-    use_fd: bool,
-) -> LMRunResult:
-    """Shared skeleton of the two ensemble LM variants.
+    taus: tuple[float | None, ...],
+    keep_ensembles: bool = True,
+) -> list[LMRunResult]:
+    """The only ensemble LM step: one run per arm, all arms on shared keys.
 
-    Per LM iteration j, runs one ensemble Kalman smoother pass on the
-    system linearized at the previous iterate (the previous sample mean),
-    with the damping realized as stacked observations.  The variants
-    differ only in how Jacobian-vector products are evaluated.
+    An arm is a forward-difference step tau, or ``None`` for the tangent
+    arm.  Per LM iteration j, each arm runs one ensemble Kalman smoother
+    pass on the system linearized at its own previous iterate, with the
+    damping realized as stacked observations.  The iteration's keys are
+    drawn and scaled once, then the arms run one after another, so only
+    one working ensemble is alive at a time.  ``keep_ensembles=False``
+    leaves ``ensembles`` and ``max_member_norms`` empty.
     """
     validate_problem(problem)
     if cfg.gamma <= 0:
         raise ValidationError("ensemble LM modes require gamma > 0")
     m, k = problem.state_dim, problem.horizon
 
-    def directional(op: Operator, c: np.ndarray, f_c: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    def directional(op: Operator, c: np.ndarray, f_c: np.ndarray, dirs: np.ndarray, tau) -> np.ndarray:
         """Products of op's Jacobian at c with every row of dirs, f_c = op(c)."""
-        if use_fd:
-            return (op.apply_rows(c + cfg.tau * dirs) - f_c) / cfg.tau
-        return dirs @ op.jacobian_at(c).T
+        if tau is None:
+            return dirs @ op.jacobian_at(c).T
+        return (op.apply_rows(c + tau * dirs) - f_c) / tau
 
     l_b = cholesky_spd(problem.background_cov, "background_cov")
     l_q = [cholesky_spd(q, "model_noise_cov") for q in problem.model_noise_covs]
-    # The augmented noise covariance depends on gamma and R_i only, not on
-    # the linearization center, so its factor is loop-invariant.
-    l_r_aug = [
-        cholesky_spd(_augmented_noise_cov(problem, i, cfg.gamma), "augmented obs cov")
-        for i in range(1, k + 1)
-    ]
-
-    center = _initial_trajectory(problem, cfg)
-    iterates = [center]
-    objectives = [_objective(problem, center)]
-    ensembles = []
-    max_norms = []
+    # blockdiag(R_i, I / gamma) does not depend on the linearization center.
+    r_aug = [_augmented_noise_cov(problem, i, cfg.gamma) for i in range(1, k + 1)]
+    l_r_aug = [cholesky_spd(r, "augmented obs cov") for r in r_aug]
+    start = _initial_trajectory(problem, cfg)
+    # Per arm: iterates, objectives, final ensembles, max member norms.
+    runs = [([start], [_objective(problem, start)], [], []) for _ in taus]
 
     for j in range(1, cfg.max_iterations + 1):
-        n = cfg.ensemble_size_for(j)
-        members = _member_array(n, member_indices)
+        members = _member_array(cfg.ensemble_size_for(j), member_indices)
         order = _canonical_order(members)
-        aug = augment(problem, center, cfg.gamma)
+        draw = partial(stream.draw_members, Phase.LM, j, members=members)
+        init = problem.background_mean + draw(0, NoiseKind.INIT, dim=m) @ l_b.T
+        model_noise = [draw(i, NoiseKind.MODEL, dim=m) @ l.T for i, l in enumerate(l_q, 1)]
+        obs_noise = [draw(i, NoiseKind.OBS, dim=len(l)) @ l.T for i, l in enumerate(l_r_aug, 1)]
 
-        z = stream.draw_members(Phase.LM, j, 0, NoiseKind.INIT, members, m)
-        ensemble = problem.background_mean + z @ l_b.T
+        for tau, (iterates, objectives, ensembles, max_norms) in zip(taus, runs):
+            center, ensemble = iterates[-1], init
+            for i in range(1, k + 1):
+                c_prev, c_i = center[i - 1], center[i]
+                mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
+                m_c, h_c = mop(c_prev), hop(c_i)
 
-        for i in range(1, k + 1):
-            c_prev, c_i = center[i - 1], center[i]
-            mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
-            m_c, h_c = mop(c_prev), hop(c_i)
+                prop = directional(mop, c_prev, m_c, ensemble[:, -m:] - c_prev, tau)
+                ensemble = np.hstack([ensemble, prop + m_c + problem.forcings[i - 1] + model_noise[i - 1]])
 
-            v = stream.draw_members(Phase.LM, j, i, NoiseKind.MODEL, members, m)
-            prop = directional(mop, c_prev, m_c, ensemble[:, -m:] - c_prev)
-            ensemble = np.hstack(
-                [ensemble, prop + m_c + problem.forcings[i - 1] + v @ l_q[i - 1].T]
-            )
+                sorted_ens = _canonical(ensemble, order)
+                dev = sorted_ens - sorted_ens.mean(axis=0)
+                sdev = dev[:, -m:]
+                # The stacked operator's lower block is the identity, whose
+                # directional derivative is the direction itself.
+                pht, hpht = _sample_products(dev, np.hstack([directional(hop, c_i, h_c, sdev, tau), sdev]))
 
-            sorted_ens = _canonical(ensemble, order)
-            dev = sorted_ens - sorted_ens.mean(axis=0)
-            sdev = dev[:, -m:]
-            # The stacked operator's lower block is the identity, whose
-            # directional derivative is the direction itself.
-            pht, hpht = _sample_products(dev, np.hstack([directional(hop, c_i, h_c, sdev), sdev]))
+                dev_center = ensemble[:, -m:] - c_i
+                predicted = np.hstack([h_c + directional(hop, c_i, h_c, dev_center, tau), c_i + dev_center])
+                observation = np.concatenate([problem.observations[i - 1], c_i])
+                innovations = observation - obs_noise[i - 1] - predicted
+                ensemble = _analysis_update(ensemble, innovations, pht, hpht, r_aug[i - 1])
 
-            r_tilde = aug[i - 1].noise_cov
-            d_aug = r_tilde.shape[0]
-            w = stream.draw_members(Phase.LM, j, i, NoiseKind.OBS, members, d_aug)
-            w = w @ l_r_aug[i - 1].T
+            iterates.append(Trajectory.from_composite(_canonical(ensemble, order).mean(axis=0), m))
+            objectives.append(_objective(problem, iterates[-1]))
+            if keep_ensembles:
+                ensembles.append(ensemble)
+                max_norms.append(float(np.max(np.linalg.norm(ensemble, axis=1))))
 
-            dev_center = ensemble[:, -m:] - c_i
-            predicted = np.hstack([h_c + directional(hop, c_i, h_c, dev_center), c_i + dev_center])
-            innovations = aug[i - 1].observation - w - predicted
-            ensemble = _analysis_update(ensemble, innovations, pht, hpht, r_tilde)
-
-        center = Trajectory.from_composite(_canonical(ensemble, order).mean(axis=0), m)
-        iterates.append(center)
-        objectives.append(_objective(problem, center))
-        ensembles.append(ensemble.copy())
-        max_norms.append(float(np.max(np.linalg.norm(ensemble, axis=1))))
-
-    mode = "finite-difference" if use_fd else "tangent"
-    return LMRunResult(
-        tuple(iterates), tuple(objectives), mode, tuple(ensembles), tuple(max_norms)
-    )
+    modes = ["tangent" if tau is None else "finite-difference" for tau in taus]
+    return [
+        LMRunResult(tuple(it), tuple(ob), mode, tuple(en), tuple(mx))
+        for mode, (it, ob, en, mx) in zip(modes, runs)
+    ]
 
 
 def lm_enks_tangent_run(
@@ -416,7 +412,7 @@ def lm_enks_tangent_run(
     """LM with the linearized subproblem solved by an EnKS (exact Jacobians)."""
     if cfg.mode != "tangent":
         raise ValidationError(f"lm_enks_tangent_run requires mode='tangent', got {cfg.mode!r}")
-    return _lm_ensemble_run(problem, cfg, stream, member_indices, use_fd=False)
+    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (None,))[0]
 
 
 def enks_4dvar_run(
@@ -437,7 +433,7 @@ def enks_4dvar_run(
         raise ValidationError(
             f"enks_4dvar_run requires mode='finite-difference', got {cfg.mode!r}"
         )
-    return _lm_ensemble_run(problem, cfg, stream, member_indices, use_fd=True)
+    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (cfg.tau,))[0]
 
 
 def lm_run(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .ensemble import coupled_member_diffs
 from .errors import ValidationError
-from .fourdvar import LMConfig, enks_4dvar_run, lm_enks_tangent_run, lm_exact_run
+from .fourdvar import LMConfig, _lm_ensemble_runs, lm_enks_tangent_run, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
 from .problem import AssimilationProblem, validate_problem
 from .streams import PerturbationStream, derive_seed
@@ -74,6 +74,10 @@ class StudySpec:
 
 @dataclass(frozen=True)
 class StudyRow:
+    """One sweep cell.  ``wall_ms`` is the cell's wall time; a tau-sweep
+    runs all its cells in one lock-step pass, tangent arm included, and
+    gives each row an equal share of that pass's time."""
+
     sweep_value: float
     error_estimate: float
     stderr_estimate: float
@@ -183,26 +187,22 @@ def _lm_enks_vs_lm_rows(spec: StudySpec) -> list[StudyRow]:
 
 
 def _tau_sweep_rows(spec: StudySpec) -> list[StudyRow]:
-    base = spec.lm
-    # Tangent-mode oracle per replicate, shared across all tau cells.
-    targets = []
+    # One keyed pass per replicate runs the tangent arm and every tau arm
+    # on shared draws; the pass's time is split evenly over the tau rows.
+    t0 = time.perf_counter()
+    diffs = [[] for _ in spec.sweep]
     for r in range(spec.replicates):
         stream = PerturbationStream(derive_seed(spec.seed, r))
-        run = lm_enks_tangent_run(spec.problem, replace(base, mode="tangent"), stream)
-        targets.append(run.iterates[-1].composite)
-    rows = []
-    for value in spec.sweep:
-        cfg = replace(base, mode="finite-difference", tau=float(value))
-        t0 = time.perf_counter()
-        diffs = []
-        for r in range(spec.replicates):
-            stream = PerturbationStream(derive_seed(spec.seed, r))
-            run = enks_4dvar_run(spec.problem, cfg, stream)
-            diffs.append(run.iterates[-1].composite - targets[r])
-        wall = 1e3 * (time.perf_counter() - t0)
-        estimate, stderr, raw = _summarize(diffs, spec.p_order)
-        rows.append(StudyRow(float(value), estimate, stderr, raw, wall))
-    return rows
+        tangent, *fd = _lm_ensemble_runs(
+            spec.problem, spec.lm, stream, None, (None, *spec.sweep), keep_ensembles=False
+        )
+        for cell, run in zip(diffs, fd):
+            cell.append(run.iterates[-1].composite - tangent.iterates[-1].composite)
+    wall = 1e3 * (time.perf_counter() - t0) / len(spec.sweep)
+    return [
+        StudyRow(value, *_summarize(cell, spec.p_order), wall)
+        for value, cell in zip(spec.sweep, diffs)
+    ]
 
 
 def run_study(spec: StudySpec) -> StudyResult:
@@ -247,8 +247,33 @@ def _fmt(value) -> str:
     raise TypeError(f"unsupported scalar {type(value)!r}")
 
 
+def _symmetric_text(a: np.ndarray, pad: str) -> str:
+    """A finite square matrix equal to its transpose, as json_text writes it.
+
+    Each mirrored pair is formatted once, from the upper triangle.
+    """
+    upper = np.triu_indices(len(a))
+    text = np.empty(a.shape, dtype=object)
+    text[upper] = text.T[upper] = ("%.17g\n" * len(upper[0]) % tuple(a[upper].tolist())).split("\n")[:-1]
+    row_pad = pad + "  "
+    sep = ",\n" + row_pad + "  "
+    rows = [row_pad + "[\n" + row_pad + "  " + sep.join(r) + "\n" + row_pad + "]" for r in text.tolist()]
+    return pad + "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+
+
 def json_text(value, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(value, np.ndarray):
+        # Compared as bits, so a 0.0 mirrored by a -0.0 is not symmetric.
+        if (
+            value.dtype == np.float64
+            and value.ndim == 2
+            and value.shape[0] == value.shape[1] > 0
+            and np.isfinite(value).all()
+            and (value.view(np.uint64) == value.view(np.uint64).T).all()
+        ):
+            return _symmetric_text(value, pad)
+        return json_text(value.tolist(), indent)
     if (
         isinstance(value, (list, tuple))
         and value

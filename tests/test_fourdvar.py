@@ -24,6 +24,7 @@ from ensvar import (
     make_toy_problem,
     objective,
 )
+from ensvar.fourdvar import _lm_ensemble_runs
 from conftest import random_nonlinear_problem
 from test_ensemble import DegenerateStream
 
@@ -331,6 +332,48 @@ class TestFiniteDifferenceLM:
         # Besides validation and objective values, the pass evaluates each
         # step's center once; a per-member f(center) would scale with N.
         assert single_state_calls(8) == single_state_calls(64)
+
+
+class TestSharedPass:
+    """The arms of one keyed pass are the separate runs, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, params, sizes, iterations",
+        [("w2-quadratic", {}, (16, 32), 2), ("linear-chain", {"m": 3, "k": 4, "seed": 2}, (60, 120), 3)],
+    )
+    def test_arms_equal_separate_runs(self, name, params, sizes, iterations):
+        problem = make_toy_problem(name, **params)
+        taus = (1e-1, 1e-2, 1e-3)
+        cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=sizes)
+        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(7), None, (None, *taus))
+        separate = [lm_enks_tangent_run(problem, cfg, PerturbationStream(7))] + [
+            enks_4dvar_run(problem, replace(cfg, mode="finite-difference", tau=tau), PerturbationStream(7))
+            for tau in taus
+        ]
+        for arm, run in zip(arms, separate, strict=True):
+            assert arm.mode == run.mode
+            assert arm.objectives == run.objectives
+            assert all(np.array_equal(a.states, b.states) for a, b in zip(arm.iterates, run.iterates, strict=True))
+            assert all(np.array_equal(a, b) for a, b in zip(arm.ensembles, run.ensembles, strict=True))
+            assert arm.max_member_norms == run.max_member_norms
+            assert len(arm.ensembles) == iterations
+
+    def test_dropping_ensembles_keeps_iterates(self, w2):
+        cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
+        kept = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2))
+        dropped = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2), keep_ensembles=False)
+        for a, b in zip(kept, dropped, strict=True):
+            assert a.objectives == b.objectives
+            assert all(np.array_equal(x.states, y.states) for x, y in zip(a.iterates, b.iterates))
+            assert b.ensembles == () and b.max_member_norms == ()
+
+    def test_each_key_drawn_once(self, w2):
+        log = []
+        cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(8,))
+        _lm_ensemble_runs(w2, cfg, PerturbationStream(6, log=log), None, (None, 1e-1, 1e-2, 1e-3))
+        single = []
+        lm_enks_tangent_run(w2, cfg, PerturbationStream(6, log=single))
+        assert log == single
 
 
 class TestDispatcherAndConfig:

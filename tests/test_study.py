@@ -2,13 +2,15 @@ import csv
 import io
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensvar import LMConfig, StudyResult, StudySpec, ValidationError, emit, run_study
+from ensvar import LMConfig, PerturbationStream, StudyResult, StudySpec, ValidationError, emit, run_study
+from ensvar import study as study_module
 from ensvar.study import json_text, render_csv, render_json
 
 
@@ -82,6 +84,44 @@ class TestRunStudy:
         result = run_study(spec)
         assert result.rows[1].error_estimate < result.rows[0].error_estimate
         assert 0.7 <= result.slope <= 1.3
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_tau_sweep_draws_one_lm_run_per_replicate(self, w2, monkeypatch, replicates):
+        # Every tau arm shares the tangent arm's draws: one LM run's worth
+        # of draw calls per replicate, J * (1 + 2k), not (1 + T) times that.
+        calls = []
+        original = PerturbationStream.draw_members
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PerturbationStream, "draw_members", counted)
+        lm = LMConfig(gamma=1.0, max_iterations=2, mode="finite-difference", ensemble_sizes=(16,))
+        spec = StudySpec(
+            kind="tau-sweep", sweep=(1e-1, 1e-2, 1e-3, 1e-4), replicates=replicates,
+            problem=w2, seed=3, lm=lm,
+        )
+        run_study(spec)
+        assert len(calls) == replicates * lm.max_iterations * (1 + 2 * w2.horizon)
+
+    def test_tau_sweep_wall_time_covers_the_tangent_arm(self, w2, monkeypatch):
+        # A clock that ticks once per draw: the rows' wall times must add up
+        # to every draw of the sweep, the tangent arm's included, in equal shares.
+        ticks = [0]
+        original = PerturbationStream.draw_members
+
+        def ticking(self, *args, **kwargs):
+            ticks[0] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PerturbationStream, "draw_members", ticking)
+        monkeypatch.setattr(study_module, "time", SimpleNamespace(perf_counter=lambda: float(ticks[0])))
+        lm = LMConfig(gamma=1.0, max_iterations=2, mode="finite-difference", ensemble_sizes=(16,))
+        spec = StudySpec(kind="tau-sweep", sweep=(1e-1, 1e-2, 1e-3), replicates=2, problem=w2, lm=lm)
+        rows = run_study(spec).rows
+        assert [r.wall_ms for r in rows] == [rows[0].wall_ms] * 3
+        assert sum(r.wall_ms for r in rows) == pytest.approx(1e3 * ticks[0])
 
     def test_deterministic_modulo_wall_time(self, w1):
         spec = StudySpec(kind="enks-vs-ks", sweep=(32, 64), replicates=4, problem=w1, seed=5)
@@ -157,6 +197,9 @@ _DOCS = st.recursive(
 )
 
 
+_SYMMETRIC = np.array([[2.0, 0.1, -1e-300], [0.1, 1e300, 5e-324], [-1e-300, 5e-324, 0.3]])
+
+
 class TestJsonText:
     @pytest.mark.parametrize(
         "doc",
@@ -185,6 +228,50 @@ class TestJsonText:
     def test_refuses_non_finite(self, bad, wrap):
         with pytest.raises(ValidationError, match="non-finite"):
             json_text(wrap(bad))
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            _SYMMETRIC,
+            _SYMMETRIC[:1, :1],
+            np.arange(12.0).reshape(3, 4),
+            np.arange(9.0).reshape(3, 3),
+            np.array([0.5, -0.0, 1e-300]),
+            np.zeros(0),
+            np.zeros((0, 0)),
+            np.zeros((2, 0)),
+            np.array([[1.0, 0.0], [-0.0, 1.0]]),
+            np.array([[1.0, -0.0], [-0.0, 1.0]]),
+            np.array([[1, 2], [2, 1]]),
+        ],
+    )
+    def test_arrays_match_recursive_writer(self, array):
+        for indent in (0, 2):
+            assert json_text(array, indent) == _recursive_json_text(array.tolist(), indent)
+            assert json_text({"a": array}, indent) == _recursive_json_text({"a": array.tolist()}, indent)
+
+    def test_mirrored_zeros_keep_their_signs(self):
+        text = json_text(np.array([[1.0, 0.0], [-0.0, 1.0]]))
+        assert json.loads(text) == [[1.0, 0.0], [-0.0, 1.0]]
+        assert "-0" in text.split("]")[1] and "-0" not in text.split("]")[0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(_FINITE, min_size=n * n, max_size=n * n)))
+    def test_symmetric_arrays_match_recursive_writer(self, values):
+        n = int(round(len(values) ** 0.5))
+        a = np.array(values).reshape(n, n)
+        lower = np.tril_indices(n, -1)
+        a[lower] = a.T[lower]
+        assert json_text(a, 1) == _recursive_json_text(a.tolist(), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_refuses_non_finite_array(self, bad, where):
+        symmetric = _SYMMETRIC.copy()
+        symmetric[where] = symmetric[where[::-1]] = bad
+        for array in (symmetric, symmetric[:, :2], symmetric[0]):
+            with pytest.raises(ValidationError, match="cannot write non-finite number"):
+                json_text(array)
 
     def test_csv_refuses_non_finite(self, w1):
         spec = StudySpec(kind="enks-vs-ks", sweep=(16,), replicates=1, problem=w1)
