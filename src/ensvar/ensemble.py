@@ -15,7 +15,8 @@ the covariance products come from:
 
 :func:`coupled_member_diffs` runs that pair as one pass: each key is drawn
 once and fed to both arms, and the reference arm carries member 1 only,
-since with exact gains no member depends on another.
+since with exact gains no member depends on another; each exact gain is
+computed once per call.
 
 Sample statistics are always reduced in ascending member-key order, so a
 run whose member keys are permuted reproduces the unpermuted run's
@@ -31,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NotSPDError, ValidationError
+from .errors import ValidationError
 from .kalman import KalmanSmootherResult, _column_recursion, _linear_matrices
-from .numerics import cholesky_spd, empirical_lp_norm
+from .numerics import _factor, _solve, empirical_lp_norm
 from .problem import AssimilationProblem
 from .streams import NoiseKind, PerturbationStream, Phase, derive_seed
 
@@ -116,11 +116,13 @@ def _analysis_update(
     The gain K = pht @ (hpht + R)^-1 is applied without ever forming a
     covariance matrix; only the two products enter.
     """
-    try:
-        factor = scipy.linalg.cho_factor(hpht + obs_cov, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise NotSPDError("innovation covariance is not positive definite") from None
-    return ensemble + innovations @ scipy.linalg.cho_solve(factor, pht.T)
+    return ensemble + innovations @ _gain_transpose(pht, hpht, obs_cov)
+
+
+def _gain_transpose(pht: np.ndarray, hpht: np.ndarray, obs_cov: np.ndarray) -> np.ndarray:
+    """K^T = (hpht + R)^-1 pht^T from the lower triangle of hpht + R."""
+    factor = _factor(hpht + obs_cov, "innovation covariance")
+    return _solve(factor, pht.T, "innovation covariance")
 
 
 def _sample_products(
@@ -131,14 +133,6 @@ def _sample_products(
     pht = composite_dev.T @ obs_dev / (n - 1)
     hpht = obs_dev.T @ obs_dev / (n - 1)
     return pht, 0.5 * (hpht + hpht.T)
-
-
-def _prepare_linear(problem: AssimilationProblem):
-    models, obs = _linear_matrices(problem, "ensemble Kalman runs")
-    l_b = cholesky_spd(problem.background_cov, "background_cov")
-    l_q = [cholesky_spd(q, "model_noise_cov") for q in problem.model_noise_covs]
-    l_r = [cholesky_spd(r, "obs_noise_cov") for r in problem.obs_noise_covs]
-    return models, obs, l_b, l_q, l_r
 
 
 def _initial_ensemble(problem, lin, stream, members) -> np.ndarray:
@@ -154,7 +148,7 @@ def _step_draws(problem, stream, members, i: int) -> tuple[np.ndarray, np.ndarra
     return v, w
 
 
-def _forecast_analysis(problem, lin, i, ensemble, v, w, order=None, cov_f=None, composite=True):
+def _forecast_analysis(problem, lin, i, ensemble, v, w, order=None, cov_f=None, composite=True, gains=None):
     """One forecast/analysis step; returns (forecast, analysis) ensembles.
 
     Rows are advanced with model draws ``v``, then updated with perturbed
@@ -162,37 +156,37 @@ def _forecast_analysis(problem, lin, i, ensemble, v, w, order=None, cov_f=None, 
     over the rows in ``order`` or, when ``cov_f`` is given, from the exact
     composite forecast covariance or its trailing block column (only that
     is read), in which case every row is updated independently of the
-    others.  A composite ensemble gains the forecast block as new columns;
-    a filter ensemble (``composite=False``) is replaced by it.
+    others.  An exact gain depends on the step alone: ``gains`` (a dict,
+    required with ``cov_f``) is shared by the calls of one run and keeps
+    each step's K^T once computed.  A
+    composite ensemble gains the forecast block as new columns; a filter
+    ensemble (``composite=False``) is replaced by it.
     """
     models, obs_mats, _, l_q, l_r = lin
-    m = problem.state_dim
-    h_i = obs_mats[i - 1]
+    m, h_i, r_i = problem.state_dim, obs_mats[i - 1], problem.obs_noise_covs[i - 1]
     state = ensemble[:, -m:] @ models[i - 1].T + problem.forcings[i - 1] + v @ l_q[i - 1].T
     forecast = np.hstack([ensemble, state]) if composite else state
     if cov_f is None:
         sorted_ens = _canonical(forecast, order)
         dev = sorted_ens - sorted_ens.mean(axis=0)
-        pht, hpht = _sample_products(dev, dev[:, -m:] @ h_i.T)
+        gain_t = _gain_transpose(*_sample_products(dev, dev[:, -m:] @ h_i.T), r_i)
     else:
-        pht = cov_f[:, -m:] @ h_i.T
-        hpht = h_i @ cov_f[-m:, -m:] @ h_i.T
+        if i not in gains:
+            gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
+        gain_t = gains[i]
     innovations = problem.observations[i - 1] - w @ l_r[i - 1].T - forecast[:, -m:] @ h_i.T
-    analysis = _analysis_update(
-        forecast, innovations, pht, hpht, problem.obs_noise_covs[i - 1]
-    )
-    return forecast, analysis
+    return forecast, forecast + innovations @ gain_t
 
 
 def _run(problem, lin, stream, members, order=None, cov_fs=None, composite=True):
     """The keyed pass of the three runners; returns (analyses, forecasts)."""
     analyses = [_initial_ensemble(problem, lin, stream, members)]
-    forecasts = []
+    forecasts, gains = [], {}
     for i in range(1, problem.horizon + 1):
         v, w = _step_draws(problem, stream, members, i)
         cov_f = None if cov_fs is None else cov_fs[i - 1]
         forecast, analysis = _forecast_analysis(
-            problem, lin, i, analyses[-1], v, w, order, cov_f, composite
+            problem, lin, i, analyses[-1], v, w, order, cov_f, composite, gains
         )
         forecasts.append(forecast)
         analyses.append(analysis)
@@ -205,7 +199,7 @@ def _ensemble_result(problem, n_members, stream, member_indices, composite):
         raise ValidationError(f"{name} needs at least 2 members, got {n_members}")
     members = _member_array(n_members, member_indices)
     order = _canonical_order(members)
-    lin = _prepare_linear(problem)
+    lin = _linear_matrices(problem, "ensemble Kalman runs")
     analyses, forecasts = _run(problem, lin, stream, members, order, composite=composite)
     means = tuple(_canonical(a, order).mean(axis=0) for a in analyses)
     return EnsembleRunResult(analyses, forecasts, means, tuple(members.tolist()))
@@ -266,7 +260,7 @@ def reference_enks_run(
     if n_members < 1:
         raise ValidationError(f"reference run needs at least 1 member, got {n_members}")
     members = _member_array(n_members, member_indices)
-    lin = _prepare_linear(problem)
+    lin = _linear_matrices(problem, "ensemble Kalman runs")
 
     if forecast_covariances is None:
         if smoother is None:
@@ -304,11 +298,11 @@ def coupled_member_diffs(
         raise ValidationError(f"replicates must be >= 1, got {replicates}")
     if n_members < 2:
         raise ValidationError(f"EnKS needs at least 2 members, got {n_members}")
-    lin = _prepare_linear(problem)
+    lin = _linear_matrices(problem, "ensemble Kalman runs")
     forecast_columns = [col_f for _, col_f, *_ in _column_recursion(problem, *lin[:2])]
     members = _member_array(n_members, None)
     order = _canonical_order(members)
-    diffs = []
+    gains, diffs = {}, []
     for r in range(replicates):
         replicate_stream = PerturbationStream(derive_seed(stream.seed, r))
         ensemble = _initial_ensemble(problem, lin, replicate_stream, members)
@@ -317,7 +311,7 @@ def coupled_member_diffs(
             v, w = _step_draws(problem, replicate_stream, members, i)
             _, ensemble = _forecast_analysis(problem, lin, i, ensemble, v, w, order)
             _, reference = _forecast_analysis(
-                problem, lin, i, reference, v[:1], w[:1], cov_f=forecast_columns[i - 1]
+                problem, lin, i, reference, v[:1], w[:1], cov_f=forecast_columns[i - 1], gains=gains
             )
         diffs.append(ensemble[0] - reference[0])
     return diffs

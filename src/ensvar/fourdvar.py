@@ -41,8 +41,9 @@ from scipy.linalg import solve_triangular
 
 from .ensemble import _analysis_update, _canonical, _canonical_order, _member_array, _sample_products
 from .errors import ValidationError
-from .numerics import cholesky_spd, spd_solve
-from .problem import AssimilationProblem, Operator, Trajectory, validate_problem
+from .kalman import _normal_equations_solution
+from .numerics import _factor, _solve
+from .problem import AssimilationProblem, Operator, Trajectory, _validated_factors, validate_problem
 from .streams import NoiseKind, PerturbationStream, Phase
 
 __all__ = [
@@ -137,30 +138,31 @@ class LMRunResult:
 
 def objective(problem: AssimilationProblem, trajectory: Trajectory) -> float:
     """Weak-constraint 4DVAR objective at a trajectory."""
-    return _objective(validate_problem(problem), trajectory)
+    return _objective(problem, trajectory, _validated_factors(problem))
 
 
-def _objective(problem: AssimilationProblem, trajectory: Trajectory) -> float:
+def _objective(problem: AssimilationProblem, trajectory: Trajectory, factors) -> float:
+    """The objective of a validated problem; ``factors`` are its ``(l_b, l_q, l_r)``."""
     x = trajectory.states
     if x.shape != (problem.horizon + 1, problem.state_dim):
         raise ValidationError(
             f"trajectory shape {x.shape} does not match problem "
             f"({problem.horizon + 1}, {problem.state_dim})"
         )
+    l_b, l_q, l_r = factors
     r0 = x[0] - problem.background_mean
-    total = float(r0 @ spd_solve(problem.background_cov, r0, name="background_cov"))
+    total = float(r0 @ _solve(l_b, r0, "background_cov"))
     for i in range(1, problem.horizon + 1):
         rm = x[i] - problem.model_ops[i - 1](x[i - 1]) - problem.forcings[i - 1]
-        total += float(rm @ spd_solve(problem.model_noise_covs[i - 1], rm, name="model_noise_cov"))
+        total += float(rm @ _solve(l_q[i - 1], rm, "model_noise_cov"))
         ro = problem.observations[i - 1] - problem.obs_ops[i - 1](x[i])
-        total += float(ro @ spd_solve(problem.obs_noise_covs[i - 1], ro, name="obs_noise_cov"))
+        total += float(ro @ _solve(l_r[i - 1], ro, "obs_noise_cov"))
     return total
 
 
 def _augmented_noise_cov(problem: AssimilationProblem, i: int, gamma: float) -> np.ndarray:
     """blockdiag(R_i, (1/gamma) I): SPD whenever R_i is SPD and gamma > 0."""
-    m = problem.state_dim
-    d = problem.obs_dim(i)
+    m, d = problem.state_dim, problem.obs_dim(i)
     cov = np.zeros((d + m, d + m))
     cov[:d, :d] = problem.obs_noise_covs[i - 1]
     cov[d:, d:] = np.eye(m) / gamma
@@ -200,13 +202,14 @@ def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> n
     return (np.asarray(f(x + tau * y), dtype=float) - np.asarray(f(x), dtype=float)) / tau
 
 
-def _exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float) -> Trajectory:
-    """``lm_exact_step`` on a problem that is already validated."""
+def _exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float, factors) -> Trajectory:
+    """``lm_exact_step`` on a validated problem with factors ``(l_b, l_q, l_r)``."""
     m, k = problem.state_dim, problem.horizon
     eye = np.eye(m)
+    l_b, l_q, l_r = factors
     # Normal equations: diagonal blocks D_i, right-hand sides b_i, and
     # blocks A_i = -Q_i^-1 M_i coupling x_i to x_{i-1}.
-    diag = [spd_solve(problem.background_cov, eye, name="background_cov")]
+    diag = [_solve(l_b, eye, "background_cov")]
     rhs = [diag[0] @ problem.background_mean]
     lower = []
     for i in range(1, k + 1):
@@ -215,8 +218,8 @@ def _exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float) 
         mj, hj = mop.jacobian_at(c_prev), hop.jacobian_at(c_i)
         mu = mop(c_prev) + problem.forcings[i - 1] - mj @ c_prev
         y_eff = problem.observations[i - 1] - hop(c_i) + hj @ c_i
-        q_inv = spd_solve(problem.model_noise_covs[i - 1], eye, name="model_noise_cov")
-        r_inv_h = spd_solve(problem.obs_noise_covs[i - 1], hj, name="obs_noise_cov")
+        q_inv = _solve(l_q[i - 1], eye, "model_noise_cov")
+        r_inv_h = _solve(l_r[i - 1], hj, "obs_noise_cov")
         lower.append(-q_inv @ mj)
         diag[-1] = diag[-1] - mj.T @ lower[-1]
         rhs[-1] = rhs[-1] + lower[-1].T @ mu
@@ -224,19 +227,19 @@ def _exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float) 
         rhs.append(q_inv @ mu + r_inv_h.T @ y_eff + gamma * c_i)
     # Block Cholesky, forward: L_i L_i^T = D_i - C_i C_i^T and
     # L_i z_i = b_i - C_i z_{i-1}, where C_i = A_i L_{i-1}^-T.
-    factors, couplings, z = [], [None], []
+    blocks, couplings, z = [], [None], []
     for i in range(k + 1):
         s, b = diag[i], rhs[i]
         if i > 0:
-            couplings.append(solve_triangular(factors[-1], lower[i - 1].T, lower=True).T)
+            couplings.append(solve_triangular(blocks[-1], lower[i - 1].T, lower=True).T)
             s, b = s - couplings[i] @ couplings[i].T, b - couplings[i] @ z[-1]
-        factors.append(cholesky_spd(0.5 * (s + s.T), "normal equations"))
-        z.append(solve_triangular(factors[-1], b, lower=True))
+        blocks.append(_factor(0.5 * (s + s.T), "normal equations"))
+        z.append(solve_triangular(blocks[-1], b, lower=True))
     # Back substitution: L_i^T x_i = z_i - C_{i+1}^T x_{i+1}.
     x = np.empty((k + 1, m))
     for i in range(k, -1, -1):
         b = z[i] if i == k else z[i] - couplings[i + 1].T @ x[i + 1]
-        x[i] = solve_triangular(factors[i], b, lower=True, trans="T")
+        x[i] = solve_triangular(blocks[i], b, lower=True, trans="T")
     return Trajectory(x)
 
 
@@ -244,7 +247,7 @@ def lm_exact_step(
     problem: AssimilationProblem, x_prev: Trajectory, gamma: float
 ) -> Trajectory:
     """One exact LM step: the smoothing mean of the linearized system."""
-    return _exact_step(validate_problem(problem), x_prev, gamma)
+    return _exact_step(problem, x_prev, gamma, _validated_factors(problem))
 
 
 def lm_tangent_ls_oracle(
@@ -258,41 +261,15 @@ def lm_tangent_ls_oracle(
     with :func:`lm_exact_step` beyond the low-level SPD solve.
     """
     validate_problem(problem)
-    m, k = problem.state_dim, problem.horizon
-    size = m * (k + 1)
-    eye = np.eye(m)
-    gram = np.zeros((size, size))
-    rhs = np.zeros(size)
-
-    b_inv = spd_solve(problem.background_cov, eye, name="background_cov")
-    gram[:m, :m] += b_inv
-    rhs[:m] += b_inv @ problem.background_mean
-
-    for i in range(1, k + 1):
+    steps = []
+    for i in range(1, problem.horizon + 1):
         c_prev, c_i = x_prev[i - 1], x_prev[i]
-        lo, hi = m * (i - 1), m * i
-        mj = problem.model_ops[i - 1].jacobian_at(c_prev)
-        mu_eff = problem.model_ops[i - 1](c_prev) + problem.forcings[i - 1] - mj @ c_prev
-        q_inv = spd_solve(problem.model_noise_covs[i - 1], eye, name="model_noise_cov")
-        gram[lo:hi, lo:hi] += mj.T @ q_inv @ mj
-        gram[lo:hi, hi : hi + m] += -mj.T @ q_inv
-        gram[hi : hi + m, lo:hi] += -q_inv @ mj
-        gram[hi : hi + m, hi : hi + m] += q_inv
-        rhs[lo:hi] += -mj.T @ q_inv @ mu_eff
-        rhs[hi : hi + m] += q_inv @ mu_eff
-
-        d = problem.obs_dim(i)
-        hj = problem.obs_ops[i - 1].jacobian_at(c_i)
-        y_eff = problem.observations[i - 1] - problem.obs_ops[i - 1](c_i) + hj @ c_i
-        r_inv = spd_solve(problem.obs_noise_covs[i - 1], np.eye(d), name="obs_noise_cov")
-        gram[hi : hi + m, hi : hi + m] += hj.T @ r_inv @ hj
-        rhs[hi : hi + m] += hj.T @ r_inv @ y_eff
-
-        if gamma > 0:
-            gram[hi : hi + m, hi : hi + m] += gamma * eye
-            rhs[hi : hi + m] += gamma * c_i
-
-    return spd_solve(0.5 * (gram + gram.T), rhs, name="normal equations")
+        mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
+        mj, hj = mop.jacobian_at(c_prev), hop.jacobian_at(c_i)
+        mu_eff = mop(c_prev) + problem.forcings[i - 1] - mj @ c_prev
+        y_eff = problem.observations[i - 1] - hop(c_i) + hj @ c_i
+        steps.append((mj, mu_eff, hj, y_eff))
+    return _normal_equations_solution(problem, steps, gamma, x_prev)
 
 
 def _initial_trajectory(problem: AssimilationProblem, cfg: LMConfig) -> Trajectory:
@@ -308,16 +285,16 @@ def _initial_trajectory(problem: AssimilationProblem, cfg: LMConfig) -> Trajecto
 
 def lm_exact_run(problem: AssimilationProblem, cfg: LMConfig) -> LMRunResult:
     """Run the exact LM iteration for the configured budget."""
-    validate_problem(problem)
+    factors = _validated_factors(problem)
     if cfg.mode != "exact":
         raise ValidationError(f"lm_exact_run requires mode='exact', got {cfg.mode!r}")
     x = _initial_trajectory(problem, cfg)
     iterates = [x]
-    objectives = [_objective(problem, x)]
+    objectives = [_objective(problem, x, factors)]
     for _ in range(cfg.max_iterations):
-        x = _exact_step(problem, x, cfg.gamma)
+        x = _exact_step(problem, x, cfg.gamma, factors)
         iterates.append(x)
-        objectives.append(_objective(problem, x))
+        objectives.append(_objective(problem, x, factors))
     return LMRunResult(tuple(iterates), tuple(objectives), "exact")
 
 
@@ -339,7 +316,7 @@ def _lm_ensemble_runs(
     one working ensemble is alive at a time.  ``keep_ensembles=False``
     leaves ``ensembles`` and ``max_member_norms`` empty.
     """
-    validate_problem(problem)
+    l_b, l_q, _ = factors = _validated_factors(problem)
     if cfg.gamma <= 0:
         raise ValidationError("ensemble LM modes require gamma > 0")
     m, k = problem.state_dim, problem.horizon
@@ -350,14 +327,13 @@ def _lm_ensemble_runs(
             return dirs @ op.jacobian_at(c).T
         return (op.apply_rows(c + tau * dirs) - f_c) / tau
 
-    l_b = cholesky_spd(problem.background_cov, "background_cov")
-    l_q = [cholesky_spd(q, "model_noise_cov") for q in problem.model_noise_covs]
     # blockdiag(R_i, I / gamma) does not depend on the linearization center.
     r_aug = [_augmented_noise_cov(problem, i, cfg.gamma) for i in range(1, k + 1)]
-    l_r_aug = [cholesky_spd(r, "augmented obs cov") for r in r_aug]
+    l_r_aug = [_factor(r, "augmented obs cov") for r in r_aug]
     start = _initial_trajectory(problem, cfg)
+    start_objective = _objective(problem, start, factors)
     # Per arm: iterates, objectives, final ensembles, max member norms.
-    runs = [([start], [_objective(problem, start)], [], []) for _ in taus]
+    runs = [([start], [start_objective], [], []) for _ in taus]
 
     for j in range(1, cfg.max_iterations + 1):
         members = _member_array(cfg.ensemble_size_for(j), member_indices)
@@ -391,7 +367,7 @@ def _lm_ensemble_runs(
                 ensemble = _analysis_update(ensemble, innovations, pht, hpht, r_aug[i - 1])
 
             iterates.append(Trajectory.from_composite(_canonical(ensemble, order).mean(axis=0), m))
-            objectives.append(_objective(problem, iterates[-1]))
+            objectives.append(_objective(problem, iterates[-1], factors))
             if keep_ensembles:
                 ensembles.append(ensemble)
                 max_norms.append(float(np.max(np.linalg.norm(ensemble, axis=1))))

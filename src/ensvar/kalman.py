@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonlinearOperatorError, ValidationError
 from .numerics import spd_solve
-from .problem import AssimilationProblem, GaussianEstimate, validate_problem
+from .problem import AssimilationProblem, GaussianEstimate, _validated_factors
 
 __all__ = [
     "KalmanStepDiag",
@@ -75,12 +75,12 @@ class KalmanSmootherResult:
 
 
 def _linear_matrices(problem: AssimilationProblem, what: str = "Kalman recursions"):
-    """Validate ``problem``; return its model and observation matrices."""
-    validate_problem(problem)
+    """Validate ``problem``; return its matrices and factors ``(models, obs_mats, l_b, l_q, l_r)``."""
+    factors = _validated_factors(problem)
     if not problem.all_linear:
         raise NonlinearOperatorError(f"{what} require every operator to be flagged linear")
     m = problem.state_dim
-    return [op.as_matrix(m) for op in problem.model_ops], [op.as_matrix(m) for op in problem.obs_ops]
+    return [op.as_matrix(m) for op in problem.model_ops], [op.as_matrix(m) for op in problem.obs_ops], *factors
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -126,7 +126,7 @@ def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
     block: the forecast/gain/update recursion on x_i alone, with the
     covariance symmetrized after each update to control round-off drift.
     """
-    recursion = _column_recursion(problem, *_linear_matrices(problem), composite=False)
+    recursion = _column_recursion(problem, *_linear_matrices(problem)[:2], composite=False)
     estimates = [GaussianEstimate(problem.background_mean.copy(), problem.background_cov.copy())]
     steps = []
     for mean_f, cov_f, _, gain, innovation, mean, cov in recursion:
@@ -146,7 +146,7 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
     The trailing block of the final mean therefore reproduces the
     filter's final estimate.
     """
-    recursion = _column_recursion(problem, *_linear_matrices(problem))
+    recursion = _column_recursion(problem, *_linear_matrices(problem)[:2])
     cov = problem.background_cov.copy()
     estimates = [GaussianEstimate(problem.background_mean.copy(), cov)]
     forecast_covs, steps = [], []
@@ -178,34 +178,43 @@ def ks_least_squares_oracle(problem: AssimilationProblem) -> np.ndarray:
     and solves it with one SPD solve.  Independent of the recursion in
     :func:`ks_run`; used to cross-check it.
     """
-    models, obs_mats = _linear_matrices(problem)
+    models, obs_mats = _linear_matrices(problem)[:2]
+    return _normal_equations_solution(problem, zip(models, problem.forcings, obs_mats, problem.observations))
+
+
+def _normal_equations_solution(problem: AssimilationProblem, steps, gamma: float = 0.0, center=None):
+    """The dense normal-equations solve behind both least-squares oracles.
+
+    ``steps`` gives ``(M_i, mu_i, H_i, y_i)`` for i = 1..k, the residuals
+    x_i - M_i x_{i-1} - mu_i and y_i - H_i x_i; gamma > 0 adds the damping
+    gamma |x_i - center[i]|^2 for i >= 1.
+    """
     m, k = problem.state_dim, problem.horizon
     size = m * (k + 1)
     eye = np.eye(m)
-
-    gram = np.zeros((size, size))
-    rhs = np.zeros(size)
+    gram, rhs = np.zeros((size, size)), np.zeros(size)
 
     b_inv = spd_solve(problem.background_cov, eye, name="background_cov")
     gram[:m, :m] += b_inv
     rhs[:m] += b_inv @ problem.background_mean
 
-    for i in range(1, k + 1):
+    for i, (m_i, mu_i, h_i, y_i) in enumerate(steps, start=1):
         q_inv = spd_solve(problem.model_noise_covs[i - 1], eye, name=f"model_noise_covs[{i}]")
-        m_i = models[i - 1]
         lo, hi = m * (i - 1), m * i
-        # Residual x_i - M_i x_{i-1} - f_i as the block map [-M_i, I].
+        # Residual x_i - M_i x_{i-1} - mu_i as the block map [-M_i, I].
         gram[lo:hi, lo:hi] += m_i.T @ q_inv @ m_i
         gram[lo:hi, hi : hi + m] += -m_i.T @ q_inv
         gram[hi : hi + m, lo:hi] += -q_inv @ m_i
         gram[hi : hi + m, hi : hi + m] += q_inv
-        rhs[lo:hi] += -m_i.T @ q_inv @ problem.forcings[i - 1]
-        rhs[hi : hi + m] += q_inv @ problem.forcings[i - 1]
+        rhs[lo:hi] += -m_i.T @ q_inv @ mu_i
+        rhs[hi : hi + m] += q_inv @ mu_i
 
-        d = problem.obs_dim(i)
-        r_inv = spd_solve(problem.obs_noise_covs[i - 1], np.eye(d), name=f"obs_noise_covs[{i}]")
-        h_i = obs_mats[i - 1]
+        r_inv = spd_solve(problem.obs_noise_covs[i - 1], np.eye(y_i.size), name=f"obs_noise_covs[{i}]")
         gram[hi : hi + m, hi : hi + m] += h_i.T @ r_inv @ h_i
-        rhs[hi : hi + m] += h_i.T @ r_inv @ problem.observations[i - 1]
+        rhs[hi : hi + m] += h_i.T @ r_inv @ y_i
+
+        if gamma > 0:
+            gram[hi : hi + m, hi : hi + m] += gamma * eye
+            rhs[hi : hi + m] += gamma * center[i]
 
     return spd_solve(_symmetrize(gram), rhs, name="normal equations")

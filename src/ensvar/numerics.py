@@ -9,12 +9,22 @@ the d x d inverse, never a solve against (P H^T)^T, because at two BLAS
 threads a triangular solve with hundreds of right-hand sides stalls for
 milliseconds where the same flops as one matrix product do not.  The
 ensemble analysis kernel still solves against its (P H^T)^T.
+
+Every SPD factor and solve goes through :func:`_factor`/:func:`_solve`,
+direct calls of the LAPACK ``dpotrf``/``dpotrs`` behind scipy's
+``cholesky``/``cho_factor``/``cho_solve`` (same bits), because on the
+small matrices of the LM passes scipy's wrappers cost far more than the
+arithmetic.  The full SPD check runs once, at the public boundary
+(:func:`cholesky_spd`, :func:`spd_solve`, ``validate_problem``); internal
+callers reuse its factors, and each kernel call checks only that its
+input is finite, which LAPACK does not.  A pass/fail test that yields
+no numbers, on matrices up to composite size, is :func:`_positive_definite`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotSPDError, ValidationError
 
@@ -56,26 +66,42 @@ def _as_spd_input(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+def _factor(a: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of a square float array from its lower triangle
+    (symmetry is the caller's); NotSPDError naming ``a`` if not finite or PD."""
+    if not np.isfinite(a).all():
+        raise NotSPDError(f"{name} contains non-finite entries")
+    factor, info = dpotrf(a, lower=1, clean=1)
+    if info != 0:
+        raise NotSPDError(f"{name} is not positive definite")
+    return factor
+
+
+def _positive_definite(a: np.ndarray) -> bool:
+    """Cholesky pass/fail test by numpy's LAPACK: on a large matrix, scipy's
+    own OpenBLAS wakes a second thread pool that competes with numpy's."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _solve(factor: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """Solve (factor @ factor.T) @ x = b for a 1-D or 2-D float array b."""
+    if not np.isfinite(b).all():
+        raise ValidationError(f"right-hand side of the {name} solve contains non-finite entries")
+    return dpotrs(factor, b, lower=1)[0]
+
+
 def cholesky_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower-triangular L with a = L @ L.T; raises NotSPDError otherwise."""
-    a = _as_spd_input(a, name)
-    try:
-        return scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise NotSPDError(f"{name} is not positive definite") from None
+    return _factor(_as_spd_input(a, name), name)
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve a @ x = b for SPD a via its Cholesky factorization."""
-    a = _as_spd_input(a, name)
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValidationError(f"right-hand side of the {name} solve contains non-finite entries")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise NotSPDError(f"{name} is not positive definite") from None
-    return scipy.linalg.cho_solve(factor, b)
+    return _solve(_factor(_as_spd_input(a, name), name), np.asarray(b, dtype=float), name)
 
 
 def sample_mean(members: np.ndarray) -> np.ndarray:

@@ -22,10 +22,9 @@ from .errors import (
     DimensionMismatchError,
     MissingJacobianError,
     NonlinearOperatorError,
-    NotSPDError,
     ValidationError,
 )
-from .numerics import _frobenius_norm
+from .numerics import _SYMMETRY_RTOL, _as_spd_input, _factor, _frobenius_norm, _positive_definite
 
 __all__ = [
     "Operator",
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 _LINEARITY_RTOL = 1e-12
-_SYMMETRY_RTOL = 1e-12
 _PSD_RTOL = 1e-10
 
 
@@ -172,13 +170,9 @@ class GaussianEstimate:
             # which one Cholesky checks up to round-off; eigvalsh only reports.
             shifted = cov.copy()
             shifted.flat[:: mean.size + 1] += _PSD_RTOL * scale
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
+            if not _positive_definite(shifted):
                 min_eig = np.linalg.eigvalsh(cov)[0]
-                raise ValidationError(
-                    f"covariance has eigenvalue {min_eig:.3e} below PSD tolerance"
-                ) from None
+                raise ValidationError(f"covariance has eigenvalue {min_eig:.3e} below PSD tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,17 +236,10 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} contains non-finite entries")
 
 
-def _check_spd(a: np.ndarray, name: str) -> None:
+def _check_spd(a: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of a shape-checked covariance, by the public SPD check."""
     _check_finite(a, name)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"{name} is not square: shape {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > _SYMMETRY_RTOL * max(scale, 1.0):
-        raise NotSPDError(f"{name} is not symmetric")
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotSPDError(f"{name} is not positive definite") from None
+    return _factor(_as_spd_input(a, name), name)
 
 
 @functools.lru_cache(maxsize=64)
@@ -298,6 +285,13 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
         Naming the field, when an input array holds a non-finite number;
         and when a linearity flag is contradicted by the operator itself.
     """
+    _validated_factors(problem)
+    return problem
+
+
+def _validated_factors(problem: AssimilationProblem):
+    """:func:`validate_problem`'s checks; returns the lower Cholesky factors
+    ``(l_b, l_q, l_r)`` of B, each Q_i and each R_i that they computed."""
     m, k = problem.state_dim, problem.horizon
     if m < 1:
         raise ValidationError(f"state_dim must be positive, got {m}")
@@ -312,7 +306,8 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
             f"background_cov has shape {problem.background_cov.shape}, expected {(m, m)}"
         )
     _check_finite(problem.background_mean, "background_mean")
-    _check_spd(problem.background_cov, "background_cov")
+    l_b = _check_spd(problem.background_cov, "background_cov")
+    l_q, l_r = [], []
 
     for name, seq in (
         ("model_ops", problem.model_ops),
@@ -334,7 +329,7 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
             raise DimensionMismatchError(
                 f"model_noise_covs[{i}] has shape {problem.model_noise_covs[i - 1].shape}, expected {(m, m)}"
             )
-        _check_spd(problem.model_noise_covs[i - 1], f"model_noise_covs[{i}]")
+        l_q.append(_check_spd(problem.model_noise_covs[i - 1], f"model_noise_covs[{i}]"))
 
         out = problem.model_ops[i - 1](probe)
         if out.shape != (m,):
@@ -356,8 +351,8 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
             raise DimensionMismatchError(
                 f"obs_noise_covs[{i}] has shape {problem.obs_noise_covs[i - 1].shape}, expected {(d, d)}"
             )
-        _check_spd(problem.obs_noise_covs[i - 1], f"obs_noise_covs[{i}]")
+        l_r.append(_check_spd(problem.obs_noise_covs[i - 1], f"obs_noise_covs[{i}]"))
         if problem.obs_ops[i - 1].linear:
             _check_linear_flag(problem.obs_ops[i - 1], m, f"obs_ops[{i}]")
 
-    return problem
+    return l_b, l_q, l_r

@@ -149,6 +149,16 @@ def test_analysis_update_non_spd_innovation_covariance():
                          np.array([[1.0]]))
 
 
+def test_analysis_update_non_finite_products_name_the_innovation_covariance():
+    # LAPACK takes nan and inf without complaint; the kernel must refuse
+    # them with a package error, not scipy's bare ValueError.
+    nan, inf = np.nan, np.inf
+    with pytest.raises(NotSPDError, match="innovation covariance contains non-finite entries"):
+        _analysis_update(np.zeros((3, 2)), np.zeros((3, 1)), [[nan], [1]], [[inf]], np.eye(1))
+    with pytest.raises(ValidationError, match="right-hand side of the innovation covariance solve"):
+        _analysis_update(np.zeros((3, 2)), np.zeros((3, 1)), np.array([[nan], [1.0]]), np.ones((1, 1)), np.eye(1))
+
+
 class TestReferenceRun:
     def test_single_member_valid(self, w1):
         result = reference_enks_run(w1, 1, PerturbationStream(3))
@@ -238,6 +248,22 @@ def test_exact_arms_do_not_run_the_smoother(monkeypatch):
     problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
     assert len(coupled_member_diffs(problem, 4, PerturbationStream(0), 2)) == 2
     assert len(reference_enks_run(problem, 4, PerturbationStream(0)).analysis_ensembles) == 4
+
+
+def test_coupled_reference_gains_computed_once(monkeypatch):
+    # The EnKS arm needs a new gain per replicate and step; the exact
+    # reference gains depend on the step alone.
+    calls = []
+    original = ensemble._gain_transpose
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ensemble, "_gain_transpose", counting)
+    problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
+    coupled_member_diffs(problem, 4, PerturbationStream(0), 5)
+    assert len(calls) == problem.horizon * (5 + 1)
 
 
 class TestCoupledError:

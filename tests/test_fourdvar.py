@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from ensvar import (
     augment,
     enks_4dvar_run,
     fd_directional,
+    ks_least_squares_oracle,
     ks_run,
     lm_enks_tangent_run,
     lm_exact_run,
@@ -24,7 +26,8 @@ from ensvar import (
     make_toy_problem,
     objective,
 )
-from ensvar.fourdvar import _lm_ensemble_runs
+from ensvar import fourdvar
+from ensvar.fourdvar import _augmented_noise_cov, _lm_ensemble_runs
 from conftest import random_nonlinear_problem
 from test_ensemble import DegenerateStream
 
@@ -163,6 +166,23 @@ class TestExactLM:
         step = lm_exact_step(problem, x_prev, 0.0).composite
         target = ks_run(problem).estimate.mean
         assert np.linalg.norm(step - target) <= 1e-10 * np.linalg.norm(target)
+
+    @pytest.mark.parametrize("name, params", [("w1-linear", {}), ("linear-chain", {"m": 3, "k": 5, "seed": 2})])
+    def test_smoother_oracle_is_lm_oracle_at_gamma_zero(self, name, params, monkeypatch):
+        # One dense assembly serves both oracles, and it stays independent
+        # of the recursions it checks.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a recursion under test was called")
+
+        problem = make_toy_problem(name, **params)
+        for module in [m for mod_name, m in sys.modules.items() if mod_name.split(".")[0] == "ensvar"]:
+            for attr in ("_column_recursion", "ks_run", "_exact_step"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        x_prev = Trajectory(np.random.default_rng(3).standard_normal((problem.horizon + 1, problem.state_dim)))
+        smoother = ks_least_squares_oracle(problem)
+        lm = lm_tangent_ls_oracle(problem, x_prev, 0.0)
+        assert np.linalg.norm(lm - smoother) <= 1e-10 * np.linalg.norm(smoother)
 
     def test_step_does_not_run_the_smoother(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -366,6 +386,46 @@ class TestSharedPass:
             assert a.objectives == b.objectives
             assert all(np.array_equal(x.states, y.states) for x, y in zip(a.iterates, b.iterates))
             assert b.ensembles == () and b.max_member_norms == ()
+
+    def test_each_covariance_factored_once(self, monkeypatch):
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
+        k, arms, iterations = problem.horizon, 5, 2
+        calls, in_objective, objectives = [], [], []
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ensvar"]:
+            if hasattr(module, "_factor"):
+                original = module._factor
+
+                def recording(a, name, _original=original):
+                    calls.append((name, np.array(a), bool(in_objective)))
+                    return _original(a, name)
+
+                monkeypatch.setattr(module, "_factor", recording)
+        objective_original = fourdvar._objective
+
+        def flagged(*args):
+            objectives.append(1)
+            in_objective.append(1)
+            try:
+                return objective_original(*args)
+            finally:
+                in_objective.pop()
+
+        monkeypatch.setattr(fourdvar, "_objective", flagged)
+        cfg = LMConfig(gamma=2.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(8,))
+        _lm_ensemble_runs(problem, cfg, PerturbationStream(4), None, (None, 1e-1, 1e-2, 1e-3, 1e-4))
+
+        # The start objective is shared by the arms; each iterate gets one.
+        assert len(objectives) == 1 + arms * iterations
+        assert not any(inside for *_, inside in calls)
+        once = ["background_cov"] + [f"{field}[{i}]" for field in ("model_noise_covs", "obs_noise_covs") for i in range(1, k + 1)]
+        # Every other factorization is an innovation covariance of one
+        # arm's analysis step.
+        assert Counter(name for name, *_ in calls) == Counter(
+            {**dict.fromkeys(once, 1), "augmented obs cov": k, "innovation covariance": arms * iterations * k}
+        )
+        augmented = [a for name, a, _ in calls if name == "augmented obs cov"]
+        for i, a in enumerate(augmented, start=1):
+            np.testing.assert_array_equal(a, _augmented_noise_cov(problem, i, cfg.gamma))
 
     def test_each_key_drawn_once(self, w2):
         log = []

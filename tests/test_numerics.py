@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from ensvar import (
     sample_mean,
     spd_solve,
 )
+from ensvar.numerics import _factor, _solve
 
 
 def _random_spd(rng, dim):
@@ -98,6 +100,51 @@ class TestSpdSolve:
     def test_non_finite_right_hand_side(self):
         with pytest.raises(ValidationError, match="right-hand side of the gram solve"):
             spd_solve(np.eye(2), [1.0, np.nan], name="gram")
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestKernel:
+    """The private factor/solve pair is scipy's Cholesky path, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        dim=st.integers(1, 12),
+        rhs=st.sampled_from(["1-D", "2-D", "F-ordered view"]),
+    )
+    def test_bits_equal_scipy(self, seed, dim, rhs):
+        rng = np.random.default_rng(seed)
+        a = _random_spd(rng, dim)
+        b = {
+            "1-D": lambda: rng.standard_normal(dim),
+            "2-D": lambda: rng.standard_normal((dim, 3)),
+            # Like the analysis kernel's pht.T: a transposed C-ordered array.
+            "F-ordered view": lambda: rng.standard_normal((7, dim)).T,
+        }[rhs]()
+        factor = _factor(a, "a")
+        assert _same_bits(factor, scipy.linalg.cholesky(a, lower=True))
+        assert _same_bits(cholesky_spd(a), factor)
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+        assert _same_bits(_solve(factor, b, "a"), want)
+        assert _same_bits(spd_solve(a, b), want)
+
+    def test_reads_only_the_lower_triangle(self):
+        a = np.array([[4.0, 99.0], [2.0, 5.0]])
+        np.testing.assert_array_equal(_factor(a, "a"), [[2.0, 0.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_names_the_matrix(self, bad):
+        with pytest.raises(NotSPDError, match="gram contains non-finite entries"):
+            _factor(np.array([[1.0, bad], [0.0, 1.0]]), "gram")
+        with pytest.raises(ValidationError, match="right-hand side of the gram solve"):
+            _solve(np.eye(2), np.array([[1.0], [bad]]), "gram")
+
+    def test_not_positive_definite(self):
+        with pytest.raises(NotSPDError, match="gram is not positive definite"):
+            _factor(np.diag([1.0, -1.0]), "gram")
 
 
 class TestSampleStats:
