@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kalman import KalmanSmootherResult, _column_recursion, _linear_matrices
+from .kalman import _column_recursion, _linear_matrices
 from .numerics import _factor, _solve, empirical_lp_norm
 from .problem import AssimilationProblem
 from .streams import NoiseKind, PerturbationStream, Phase, derive_seed
@@ -241,17 +241,16 @@ def reference_enks_run(
     n_members: int,
     stream: PerturbationStream,
     member_indices=None,
-    smoother: KalmanSmootherResult | None = None,
     forecast_covariances=None,
 ) -> ReferenceRunResult:
     """Composite ensemble updated with exact covariances.
 
     Consumes the same keyed draws as :func:`enks_run` but replaces the
     sample-covariance products in the gain with the exact composite
-    forecast covariances: by default the trailing block columns of the
-    Kalman smoother's recursion, else those of ``smoother``.  Each member
-    then evolves independently of the others, and is an exact draw from
-    the smoothing distribution; a single member (n_members=1) is valid.
+    forecast covariances, the trailing block columns of the Kalman
+    smoother's recursion.  Each member then evolves independently of the
+    others, and is an exact draw from the smoothing distribution; a single
+    member (n_members=1) is valid.
 
     ``forecast_covariances`` may override the exact covariances, which is
     useful for forcing the reference update to coincide with an ensemble
@@ -263,10 +262,7 @@ def reference_enks_run(
     lin = _linear_matrices(problem, "ensemble Kalman runs")
 
     if forecast_covariances is None:
-        if smoother is None:
-            forecast_covariances = [col_f for _, col_f, *_ in _column_recursion(problem, *lin[:2])]
-        else:
-            forecast_covariances = smoother.forecast_covariances
+        forecast_covariances = [col_f for _, col_f, *_ in _column_recursion(problem, *lin[:2])]
     forecast_covariances = tuple(np.asarray(c, dtype=float) for c in forecast_covariances)
     if len(forecast_covariances) != problem.horizon:
         raise ValidationError(

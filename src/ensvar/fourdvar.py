@@ -304,6 +304,7 @@ def _lm_ensemble_runs(
     stream: PerturbationStream,
     member_indices,
     taus: tuple[float | None, ...],
+    factors,
     keep_ensembles: bool = True,
 ) -> list[LMRunResult]:
     """The only ensemble LM step: one run per arm, all arms on shared keys.
@@ -313,10 +314,12 @@ def _lm_ensemble_runs(
     pass on the system linearized at its own previous iterate, with the
     damping realized as stacked observations.  The iteration's keys are
     drawn and scaled once, then the arms run one after another, so only
-    one working ensemble is alive at a time.  ``keep_ensembles=False``
-    leaves ``ensembles`` and ``max_member_norms`` empty.
+    one working ensemble is alive at a time.  ``factors`` are the
+    Cholesky factors :func:`_validated_factors` returned for ``problem``.
+    ``keep_ensembles=False`` leaves ``ensembles`` and ``max_member_norms``
+    empty.
     """
-    l_b, l_q, _ = factors = _validated_factors(problem)
+    l_b, l_q, _ = factors
     if cfg.gamma <= 0:
         raise ValidationError("ensemble LM modes require gamma > 0")
     m, k = problem.state_dim, problem.horizon
@@ -388,7 +391,7 @@ def lm_enks_tangent_run(
     """LM with the linearized subproblem solved by an EnKS (exact Jacobians)."""
     if cfg.mode != "tangent":
         raise ValidationError(f"lm_enks_tangent_run requires mode='tangent', got {cfg.mode!r}")
-    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (None,))[0]
+    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (None,), _validated_factors(problem))[0]
 
 
 def enks_4dvar_run(
@@ -409,7 +412,7 @@ def enks_4dvar_run(
         raise ValidationError(
             f"enks_4dvar_run requires mode='finite-difference', got {cfg.mode!r}"
         )
-    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (cfg.tau,))[0]
+    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (cfg.tau,), _validated_factors(problem))[0]
 
 
 def lm_run(

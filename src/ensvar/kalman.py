@@ -56,22 +56,9 @@ class KalmanFilterResult:
 
 @dataclass(frozen=True, eq=False)
 class KalmanSmootherResult:
-    """Composite-state smoothing estimates at i = 0..k.
+    """The smoothing estimate of the whole trajectory x_0:k given y_1:k."""
 
-    ``estimates[i]`` covers the stacked state x_0:i given observations up
-    to time i; ``forecast_covariances[i-1]`` is the exact composite
-    forecast covariance used in the step-i update.  Its trailing block
-    column is, bit for bit, the column the exact-covariance reference
-    ensembles use.
-    """
-
-    estimates: tuple[GaussianEstimate, ...]
-    forecast_covariances: tuple[np.ndarray, ...]
-    steps: tuple[KalmanStepDiag, ...]
-
-    @property
-    def estimate(self) -> GaussianEstimate:
-        return self.estimates[-1]
+    estimate: GaussianEstimate
 
 
 def _linear_matrices(problem: AssimilationProblem, what: str = "Kalman recursions"):
@@ -144,27 +131,19 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
     composite estimate.  The trailing block column comes from the shared
     recursion; the leading block takes the rank-d update -K (P H^T)^T.
     The trailing block of the final mean therefore reproduces the
-    filter's final estimate.
+    filter's final estimate.  Only the running composite covariance is
+    carried; the one estimate built is the final one.
     """
-    recursion = _column_recursion(problem, *_linear_matrices(problem)[:2])
-    cov = problem.background_cov.copy()
-    estimates = [GaussianEstimate(problem.background_mean.copy(), cov)]
-    forecast_covs, steps = [], []
-    for mean_f, col_f, pht, gain, innovation, mean, col in recursion:
+    cov = problem.background_cov
+    for _, _, pht, gain, _, mean, col in _column_recursion(problem, *_linear_matrices(problem)[:2]):
         size = cov.shape[0]
-        cov_f = np.empty((col_f.shape[0],) * 2)
-        cov_f[:size, :size] = cov
-        cov_f[:, size:], cov_f[size:, :size] = col_f, col_f[:size].T
         # Rank-d update of the leading block, symmetrized straight into place.
         update = cov - gain[:size] @ pht[:size].T
-        cov = np.empty_like(cov_f)
+        cov = np.empty((col.shape[0],) * 2)
         np.add(update, update.T, out=cov[:size, :size])
         cov[:size, :size] *= 0.5
         cov[:, size:], cov[size:, :size] = col, col[:size].T
-        estimates.append(GaussianEstimate(mean, cov))
-        forecast_covs.append(cov_f)
-        steps.append(KalmanStepDiag(mean_f, cov_f, gain, innovation))
-    return KalmanSmootherResult(tuple(estimates), tuple(forecast_covs), tuple(steps))
+    return KalmanSmootherResult(GaussianEstimate(mean, cov))
 
 
 def ks_least_squares_oracle(problem: AssimilationProblem) -> np.ndarray:

@@ -29,9 +29,9 @@ import numpy as np
 
 from .ensemble import coupled_member_diffs
 from .errors import ValidationError
-from .fourdvar import LMConfig, _lm_ensemble_runs, lm_enks_tangent_run, lm_exact_run
+from .fourdvar import LMConfig, _lm_ensemble_runs, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
-from .problem import AssimilationProblem, validate_problem
+from .problem import AssimilationProblem, _validated_factors
 from .streams import PerturbationStream, derive_seed
 
 __all__ = ["StudySpec", "StudyRow", "StudyResult", "run_study", "emit", "render_csv", "render_json", "json_text"]
@@ -70,6 +70,8 @@ class StudySpec:
             raise ValidationError(f"p_order must be >= 1, got {self.p_order}")
         if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm is None:
             raise ValidationError(f"study kind {self.kind!r} requires an LM config")
+        if self.kind in ("enks-vs-ks", "lm-enks-vs-lm") and not all(v == int(v) >= 2 for v in sweep):
+            raise ValidationError(f"{self.kind} sweep values must be integers >= 2, got {sweep}")
 
 
 @dataclass(frozen=True)
@@ -146,17 +148,14 @@ def _summarize(diffs: list[np.ndarray], p_order: float) -> tuple[float, float, t
     return estimate, stderr, tuple(norms)
 
 
-def _enks_vs_ks_rows(spec: StudySpec) -> list[StudyRow]:
+def _enks_vs_ks_rows(spec: StudySpec, _factors) -> list[StudyRow]:
     if not spec.problem.all_linear:
         raise ValidationError("enks-vs-ks studies require a fully linear problem")
     rows = []
     for value in spec.sweep:
-        n = int(value)
-        if n != value or n < 2:
-            raise ValidationError(f"enks-vs-ks sweep values must be integers >= 2, got {value}")
         t0 = time.perf_counter()
         diffs = coupled_member_diffs(
-            spec.problem, n, PerturbationStream(spec.seed), spec.replicates
+            spec.problem, int(value), PerturbationStream(spec.seed), spec.replicates
         )
         wall = 1e3 * (time.perf_counter() - t0)
         estimate, stderr, raw = _summarize(diffs, spec.p_order)
@@ -164,21 +163,18 @@ def _enks_vs_ks_rows(spec: StudySpec) -> list[StudyRow]:
     return rows
 
 
-def _lm_enks_vs_lm_rows(spec: StudySpec) -> list[StudyRow]:
+def _lm_enks_vs_lm_rows(spec: StudySpec, factors) -> list[StudyRow]:
     base = spec.lm
     exact = lm_exact_run(spec.problem, replace(base, mode="exact", ensemble_sizes=()))
     target = exact.iterates[-1].composite
     rows = []
     for value in spec.sweep:
-        n = int(value)
-        if n != value or n < 2:
-            raise ValidationError(f"lm-enks-vs-lm sweep values must be integers >= 2, got {value}")
-        cfg = replace(base, mode="tangent", ensemble_sizes=(n,))
+        cfg = replace(base, mode="tangent", ensemble_sizes=(int(value),))
         t0 = time.perf_counter()
         diffs = []
         for r in range(spec.replicates):
             stream = PerturbationStream(derive_seed(spec.seed, r))
-            run = lm_enks_tangent_run(spec.problem, cfg, stream)
+            (run,) = _lm_ensemble_runs(spec.problem, cfg, stream, None, (None,), factors, keep_ensembles=False)
             diffs.append(run.iterates[-1].composite - target)
         wall = 1e3 * (time.perf_counter() - t0)
         estimate, stderr, raw = _summarize(diffs, spec.p_order)
@@ -186,7 +182,7 @@ def _lm_enks_vs_lm_rows(spec: StudySpec) -> list[StudyRow]:
     return rows
 
 
-def _tau_sweep_rows(spec: StudySpec) -> list[StudyRow]:
+def _tau_sweep_rows(spec: StudySpec, factors) -> list[StudyRow]:
     # One keyed pass per replicate runs the tangent arm and every tau arm
     # on shared draws; the pass's time is split evenly over the tau rows.
     t0 = time.perf_counter()
@@ -194,7 +190,7 @@ def _tau_sweep_rows(spec: StudySpec) -> list[StudyRow]:
     for r in range(spec.replicates):
         stream = PerturbationStream(derive_seed(spec.seed, r))
         tangent, *fd = _lm_ensemble_runs(
-            spec.problem, spec.lm, stream, None, (None, *spec.sweep), keep_ensembles=False
+            spec.problem, spec.lm, stream, None, (None, *spec.sweep), factors, keep_ensembles=False
         )
         for cell, run in zip(diffs, fd):
             cell.append(run.iterates[-1].composite - tangent.iterates[-1].composite)
@@ -207,13 +203,13 @@ def _tau_sweep_rows(spec: StudySpec) -> list[StudyRow]:
 
 def run_study(spec: StudySpec) -> StudyResult:
     """Run every cell of a study and fit the log-log rate."""
-    validate_problem(spec.problem)
+    factors = _validated_factors(spec.problem)
     runner = {
         "enks-vs-ks": _enks_vs_ks_rows,
         "lm-enks-vs-lm": _lm_enks_vs_lm_rows,
         "tau-sweep": _tau_sweep_rows,
     }[spec.kind]
-    rows = runner(spec)
+    rows = runner(spec, factors)
 
     slope = intercept = None
     estimates = [r.error_estimate for r in rows]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,16 @@ def w1():
 @pytest.fixture
 def w2():
     return make_toy_problem("w2-quadratic")
+
+
+def truncated(problem: AssimilationProblem, i: int) -> AssimilationProblem:
+    """``problem`` cut to horizon i: its first i steps, unchanged.
+
+    The Kalman recursions are causal, so their step-i estimate is the
+    final estimate of the truncated problem.
+    """
+    per_step = ("model_ops", "forcings", "model_noise_covs", "obs_ops", "obs_noise_covs", "observations")
+    return replace(problem, horizon=i, **{name: getattr(problem, name)[:i] for name in per_step})
 
 
 def random_nonlinear_problem(m: int, k: int, seed: int) -> AssimilationProblem:

@@ -23,6 +23,7 @@ from ensvar import (
 )
 from ensvar import ensemble
 from ensvar.ensemble import _analysis_update, _canonical_order, _sample_products
+from conftest import truncated
 
 
 class DegenerateStream(PerturbationStream):
@@ -176,16 +177,10 @@ class TestReferenceRun:
         assert np.abs(sample_covariance(final) - smoother.covariance).max() < 0.1
 
     def test_forecast_covariances_recorded(self, w1):
-        # By default the run records the trailing block columns it used;
-        # a supplied smoother's full covariances are recorded as given.
-        smoother = ks_run(w1)
+        # By default the run records the trailing block columns it used.
         m = w1.state_dim
         columns = reference_enks_run(w1, 4, PerturbationStream(3)).forecast_covariances
-        supplied = reference_enks_run(w1, 4, PerturbationStream(3), smoother=smoother)
-        assert len(columns) == len(supplied.forecast_covariances) == w1.horizon
-        for column, full, want in zip(columns, supplied.forecast_covariances, smoother.forecast_covariances):
-            np.testing.assert_array_equal(column, want[:, -m:])
-            np.testing.assert_array_equal(full, want)
+        assert [c.shape for c in columns] == [(m * (i + 1), m) for i in range(1, w1.horizon + 1)]
 
     def test_injected_sample_covariances_reproduce_enks(self, w1):
         # Forcing the reference gain to use the EnKS's own sample
@@ -213,11 +208,19 @@ class TestReferenceRun:
     [("w1-linear", {})] + [("linear-chain", {"m": 3, "k": 5, "seed": seed}) for seed in range(4)],
 )
 def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
-    # ks_run writes the shared recursion's column into its full forecast
-    # covariance, so both exact arms read the smoother's column bit for bit.
+    # The recursion is causal, so the step-i forecast column is built from
+    # the final estimate P of the problem cut to horizon i - 1 (B at i = 1):
+    # [P M_i^T; M_i P[-m:, -m:] M_i^T + Q_i] over P's trailing m columns.
+    # Both exact arms read that column bit for bit.
     problem = make_toy_problem(name, **params)
     m = problem.state_dim
-    want = [cov_f[:, -m:] for cov_f in ks_run(problem).forecast_covariances]
+    want, cov = [], problem.background_cov
+    for i in range(1, problem.horizon + 1):
+        if i > 1:
+            cov = ks_run(truncated(problem, i - 1)).estimate.covariance
+        m_i = problem.model_ops[i - 1].as_matrix(m)
+        corner = m_i @ cov[-m:, -m:] @ m_i.T + problem.model_noise_covs[i - 1]
+        want.append(np.vstack([cov[:, -m:] @ m_i.T, 0.5 * (corner + corner.T)]))
     reference = reference_enks_run(problem, 1, PerturbationStream(0)).forecast_covariances
 
     used = []

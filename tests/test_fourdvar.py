@@ -28,6 +28,7 @@ from ensvar import (
 )
 from ensvar import fourdvar
 from ensvar.fourdvar import _augmented_noise_cov, _lm_ensemble_runs
+from ensvar.problem import _validated_factors
 from conftest import random_nonlinear_problem
 from test_ensemble import DegenerateStream
 
@@ -365,7 +366,7 @@ class TestSharedPass:
         problem = make_toy_problem(name, **params)
         taus = (1e-1, 1e-2, 1e-3)
         cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=sizes)
-        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(7), None, (None, *taus))
+        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(7), None, (None, *taus), _validated_factors(problem))
         separate = [lm_enks_tangent_run(problem, cfg, PerturbationStream(7))] + [
             enks_4dvar_run(problem, replace(cfg, mode="finite-difference", tau=tau), PerturbationStream(7))
             for tau in taus
@@ -380,8 +381,9 @@ class TestSharedPass:
 
     def test_dropping_ensembles_keeps_iterates(self, w2):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
-        kept = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2))
-        dropped = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2), keep_ensembles=False)
+        factors = _validated_factors(w2)
+        kept = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2), factors)
+        dropped = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2), factors, keep_ensembles=False)
         for a, b in zip(kept, dropped, strict=True):
             assert a.objectives == b.objectives
             assert all(np.array_equal(x.states, y.states) for x, y in zip(a.iterates, b.iterates))
@@ -412,7 +414,8 @@ class TestSharedPass:
 
         monkeypatch.setattr(fourdvar, "_objective", flagged)
         cfg = LMConfig(gamma=2.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(8,))
-        _lm_ensemble_runs(problem, cfg, PerturbationStream(4), None, (None, 1e-1, 1e-2, 1e-3, 1e-4))
+        taus = (None, 1e-1, 1e-2, 1e-3, 1e-4)
+        _lm_ensemble_runs(problem, cfg, PerturbationStream(4), None, taus, _validated_factors(problem))
 
         # The start objective is shared by the arms; each iterate gets one.
         assert len(objectives) == 1 + arms * iterations
@@ -430,7 +433,7 @@ class TestSharedPass:
     def test_each_key_drawn_once(self, w2):
         log = []
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(8,))
-        _lm_ensemble_runs(w2, cfg, PerturbationStream(6, log=log), None, (None, 1e-1, 1e-2, 1e-3))
+        _lm_ensemble_runs(w2, cfg, PerturbationStream(6, log=log), None, (None, 1e-1, 1e-2, 1e-3), _validated_factors(w2))
         single = []
         lm_enks_tangent_run(w2, cfg, PerturbationStream(6, log=single))
         assert log == single

@@ -5,6 +5,8 @@ equations: filtering (mean 2, variance 2/3); smoothing mean (1, 2) with
 covariance [[2/3, 1/3], [1/3, 2/3]].
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,9 @@ from ensvar import (
 )
 from ensvar import kalman
 from ensvar.problem import AssimilationProblem
+from conftest import truncated
+
+DATA = Path(__file__).parent / "data"
 
 
 def _w1_variant(**overrides) -> AssimilationProblem:
@@ -116,27 +121,53 @@ class TestSmoother:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_trailing_block_matches_filter(self, seed):
         problem = make_toy_problem("linear-chain", m=2, k=4, seed=seed)
-        smoother = ks_run(problem)
         flt = kf_run(problem)
         m = problem.state_dim
-        for smoothed, filtered in zip(smoother.estimates, flt.estimates, strict=True):
+        mean, cov = problem.background_mean, problem.background_cov  # the smoother at i - 1
+        for i in range(1, problem.horizon + 1):
+            smoothed, filtered, step = ks_run(truncated(problem, i)).estimate, flt.estimates[i], flt.steps[i - 1]
             np.testing.assert_allclose(smoothed.mean[-m:], filtered.mean, rtol=1e-10)
             np.testing.assert_allclose(
                 smoothed.covariance[-m:, -m:], filtered.covariance, rtol=1e-10, atol=1e-12
             )
-        for smoothed, filtered in zip(smoother.steps, flt.steps, strict=True):
-            np.testing.assert_allclose(smoothed.forecast_mean[-m:], filtered.forecast_mean, rtol=1e-10)
-            np.testing.assert_allclose(
-                smoothed.forecast_cov[-m:, -m:], filtered.forecast_cov, rtol=1e-10, atol=1e-12
-            )
+            # The smoother's step-i forecast of x_i, from its estimate at i - 1.
+            m_i = problem.model_ops[i - 1].as_matrix(m)
+            forecast_mean = m_i @ mean[-m:] + problem.forcings[i - 1]
+            forecast_cov = m_i @ cov[-m:, -m:] @ m_i.T + problem.model_noise_covs[i - 1]
+            np.testing.assert_allclose(forecast_mean, step.forecast_mean, rtol=1e-10)
+            np.testing.assert_allclose(forecast_cov, step.forecast_cov, rtol=1e-10, atol=1e-12)
+            mean, cov = smoothed.mean, smoothed.covariance
 
     def test_covariances_symmetric_psd(self):
         problem = make_toy_problem("linear-chain", m=3, k=4, seed=9)
-        for estimate in ks_run(problem).estimates:
-            cov = estimate.covariance
+        for i in range(1, problem.horizon + 1):
+            cov = ks_run(truncated(problem, i)).estimate.covariance
             scale = np.linalg.norm(cov)
             assert np.linalg.norm(cov - cov.T) <= 1e-12 * scale
             assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * scale
+
+    def test_builds_one_estimate(self, monkeypatch):
+        # Only the final composite estimate is built, and checked.
+        built = []
+        original = kalman.GaussianEstimate
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kalman, "GaussianEstimate", counting)
+        problem = make_toy_problem("linear-chain", m=2, k=5, seed=0)
+        assert ks_run(problem).estimate.mean.shape == (2 * 6,)
+        assert len(built) == 1
+
+    def test_final_estimate_pinned(self):
+        # The final estimate is pinned bit for bit: a change to the
+        # recursion's arithmetic must show here and update the file on purpose.
+        problem = make_toy_problem("linear-chain", m=6, k=6, seed=0)
+        estimate = ks_run(problem).estimate
+        with np.load(DATA / "ks_linear_chain_m6_k6.npz") as pinned:
+            np.testing.assert_array_equal(estimate.mean, pinned["mean"])
+            np.testing.assert_array_equal(estimate.covariance, pinned["covariance"])
 
     @pytest.mark.parametrize("runner", [ks_run, kf_run])
     def test_solves_no_wider_than_the_observation(self, runner, monkeypatch):
@@ -155,11 +186,6 @@ class TestSmoother:
         assert len(widths) == problem.horizon
         for i, width in enumerate(widths, start=1):
             assert width <= problem.obs_dim(i)
-
-    def test_smoother_gain_grows_with_composite(self):
-        problem = make_toy_problem("linear-chain", m=2, k=3, seed=9)
-        for i, step in enumerate(ks_run(problem).steps, start=1):
-            assert step.gain.shape == (2 * (i + 1), 2)
 
 
 class TestLeastSquaresOracle:

@@ -46,6 +46,17 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             StudySpec(kind="tau-sweep", sweep=(0.1,), replicates=1, problem=w2)
 
+    @pytest.mark.parametrize("kind", ["enks-vs-ks", "lm-enks-vs-lm"])
+    @pytest.mark.parametrize("sweep", [(100, 2000, 2500.5), (1, 10)])
+    def test_ensemble_sizes_checked_before_any_cell(self, w1, kind, sweep, monkeypatch):
+        ran = []
+        for name in ("coupled_member_diffs", "lm_exact_run", "_lm_ensemble_runs"):
+            monkeypatch.setattr(study_module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
+        lm = LMConfig(gamma=1.0, max_iterations=1, mode="tangent", ensemble_sizes=(16,))
+        with pytest.raises(ValidationError, match="sweep values must be integers >= 2"):
+            run_study(StudySpec(kind=kind, sweep=sweep, replicates=1, problem=w1, lm=lm))
+        assert ran == []
+
     def test_enks_study_rejects_nonlinear_problem(self, w2):
         spec = StudySpec(kind="enks-vs-ks", sweep=(16,), replicates=1, problem=w2)
         with pytest.raises(ValidationError):
