@@ -31,15 +31,16 @@ for row in result.rows:
           f"stderr={row.stderr_estimate:.1e}")
 print(f"  fitted slope: {result.slope:+.3f}  (first-order differencing: +1)\n")
 
-workdir = Path(tempfile.mkdtemp())
-emit(result, "csv", workdir / "tau_sweep.csv")
-print(f"CSV written to {workdir / 'tau_sweep.csv'}:\n")
-print((workdir / "tau_sweep.csv").read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    emit(result, "csv", workdir / "tau_sweep.csv")
+    print(f"CSV written to {workdir / 'tau_sweep.csv'}:\n")
+    print((workdir / "tau_sweep.csv").read_text())
 
-# The same thing through the CLI, from a config file.
-config = workdir / "study.yaml"
-config.write_text(
-    """\
+    # The same thing through the CLI, from a config file.
+    config = workdir / "study.yaml"
+    config.write_text(
+        """\
 problem:
   name: w1-linear
 
@@ -50,8 +51,8 @@ study:
   p_order: 2
   seed: 7
 """
-)
-print(f"running: ensvar study --config {config} --out {workdir / 'enks.csv'}")
-code = main(["study", "--config", str(config), "--out", str(workdir / "enks.csv")])
-print(f"exit code {code}\n")
-print((workdir / "enks.csv").read_text())
+    )
+    print(f"running: ensvar study --config {config} --out {workdir / 'enks.csv'}")
+    code = main(["study", "--config", str(config), "--out", str(workdir / "enks.csv")])
+    print(f"exit code {code}\n")
+    print((workdir / "enks.csv").read_text())

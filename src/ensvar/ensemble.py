@@ -16,10 +16,15 @@ the covariance products come from:
 :func:`coupled_member_diffs` runs that pair as one pass: each key is drawn
 once and fed to both arms, and the reference arm carries member 1 only,
 since with exact gains no member depends on another; each exact gain is
-computed once per call.
+computed once per call.  A study sweeping the ensemble size runs every
+size in that one pass, on prefixes of the largest size's draw.
 
-Sample statistics are always reduced in ascending member-key order, so a
-run whose member keys are permuted reproduces the unpermuted run's
+Ensembles are held state-major, as (state, member) arrays: with a state
+of a few components and thousands of members, every mean, deviation and
+product then runs along the contiguous member axis.  The runners' results
+still hand out one row per member, as transposed views.  Sample
+statistics are always reduced in ascending member-key order, so a run
+whose member keys are permuted reproduces the unpermuted run's
 statistics bit for bit; permuting keys permutes output members exactly.
 
 The degenerate zero-spread ensemble needs no special casing: all sample
@@ -36,7 +41,7 @@ import numpy as np
 from .errors import ValidationError
 from .kalman import _column_recursion, _linear_matrices
 from .numerics import _factor, _solve, empirical_lp_norm
-from .problem import AssimilationProblem
+from .problem import AssimilationProblem, _validated_factors
 from .streams import NoiseKind, PerturbationStream, Phase, derive_seed
 
 __all__ = [
@@ -104,6 +109,15 @@ def _canonical(rows: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     return rows if order is None else rows[order]
 
 
+def _canonical_columns(ensemble: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """A (state, member) ensemble's columns in ascending member-key order.
+
+    The gather is C-ordered, as a sorted run's ensemble is, so reductions
+    along the member axis visit the same values in the same order.
+    """
+    return ensemble if order is None else np.take(ensemble, order, axis=1)
+
+
 def _analysis_update(
     ensemble: np.ndarray,
     innovations: np.ndarray,
@@ -136,61 +150,82 @@ def _sample_products(
 
 
 def _initial_ensemble(problem, lin, stream, members) -> np.ndarray:
-    """Members drawn from N(background_mean, background_cov) by their keys."""
+    """Members drawn from N(background_mean, background_cov) by their keys, as columns."""
     z = stream.draw_members(Phase.SMOOTHER, 0, 0, NoiseKind.INIT, members, problem.state_dim)
-    return problem.background_mean + z @ lin[2].T
+    return problem.background_mean[:, None] + lin[2] @ z.T
 
 
 def _step_draws(problem, stream, members, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Step i's model and observation draws, one row per member key."""
+    """Step i's model and observation draws, one column per member key."""
     v = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.MODEL, members, problem.state_dim)
     w = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.OBS, members, problem.obs_dim(i))
-    return v, w
+    return v.T, w.T
 
 
-def _forecast_analysis(problem, lin, i, ensemble, v, w, order=None, cov_f=None, composite=True, gains=None):
-    """One forecast/analysis step; returns (forecast, analysis) ensembles.
+def _sample_gain(forecast, order, h_i, r_i) -> np.ndarray:
+    """K^T from the sample products of the forecast columns in key order.
 
-    Rows are advanced with model draws ``v``, then updated with perturbed
-    observations (obs draws ``w``).  The gain comes from sample products
-    over the rows in ``order`` or, when ``cov_f`` is given, from the exact
-    composite forecast covariance or its trailing block column (only that
-    is read), in which case every row is updated independently of the
-    others.  An exact gain depends on the step alone: ``gains`` (a dict,
-    required with ``cov_f``) is shared by the calls of one run and keeps
-    each step's K^T once computed.  A
-    composite ensemble gains the forecast block as new columns; a filter
-    ensemble (``composite=False``) is replaced by it.
+    The deviations live only in this scope, so they are freed before the
+    caller applies the gain.
     """
-    models, obs_mats, _, l_q, l_r = lin
+    m = h_i.shape[1]
+    sorted_ens = _canonical_columns(forecast, order)
+    dev = sorted_ens - sorted_ens.mean(axis=1, keepdims=True)
+    return _gain_transpose(*_sample_products(dev.T, (h_i @ dev[-m:]).T), r_i)
+
+
+def _forecast(problem, lin, i, ensemble, v, composite) -> np.ndarray:
+    """Step i's forecast: the ensemble with its advanced state appended, or that state alone."""
+    models, _, _, l_q, _ = lin
+    m = problem.state_dim
+    state = models[i - 1] @ ensemble[-m:] + problem.forcings[i - 1][:, None] + l_q[i - 1] @ v
+    return np.vstack([ensemble, state]) if composite else state
+
+
+def _forecast_analysis(
+    problem, lin, i, ensemble, v, w, order=None, cov_f=None, composite=True, gains=None, forecasts=None
+):
+    """One forecast/analysis step on a (state, member) ensemble; returns the analysis.
+
+    Columns are advanced with model draws ``v``, then updated with
+    perturbed observations (obs draws ``w``), both one column per member.
+    The gain comes from sample products over the columns in ``order`` or,
+    when ``cov_f`` is given, from the exact composite forecast covariance
+    or its trailing block column (only that is read), in which case every
+    column is updated independently of the others.  An exact gain depends
+    on the step alone: ``gains`` (a dict, required with ``cov_f``) is
+    shared by the calls of one run and keeps each step's K^T once
+    computed.  A composite ensemble gains the forecast block as new rows;
+    a filter ensemble (``composite=False``) is replaced by it.  A copy of
+    the forecast is appended to ``forecasts`` when it is given; the
+    update itself is made in place.
+    """
+    _, obs_mats, _, _, l_r = lin
     m, h_i, r_i = problem.state_dim, obs_mats[i - 1], problem.obs_noise_covs[i - 1]
-    state = ensemble[:, -m:] @ models[i - 1].T + problem.forcings[i - 1] + v @ l_q[i - 1].T
-    forecast = np.hstack([ensemble, state]) if composite else state
+    forecast = _forecast(problem, lin, i, ensemble, v, composite)
+    if forecasts is not None:
+        forecasts.append(forecast.copy())
     if cov_f is None:
-        sorted_ens = _canonical(forecast, order)
-        dev = sorted_ens - sorted_ens.mean(axis=0)
-        gain_t = _gain_transpose(*_sample_products(dev, dev[:, -m:] @ h_i.T), r_i)
+        gain_t = _sample_gain(forecast, order, h_i, r_i)
     else:
         if i not in gains:
             gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
         gain_t = gains[i]
-    innovations = problem.observations[i - 1] - w @ l_r[i - 1].T - forecast[:, -m:] @ h_i.T
-    return forecast, forecast + innovations @ gain_t
+    innovations = problem.observations[i - 1][:, None] - l_r[i - 1] @ w - h_i @ forecast[-m:]
+    forecast += gain_t.T @ innovations
+    return forecast
 
 
-def _run(problem, lin, stream, members, order=None, cov_fs=None, composite=True):
-    """The keyed pass of the three runners; returns (analyses, forecasts)."""
-    analyses = [_initial_ensemble(problem, lin, stream, members)]
-    forecasts, gains = [], {}
+def _run(problem, lin, stream, members, order=None, cov_fs=None, composite=True, forecasts=None):
+    """The keyed pass of the three runners; returns the (state, member) analyses."""
+    analyses, gains = [_initial_ensemble(problem, lin, stream, members)], {}
     for i in range(1, problem.horizon + 1):
         v, w = _step_draws(problem, stream, members, i)
         cov_f = None if cov_fs is None else cov_fs[i - 1]
-        forecast, analysis = _forecast_analysis(
-            problem, lin, i, analyses[-1], v, w, order, cov_f, composite, gains
+        analyses.append(
+            _forecast_analysis(problem, lin, i, analyses[-1], v, w, order, cov_f, composite, gains, forecasts)
         )
-        forecasts.append(forecast)
-        analyses.append(analysis)
-    return tuple(analyses), tuple(forecasts)
+    return analyses
 
 
 def _ensemble_result(problem, n_members, stream, member_indices, composite):
@@ -200,9 +235,12 @@ def _ensemble_result(problem, n_members, stream, member_indices, composite):
     members = _member_array(n_members, member_indices)
     order = _canonical_order(members)
     lin = _linear_matrices(problem, "ensemble Kalman runs")
-    analyses, forecasts = _run(problem, lin, stream, members, order, composite=composite)
-    means = tuple(_canonical(a, order).mean(axis=0) for a in analyses)
-    return EnsembleRunResult(analyses, forecasts, means, tuple(members.tolist()))
+    forecasts = []
+    analyses = _run(problem, lin, stream, members, order, composite=composite, forecasts=forecasts)
+    means = tuple(_canonical_columns(a, order).mean(axis=1) for a in analyses)
+    return EnsembleRunResult(
+        tuple(a.T for a in analyses), tuple(f.T for f in forecasts), means, tuple(members.tolist())
+    )
 
 
 def enkf_run(
@@ -269,8 +307,8 @@ def reference_enks_run(
             f"need {problem.horizon} forecast covariances, got {len(forecast_covariances)}"
         )
 
-    analyses, _ = _run(problem, lin, stream, members, cov_fs=forecast_covariances)
-    return ReferenceRunResult(analyses, forecast_covariances, tuple(members.tolist()))
+    analyses = _run(problem, lin, stream, members, cov_fs=forecast_covariances)
+    return ReferenceRunResult(tuple(a.T for a in analyses), forecast_covariances, tuple(members.tolist()))
 
 
 def coupled_member_diffs(
@@ -290,27 +328,50 @@ def coupled_member_diffs(
     member-1 gap between :func:`enks_run` and :func:`reference_enks_run`
     up to round-off.
     """
+    (diffs,) = _coupled_diffs(problem, (n_members,), stream, replicates, _validated_factors(problem))
+    return diffs
+
+
+def _coupled_diffs(problem, sizes, stream, replicates, factors) -> list[list[np.ndarray]]:
+    """:func:`coupled_member_diffs` for every ensemble size in ``sizes`` at once.
+
+    Size n uses keys 0..n-1, a prefix of the largest size's keys, so each
+    replicate draws every key once, at the largest size, and each EnKS arm
+    runs on the first n columns of that draw: bit for bit a separate draw.
+    One reference arm (key 0, exact gains) serves every size.  ``factors``
+    are the Cholesky factors :func:`_validated_factors` returned for
+    ``problem``.  Returns one list of per-replicate diffs per size.
+    """
     if replicates < 1:
         raise ValidationError(f"replicates must be >= 1, got {replicates}")
-    if n_members < 2:
-        raise ValidationError(f"EnKS needs at least 2 members, got {n_members}")
-    lin = _linear_matrices(problem, "ensemble Kalman runs")
+    if min(sizes) < 2:
+        raise ValidationError(f"EnKS needs at least 2 members, got {min(sizes)}")
+    lin = _linear_matrices(problem, "ensemble Kalman runs", factors)
     forecast_columns = [col_f for _, col_f, *_ in _column_recursion(problem, *lin[:2])]
-    members = _member_array(n_members, None)
-    order = _canonical_order(members)
-    gains, diffs = {}, []
-    for r in range(replicates):
-        replicate_stream = PerturbationStream(derive_seed(stream.seed, r))
-        ensemble = _initial_ensemble(problem, lin, replicate_stream, members)
-        reference = ensemble[:1]
-        for i in range(1, problem.horizon + 1):
-            v, w = _step_draws(problem, replicate_stream, members, i)
-            _, ensemble = _forecast_analysis(problem, lin, i, ensemble, v, w, order)
-            _, reference = _forecast_analysis(
-                problem, lin, i, reference, v[:1], w[:1], cov_f=forecast_columns[i - 1], gains=gains
-            )
-        diffs.append(ensemble[0] - reference[0])
-    return diffs
+    gains = {}
+    per_replicate = [
+        _coupled_replicate(problem, lin, sizes, PerturbationStream(derive_seed(stream.seed, r)), forecast_columns, gains)
+        for r in range(replicates)
+    ]
+    return [list(cell) for cell in zip(*per_replicate)]
+
+
+def _coupled_replicate(problem, lin, sizes, stream, forecast_columns, gains) -> list[np.ndarray]:
+    """One replicate of :func:`_coupled_diffs`: each size's member-1 gap."""
+    members = np.arange(max(sizes), dtype=np.int64)
+    initial = _initial_ensemble(problem, lin, stream, members)
+    ensembles, reference = [initial[:, :n] for n in sizes], initial[:, :1]
+    del initial  # the prefixes keep it alive through step 1 only
+    for i in range(1, problem.horizon + 1):
+        v, w = _step_draws(problem, stream, members, i)
+        ensembles = [
+            _forecast_analysis(problem, lin, i, ensemble, v[:, :n], w[:, :n])
+            for ensemble, n in zip(ensembles, sizes)
+        ]
+        reference = _forecast_analysis(
+            problem, lin, i, reference, v[:, :1], w[:, :1], cov_f=forecast_columns[i - 1], gains=gains
+        )
+    return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]
 
 
 def coupled_enks_error(

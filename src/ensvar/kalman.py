@@ -61,9 +61,14 @@ class KalmanSmootherResult:
     estimate: GaussianEstimate
 
 
-def _linear_matrices(problem: AssimilationProblem, what: str = "Kalman recursions"):
-    """Validate ``problem``; return its matrices and factors ``(models, obs_mats, l_b, l_q, l_r)``."""
-    factors = _validated_factors(problem)
+def _linear_matrices(problem: AssimilationProblem, what: str = "Kalman recursions", factors=None):
+    """Validate ``problem``; return its matrices and factors ``(models, obs_mats, l_b, l_q, l_r)``.
+
+    ``factors`` are :func:`_validated_factors`' result when the caller has
+    already validated ``problem``.
+    """
+    if factors is None:
+        factors = _validated_factors(problem)
     if not problem.all_linear:
         raise NonlinearOperatorError(f"{what} require every operator to be flagged linear")
     m = problem.state_dim

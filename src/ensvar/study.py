@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import coupled_member_diffs
+from .ensemble import _coupled_diffs
 from .errors import ValidationError
 from .fourdvar import LMConfig, _lm_ensemble_runs, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
@@ -76,9 +76,10 @@ class StudySpec:
 
 @dataclass(frozen=True)
 class StudyRow:
-    """One sweep cell.  ``wall_ms`` is the cell's wall time; a tau-sweep
-    runs all its cells in one lock-step pass, tangent arm included, and
-    gives each row an equal share of that pass's time."""
+    """One sweep cell.  ``wall_ms`` is the cell's wall time.  An
+    enks-vs-ks study runs all its ensemble sizes in one coupled pass, and
+    a tau-sweep all its cells in one lock-step pass, tangent arm included;
+    both give each row an equal share of that pass's time."""
 
     sweep_value: float
     error_estimate: float
@@ -148,19 +149,20 @@ def _summarize(diffs: list[np.ndarray], p_order: float) -> tuple[float, float, t
     return estimate, stderr, tuple(norms)
 
 
-def _enks_vs_ks_rows(spec: StudySpec, _factors) -> list[StudyRow]:
+def _enks_vs_ks_rows(spec: StudySpec, factors) -> list[StudyRow]:
+    # One coupled pass runs every ensemble size on shared draws; its time
+    # is split evenly over the rows.
     if not spec.problem.all_linear:
         raise ValidationError("enks-vs-ks studies require a fully linear problem")
-    rows = []
-    for value in spec.sweep:
-        t0 = time.perf_counter()
-        diffs = coupled_member_diffs(
-            spec.problem, int(value), PerturbationStream(spec.seed), spec.replicates
-        )
-        wall = 1e3 * (time.perf_counter() - t0)
-        estimate, stderr, raw = _summarize(diffs, spec.p_order)
-        rows.append(StudyRow(float(value), estimate, stderr, raw, wall))
-    return rows
+    t0 = time.perf_counter()
+    cells = _coupled_diffs(
+        spec.problem, tuple(int(v) for v in spec.sweep), PerturbationStream(spec.seed), spec.replicates, factors
+    )
+    wall = 1e3 * (time.perf_counter() - t0) / len(spec.sweep)
+    return [
+        StudyRow(value, *_summarize(cell, spec.p_order), wall)
+        for value, cell in zip(spec.sweep, cells)
+    ]
 
 
 def _lm_enks_vs_lm_rows(spec: StudySpec, factors) -> list[StudyRow]:

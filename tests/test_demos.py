@@ -23,9 +23,13 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(script, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    # TMPDIR keeps the files a demo writes under pytest's temporary directory.
-    env = {**os.environ, "PYTHONPATH": pythonpath, "TMPDIR": str(tmp_path)}
+    # TMPDIR keeps the files a demo writes under pytest's temporary
+    # directory; a demo removes its temporary files before it exits.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = {**os.environ, "PYTHONPATH": pythonpath, "TMPDIR": str(scratch)}
     proc = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(scratch.iterdir())

@@ -3,12 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensvar import (
     NoiseKind,
     NonlinearOperatorError,
     NotSPDError,
     PerturbationStream,
+    Phase,
     ValidationError,
     coupled_enks_error,
     coupled_member_diffs,
@@ -22,7 +25,8 @@ from ensvar import (
     sample_covariance,
 )
 from ensvar import ensemble
-from ensvar.ensemble import _analysis_update, _canonical_order, _sample_products
+from ensvar.ensemble import _analysis_update, _canonical_order, _coupled_diffs, _sample_products
+from ensvar.problem import _validated_factors
 from conftest import truncated
 
 
@@ -65,6 +69,58 @@ class TestEnKF:
     def test_rejects_nonlinear(self, w2):
         with pytest.raises(NonlinearOperatorError):
             enkf_run(w2, 4, PerturbationStream(0))
+
+
+def _plain_enks(problem, keys, stream, composite):
+    """Row-major perturbed-observation EnKS/EnKF, written without the package.
+
+    Rows are members in slot order; the gain is P H^T (H P H^T + R)^-1
+    from ``np.cov`` of the forecast rows and ``np.linalg.solve``.  Returns
+    every analysis ensemble.
+    """
+    m = problem.state_dim
+
+    def draw(i, kind, dim):
+        return stream.draw_members(Phase.SMOOTHER, 0, i, kind, keys, dim)
+
+    x = problem.background_mean + draw(0, NoiseKind.INIT, m) @ np.linalg.cholesky(problem.background_cov).T
+    analyses = [x]
+    for i in range(1, problem.horizon + 1):
+        model, obs = problem.model_ops[i - 1].matrix, problem.obs_ops[i - 1].matrix
+        q, r, y = problem.model_noise_covs[i - 1], problem.obs_noise_covs[i - 1], problem.observations[i - 1]
+        state = x[:, -m:] @ model.T + problem.forcings[i - 1] + draw(i, NoiseKind.MODEL, m) @ np.linalg.cholesky(q).T
+        forecast = np.hstack([x, state]) if composite else state
+        h_full = np.zeros((len(y), forecast.shape[1]))
+        h_full[:, -m:] = obs
+        p = np.cov(forecast, rowvar=False).reshape(forecast.shape[1], forecast.shape[1])
+        gain = np.linalg.solve(h_full @ p @ h_full.T + r, h_full @ p).T
+        perturbed = y - draw(i, NoiseKind.OBS, len(y)) @ np.linalg.cholesky(r).T
+        x = forecast + (perturbed - forecast @ h_full.T) @ gain.T
+        analyses.append(x)
+    return analyses
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    k=st.integers(1, 4),
+    n=st.integers(2, 12),
+    problem_seed=st.integers(0, 1000),
+    stream_seed=st.integers(0, 2**32),
+    key_seed=st.integers(0, 1000),
+)
+def test_runners_match_plain_row_major_oracle(m, k, n, problem_seed, stream_seed, key_seed):
+    # An independent oracle of the state-major step: permuted, sparse
+    # member keys, every analysis of both runners within 1e-10 relative.
+    problem = make_toy_problem("linear-chain", m=m, k=k, seed=problem_seed)
+    keys = np.random.default_rng(key_seed).choice(5 * n, size=n, replace=False)
+    for runner, composite in ((enks_run, True), (enkf_run, False)):
+        got = runner(problem, n, PerturbationStream(stream_seed), member_indices=keys).analysis_ensembles
+        want = _plain_enks(problem, keys, PerturbationStream(stream_seed), composite)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1.0)
 
 
 class TestEnKS:
@@ -323,6 +379,19 @@ class TestCoupledError:
         diffs = coupled_member_diffs(w1, 30, PerturbationStream(1), 7)
         assert len(diffs) == 7
         assert all(d.shape == (2,) for d in diffs)
+
+    @pytest.mark.parametrize("sizes", [(16, 64), (64, 16), (2, 3, 100)])
+    def test_shared_draws_match_one_size_calls_bitwise(self, sizes):
+        # Keys 0..n-1 are a prefix of the largest size's keys, so the sizes
+        # of one pass reproduce separate one-size passes bit for bit.
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=4)
+        cells = _coupled_diffs(problem, sizes, PerturbationStream(9), 3, _validated_factors(problem))
+        assert len(cells) == len(sizes)
+        for n, cell in zip(sizes, cells):
+            separate = coupled_member_diffs(problem, n, PerturbationStream(9), 3)
+            assert len(cell) == len(separate) == 3
+            for shared, alone in zip(cell, separate):
+                np.testing.assert_array_equal(shared, alone)
 
     def test_rejects_zero_replicates(self, w1):
         with pytest.raises(ValidationError):

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensvar import LMConfig, PerturbationStream, StudyResult, StudySpec, ValidationError, emit, run_study
+from ensvar import LMConfig, PerturbationStream, StudyResult, StudySpec, ValidationError, emit, make_toy_problem, run_study
 from ensvar import study as study_module
 from ensvar.study import json_text, render_csv, render_json
+
+
+_PINNED_ENKS_CSV = Path(__file__).parent / "data" / "enks_vs_ks_linear_chain_m2_k3.csv"
+
+
+def _pinned_enks_spec() -> StudySpec:
+    problem = make_toy_problem("linear-chain", m=2, k=3, seed=11)
+    return StudySpec(kind="enks-vs-ks", sweep=(16, 64), replicates=4, problem=problem, seed=20)
 
 
 def _strip_wall(csv_text: str) -> list[list[str]]:
@@ -50,7 +60,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("sweep", [(100, 2000, 2500.5), (1, 10)])
     def test_ensemble_sizes_checked_before_any_cell(self, w1, kind, sweep, monkeypatch):
         ran = []
-        for name in ("coupled_member_diffs", "lm_exact_run", "_lm_ensemble_runs"):
+        for name in ("_coupled_diffs", "lm_exact_run", "_lm_ensemble_runs"):
             monkeypatch.setattr(study_module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
         lm = LMConfig(gamma=1.0, max_iterations=1, mode="tangent", ensemble_sizes=(16,))
         with pytest.raises(ValidationError, match="sweep values must be integers >= 2"):
@@ -133,6 +143,47 @@ class TestRunStudy:
         rows = run_study(spec).rows
         assert [r.wall_ms for r in rows] == [rows[0].wall_ms] * 3
         assert sum(r.wall_ms for r in rows) == pytest.approx(1e3 * ticks[0])
+
+    def test_enks_study_validates_once(self, monkeypatch):
+        # run_study validates the problem and runs the exact recursion once;
+        # the coupled pass takes its factors and serves every sweep value.
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
+        calls = {"_validated_factors": 0, "_column_recursion": 0}
+        for name in calls:
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ensvar"]:
+                original = getattr(module, name, None)
+                if original is not None:
+
+                    def counted(*args, _name=name, _original=original, **kwargs):
+                        calls[_name] += 1
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        run_study(StudySpec(kind="enks-vs-ks", sweep=(8, 16, 32), replicates=2, problem=problem, seed=3))
+        assert calls == {"_validated_factors": 1, "_column_recursion": 1}
+
+    @pytest.mark.parametrize("replicates, sweep", [(1, (16, 64)), (3, (100, 20, 7))])
+    def test_enks_study_draws_each_key_once_at_max_size(self, monkeypatch, replicates, sweep):
+        # Every sweep value shares one draw per key at the largest size:
+        # one coupled replicate's worth of draw calls, 1 + 2k, per replicate.
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
+        calls = []
+        original = PerturbationStream.draw_members
+
+        def counted(self, phase, iteration, time_index, kind, members, dim):
+            calls.append(tuple(np.asarray(members).tolist()))
+            return original(self, phase, iteration, time_index, kind, members, dim)
+
+        monkeypatch.setattr(PerturbationStream, "draw_members", counted)
+        run_study(StudySpec(kind="enks-vs-ks", sweep=sweep, replicates=replicates, problem=problem, seed=3))
+        assert len(calls) == replicates * (1 + 2 * problem.horizon)
+        assert all(members == tuple(range(max(sweep))) for members in calls)
+
+    def test_enks_study_csv_pinned(self):
+        # Pinned bit for bit, wall time aside: a change of the ensemble
+        # step's layout or arithmetic has to report its bit movement.
+        got = _strip_wall(render_csv(run_study(_pinned_enks_spec())))
+        assert got == list(csv.reader(io.StringIO(_PINNED_ENKS_CSV.read_text())))
 
     def test_deterministic_modulo_wall_time(self, w1):
         spec = StudySpec(kind="enks-vs-ks", sweep=(32, 64), replicates=4, problem=w1, seed=5)
