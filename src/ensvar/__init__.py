@@ -11,7 +11,6 @@ keyed and replayable, so algorithm variants can be coupled draw for draw.
 from .ensemble import (
     EnsembleRunResult,
     ReferenceRunResult,
-    coupled_enks_error,
     coupled_member_diffs,
     enkf_run,
     enks_run,
@@ -26,10 +25,8 @@ from .errors import (
     ValidationError,
 )
 from .fourdvar import (
-    AugmentedObservation,
     LMConfig,
     LMRunResult,
-    augment,
     enks_4dvar_run,
     fd_directional,
     lm_enks_tangent_run,
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssimilationProblem",
-    "AugmentedObservation",
     "DimensionMismatchError",
     "DrawKey",
     "EnsembleRunResult",
@@ -94,9 +90,7 @@ __all__ = [
     "StudySpec",
     "Trajectory",
     "ValidationError",
-    "augment",
     "cholesky_spd",
-    "coupled_enks_error",
     "coupled_member_diffs",
     "derive_seed",
     "emit",

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kalman import _column_recursion, _linear_matrices
-from .numerics import _factor, _solve, empirical_lp_norm
+from .numerics import _factor, _solve
 from .problem import AssimilationProblem, _validated_factors
 from .streams import NoiseKind, PerturbationStream, Phase, derive_seed
 
@@ -51,7 +51,6 @@ __all__ = [
     "enks_run",
     "reference_enks_run",
     "coupled_member_diffs",
-    "coupled_enks_error",
 ]
 
 
@@ -372,15 +371,3 @@ def _coupled_replicate(problem, lin, sizes, stream, forecast_columns, gains) -> 
             problem, lin, i, reference, v[:, :1], w[:, :1], cov_f=forecast_columns[i - 1], gains=gains
         )
     return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]
-
-
-def coupled_enks_error(
-    problem: AssimilationProblem,
-    n_members: int,
-    stream: PerturbationStream,
-    p_order: float,
-    replicates: int,
-) -> float:
-    """Empirical L^p estimate of the member-1 EnKS-vs-reference gap."""
-    diffs = coupled_member_diffs(problem, n_members, stream, replicates)
-    return empirical_lp_norm(diffs, p_order)

@@ -37,21 +37,18 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .ensemble import _analysis_update, _canonical, _canonical_order, _member_array, _sample_products
 from .errors import ValidationError
 from .kalman import _normal_equations_solution
-from .numerics import _factor, _solve
+from .numerics import _factor, _solve, _triangular_solve
 from .problem import AssimilationProblem, Operator, Trajectory, _validated_factors, validate_problem
 from .streams import NoiseKind, PerturbationStream, Phase
 
 __all__ = [
     "LMConfig",
-    "AugmentedObservation",
     "LMRunResult",
     "objective",
-    "augment",
     "fd_directional",
     "lm_exact_step",
     "lm_tangent_ls_oracle",
@@ -100,19 +97,6 @@ class LMConfig:
         if not self.ensemble_sizes:
             raise ValidationError("ensemble mode requires a nonempty ensemble_sizes schedule")
         return self.ensemble_sizes[min(iteration - 1, len(self.ensemble_sizes) - 1)]
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedObservation:
-    """One step's observation, stacked with the damping pseudo-observation.
-
-    ``observation`` is [y_i; x_i_prev], ``apply`` maps a state z to
-    [H_i(z); z], and ``noise_cov`` is blockdiag(R_i, (1/gamma) I).
-    """
-
-    observation: np.ndarray
-    apply: Callable[[np.ndarray], np.ndarray]
-    noise_cov: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,30 +153,6 @@ def _augmented_noise_cov(problem: AssimilationProblem, i: int, gamma: float) -> 
     return cov
 
 
-def augment(
-    problem: AssimilationProblem, x_prev: Trajectory, gamma: float
-) -> tuple[AugmentedObservation, ...]:
-    """Per-step stacked observations realizing the damping term.
-
-    The penalty gamma |x_i - x_i_prev|^2 is an independent observation
-    x_i_prev = x_i + E_i with E_i ~ N(0, (1/gamma) I), appended below the
-    physical observation.
-    """
-    if gamma <= 0:
-        raise ValidationError(f"augmentation requires gamma > 0, got {gamma}")
-    out = []
-    for i in range(1, problem.horizon + 1):
-        op = problem.obs_ops[i - 1]
-        out.append(
-            AugmentedObservation(
-                observation=np.concatenate([problem.observations[i - 1], x_prev[i]]),
-                apply=lambda z, _op=op: np.concatenate([_op(z), np.asarray(z, dtype=float)]),
-                noise_cov=_augmented_noise_cov(problem, i, gamma),
-            )
-        )
-    return tuple(out)
-
-
 def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> np.ndarray:
     """Forward-difference directional derivative (f(x + tau y) - f(x)) / tau."""
     if not (np.isfinite(tau) and tau > 0):
@@ -231,15 +191,15 @@ def _exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float, 
     for i in range(k + 1):
         s, b = diag[i], rhs[i]
         if i > 0:
-            couplings.append(solve_triangular(blocks[-1], lower[i - 1].T, lower=True).T)
+            couplings.append(_triangular_solve(blocks[-1], lower[i - 1].T, "normal equations").T)
             s, b = s - couplings[i] @ couplings[i].T, b - couplings[i] @ z[-1]
         blocks.append(_factor(0.5 * (s + s.T), "normal equations"))
-        z.append(solve_triangular(blocks[-1], b, lower=True))
+        z.append(_triangular_solve(blocks[-1], b, "normal equations"))
     # Back substitution: L_i^T x_i = z_i - C_{i+1}^T x_{i+1}.
     x = np.empty((k + 1, m))
     for i in range(k, -1, -1):
         b = z[i] if i == k else z[i] - couplings[i + 1].T @ x[i + 1]
-        x[i] = solve_triangular(blocks[i], b, lower=True, trans="T")
+        x[i] = _triangular_solve(blocks[i], b, "normal equations", trans=1)
     return Trajectory(x)
 
 

@@ -14,7 +14,14 @@ Every SPD factor and solve goes through :func:`_factor`/:func:`_solve`,
 direct calls of the LAPACK ``dpotrf``/``dpotrs`` behind scipy's
 ``cholesky``/``cho_factor``/``cho_solve`` (same bits), because on the
 small matrices of the LM passes scipy's wrappers cost far more than the
-arithmetic.  The full SPD check runs once, at the public boundary
+arithmetic.  :func:`_triangular_solve` is likewise the ``dtrtrs`` call
+behind ``solve_triangular`` on these factors.  The three wrappers come
+from scipy's own compiled ``_flapack`` extension, loaded from its file
+(:func:`_load_lapack`): they are the objects ``scipy.linalg.lapack``
+re-exports, but importing ``scipy.linalg`` itself takes about a quarter
+of a second (its array-API layer imports ``numpy.f2py``,
+``numpy.testing`` and more), over half of the package's import time.
+The full SPD check runs once, at the public boundary
 (:func:`cholesky_spd`, :func:`spd_solve`, ``validate_problem``); internal
 callers reuse its factors, and each kernel call checks only that its
 input is finite, which LAPACK does not.  A pass/fail test that yields
@@ -23,8 +30,12 @@ no numbers, on matrices up to composite size, is :func:`_positive_definite`.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+import scipy  # cheap; runs scipy's shared-library set-up for its extensions
 
 from .errors import NotSPDError, ValidationError
 
@@ -38,6 +49,36 @@ __all__ = [
 ]
 
 _SYMMETRY_RTOL = 1e-12
+
+
+def _flapack_path() -> str | None:
+    """The file of scipy's compiled LAPACK wrappers, if it is where scipy installs it."""
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _load_lapack():
+    """scipy's ``_flapack`` module without importing ``scipy.linalg``, or
+    ``scipy.linalg.lapack`` (the same wrappers) if that file will not load."""
+    path = _flapack_path()
+    if path is not None:
+        try:
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except (ImportError, OSError):
+            pass
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+_LAPACK = _load_lapack()
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
@@ -71,7 +112,7 @@ def _factor(a: np.ndarray, name: str) -> np.ndarray:
     (symmetry is the caller's); NotSPDError naming ``a`` if not finite or PD."""
     if not np.isfinite(a).all():
         raise NotSPDError(f"{name} contains non-finite entries")
-    factor, info = dpotrf(a, lower=1, clean=1)
+    factor, info = _LAPACK.dpotrf(a, lower=1, clean=1)
     if info != 0:
         raise NotSPDError(f"{name} is not positive definite")
     return factor
@@ -91,7 +132,19 @@ def _solve(factor: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
     """Solve (factor @ factor.T) @ x = b for a 1-D or 2-D float array b."""
     if not np.isfinite(b).all():
         raise ValidationError(f"right-hand side of the {name} solve contains non-finite entries")
-    return dpotrs(factor, b, lower=1)[0]
+    return _LAPACK.dpotrs(factor, b, lower=1)[0]
+
+
+def _triangular_solve(factor: np.ndarray, b: np.ndarray, name: str, trans: int = 0) -> np.ndarray:
+    """Solve factor @ x = b (``trans=0``) or factor.T @ x = b (``trans=1``) for
+    a lower factor from :func:`_factor`: scipy's ``solve_triangular`` call on
+    such an F-ordered factor, with a non-finite b a ValidationError."""
+    if not np.isfinite(b).all():
+        raise ValidationError(f"right-hand side of the {name} solve contains non-finite entries")
+    x, info = _LAPACK.dtrtrs(factor, b, lower=1, trans=trans)
+    if info != 0:
+        raise NotSPDError(f"{name} factor is singular")
+    return x
 
 
 def cholesky_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:

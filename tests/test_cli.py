@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ensvar
 from ensvar.cli import main
 
 W1_CONFIG = """\
@@ -218,3 +223,56 @@ def test_non_finite_result_is_not_written(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_exact_lm_step_is_validation_error(tmp_path, capsys):
+    # The normal equations' right-hand side overflows to inf in the first step.
+    path = tmp_path / "overflow_lm.yaml"
+    path.write_text(
+        "problem: {name: w2-quadratic}\n"
+        "lm: {gamma: 1, max_iterations: 1, mode: exact, initial_trajectory: [[1.0e153], [1.0e153]]}\n"
+    )
+    out = tmp_path / "lm.json"
+    assert main(["run-lm", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "non-finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+_IMPORT_GRAPH_SCRIPT = """\
+import sys
+from pathlib import Path
+
+import ensvar
+from ensvar.cli import main
+
+config = Path(sys.argv[1])
+tau = Path(sys.argv[2])
+runs = [["run-kf"], ["run-ks"], ["run-enks", "--members", "8"]]
+runs += [["run-lm", "--mode", mode] for mode in ("exact", "tangent", "finite-difference")]
+for verb in runs:
+    assert main([verb[0], "--config", str(config), *verb[1:]]) == 0, verb
+for path in (config, tau):
+    assert main(["study", "--config", str(path)]) == 0, path
+assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_cli_runs_never_import_scipy_linalg(config_path, tmp_path):
+    # scipy.linalg costs a quarter second of start-up; its LAPACK wrappers
+    # are loaded without it.  One fresh process runs every verb, so the
+    # import can be neither present at start nor deferred into a pass.
+    tau = tmp_path / "tau.yaml"
+    tau.write_text(
+        "problem: {name: w2-quadratic}\n"
+        "lm: {gamma: 1.0, max_iterations: 2, mode: tangent, ensemble_sizes: [16]}\n"
+        "study: {kind: tau-sweep, sweep: [0.1, 0.01], replicates: 2, p_order: 2, seed: 3}\n"
+    )
+    src = str(Path(ensvar.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(config_path), str(tau)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

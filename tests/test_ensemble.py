@@ -13,9 +13,9 @@ from ensvar import (
     PerturbationStream,
     Phase,
     ValidationError,
-    coupled_enks_error,
     coupled_member_diffs,
     derive_seed,
+    empirical_lp_norm,
     enkf_run,
     enks_run,
     kf_run,
@@ -362,7 +362,7 @@ class TestCoupledError:
 
     def test_rate_is_roughly_root_n(self, w1):
         errors = [
-            coupled_enks_error(w1, n, PerturbationStream(7), 2.0, 20)
+            empirical_lp_norm(coupled_member_diffs(w1, n, PerturbationStream(7), 20), 2.0)
             for n in (100, 1000)
         ]
         assert errors[1] < errors[0]
@@ -371,8 +371,8 @@ class TestCoupledError:
 
     def test_replication_stability(self, w1):
         # Doubling the replicate count moves the estimate by < 30%.
-        short = coupled_enks_error(w1, 200, PerturbationStream(13), 2.0, 25)
-        long = coupled_enks_error(w1, 200, PerturbationStream(13), 2.0, 50)
+        short = empirical_lp_norm(coupled_member_diffs(w1, 200, PerturbationStream(13), 25), 2.0)
+        long = empirical_lp_norm(coupled_member_diffs(w1, 200, PerturbationStream(13), 50), 2.0)
         assert abs(long - short) / short < 0.3
 
     def test_diffs_have_replicate_count(self, w1):

@@ -13,7 +13,6 @@ from ensvar import (
     PerturbationStream,
     Trajectory,
     ValidationError,
-    augment,
     enks_4dvar_run,
     fd_directional,
     ks_least_squares_oracle,
@@ -60,17 +59,7 @@ class TestObjective:
 
 class TestAugment:
     def test_block_covariance(self, w1):
-        aug = augment(w1, Trajectory([[0.0], [0.5]]), gamma=4.0)
-        np.testing.assert_array_equal(aug[0].noise_cov, [[1.0, 0.0], [0.0, 0.25]])
-
-    def test_stacked_observation(self, w1):
-        aug = augment(w1, Trajectory([[0.0], [0.5]]), gamma=4.0)
-        np.testing.assert_array_equal(aug[0].observation, [3.0, 0.5])
-        np.testing.assert_array_equal(aug[0].apply(np.array([2.0])), [2.0, 2.0])
-
-    def test_rejects_nonpositive_gamma(self, w1):
-        with pytest.raises(ValidationError):
-            augment(w1, Trajectory([[0.0], [0.0]]), gamma=0.0)
+        np.testing.assert_array_equal(_augmented_noise_cov(w1, 1, 4.0), [[1.0, 0.0], [0.0, 0.25]])
 
     def test_strong_penalty_pins_iterate(self, w2):
         prev = w2.prior_chain()
@@ -128,6 +117,13 @@ class TestExactLM:
         run = lm_exact_run(w2, cfg)
         diffs = np.diff(run.objectives)
         assert np.all(diffs <= 1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("centre", [1e153, 3e153, 3e154])
+    def test_overflowing_step_is_validation_error(self, w2, centre):
+        # The normal equations' right-hand side overflows to inf.
+        with pytest.raises(ValidationError, match="normal equations solve contains non-finite"):
+            lm_exact_step(w2, Trajectory([[centre], [centre]]), 1.0)
 
     def test_missing_jacobian_fails_fast(self):
         problem = make_toy_problem("lorenz63", k=2)

@@ -17,7 +17,8 @@ from ensvar import (
     sample_mean,
     spd_solve,
 )
-from ensvar.numerics import _factor, _solve
+from ensvar import numerics
+from ensvar.numerics import _factor, _solve, _triangular_solve
 
 
 def _random_spd(rng, dim):
@@ -145,6 +146,54 @@ class TestKernel:
     def test_not_positive_definite(self):
         with pytest.raises(NotSPDError, match="gram is not positive definite"):
             _factor(np.diag([1.0, -1.0]), "gram")
+
+    def test_triangular_solve_checks_its_right_hand_side_and_factor(self):
+        with pytest.raises(ValidationError, match="right-hand side of the gram solve"):
+            _triangular_solve(np.eye(2, order="F"), np.array([1.0, np.inf]), "gram")
+        with pytest.raises(NotSPDError, match="gram factor is singular"):
+            _triangular_solve(np.asfortranarray([[0.0, 0.0], [1.0, 1.0]]), np.ones(2), "gram")
+
+
+_SIZES = (1, 2, 7, 24, 120)
+_RHS_SHAPES = ((), (5,))
+
+
+def _direct_calls_match_scipy(dim, shape):
+    """Each direct call against its scipy function, bit for bit, on one SPD matrix."""
+    rng = np.random.default_rng(dim)
+    a = _random_spd(rng, dim)
+    b = rng.standard_normal((dim, *shape))
+    factor = _factor(a, "a")
+    assert _same_bits(factor, scipy.linalg.cholesky(a, lower=True))
+    assert _same_bits(_solve(factor, b, "a"), scipy.linalg.cho_solve((factor, True), b))
+    for trans in (0, 1):
+        want = scipy.linalg.solve_triangular(factor, b, lower=True, trans=trans)
+        assert _same_bits(_triangular_solve(factor, b, "a", trans=trans), want)
+
+
+class TestLapackHandle:
+    """The wrappers loaded from scipy's extension file give scipy's bits."""
+
+    @pytest.mark.parametrize("dim", _SIZES)
+    @pytest.mark.parametrize("shape", _RHS_SHAPES, ids=["1-D", "2-D"])
+    def test_direct_calls_bit_equal_scipy(self, dim, shape):
+        _direct_calls_match_scipy(dim, shape)
+
+    def test_handle_is_scipys_extension(self):
+        assert scipy.linalg.lapack.dpotrf is numerics._LAPACK.dpotrf
+        assert numerics._LAPACK is not scipy.linalg.lapack
+
+    @pytest.mark.parametrize("lookup", ["missing", "not a library"])
+    def test_fallback_gives_the_same_bits(self, lookup, tmp_path, monkeypatch):
+        bogus = tmp_path / "_flapack.so"
+        bogus.write_text("not a shared library")
+        monkeypatch.setattr(numerics, "_flapack_path", lambda: None if lookup == "missing" else str(bogus))
+        handle = numerics._load_lapack()
+        assert handle is scipy.linalg.lapack
+        monkeypatch.setattr(numerics, "_LAPACK", handle)
+        for dim in _SIZES:
+            for shape in _RHS_SHAPES:
+                _direct_calls_match_scipy(dim, shape)
 
 
 class TestSampleStats:
