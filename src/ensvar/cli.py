@@ -26,7 +26,7 @@ from .fourdvar import lm_run
 from .kalman import kf_run, ks_run
 from .numerics import sample_covariance, sample_mean
 from .streams import PerturbationStream
-from .study import json_text, render_csv, render_json, run_study
+from .study import emit, run_study
 
 _MODES = ("exact", "tangent", "finite-difference")
 
@@ -114,14 +114,6 @@ def _cmd_run_lm(args) -> dict:
     }
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def main(argv=None) -> int:
     args_list = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -133,9 +125,7 @@ def main(argv=None) -> int:
             spec = cfg.study
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)
-            result = run_study(spec)
-            fmt = args.format or "csv"
-            _write(render_csv(result) if fmt == "csv" else render_json(result), args.out)
+            emit(run_study(spec), args.format or "csv", args.out)
             return 0
         if args.format == "csv":
             raise ValidationError("csv output is only defined for the study command")
@@ -145,7 +135,7 @@ def main(argv=None) -> int:
             "run-enks": _cmd_run_enks,
             "run-lm": _cmd_run_lm,
         }[args.command](args)
-        _write(json_text(doc) + "\n", args.out)
+        emit(doc, "json", args.out)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

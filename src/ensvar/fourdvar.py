@@ -232,15 +232,20 @@ def lm_tangent_ls_oracle(
     return _normal_equations_solution(problem, steps, gamma, x_prev)
 
 
-def _initial_trajectory(problem: AssimilationProblem, cfg: LMConfig) -> Trajectory:
-    if cfg.initial_trajectory is not None:
-        x0 = cfg.initial_trajectory
-        if x0.states.shape != (problem.horizon + 1, problem.state_dim):
-            raise ValidationError(
-                f"initial trajectory shape {x0.states.shape} does not match problem"
-            )
-        return x0
-    return problem.prior_chain()
+def _start(problem: AssimilationProblem, cfg: LMConfig, factors) -> tuple[Trajectory, float]:
+    """The initial trajectory and its objective, which must be finite."""
+    x0 = cfg.initial_trajectory
+    if x0 is None:
+        x0 = problem.prior_chain()
+    elif x0.states.shape != (problem.horizon + 1, problem.state_dim):
+        raise ValidationError(f"initial trajectory shape {x0.states.shape} does not match problem")
+    # A start whose objective overflows is refused below, so numpy need
+    # not warn about the overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _objective(problem, x0, factors)
+    if not np.isfinite(value):
+        raise ValidationError(f"LM start objective is non-finite ({value}) at the initial trajectory")
+    return x0, value
 
 
 def lm_exact_run(problem: AssimilationProblem, cfg: LMConfig) -> LMRunResult:
@@ -248,9 +253,9 @@ def lm_exact_run(problem: AssimilationProblem, cfg: LMConfig) -> LMRunResult:
     factors = _validated_factors(problem)
     if cfg.mode != "exact":
         raise ValidationError(f"lm_exact_run requires mode='exact', got {cfg.mode!r}")
-    x = _initial_trajectory(problem, cfg)
+    x, start_objective = _start(problem, cfg, factors)
     iterates = [x]
-    objectives = [_objective(problem, x, factors)]
+    objectives = [start_objective]
     for _ in range(cfg.max_iterations):
         x = _exact_step(problem, x, cfg.gamma, factors)
         iterates.append(x)
@@ -293,8 +298,7 @@ def _lm_ensemble_runs(
     # blockdiag(R_i, I / gamma) does not depend on the linearization center.
     r_aug = [_augmented_noise_cov(problem, i, cfg.gamma) for i in range(1, k + 1)]
     l_r_aug = [_factor(r, "augmented obs cov") for r in r_aug]
-    start = _initial_trajectory(problem, cfg)
-    start_objective = _objective(problem, start, factors)
+    start, start_objective = _start(problem, cfg, factors)
     # Per arm: iterates, objectives, final ensembles, max member norms.
     runs = [([start], [start_objective], [], []) for _ in taus]
 

@@ -14,6 +14,15 @@ A study realizes one of the package's limit statements as a finite sweep:
 Every cell is replicated with per-replicate seeds derived from the root
 seed, and coupled arms within a replicate always consume identical keyed
 draws.
+
+Every output of the package, study CSV and JSON and the CLI's run
+documents, is written by :func:`emit`, to a file or to stdout.  JSON is
+streamed piece by piece through one writer, which :func:`json_text` also
+uses, so the document never exists as one string.  A symmetric matrix is
+written row by row and each mirrored pair is formatted once: only the
+formatted upper-triangle entries that later rows still need stay in
+memory.  A document holding a non-finite number is refused before its
+first byte is written.
 """
 
 from __future__ import annotations
@@ -22,7 +31,9 @@ import csv
 import io
 import json
 import math
+import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -245,55 +256,83 @@ def _fmt(value) -> str:
     raise TypeError(f"unsupported scalar {type(value)!r}")
 
 
-def _symmetric_text(a: np.ndarray, pad: str) -> str:
-    """A finite square matrix equal to its transpose, as json_text writes it.
+def _check_finite(value) -> None:
+    """Refuse a document holding a non-finite number, before any of it is written."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "f":
+            _check_finite(value.tolist())
+        elif not np.isfinite(value).all():
+            _fmt(float(value[~np.isfinite(value)][0]))
+    elif isinstance(value, (dict, list, tuple)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _check_finite(v)
+    elif isinstance(value, float) and not math.isfinite(value):
+        _fmt(value)
 
-    Each mirrored pair is formatted once, from the upper triangle.
+
+def _write_symmetric(a: np.ndarray, write, pad: str) -> None:
+    """A square matrix equal to its transpose, as ``_write_json`` writes it.
+
+    Each mirrored pair is formatted once, from the upper triangle, and each
+    row is written as soon as it is assembled.  A row's entries right of
+    the diagonal are held only until the rows below have used them.
     """
-    upper = np.triu_indices(len(a))
-    text = np.empty(a.shape, dtype=object)
-    text[upper] = text.T[upper] = ("%.17g\n" * len(upper[0]) % tuple(a[upper].tolist())).split("\n")[:-1]
     row_pad = pad + "  "
     sep = ",\n" + row_pad + "  "
-    rows = [row_pad + "[\n" + row_pad + "  " + sep.join(r) + "\n" + row_pad + "]" for r in text.tolist()]
-    return pad + "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    pending = []  # per written row, its unused upper entries, last column first
+    for i in range(len(a)):
+        upper = ("%.17g\n" * (len(a) - i) % tuple(a[i, i:].tolist())).split("\n")[:-1]
+        row = sep.join([p.pop() for p in pending] + upper)
+        write(("[\n" if i == 0 else ",\n") + row_pad + "[\n" + row_pad + "  " + row + "\n" + row_pad + "]")
+        pending.append(upper[:0:-1])
+    write("\n" + pad + "]")
 
 
-def json_text(value, indent: int = 0) -> str:
-    pad = "  " * indent
+def _write_json(value, write, pad: str) -> None:
+    """Write a checked document piece by piece, indented by ``pad``
+    everywhere but before its first character."""
+    inner = pad + "  "
     if isinstance(value, np.ndarray):
         # Compared as bits, so a 0.0 mirrored by a -0.0 is not symmetric.
         if (
             value.dtype == np.float64
             and value.ndim == 2
             and value.shape[0] == value.shape[1] > 0
-            and np.isfinite(value).all()
             and (value.view(np.uint64) == value.view(np.uint64).T).all()
         ):
-            return _symmetric_text(value, pad)
-        return json_text(value.tolist(), indent)
-    if (
-        isinstance(value, (list, tuple))
-        and value
-        and set(map(type, value)) == {float}
-        and all(map(math.isfinite, value))
-    ):
-        # A row of finite floats, formatted in one pass exactly as _fmt would;
-        # a row holding nan or inf takes the recursion, where _fmt refuses it.
-        body = (",\n" + pad + "  ").join(["%.17g"] * len(value)) % tuple(value)
-        return pad + "[\n" + pad + "  " + body + "\n" + pad + "]"
-    if isinstance(value, dict):
-        items = [
-            f'{pad}  {json.dumps(k)}: {json_text(v, indent + 1).lstrip()}'
-            for k, v in value.items()
-        ]
-        return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        items = [f"{pad}  {json_text(v, indent + 1).lstrip()}" for v in value]
-        return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else pad + "[]"
-    if isinstance(value, str):
-        return pad + json.dumps(value)
-    return pad + _fmt(value)
+            _write_symmetric(value, write, pad)
+        else:
+            _write_json(value.tolist(), write, pad)
+    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {float}:
+        # A row of floats, formatted in one pass exactly as _fmt would.
+        write("[\n" + inner + (",\n" + inner).join(["%.17g"] * len(value)) % tuple(value) + "\n" + pad + "]")
+    elif isinstance(value, dict):
+        write("{\n")
+        for n, (k, v) in enumerate(value.items()):
+            write((",\n" if n else "") + f"{inner}{json.dumps(k)}: ")
+            _write_json(v, write, inner)
+        write("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        write("[\n")
+        for n, v in enumerate(value):
+            write((",\n" if n else "") + inner)
+            _write_json(v, write, inner)
+        write("\n" + pad + "]")
+    elif isinstance(value, str):
+        write(json.dumps(value))
+    else:
+        write(_fmt(value))
+
+
+def json_text(value, indent: int = 0) -> str:
+    """A document as JSON text, two spaces per level, starting at ``indent``."""
+    _check_finite(value)
+    pieces = ["  " * indent]
+    _write_json(value, pieces.append, pieces[0])
+    return "".join(pieces)
 
 
 def render_csv(result: StudyResult) -> str:
@@ -318,13 +357,25 @@ def render_json(result: StudyResult) -> str:
     return json_text(result.to_dict()) + "\n"
 
 
-def emit(result: StudyResult, format: str, path) -> None:
-    """Write a study result to ``path`` as CSV or JSON."""
-    if format == "csv":
-        text = render_csv(result)
-    elif format == "json":
-        text = render_json(result)
-    else:
+def emit(result, format: str, path=None) -> None:
+    """Write a study result as CSV or JSON, or a run document as JSON.
+
+    The output goes to ``path``, or to stdout when ``path`` is None.  A
+    document the writers refuse raises before the first byte is written.
+    """
+    study = isinstance(result, StudyResult)
+    if format not in ("csv", "json"):
         raise ValidationError(f"format must be 'csv' or 'json', got {format!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    if format == "csv":
+        if not study:
+            raise ValidationError("csv output is only defined for study results")
+        text = render_csv(result)
+    else:
+        doc = result.to_dict() if study else result
+        _check_finite(doc)
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+        if format == "csv":
+            fh.write(text)
+        else:
+            _write_json(doc, fh.write, "")
+            fh.write("\n")

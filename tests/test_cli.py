@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,9 +227,11 @@ def test_non_finite_result_is_not_written(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_exact_lm_step_is_validation_error(tmp_path, capsys):
-    # The normal equations' right-hand side overflows to inf in the first step.
+    # The start objective overflows to inf, so the run stops before its
+    # first step, whose normal equations would overflow too; no numpy
+    # warning reaches stderr.
     path = tmp_path / "overflow_lm.yaml"
     path.write_text(
         "problem: {name: w2-quadratic}\n"
@@ -235,9 +239,47 @@ def test_overflowing_exact_lm_step_is_validation_error(tmp_path, capsys):
     )
     out = tmp_path / "lm.json"
     assert main(["run-lm", "--config", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "error: " in err and "non-finite" in err
-    assert "Traceback" not in err and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == "error: LM start objective is non-finite (inf) at the initial trajectory\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_refused_document_writes_nothing(config_path, tmp_path, capsys, monkeypatch, to_file):
+    # A nan in the last row of a large covariance is refused before the
+    # first byte of the document reaches the file or stdout.
+    covariance = np.eye(40)
+    covariance[-1, -1] = np.nan
+    estimate = SimpleNamespace(mean=np.zeros(40), covariance=covariance)
+    monkeypatch.setattr("ensvar.cli.ks_run", lambda problem: SimpleNamespace(estimate=estimate))
+    out = tmp_path / "ks.json"
+    args = ["run-ks", "--config", str(config_path)] + (["--out", str(out)] if to_file else [])
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write non-finite number nan to the output\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_run_ks_output_is_streamed(tmp_path, capsys):
+    # The composite covariance is (m(k+1))^2 numbers.  Writing it must not
+    # hold the document, or copies of it, in memory: the peak stays within
+    # twice the bytes written (about five times when the document was
+    # built as one string).  The first run takes the one-time allocations
+    # of a first config load outside the traced one.
+    path = tmp_path / "chain.yaml"
+    path.write_text("problem: {name: linear-chain, m: 12, k: 12, seed: 5}\n")
+    out = tmp_path / "ks.json"
+    args = ["run-ks", "--config", str(path), "--out", str(out)]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.stat().st_size
+    assert main(args[:3]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 _IMPORT_GRAPH_SCRIPT = """\

@@ -125,6 +125,20 @@ class TestExactLM:
         with pytest.raises(ValidationError, match="normal equations solve contains non-finite"):
             lm_exact_step(w2, Trajectory([[centre], [centre]]), 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["exact", "tangent", "finite-difference"])
+    def test_non_finite_start_objective_is_refused_before_any_step(self, w2, mode, monkeypatch):
+        # The model residual at the start is about 1e306; its square overflows.
+        def no_step(*args, **kwargs):
+            raise AssertionError("an LM step ran")
+
+        monkeypatch.setattr(fourdvar, "_exact_step", no_step)
+        monkeypatch.setattr(PerturbationStream, "draw_members", no_step)
+        start = Trajectory([[1e153], [1e153]])
+        cfg = LMConfig(gamma=1.0, mode=mode, ensemble_sizes=(8,), initial_trajectory=start)
+        with pytest.raises(ValidationError, match=r"start objective is non-finite \(inf\)"):
+            lm_run(w2, cfg, PerturbationStream(0))
+
     def test_missing_jacobian_fails_fast(self):
         problem = make_toy_problem("lorenz63", k=2)
         cfg = LMConfig(gamma=1.0, max_iterations=1, mode="exact")

@@ -341,3 +341,91 @@ class TestJsonText:
         bad = replace(result, rows=(replace(result.rows[0], error_estimate=np.nan),))
         with pytest.raises(ValidationError, match="non-finite"):
             render_csv(bad)
+
+
+def _plain(value):
+    """A document with its arrays as nested lists, for _recursive_json_text."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+_STREAM_CORPUS = [
+    {"run": {"covariance": _SYMMETRIC, "mean": np.array([0.5, -0.0, 1e-300])}, "n": 3},
+    {"mirrored": np.array([[1.0, 0.0], [-0.0, 1.0]]), "same": np.array([[1.0, -0.0], [-0.0, 1.0]])},
+    {"empty": [], "none": np.zeros(0), "nothing": {}, "nested": [[], [[]]]},
+    {"text": 'quote " backslash \\ newline \n tab \t accent é separator \u2028', "key \"x\"": "\x00"},
+    [np.float64(0.25), 0.5, 7, True, None, "s", (1.0, 2.0)],
+    np.arange(9.0).reshape(3, 3),
+]
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("doc", _STREAM_CORPUS)
+    def test_list_sink_matches_recursive_writer(self, doc):
+        for indent in (0, 1, 3):
+            assert json_text(doc, indent) == _recursive_json_text(_plain(doc), indent)
+
+    @pytest.mark.parametrize("doc", _STREAM_CORPUS)
+    def test_emit_matches_recursive_writer(self, doc, tmp_path, capsys):
+        expected = _recursive_json_text(_plain(doc)) + "\n"
+        path = tmp_path / "doc.json"
+        emit(doc, "json", path)
+        assert path.read_bytes() == expected.encode("utf-8")
+        emit(doc, "json")
+        assert capsys.readouterr().out == expected
+
+    def test_emit_writes_a_study_result_as_render_json(self, w1, tmp_path):
+        result = run_study(StudySpec(kind="enks-vs-ks", sweep=(16, 32), replicates=2, problem=w1))
+        path = tmp_path / "study.json"
+        emit(result, "json", path)
+        assert path.read_text() == render_json(result)
+
+    def test_symmetric_matrix_is_written_row_by_row(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((40, 40))
+        a = a + a.T
+        pieces = []
+        study_module._write_json({"covariance": a}, pieces.append, "")
+        text = "".join(pieces)
+        assert text == _recursive_json_text({"covariance": a.tolist()})
+        assert max(map(len, pieces)) < len(text) / 20
+
+    def test_csv_is_only_for_study_results(self, tmp_path):
+        path = tmp_path / "doc.csv"
+        with pytest.raises(ValidationError, match="csv"):
+            emit({"a": 1.0}, "csv", path)
+        assert not path.exists()
+
+
+class TestNoPartialOutput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda bad: {"first": [1.0, 2.0], "covariance": np.eye(30), "last": [1.0, bad]},
+            lambda bad: {"first": "x", "covariance": np.where(np.eye(30) > 0, bad, 0.5)},
+            lambda bad: [np.eye(30), np.arange(4.0), np.array([[0.0, bad]])],
+        ],
+    )
+    def test_refused_before_the_first_byte(self, tmp_path, capsys, bad, place):
+        doc = place(bad)
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValidationError, match="cannot write non-finite number"):
+            emit(doc, "json", path)
+        assert not path.exists()
+        with pytest.raises(ValidationError, match="cannot write non-finite number"):
+            emit(doc, "json")
+        assert capsys.readouterr().out == ""
+
+    def test_refused_csv_writes_no_file(self, w1, tmp_path):
+        result = run_study(StudySpec(kind="enks-vs-ks", sweep=(16,), replicates=1, problem=w1))
+        bad = replace(result, rows=(replace(result.rows[0], stderr_estimate=np.inf),))
+        path = tmp_path / "study.csv"
+        with pytest.raises(ValidationError, match="non-finite"):
+            emit(bad, "csv", path)
+        assert not path.exists()
