@@ -21,11 +21,14 @@ size in that one pass, on prefixes of the largest size's draw.
 
 Ensembles are held state-major, as (state, member) arrays: with a state
 of a few components and thousands of members, every mean, deviation and
-product then runs along the contiguous member axis.  The runners' results
-still hand out one row per member, as transposed views.  Sample
-statistics are always reduced in ascending member-key order, so a run
-whose member keys are permuted reproduces the unpermuted run's
-statistics bit for bit; permuting keys permutes output members exactly.
+product then runs along the contiguous member axis.  :func:`_sample_gain`
+is the package's one sample-covariance analysis step; the ensemble LM
+passes of :mod:`ensvar.fourdvar` take their gains from it too.  A run
+draws its members in ascending key order and hands out one row per
+member in the caller's slot order at the end, as transposed views when
+the keys already ascend.  So a run whose member keys are permuted
+computes the unpermuted run's numbers bit for bit; permuting keys
+permutes output members exactly.
 
 The degenerate zero-spread ensemble needs no special casing: all sample
 products vanish, the innovation covariance reduces to R (still SPD), and
@@ -61,11 +64,10 @@ class EnsembleRunResult:
     ``analysis_ensembles[i]`` holds the post-update ensemble at time i
     (rows are members, in the caller's slot order); for the smoother these
     are composite states of growing length m*(i+1).  ``sample_means`` are
-    the canonical-order means of the analysis ensembles.
+    the key-order means of the analysis ensembles.
     """
 
     analysis_ensembles: tuple[np.ndarray, ...]
-    forecast_ensembles: tuple[np.ndarray, ...]
     sample_means: tuple[np.ndarray, ...]
     member_indices: tuple[int, ...]
 
@@ -83,53 +85,29 @@ class ReferenceRunResult:
     member_indices: tuple[int, ...]
 
 
-def _member_array(n_members: int, member_indices) -> np.ndarray:
+def _sorted_members(n_members: int, member_indices) -> tuple[np.ndarray, np.ndarray | None]:
+    """The member keys in ascending order, and each slot's position among them.
+
+    The positions are None when the keys already ascend, as the default
+    keys do; :func:`_slot_rows` then makes no copy.
+    """
     if member_indices is None:
-        return np.arange(n_members, dtype=np.int64)
-    arr = np.asarray(member_indices, dtype=np.int64)
-    if arr.size != n_members:
-        raise ValidationError(
-            f"member_indices has {arr.size} entries, expected {n_members}"
-        )
-    if len(set(arr.tolist())) != arr.size:
+        return np.arange(n_members, dtype=np.int64), None
+    members = np.asarray(member_indices, dtype=np.int64)
+    if members.size != n_members:
+        raise ValidationError(f"member_indices has {members.size} entries, expected {n_members}")
+    if len(set(members.tolist())) != members.size:
         raise ValidationError("member_indices must be distinct")
-    return arr
+    if np.all(members[1:] > members[:-1]):
+        return members, None
+    order = np.argsort(members)
+    return members[order], np.argsort(order)
 
 
-def _canonical_order(members: np.ndarray) -> np.ndarray | None:
-    """Stable ascending order of the member keys; None when already sorted."""
-    if np.all(members[1:] >= members[:-1]):
-        return None
-    return np.argsort(members, kind="stable")
-
-
-def _canonical(rows: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """``rows`` in ascending member-key order, without a copy when sorted."""
-    return rows if order is None else rows[order]
-
-
-def _canonical_columns(ensemble: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """A (state, member) ensemble's columns in ascending member-key order.
-
-    The gather is C-ordered, as a sorted run's ensemble is, so reductions
-    along the member axis visit the same values in the same order.
-    """
-    return ensemble if order is None else np.take(ensemble, order, axis=1)
-
-
-def _analysis_update(
-    ensemble: np.ndarray,
-    innovations: np.ndarray,
-    pht: np.ndarray,
-    hpht: np.ndarray,
-    obs_cov: np.ndarray,
-) -> np.ndarray:
-    """Shared analysis kernel: members += K @ innovation, K from products.
-
-    The gain K = pht @ (hpht + R)^-1 is applied without ever forming a
-    covariance matrix; only the two products enter.
-    """
-    return ensemble + innovations @ _gain_transpose(pht, hpht, obs_cov)
+def _slot_rows(ensemble: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
+    """A key-ordered (state, member) ensemble as one row per member, in slot
+    order; the keys themselves, given as a 1-d array, come back in slot order."""
+    return ensemble.T if slots is None else ensemble[..., slots].T
 
 
 def _gain_transpose(pht: np.ndarray, hpht: np.ndarray, obs_cov: np.ndarray) -> np.ndarray:
@@ -138,14 +116,19 @@ def _gain_transpose(pht: np.ndarray, hpht: np.ndarray, obs_cov: np.ndarray) -> n
     return _solve(factor, pht.T, "innovation covariance")
 
 
-def _sample_products(
-    composite_dev: np.ndarray, obs_dev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix-free P @ H^T and H @ P @ H^T from deviation rows."""
-    n = composite_dev.shape[0]
-    pht = composite_dev.T @ obs_dev / (n - 1)
-    hpht = obs_dev.T @ obs_dev / (n - 1)
-    return pht, 0.5 * (hpht + hpht.T)
+def _sample_gain(forecast: np.ndarray, observe, obs_cov: np.ndarray) -> np.ndarray:
+    """The analysis step's K^T from the sample products of a forecast ensemble.
+
+    ``forecast`` is a (state, member) array in ascending key order;
+    ``observe`` maps its deviations to observed deviations, column by
+    column.  K = P H^T (H P H^T + R)^-1 takes only these two products, so
+    no covariance is formed, and the deviations are freed on return.
+    """
+    n = forecast.shape[1]
+    dev = forecast - forecast.mean(axis=1, keepdims=True)
+    obs_dev = observe(dev)
+    hpht = obs_dev @ obs_dev.T / (n - 1)
+    return _gain_transpose(dev @ obs_dev.T / (n - 1), 0.5 * (hpht + hpht.T), obs_cov)
 
 
 def _initial_ensemble(problem, lin, stream, members) -> np.ndarray:
@@ -161,18 +144,6 @@ def _step_draws(problem, stream, members, i: int) -> tuple[np.ndarray, np.ndarra
     return v.T, w.T
 
 
-def _sample_gain(forecast, order, h_i, r_i) -> np.ndarray:
-    """K^T from the sample products of the forecast columns in key order.
-
-    The deviations live only in this scope, so they are freed before the
-    caller applies the gain.
-    """
-    m = h_i.shape[1]
-    sorted_ens = _canonical_columns(forecast, order)
-    dev = sorted_ens - sorted_ens.mean(axis=1, keepdims=True)
-    return _gain_transpose(*_sample_products(dev.T, (h_i @ dev[-m:]).T), r_i)
-
-
 def _forecast(problem, lin, i, ensemble, v, composite) -> np.ndarray:
     """Step i's forecast: the ensemble with its advanced state appended, or that state alone."""
     models, _, _, l_q, _ = lin
@@ -181,32 +152,28 @@ def _forecast(problem, lin, i, ensemble, v, composite) -> np.ndarray:
     return np.vstack([ensemble, state]) if composite else state
 
 
-def _forecast_analysis(
-    problem, lin, i, ensemble, v, w, order=None, cov_f=None, composite=True, gains=None, forecasts=None
-):
+def _forecast_analysis(problem, lin, i, ensemble, v, w, cov_f=None, composite=True, gains=None):
     """One forecast/analysis step on a (state, member) ensemble; returns the analysis.
 
     Columns are advanced with model draws ``v``, then updated with
     perturbed observations (obs draws ``w``), both one column per member.
-    The gain comes from sample products over the columns in ``order`` or,
-    when ``cov_f`` is given, from the exact composite forecast covariance
-    or its trailing block column (only that is read), in which case every
-    column is updated independently of the others.  An exact gain depends
-    on the step alone: ``gains`` (a dict, required with ``cov_f``) is
-    shared by the calls of one run and keeps each step's K^T once
-    computed.  A composite ensemble gains the forecast block as new rows;
-    a filter ensemble (``composite=False``) is replaced by it.  A copy of
-    the forecast is appended to ``forecasts`` when it is given; the
-    update itself is made in place.
+    The gain is the sample gain of the columns, in ascending key order,
+    or, given ``cov_f``, the exact gain of that composite forecast
+    covariance or its trailing block column.  An exact gain depends on the
+    step alone, so ``gains`` (a dict shared by one run's calls) keeps it.
+    A composite ensemble gains the forecast block as new rows; a filter
+    ensemble (``composite=False``) is replaced by it.
     """
     _, obs_mats, _, _, l_r = lin
     m, h_i, r_i = problem.state_dim, obs_mats[i - 1], problem.obs_noise_covs[i - 1]
-    forecast = _forecast(problem, lin, i, ensemble, v, composite)
-    if forecasts is not None:
-        forecasts.append(forecast.copy())
     if cov_f is None:
-        gain_t = _sample_gain(forecast, order, h_i, r_i)
+        # A non-finite forecast makes the sample products non-finite, and
+        # the gain's factor or solve refuses them, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            forecast = _forecast(problem, lin, i, ensemble, v, composite)
+            gain_t = _sample_gain(forecast, lambda dev: h_i @ dev[-m:], r_i)
     else:
+        forecast = _forecast(problem, lin, i, ensemble, v, composite)
         if i not in gains:
             gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
         gain_t = gains[i]
@@ -215,15 +182,13 @@ def _forecast_analysis(
     return forecast
 
 
-def _run(problem, lin, stream, members, order=None, cov_fs=None, composite=True, forecasts=None):
+def _run(problem, lin, stream, members, cov_fs=None, composite=True):
     """The keyed pass of the three runners; returns the (state, member) analyses."""
     analyses, gains = [_initial_ensemble(problem, lin, stream, members)], {}
     for i in range(1, problem.horizon + 1):
         v, w = _step_draws(problem, stream, members, i)
         cov_f = None if cov_fs is None else cov_fs[i - 1]
-        analyses.append(
-            _forecast_analysis(problem, lin, i, analyses[-1], v, w, order, cov_f, composite, gains, forecasts)
-        )
+        analyses.append(_forecast_analysis(problem, lin, i, analyses[-1], v, w, cov_f, composite, gains))
     return analyses
 
 
@@ -231,15 +196,10 @@ def _ensemble_result(problem, n_members, stream, member_indices, composite):
     if n_members < 2:
         name = "EnKS" if composite else "EnKF"
         raise ValidationError(f"{name} needs at least 2 members, got {n_members}")
-    members = _member_array(n_members, member_indices)
-    order = _canonical_order(members)
-    lin = _linear_matrices(problem, "ensemble Kalman runs")
-    forecasts = []
-    analyses = _run(problem, lin, stream, members, order, composite=composite, forecasts=forecasts)
-    means = tuple(_canonical_columns(a, order).mean(axis=1) for a in analyses)
-    return EnsembleRunResult(
-        tuple(a.T for a in analyses), tuple(f.T for f in forecasts), means, tuple(members.tolist())
-    )
+    members, slots = _sorted_members(n_members, member_indices)
+    analyses = _run(problem, _linear_matrices(problem, "ensemble Kalman runs"), stream, members, composite=composite)
+    rows, keys = tuple(_slot_rows(a, slots) for a in analyses), tuple(_slot_rows(members, slots).tolist())
+    return EnsembleRunResult(rows, tuple(a.mean(axis=1) for a in analyses), keys)
 
 
 def enkf_run(
@@ -295,7 +255,7 @@ def reference_enks_run(
     """
     if n_members < 1:
         raise ValidationError(f"reference run needs at least 1 member, got {n_members}")
-    members = _member_array(n_members, member_indices)
+    members, slots = _sorted_members(n_members, member_indices)
     lin = _linear_matrices(problem, "ensemble Kalman runs")
 
     if forecast_covariances is None:
@@ -307,7 +267,8 @@ def reference_enks_run(
         )
 
     analyses = _run(problem, lin, stream, members, cov_fs=forecast_covariances)
-    return ReferenceRunResult(tuple(a.T for a in analyses), forecast_covariances, tuple(members.tolist()))
+    rows = tuple(_slot_rows(a, slots) for a in analyses)
+    return ReferenceRunResult(rows, forecast_covariances, tuple(_slot_rows(members, slots).tolist()))
 
 
 def coupled_member_diffs(

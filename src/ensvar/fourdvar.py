@@ -16,12 +16,14 @@ Three solver variants compute the damped Gauss-Newton (LM) iteration:
 * ``tangent``: the linearized subproblem is solved approximately by an
   ensemble Kalman smoother, with exact Jacobians applied to ensemble
   deviations and the linearization centered at the previous iterate's
-  sample mean.
+  sample mean.  Its analysis step is the EnKS's own
+  (``ensemble._sample_gain``), on the same (state, member) arrays.
 * ``finite-difference``: as ``tangent``, but every Jacobian-vector
   product is replaced by a forward-difference quotient with step tau
   around the same center, so no Jacobians are needed at all.  Each
   operator is evaluated at its center once per step, and at all N
-  shifted members in one ``Operator.apply_rows`` call.
+  shifted members in one ``Operator.apply_rows`` call on a transposed
+  view of them.
 
 The two ensemble variants, and runs with different tau, consume identical
 keyed perturbations (same phase, iteration, time, member, kind), so
@@ -38,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import _analysis_update, _canonical, _canonical_order, _member_array, _sample_products
+from .ensemble import _sample_gain, _slot_rows, _sorted_members
 from .errors import ValidationError
 from .kalman import _normal_equations_solution
 from .numerics import _factor, _solve, _triangular_solve
@@ -104,7 +106,8 @@ class LMRunResult:
     """Iterate trajectories x^0..x^J with objective values and diagnostics.
 
     ``ensembles`` holds the final composite analysis ensemble of each LM
-    iteration for the ensemble modes (empty for exact).
+    iteration for the ensemble modes (empty for exact), one row per
+    member in the caller's slot order.
     ``max_member_norms`` is a per-iteration diagnostic: the largest
     Euclidean norm over ensemble members.
     """
@@ -290,10 +293,10 @@ def _lm_ensemble_runs(
     m, k = problem.state_dim, problem.horizon
 
     def directional(op: Operator, c: np.ndarray, f_c: np.ndarray, dirs: np.ndarray, tau) -> np.ndarray:
-        """Products of op's Jacobian at c with every row of dirs, f_c = op(c)."""
+        """Products of op's Jacobian at c with every column of dirs, f_c = op(c)."""
         if tau is None:
-            return dirs @ op.jacobian_at(c).T
-        return (op.apply_rows(c + tau * dirs) - f_c) / tau
+            return op.jacobian_at(c) @ dirs
+        return ((op.apply_rows(c + tau * dirs.T) - f_c) / tau).T
 
     # blockdiag(R_i, I / gamma) does not depend on the linearization center.
     r_aug = [_augmented_noise_cov(problem, i, cfg.gamma) for i in range(1, k + 1)]
@@ -303,12 +306,11 @@ def _lm_ensemble_runs(
     runs = [([start], [start_objective], [], []) for _ in taus]
 
     for j in range(1, cfg.max_iterations + 1):
-        members = _member_array(cfg.ensemble_size_for(j), member_indices)
-        order = _canonical_order(members)
+        members, slots = _sorted_members(cfg.ensemble_size_for(j), member_indices)
         draw = partial(stream.draw_members, Phase.LM, j, members=members)
-        init = problem.background_mean + draw(0, NoiseKind.INIT, dim=m) @ l_b.T
-        model_noise = [draw(i, NoiseKind.MODEL, dim=m) @ l.T for i, l in enumerate(l_q, 1)]
-        obs_noise = [draw(i, NoiseKind.OBS, dim=len(l)) @ l.T for i, l in enumerate(l_r_aug, 1)]
+        init = problem.background_mean[:, None] + l_b @ draw(0, NoiseKind.INIT, dim=m).T
+        model_noise = [l @ draw(i, NoiseKind.MODEL, dim=m).T for i, l in enumerate(l_q, 1)]
+        obs_noise = [l @ draw(i, NoiseKind.OBS, dim=len(l)).T for i, l in enumerate(l_r_aug, 1)]
 
         for tau, (iterates, objectives, ensembles, max_norms) in zip(taus, runs):
             center, ensemble = iterates[-1], init
@@ -316,33 +318,30 @@ def _lm_ensemble_runs(
                 c_prev, c_i = center[i - 1], center[i]
                 mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
                 m_c, h_c = mop(c_prev), hop(c_i)
-
-                prop = directional(mop, c_prev, m_c, ensemble[:, -m:] - c_prev, tau)
-                ensemble = np.hstack([ensemble, prop + m_c + problem.forcings[i - 1] + model_noise[i - 1]])
-
-                sorted_ens = _canonical(ensemble, order)
-                dev = sorted_ens - sorted_ens.mean(axis=0)
-                sdev = dev[:, -m:]
+                prop = directional(mop, c_prev, m_c, ensemble[-m:] - c_prev[:, None], tau)
+                state = prop + m_c[:, None] + problem.forcings[i - 1][:, None] + model_noise[i - 1]
+                ensemble = np.vstack([ensemble, state])
                 # The stacked operator's lower block is the identity, whose
                 # directional derivative is the direction itself.
-                pht, hpht = _sample_products(dev, np.hstack([directional(hop, c_i, h_c, sdev, tau), sdev]))
-
-                dev_center = ensemble[:, -m:] - c_i
-                predicted = np.hstack([h_c + directional(hop, c_i, h_c, dev_center, tau), c_i + dev_center])
+                gain_t = _sample_gain(
+                    ensemble, lambda dev: np.vstack([directional(hop, c_i, h_c, dev[-m:], tau), dev[-m:]]), r_aug[i - 1]
+                )
+                dev_center = ensemble[-m:] - c_i[:, None]
+                predicted = np.vstack(
+                    [h_c[:, None] + directional(hop, c_i, h_c, dev_center, tau), c_i[:, None] + dev_center]
+                )
                 observation = np.concatenate([problem.observations[i - 1], c_i])
-                innovations = observation - obs_noise[i - 1] - predicted
-                ensemble = _analysis_update(ensemble, innovations, pht, hpht, r_aug[i - 1])
+                ensemble += gain_t.T @ (observation[:, None] - obs_noise[i - 1] - predicted)
 
-            iterates.append(Trajectory.from_composite(_canonical(ensemble, order).mean(axis=0), m))
+            iterates.append(Trajectory.from_composite(ensemble.mean(axis=1), m))
             objectives.append(_objective(problem, iterates[-1], factors))
             if keep_ensembles:
-                ensembles.append(ensemble)
-                max_norms.append(float(np.max(np.linalg.norm(ensemble, axis=1))))
+                ensembles.append(_slot_rows(ensemble, slots))
+                max_norms.append(float(np.max(np.linalg.norm(ensembles[-1], axis=1))))
 
-    modes = ["tangent" if tau is None else "finite-difference" for tau in taus]
     return [
-        LMRunResult(tuple(it), tuple(ob), mode, tuple(en), tuple(mx))
-        for mode, (it, ob, en, mx) in zip(modes, runs)
+        LMRunResult(tuple(it), tuple(ob), "tangent" if tau is None else "finite-difference", tuple(en), tuple(mx))
+        for tau, (it, ob, en, mx) in zip(taus, runs)
     ]
 
 

@@ -92,22 +92,24 @@ def _column_recursion(problem: AssimilationProblem, models, obs_mats, composite=
     mean, col = problem.background_mean, problem.background_cov
     for i in range(1, problem.horizon + 1):
         m_i, h_i = models[i - 1], obs_mats[i - 1]
-        state = m_i @ mean[-m:] + problem.forcings[i - 1]
         corner = _symmetrize(m_i @ col[-m:] @ m_i.T + problem.model_noise_covs[i - 1])
-        if composite:
-            mean_f, col_f = np.concatenate([mean, state]), np.vstack([col @ m_i.T, corner])
-        else:
-            mean_f, col_f = state, corner
+        col_f = np.vstack([col @ m_i.T, corner]) if composite else corner
         pht = col_f @ h_i.T
         if not np.isfinite(pht).all():
             raise ValidationError("P H^T of the gain contains non-finite entries")
         innovation_cov = h_i @ corner @ h_i.T + problem.obs_noise_covs[i - 1]
         inverse = spd_solve(innovation_cov, np.eye(h_i.shape[0]), name="innovation covariance")
         gain = pht @ inverse
-        innovation = problem.observations[i - 1] - h_i @ state
-        mean = mean_f + gain @ innovation
         col = col_f - gain @ pht[-m:].T
         col[-m:] = _symmetrize(col[-m:])
+        # An overflowing mean is refused right below, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = m_i @ mean[-m:] + problem.forcings[i - 1]
+            mean_f = np.concatenate([mean, state]) if composite else state
+            innovation = problem.observations[i - 1] - h_i @ state
+            mean = mean_f + gain @ innovation
+        if not np.isfinite(mean).all():
+            raise ValidationError("mean contains non-finite entries")
         yield mean_f, col_f, pht, gain, innovation, mean, col
 
 

@@ -215,16 +215,21 @@ def test_non_finite_observation_is_validation_error(tmp_path, capsys, verb):
     assert "Traceback" not in captured.err and "nan" not in captured.out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_result_is_not_written(tmp_path, capsys):
-    # Finite inputs whose forecast overflows: the filter mean becomes nan.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("verb", ["run-kf", "run-ks", "run-enks"])
+def test_non_finite_result_is_not_written(tmp_path, capsys, verb):
+    # Finite inputs whose forecast overflows: the mean, or the ensemble's
+    # sample products, become non-finite.  The run is refused with one
+    # error line, and no numpy warning comes before it.
     path = tmp_path / "overflow.yaml"
     path.write_text(W1_CONFIG.replace("x_b: [0.0]", "x_b: [1.0e308]").replace("M: [[[1.0]]]", "M: [[[10.0]]]"))
-    out = tmp_path / "kf.json"
-    assert main(["run-kf", "--config", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "non-finite" in err
-    assert "Traceback" not in err and not out.exists()
+    out = tmp_path / "out.json"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines(keepends=True)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+    assert "non-finite" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -25,7 +25,7 @@ from ensvar import (
     sample_covariance,
 )
 from ensvar import ensemble
-from ensvar.ensemble import _analysis_update, _canonical_order, _coupled_diffs, _sample_products
+from ensvar.ensemble import _coupled_diffs, _sample_gain, _slot_rows, _sorted_members
 from ensvar.problem import _validated_factors
 from conftest import truncated
 
@@ -41,13 +41,30 @@ class DegenerateStream(PerturbationStream):
         return out
 
 
+def _plain_forecast(problem, keys, stream, i, x, composite):
+    """Step i's forecast rows from the analysis rows ``x`` at time i - 1,
+    written without the package; rows are members in slot order."""
+    m = problem.state_dim
+    chol_q = np.linalg.cholesky(problem.model_noise_covs[i - 1])
+    v = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.MODEL, keys, m)
+    state = x[:, -m:] @ problem.model_ops[i - 1].matrix.T + problem.forcings[i - 1] + v @ chol_q.T
+    return np.hstack([x, state]) if composite else state
+
+
+def _forecasts(problem, run, stream, composite):
+    """A run's forecast ensembles, rebuilt from its analyses and keyed draws."""
+    return [
+        _plain_forecast(problem, run.member_indices, stream, i, x, composite)
+        for i, x in enumerate(run.analysis_ensembles[:-1], start=1)
+    ]
+
+
 class TestEnKF:
     def test_degenerate_ensemble_zero_gain(self, w1):
         result = enkf_run(w1, 2, DegenerateStream(0))
         # Sample covariance 0 -> gain 0 -> analysis equals forecast exactly.
-        np.testing.assert_array_equal(
-            result.analysis_ensembles[-1], result.forecast_ensembles[-1]
-        )
+        forecasts = _forecasts(w1, result, DegenerateStream(0), composite=False)
+        np.testing.assert_array_equal(result.analysis_ensembles[-1], forecasts[-1])
 
     def test_large_ensemble_matches_filter(self, w1):
         n = 10_000
@@ -86,10 +103,8 @@ def _plain_enks(problem, keys, stream, composite):
     x = problem.background_mean + draw(0, NoiseKind.INIT, m) @ np.linalg.cholesky(problem.background_cov).T
     analyses = [x]
     for i in range(1, problem.horizon + 1):
-        model, obs = problem.model_ops[i - 1].matrix, problem.obs_ops[i - 1].matrix
-        q, r, y = problem.model_noise_covs[i - 1], problem.obs_noise_covs[i - 1], problem.observations[i - 1]
-        state = x[:, -m:] @ model.T + problem.forcings[i - 1] + draw(i, NoiseKind.MODEL, m) @ np.linalg.cholesky(q).T
-        forecast = np.hstack([x, state]) if composite else state
+        obs, r, y = problem.obs_ops[i - 1].matrix, problem.obs_noise_covs[i - 1], problem.observations[i - 1]
+        forecast = _plain_forecast(problem, keys, stream, i, x, composite)
         h_full = np.zeros((len(y), forecast.shape[1]))
         h_full[:, -m:] = obs
         p = np.cov(forecast, rowvar=False).reshape(forecast.shape[1], forecast.shape[1])
@@ -136,9 +151,8 @@ class TestEnKS:
 
     def test_degenerate_ensemble_zero_gain(self, w1):
         result = enks_run(w1, 2, DegenerateStream(0))
-        np.testing.assert_array_equal(
-            result.analysis_ensembles[-1], result.forecast_ensembles[-1]
-        )
+        forecasts = _forecasts(w1, result, DegenerateStream(0), composite=True)
+        np.testing.assert_array_equal(result.analysis_ensembles[-1], forecasts[-1])
 
     def test_permutation_equivariance_bitwise(self, w1):
         perm = np.random.default_rng(1).permutation(8)
@@ -151,16 +165,23 @@ class TestEnKS:
 
     @pytest.mark.parametrize("runner", [enks_run, enkf_run])
     def test_default_keys_match_explicit_ascending_keys_bitwise(self, runner):
-        # Ascending keys skip the canonical-order gather; the default keys
-        # and an explicit arange must still agree bit for bit.
+        # Ascending keys hand out views, with no slot-order gather; the
+        # default keys and an explicit arange must still agree bit for bit.
         problem = make_toy_problem("linear-chain", m=3, k=4, seed=5)
+        composite = runner is enks_run
         default = runner(problem, 20, PerturbationStream(6))
         explicit = runner(problem, 20, PerturbationStream(6), member_indices=np.arange(20))
-        for field in ("analysis_ensembles", "forecast_ensembles", "sample_means"):
+        for field in ("analysis_ensembles", "sample_means"):
             for a, b in zip(getattr(default, field), getattr(explicit, field)):
                 np.testing.assert_array_equal(a, b)
-        assert _canonical_order(np.arange(20)) is None
-        np.testing.assert_array_equal(_canonical_order(np.array([4, 0, 9])), [1, 0, 2])
+        rebuilt = [_forecasts(problem, run, PerturbationStream(6), composite) for run in (default, explicit)]
+        for a, b in zip(*rebuilt):
+            np.testing.assert_array_equal(a, b)
+        ensemble = np.zeros((3, 20))
+        assert _sorted_members(20, None)[1] is None and np.shares_memory(_slot_rows(ensemble, None), ensemble)
+        keys, slots = _sorted_members(3, [4, 0, 9])
+        np.testing.assert_array_equal(keys, [0, 4, 9])
+        np.testing.assert_array_equal(slots, [1, 0, 2])
 
     @pytest.mark.parametrize("problem_args", [("w1-linear", {}), ("linear-chain", {"m": 2, "k": 3, "seed": 4})])
     def test_marginals_match_enkf_members(self, problem_args):
@@ -185,35 +206,33 @@ class TestEnKS:
 
     def test_matrix_free_products_match_dense_path(self):
         # The deviation-product route never forms the sample covariance;
-        # on a small composite problem both routes must agree.
+        # on a small composite problem both routes must give one gain.
         problem = make_toy_problem("linear-chain", m=3, k=4, seed=6)
         m = problem.state_dim
         run = enks_run(problem, 30, PerturbationStream(14))
-        for i, forecast in enumerate(run.forecast_ensembles, start=1):
-            h_i = problem.obs_ops[i - 1].matrix
-            dev = forecast - forecast.mean(axis=0)
-            pht, hpht = _sample_products(dev, dev[:, -m:] @ h_i.T)
+        for i, forecast in enumerate(_forecasts(problem, run, PerturbationStream(14), composite=True), start=1):
+            h_i, r_i = problem.obs_ops[i - 1].matrix, problem.obs_noise_covs[i - 1]
+            gain_t = _sample_gain(forecast.T, lambda dev: h_i @ dev[-m:], r_i)
             dense = sample_covariance(forecast)
-            dense_pht = dense[:, -m:] @ h_i.T
-            dense_hpht = h_i @ dense[-m:, -m:] @ h_i.T
-            assert np.abs(pht - dense_pht).max() <= 1e-10 * max(np.abs(dense_pht).max(), 1.0)
-            assert np.abs(hpht - dense_hpht).max() <= 1e-10 * max(np.abs(dense_hpht).max(), 1.0)
+            dense_gain_t = np.linalg.solve(h_i @ dense[-m:, -m:] @ h_i.T + r_i, h_i @ dense[-m:])
+            assert np.abs(gain_t - dense_gain_t).max() <= 1e-10 * max(np.abs(dense_gain_t).max(), 1.0)
 
 
 def test_analysis_update_non_spd_innovation_covariance():
+    # Zero spread leaves H P H^T + R = R, here negative.
     with pytest.raises(NotSPDError, match="innovation covariance"):
-        _analysis_update(np.zeros((3, 1)), np.ones((3, 1)), np.ones((1, 1)), np.array([[-5.0]]),
-                         np.array([[1.0]]))
+        _sample_gain(np.zeros((3, 2)), lambda dev: dev[-1:], np.array([[-5.0]]))
 
 
 def test_analysis_update_non_finite_products_name_the_innovation_covariance():
     # LAPACK takes nan and inf without complaint; the kernel must refuse
     # them with a package error, not scipy's bare ValueError.
-    nan, inf = np.nan, np.inf
+    nan = np.nan
     with pytest.raises(NotSPDError, match="innovation covariance contains non-finite entries"):
-        _analysis_update(np.zeros((3, 2)), np.zeros((3, 1)), [[nan], [1]], [[inf]], np.eye(1))
+        _sample_gain(np.zeros((3, 2)), lambda dev: np.array([[nan, nan]]), np.eye(1))
+    # A non-finite unobserved component leaves H P H^T finite but not P H^T.
     with pytest.raises(ValidationError, match="right-hand side of the innovation covariance solve"):
-        _analysis_update(np.zeros((3, 2)), np.zeros((3, 1)), np.array([[nan], [1.0]]), np.ones((1, 1)), np.eye(1))
+        _sample_gain(np.array([[nan, nan], [0.0, 1.0]]), lambda dev: dev[-1:], np.eye(1))
 
 
 class TestReferenceRun:
@@ -243,7 +262,7 @@ class TestReferenceRun:
         # covariances makes the two updates identical.
         n = 40
         enks = enks_run(w1, n, PerturbationStream(12))
-        injected = tuple(sample_covariance(f) for f in enks.forecast_ensembles)
+        injected = tuple(sample_covariance(f) for f in _forecasts(w1, enks, PerturbationStream(12), composite=True))
         ref = reference_enks_run(
             w1, n, PerturbationStream(12), forecast_covariances=injected
         )

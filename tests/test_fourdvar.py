@@ -16,6 +16,7 @@ from ensvar import (
     Trajectory,
     ValidationError,
     enks_4dvar_run,
+    enks_run,
     fd_directional,
     ks_least_squares_oracle,
     ks_run,
@@ -28,6 +29,7 @@ from ensvar import (
     objective,
 )
 from ensvar import fourdvar
+from ensvar.ensemble import _coupled_diffs
 from ensvar.fourdvar import _augmented_noise_cov, _lm_ensemble_runs
 from ensvar.problem import _validated_factors
 from conftest import random_nonlinear_problem
@@ -274,12 +276,17 @@ def _plain_lm_enks(problem, cfg, keys, stream, tau):
 
 
 @pytest.mark.parametrize("tau", [None, 1e-3])
-@pytest.mark.parametrize("name", ["linear-chain", "w2-quadratic", "lorenz63"])
+@pytest.mark.parametrize("name", ["linear-chain", "w2-quadratic", "lorenz63", "quadratic-observations"])
 def test_ensemble_lm_matches_plain_row_major_oracle(name, tau):
     # An independent oracle of the ensemble LM step: permuted, sparse
     # member keys; every iterate and every final ensemble within 1e-10
-    # relative, for the tangent and the finite-difference arm.
-    problem = _exact_step_problem(name)
+    # relative, for the tangent and the finite-difference arm.  Only a
+    # nonlinear observation operator gives the finite-difference observed
+    # deviations a nonzero mean.
+    if name == "quadratic-observations":
+        problem = random_nonlinear_problem(m=3, k=4, seed=1)
+    else:
+        problem = _exact_step_problem(name)
     if name == "lorenz63":
         # The central-difference Jacobian turns round-off in its point into
         # noise near 1e-9; a smooth stand-in, the tangent of one Euler
@@ -300,6 +307,33 @@ def test_ensemble_lm_matches_plain_row_major_oracle(name, tau):
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1.0)
+
+
+def test_every_sample_covariance_step_runs_the_one_kernel(monkeypatch):
+    # EnKS, coupled study and LM passes share one analysis step; a second
+    # copy of the step would not be counted here.
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ensvar"]:
+        if hasattr(module, "_sample_gain"):
+
+            def counting(*args, _original=module._sample_gain):
+                calls.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "_sample_gain", counting)
+    problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
+    k, replicates, iterations = problem.horizon, 3, 2
+    factors = _validated_factors(problem)
+
+    enks_run(problem, 6, PerturbationStream(0), member_indices=[5, 1, 9, 0, 2, 7])
+    assert len(calls) == k
+    calls.clear()
+    _coupled_diffs(problem, (4, 8), PerturbationStream(0), replicates, factors)
+    assert len(calls) == 2 * k * replicates
+    calls.clear()
+    cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(6,))
+    _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None, 1e-1, 1e-2), factors)
+    assert len(calls) == k * iterations * 3
 
 
 class TestTangentEnsembleLM:
