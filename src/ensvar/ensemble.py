@@ -30,6 +30,10 @@ the keys already ascend.  So a run whose member keys are permuted
 computes the unpermuted run's numbers bit for bit; permuting keys
 permutes output members exactly.
 
+A smoother arm fills one trajectory array in place, allocated once, so
+no trajectory is copied per step; the runners copy each step's analysis
+out of it.  The filter keeps no trajectory, only one new state per step.
+
 The degenerate zero-spread ensemble needs no special casing: all sample
 products vanish, the innovation covariance reduces to R (still SPD), and
 the gain is exactly zero.
@@ -37,6 +41,7 @@ the gain is exactly zero.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +50,7 @@ from .errors import ValidationError
 from .kalman import _column_recursion, _linear_matrices
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem, _validated_factors
-from .streams import NoiseKind, PerturbationStream, Phase, derive_seed
+from .streams import NoiseKind, PerturbationStream, Phase, _member_keys, derive_seed
 
 __all__ = [
     "EnsembleRunResult",
@@ -93,7 +98,7 @@ def _sorted_members(n_members: int, member_indices) -> tuple[np.ndarray, np.ndar
     """
     if member_indices is None:
         return np.arange(n_members, dtype=np.int64), None
-    members = np.asarray(member_indices, dtype=np.int64)
+    members = _member_keys(member_indices)
     if members.size != n_members:
         raise ValidationError(f"member_indices has {members.size} entries, expected {n_members}")
     if len(set(members.tolist())) != members.size:
@@ -137,6 +142,15 @@ def _initial_ensemble(problem, lin, stream, members) -> np.ndarray:
     return problem.background_mean[:, None] + lin[2] @ z.T
 
 
+def _trajectory(problem, initial: np.ndarray) -> np.ndarray:
+    """A ((k+1)m, N) trajectory array, allocated once, starting with the
+    (m, N) ``initial``; step i fills rows i*m:(i+1)*m and updates rows
+    :(i+1)*m in place."""
+    trajectory = np.empty(((problem.horizon + 1) * problem.state_dim, initial.shape[1]))
+    trajectory[: problem.state_dim] = initial
+    return trajectory
+
+
 def _step_draws(problem, stream, members, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Step i's model and observation draws, one column per member key."""
     v = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.MODEL, members, problem.state_dim)
@@ -144,60 +158,64 @@ def _step_draws(problem, stream, members, i: int) -> tuple[np.ndarray, np.ndarra
     return v.T, w.T
 
 
-def _forecast(problem, lin, i, ensemble, v, composite) -> np.ndarray:
-    """Step i's forecast: the ensemble with its advanced state appended, or that state alone."""
-    models, _, _, l_q, _ = lin
-    m = problem.state_dim
-    state = models[i - 1] @ ensemble[-m:] + problem.forcings[i - 1][:, None] + l_q[i - 1] @ v
-    return np.vstack([ensemble, state]) if composite else state
+def _forecast_analysis(problem, lin, i, out, v, w, cov_f=None, gains=None, previous=None) -> None:
+    """One forecast/analysis step on (state, member) arrays, in place.
 
-
-def _forecast_analysis(problem, lin, i, ensemble, v, w, cov_f=None, composite=True, gains=None):
-    """One forecast/analysis step on a (state, member) ensemble; returns the analysis.
-
-    Columns are advanced with model draws ``v``, then updated with
-    perturbed observations (obs draws ``w``), both one column per member.
-    The gain is the sample gain of the columns, in ascending key order,
-    or, given ``cov_f``, the exact gain of that composite forecast
-    covariance or its trailing block column.  An exact gain depends on the
-    step alone, so ``gains`` (a dict shared by one run's calls) keeps it.
-    A composite ensemble gains the forecast block as new rows; a filter
-    ensemble (``composite=False``) is replaced by it.
+    ``out`` is a smoother's trajectory array through time i, or the
+    filter's new state.  The analysis state at time i-1, the m rows of
+    ``out`` before its last or else ``previous``, is advanced with model
+    draws ``v`` into the last m rows; then all of ``out`` is updated with
+    perturbed observations (obs draws ``w``).  The gain is the sample gain
+    of ``out``'s columns, in ascending key order, or, given ``cov_f``, the
+    exact gain of that composite forecast covariance or its trailing block
+    column, kept in ``gains`` (one run's dict).
     """
-    _, obs_mats, _, _, l_r = lin
+    models, obs_mats, _, l_q, l_r = lin
     m, h_i, r_i = problem.state_dim, obs_mats[i - 1], problem.obs_noise_covs[i - 1]
-    if cov_f is None:
-        # A non-finite forecast makes the sample products non-finite, and
-        # the gain's factor or solve refuses them, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            forecast = _forecast(problem, lin, i, ensemble, v, composite)
-            gain_t = _sample_gain(forecast, lambda dev: h_i @ dev[-m:], r_i)
-    else:
-        forecast = _forecast(problem, lin, i, ensemble, v, composite)
-        if i not in gains:
-            gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
-        gain_t = gains[i]
-    innovations = problem.observations[i - 1][:, None] - l_r[i - 1] @ w - h_i @ forecast[-m:]
-    forecast += gain_t.T @ innovations
-    return forecast
+    previous = out[-2 * m : -m] if previous is None else previous
+    # A non-finite forecast makes the sample products non-finite, and the
+    # gain's factor or solve refuses them, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore") if cov_f is None else nullcontext():
+        np.add(models[i - 1] @ previous + problem.forcings[i - 1][:, None], l_q[i - 1] @ v, out=out[-m:])
+        if cov_f is None:
+            gain_t = _sample_gain(out, lambda dev: h_i @ dev[-m:], r_i)
+        else:
+            if i not in gains:
+                gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
+            gain_t = gains[i]
+    innovations = problem.observations[i - 1][:, None] - l_r[i - 1] @ w - h_i @ out[-m:]
+    out += gain_t.T @ innovations
 
 
-def _run(problem, lin, stream, members, cov_fs=None, composite=True):
-    """The keyed pass of the three runners; returns the (state, member) analyses."""
-    analyses, gains = [_initial_ensemble(problem, lin, stream, members)], {}
+def _smoother_run(problem, lin, stream, members, cov_fs=None) -> list[np.ndarray]:
+    """The keyed pass of enks_run and reference_enks_run: each step's
+    analysis is copied out of one trajectory array before the next step
+    updates it, and the final analysis is the array itself."""
+    m, gains, analyses = problem.state_dim, {}, []
+    trajectory = _trajectory(problem, _initial_ensemble(problem, lin, stream, members))
     for i in range(1, problem.horizon + 1):
+        analyses.append(trajectory[: i * m].copy())
         v, w = _step_draws(problem, stream, members, i)
         cov_f = None if cov_fs is None else cov_fs[i - 1]
-        analyses.append(_forecast_analysis(problem, lin, i, analyses[-1], v, w, cov_f, composite, gains))
+        _forecast_analysis(problem, lin, i, trajectory[: (i + 1) * m], v, w, cov_f, gains)
+    return analyses + [trajectory]
+
+
+def _filter_run(problem, lin, stream, members) -> list[np.ndarray]:
+    """The keyed pass of enkf_run: a new (state, member) array per step."""
+    analyses = [_initial_ensemble(problem, lin, stream, members)]
+    for i in range(1, problem.horizon + 1):
+        v, w = _step_draws(problem, stream, members, i)
+        analyses.append(np.empty_like(analyses[-1]))
+        _forecast_analysis(problem, lin, i, analyses[-1], v, w, previous=analyses[-2])
     return analyses
 
 
-def _ensemble_result(problem, n_members, stream, member_indices, composite):
+def _ensemble_result(name, run, problem, n_members, stream, member_indices) -> EnsembleRunResult:
     if n_members < 2:
-        name = "EnKS" if composite else "EnKF"
         raise ValidationError(f"{name} needs at least 2 members, got {n_members}")
     members, slots = _sorted_members(n_members, member_indices)
-    analyses = _run(problem, _linear_matrices(problem, "ensemble Kalman runs"), stream, members, composite=composite)
+    analyses = run(problem, _linear_matrices(problem, "ensemble Kalman runs"), stream, members)
     rows, keys = tuple(_slot_rows(a, slots) for a in analyses), tuple(_slot_rows(members, slots).tolist())
     return EnsembleRunResult(rows, tuple(a.mean(axis=1) for a in analyses), keys)
 
@@ -215,7 +233,7 @@ def enkf_run(
     observations; the observation perturbation is subtracted inside the
     innovation, ``y - W_n - H x_n``.
     """
-    return _ensemble_result(problem, n_members, stream, member_indices, composite=False)
+    return _ensemble_result("EnKF", _filter_run, problem, n_members, stream, member_indices)
 
 
 def enks_run(
@@ -230,7 +248,7 @@ def enks_run(
     composite trajectory, so the time-i marginal of the smoother ensemble
     coincides with the filter ensemble member for member.
     """
-    return _ensemble_result(problem, n_members, stream, member_indices, composite=True)
+    return _ensemble_result("EnKS", _smoother_run, problem, n_members, stream, member_indices)
 
 
 def reference_enks_run(
@@ -266,7 +284,7 @@ def reference_enks_run(
             f"need {problem.horizon} forecast covariances, got {len(forecast_covariances)}"
         )
 
-    analyses = _run(problem, lin, stream, members, cov_fs=forecast_covariances)
+    analyses = _smoother_run(problem, lin, stream, members, forecast_covariances)
     rows = tuple(_slot_rows(a, slots) for a in analyses)
     return ReferenceRunResult(rows, forecast_covariances, tuple(_slot_rows(members, slots).tolist()))
 
@@ -318,17 +336,14 @@ def _coupled_diffs(problem, sizes, stream, replicates, factors) -> list[list[np.
 
 def _coupled_replicate(problem, lin, sizes, stream, forecast_columns, gains) -> list[np.ndarray]:
     """One replicate of :func:`_coupled_diffs`: each size's member-1 gap."""
-    members = np.arange(max(sizes), dtype=np.int64)
+    members, m = np.arange(max(sizes), dtype=np.int64), problem.state_dim
     initial = _initial_ensemble(problem, lin, stream, members)
-    ensembles, reference = [initial[:, :n] for n in sizes], initial[:, :1]
-    del initial  # the prefixes keep it alive through step 1 only
+    *ensembles, reference = [_trajectory(problem, initial[:, :n]) for n in (*sizes, 1)]
+    del initial  # the trajectories hold copies of its prefixes
     for i in range(1, problem.horizon + 1):
         v, w = _step_draws(problem, stream, members, i)
-        ensembles = [
-            _forecast_analysis(problem, lin, i, ensemble, v[:, :n], w[:, :n])
-            for ensemble, n in zip(ensembles, sizes)
-        ]
-        reference = _forecast_analysis(
-            problem, lin, i, reference, v[:, :1], w[:, :1], cov_f=forecast_columns[i - 1], gains=gains
-        )
+        for ensemble in ensembles:
+            n = ensemble.shape[1]
+            _forecast_analysis(problem, lin, i, ensemble[: (i + 1) * m], v[:, :n], w[:, :n])
+        _forecast_analysis(problem, lin, i, reference[: (i + 1) * m], v[:, :1], w[:, :1], forecast_columns[i - 1], gains)
     return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]

@@ -29,7 +29,8 @@ The two ensemble variants, and runs with different tau, consume identical
 keyed perturbations (same phase, iteration, time, member, kind), so
 differences between them isolate the approximation under study.  All
 arms share each draw, in one pass: a tau sweep advances the tangent arm
-and every tau arm through each LM iteration on one draw of its keys.
+and every tau arm through each LM iteration on one draw of its keys,
+each arm and iteration in a trajectory array of its own (``_trajectory``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import _sample_gain, _slot_rows, _sorted_members
+from .ensemble import _sample_gain, _slot_rows, _sorted_members, _trajectory
 from .errors import ValidationError
 from .kalman import _normal_equations_solution
 from .numerics import _factor, _solve, _triangular_solve
@@ -282,7 +283,8 @@ def _lm_ensemble_runs(
     pass on the system linearized at its own previous iterate, with the
     damping realized as stacked observations.  The iteration's keys are
     drawn and scaled once, then the arms run one after another, so only
-    one working ensemble is alive at a time.  ``factors`` are the
+    one working trajectory array is alive at a time; a kept ensemble is a
+    view into its own array.  ``factors`` are the
     Cholesky factors :func:`_validated_factors` returned for ``problem``.
     ``keep_ensembles=False`` leaves ``ensembles`` and ``max_member_norms``
     empty.
@@ -313,14 +315,14 @@ def _lm_ensemble_runs(
         obs_noise = [l @ draw(i, NoiseKind.OBS, dim=len(l)).T for i, l in enumerate(l_r_aug, 1)]
 
         for tau, (iterates, objectives, ensembles, max_norms) in zip(taus, runs):
-            center, ensemble = iterates[-1], init
+            center, trajectory = iterates[-1], _trajectory(problem, init)
             for i in range(1, k + 1):
                 c_prev, c_i = center[i - 1], center[i]
                 mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
                 m_c, h_c = mop(c_prev), hop(c_i)
-                prop = directional(mop, c_prev, m_c, ensemble[-m:] - c_prev[:, None], tau)
-                state = prop + m_c[:, None] + problem.forcings[i - 1][:, None] + model_noise[i - 1]
-                ensemble = np.vstack([ensemble, state])
+                ensemble = trajectory[: (i + 1) * m]
+                prop = directional(mop, c_prev, m_c, ensemble[-2 * m : -m] - c_prev[:, None], tau)
+                np.add(prop + m_c[:, None] + problem.forcings[i - 1][:, None], model_noise[i - 1], out=ensemble[-m:])
                 # The stacked operator's lower block is the identity, whose
                 # directional derivative is the direction itself.
                 gain_t = _sample_gain(
@@ -333,10 +335,10 @@ def _lm_ensemble_runs(
                 observation = np.concatenate([problem.observations[i - 1], c_i])
                 ensemble += gain_t.T @ (observation[:, None] - obs_noise[i - 1] - predicted)
 
-            iterates.append(Trajectory.from_composite(ensemble.mean(axis=1), m))
+            iterates.append(Trajectory.from_composite(trajectory.mean(axis=1), m))
             objectives.append(_objective(problem, iterates[-1], factors))
             if keep_ensembles:
-                ensembles.append(_slot_rows(ensemble, slots))
+                ensembles.append(_slot_rows(trajectory, slots))
                 max_norms.append(float(np.max(np.linalg.norm(ensembles[-1], axis=1))))
 
     return [

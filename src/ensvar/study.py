@@ -27,8 +27,6 @@ first byte is written.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -336,21 +334,21 @@ def json_text(value, indent: int = 0) -> str:
 
 
 def render_csv(result: StudyResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    """The study as CSV, one line per row.  Every field is a number or a
+    column name, none holding a comma, quote or line break, so no field
+    is quoted and the lines are the fields joined by commas."""
+    lines = [",".join(_CSV_COLUMNS)]
     for row in result.rows:
-        writer.writerow(
-            [
-                _fmt(row.sweep_value),
-                _fmt(result.p_order),
-                str(result.replicates),
-                _fmt(row.error_estimate),
-                _fmt(row.stderr_estimate),
-                _fmt(row.wall_ms),
-            ]
-        )
-    return buf.getvalue()
+        fields = [
+            _fmt(row.sweep_value),
+            _fmt(result.p_order),
+            str(result.replicates),
+            _fmt(row.error_estimate),
+            _fmt(row.stderr_estimate),
+            _fmt(row.wall_ms),
+        ]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 def render_json(result: StudyResult) -> str:

@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,28 @@ class TestEnKS:
         keys, slots = _sorted_members(3, [4, 0, 9])
         np.testing.assert_array_equal(keys, [0, 4, 9])
         np.testing.assert_array_equal(slots, [1, 0, 2])
+
+    @pytest.mark.parametrize("runner", [enks_run, enkf_run, reference_enks_run])
+    def test_per_step_analyses_share_no_memory(self, runner):
+        # The smoothers update one trajectory array in place; every step's
+        # analysis they return must be a copy that later steps leave alone.
+        problem = make_toy_problem("linear-chain", m=2, k=4, seed=3)
+        analyses = runner(problem, 6, PerturbationStream(2)).analysis_ensembles
+        for i, a in enumerate(analyses):
+            assert not any(np.shares_memory(a, b) for b in analyses[i + 1 :])
+
+    def test_rejects_non_integer_member_keys(self, w1):
+        # 0.3 and 1.6 would otherwise run as keys 0 and 1.
+        for runner in (enks_run, enkf_run, reference_enks_run):
+            with pytest.raises(ValidationError, match="member"):
+                runner(w1, 2, PerturbationStream(0), member_indices=[0.3, 1.6])
+        with pytest.raises(ValidationError, match="member"):
+            _sorted_members(3, np.array([0.0, 2.0, -0.5]))
+        whole = enks_run(w1, 2, PerturbationStream(0), member_indices=[1.0, 0.0])
+        assert whole.member_indices == (1, 0)
+        np.testing.assert_array_equal(
+            whole.analysis_ensembles[-1], enks_run(w1, 2, PerturbationStream(0), member_indices=[1, 0]).analysis_ensembles[-1]
+        )
 
     @pytest.mark.parametrize("problem_args", [("w1-linear", {}), ("linear-chain", {"m": 2, "k": 3, "seed": 4})])
     def test_marginals_match_enkf_members(self, problem_args):
@@ -415,3 +438,19 @@ class TestCoupledError:
     def test_rejects_zero_replicates(self, w1):
         with pytest.raises(ValidationError):
             coupled_member_diffs(w1, 10, PerturbationStream(1), 0)
+
+    def test_pass_peak_memory_is_bounded_by_its_trajectories(self):
+        # Each arm holds one trajectory array for the whole pass, so the
+        # peak is a few trajectories of the largest size, not a copy per step.
+        problem = make_toy_problem("linear-chain", m=3, k=6, seed=0)
+        factors = _validated_factors(problem)
+        sizes = (50, 2000)
+        _coupled_diffs(problem, sizes, PerturbationStream(20), 1, factors)
+        tracemalloc.start()
+        try:
+            _coupled_diffs(problem, sizes, PerturbationStream(20), 2, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trajectory_bytes = (problem.horizon + 1) * problem.state_dim * max(sizes) * 8
+        assert peak <= 3.0 * trajectory_bytes

@@ -501,6 +501,17 @@ class TestSharedPass:
             assert arm.max_member_norms == run.max_member_norms
             assert len(arm.ensembles) == iterations
 
+    def test_kept_ensembles_share_no_memory(self):
+        # Every arm and every iteration fills an array of its own; a kept
+        # ensemble must not be overwritten by a later arm or iteration.
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=2)
+        cfg = LMConfig(gamma=1.0, max_iterations=3, mode="tangent", ensemble_sizes=(12,))
+        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(5), None, (None, 1e-1, 1e-2), _validated_factors(problem))
+        kept = [e for arm in arms for e in arm.ensembles]
+        assert len(kept) == 9
+        for i, a in enumerate(kept):
+            assert not any(np.shares_memory(a, b) for b in kept[i + 1 :])
+
     def test_dropping_ensembles_keeps_iterates(self, w2):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
         factors = _validated_factors(w2)

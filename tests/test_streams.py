@@ -6,6 +6,7 @@ published round function, sharing no code with the package.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,62 @@ def test_key_component_bounds():
         PerturbationStream(-1)
     with pytest.raises(ValidationError):
         PerturbationStream(2**64)
+
+
+# Keys that are not whole numbers are refused, not truncated: truncation
+# would let two keys alias one draw and break the coupling of runs.
+@pytest.mark.parametrize("component", range(5))
+@pytest.mark.parametrize("bad", [2.7, 0.5, -0.5, float("nan"), "3"])
+def test_check_component_refuses_non_integers(component, bad):
+    key = [Phase.LM, 1, 2, 3, NoiseKind.MODEL]
+    key[component] = bad
+    with pytest.raises(ValidationError, match=DrawKey._fields[component]):
+        PerturbationStream(0).draw(key, 2)
+
+
+def test_draw_members_refuses_non_integer_members():
+    stream = PerturbationStream(0)
+    for members in ([0.2, 0.9, 1.5], np.array([0.0, 1.0, 2.5]), [0, -0.5], [1, None]):
+        with pytest.raises(ValidationError, match="member"):
+            stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.OBS, members, 2)
+    with pytest.raises(ValidationError, match="dimension"):
+        stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.OBS, [0, 1], 2.5)
+    # Whole numbers written as floats are the keys they name.
+    np.testing.assert_array_equal(
+        stream.draw_members(Phase.SMOOTHER, 0, 1.0, NoiseKind.OBS, np.array([3.0, 1.0]), 2.0),
+        stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.OBS, [3, 1], 2),
+    )
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, float("inf"), "7"])
+def test_stream_seed_refuses_non_integers(bad):
+    with pytest.raises(ValidationError, match="seed"):
+        PerturbationStream(bad)
+    assert PerturbationStream(7.0).seed == PerturbationStream(np.uint64(7)).seed == 7
+
+
+@pytest.mark.parametrize("bad", [0.5, -0.5, 1.5, float("nan")])
+def test_derive_seed_refuses_non_integer_index(bad):
+    with pytest.raises(ValidationError, match="derivation index"):
+        derive_seed(42, bad)
+    with pytest.raises(ValidationError, match="seed"):
+        derive_seed(bad, 1)
+    assert derive_seed(42, 3.0) == derive_seed(42, np.int64(3)) == derive_seed(42, 3)
+
+
+def test_draw_peak_memory_is_bounded_by_its_output():
+    # Each Philox word and each Box-Muller temporary is freed once used,
+    # so the draw never holds more than 4x its output bytes.
+    stream = PerturbationStream(0)
+    members = np.arange(10_000)
+    stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.MODEL, members, 2)
+    tracemalloc.start()
+    try:
+        out = stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.MODEL, members, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes
 
 
 def test_draw_log_records_keys_and_dims():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from ensvar import LMConfig, PerturbationStream, StudyResult, StudySpec, ValidationError, emit, make_toy_problem, run_study
 from ensvar import study as study_module
-from ensvar.study import json_text, render_csv, render_json
+from ensvar.study import StudyRow, json_text, render_csv, render_json
 
 
 _PINNED_ENKS_CSV = Path(__file__).parent / "data" / "enks_vs_ks_linear_chain_m2_k3.csv"
@@ -218,6 +219,39 @@ class TestEmission:
         result = run_study(spec)
         parsed = json.loads(render_json(result))
         assert parsed["rows"][0]["error_estimate"] == result.rows[0].error_estimate
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
+            | st.sampled_from([(-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308), (3.0, -1e22, 2.0**60, -7.0)]),
+            max_size=6,
+        ),
+        replicates=st.integers(1, 10**6),
+    )
+    def test_csv_matches_csv_module_writer(self, values, replicates):
+        # The csv module's writer is the oracle: render_csv joins the same
+        # fields by hand and must give the same bytes.
+        rows = tuple(StudyRow(v, e, se, (), wall) for v, e, se, wall in values)
+        result = StudyResult("tau-sweep", 2.0, replicates, 0, rows, None, None)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["sweep_value", "p_order", "replicates", "error_estimate", "stderr_estimate", "wall_ms"])
+        for v, e, se, wall in values:
+            writer.writerow(["%.17g" % v, "2", str(replicates), "%.17g" % e, "%.17g" % se, "%.17g" % wall])
+        assert render_csv(result) == buf.getvalue()
+
+    def test_csv_peak_memory_is_small(self):
+        rows = tuple(StudyRow(10.0**n, -(2.0**-n), 5e-324, (), 1e300) for n in range(4))
+        result = StudyResult("enks-vs-ks", 2.0, 50, 0, rows, None, None)
+        render_csv(result)
+        tracemalloc.start()
+        try:
+            render_csv(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
     def test_unknown_format_rejected(self, w1, tmp_path):
         spec = StudySpec(kind="enks-vs-ks", sweep=(16,), replicates=1, problem=w1)
