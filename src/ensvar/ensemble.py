@@ -1,7 +1,7 @@
 """Ensemble Kalman filter and smoother with matrix-free covariance products.
 
-Three variants share one forecast/analysis step and differ only in where
-the covariance products come from:
+Three variants share one step and differ only in where the covariance
+products come from:
 
 * :func:`enkf_run` - per-time state ensembles, sample covariances;
 * :func:`enks_run` - composite-state (trajectory) ensembles, sample
@@ -34,6 +34,23 @@ A smoother arm fills one trajectory array in place, allocated once, so
 no trajectory is copied per step; the runners copy each step's analysis
 out of it.  The filter keeps no trajectory, only one new state per step.
 
+Every runner takes a step in three phases, each one helper:
+
+1. :func:`_forecast` advances the time i-1 analysis with the step's model
+   draw, which is made just before it;
+2. :func:`_gain` forms K^T, by :func:`_sample_gain` or from the exact
+   forecast covariance;
+3. :func:`_update` forms the innovations from the step's observation
+   draw, made only after the gains, and adds the gain times them to the
+   forecast in row blocks.
+
+A keyed draw is a pure function of its key, so drawing the observation
+noise after the gains moves no number.  The coupled pass runs each phase
+over all its arms before the next, freeing the model draw before the
+gains: the step's peak is then the trajectories plus one gain's
+deviations of the composite forecast, with no draw or full-width update
+product beside them.
+
 The degenerate zero-spread ensemble needs no special casing: all sample
 products vanish, the innovation covariance reduces to R (still SPD), and
 the gain is exactly zero.
@@ -43,6 +60,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -151,40 +169,63 @@ def _trajectory(problem, initial: np.ndarray) -> np.ndarray:
     return trajectory
 
 
-def _step_draws(problem, stream, members, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Step i's model and observation draws, one column per member key."""
-    v = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.MODEL, members, problem.state_dim)
-    w = stream.draw_members(Phase.SMOOTHER, 0, i, NoiseKind.OBS, members, problem.obs_dim(i))
-    return v.T, w.T
+def _step_draw(problem, stream, members, i: int, kind: NoiseKind) -> np.ndarray:
+    """Step i's model or observation draw, one column per member key."""
+    dim = problem.obs_dim(i) if kind is NoiseKind.OBS else problem.state_dim
+    return stream.draw_members(Phase.SMOOTHER, 0, i, kind, members, dim).T
 
 
-def _forecast_analysis(problem, lin, i, out, v, w, cov_f=None, gains=None, previous=None) -> None:
-    """One forecast/analysis step on (state, member) arrays, in place.
+def _forecast(problem, lin, i, out, v, previous=None, exact=False) -> None:
+    """Step i's forecast, in place: the analysis state at time i-1, the m
+    rows of ``out`` before its last or else ``previous``, is advanced with
+    model draws ``v`` into the last m rows of ``out``.
 
-    ``out`` is a smoother's trajectory array through time i, or the
-    filter's new state.  The analysis state at time i-1, the m rows of
-    ``out`` before its last or else ``previous``, is advanced with model
-    draws ``v`` into the last m rows; then all of ``out`` is updated with
-    perturbed observations (obs draws ``w``).  The gain is the sample gain
-    of ``out``'s columns, in ascending key order, or, given ``cov_f``, the
-    exact gain of that composite forecast covariance or its trailing block
-    column, kept in ``gains`` (one run's dict).
+    ``out`` is a smoother's (state, member) trajectory array through time
+    i, or the filter's new state.  A non-finite forecast of a sample arm
+    makes its sample products non-finite, and the gain's factor or solve
+    refuses them, so numpy need not warn; an ``exact`` arm has no such
+    check, so its overflow warns.
     """
-    models, obs_mats, _, l_q, l_r = lin
-    m, h_i, r_i = problem.state_dim, obs_mats[i - 1], problem.obs_noise_covs[i - 1]
+    models, _, _, l_q, _ = lin
+    m = problem.state_dim
     previous = out[-2 * m : -m] if previous is None else previous
-    # A non-finite forecast makes the sample products non-finite, and the
-    # gain's factor or solve refuses them, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore") if cov_f is None else nullcontext():
+    with nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
         np.add(models[i - 1] @ previous + problem.forcings[i - 1][:, None], l_q[i - 1] @ v, out=out[-m:])
-        if cov_f is None:
-            gain_t = _sample_gain(out, lambda dev: h_i @ dev[-m:], r_i)
-        else:
-            if i not in gains:
-                gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
-            gain_t = gains[i]
+
+
+def _gain(problem, lin, i, out, cov_f=None, gains=None) -> np.ndarray:
+    """Step i's K^T for the forecast ``out``: the sample gain of its
+    columns, in ascending key order, or, given ``cov_f``, the exact gain of
+    that composite forecast covariance or its trailing block column, kept
+    in ``gains`` (one run's dict)."""
+    m, h_i, r_i = problem.state_dim, lin[1][i - 1], problem.obs_noise_covs[i - 1]
+    if cov_f is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _sample_gain(out, lambda dev: h_i @ dev[-m:], r_i)
+    if i not in gains:
+        gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
+    return gains[i]
+
+
+def _update(problem, lin, i, out, gain_t, w) -> None:
+    """Step i's analysis, in place: ``gain_t.T`` times the innovations of
+    perturbed observations (obs draws ``w``) is added to the forecast ``out``.
+
+    The product is added in row blocks, so none as large as ``out`` is
+    formed.  A one-row block would take numpy's matrix-vector path, whose
+    bits can differ, so a block has two rows or more unless ``out`` has
+    one: one time block, or row pairs when m = 1, the last taking any odd
+    row.  The blocks match the full-width product's bits while it has at
+    most about 10^6 multiply-adds ((i+1)m * d * N); above that OpenBLAS
+    may pick another kernel for it, which can differ in the last bit.
+    """
+    _, obs_mats, _, _, l_r = lin
+    m, h_i = problem.state_dim, obs_mats[i - 1]
     innovations = problem.observations[i - 1][:, None] - l_r[i - 1] @ w - h_i @ out[-m:]
-    out += gain_t.T @ innovations
+    # No block starts on the last row, so a block has one row only when out does.
+    edges = [*range(0, max(len(out) - 1, 1), max(m, 2)), len(out)]
+    for start, stop in zip(edges, edges[1:]):
+        out[start:stop] += gain_t[:, start:stop].T @ innovations
 
 
 def _smoother_run(problem, lin, stream, members, cov_fs=None) -> list[np.ndarray]:
@@ -192,22 +233,27 @@ def _smoother_run(problem, lin, stream, members, cov_fs=None) -> list[np.ndarray
     analysis is copied out of one trajectory array before the next step
     updates it, and the final analysis is the array itself."""
     m, gains, analyses = problem.state_dim, {}, []
+    draw = partial(_step_draw, problem, stream, members)
     trajectory = _trajectory(problem, _initial_ensemble(problem, lin, stream, members))
     for i in range(1, problem.horizon + 1):
         analyses.append(trajectory[: i * m].copy())
-        v, w = _step_draws(problem, stream, members, i)
-        cov_f = None if cov_fs is None else cov_fs[i - 1]
-        _forecast_analysis(problem, lin, i, trajectory[: (i + 1) * m], v, w, cov_f, gains)
+        out, cov_f = trajectory[: (i + 1) * m], None if cov_fs is None else cov_fs[i - 1]
+        _forecast(problem, lin, i, out, draw(i, NoiseKind.MODEL), exact=cov_f is not None)
+        gain_t = _gain(problem, lin, i, out, cov_f, gains)
+        _update(problem, lin, i, out, gain_t, draw(i, NoiseKind.OBS))
     return analyses + [trajectory]
 
 
 def _filter_run(problem, lin, stream, members) -> list[np.ndarray]:
     """The keyed pass of enkf_run: a new (state, member) array per step."""
+    draw = partial(_step_draw, problem, stream, members)
     analyses = [_initial_ensemble(problem, lin, stream, members)]
     for i in range(1, problem.horizon + 1):
-        v, w = _step_draws(problem, stream, members, i)
-        analyses.append(np.empty_like(analyses[-1]))
-        _forecast_analysis(problem, lin, i, analyses[-1], v, w, previous=analyses[-2])
+        out = np.empty_like(analyses[-1])
+        _forecast(problem, lin, i, out, draw(i, NoiseKind.MODEL), analyses[-1])
+        gain_t = _gain(problem, lin, i, out)
+        _update(problem, lin, i, out, gain_t, draw(i, NoiseKind.OBS))
+        analyses.append(out)
     return analyses
 
 
@@ -335,15 +381,25 @@ def _coupled_diffs(problem, sizes, stream, replicates, factors) -> list[list[np.
 
 
 def _coupled_replicate(problem, lin, sizes, stream, forecast_columns, gains) -> list[np.ndarray]:
-    """One replicate of :func:`_coupled_diffs`: each size's member-1 gap."""
+    """One replicate of :func:`_coupled_diffs`: each size's member-1 gap.
+    Each phase of a step runs on every arm before the next, and neither
+    draw is alive while the gains form their deviations."""
     members, m = np.arange(max(sizes), dtype=np.int64), problem.state_dim
+    draw = partial(_step_draw, problem, stream, members)
     initial = _initial_ensemble(problem, lin, stream, members)
     *ensembles, reference = [_trajectory(problem, initial[:, :n]) for n in (*sizes, 1)]
     del initial  # the trajectories hold copies of its prefixes
     for i in range(1, problem.horizon + 1):
-        v, w = _step_draws(problem, stream, members, i)
-        for ensemble in ensembles:
-            n = ensemble.shape[1]
-            _forecast_analysis(problem, lin, i, ensemble[: (i + 1) * m], v[:, :n], w[:, :n])
-        _forecast_analysis(problem, lin, i, reference[: (i + 1) * m], v[:, :1], w[:, :1], forecast_columns[i - 1], gains)
+        *outs, ref = [arm[: (i + 1) * m] for arm in (*ensembles, reference)]
+        v = draw(i, NoiseKind.MODEL)
+        for out in outs:
+            _forecast(problem, lin, i, out, v[:, : out.shape[1]])
+        _forecast(problem, lin, i, ref, v[:, :1], exact=True)
+        del v
+        gain_ts = [_gain(problem, lin, i, out) for out in outs]
+        gain_ts.append(_gain(problem, lin, i, ref, forecast_columns[i - 1], gains))
+        w = draw(i, NoiseKind.OBS)
+        for out, gain_t in zip((*outs, ref), gain_ts):
+            _update(problem, lin, i, out, gain_t, w[:, : out.shape[1]])
+        del w
     return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]

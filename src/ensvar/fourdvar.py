@@ -282,9 +282,10 @@ def _lm_ensemble_runs(
     arm.  Per LM iteration j, each arm runs one ensemble Kalman smoother
     pass on the system linearized at its own previous iterate, with the
     damping realized as stacked observations.  The iteration's keys are
-    drawn and scaled once, then the arms run one after another, so only
-    one working trajectory array is alive at a time; a kept ensemble is a
-    view into its own array.  ``factors`` are the
+    drawn and scaled once, then the arms run one after another, each in a
+    function scope of its own, so only one working trajectory array is
+    alive at a time and no iteration's draws outlive it; a kept ensemble
+    is a view into its own array.  ``factors`` are the
     Cholesky factors :func:`_validated_factors` returned for ``problem``.
     ``keep_ensembles=False`` leaves ``ensembles`` and ``max_member_norms``
     empty.
@@ -307,39 +308,49 @@ def _lm_ensemble_runs(
     # Per arm: iterates, objectives, final ensembles, max member norms.
     runs = [([start], [start_objective], [], []) for _ in taus]
 
-    for j in range(1, cfg.max_iterations + 1):
+    def run_arm(tau, run, init, model_noise, obs_noise, slots) -> None:
+        """One arm's EnKS pass of one LM iteration, appended to ``run``; its
+        arrays are freed on return unless its ensemble is kept."""
+        iterates, objectives, ensembles, max_norms = run
+        center, trajectory = iterates[-1], _trajectory(problem, init)
+        for i in range(1, k + 1):
+            c_prev, c_i = center[i - 1], center[i]
+            mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
+            m_c, h_c = mop(c_prev), hop(c_i)
+            ensemble = trajectory[: (i + 1) * m]
+            prop = directional(mop, c_prev, m_c, ensemble[-2 * m : -m] - c_prev[:, None], tau)
+            np.add(prop + m_c[:, None] + problem.forcings[i - 1][:, None], model_noise[i - 1], out=ensemble[-m:])
+            # The stacked operator's lower block is the identity, whose
+            # directional derivative is the direction itself.
+            gain_t = _sample_gain(
+                ensemble, lambda dev: np.vstack([directional(hop, c_i, h_c, dev[-m:], tau), dev[-m:]]), r_aug[i - 1]
+            )
+            dev_center = ensemble[-m:] - c_i[:, None]
+            predicted = np.vstack(
+                [h_c[:, None] + directional(hop, c_i, h_c, dev_center, tau), c_i[:, None] + dev_center]
+            )
+            observation = np.concatenate([problem.observations[i - 1], c_i])
+            ensemble += gain_t.T @ (observation[:, None] - obs_noise[i - 1] - predicted)
+
+        iterates.append(Trajectory.from_composite(trajectory.mean(axis=1), m))
+        objectives.append(_objective(problem, iterates[-1], factors))
+        if keep_ensembles:
+            ensembles.append(_slot_rows(trajectory, slots))
+            max_norms.append(float(np.max(np.linalg.norm(ensembles[-1], axis=1))))
+
+    def run_iteration(j: int) -> None:
+        """LM iteration j on every arm, from one draw of its keys, which is
+        freed on return, before iteration j+1 draws."""
         members, slots = _sorted_members(cfg.ensemble_size_for(j), member_indices)
         draw = partial(stream.draw_members, Phase.LM, j, members=members)
         init = problem.background_mean[:, None] + l_b @ draw(0, NoiseKind.INIT, dim=m).T
         model_noise = [l @ draw(i, NoiseKind.MODEL, dim=m).T for i, l in enumerate(l_q, 1)]
         obs_noise = [l @ draw(i, NoiseKind.OBS, dim=len(l)).T for i, l in enumerate(l_r_aug, 1)]
+        for tau, run in zip(taus, runs):
+            run_arm(tau, run, init, model_noise, obs_noise, slots)
 
-        for tau, (iterates, objectives, ensembles, max_norms) in zip(taus, runs):
-            center, trajectory = iterates[-1], _trajectory(problem, init)
-            for i in range(1, k + 1):
-                c_prev, c_i = center[i - 1], center[i]
-                mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
-                m_c, h_c = mop(c_prev), hop(c_i)
-                ensemble = trajectory[: (i + 1) * m]
-                prop = directional(mop, c_prev, m_c, ensemble[-2 * m : -m] - c_prev[:, None], tau)
-                np.add(prop + m_c[:, None] + problem.forcings[i - 1][:, None], model_noise[i - 1], out=ensemble[-m:])
-                # The stacked operator's lower block is the identity, whose
-                # directional derivative is the direction itself.
-                gain_t = _sample_gain(
-                    ensemble, lambda dev: np.vstack([directional(hop, c_i, h_c, dev[-m:], tau), dev[-m:]]), r_aug[i - 1]
-                )
-                dev_center = ensemble[-m:] - c_i[:, None]
-                predicted = np.vstack(
-                    [h_c[:, None] + directional(hop, c_i, h_c, dev_center, tau), c_i[:, None] + dev_center]
-                )
-                observation = np.concatenate([problem.observations[i - 1], c_i])
-                ensemble += gain_t.T @ (observation[:, None] - obs_noise[i - 1] - predicted)
-
-            iterates.append(Trajectory.from_composite(trajectory.mean(axis=1), m))
-            objectives.append(_objective(problem, iterates[-1], factors))
-            if keep_ensembles:
-                ensembles.append(_slot_rows(trajectory, slots))
-                max_norms.append(float(np.max(np.linalg.norm(ensembles[-1], axis=1))))
+    for j in range(1, cfg.max_iterations + 1):
+        run_iteration(j)
 
     return [
         LMRunResult(tuple(it), tuple(ob), "tangent" if tau is None else "finite-difference", tuple(en), tuple(mx))

@@ -86,9 +86,10 @@ def _frobenius_norm(a: np.ndarray) -> float:
 
     The unscaled norm overflows for entries above about 1e154; only then
     is it recomputed from ``a`` scaled by its largest entry, so the common
-    path makes no extra pass.
+    path makes no extra pass, and numpy need not warn about the overflow.
     """
-    norm = np.linalg.norm(a)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
     if np.isfinite(norm) or not np.isfinite(a).all():
         return norm
     amax = np.abs(a).max()

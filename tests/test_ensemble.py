@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensvar import (
+    AssimilationProblem,
     NoiseKind,
     NonlinearOperatorError,
     NotSPDError,
+    Operator,
     PerturbationStream,
     Phase,
     ValidationError,
@@ -26,7 +28,8 @@ from ensvar import (
     sample_covariance,
 )
 from ensvar import ensemble
-from ensvar.ensemble import _coupled_diffs, _sample_gain, _slot_rows, _sorted_members
+from ensvar.ensemble import _coupled_diffs, _sample_gain, _slot_rows, _sorted_members, _update
+from ensvar.kalman import _linear_matrices
 from ensvar.problem import _validated_factors
 from conftest import truncated
 
@@ -258,6 +261,46 @@ def test_analysis_update_non_finite_products_name_the_innovation_covariance():
         _sample_gain(np.array([[nan, nan], [0.0, 1.0]]), lambda dev: dev[-1:], np.eye(1))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_update_in_row_blocks_is_the_full_width_product_bitwise(m, d):
+    # A one-row block would take numpy's matrix-vector path and move bits;
+    # at these sizes every block of two or more rows must reproduce the
+    # full-width product.
+    rng = np.random.default_rng(100 * m + d)
+
+    def spd(dim):
+        g = rng.standard_normal((dim, dim))
+        return g @ g.T / dim + np.eye(dim)
+
+    k = 4
+    problem = AssimilationProblem(
+        state_dim=m,
+        horizon=k,
+        background_mean=np.zeros(m),
+        background_cov=spd(m),
+        model_ops=tuple(Operator.from_matrix(rng.standard_normal((m, m))) for _ in range(k)),
+        forcings=tuple(np.zeros(m) for _ in range(k)),
+        model_noise_covs=tuple(spd(m) for _ in range(k)),
+        obs_ops=tuple(Operator.from_matrix(rng.standard_normal((d, m))) for _ in range(k)),
+        obs_noise_covs=tuple(spd(d) for _ in range(k)),
+        observations=tuple(rng.standard_normal(d) for _ in range(k)),
+    )
+    lin = _linear_matrices(problem)
+    _, obs_mats, _, _, l_r = lin
+    for n in (7, 1000):
+        for i in range(1, k + 1):
+            for rows in {m, (i + 1) * m}:  # the filter's state, a smoother's trajectory
+                out = rng.standard_normal((rows, n))
+                w = rng.standard_normal((d, n))
+                # LAPACK hands gains back in Fortran order; try both layouts.
+                for gain_t in (rng.standard_normal((d, rows)), np.asfortranarray(rng.standard_normal((d, rows)))):
+                    innovations = problem.observations[i - 1][:, None] - l_r[i - 1] @ w - obs_mats[i - 1] @ out[-m:]
+                    expected = out + gain_t.T @ innovations
+                    _update(problem, lin, i, out, gain_t, w)
+                    np.testing.assert_array_equal(out, expected)
+
+
 class TestReferenceRun:
     def test_single_member_valid(self, w1):
         result = reference_enks_run(w1, 1, PerturbationStream(3))
@@ -322,7 +365,7 @@ def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
     reference = reference_enks_run(problem, 1, PerturbationStream(0)).forecast_covariances
 
     used = []
-    original = ensemble._forecast_analysis
+    original = ensemble._gain
     signature = inspect.signature(original)
 
     def recording(*args, **kwargs):
@@ -331,7 +374,7 @@ def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
             used.append(cov_f)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ensemble, "_forecast_analysis", recording)
+    monkeypatch.setattr(ensemble, "_gain", recording)
     coupled_member_diffs(problem, 4, PerturbationStream(0), 1)
     for columns in (reference, used):
         assert len(columns) == problem.horizon
@@ -439,12 +482,11 @@ class TestCoupledError:
         with pytest.raises(ValidationError):
             coupled_member_diffs(w1, 10, PerturbationStream(1), 0)
 
-    def test_pass_peak_memory_is_bounded_by_its_trajectories(self):
-        # Each arm holds one trajectory array for the whole pass, so the
-        # peak is a few trajectories of the largest size, not a copy per step.
-        problem = make_toy_problem("linear-chain", m=3, k=6, seed=0)
+    @staticmethod
+    def _peak_in_trajectories(m, k, sizes):
+        """Traced peak of a warm two-replicate pass, in trajectories of the largest size."""
+        problem = make_toy_problem("linear-chain", m=m, k=k, seed=0)
         factors = _validated_factors(problem)
-        sizes = (50, 2000)
         _coupled_diffs(problem, sizes, PerturbationStream(20), 1, factors)
         tracemalloc.start()
         try:
@@ -452,5 +494,15 @@ class TestCoupledError:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        trajectory_bytes = (problem.horizon + 1) * problem.state_dim * max(sizes) * 8
-        assert peak <= 3.0 * trajectory_bytes
+        return peak / ((k + 1) * m * max(sizes) * 8)
+
+    def test_pass_peak_memory_is_bounded_by_its_trajectories(self):
+        # Each arm holds one trajectory array for the whole pass, so the
+        # peak is a few trajectories of the largest size, not a copy per
+        # step.  The step's draws and the update's temporaries are never
+        # alive beside the gain's composite deviations.
+        assert self._peak_in_trajectories(3, 6, (50, 2000)) <= 2.45
+
+    def test_enks_rate_pass_peak_memory_is_bounded_by_its_trajectories(self):
+        # The enks-rate study's shape: three arms sharing each draw.
+        assert self._peak_in_trajectories(2, 3, (100, 1000, 10000)) <= 2.65

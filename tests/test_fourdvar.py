@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -521,6 +522,24 @@ class TestSharedPass:
             assert a.objectives == b.objectives
             assert all(np.array_equal(x.states, y.states) for x, y in zip(a.iterates, b.iterates))
             assert b.ensembles == () and b.max_member_norms == ()
+
+    def test_later_iterations_do_not_raise_the_peak(self):
+        # Each iteration's draws, and its last arm's arrays, are freed
+        # before the next iteration draws, so without kept ensembles a
+        # second iteration peaks no higher than the first.
+        problem = make_toy_problem("linear-chain", m=6, k=6, seed=0)
+        factors = _validated_factors(problem)
+        peaks = []
+        for iterations in (1, 2):
+            cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(2000,))
+            _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None,), factors, keep_ensembles=False)
+            tracemalloc.start()
+            try:
+                _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None,), factors, keep_ensembles=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.02 * peaks[0]
 
     def test_each_covariance_factored_once(self, monkeypatch):
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)

@@ -86,13 +86,11 @@ class TestSpdSolve:
         with pytest.raises(NotSPDError, match="gram has a non-finite Frobenius norm"):
             cholesky_spd(np.array([[1.0, bad], [bad, 1.0]]), "gram")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_finite_matrix_is_spd(self):
         # Entries above about 1e154 overflow the unscaled Frobenius norm.
         np.testing.assert_array_equal(cholesky_spd([[1e200]]), [[1e100]])
         np.testing.assert_allclose(spd_solve(1e200 * np.eye(2), [1e200, 2e200]), [1.0, 2.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_huge_matrix_with_non_finite_entry(self, bad):
         with pytest.raises(NotSPDError, match="gram has a non-finite Frobenius norm"):

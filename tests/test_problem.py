@@ -175,7 +175,6 @@ def test_gaussian_estimate_rejects_non_finite(mean, cov, name):
         GaussianEstimate(mean, cov)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_gaussian_estimate_accepts_huge_finite_covariance():
     # The unscaled Frobenius norm of 1e200 * I overflows; the matrix is SPD.
     estimate = GaussianEstimate(np.zeros(2), 1e200 * np.eye(2))
