@@ -21,35 +21,37 @@ size in that one pass, on prefixes of the largest size's draw.
 
 Ensembles are held state-major, as (state, member) arrays: with a state
 of a few components and thousands of members, every mean, deviation and
-product then runs along the contiguous member axis.  :func:`_sample_gain`
-is the package's one sample-covariance analysis step; the ensemble LM
-passes of :mod:`ensvar.fourdvar` take their gains from it too.  A run
-draws its members in ascending key order and hands out one row per
-member in the caller's slot order at the end, as transposed views when
-the keys already ascend.  So a run whose member keys are permuted
-computes the unpermuted run's numbers bit for bit; permuting keys
-permutes output members exactly.
+product then runs along the contiguous member axis.  A run draws its
+members in ascending key order and hands out one row per member in the
+caller's slot order at the end, as transposed views when the keys
+already ascend.  So a run whose member keys are permuted computes the
+unpermuted run's numbers bit for bit; permuting keys permutes output
+members exactly.
 
 A smoother arm fills one trajectory array in place, allocated once, so
 no trajectory is copied per step; the runners copy each step's analysis
 out of it.  The filter keeps no trajectory, only one new state per step.
 
-Every runner takes a step in three phases, each one helper:
+Every runner, the ensemble LM arms of :mod:`ensvar.fourdvar` included,
+takes a step in three phases, each one helper:
 
-1. :func:`_forecast` advances the time i-1 analysis with the step's model
-   draw, which is made just before it;
-2. :func:`_gain` forms K^T, by :func:`_sample_gain` or from the exact
-   forecast covariance;
-3. :func:`_update` forms the innovations from the step's observation
-   draw, made only after the gains, and adds the gain times them to the
-   forecast in row blocks.
+1. :func:`_forecast` advances the time i-1 analysis by the caller's
+   propagation (the model matrix here; in an LM arm, the model linearized
+   around its centre) and adds the step's scaled model draw;
+2. K^T comes from :func:`_sample_gain`, the package's one sample-covariance
+   analysis step, or, for an exact arm, from the exact forecast covariance;
+3. :func:`_update` adds the gain times the caller's innovations to the
+   forecast in row blocks: ``y - w - H x`` here (:func:`_innovations`), in
+   an LM arm those of its stacked [H; I] prediction.
 
-A keyed draw is a pure function of its key, so drawing the observation
-noise after the gains moves no number.  The coupled pass runs each phase
-over all its arms before the next, freeing the model draw before the
-gains: the step's peak is then the trajectories plus one gain's
-deviations of the composite forecast, with no draw or full-width update
-product beside them.
+Every draw is scaled by its Cholesky factor in one place, :func:`_noise`.
+Here the model draw is made just before the forecast and the observation
+draw w only after the gains; a keyed draw is a pure function of its key,
+so that moves no number.  The coupled pass runs each phase over all its
+arms before the next, freeing the model draw before the gains: the
+step's peak is then the trajectories plus one gain's deviations of the
+composite forecast, with no draw or full-width update product beside
+them.
 
 The degenerate zero-spread ensemble needs no special casing: all sample
 products vanish, the innovation covariance reduces to R (still SPD), and
@@ -60,7 +62,6 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -145,19 +146,21 @@ def _sample_gain(forecast: np.ndarray, observe, obs_cov: np.ndarray) -> np.ndarr
     ``forecast`` is a (state, member) array in ascending key order;
     ``observe`` maps its deviations to observed deviations, column by
     column.  K = P H^T (H P H^T + R)^-1 takes only these two products, so
-    no covariance is formed, and the deviations are freed on return.
+    no covariance is formed, and the deviations are freed on return.  The
+    factor refuses a non-finite forecast's products, so numpy need not warn.
     """
     n = forecast.shape[1]
-    dev = forecast - forecast.mean(axis=1, keepdims=True)
-    obs_dev = observe(dev)
-    hpht = obs_dev @ obs_dev.T / (n - 1)
-    return _gain_transpose(dev @ obs_dev.T / (n - 1), 0.5 * (hpht + hpht.T), obs_cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = forecast - forecast.mean(axis=1, keepdims=True)
+        obs_dev = observe(dev)
+        hpht = obs_dev @ obs_dev.T / (n - 1)
+        return _gain_transpose(dev @ obs_dev.T / (n - 1), 0.5 * (hpht + hpht.T), obs_cov)
 
 
-def _initial_ensemble(problem, lin, stream, members) -> np.ndarray:
-    """Members drawn from N(background_mean, background_cov) by their keys, as columns."""
-    z = stream.draw_members(Phase.SMOOTHER, 0, 0, NoiseKind.INIT, members, problem.state_dim)
-    return problem.background_mean[:, None] + lin[2] @ z.T
+def _noise(stream, phase, iteration, members):
+    """A pass's scaled draw: ``noise(i, kind, l)`` is l times the time-i
+    keyed standard normals of dimension len(l), one column per member."""
+    return lambda i, kind, l: l @ stream.draw_members(phase, iteration, i, kind, members, len(l)).T
 
 
 def _trajectory(problem, initial: np.ndarray) -> np.ndarray:
@@ -169,28 +172,19 @@ def _trajectory(problem, initial: np.ndarray) -> np.ndarray:
     return trajectory
 
 
-def _step_draw(problem, stream, members, i: int, kind: NoiseKind) -> np.ndarray:
-    """Step i's model or observation draw, one column per member key."""
-    dim = problem.obs_dim(i) if kind is NoiseKind.OBS else problem.state_dim
-    return stream.draw_members(Phase.SMOOTHER, 0, i, kind, members, dim).T
-
-
-def _forecast(problem, lin, i, out, v, previous=None, exact=False) -> None:
-    """Step i's forecast, in place: the analysis state at time i-1, the m
-    rows of ``out`` before its last or else ``previous``, is advanced with
-    model draws ``v`` into the last m rows of ``out``.
+def _forecast(problem, i, out, propagate, noise, previous=None, exact=False) -> None:
+    """Step i's forecast, in place: ``propagate`` of the time i-1 state,
+    the m rows of ``out`` before its last or else ``previous``, plus the
+    forcing and the scaled model draw ``noise``, fills the last m rows.
 
     ``out`` is a smoother's (state, member) trajectory array through time
-    i, or the filter's new state.  A non-finite forecast of a sample arm
-    makes its sample products non-finite, and the gain's factor or solve
-    refuses them, so numpy need not warn; an ``exact`` arm has no such
-    check, so its overflow warns.
+    i, or the filter's new state.  A sample arm's gain refuses a non-finite
+    forecast, so numpy need not warn; an ``exact`` arm's overflow warns.
     """
-    models, _, _, l_q, _ = lin
     m = problem.state_dim
     previous = out[-2 * m : -m] if previous is None else previous
     with nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
-        np.add(models[i - 1] @ previous + problem.forcings[i - 1][:, None], l_q[i - 1] @ v, out=out[-m:])
+        np.add(propagate(previous) + problem.forcings[i - 1][:, None], noise, out=out[-m:])
 
 
 def _gain(problem, lin, i, out, cov_f=None, gains=None) -> np.ndarray:
@@ -200,28 +194,30 @@ def _gain(problem, lin, i, out, cov_f=None, gains=None) -> np.ndarray:
     in ``gains`` (one run's dict)."""
     m, h_i, r_i = problem.state_dim, lin[1][i - 1], problem.obs_noise_covs[i - 1]
     if cov_f is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _sample_gain(out, lambda dev: h_i @ dev[-m:], r_i)
+        return _sample_gain(out, lambda dev: h_i @ dev[-m:], r_i)
     if i not in gains:
         gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
     return gains[i]
 
 
-def _update(problem, lin, i, out, gain_t, w) -> None:
-    """Step i's analysis, in place: ``gain_t.T`` times the innovations of
-    perturbed observations (obs draws ``w``) is added to the forecast ``out``.
+def _innovations(problem, lin, i, out, noise) -> np.ndarray:
+    """Step i's innovations of perturbed observations, ``y - noise - H x``,
+    for the forecast ``out`` and the scaled observation draw ``noise``."""
+    return problem.observations[i - 1][:, None] - noise - lin[1][i - 1] @ out[-problem.state_dim :]
+
+
+def _update(m, out, gain_t, innovations) -> None:
+    """The analysis, in place: ``gain_t.T @ innovations`` is added to the
+    forecast ``out``, whose time blocks have m rows.
 
     The product is added in row blocks, so none as large as ``out`` is
     formed.  A one-row block would take numpy's matrix-vector path, whose
     bits can differ, so a block has two rows or more unless ``out`` has
     one: one time block, or row pairs when m = 1, the last taking any odd
     row.  The blocks match the full-width product's bits while it has at
-    most about 10^6 multiply-adds ((i+1)m * d * N); above that OpenBLAS
-    may pick another kernel for it, which can differ in the last bit.
+    most about 10^6 multiply-adds (rows * len(innovations) * N); above
+    that OpenBLAS may pick another kernel, which can differ in the last bit.
     """
-    _, obs_mats, _, _, l_r = lin
-    m, h_i = problem.state_dim, obs_mats[i - 1]
-    innovations = problem.observations[i - 1][:, None] - l_r[i - 1] @ w - h_i @ out[-m:]
     # No block starts on the last row, so a block has one row only when out does.
     edges = [*range(0, max(len(out) - 1, 1), max(m, 2)), len(out)]
     for start, stop in zip(edges, edges[1:]):
@@ -232,27 +228,29 @@ def _smoother_run(problem, lin, stream, members, cov_fs=None) -> list[np.ndarray
     """The keyed pass of enks_run and reference_enks_run: each step's
     analysis is copied out of one trajectory array before the next step
     updates it, and the final analysis is the array itself."""
-    m, gains, analyses = problem.state_dim, {}, []
-    draw = partial(_step_draw, problem, stream, members)
-    trajectory = _trajectory(problem, _initial_ensemble(problem, lin, stream, members))
+    models, _, l_b, l_q, l_r = lin
+    m, gains, analyses, exact = problem.state_dim, {}, [], cov_fs is not None
+    noise = _noise(stream, Phase.SMOOTHER, 0, members)
+    trajectory = _trajectory(problem, problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b))
     for i in range(1, problem.horizon + 1):
         analyses.append(trajectory[: i * m].copy())
         out, cov_f = trajectory[: (i + 1) * m], None if cov_fs is None else cov_fs[i - 1]
-        _forecast(problem, lin, i, out, draw(i, NoiseKind.MODEL), exact=cov_f is not None)
+        _forecast(problem, i, out, models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1]), exact=exact)
         gain_t = _gain(problem, lin, i, out, cov_f, gains)
-        _update(problem, lin, i, out, gain_t, draw(i, NoiseKind.OBS))
+        _update(m, out, gain_t, _innovations(problem, lin, i, out, noise(i, NoiseKind.OBS, l_r[i - 1])))
     return analyses + [trajectory]
 
 
 def _filter_run(problem, lin, stream, members) -> list[np.ndarray]:
     """The keyed pass of enkf_run: a new (state, member) array per step."""
-    draw = partial(_step_draw, problem, stream, members)
-    analyses = [_initial_ensemble(problem, lin, stream, members)]
+    (models, _, l_b, l_q, l_r), m = lin, problem.state_dim
+    noise = _noise(stream, Phase.SMOOTHER, 0, members)
+    analyses = [problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)]
     for i in range(1, problem.horizon + 1):
         out = np.empty_like(analyses[-1])
-        _forecast(problem, lin, i, out, draw(i, NoiseKind.MODEL), analyses[-1])
+        _forecast(problem, i, out, models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1]), analyses[-1])
         gain_t = _gain(problem, lin, i, out)
-        _update(problem, lin, i, out, gain_t, draw(i, NoiseKind.OBS))
+        _update(m, out, gain_t, _innovations(problem, lin, i, out, noise(i, NoiseKind.OBS, l_r[i - 1])))
         analyses.append(out)
     return analyses
 
@@ -384,22 +382,21 @@ def _coupled_replicate(problem, lin, sizes, stream, forecast_columns, gains) -> 
     """One replicate of :func:`_coupled_diffs`: each size's member-1 gap.
     Each phase of a step runs on every arm before the next, and neither
     draw is alive while the gains form their deviations."""
-    members, m = np.arange(max(sizes), dtype=np.int64), problem.state_dim
-    draw = partial(_step_draw, problem, stream, members)
-    initial = _initial_ensemble(problem, lin, stream, members)
+    (models, _, l_b, l_q, l_r), m = lin, problem.state_dim
+    noise = _noise(stream, Phase.SMOOTHER, 0, np.arange(max(sizes), dtype=np.int64))
+    initial = problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)
     *ensembles, reference = [_trajectory(problem, initial[:, :n]) for n in (*sizes, 1)]
     del initial  # the trajectories hold copies of its prefixes
     for i in range(1, problem.horizon + 1):
         *outs, ref = [arm[: (i + 1) * m] for arm in (*ensembles, reference)]
-        v = draw(i, NoiseKind.MODEL)
-        for out in outs:
-            _forecast(problem, lin, i, out, v[:, : out.shape[1]])
-        _forecast(problem, lin, i, ref, v[:, :1], exact=True)
+        propagate, v = models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1])
+        for out in (*outs, ref):
+            _forecast(problem, i, out, propagate, v[:, : out.shape[1]], exact=out is ref)
         del v
         gain_ts = [_gain(problem, lin, i, out) for out in outs]
         gain_ts.append(_gain(problem, lin, i, ref, forecast_columns[i - 1], gains))
-        w = draw(i, NoiseKind.OBS)
+        w = noise(i, NoiseKind.OBS, l_r[i - 1])
         for out, gain_t in zip((*outs, ref), gain_ts):
-            _update(problem, lin, i, out, gain_t, w[:, : out.shape[1]])
+            _update(m, out, gain_t, _innovations(problem, lin, i, out, w[:, : out.shape[1]]))
         del w
     return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]

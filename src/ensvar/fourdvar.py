@@ -16,8 +16,8 @@ Three solver variants compute the damped Gauss-Newton (LM) iteration:
 * ``tangent``: the linearized subproblem is solved approximately by an
   ensemble Kalman smoother, with exact Jacobians applied to ensemble
   deviations and the linearization centered at the previous iterate's
-  sample mean.  Its analysis step is the EnKS's own
-  (``ensemble._sample_gain``), on the same (state, member) arrays.
+  sample mean.  Its step is the EnKS's own (``ensemble._forecast``,
+  ``_sample_gain``, ``_update``), on the same (state, member) arrays.
 * ``finite-difference``: as ``tangent``, but every Jacobian-vector
   product is replaced by a forward-difference quotient with step tau
   around the same center, so no Jacobians are needed at all.  Each
@@ -36,12 +36,11 @@ each arm and iteration in a trajectory array of its own (``_trajectory``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .ensemble import _sample_gain, _slot_rows, _sorted_members, _trajectory
+from .ensemble import _forecast, _noise, _sample_gain, _slot_rows, _sorted_members, _trajectory, _update
 from .errors import ValidationError
 from .kalman import _normal_equations_solution
 from .numerics import _factor, _solve, _triangular_solve
@@ -279,13 +278,13 @@ def _lm_ensemble_runs(
     """The only ensemble LM step: one run per arm, all arms on shared keys.
 
     An arm is a forward-difference step tau, or ``None`` for the tangent
-    arm.  Per LM iteration j, each arm runs one ensemble Kalman smoother
-    pass on the system linearized at its own previous iterate, with the
-    damping realized as stacked observations.  The iteration's keys are
-    drawn and scaled once, then the arms run one after another, each in a
-    function scope of its own, so only one working trajectory array is
-    alive at a time and no iteration's draws outlive it; a kept ensemble
-    is a view into its own array.  ``factors`` are the
+    arm.  Per LM iteration j, each arm runs the EnKS's step on the system
+    linearized at its own previous iterate, with the damping realized as
+    stacked observations; only the linearization is its own.  The keys
+    are drawn and scaled once per iteration, then the arms run one after
+    another, each in a function scope of its own, so only one working
+    trajectory array is alive at a time and no iteration's draws outlive
+    it; a kept ensemble is a view into its own array.  ``factors`` are the
     Cholesky factors :func:`_validated_factors` returned for ``problem``.
     ``keep_ensembles=False`` leaves ``ensembles`` and ``max_member_norms``
     empty.
@@ -317,20 +316,20 @@ def _lm_ensemble_runs(
             c_prev, c_i = center[i - 1], center[i]
             mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
             m_c, h_c = mop(c_prev), hop(c_i)
-            ensemble = trajectory[: (i + 1) * m]
-            prop = directional(mop, c_prev, m_c, ensemble[-2 * m : -m] - c_prev[:, None], tau)
-            np.add(prop + m_c[:, None] + problem.forcings[i - 1][:, None], model_noise[i - 1], out=ensemble[-m:])
+            out = trajectory[: (i + 1) * m]
+            propagate = lambda x: m_c[:, None] + directional(mop, c_prev, m_c, x - c_prev[:, None], tau)
+            _forecast(problem, i, out, propagate, model_noise[i - 1])
             # The stacked operator's lower block is the identity, whose
             # directional derivative is the direction itself.
             gain_t = _sample_gain(
-                ensemble, lambda dev: np.vstack([directional(hop, c_i, h_c, dev[-m:], tau), dev[-m:]]), r_aug[i - 1]
+                out, lambda dev: np.vstack([directional(hop, c_i, h_c, dev[-m:], tau), dev[-m:]]), r_aug[i - 1]
             )
-            dev_center = ensemble[-m:] - c_i[:, None]
+            dev_center = out[-m:] - c_i[:, None]
             predicted = np.vstack(
                 [h_c[:, None] + directional(hop, c_i, h_c, dev_center, tau), c_i[:, None] + dev_center]
             )
             observation = np.concatenate([problem.observations[i - 1], c_i])
-            ensemble += gain_t.T @ (observation[:, None] - obs_noise[i - 1] - predicted)
+            _update(m, out, gain_t, observation[:, None] - obs_noise[i - 1] - predicted)
 
         iterates.append(Trajectory.from_composite(trajectory.mean(axis=1), m))
         objectives.append(_objective(problem, iterates[-1], factors))
@@ -342,10 +341,10 @@ def _lm_ensemble_runs(
         """LM iteration j on every arm, from one draw of its keys, which is
         freed on return, before iteration j+1 draws."""
         members, slots = _sorted_members(cfg.ensemble_size_for(j), member_indices)
-        draw = partial(stream.draw_members, Phase.LM, j, members=members)
-        init = problem.background_mean[:, None] + l_b @ draw(0, NoiseKind.INIT, dim=m).T
-        model_noise = [l @ draw(i, NoiseKind.MODEL, dim=m).T for i, l in enumerate(l_q, 1)]
-        obs_noise = [l @ draw(i, NoiseKind.OBS, dim=len(l)).T for i, l in enumerate(l_r_aug, 1)]
+        noise = _noise(stream, Phase.LM, j, members)
+        init = problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)
+        model_noise = [noise(i, NoiseKind.MODEL, l) for i, l in enumerate(l_q, 1)]
+        obs_noise = [noise(i, NoiseKind.OBS, l) for i, l in enumerate(l_r_aug, 1)]
         for tau, run in zip(taus, runs):
             run_arm(tau, run, init, model_noise, obs_noise, slots)
 

@@ -265,8 +265,8 @@ def _check_linear_flag(op: Operator, in_dim: int, name: str) -> None:
     for u, v, alpha, beta in _linearity_probes(in_dim):
         lhs = op(alpha * u + beta * v)
         rhs = alpha * op(u) + beta * op(v)
-        scale = max(np.linalg.norm(rhs), 1.0)
-        if np.linalg.norm(lhs - rhs) > _LINEARITY_RTOL * scale:
+        scale = max(_frobenius_norm(rhs), 1.0)
+        if _frobenius_norm(lhs - rhs) > _LINEARITY_RTOL * scale:
             raise ValidationError(
                 f"{name} is flagged linear but violates linearity on probe vectors"
             )

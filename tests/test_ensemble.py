@@ -286,19 +286,23 @@ def test_update_in_row_blocks_is_the_full_width_product_bitwise(m, d):
         obs_noise_covs=tuple(spd(d) for _ in range(k)),
         observations=tuple(rng.standard_normal(d) for _ in range(k)),
     )
-    lin = _linear_matrices(problem)
-    _, obs_mats, _, _, l_r = lin
+    _, obs_mats, _, _, l_r = _linear_matrices(problem)
     for n in (7, 1000):
         for i in range(1, k + 1):
             for rows in {m, (i + 1) * m}:  # the filter's state, a smoother's trajectory
                 out = rng.standard_normal((rows, n))
-                w = rng.standard_normal((d, n))
-                # LAPACK hands gains back in Fortran order; try both layouts.
-                for gain_t in (rng.standard_normal((d, rows)), np.asfortranarray(rng.standard_normal((d, rows)))):
-                    innovations = problem.observations[i - 1][:, None] - l_r[i - 1] @ w - obs_mats[i - 1] @ out[-m:]
-                    expected = out + gain_t.T @ innovations
-                    _update(problem, lin, i, out, gain_t, w)
-                    np.testing.assert_array_equal(out, expected)
+                y, h_x, center = problem.observations[i - 1], obs_mats[i - 1] @ out[-m:], rng.standard_normal(m)
+                # The EnKS's d innovations, and an LM arm's d + m of the stacked [H; I] prediction.
+                for innovations in (
+                    y[:, None] - l_r[i - 1] @ rng.standard_normal((d, n)) - h_x,
+                    np.concatenate([y, center])[:, None] - rng.standard_normal((d + m, n)) - np.vstack([h_x, out[-m:]]),
+                ):
+                    # LAPACK hands gains back in Fortran order; try both layouts.
+                    shape = (len(innovations), rows)
+                    for gain_t in (rng.standard_normal(shape), np.asfortranarray(rng.standard_normal(shape))):
+                        expected = out + gain_t.T @ innovations
+                        _update(m, out, gain_t, innovations)
+                        np.testing.assert_array_equal(out, expected)
 
 
 class TestReferenceRun:

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from ensvar import (
     LMConfig,
     MissingJacobianError,
     NoiseKind,
+    NotSPDError,
     Operator,
     PerturbationStream,
     Phase,
@@ -311,30 +313,49 @@ def test_ensemble_lm_matches_plain_row_major_oracle(name, tau):
 
 
 def test_every_sample_covariance_step_runs_the_one_kernel(monkeypatch):
-    # EnKS, coupled study and LM passes share one analysis step; a second
-    # copy of the step would not be counted here.
-    calls = []
+    # EnKS, coupled study and LM passes share one forecast, one analysis
+    # step and one update; a second copy of any of them would not be
+    # counted here.
+    calls = Counter()
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ensvar"]:
-        if hasattr(module, "_sample_gain"):
+        for helper in ("_forecast", "_sample_gain", "_update"):
+            if hasattr(module, helper):
 
-            def counting(*args, _original=module._sample_gain):
-                calls.append(1)
-                return _original(*args)
+                def counting(*args, _original=getattr(module, helper), _helper=helper, **kwargs):
+                    calls[_helper] += 1
+                    return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "_sample_gain", counting)
+                monkeypatch.setattr(module, helper, counting)
     problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
-    k, replicates, iterations = problem.horizon, 3, 2
+    k, replicates, iterations, sizes, arms = problem.horizon, 3, 2, (4, 8), (None, 1e-1, 1e-2)
     factors = _validated_factors(problem)
 
     enks_run(problem, 6, PerturbationStream(0), member_indices=[5, 1, 9, 0, 2, 7])
-    assert len(calls) == k
+    assert calls == {"_forecast": k, "_sample_gain": k, "_update": k}
     calls.clear()
-    _coupled_diffs(problem, (4, 8), PerturbationStream(0), replicates, factors)
-    assert len(calls) == 2 * k * replicates
+    _coupled_diffs(problem, sizes, PerturbationStream(0), replicates, factors)
+    # One reference arm beside the sample arms, on exact gains.
+    steps = (len(sizes) + 1) * k * replicates
+    assert calls == {"_forecast": steps, "_sample_gain": len(sizes) * k * replicates, "_update": steps}
     calls.clear()
     cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(6,))
-    _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None, 1e-1, 1e-2), factors)
-    assert len(calls) == k * iterations * 3
+    _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, arms, factors)
+    steps = k * iterations * len(arms)
+    assert calls == {"_forecast": steps, "_sample_gain": steps, "_update": steps}
+
+
+@pytest.mark.parametrize("mode", ["tangent", "finite-difference"])
+def test_overflowing_lm_forecast_is_refused_by_the_gain_without_a_warning(mode):
+    # 1e200 * I is finite and linear, but its forecast's sample products
+    # overflow; the gain's factor refuses them, as in the EnKS.
+    problem = make_toy_problem("linear-chain", m=2, k=4, seed=0)
+    problem = replace(problem, model_ops=(Operator.from_matrix(1e200 * np.eye(2)),) * problem.horizon)
+    start = Trajectory(np.zeros((problem.horizon + 1, problem.state_dim)))
+    cfg = LMConfig(gamma=1.0, mode=mode, ensemble_sizes=(8,), initial_trajectory=start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotSPDError, match="innovation covariance contains non-finite entries"):
+            lm_run(problem, cfg, PerturbationStream(0))
 
 
 class TestTangentEnsembleLM:

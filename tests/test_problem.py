@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ensvar import (
     Trajectory,
     ValidationError,
     kf_run,
+    make_toy_problem,
     validate_problem,
 )
 from ensvar.problem import _PSD_RTOL, _linearity_probes
@@ -80,6 +82,17 @@ def test_false_linear_flag_rejected():
         validate_problem(_w1_with(model_ops=(bogus,)))
     with pytest.raises(ValidationError, match="obs_ops.*linear"):
         validate_problem(_w1_with(obs_ops=(bogus,)))
+
+
+def test_linear_flag_check_of_a_huge_finite_operator_does_not_overflow():
+    # The probe images of 1e200 * I have norms near 1e200, whose unscaled
+    # squares overflow; the suite turns an overflow warning into an error.
+    huge = Operator.from_matrix(1e200 * np.eye(2))
+    problem = make_toy_problem("linear-chain", m=2, k=1, seed=0)
+    validate_problem(replace(problem, model_ops=(huge,), obs_ops=(huge,)))
+    bogus = Operator(apply=lambda x: 1e200 * x**2, linear=True)
+    with pytest.raises(ValidationError, match="model_ops.*linear"):
+        validate_problem(replace(problem, model_ops=(bogus,)))
 
 
 @pytest.mark.parametrize("in_dim", [1, 3])
