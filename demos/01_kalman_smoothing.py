@@ -24,8 +24,6 @@ flt = kf_run(problem)
 print("Kalman filter")
 for i, est in enumerate(flt.estimates):
     print(f"  time {i}: mean {est.mean[0]:+.6f}, variance {est.covariance[0, 0]:.6f}")
-print(f"  gain at the update: {flt.steps[0].gain[0, 0]:.6f}")
-print(f"  innovation:         {flt.steps[0].innovation[0]:+.6f}")
 
 smo = ks_run(problem)
 print("\nKalman smoother (composite state x_0:1)")

@@ -10,7 +10,6 @@ keyed and replayable, so algorithm variants can be coupled draw for draw.
 
 from .ensemble import (
     EnsembleRunResult,
-    ReferenceRunResult,
     coupled_member_diffs,
     enkf_run,
     enks_run,
@@ -39,7 +38,6 @@ from .fourdvar import (
 from .kalman import (
     KalmanFilterResult,
     KalmanSmootherResult,
-    KalmanStepDiag,
     kf_run,
     ks_least_squares_oracle,
     ks_run,
@@ -74,7 +72,6 @@ __all__ = [
     "GaussianEstimate",
     "KalmanFilterResult",
     "KalmanSmootherResult",
-    "KalmanStepDiag",
     "LMConfig",
     "LMRunResult",
     "MissingJacobianError",
@@ -84,7 +81,6 @@ __all__ = [
     "Operator",
     "PerturbationStream",
     "Phase",
-    "ReferenceRunResult",
     "StudyResult",
     "StudyRow",
     "StudySpec",

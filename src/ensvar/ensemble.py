@@ -13,11 +13,12 @@ products come from:
   whose member-wise difference is pure sampling error of the ensemble
   method.
 
-:func:`coupled_member_diffs` runs that pair as one pass: each key is drawn
-once and fed to both arms, and the reference arm carries member 1 only,
-since with exact gains no member depends on another; each exact gain is
-computed once per call.  A study sweeping the ensemble size runs every
-size in that one pass, on prefixes of the largest size's draw.
+Every smoother is a list of arms on one pass, :func:`_smoother_pass`:
+:func:`enks_run` is one sample arm and :func:`reference_enks_run` one
+exact arm.  :func:`coupled_member_diffs` runs the pair: each key is drawn
+once for both arms, and the exact arm carries member 1 only, since with
+exact gains no member depends on another.  A study sweeping the ensemble
+size adds a sample arm per size, on prefixes of the largest size's draw.
 
 Ensembles are held state-major, as (state, member) arrays: with a state
 of a few components and thousands of members, every mean, deviation and
@@ -29,8 +30,8 @@ unpermuted run's numbers bit for bit; permuting keys permutes output
 members exactly.
 
 A smoother arm fills one trajectory array in place, allocated once, so
-no trajectory is copied per step; the runners copy each step's analysis
-out of it.  The filter keeps no trajectory, only one new state per step.
+no trajectory is copied per step; a run copies each step's analysis out
+of it.  The filter keeps no trajectory, only one new state per step.
 
 Every runner, the ensemble LM arms of :mod:`ensvar.fourdvar` included,
 takes a step in three phases, each one helper:
@@ -47,7 +48,7 @@ takes a step in three phases, each one helper:
 Every draw is scaled by its Cholesky factor in one place, :func:`_noise`.
 Here the model draw is made just before the forecast and the observation
 draw w only after the gains; a keyed draw is a pure function of its key,
-so that moves no number.  The coupled pass runs each phase over all its
+so that moves no number.  The smoother pass runs each phase over all its
 arms before the next, freeing the model draw before the gains: the
 step's peak is then the trajectories plus one gain's deviations of the
 composite forecast, with no draw or full-width update product beside
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,7 +75,6 @@ from .streams import NoiseKind, PerturbationStream, Phase, _member_keys, derive_
 
 __all__ = [
     "EnsembleRunResult",
-    "ReferenceRunResult",
     "enkf_run",
     "enks_run",
     "reference_enks_run",
@@ -93,19 +94,6 @@ class EnsembleRunResult:
 
     analysis_ensembles: tuple[np.ndarray, ...]
     sample_means: tuple[np.ndarray, ...]
-    member_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceRunResult:
-    """Exact-covariance reference ensembles and the covariances they used.
-
-    By default these are the trailing block columns ``cov_f[:, -m:]``, the
-    only part the update reads; supplied covariances are kept as given.
-    """
-
-    analysis_ensembles: tuple[np.ndarray, ...]
-    forecast_covariances: tuple[np.ndarray, ...]
     member_indices: tuple[int, ...]
 
 
@@ -224,21 +212,46 @@ def _update(m, out, gain_t, innovations) -> None:
         out[start:stop] += gain_t[:, start:stop].T @ innovations
 
 
-def _smoother_run(problem, lin, stream, members, cov_fs=None) -> list[np.ndarray]:
-    """The keyed pass of enks_run and reference_enks_run: each step's
-    analysis is copied out of one trajectory array before the next step
-    updates it, and the final analysis is the array itself."""
-    models, _, l_b, l_q, l_r = lin
-    m, gains, analyses, exact = problem.state_dim, {}, [], cov_fs is not None
+def _smoother_pass(problem, lin, stream, members, arms, gains, analyses=None) -> list[np.ndarray]:
+    """The keyed smoother pass over the draws of ``members``, for every arm.
+
+    An arm ``(n, cov_fs)`` reads the first n columns of each draw with
+    sample gains or, given forecast columns ``cov_fs``, exact gains, kept
+    in ``gains``.  Returns each arm's trajectory array, its final
+    analysis; ``analyses``, when given, receives copies of the first
+    arm's earlier analyses.
+    """
+    (models, _, l_b, l_q, l_r), m = lin, problem.state_dim
     noise = _noise(stream, Phase.SMOOTHER, 0, members)
-    trajectory = _trajectory(problem, problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b))
+    initial = problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)
+    trajectories = [_trajectory(problem, initial[:, :n]) for n, _ in arms]
+    del initial  # the trajectories hold copies of its prefixes
     for i in range(1, problem.horizon + 1):
-        analyses.append(trajectory[: i * m].copy())
-        out, cov_f = trajectory[: (i + 1) * m], None if cov_fs is None else cov_fs[i - 1]
-        _forecast(problem, i, out, models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1]), exact=exact)
-        gain_t = _gain(problem, lin, i, out, cov_f, gains)
-        _update(m, out, gain_t, _innovations(problem, lin, i, out, noise(i, NoiseKind.OBS, l_r[i - 1])))
-    return analyses + [trajectory]
+        if analyses is not None:
+            analyses.append(trajectories[0][: i * m].copy())
+        outs = [trajectory[: (i + 1) * m] for trajectory in trajectories]
+        propagate, v = models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1])
+        for out, (n, cov_fs) in zip(outs, arms):
+            _forecast(problem, i, out, propagate, v[:, :n], exact=cov_fs is not None)
+        del v
+        gain_ts = [
+            _gain(problem, lin, i, out, None if cov_fs is None else cov_fs[i - 1], gains)
+            for out, (_, cov_fs) in zip(outs, arms)
+        ]
+        w = noise(i, NoiseKind.OBS, l_r[i - 1])
+        for out, gain_t in zip(outs, gain_ts):
+            _update(m, out, gain_t, _innovations(problem, lin, i, out, w[:, : out.shape[1]]))
+        del w
+    return trajectories
+
+
+def _smoother_arm(problem, lin, stream, members, exact=False) -> list[np.ndarray]:
+    """The analyses at times 0..k of one smoother arm over every member,
+    with exact gains or sample ones."""
+    cov_fs = [col_f for col_f, *_ in _column_recursion(problem, *lin[:2])] if exact else None
+    analyses = []
+    trajectories = _smoother_pass(problem, lin, stream, members, [(len(members), cov_fs)], {}, analyses)
+    return analyses + trajectories
 
 
 def _filter_run(problem, lin, stream, members) -> list[np.ndarray]:
@@ -255,9 +268,9 @@ def _filter_run(problem, lin, stream, members) -> list[np.ndarray]:
     return analyses
 
 
-def _ensemble_result(name, run, problem, n_members, stream, member_indices) -> EnsembleRunResult:
-    if n_members < 2:
-        raise ValidationError(f"{name} needs at least 2 members, got {n_members}")
+def _ensemble_result(name, run, problem, n_members, stream, member_indices, fewest=2) -> EnsembleRunResult:
+    if n_members < fewest:
+        raise ValidationError(f"{name} needs at least {fewest} member{'s' * (fewest > 1)}, got {n_members}")
     members, slots = _sorted_members(n_members, member_indices)
     analyses = run(problem, _linear_matrices(problem, "ensemble Kalman runs"), stream, members)
     rows, keys = tuple(_slot_rows(a, slots) for a in analyses), tuple(_slot_rows(members, slots).tolist())
@@ -292,7 +305,7 @@ def enks_run(
     composite trajectory, so the time-i marginal of the smoother ensemble
     coincides with the filter ensemble member for member.
     """
-    return _ensemble_result("EnKS", _smoother_run, problem, n_members, stream, member_indices)
+    return _ensemble_result("EnKS", _smoother_arm, problem, n_members, stream, member_indices)
 
 
 def reference_enks_run(
@@ -300,8 +313,7 @@ def reference_enks_run(
     n_members: int,
     stream: PerturbationStream,
     member_indices=None,
-    forecast_covariances=None,
-) -> ReferenceRunResult:
+) -> EnsembleRunResult:
     """Composite ensemble updated with exact covariances.
 
     Consumes the same keyed draws as :func:`enks_run` but replaces the
@@ -310,27 +322,9 @@ def reference_enks_run(
     smoother's recursion.  Each member then evolves independently of the
     others, and is an exact draw from the smoothing distribution; a single
     member (n_members=1) is valid.
-
-    ``forecast_covariances`` may override the exact covariances, which is
-    useful for forcing the reference update to coincide with an ensemble
-    run in tests.
     """
-    if n_members < 1:
-        raise ValidationError(f"reference run needs at least 1 member, got {n_members}")
-    members, slots = _sorted_members(n_members, member_indices)
-    lin = _linear_matrices(problem, "ensemble Kalman runs")
-
-    if forecast_covariances is None:
-        forecast_covariances = [col_f for _, col_f, *_ in _column_recursion(problem, *lin[:2])]
-    forecast_covariances = tuple(np.asarray(c, dtype=float) for c in forecast_covariances)
-    if len(forecast_covariances) != problem.horizon:
-        raise ValidationError(
-            f"need {problem.horizon} forecast covariances, got {len(forecast_covariances)}"
-        )
-
-    analyses = _smoother_run(problem, lin, stream, members, forecast_covariances)
-    rows = tuple(_slot_rows(a, slots) for a in analyses)
-    return ReferenceRunResult(rows, forecast_covariances, tuple(_slot_rows(members, slots).tolist()))
+    run = partial(_smoother_arm, exact=True)
+    return _ensemble_result("reference run", run, problem, n_members, stream, member_indices, fewest=1)
 
 
 def coupled_member_diffs(
@@ -369,34 +363,11 @@ def _coupled_diffs(problem, sizes, stream, replicates, factors) -> list[list[np.
     if min(sizes) < 2:
         raise ValidationError(f"EnKS needs at least 2 members, got {min(sizes)}")
     lin = _linear_matrices(problem, "ensemble Kalman runs", factors)
-    forecast_columns = [col_f for _, col_f, *_ in _column_recursion(problem, *lin[:2])]
-    gains = {}
-    per_replicate = [
-        _coupled_replicate(problem, lin, sizes, PerturbationStream(derive_seed(stream.seed, r)), forecast_columns, gains)
-        for r in range(replicates)
-    ]
+    arms = [*((n, None) for n in sizes), (1, [col_f for col_f, *_ in _column_recursion(problem, *lin[:2])])]
+    keys, gains, per_replicate = np.arange(max(sizes), dtype=np.int64), {}, []
+    for r in range(replicates):
+        replicate = PerturbationStream(derive_seed(stream.seed, r))
+        *ensembles, reference = _smoother_pass(problem, lin, replicate, keys, arms, gains)
+        per_replicate.append([ensemble[:, 0] - reference[:, 0] for ensemble in ensembles])
+        del ensembles, reference  # not alive beside the next replicate's trajectories
     return [list(cell) for cell in zip(*per_replicate)]
-
-
-def _coupled_replicate(problem, lin, sizes, stream, forecast_columns, gains) -> list[np.ndarray]:
-    """One replicate of :func:`_coupled_diffs`: each size's member-1 gap.
-    Each phase of a step runs on every arm before the next, and neither
-    draw is alive while the gains form their deviations."""
-    (models, _, l_b, l_q, l_r), m = lin, problem.state_dim
-    noise = _noise(stream, Phase.SMOOTHER, 0, np.arange(max(sizes), dtype=np.int64))
-    initial = problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)
-    *ensembles, reference = [_trajectory(problem, initial[:, :n]) for n in (*sizes, 1)]
-    del initial  # the trajectories hold copies of its prefixes
-    for i in range(1, problem.horizon + 1):
-        *outs, ref = [arm[: (i + 1) * m] for arm in (*ensembles, reference)]
-        propagate, v = models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1])
-        for out in (*outs, ref):
-            _forecast(problem, i, out, propagate, v[:, : out.shape[1]], exact=out is ref)
-        del v
-        gain_ts = [_gain(problem, lin, i, out) for out in outs]
-        gain_ts.append(_gain(problem, lin, i, ref, forecast_columns[i - 1], gains))
-        w = noise(i, NoiseKind.OBS, l_r[i - 1])
-        for out, gain_t in zip((*outs, ref), gain_ts):
-            _update(m, out, gain_t, _innovations(problem, lin, i, out, w[:, : out.shape[1]]))
-        del w
-    return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]

@@ -27,7 +27,6 @@ from .numerics import spd_solve
 from .problem import AssimilationProblem, GaussianEstimate, _validated_factors
 
 __all__ = [
-    "KalmanStepDiag",
     "KalmanFilterResult",
     "KalmanSmootherResult",
     "kf_run",
@@ -37,21 +36,10 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class KalmanStepDiag:
-    """Per-step diagnostics: forecast moments, gain, and innovation."""
-
-    forecast_mean: np.ndarray
-    forecast_cov: np.ndarray
-    gain: np.ndarray
-    innovation: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class KalmanFilterResult:
-    """Filtering estimates at i = 0..k plus per-step diagnostics."""
+    """Filtering estimates at i = 0..k."""
 
     estimates: tuple[GaussianEstimate, ...]
-    steps: tuple[KalmanStepDiag, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,11 +70,14 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 def _column_recursion(problem: AssimilationProblem, models, obs_mats, composite=True):
     """The exact recursion on the mean and the trailing block column.
 
-    Yields ``(mean_f, col_f, pht, gain, innovation, mean, col)`` for
-    i = 1..k, where ``col_f`` and ``col`` are the trailing m columns of the
-    forecast and analysis covariances of x_0:i (of x_i alone when not
-    ``composite``).  The column's update never reads the leading block.
-    Each gain is P H^T times the d x d inverse of the innovation covariance.
+    Yields ``(col_f, pht, gain, mean, col)`` for i = 1..k, where ``col_f``
+    and ``col`` are the trailing m columns of the forecast and analysis
+    covariances of x_0:i (of x_i alone when not ``composite``).  The
+    exact-covariance ensembles read ``col_f``, :func:`ks_run` updates the
+    leading block with ``pht`` and ``gain``, and both Kalman runs return
+    ``mean`` and ``col``.  The column's update never reads the leading
+    block.  Each gain is P H^T times the d x d inverse of the innovation
+    covariance.
     """
     m = problem.state_dim
     mean, col = problem.background_mean, problem.background_cov
@@ -110,7 +101,7 @@ def _column_recursion(problem: AssimilationProblem, models, obs_mats, composite=
             mean = mean_f + gain @ innovation
         if not np.isfinite(mean).all():
             raise ValidationError("mean contains non-finite entries")
-        yield mean_f, col_f, pht, gain, innovation, mean, col
+        yield col_f, pht, gain, mean, col
 
 
 def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
@@ -122,11 +113,8 @@ def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
     """
     recursion = _column_recursion(problem, *_linear_matrices(problem)[:2], composite=False)
     estimates = [GaussianEstimate(problem.background_mean.copy(), problem.background_cov.copy())]
-    steps = []
-    for mean_f, cov_f, _, gain, innovation, mean, cov in recursion:
-        estimates.append(GaussianEstimate(mean, cov))
-        steps.append(KalmanStepDiag(mean_f, cov_f, gain, innovation))
-    return KalmanFilterResult(tuple(estimates), tuple(steps))
+    estimates += [GaussianEstimate(mean, cov) for *_, mean, cov in recursion]
+    return KalmanFilterResult(tuple(estimates))
 
 
 def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
@@ -142,7 +130,7 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
     carried; the one estimate built is the final one.
     """
     cov = problem.background_cov
-    for _, _, pht, gain, _, mean, col in _column_recursion(problem, *_linear_matrices(problem)[:2]):
+    for _, pht, gain, mean, col in _column_recursion(problem, *_linear_matrices(problem)[:2]):
         size = cov.shape[0]
         # Rank-d update of the leading block, symmetrized straight into place.
         update = cov - gain[:size] @ pht[:size].T

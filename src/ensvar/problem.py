@@ -262,11 +262,16 @@ def _linearity_probes(in_dim: int) -> tuple[tuple[np.ndarray, np.ndarray, float,
 
 def _check_linear_flag(op: Operator, in_dim: int, name: str) -> None:
     # Deterministic probe vectors; tolerance per the linearity contract.
+    # A non-finite image is refused right below, and a gap that overflows
+    # between finite images fails the test, so numpy need not warn.
     for u, v, alpha, beta in _linearity_probes(in_dim):
-        lhs = op(alpha * u + beta * v)
-        rhs = alpha * op(u) + beta * op(v)
-        scale = max(_frobenius_norm(rhs), 1.0)
-        if _frobenius_norm(lhs - rhs) > _LINEARITY_RTOL * scale:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = op(alpha * u + beta * v)
+            rhs = alpha * op(u) + beta * op(v)
+            gap = lhs - rhs
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise ValidationError(f"{name} maps a linearity probe vector to non-finite entries")
+        if _frobenius_norm(gap) > _LINEARITY_RTOL * max(_frobenius_norm(rhs), 1.0):
             raise ValidationError(
                 f"{name} is flagged linear but violates linearity on probe vectors"
             )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Sequence
 
@@ -186,9 +186,6 @@ class PerturbationStream:
     seed : int
         Root seed in [0, 2**64).  Streams with different seeds are
         statistically independent.
-    log : list, optional
-        If provided, every draw appends ``(DrawKey, dim)`` to this list.
-        Used to assert that two coupled runs consumed identical draws.
 
     Notes
     -----
@@ -198,7 +195,6 @@ class PerturbationStream:
     """
 
     seed: int
-    log: list | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.seed = _integer("seed", self.seed)
@@ -255,14 +251,7 @@ class PerturbationStream:
             self.seed & 0xFFFFFFFF,
             self.seed >> 32,
         ))
-        out = normals[:, :dim].copy() if dim % 2 else normals
-
-        if self.log is not None:
-            for m in members_arr:
-                self.log.append(
-                    (DrawKey(phase, iteration, time_index, int(m), kind), dim)
-                )
-        return out
+        return normals[:, :dim].copy() if dim % 2 else normals
 
 
 def derive_seed(root_seed: int, index: int) -> int:

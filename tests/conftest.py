@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ensvar import AssimilationProblem, Operator, make_toy_problem
+from ensvar import AssimilationProblem, Operator, PerturbationStream, make_toy_problem
 
 
 @pytest.fixture
@@ -14,6 +14,21 @@ def w1():
 @pytest.fixture
 def w2():
     return make_toy_problem("w2-quadratic")
+
+
+@pytest.fixture
+def draw_log(monkeypatch):
+    """Every ``PerturbationStream.draw_members`` call of the test, in order,
+    as ``(seed, phase, iteration, time_index, kind, members, dim)``."""
+    log = []
+    original = PerturbationStream.draw_members
+
+    def logged(self, phase, iteration, time_index, kind, members, dim):
+        log.append((self.seed, phase, iteration, time_index, kind, tuple(np.asarray(members).tolist()), dim))
+        return original(self, phase, iteration, time_index, kind, members, dim)
+
+    monkeypatch.setattr(PerturbationStream, "draw_members", logged)
+    return log
 
 
 def truncated(problem: AssimilationProblem, i: int) -> AssimilationProblem:

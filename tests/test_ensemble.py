@@ -21,6 +21,7 @@ from ensvar import (
     empirical_lp_norm,
     enkf_run,
     enks_run,
+    fit_loglog_slope,
     kf_run,
     ks_run,
     make_toy_problem,
@@ -321,21 +322,14 @@ class TestReferenceRun:
         )
         assert np.abs(sample_covariance(final) - smoother.covariance).max() < 0.1
 
-    def test_forecast_covariances_recorded(self, w1):
-        # By default the run records the trailing block columns it used.
-        m = w1.state_dim
-        columns = reference_enks_run(w1, 4, PerturbationStream(3)).forecast_covariances
-        assert [c.shape for c in columns] == [(m * (i + 1), m) for i in range(1, w1.horizon + 1)]
-
-    def test_injected_sample_covariances_reproduce_enks(self, w1):
+    def test_injected_sample_covariances_reproduce_enks(self, w1, monkeypatch):
         # Forcing the reference gain to use the EnKS's own sample
         # covariances makes the two updates identical.
         n = 40
         enks = enks_run(w1, n, PerturbationStream(12))
         injected = tuple(sample_covariance(f) for f in _forecasts(w1, enks, PerturbationStream(12), composite=True))
-        ref = reference_enks_run(
-            w1, n, PerturbationStream(12), forecast_covariances=injected
-        )
+        monkeypatch.setattr(ensemble, "_column_recursion", lambda *args, **kwargs: ((cov,) for cov in injected))
+        ref = reference_enks_run(w1, n, PerturbationStream(12))
         diff = np.abs(ref.analysis_ensembles[-1] - enks.analysis_ensembles[-1]).max()
         assert diff <= 1e-12
 
@@ -366,8 +360,6 @@ def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
         m_i = problem.model_ops[i - 1].as_matrix(m)
         corner = m_i @ cov[-m:, -m:] @ m_i.T + problem.model_noise_covs[i - 1]
         want.append(np.vstack([cov[:, -m:] @ m_i.T, 0.5 * (corner + corner.T)]))
-    reference = reference_enks_run(problem, 1, PerturbationStream(0)).forecast_covariances
-
     used = []
     original = ensemble._gain
     signature = inspect.signature(original)
@@ -379,8 +371,10 @@ def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ensemble, "_gain", recording)
+    reference_enks_run(problem, 1, PerturbationStream(0))
+    n_reference = len(used)
     coupled_member_diffs(problem, 4, PerturbationStream(0), 1)
-    for columns in (reference, used):
+    for columns in (used[:n_reference], used[n_reference:]):
         assert len(columns) == problem.horizon
         for got, expected in zip(columns, want):
             np.testing.assert_array_equal(got, expected)
@@ -428,15 +422,7 @@ class TestCoupledError:
             scale = max(np.abs(enks_row).max(), 1.0)
             assert np.abs(diff - (enks_row - ref_row)).max() <= 1e-10 * scale
 
-    def test_each_key_drawn_once_per_replicate(self, w1, monkeypatch):
-        calls = []
-        original = PerturbationStream.draw_members
-
-        def recording(self, phase, iteration, time_index, kind, members, dim):
-            calls.append((self.seed, time_index, kind, tuple(np.asarray(members).tolist())))
-            return original(self, phase, iteration, time_index, kind, members, dim)
-
-        monkeypatch.setattr(PerturbationStream, "draw_members", recording)
+    def test_each_key_drawn_once_per_replicate(self, w1, draw_log):
         stream = PerturbationStream(4)
         coupled_member_diffs(w1, 12, stream, 3)
         seeds = [derive_seed(stream.seed, r) for r in range(3)]
@@ -444,10 +430,10 @@ class TestCoupledError:
             (i, kind) for i in range(1, w1.horizon + 1) for kind in (NoiseKind.MODEL, NoiseKind.OBS)
         ]
         for seed in seeds:
-            drawn = [(t, kind) for s, t, kind, _ in calls if s == seed]
+            drawn = [(t, kind) for s, _, _, t, kind, *_ in draw_log if s == seed]
             assert sorted(drawn) == sorted(expected)
-        assert {s for s, *_ in calls} == set(seeds)
-        assert all(members == tuple(range(12)) for *_, members in calls)
+        assert {s for s, *_ in draw_log} == set(seeds)
+        assert all(members == tuple(range(12)) for *_, members, _ in draw_log)
 
     def test_rate_is_roughly_root_n(self, w1):
         errors = [
@@ -457,6 +443,33 @@ class TestCoupledError:
         assert errors[1] < errors[0]
         ratio = np.log(errors[1] / errors[0]) / np.log(10.0)
         assert -0.8 < ratio < -0.2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_negative_control_independent_reference_does_not_decay(self, seed):
+        # The harness can fail: with the reference member on an independent
+        # stream, the gap to EnKS member 1 is two independent draws, and
+        # its L^2 norm stays flat in N; on the shared stream it decays
+        # at N^(-1/2).  Public names only.
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=11)
+        sizes, replicates = (50, 500, 5000), 20
+
+        def member_1(run, n, stream_seed):
+            return run(problem, n, PerturbationStream(stream_seed)).analysis_ensembles[-1][0]
+
+        coupled, independent = [], []
+        for n in sizes:
+            gaps = []
+            for r in range(replicates):
+                replicate_seed = derive_seed(seed, r)
+                enks = member_1(enks_run, n, replicate_seed)
+                gaps.append((
+                    enks - member_1(reference_enks_run, 1, replicate_seed),
+                    enks - member_1(reference_enks_run, 1, derive_seed(replicate_seed, 1)),
+                ))
+            coupled.append(empirical_lp_norm([same for same, _ in gaps], 2.0))
+            independent.append(empirical_lp_norm([other for _, other in gaps], 2.0))
+        assert -0.1 <= fit_loglog_slope(sizes, independent)[0] <= 0.1
+        assert -0.7 <= fit_loglog_slope(sizes, coupled)[0] <= -0.3
 
     def test_replication_stability(self, w1):
         # Doubling the replicate count moves the estimate by < 30%.

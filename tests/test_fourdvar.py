@@ -603,13 +603,13 @@ class TestSharedPass:
         for i, a in enumerate(augmented, start=1):
             np.testing.assert_array_equal(a, _augmented_noise_cov(problem, i, cfg.gamma))
 
-    def test_each_key_drawn_once(self, w2):
-        log = []
+    def test_each_key_drawn_once(self, w2, draw_log):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(8,))
-        _lm_ensemble_runs(w2, cfg, PerturbationStream(6, log=log), None, (None, 1e-1, 1e-2, 1e-3), _validated_factors(w2))
-        single = []
-        lm_enks_tangent_run(w2, cfg, PerturbationStream(6, log=single))
-        assert log == single
+        _lm_ensemble_runs(w2, cfg, PerturbationStream(6), None, (None, 1e-1, 1e-2, 1e-3), _validated_factors(w2))
+        shared = draw_log.copy()
+        draw_log.clear()
+        lm_enks_tangent_run(w2, cfg, PerturbationStream(6))
+        assert shared and shared == draw_log
 
 
 class TestDispatcherAndConfig:
@@ -642,13 +642,14 @@ class TestDispatcherAndConfig:
         with pytest.raises(ValidationError, match=field):
             LMConfig(**kwargs)
 
-    def test_shared_stream_keys_between_modes(self, w2):
+    def test_shared_stream_keys_between_modes(self, w2, draw_log):
         # The coupling contract: both ensemble modes consume the identical
         # key sequence, asserted by diffing draw logs.
-        log_tan, log_fd = [], []
         cfg_tan = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(8,))
         cfg_fd = LMConfig(gamma=1.0, max_iterations=2, mode="finite-difference",
                           ensemble_sizes=(8,), tau=1e-2)
-        lm_enks_tangent_run(w2, cfg_tan, PerturbationStream(6, log=log_tan))
-        enks_4dvar_run(w2, cfg_fd, PerturbationStream(6, log=log_fd))
-        assert log_tan == log_fd
+        lm_enks_tangent_run(w2, cfg_tan, PerturbationStream(6))
+        log_tan = draw_log.copy()
+        draw_log.clear()
+        enks_4dvar_run(w2, cfg_fd, PerturbationStream(6))
+        assert log_tan and log_tan == draw_log

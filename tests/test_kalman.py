@@ -59,7 +59,6 @@ class TestFilter:
         final = result.estimates[-1]
         assert final.mean[0] == pytest.approx(0.0, abs=1e-12)
         assert final.covariance[0, 0] == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_array_equal(result.steps[-1].gain, [[0.0]])
 
     def test_zero_observation_value(self):
         problem = _w1_variant(observations=(np.array([0.0]),))
@@ -70,12 +69,6 @@ class TestFilter:
     def test_rejects_nonlinear(self, w2):
         with pytest.raises(NonlinearOperatorError):
             kf_run(w2)
-
-    def test_gain_shape(self):
-        problem = make_toy_problem("linear-chain", m=3, k=2, seed=5)
-        result = kf_run(problem)
-        for step in result.steps:
-            assert step.gain.shape == (3, 3)
 
 
 @pytest.mark.parametrize("runner", [kf_run, ks_run])
@@ -123,20 +116,12 @@ class TestSmoother:
         problem = make_toy_problem("linear-chain", m=2, k=4, seed=seed)
         flt = kf_run(problem)
         m = problem.state_dim
-        mean, cov = problem.background_mean, problem.background_cov  # the smoother at i - 1
         for i in range(1, problem.horizon + 1):
-            smoothed, filtered, step = ks_run(truncated(problem, i)).estimate, flt.estimates[i], flt.steps[i - 1]
+            smoothed, filtered = ks_run(truncated(problem, i)).estimate, flt.estimates[i]
             np.testing.assert_allclose(smoothed.mean[-m:], filtered.mean, rtol=1e-10)
             np.testing.assert_allclose(
                 smoothed.covariance[-m:, -m:], filtered.covariance, rtol=1e-10, atol=1e-12
             )
-            # The smoother's step-i forecast of x_i, from its estimate at i - 1.
-            m_i = problem.model_ops[i - 1].as_matrix(m)
-            forecast_mean = m_i @ mean[-m:] + problem.forcings[i - 1]
-            forecast_cov = m_i @ cov[-m:, -m:] @ m_i.T + problem.model_noise_covs[i - 1]
-            np.testing.assert_allclose(forecast_mean, step.forecast_mean, rtol=1e-10)
-            np.testing.assert_allclose(forecast_cov, step.forecast_cov, rtol=1e-10, atol=1e-12)
-            mean, cov = smoothed.mean, smoothed.covariance
 
     def test_covariances_symmetric_psd(self):
         problem = make_toy_problem("linear-chain", m=3, k=4, seed=9)

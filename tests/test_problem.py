@@ -95,6 +95,15 @@ def test_linear_flag_check_of_a_huge_finite_operator_does_not_overflow():
         validate_problem(replace(problem, model_ops=(bogus,)))
 
 
+def test_linear_flag_check_refuses_an_operator_whose_probe_images_overflow():
+    # 1e308 * I is finite, but its images of the probe vectors are not; the
+    # suite turns an overflow warning into an error, so none may be raised.
+    problem = make_toy_problem("linear-chain", m=2, k=3, seed=0)
+    model_ops = (Operator.from_matrix(1e308 * np.eye(2)), *problem.model_ops[1:])
+    with pytest.raises(ValidationError, match=r"^model_ops\[1\] maps a linearity probe vector to non-finite"):
+        validate_problem(replace(problem, model_ops=model_ops))
+
+
 @pytest.mark.parametrize("in_dim", [1, 3])
 def test_linearity_probes_are_the_default_rng_0_sequence(in_dim):
     rng = np.random.default_rng(0)

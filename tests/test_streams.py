@@ -261,16 +261,6 @@ def test_draw_peak_memory_is_bounded_by_its_output():
     assert peak <= 4 * out.nbytes
 
 
-def test_draw_log_records_keys_and_dims():
-    log = []
-    stream = PerturbationStream(3, log=log)
-    stream.draw_members(Phase.LM, 1, 2, NoiseKind.MODEL, [5, 3], 4)
-    assert log == [
-        (DrawKey(Phase.LM, 1, 2, 5, NoiseKind.MODEL), 4),
-        (DrawKey(Phase.LM, 1, 2, 3, NoiseKind.MODEL), 4),
-    ]
-
-
 def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(42, 0) == derive_seed(42, 0)
     seeds = {derive_seed(42, r) for r in range(100)}
