@@ -47,7 +47,7 @@ import yaml
 
 from .errors import EnsvarError, ValidationError
 from .fourdvar import LMConfig
-from .problem import AssimilationProblem, Operator, Trajectory, validate_problem
+from .problem import AssimilationProblem, Operator, Trajectory
 from .study import StudySpec
 from .toys import _toy_builder, make_toy_problem
 
@@ -151,7 +151,7 @@ def _problem_from_section(section) -> AssimilationProblem:
             raise ValidationError(
                 f"problem field {key} has {len(fields[key])} entries, expected {horizon}"
             )
-    problem = AssimilationProblem(
+    return AssimilationProblem(
         state_dim=fields["state_dim"],
         horizon=horizon,
         background_mean=fields["x_b"],
@@ -163,7 +163,6 @@ def _problem_from_section(section) -> AssimilationProblem:
         obs_noise_covs=fields["R"],
         observations=fields["y"],
     )
-    return validate_problem(problem)
 
 
 def _lm_from_section(section) -> LMConfig:

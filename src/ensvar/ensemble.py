@@ -70,7 +70,7 @@ import numpy as np
 from .errors import ValidationError
 from .kalman import _column_recursion, _linear_matrices
 from .numerics import _factor, _solve
-from .problem import AssimilationProblem, _validated_factors
+from .problem import AssimilationProblem
 from .streams import NoiseKind, PerturbationStream, Phase, _member_keys, derive_seed
 
 __all__ = [
@@ -221,7 +221,7 @@ def _smoother_pass(problem, lin, stream, members, arms, gains, analyses=None) ->
     analysis; ``analyses``, when given, receives copies of the first
     arm's earlier analyses.
     """
-    (models, _, l_b, l_q, l_r), m = lin, problem.state_dim
+    (models, _), (l_b, l_q, l_r), m = lin, problem._factors, problem.state_dim
     noise = _noise(stream, Phase.SMOOTHER, 0, members)
     initial = problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)
     trajectories = [_trajectory(problem, initial[:, :n]) for n, _ in arms]
@@ -248,7 +248,7 @@ def _smoother_pass(problem, lin, stream, members, arms, gains, analyses=None) ->
 def _smoother_arm(problem, lin, stream, members, exact=False) -> list[np.ndarray]:
     """The analyses at times 0..k of one smoother arm over every member,
     with exact gains or sample ones."""
-    cov_fs = [col_f for col_f, *_ in _column_recursion(problem, *lin[:2])] if exact else None
+    cov_fs = [col_f for col_f, *_ in _column_recursion(problem, *lin)] if exact else None
     analyses = []
     trajectories = _smoother_pass(problem, lin, stream, members, [(len(members), cov_fs)], {}, analyses)
     return analyses + trajectories
@@ -256,7 +256,7 @@ def _smoother_arm(problem, lin, stream, members, exact=False) -> list[np.ndarray
 
 def _filter_run(problem, lin, stream, members) -> list[np.ndarray]:
     """The keyed pass of enkf_run: a new (state, member) array per step."""
-    (models, _, l_b, l_q, l_r), m = lin, problem.state_dim
+    (models, _), (l_b, l_q, l_r), m = lin, problem._factors, problem.state_dim
     noise = _noise(stream, Phase.SMOOTHER, 0, members)
     analyses = [problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)]
     for i in range(1, problem.horizon + 1):
@@ -344,26 +344,25 @@ def coupled_member_diffs(
     member-1 gap between :func:`enks_run` and :func:`reference_enks_run`
     up to round-off.
     """
-    (diffs,) = _coupled_diffs(problem, (n_members,), stream, replicates, _validated_factors(problem))
+    (diffs,) = _coupled_diffs(problem, (n_members,), stream, replicates)
     return diffs
 
 
-def _coupled_diffs(problem, sizes, stream, replicates, factors) -> list[list[np.ndarray]]:
+def _coupled_diffs(problem, sizes, stream, replicates) -> list[list[np.ndarray]]:
     """:func:`coupled_member_diffs` for every ensemble size in ``sizes`` at once.
 
     Size n uses keys 0..n-1, a prefix of the largest size's keys, so each
     replicate draws every key once, at the largest size, and each EnKS arm
     runs on the first n columns of that draw: bit for bit a separate draw.
-    One reference arm (key 0, exact gains) serves every size.  ``factors``
-    are the Cholesky factors :func:`_validated_factors` returned for
-    ``problem``.  Returns one list of per-replicate diffs per size.
+    One reference arm (key 0, exact gains) serves every size.  Returns one
+    list of per-replicate diffs per size.
     """
     if replicates < 1:
         raise ValidationError(f"replicates must be >= 1, got {replicates}")
     if min(sizes) < 2:
         raise ValidationError(f"EnKS needs at least 2 members, got {min(sizes)}")
-    lin = _linear_matrices(problem, "ensemble Kalman runs", factors)
-    arms = [*((n, None) for n in sizes), (1, [col_f for col_f, *_ in _column_recursion(problem, *lin[:2])])]
+    lin = _linear_matrices(problem, "ensemble Kalman runs")
+    arms = [*((n, None) for n in sizes), (1, [col_f for col_f, *_ in _column_recursion(problem, *lin)])]
     keys, gains, per_replicate = np.arange(max(sizes), dtype=np.int64), {}, []
     for r in range(replicates):
         replicate = PerturbationStream(derive_seed(stream.seed, r))

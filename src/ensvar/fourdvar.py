@@ -44,8 +44,8 @@ from .ensemble import _forecast, _noise, _sample_gain, _slot_rows, _sorted_membe
 from .errors import ValidationError
 from .kalman import _normal_equations_solution
 from .numerics import _factor, _solve, _triangular_solve
-from .problem import AssimilationProblem, Operator, Trajectory, _validated_factors, validate_problem
-from .streams import NoiseKind, PerturbationStream, Phase
+from .problem import AssimilationProblem, Operator, Trajectory
+from .streams import NoiseKind, PerturbationStream, Phase, _integer
 
 __all__ = [
     "LMConfig",
@@ -87,11 +87,12 @@ class LMConfig:
             raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValidationError(f"tau must be finite and > 0, got {self.tau}")
+        object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "ensemble_sizes", tuple(int(n) for n in self.ensemble_sizes))
+        object.__setattr__(self, "ensemble_sizes", tuple(_integer("ensemble size", n) for n in self.ensemble_sizes))
         if any(n < 2 for n in self.ensemble_sizes):
             raise ValidationError("every ensemble size must be >= 2")
 
@@ -125,18 +126,13 @@ class LMRunResult:
 
 def objective(problem: AssimilationProblem, trajectory: Trajectory) -> float:
     """Weak-constraint 4DVAR objective at a trajectory."""
-    return _objective(problem, trajectory, _validated_factors(problem))
-
-
-def _objective(problem: AssimilationProblem, trajectory: Trajectory, factors) -> float:
-    """The objective of a validated problem; ``factors`` are its ``(l_b, l_q, l_r)``."""
     x = trajectory.states
     if x.shape != (problem.horizon + 1, problem.state_dim):
         raise ValidationError(
             f"trajectory shape {x.shape} does not match problem "
             f"({problem.horizon + 1}, {problem.state_dim})"
         )
-    l_b, l_q, l_r = factors
+    l_b, l_q, l_r = problem._factors
     r0 = x[0] - problem.background_mean
     total = float(r0 @ _solve(l_b, r0, "background_cov"))
     for i in range(1, problem.horizon + 1):
@@ -165,11 +161,11 @@ def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> n
     return (np.asarray(f(x + tau * y), dtype=float) - np.asarray(f(x), dtype=float)) / tau
 
 
-def _exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float, factors) -> Trajectory:
-    """``lm_exact_step`` on a validated problem with factors ``(l_b, l_q, l_r)``."""
+def lm_exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float) -> Trajectory:
+    """One exact LM step: the smoothing mean of the linearized system."""
     m, k = problem.state_dim, problem.horizon
     eye = np.eye(m)
-    l_b, l_q, l_r = factors
+    l_b, l_q, l_r = problem._factors
     # Normal equations: diagonal blocks D_i, right-hand sides b_i, and
     # blocks A_i = -Q_i^-1 M_i coupling x_i to x_{i-1}.
     diag = [_solve(l_b, eye, "background_cov")]
@@ -206,13 +202,6 @@ def _exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float, 
     return Trajectory(x)
 
 
-def lm_exact_step(
-    problem: AssimilationProblem, x_prev: Trajectory, gamma: float
-) -> Trajectory:
-    """One exact LM step: the smoothing mean of the linearized system."""
-    return _exact_step(problem, x_prev, gamma, _validated_factors(problem))
-
-
 def lm_tangent_ls_oracle(
     problem: AssimilationProblem, x_prev: Trajectory, gamma: float
 ) -> np.ndarray:
@@ -223,7 +212,6 @@ def lm_tangent_ls_oracle(
     augmented observations, and solves it in one shot.  Shares no path
     with :func:`lm_exact_step` beyond the low-level SPD solve.
     """
-    validate_problem(problem)
     steps = []
     for i in range(1, problem.horizon + 1):
         c_prev, c_i = x_prev[i - 1], x_prev[i]
@@ -235,7 +223,7 @@ def lm_tangent_ls_oracle(
     return _normal_equations_solution(problem, steps, gamma, x_prev)
 
 
-def _start(problem: AssimilationProblem, cfg: LMConfig, factors) -> tuple[Trajectory, float]:
+def _start(problem: AssimilationProblem, cfg: LMConfig) -> tuple[Trajectory, float]:
     """The initial trajectory and its objective, which must be finite."""
     x0 = cfg.initial_trajectory
     if x0 is None:
@@ -245,7 +233,7 @@ def _start(problem: AssimilationProblem, cfg: LMConfig, factors) -> tuple[Trajec
     # A start whose objective overflows is refused below, so numpy need
     # not warn about the overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _objective(problem, x0, factors)
+        value = objective(problem, x0)
     if not np.isfinite(value):
         raise ValidationError(f"LM start objective is non-finite ({value}) at the initial trajectory")
     return x0, value
@@ -253,16 +241,15 @@ def _start(problem: AssimilationProblem, cfg: LMConfig, factors) -> tuple[Trajec
 
 def lm_exact_run(problem: AssimilationProblem, cfg: LMConfig) -> LMRunResult:
     """Run the exact LM iteration for the configured budget."""
-    factors = _validated_factors(problem)
     if cfg.mode != "exact":
         raise ValidationError(f"lm_exact_run requires mode='exact', got {cfg.mode!r}")
-    x, start_objective = _start(problem, cfg, factors)
+    x, start_objective = _start(problem, cfg)
     iterates = [x]
     objectives = [start_objective]
     for _ in range(cfg.max_iterations):
-        x = _exact_step(problem, x, cfg.gamma, factors)
+        x = lm_exact_step(problem, x, cfg.gamma)
         iterates.append(x)
-        objectives.append(_objective(problem, x, factors))
+        objectives.append(objective(problem, x))
     return LMRunResult(tuple(iterates), tuple(objectives), "exact")
 
 
@@ -272,7 +259,6 @@ def _lm_ensemble_runs(
     stream: PerturbationStream,
     member_indices,
     taus: tuple[float | None, ...],
-    factors,
     keep_ensembles: bool = True,
 ) -> list[LMRunResult]:
     """The only ensemble LM step: one run per arm, all arms on shared keys.
@@ -284,12 +270,11 @@ def _lm_ensemble_runs(
     are drawn and scaled once per iteration, then the arms run one after
     another, each in a function scope of its own, so only one working
     trajectory array is alive at a time and no iteration's draws outlive
-    it; a kept ensemble is a view into its own array.  ``factors`` are the
-    Cholesky factors :func:`_validated_factors` returned for ``problem``.
+    it; a kept ensemble is a view into its own array.
     ``keep_ensembles=False`` leaves ``ensembles`` and ``max_member_norms``
     empty.
     """
-    l_b, l_q, _ = factors
+    l_b, l_q, _ = problem._factors
     if cfg.gamma <= 0:
         raise ValidationError("ensemble LM modes require gamma > 0")
     m, k = problem.state_dim, problem.horizon
@@ -303,7 +288,7 @@ def _lm_ensemble_runs(
     # blockdiag(R_i, I / gamma) does not depend on the linearization center.
     r_aug = [_augmented_noise_cov(problem, i, cfg.gamma) for i in range(1, k + 1)]
     l_r_aug = [_factor(r, "augmented obs cov") for r in r_aug]
-    start, start_objective = _start(problem, cfg, factors)
+    start, start_objective = _start(problem, cfg)
     # Per arm: iterates, objectives, final ensembles, max member norms.
     runs = [([start], [start_objective], [], []) for _ in taus]
 
@@ -332,7 +317,7 @@ def _lm_ensemble_runs(
             _update(m, out, gain_t, observation[:, None] - obs_noise[i - 1] - predicted)
 
         iterates.append(Trajectory.from_composite(trajectory.mean(axis=1), m))
-        objectives.append(_objective(problem, iterates[-1], factors))
+        objectives.append(objective(problem, iterates[-1]))
         if keep_ensembles:
             ensembles.append(_slot_rows(trajectory, slots))
             max_norms.append(float(np.max(np.linalg.norm(ensembles[-1], axis=1))))
@@ -366,7 +351,7 @@ def lm_enks_tangent_run(
     """LM with the linearized subproblem solved by an EnKS (exact Jacobians)."""
     if cfg.mode != "tangent":
         raise ValidationError(f"lm_enks_tangent_run requires mode='tangent', got {cfg.mode!r}")
-    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (None,), _validated_factors(problem))[0]
+    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (None,))[0]
 
 
 def enks_4dvar_run(
@@ -387,7 +372,7 @@ def enks_4dvar_run(
         raise ValidationError(
             f"enks_4dvar_run requires mode='finite-difference', got {cfg.mode!r}"
         )
-    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (cfg.tau,), _validated_factors(problem))[0]
+    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (cfg.tau,))[0]
 
 
 def lm_run(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonlinearOperatorError, ValidationError
 from .numerics import spd_solve
-from .problem import AssimilationProblem, GaussianEstimate, _validated_factors
+from .problem import AssimilationProblem, GaussianEstimate
 
 __all__ = [
     "KalmanFilterResult",
@@ -49,18 +49,12 @@ class KalmanSmootherResult:
     estimate: GaussianEstimate
 
 
-def _linear_matrices(problem: AssimilationProblem, what: str = "Kalman recursions", factors=None):
-    """Validate ``problem``; return its matrices and factors ``(models, obs_mats, l_b, l_q, l_r)``.
-
-    ``factors`` are :func:`_validated_factors`' result when the caller has
-    already validated ``problem``.
-    """
-    if factors is None:
-        factors = _validated_factors(problem)
+def _linear_matrices(problem: AssimilationProblem, what: str = "Kalman recursions"):
+    """The model and observation matrices ``(models, obs_mats)`` of a fully linear problem."""
     if not problem.all_linear:
         raise NonlinearOperatorError(f"{what} require every operator to be flagged linear")
     m = problem.state_dim
-    return [op.as_matrix(m) for op in problem.model_ops], [op.as_matrix(m) for op in problem.obs_ops], *factors
+    return [op.as_matrix(m) for op in problem.model_ops], [op.as_matrix(m) for op in problem.obs_ops]
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -111,7 +105,7 @@ def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
     block: the forecast/gain/update recursion on x_i alone, with the
     covariance symmetrized after each update to control round-off drift.
     """
-    recursion = _column_recursion(problem, *_linear_matrices(problem)[:2], composite=False)
+    recursion = _column_recursion(problem, *_linear_matrices(problem), composite=False)
     estimates = [GaussianEstimate(problem.background_mean.copy(), problem.background_cov.copy())]
     estimates += [GaussianEstimate(mean, cov) for *_, mean, cov in recursion]
     return KalmanFilterResult(tuple(estimates))
@@ -130,7 +124,7 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
     carried; the one estimate built is the final one.
     """
     cov = problem.background_cov
-    for _, pht, gain, mean, col in _column_recursion(problem, *_linear_matrices(problem)[:2]):
+    for _, pht, gain, mean, col in _column_recursion(problem, *_linear_matrices(problem)):
         size = cov.shape[0]
         # Rank-d update of the leading block, symmetrized straight into place.
         update = cov - gain[:size] @ pht[:size].T
@@ -152,7 +146,7 @@ def ks_least_squares_oracle(problem: AssimilationProblem) -> np.ndarray:
     and solves it with one SPD solve.  Independent of the recursion in
     :func:`ks_run`; used to cross-check it.
     """
-    models, obs_mats = _linear_matrices(problem)[:2]
+    models, obs_mats = _linear_matrices(problem)
     return _normal_equations_solution(problem, zip(models, problem.forcings, obs_mats, problem.observations))
 
 

@@ -21,11 +21,13 @@ from scipy's own compiled ``_flapack`` extension, loaded from its file
 re-exports, but importing ``scipy.linalg`` itself takes about a quarter
 of a second (its array-API layer imports ``numpy.f2py``,
 ``numpy.testing`` and more), over half of the package's import time.
-The full SPD check runs once, at the public boundary
-(:func:`cholesky_spd`, :func:`spd_solve`, ``validate_problem``); internal
-callers reuse its factors, and each kernel call checks only that its
-input is finite, which LAPACK does not.  A pass/fail test that yields
-no numbers, on matrices up to composite size, is :func:`_positive_definite`.
+The full SPD check runs once, at the public boundary: in
+:func:`cholesky_spd` and :func:`spd_solve`, and when an
+``AssimilationProblem`` is built, which keeps the factors of its
+covariances for every algorithm to reuse.  Each kernel call checks only
+that its input is finite, which LAPACK does not.  A pass/fail test that
+yields no numbers, on matrices up to composite size, is
+:func:`_positive_definite`.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ def empirical_lp_norm(samples, p: float) -> float:
     |.| is the Euclidean norm; each element of ``samples`` is one
     replicate (a vector or scalar).
     """
-    if p < 1:
-        raise ValidationError(f"p must be >= 1, got {p}")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValidationError(f"p must be finite and >= 1, got {p}")
     norms = np.array([np.linalg.norm(np.asarray(v, dtype=float).reshape(-1)) for v in samples])
     if norms.size == 0:
         raise ValidationError("empirical_lp_norm needs at least one sample")

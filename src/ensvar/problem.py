@@ -8,6 +8,10 @@ The hidden-state system is
 
 for time steps i = 1..horizon.  Operators may be nonlinear; linear ones
 are flagged and the linearity claim is checked at validation time.
+
+A problem is validated once, when it is built, and keeps the Cholesky
+factors its checks computed; its arrays are read-only copies, so it stays
+valid for as long as it lives and every algorithm reads its factors.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class Operator:
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "Operator":
-        a = np.atleast_2d(np.asarray(a, dtype=float))
+        a = _frozen(np.atleast_2d(np.asarray(a, dtype=float)))
         return cls(
             apply=lambda x, _a=a: _a @ np.asarray(x, dtype=float),
             jacobian=lambda x, _a=a: _a,
@@ -180,7 +184,20 @@ class AssimilationProblem:
     """The full stochastic system: operators, covariances, observations.
 
     Per-step lists are indexed 0..horizon-1 for steps i = 1..horizon.
-    Observation dimensions may vary across steps.
+    Observation dimensions may vary across steps.  Every array is kept as
+    a read-only float copy, and construction runs every structural check
+    (so does ``dataclasses.replace``), keeping the lower Cholesky factors
+    ``_factors = (l_b, l_q, l_r)`` of B, each Q_i and each R_i.
+
+    Raises
+    ------
+    DimensionMismatchError
+        Naming the offending field, when a length or shape is wrong.
+    NotSPDError
+        Naming the covariance, when a Cholesky factorization fails.
+    ValidationError
+        Naming the field, when an input array holds a non-finite number;
+        and when a linearity flag is contradicted by the operator itself.
     """
 
     state_dim: int
@@ -203,6 +220,7 @@ class AssimilationProblem:
         object.__setattr__(self, "obs_ops", tuple(self.obs_ops))
         object.__setattr__(self, "obs_noise_covs", tuple(_mat(a) for a in self.obs_noise_covs))
         object.__setattr__(self, "observations", tuple(_vec(v) for v in self.observations))
+        object.__setattr__(self, "_factors", _validated_factors(self))
 
     def obs_dim(self, i: int) -> int:
         """Observation dimension d_i at step i (1-based)."""
@@ -223,12 +241,19 @@ class AssimilationProblem:
         return Trajectory(np.stack(states))
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only copy of the float array ``a``, in its memory order."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 def _vec(v) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(-1)
+    return _frozen(np.asarray(v, dtype=float).reshape(-1))
 
 
 def _mat(a) -> np.ndarray:
-    return np.atleast_2d(np.asarray(a, dtype=float))
+    return _frozen(np.atleast_2d(np.asarray(a, dtype=float)))
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
@@ -237,9 +262,9 @@ def _check_finite(a: np.ndarray, name: str) -> None:
 
 
 def _check_spd(a: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of a shape-checked covariance, by the public SPD check."""
+    """Read-only lower Cholesky factor of a shape-checked covariance, by the public SPD check."""
     _check_finite(a, name)
-    return _factor(_as_spd_input(a, name), name)
+    return _frozen(_factor(_as_spd_input(a, name), name))
 
 
 @functools.lru_cache(maxsize=64)
@@ -278,25 +303,15 @@ def _check_linear_flag(op: Operator, in_dim: int, name: str) -> None:
 
 
 def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
-    """Check every structural invariant; return the problem unchanged.
-
-    Raises
-    ------
-    DimensionMismatchError
-        Naming the offending field, when a length or shape is wrong.
-    NotSPDError
-        Naming the covariance, when a Cholesky factorization fails.
-    ValidationError
-        Naming the field, when an input array holds a non-finite number;
-        and when a linearity flag is contradicted by the operator itself.
-    """
-    _validated_factors(problem)
+    """Return ``problem``, which was checked when it was built; see
+    :class:`AssimilationProblem` for what a check refuses."""
     return problem
 
 
 def _validated_factors(problem: AssimilationProblem):
-    """:func:`validate_problem`'s checks; returns the lower Cholesky factors
-    ``(l_b, l_q, l_r)`` of B, each Q_i and each R_i that they computed."""
+    """Every structural check of a problem being built; returns the lower
+    Cholesky factors ``(l_b, l_q, l_r)`` of B, each Q_i and each R_i that
+    they computed, read-only."""
     m, k = problem.state_dim, problem.horizon
     if m < 1:
         raise ValidationError(f"state_dim must be positive, got {m}")
@@ -360,4 +375,4 @@ def _validated_factors(problem: AssimilationProblem):
         if problem.obs_ops[i - 1].linear:
             _check_linear_flag(problem.obs_ops[i - 1], m, f"obs_ops[{i}]")
 
-    return l_b, l_q, l_r
+    return l_b, tuple(l_q), tuple(l_r)

@@ -40,8 +40,8 @@ from .ensemble import _coupled_diffs
 from .errors import ValidationError
 from .fourdvar import LMConfig, _lm_ensemble_runs, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
-from .problem import AssimilationProblem, _validated_factors
-from .streams import PerturbationStream, derive_seed
+from .problem import AssimilationProblem
+from .streams import PerturbationStream, _integer, derive_seed
 
 __all__ = ["StudySpec", "StudyRow", "StudyResult", "run_study", "emit", "render_csv", "render_json", "json_text"]
 
@@ -73,10 +73,11 @@ class StudySpec:
         diffs = np.diff(sweep)
         if len(sweep) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValidationError("sweep values must be strictly monotone")
+        object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
-        if self.p_order < 1:
-            raise ValidationError(f"p_order must be >= 1, got {self.p_order}")
+        if not (np.isfinite(self.p_order) and self.p_order >= 1):
+            raise ValidationError(f"p_order must be finite and >= 1, got {self.p_order}")
         if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm is None:
             raise ValidationError(f"study kind {self.kind!r} requires an LM config")
         if self.kind in ("enks-vs-ks", "lm-enks-vs-lm") and not all(v == int(v) >= 2 for v in sweep):
@@ -158,15 +159,14 @@ def _summarize(diffs: list[np.ndarray], p_order: float) -> tuple[float, float, t
     return estimate, stderr, tuple(norms)
 
 
-def _enks_vs_ks_rows(spec: StudySpec, factors) -> list[StudyRow]:
+def _enks_vs_ks_rows(spec: StudySpec) -> list[StudyRow]:
     # One coupled pass runs every ensemble size on shared draws; its time
     # is split evenly over the rows.
     if not spec.problem.all_linear:
         raise ValidationError("enks-vs-ks studies require a fully linear problem")
     t0 = time.perf_counter()
-    cells = _coupled_diffs(
-        spec.problem, tuple(int(v) for v in spec.sweep), PerturbationStream(spec.seed), spec.replicates, factors
-    )
+    sizes = tuple(int(v) for v in spec.sweep)
+    cells = _coupled_diffs(spec.problem, sizes, PerturbationStream(spec.seed), spec.replicates)
     wall = 1e3 * (time.perf_counter() - t0) / len(spec.sweep)
     return [
         StudyRow(value, *_summarize(cell, spec.p_order), wall)
@@ -174,7 +174,7 @@ def _enks_vs_ks_rows(spec: StudySpec, factors) -> list[StudyRow]:
     ]
 
 
-def _lm_enks_vs_lm_rows(spec: StudySpec, factors) -> list[StudyRow]:
+def _lm_enks_vs_lm_rows(spec: StudySpec) -> list[StudyRow]:
     base = spec.lm
     exact = lm_exact_run(spec.problem, replace(base, mode="exact", ensemble_sizes=()))
     target = exact.iterates[-1].composite
@@ -185,7 +185,7 @@ def _lm_enks_vs_lm_rows(spec: StudySpec, factors) -> list[StudyRow]:
         diffs = []
         for r in range(spec.replicates):
             stream = PerturbationStream(derive_seed(spec.seed, r))
-            (run,) = _lm_ensemble_runs(spec.problem, cfg, stream, None, (None,), factors, keep_ensembles=False)
+            (run,) = _lm_ensemble_runs(spec.problem, cfg, stream, None, (None,), keep_ensembles=False)
             diffs.append(run.iterates[-1].composite - target)
         wall = 1e3 * (time.perf_counter() - t0)
         estimate, stderr, raw = _summarize(diffs, spec.p_order)
@@ -193,16 +193,14 @@ def _lm_enks_vs_lm_rows(spec: StudySpec, factors) -> list[StudyRow]:
     return rows
 
 
-def _tau_sweep_rows(spec: StudySpec, factors) -> list[StudyRow]:
+def _tau_sweep_rows(spec: StudySpec) -> list[StudyRow]:
     # One keyed pass per replicate runs the tangent arm and every tau arm
     # on shared draws; the pass's time is split evenly over the tau rows.
     t0 = time.perf_counter()
     diffs = [[] for _ in spec.sweep]
     for r in range(spec.replicates):
         stream = PerturbationStream(derive_seed(spec.seed, r))
-        tangent, *fd = _lm_ensemble_runs(
-            spec.problem, spec.lm, stream, None, (None, *spec.sweep), factors, keep_ensembles=False
-        )
+        tangent, *fd = _lm_ensemble_runs(spec.problem, spec.lm, stream, None, (None, *spec.sweep), keep_ensembles=False)
         for cell, run in zip(diffs, fd):
             cell.append(run.iterates[-1].composite - tangent.iterates[-1].composite)
     wall = 1e3 * (time.perf_counter() - t0) / len(spec.sweep)
@@ -214,13 +212,12 @@ def _tau_sweep_rows(spec: StudySpec, factors) -> list[StudyRow]:
 
 def run_study(spec: StudySpec) -> StudyResult:
     """Run every cell of a study and fit the log-log rate."""
-    factors = _validated_factors(spec.problem)
     runner = {
         "enks-vs-ks": _enks_vs_ks_rows,
         "lm-enks-vs-lm": _lm_enks_vs_lm_rows,
         "tau-sweep": _tau_sweep_rows,
     }[spec.kind]
-    rows = runner(spec, factors)
+    rows = runner(spec)
 
     slope = intercept = None
     estimates = [r.error_estimate for r in rows]

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import cholesky_spd
-from .problem import AssimilationProblem, Operator, validate_problem
+from .problem import AssimilationProblem, Operator
 
 __all__ = ["make_toy_problem"]
 
@@ -39,7 +39,7 @@ def make_toy_problem(name: str, **params) -> AssimilationProblem:
         claims cannot be checked on it; this fixture is for qualitative
         demos only.
     """
-    return validate_problem(_toy_builder(name)(**params))
+    return _toy_builder(name)(**params)
 
 
 def _toy_builder(name):

@@ -205,6 +205,34 @@ def test_run_lm_non_finite_tau_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_finite_p_order_is_refused_before_the_study_runs(tmp_path, capsys, monkeypatch):
+    # Refused when the config is loaded, not by the writer after every cell ran.
+    ran = []
+    monkeypatch.setattr("ensvar.cli.run_study", ran.append)
+    path = tmp_path / "inf_p.yaml"
+    path.write_text(W1_CONFIG.replace("p_order: 2", "p_order: .inf"))
+    assert main(["study", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: p_order must be finite and >= 1, got inf\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("verb", ["run-ks", "run-lm", "study"])
+def test_each_verb_checks_the_problem_once(config_path, tmp_path, monkeypatch, verb):
+    # Every module's binding of the problem checks is counted: the config's
+    # problem is checked when it is built, and no runner checks it again.
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ensvar" and hasattr(module, "_validated_factors"):
+
+            def counted(problem, _original=module._validated_factors):
+                calls.append(problem)
+                return _original(problem)
+
+            monkeypatch.setattr(module, "_validated_factors", counted)
+    assert main([verb, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("verb", ["run-kf", "run-ks"])
 def test_non_finite_observation_is_validation_error(tmp_path, capsys, verb):
     path = tmp_path / "nan_y.yaml"

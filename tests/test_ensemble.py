@@ -31,7 +31,6 @@ from ensvar import (
 from ensvar import ensemble
 from ensvar.ensemble import _coupled_diffs, _sample_gain, _slot_rows, _sorted_members, _update
 from ensvar.kalman import _linear_matrices
-from ensvar.problem import _validated_factors
 from conftest import truncated
 
 
@@ -287,7 +286,7 @@ def test_update_in_row_blocks_is_the_full_width_product_bitwise(m, d):
         obs_noise_covs=tuple(spd(d) for _ in range(k)),
         observations=tuple(rng.standard_normal(d) for _ in range(k)),
     )
-    _, obs_mats, _, _, l_r = _linear_matrices(problem)
+    (_, obs_mats), (_, _, l_r) = _linear_matrices(problem), problem._factors
     for n in (7, 1000):
         for i in range(1, k + 1):
             for rows in {m, (i + 1) * m}:  # the filter's state, a smoother's trajectory
@@ -487,7 +486,7 @@ class TestCoupledError:
         # Keys 0..n-1 are a prefix of the largest size's keys, so the sizes
         # of one pass reproduce separate one-size passes bit for bit.
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=4)
-        cells = _coupled_diffs(problem, sizes, PerturbationStream(9), 3, _validated_factors(problem))
+        cells = _coupled_diffs(problem, sizes, PerturbationStream(9), 3)
         assert len(cells) == len(sizes)
         for n, cell in zip(sizes, cells):
             separate = coupled_member_diffs(problem, n, PerturbationStream(9), 3)
@@ -503,11 +502,10 @@ class TestCoupledError:
     def _peak_in_trajectories(m, k, sizes):
         """Traced peak of a warm two-replicate pass, in trajectories of the largest size."""
         problem = make_toy_problem("linear-chain", m=m, k=k, seed=0)
-        factors = _validated_factors(problem)
-        _coupled_diffs(problem, sizes, PerturbationStream(20), 1, factors)
+        _coupled_diffs(problem, sizes, PerturbationStream(20), 1)
         tracemalloc.start()
         try:
-            _coupled_diffs(problem, sizes, PerturbationStream(20), 2, factors)
+            _coupled_diffs(problem, sizes, PerturbationStream(20), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

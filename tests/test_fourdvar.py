@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 import warnings
@@ -34,7 +35,6 @@ from ensvar import (
 from ensvar import fourdvar
 from ensvar.ensemble import _coupled_diffs
 from ensvar.fourdvar import _augmented_noise_cov, _lm_ensemble_runs
-from ensvar.problem import _validated_factors
 from conftest import random_nonlinear_problem
 from test_ensemble import DegenerateStream
 
@@ -139,7 +139,7 @@ class TestExactLM:
         def no_step(*args, **kwargs):
             raise AssertionError("an LM step ran")
 
-        monkeypatch.setattr(fourdvar, "_exact_step", no_step)
+        monkeypatch.setattr(fourdvar, "lm_exact_step", no_step)
         monkeypatch.setattr(PerturbationStream, "draw_members", no_step)
         start = Trajectory([[1e153], [1e153]])
         cfg = LMConfig(gamma=1.0, mode=mode, ensemble_sizes=(8,), initial_trajectory=start)
@@ -194,7 +194,7 @@ class TestExactLM:
 
         problem = make_toy_problem(name, **params)
         for module in [m for mod_name, m in sys.modules.items() if mod_name.split(".")[0] == "ensvar"]:
-            for attr in ("_column_recursion", "ks_run", "_exact_step"):
+            for attr in ("_column_recursion", "ks_run", "lm_exact_step"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
         x_prev = Trajectory(np.random.default_rng(3).standard_normal((problem.horizon + 1, problem.state_dim)))
@@ -328,18 +328,17 @@ def test_every_sample_covariance_step_runs_the_one_kernel(monkeypatch):
                 monkeypatch.setattr(module, helper, counting)
     problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
     k, replicates, iterations, sizes, arms = problem.horizon, 3, 2, (4, 8), (None, 1e-1, 1e-2)
-    factors = _validated_factors(problem)
 
     enks_run(problem, 6, PerturbationStream(0), member_indices=[5, 1, 9, 0, 2, 7])
     assert calls == {"_forecast": k, "_sample_gain": k, "_update": k}
     calls.clear()
-    _coupled_diffs(problem, sizes, PerturbationStream(0), replicates, factors)
+    _coupled_diffs(problem, sizes, PerturbationStream(0), replicates)
     # One reference arm beside the sample arms, on exact gains.
     steps = (len(sizes) + 1) * k * replicates
     assert calls == {"_forecast": steps, "_sample_gain": len(sizes) * k * replicates, "_update": steps}
     calls.clear()
     cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(6,))
-    _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, arms, factors)
+    _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, arms)
     steps = k * iterations * len(arms)
     assert calls == {"_forecast": steps, "_sample_gain": steps, "_update": steps}
 
@@ -510,7 +509,7 @@ class TestSharedPass:
         problem = make_toy_problem(name, **params)
         taus = (1e-1, 1e-2, 1e-3)
         cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=sizes)
-        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(7), None, (None, *taus), _validated_factors(problem))
+        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(7), None, (None, *taus))
         separate = [lm_enks_tangent_run(problem, cfg, PerturbationStream(7))] + [
             enks_4dvar_run(problem, replace(cfg, mode="finite-difference", tau=tau), PerturbationStream(7))
             for tau in taus
@@ -528,7 +527,7 @@ class TestSharedPass:
         # ensemble must not be overwritten by a later arm or iteration.
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=2)
         cfg = LMConfig(gamma=1.0, max_iterations=3, mode="tangent", ensemble_sizes=(12,))
-        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(5), None, (None, 1e-1, 1e-2), _validated_factors(problem))
+        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(5), None, (None, 1e-1, 1e-2))
         kept = [e for arm in arms for e in arm.ensembles]
         assert len(kept) == 9
         for i, a in enumerate(kept):
@@ -536,9 +535,8 @@ class TestSharedPass:
 
     def test_dropping_ensembles_keeps_iterates(self, w2):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
-        factors = _validated_factors(w2)
-        kept = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2), factors)
-        dropped = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2), factors, keep_ensembles=False)
+        kept = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2))
+        dropped = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2), keep_ensembles=False)
         for a, b in zip(kept, dropped, strict=True):
             assert a.objectives == b.objectives
             assert all(np.array_equal(x.states, y.states) for x, y in zip(a.iterates, b.iterates))
@@ -549,14 +547,13 @@ class TestSharedPass:
         # before the next iteration draws, so without kept ensembles a
         # second iteration peaks no higher than the first.
         problem = make_toy_problem("linear-chain", m=6, k=6, seed=0)
-        factors = _validated_factors(problem)
         peaks = []
         for iterations in (1, 2):
             cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(2000,))
-            _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None,), factors, keep_ensembles=False)
+            _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None,), keep_ensembles=False)
             tracemalloc.start()
             try:
-                _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None,), factors, keep_ensembles=False)
+                _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None,), keep_ensembles=False)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -575,7 +572,7 @@ class TestSharedPass:
                     return _original(a, name)
 
                 monkeypatch.setattr(module, "_factor", recording)
-        objective_original = fourdvar._objective
+        objective_original = fourdvar.objective
 
         def flagged(*args):
             objectives.append(1)
@@ -585,10 +582,12 @@ class TestSharedPass:
             finally:
                 in_objective.pop()
 
-        monkeypatch.setattr(fourdvar, "_objective", flagged)
+        monkeypatch.setattr(fourdvar, "objective", flagged)
+        # Building the problem factors B, each Q_i and each R_i, once.
+        problem = replace(problem)
         cfg = LMConfig(gamma=2.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(8,))
         taus = (None, 1e-1, 1e-2, 1e-3, 1e-4)
-        _lm_ensemble_runs(problem, cfg, PerturbationStream(4), None, taus, _validated_factors(problem))
+        _lm_ensemble_runs(problem, cfg, PerturbationStream(4), None, taus)
 
         # The start objective is shared by the arms; each iterate gets one.
         assert len(objectives) == 1 + arms * iterations
@@ -605,7 +604,7 @@ class TestSharedPass:
 
     def test_each_key_drawn_once(self, w2, draw_log):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(8,))
-        _lm_ensemble_runs(w2, cfg, PerturbationStream(6), None, (None, 1e-1, 1e-2, 1e-3), _validated_factors(w2))
+        _lm_ensemble_runs(w2, cfg, PerturbationStream(6), None, (None, 1e-1, 1e-2, 1e-3))
         shared = draw_log.copy()
         draw_log.clear()
         lm_enks_tangent_run(w2, cfg, PerturbationStream(6))
@@ -634,6 +633,25 @@ class TestDispatcherAndConfig:
             LMConfig(gamma=1.0, mode="newton")
         with pytest.raises(ValidationError):
             LMConfig(gamma=1.0, ensemble_sizes=(1,))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+            ({"max_iterations": "2"}, "max_iterations must be an integer, got '2'"),
+            ({"ensemble_sizes": (16.7,)}, "ensemble size must be an integer, got 16.7"),
+            ({"ensemble_sizes": (16, "8")}, "ensemble size must be an integer, got '8'"),
+        ],
+    )
+    def test_config_refuses_a_count_that_is_not_whole(self, kwargs, message):
+        # Refused, never truncated: a truncated 16.7 would run 16 members.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            LMConfig(gamma=1.0, mode="tangent", **kwargs)
+
+    def test_config_takes_whole_floats_as_ints(self):
+        cfg = LMConfig(gamma=1.0, max_iterations=2.0, ensemble_sizes=(np.float64(16.0), 8))
+        assert cfg.max_iterations == 2 and cfg.ensemble_sizes == (16, 8)
+        assert type(cfg.max_iterations) is int and all(type(n) is int for n in cfg.ensemble_sizes)
 
     @pytest.mark.parametrize("field", ["gamma", "tau"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -73,11 +73,10 @@ class TestFilter:
 
 @pytest.mark.parametrize("runner", [kf_run, ks_run])
 def test_non_finite_background_named_before_any_estimate(runner):
-    # Validation runs before the first estimate is built, so the error
-    # names the field rather than the estimate's mean.
-    problem = _w1_variant(background_mean=np.array([np.nan]))
+    # Validation runs when the problem is built, before any estimate, so
+    # the error names the field rather than the estimate's mean.
     with pytest.raises(ValidationError, match="^background_mean contains non-finite"):
-        runner(problem)
+        runner(_w1_variant(background_mean=np.array([np.nan])))
 
 
 class TestSmoother:

@@ -261,6 +261,12 @@ class TestLpNorm:
         with pytest.raises(ValidationError):
             empirical_lp_norm([], 2.0)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_rejects_non_finite_p(self, p):
+        # The formula gives 1.0 at p = inf and nan at p = nan, neither a norm.
+        with pytest.raises(ValidationError, match=r"^p must be finite and >= 1, got (inf|nan)$"):
+            empirical_lp_norm([[3.0, 4.0], [1.0]], p)
+
 
 class TestSlopeFit:
     def test_exact_power_law(self):

@@ -59,20 +59,56 @@ def test_wrong_background_length_rejected():
 def test_asymmetric_cov_rejected():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]])
     identity2 = Operator.from_matrix(np.eye(2))
-    problem = AssimilationProblem(
-        state_dim=2,
-        horizon=1,
-        background_mean=np.zeros(2),
-        background_cov=bad,
-        model_ops=(identity2,),
-        forcings=(np.zeros(2),),
-        model_noise_covs=(np.eye(2),),
-        obs_ops=(identity2,),
-        obs_noise_covs=(np.eye(2),),
-        observations=(np.zeros(2),),
-    )
     with pytest.raises(NotSPDError, match="background_cov"):
-        validate_problem(problem)
+        AssimilationProblem(
+            state_dim=2,
+            horizon=1,
+            background_mean=np.zeros(2),
+            background_cov=bad,
+            model_ops=(identity2,),
+            forcings=(np.zeros(2),),
+            model_noise_covs=(np.eye(2),),
+            obs_ops=(identity2,),
+            obs_noise_covs=(np.eye(2),),
+            observations=(np.zeros(2),),
+        )
+
+
+def test_problem_arrays_are_read_only_copies():
+    # A built problem stays valid: its arrays, its matrix operators' copies
+    # and the factors its checks computed are read-only, while the
+    # caller's arrays stay writable and unshared.
+    cov, y, matrix = 4.0 * np.eye(1), np.array([3.0]), np.eye(1)
+    problem = _w1_with(background_cov=cov, observations=(y,), model_ops=(Operator.from_matrix(matrix),))
+    l_b, l_q, l_r = problem._factors
+    arrays = [
+        problem.background_mean,
+        problem.background_cov,
+        *problem.forcings,
+        *problem.model_noise_covs,
+        *problem.obs_noise_covs,
+        *problem.observations,
+        problem.model_ops[0].matrix,
+        l_b,
+        *l_q,
+        *l_r,
+    ]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert cov.flags.writeable and y.flags.writeable and matrix.flags.writeable
+    cov[0, 0], y[0], matrix[0, 0] = 9.0, 0.0, 5.0
+    assert problem.background_cov[0, 0] == 4.0 and problem.observations[0][0] == 3.0
+    assert problem.model_ops[0].matrix[0, 0] == 1.0
+    np.testing.assert_array_equal(l_b, [[2.0]])
+
+
+def test_replace_runs_the_checks_again(w1):
+    with pytest.raises(NotSPDError, match=r"^obs_noise_covs\[1\] is not positive definite"):
+        replace(w1, obs_noise_covs=(np.zeros((1, 1)),))
+    with pytest.raises(DimensionMismatchError, match="^background_mean has length 2"):
+        replace(w1, background_mean=np.zeros(2))
+    np.testing.assert_array_equal(replace(w1, background_cov=[[9.0]])._factors[0], [[3.0]])
 
 
 def test_false_linear_flag_rejected():

@@ -49,6 +49,22 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             StudySpec(kind="enks-vs-ks", sweep=(10,), replicates=0, problem=w1)
 
+    @pytest.mark.parametrize("p_order", [np.inf, np.nan])
+    def test_rejects_non_finite_p_order(self, p_order):
+        # An infinite p would make every error estimate 1.0 and the slope 0.0.
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=11)
+        with pytest.raises(ValidationError, match=r"^p_order must be finite and >= 1, got (inf|nan)$"):
+            StudySpec(kind="enks-vs-ks", sweep=(16, 64), replicates=3, problem=problem, seed=1, p_order=p_order)
+
+    @pytest.mark.parametrize("replicates", [2.5, "3", None])
+    def test_replicates_must_be_a_whole_number(self, w1, replicates):
+        with pytest.raises(ValidationError, match=r"^replicates must be an integer, got "):
+            StudySpec(kind="enks-vs-ks", sweep=(10,), replicates=replicates, problem=w1)
+
+    def test_whole_float_replicates_become_an_int(self, w1):
+        spec = StudySpec(kind="enks-vs-ks", sweep=(10,), replicates=np.float64(3.0), problem=w1)
+        assert spec.replicates == 3 and type(spec.replicates) is int
+
     def test_unknown_kind(self, w1):
         with pytest.raises(ValidationError):
             StudySpec(kind="enkf-vs-kf", sweep=(10,), replicates=1, problem=w1)
@@ -146,8 +162,9 @@ class TestRunStudy:
         assert sum(r.wall_ms for r in rows) == pytest.approx(1e3 * ticks[0])
 
     def test_enks_study_validates_once(self, monkeypatch):
-        # run_study validates the problem and runs the exact recursion once;
-        # the coupled pass takes its factors and serves every sweep value.
+        # The problem is validated once, when it is built, and run_study
+        # runs no check; the exact recursion runs once and the coupled pass
+        # serves every sweep value.
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
         calls = {"_validated_factors": 0, "_column_recursion": 0}
         for name in calls:
@@ -160,6 +177,8 @@ class TestRunStudy:
                         return _original(*args, **kwargs)
 
                     monkeypatch.setattr(module, name, counted)
+        problem = replace(problem)
+        assert calls == {"_validated_factors": 1, "_column_recursion": 0}
         run_study(StudySpec(kind="enks-vs-ks", sweep=(8, 16, 32), replicates=2, problem=problem, seed=3))
         assert calls == {"_validated_factors": 1, "_column_recursion": 1}
 
