@@ -49,10 +49,11 @@ Every draw is scaled by its Cholesky factor in one place, :func:`_noise`.
 Here the model draw is made just before the forecast and the observation
 draw w only after the gains; a keyed draw is a pure function of its key,
 so that moves no number.  The smoother pass runs each phase over all its
-arms before the next, freeing the model draw before the gains: the
-step's peak is then the trajectories plus one gain's deviations of the
-composite forecast, with no draw or full-width update product beside
-them.
+arms before the next, freeing the model draw before the gains.  The
+gain's P H^T and the update's product both run over the same m-row
+blocks (:func:`_row_blocks`), so every phase holds at most one state
+block of temporaries beside the trajectories: no composite deviations,
+draw or full-width update product.
 
 The degenerate zero-spread ensemble needs no special casing: all sample
 products vanish, the innovation covariance reduces to R (still SPD), and
@@ -64,6 +65,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -71,7 +73,7 @@ from .errors import ValidationError
 from .kalman import _column_recursion, _linear_matrices
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem
-from .streams import NoiseKind, PerturbationStream, Phase, _member_keys, derive_seed
+from .streams import NoiseKind, PerturbationStream, Phase, _integer, _member_keys, derive_seed
 
 __all__ = [
     "EnsembleRunResult",
@@ -128,21 +130,39 @@ def _gain_transpose(pht: np.ndarray, hpht: np.ndarray, obs_cov: np.ndarray) -> n
     return _solve(factor, pht.T, "innovation covariance")
 
 
-def _sample_gain(forecast: np.ndarray, observe, obs_cov: np.ndarray) -> np.ndarray:
+def _row_blocks(m: int, rows: int) -> Iterator[tuple[int, int]]:
+    """The (start, stop) row blocks of a composite with ``rows`` rows and
+    time blocks of m rows: one time block each, or row pairs when m = 1,
+    the last taking any odd row.
+
+    A one-row block would take numpy's matrix-vector path, whose bits can
+    differ, so a block has two rows or more unless the composite has one.
+    """
+    # No block starts on the last row, so a block has one row only when rows is 1.
+    edges = [*range(0, max(rows - 1, 1), max(m, 2)), rows]
+    return zip(edges, edges[1:])
+
+
+def _sample_gain(forecast: np.ndarray, m: int, observe, obs_cov: np.ndarray) -> np.ndarray:
     """The analysis step's K^T from the sample products of a forecast ensemble.
 
-    ``forecast`` is a (state, member) array in ascending key order;
-    ``observe`` maps its deviations to observed deviations, column by
-    column.  K = P H^T (H P H^T + R)^-1 takes only these two products, so
-    no covariance is formed, and the deviations are freed on return.  The
+    ``forecast`` is a (state, member) array in ascending key order whose
+    last m rows are the newest time block; ``observe`` maps that block's
+    (m, member) deviations to observed deviations, column by column.
+    K = P H^T (H P H^T + R)^-1 takes only these two products, so no
+    covariance is formed, and P H^T is filled over :func:`_row_blocks`,
+    so no deviations of the whole composite are formed either.  The
     factor refuses a non-finite forecast's products, so numpy need not warn.
     """
     n = forecast.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = forecast - forecast.mean(axis=1, keepdims=True)
-        obs_dev = observe(dev)
+        mean = forecast.mean(axis=1, keepdims=True)
+        obs_dev = observe(forecast[-m:] - mean[-m:])
         hpht = obs_dev @ obs_dev.T / (n - 1)
-        return _gain_transpose(dev @ obs_dev.T / (n - 1), 0.5 * (hpht + hpht.T), obs_cov)
+        pht = np.empty((len(forecast), len(obs_dev)))
+        for start, stop in _row_blocks(m, len(forecast)):
+            pht[start:stop] = (forecast[start:stop] - mean[start:stop]) @ obs_dev.T / (n - 1)
+        return _gain_transpose(pht, 0.5 * (hpht + hpht.T), obs_cov)
 
 
 def _noise(stream, phase, iteration, members):
@@ -182,7 +202,7 @@ def _gain(problem, lin, i, out, cov_f=None, gains=None) -> np.ndarray:
     in ``gains`` (one run's dict)."""
     m, h_i, r_i = problem.state_dim, lin[1][i - 1], problem.obs_noise_covs[i - 1]
     if cov_f is None:
-        return _sample_gain(out, lambda dev: h_i @ dev[-m:], r_i)
+        return _sample_gain(out, m, h_i.__matmul__, r_i)
     if i not in gains:
         gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
     return gains[i]
@@ -191,24 +211,22 @@ def _gain(problem, lin, i, out, cov_f=None, gains=None) -> np.ndarray:
 def _innovations(problem, lin, i, out, noise) -> np.ndarray:
     """Step i's innovations of perturbed observations, ``y - noise - H x``,
     for the forecast ``out`` and the scaled observation draw ``noise``."""
-    return problem.observations[i - 1][:, None] - noise - lin[1][i - 1] @ out[-problem.state_dim :]
+    innovations = problem.observations[i - 1][:, None] - noise
+    innovations -= lin[1][i - 1] @ out[-problem.state_dim :]
+    return innovations
 
 
 def _update(m, out, gain_t, innovations) -> None:
     """The analysis, in place: ``gain_t.T @ innovations`` is added to the
     forecast ``out``, whose time blocks have m rows.
 
-    The product is added in row blocks, so none as large as ``out`` is
-    formed.  A one-row block would take numpy's matrix-vector path, whose
-    bits can differ, so a block has two rows or more unless ``out`` has
-    one: one time block, or row pairs when m = 1, the last taking any odd
-    row.  The blocks match the full-width product's bits while it has at
-    most about 10^6 multiply-adds (rows * len(innovations) * N); above
-    that OpenBLAS may pick another kernel, which can differ in the last bit.
+    The product is added over :func:`_row_blocks`, so none as large as
+    ``out`` is formed.  The blocks match the full-width product's bits
+    while it has at most about 10^6 multiply-adds (rows * len(innovations)
+    * N); above that OpenBLAS may pick another kernel, which can differ in
+    the last bit.
     """
-    # No block starts on the last row, so a block has one row only when out does.
-    edges = [*range(0, max(len(out) - 1, 1), max(m, 2)), len(out)]
-    for start, stop in zip(edges, edges[1:]):
+    for start, stop in _row_blocks(m, len(out)):
         out[start:stop] += gain_t[:, start:stop].T @ innovations
 
 
@@ -269,6 +287,7 @@ def _filter_run(problem, lin, stream, members) -> list[np.ndarray]:
 
 
 def _ensemble_result(name, run, problem, n_members, stream, member_indices, fewest=2) -> EnsembleRunResult:
+    n_members = _integer("ensemble size", n_members)
     if n_members < fewest:
         raise ValidationError(f"{name} needs at least {fewest} member{'s' * (fewest > 1)}, got {n_members}")
     members, slots = _sorted_members(n_members, member_indices)
@@ -357,6 +376,7 @@ def _coupled_diffs(problem, sizes, stream, replicates) -> list[list[np.ndarray]]
     One reference arm (key 0, exact gains) serves every size.  Returns one
     list of per-replicate diffs per size.
     """
+    replicates, sizes = _integer("replicates", replicates), [_integer("ensemble size", n) for n in sizes]
     if replicates < 1:
         raise ValidationError(f"replicates must be >= 1, got {replicates}")
     if min(sizes) < 2:

@@ -307,7 +307,7 @@ def _lm_ensemble_runs(
             # The stacked operator's lower block is the identity, whose
             # directional derivative is the direction itself.
             gain_t = _sample_gain(
-                out, lambda dev: np.vstack([directional(hop, c_i, h_c, dev[-m:], tau), dev[-m:]]), r_aug[i - 1]
+                out, m, lambda dev: np.vstack([directional(hop, c_i, h_c, dev, tau), dev]), r_aug[i - 1]
             )
             dev_center = out[-m:] - c_i[:, None]
             predicted = np.vstack(

@@ -49,27 +49,34 @@ class Operator:
     ``apply`` maps a state vector to an output vector.  ``jacobian``, if
     registered, maps a state vector to the (out_dim, in_dim) Jacobian
     matrix at that point.  Operators flagged ``linear`` may carry their
-    matrix directly; algorithms that require linearity or a Jacobian fail
-    fast instead of silently substituting an approximation.  ``rows``, if
-    registered, is ``apply`` vectorized over the rows of an (N, in_dim)
-    array; it must agree with ``apply`` row by row, bit for bit.
+    matrix directly, of which they keep a read-only copy; given no
+    ``apply``, they apply that copy.  Algorithms that require linearity
+    or a Jacobian fail fast instead of silently substituting an
+    approximation.  ``rows``, if registered, is ``apply`` vectorized over
+    the rows of an (N, in_dim) array; it must agree with ``apply`` row by
+    row, bit for bit.
     """
 
-    apply: Callable[[np.ndarray], np.ndarray]
+    apply: Callable[[np.ndarray], np.ndarray] | None = None
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     linear: bool = False
     matrix: np.ndarray | None = None
     rows: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self) -> None:
+        # A copy, so that writing to the caller's array cannot make a built
+        # problem's checks stale.
+        if self.matrix is not None:
+            object.__setattr__(self, "matrix", _mat(self.matrix))
+            if self.apply is None:
+                object.__setattr__(self, "apply", self.matrix.__matmul__)
+        if self.apply is None:
+            raise ValidationError("an operator needs apply or matrix")
+
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "Operator":
-        a = _frozen(np.atleast_2d(np.asarray(a, dtype=float)))
-        return cls(
-            apply=lambda x, _a=a: _a @ np.asarray(x, dtype=float),
-            jacobian=lambda x, _a=a: _a,
-            linear=True,
-            matrix=a,
-        )
+        """The linear operator x -> a x, on the read-only copy of ``a`` it keeps."""
+        return cls(linear=True, matrix=a)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.apply(np.asarray(x, dtype=float)), dtype=float)

@@ -15,8 +15,9 @@ turned into normals by the Box-Muller transform (fixed consumption: one
 128-bit block per pair of normals).  Generation is vectorized across
 members, which is where all the volume is: the member counters are
 broadcast against the block counters, not tiled, and each Philox word and
-Box-Muller temporary is freed once used, so a draw of even dimension
-peaks at about 3.5 times its output.  A normal's last bits are those of
+Box-Muller temporary is freed once used, and the later Philox rounds
+overwrite their words in place, so a draw of even dimension peaks at
+about 2.5 times its output.  A normal's last bits are those of
 numpy's float64 log, cos and sin on the host, whose log is not libm's
 where numpy dispatches it to AVX-512.
 
@@ -121,25 +122,40 @@ def _philox_blocks(c0, c1: int, c2: int, c3, k0: int, k1: int) -> list:
     A word stays as small as the counters it depends on (scalars and short
     rows in the first rounds); products of two 32-bit values fit a uint64.
     Constants are ``np.uint64``: before NEP 50, uint64 combined with a
-    Python int becomes float64.  The words take the counters over, and
-    each word is dropped as soon as its round has no further use for it,
-    so at most four words and the temporaries of one new word are alive at
-    once.  Returns the four 32-bit output words as a list, for
-    :func:`_normals_from_blocks` to take over.
+    Python int becomes float64.  In the first three rounds each word is
+    dropped as soon as its round has no further use for it.  From the
+    fourth on, x0, x2 and x3 are (N, B) arrays made here, which each round
+    overwrites in place, so at most four words and one shifted word are
+    alive at once; the caller's counters are never written.  Returns the
+    four 32-bit output words as a list, for :func:`_normals_from_blocks`
+    to take over.
     """
     x0, x1, x2, x3 = c0, _U64(c1), _U64(c2), c3
     del c0, c3
     key0, key1 = _U64(k0), _U64(k1)
-    for _ in range(10):
-        p0 = _M0 * x0
-        p1 = _M1 * x2
-        del x0, x2
-        x0 = (p1 >> _U64(32)) ^ (x1 ^ key0)
-        x1 = p1 & _MASK32
-        del p1
-        x2 = (p0 >> _U64(32)) ^ (x3 ^ key1)
-        x3 = p0 & _MASK32
-        del p0
+    for r in range(10):
+        if r < 3:
+            p0 = _M0 * x0
+            p1 = _M1 * x2
+            del x0, x2
+            x0 = (p1 >> _U64(32)) ^ (x1 ^ key0)
+            x1 = p1 & _MASK32
+            del p1
+            x2 = (p0 >> _U64(32)) ^ (x3 ^ key1)
+            x3 = p0 & _MASK32
+            del p0
+        else:
+            x0 *= _M0  # p0
+            x2 *= _M1  # p1
+            hi = x2 >> _U64(32)  # the new x0; x1 is still a (B,) row in the fourth round
+            hi ^= x1
+            hi ^= key0
+            del x1
+            x2 &= _MASK32  # the new x1
+            x3 ^= x0 >> _U64(32)  # the new x2
+            x3 ^= key1
+            x0 &= _MASK32  # the new x3
+            x0, x1, x2, x3 = hi, x2, x3, x0
         key0, key1 = (key0 + _W0) & _MASK32, (key1 + _W1) & _MASK32
     return [x0, x1, x2, x3]
 

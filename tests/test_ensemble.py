@@ -29,7 +29,7 @@ from ensvar import (
     sample_covariance,
 )
 from ensvar import ensemble
-from ensvar.ensemble import _coupled_diffs, _sample_gain, _slot_rows, _sorted_members, _update
+from ensvar.ensemble import _coupled_diffs, _gain_transpose, _sample_gain, _slot_rows, _sorted_members, _update
 from ensvar.kalman import _linear_matrices
 from conftest import truncated
 
@@ -196,6 +196,16 @@ class TestEnKS:
         for i, a in enumerate(analyses):
             assert not any(np.shares_memory(a, b) for b in analyses[i + 1 :])
 
+    def test_rejects_non_whole_ensemble_size(self, w1):
+        # 16.7 members would otherwise run as 17, and 2.5 as 3.
+        for runner, n in ((enks_run, 16.7), (enkf_run, 16.7), (reference_enks_run, 2.5)):
+            with pytest.raises(ValidationError, match="ensemble size must be an integer"):
+                runner(w1, n, PerturbationStream(0))
+        np.testing.assert_array_equal(
+            enks_run(w1, 4.0, PerturbationStream(0)).analysis_ensembles[-1],
+            enks_run(w1, 4, PerturbationStream(0)).analysis_ensembles[-1],
+        )
+
     def test_rejects_non_integer_member_keys(self, w1):
         # 0.3 and 1.6 would otherwise run as keys 0 and 1.
         for runner in (enks_run, enkf_run, reference_enks_run):
@@ -238,16 +248,41 @@ class TestEnKS:
         run = enks_run(problem, 30, PerturbationStream(14))
         for i, forecast in enumerate(_forecasts(problem, run, PerturbationStream(14), composite=True), start=1):
             h_i, r_i = problem.obs_ops[i - 1].matrix, problem.obs_noise_covs[i - 1]
-            gain_t = _sample_gain(forecast.T, lambda dev: h_i @ dev[-m:], r_i)
+            gain_t = _sample_gain(forecast.T, m, h_i.__matmul__, r_i)
             dense = sample_covariance(forecast)
             dense_gain_t = np.linalg.solve(h_i @ dense[-m:, -m:] @ h_i.T + r_i, h_i @ dense[-m:])
             assert np.abs(gain_t - dense_gain_t).max() <= 1e-10 * max(np.abs(dense_gain_t).max(), 1.0)
 
 
+def _full_deviation_gain(forecast, m, observe, obs_cov):
+    """K^T from the deviations of the whole composite forecast, each
+    product in one call: the row-block gain's plain reference."""
+    n = forecast.shape[1]
+    dev = forecast - forecast.mean(axis=1, keepdims=True)
+    obs_dev = observe(dev[-m:])
+    hpht = obs_dev @ obs_dev.T / (n - 1)
+    return _gain_transpose(dev @ obs_dev.T / (n - 1), 0.5 * (hpht + hpht.T), obs_cov)
+
+
+@pytest.mark.parametrize("m,k,n,tol", [(3, 6, 200, 1e-13), (1, 1, 50, 0.0), (1, 1, 2000, 0.0)])
+def test_row_block_gain_matches_full_deviation_reference(m, k, n, tol):
+    # Blocks of P H^T are separate gemms, which may round differently from
+    # the one composite product; a single-block composite (m = k = 1) must
+    # reproduce it bit for bit.
+    problem = make_toy_problem("linear-chain", m=m, k=k, seed=5)
+    run = enks_run(problem, n, PerturbationStream(6))
+    for i, forecast in enumerate(_forecasts(problem, run, PerturbationStream(6), composite=True), start=1):
+        h_i, r_i = problem.obs_ops[i - 1].matrix, problem.obs_noise_covs[i - 1]
+        forecast = np.ascontiguousarray(forecast.T)  # state-major, as the runners hold it
+        got = _sample_gain(forecast, m, h_i.__matmul__, r_i)
+        want = _full_deviation_gain(forecast, m, h_i.__matmul__, r_i)
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
 def test_analysis_update_non_spd_innovation_covariance():
     # Zero spread leaves H P H^T + R = R, here negative.
     with pytest.raises(NotSPDError, match="innovation covariance"):
-        _sample_gain(np.zeros((3, 2)), lambda dev: dev[-1:], np.array([[-5.0]]))
+        _sample_gain(np.zeros((3, 2)), 1, lambda dev: dev, np.array([[-5.0]]))
 
 
 def test_analysis_update_non_finite_products_name_the_innovation_covariance():
@@ -255,10 +290,10 @@ def test_analysis_update_non_finite_products_name_the_innovation_covariance():
     # them with a package error, not scipy's bare ValueError.
     nan = np.nan
     with pytest.raises(NotSPDError, match="innovation covariance contains non-finite entries"):
-        _sample_gain(np.zeros((3, 2)), lambda dev: np.array([[nan, nan]]), np.eye(1))
+        _sample_gain(np.zeros((3, 2)), 1, lambda dev: np.array([[nan, nan]]), np.eye(1))
     # A non-finite unobserved component leaves H P H^T finite but not P H^T.
     with pytest.raises(ValidationError, match="right-hand side of the innovation covariance solve"):
-        _sample_gain(np.array([[nan, nan], [0.0, 1.0]]), lambda dev: dev[-1:], np.eye(1))
+        _sample_gain(np.array([[nan, nan], [0.0, 1.0]]), 1, lambda dev: dev, np.eye(1))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -498,6 +533,15 @@ class TestCoupledError:
         with pytest.raises(ValidationError):
             coupled_member_diffs(w1, 10, PerturbationStream(1), 0)
 
+    def test_rejects_non_whole_sizes_and_replicates(self, w1):
+        with pytest.raises(ValidationError, match="replicates must be an integer"):
+            coupled_member_diffs(w1, 10, PerturbationStream(1), 2.5)
+        with pytest.raises(ValidationError, match="ensemble size must be an integer"):
+            coupled_member_diffs(w1, 10.5, PerturbationStream(1), 2)
+        whole = coupled_member_diffs(w1, 10.0, PerturbationStream(1), 2.0)
+        for a, b in zip(whole, coupled_member_diffs(w1, 10, PerturbationStream(1), 2)):
+            np.testing.assert_array_equal(a, b)
+
     @staticmethod
     def _peak_in_trajectories(m, k, sizes):
         """Traced peak of a warm two-replicate pass, in trajectories of the largest size."""
@@ -514,10 +558,16 @@ class TestCoupledError:
     def test_pass_peak_memory_is_bounded_by_its_trajectories(self):
         # Each arm holds one trajectory array for the whole pass, so the
         # peak is a few trajectories of the largest size, not a copy per
-        # step.  The step's draws and the update's temporaries are never
-        # alive beside the gain's composite deviations.
-        assert self._peak_in_trajectories(3, 6, (50, 2000)) <= 2.45
+        # step.  Every phase holds at most one m-row state block of
+        # temporaries beside the trajectories: the gain fills P H^T block
+        # by block, and no draw outlives its phase.
+        assert self._peak_in_trajectories(3, 6, (50, 2000)) <= 1.85
+
+    def test_long_pass_peak_memory_shrinks_toward_its_trajectories(self):
+        # At k = 20 one state block is a small part of the trajectory, so
+        # the peak comes closer to the trajectories alone than at k = 6.
+        assert self._peak_in_trajectories(4, 20, (50, 2000)) <= 1.45
 
     def test_enks_rate_pass_peak_memory_is_bounded_by_its_trajectories(self):
         # The enks-rate study's shape: three arms sharing each draw.
-        assert self._peak_in_trajectories(2, 3, (100, 1000, 10000)) <= 2.65
+        assert self._peak_in_trajectories(2, 3, (100, 1000, 10000)) <= 2.15

@@ -13,6 +13,7 @@ from ensvar import (
     Trajectory,
     ValidationError,
     kf_run,
+    ks_run,
     make_toy_problem,
     validate_problem,
 )
@@ -101,6 +102,24 @@ def test_problem_arrays_are_read_only_copies():
     assert problem.background_cov[0, 0] == 4.0 and problem.observations[0][0] == 3.0
     assert problem.model_ops[0].matrix[0, 0] == 1.0
     np.testing.assert_array_equal(l_b, [[2.0]])
+
+
+def test_operator_built_with_a_matrix_keeps_a_read_only_copy():
+    # A write to the caller's array after construction reaches neither the
+    # operator nor the problem checked with it.
+    a, b = np.eye(1), np.eye(1)
+    direct = Operator(apply=lambda x: np.array(x), linear=True, matrix=a)
+    from_matrix = Operator.from_matrix(b)
+    problem = _w1_with(model_ops=(direct,), obs_ops=(from_matrix,))
+    a[0, 0] = b[0, 0] = np.nan
+    for op in (direct, from_matrix):
+        assert not op.matrix.flags.writeable
+        np.testing.assert_array_equal(op.matrix, [[1.0]])
+        np.testing.assert_array_equal(op.jacobian_at(np.zeros(1)), [[1.0]])
+    np.testing.assert_array_equal(from_matrix(np.array([2.0])), [2.0])
+    np.testing.assert_array_equal(ks_run(problem).estimate.mean, ks_run(_w1_with()).estimate.mean)
+    with pytest.raises(ValidationError, match="apply or matrix"):
+        Operator(linear=True)
 
 
 def test_replace_runs_the_checks_again(w1):
