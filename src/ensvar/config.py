@@ -54,6 +54,9 @@ from .toys import _toy_builder, make_toy_problem
 __all__ = ["LoadedConfig", "load_config"]
 
 _PER_STEP_FIELDS = ("M", "mu", "Q", "H", "R", "y")
+# libyaml's C parser where PyYAML was built with it: the same documents,
+# about seven times faster on a workload config.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _float_array(value) -> np.ndarray:
@@ -188,7 +191,7 @@ def load_config(path) -> LoadedConfig:
     """Parse a config file into problem/LM/study objects."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ValidationError(f"config is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

@@ -31,6 +31,9 @@ differences between them isolate the approximation under study.  All
 arms share each draw, in one pass: a tau sweep advances the tangent arm
 and every tau arm through each LM iteration on one draw of its keys,
 each arm and iteration in a trajectory array of its own (``_trajectory``).
+An iteration's 2k+1 keys (init, k model, k augmented observation) come
+from one pass of the stream's kernel, ``ensemble._noises``, which scales
+each member chunk straight into its per-key arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import _forecast, _noise, _sample_gain, _slot_rows, _sorted_members, _trajectory, _update
+from .ensemble import _forecast, _noises, _sample_gain, _slot_rows, _sorted_members, _trajectory, _update
 from .errors import ValidationError
 from .kalman import _normal_equations_solution
 from .numerics import _factor, _solve, _triangular_solve
@@ -266,8 +269,9 @@ def _lm_ensemble_runs(
     An arm is a forward-difference step tau, or ``None`` for the tangent
     arm.  Per LM iteration j, each arm runs the EnKS's step on the system
     linearized at its own previous iterate, with the damping realized as
-    stacked observations; only the linearization is its own.  The keys
-    are drawn and scaled once per iteration, then the arms run one after
+    stacked observations; only the linearization is its own.  The
+    iteration's 2k+1 keys are drawn in one kernel pass and scaled chunk
+    by chunk into their arrays (``_noises``), then the arms run one after
     another, each in a function scope of its own, so only one working
     trajectory array is alive at a time and no iteration's draws outlive
     it; a kept ensemble is a view into its own array.
@@ -326,10 +330,12 @@ def _lm_ensemble_runs(
         """LM iteration j on every arm, from one draw of its keys, which is
         freed on return, before iteration j+1 draws."""
         members, slots = _sorted_members(cfg.ensemble_size_for(j), member_indices)
-        noise = _noise(stream, Phase.LM, j, members)
-        init = problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)
-        model_noise = [noise(i, NoiseKind.MODEL, l) for i, l in enumerate(l_q, 1)]
-        obs_noise = [noise(i, NoiseKind.OBS, l) for i, l in enumerate(l_r_aug, 1)]
+        keys = [(0, NoiseKind.INIT, l_b)]
+        keys += [(i, NoiseKind.MODEL, l) for i, l in enumerate(l_q, 1)]
+        keys += [(i, NoiseKind.OBS, l) for i, l in enumerate(l_r_aug, 1)]
+        init, *noise = _noises(stream, Phase.LM, j, members, keys)
+        init += problem.background_mean[:, None]
+        model_noise, obs_noise = noise[:k], noise[k:]
         for tau, run in zip(taus, runs):
             run_arm(tau, run, init, model_noise, obs_noise, slots)
 

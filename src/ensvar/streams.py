@@ -12,14 +12,21 @@ isolates algorithmic error rather than Monte Carlo noise.
 Draws are generated with the Philox 4x32-10 counter-based generator, with
 the key components packed bijectively into the counter/key words, and
 turned into normals by the Box-Muller transform (fixed consumption: one
-128-bit block per pair of normals).  Generation is vectorized across
-members, which is where all the volume is: the member counters are
-broadcast against the block counters, not tiled, and each Philox word and
-Box-Muller temporary is freed once used, and the later Philox rounds
-overwrite their words in place, so a draw of even dimension peaks at
-about 2.5 times its output.  A normal's last bits are those of
-numpy's float64 log, cos and sin on the host, whose log is not libm's
-where numpy dispatches it to AVX-512.
+128-bit block per pair of normals).  One kernel, :func:`_draw_chunks`,
+makes every draw.  It runs over a (member x block) counter grid whose
+rows may belong to several keys: each block row carries its own c1
+(phase, kind, iteration) and c2 (time index) words, so the keys of one
+LM iteration are drawn in one vectorized pass
+(:meth:`PerturbationStream.draw_keys`), and a key's normals never depend
+on the keys drawn beside it.  The member counters are broadcast against
+the block rows, not tiled, and members are taken in chunks of at most
+``_BLOCK_BUDGET`` blocks (one member at least), so a draw's temporaries
+are bounded by one chunk whatever the ensemble size.  Within a chunk
+each Philox word and Box-Muller temporary is freed once used, and the
+later Philox rounds overwrite their words in place, so a one-chunk draw
+of even dimension peaks at about 2.5 times its output.  A normal's last
+bits are those of numpy's float64 log, cos and sin on the host, whose
+log is not libm's where numpy dispatches it to AVX-512.
 
 Key components, members, seeds and derivation indices must be whole
 numbers (an integral float passes): anything else is refused, never
@@ -32,7 +39,8 @@ import hashlib
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +56,7 @@ __all__ = [
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
+_SHIFT32 = _U64(32)
 # Philox 4x32 round constants (Salmon et al.'s Random123 parameterization).
 _M0 = _U64(0xD2511F53)
 _M1 = _U64(0xCD9E8D57)
@@ -57,6 +66,9 @@ _W1 = _U64(0xBB67AE85)
 _SEED_LIMIT = 1 << 64
 _ITER_LIMIT = 1 << 16
 _INDEX_LIMIT = 1 << 32
+# Counter blocks per member chunk of a draw: a draw of 10**4 members at
+# one block each, the largest of the coupled EnKS study, stays one chunk.
+_BLOCK_BUDGET = 1 << 14
 
 
 class Phase(IntEnum):
@@ -104,6 +116,20 @@ def _check_component(name: str, value, limit: int) -> int:
     return value
 
 
+def _checked_key(phase, iteration, time_index, kind, dim) -> tuple[int, int, int]:
+    """A key's (c1 word, time index, dim), each component checked."""
+    phase = _check_component("phase", phase, 256)
+    kind = _check_component("kind", kind, 256)
+    iteration = _check_component("iteration", iteration, _ITER_LIMIT)
+    time_index = _check_component("time_index", time_index, _INDEX_LIMIT)
+    dim = _integer("draw dimension", dim)
+    if dim < 1:
+        raise ValidationError(f"draw dimension must be >= 1, got {dim}")
+    if (dim + 1) // 2 >= _INDEX_LIMIT:
+        raise ValidationError(f"draw dimension {dim} too large")
+    return _key_word(phase, kind, iteration), time_index, dim
+
+
 def _member_keys(members) -> np.ndarray:
     """Member keys as a 1-d int64 array, each a whole number in [0, 2**32)."""
     keys = np.asarray(members)
@@ -116,46 +142,56 @@ def _member_keys(members) -> np.ndarray:
     return keys.astype(np.int64, copy=False)
 
 
-def _philox_blocks(c0, c1: int, c2: int, c3, k0: int, k1: int) -> list:
+def _philox_blocks(c0, c1, c2, c3, k0: int, k1: int) -> list:
     """Philox 4x32-10 on counters broadcast from (B,) blocks ``c0`` and (N, 1) keys ``c3``.
 
-    A word stays as small as the counters it depends on (scalars and short
-    rows in the first rounds); products of two 32-bit values fit a uint64.
+    ``c1`` and ``c2`` are ints, or (B,) rows with a word per block.  A word
+    stays as small as the counters it depends on (scalars and short rows
+    in the first rounds); products of two 32-bit values fit a uint64.
     Constants are ``np.uint64``: before NEP 50, uint64 combined with a
     Python int becomes float64.  In the first three rounds each word is
     dropped as soon as its round has no further use for it.  From the
     fourth on, x0, x2 and x3 are (N, B) arrays made here, which each round
-    overwrites in place, so at most four words and one shifted word are
-    alive at once; the caller's counters are never written.  Returns the
-    four 32-bit output words as a list, for :func:`_normals_from_blocks`
-    to take over.
+    overwrites in place; the new x0 and the shifted x0 go to words freed
+    by the round before, so at most four words and one spare are alive at
+    once and no round after the fourth allocates.  The caller's counters
+    are never written.  Returns the four 32-bit output words as a list,
+    for :func:`_normals_from_blocks` to take over.
     """
     x0, x1, x2, x3 = c0, _U64(c1), _U64(c2), c3
     del c0, c3
+    spare = None
     key0, key1 = _U64(k0), _U64(k1)
     for r in range(10):
         if r < 3:
             p0 = _M0 * x0
             p1 = _M1 * x2
             del x0, x2
-            x0 = (p1 >> _U64(32)) ^ (x1 ^ key0)
+            x0 = (p1 >> _SHIFT32) ^ (x1 ^ key0)
             x1 = p1 & _MASK32
             del p1
-            x2 = (p0 >> _U64(32)) ^ (x3 ^ key1)
+            x2 = (p0 >> _SHIFT32) ^ (x3 ^ key1)
             x3 = p0 & _MASK32
             del p0
         else:
             x0 *= _M0  # p0
             x2 *= _M1  # p1
-            hi = x2 >> _U64(32)  # the new x0; x1 is still a (B,) row in the fourth round
+            hi = np.right_shift(x2, _SHIFT32, out=spare)  # the new x0
             hi ^= x1
             hi ^= key0
+            # From the fifth round on, x1 is an (N, B) word made here, free
+            # to take the shifted x0; in the fourth it is still a (B,) row.
+            spare = x1 if r > 3 and isinstance(x1, np.ndarray) else None
             del x1
             x2 &= _MASK32  # the new x1
-            x3 ^= x0 >> _U64(32)  # the new x2
+            shifted = np.right_shift(x0, _SHIFT32, out=spare)
+            x3 ^= shifted  # the new x2
             x3 ^= key1
             x0 &= _MASK32  # the new x3
             x0, x1, x2, x3 = hi, x2, x3, x0
+            # The shifted word takes the next round's new x0.
+            spare = shifted if isinstance(shifted, np.ndarray) else None
+            del shifted
         key0, key1 = (key0 + _W0) & _MASK32, (key1 + _W1) & _MASK32
     return [x0, x1, x2, x3]
 
@@ -191,6 +227,42 @@ def _normals_from_blocks(words: list) -> np.ndarray:
         trig(angle, out=pairs[..., half])
         pairs[..., half] *= radius
     return pairs.reshape(shape[0], 2 * shape[1])
+
+
+def _key_word(phase: int, kind: int, iteration: int) -> int:
+    """The c1 counter word of a key, bijective within the component bounds."""
+    return (phase << 24) | (kind << 16) | iteration
+
+
+def _draw_chunks(seed: int, members: np.ndarray, keys: list) -> Iterator[tuple[slice, list]]:
+    """The package's one Philox + Box-Muller pass, one member chunk at a time.
+
+    ``keys`` holds ``(c1 word, time index, dim)`` triples.  Key q owns
+    (dim_q + 1) // 2 consecutive block rows of the counter grid: c0 counts
+    its blocks from 0, c1 and c2 are its own words, c3 is the member, and
+    the Philox key carries the 64-bit seed.  A chunk takes as many
+    members as fit ``_BLOCK_BUDGET`` blocks, and one at least.  Yields
+    ``(rows, draws)``: ``draws[q]`` is a (len(rows), dim_q) view of key
+    q's normals for ``members[rows]``.
+    """
+    if len(keys) == 1:
+        ((c1, c2, dim),) = keys
+        c0 = np.arange((dim + 1) // 2, dtype=np.uint64)
+    else:
+        c0, c1, c2 = np.array(
+            [(block, word, time_index) for word, time_index, dim in keys for block in range((dim + 1) // 2)],
+            dtype=np.uint64,
+        ).T
+    starts = accumulate([(dim + 1) // 2 for *_, dim in keys], initial=0)
+    columns = [slice(2 * start, 2 * start + dim) for start, (*_, dim) in zip(starts, keys)]
+    step, n = max(1, _BLOCK_BUDGET // len(c0)), members.size
+    for start in range(0, max(n, 1), step):
+        rows = slice(start, min(start + step, n))
+        normals = _normals_from_blocks(_philox_blocks(
+            c0, c1, c2, members[rows].astype(np.uint64)[:, None], seed & 0xFFFFFFFF, seed >> 32
+        ))
+        yield rows, [normals[:, column] for column in columns]
+        del normals
 
 
 @dataclass
@@ -240,34 +312,37 @@ class PerturbationStream:
         key ``(phase, iteration, time_index, members[r], kind)``; batching
         is purely a speed device.
         """
-        phase = _check_component("phase", phase, 256)
-        kind = _check_component("kind", kind, 256)
-        iteration = _check_component("iteration", iteration, _ITER_LIMIT)
-        time_index = _check_component("time_index", time_index, _INDEX_LIMIT)
-        dim = _integer("draw dimension", dim)
-        if dim < 1:
-            raise ValidationError(f"draw dimension must be >= 1, got {dim}")
-        members_arr = _member_keys(members)
+        key = _checked_key(phase, iteration, time_index, kind, dim)
+        members_arr, dim = _member_keys(members), key[2]
+        chunks = _draw_chunks(self.seed, members_arr, [key])
+        rows, (normals,) = next(chunks)
+        if rows.stop == members_arr.size:  # one chunk: its normals are the draw
+            return normals.copy() if dim % 2 else normals
+        out = np.empty((members_arr.size, dim))
+        out[rows] = normals
+        for rows, (normals,) in chunks:
+            out[rows] = normals
+        return out
 
-        n_members = members_arr.size
-        n_blocks = (dim + 1) // 2
-        if n_blocks >= _INDEX_LIMIT:
-            raise ValidationError(f"draw dimension {dim} too large")
+    def draw_keys(
+        self,
+        phase: int,
+        iteration: int,
+        keys: Sequence[tuple[int, int, int]],
+        members: Sequence[int] | np.ndarray,
+    ) -> Iterator[tuple[slice, list[np.ndarray]]]:
+        """Several keys' standard normals in one pass, a member chunk at a time.
 
-        # Counter layout: c0 = block index within the draw, c1 packs
-        # (phase, kind, iteration), c2 = time index, c3 = member index;
-        # the Philox key carries the 64-bit seed.  The packing is
-        # bijective within the documented bounds, so distinct keys can
-        # never alias.
-        normals = _normals_from_blocks(_philox_blocks(
-            np.arange(n_blocks, dtype=np.uint64),
-            (phase << 24) | (kind << 16) | iteration,
-            time_index,
-            members_arr.astype(np.uint64)[:, None],
-            self.seed & 0xFFFFFFFF,
-            self.seed >> 32,
-        ))
-        return normals[:, :dim].copy() if dim % 2 else normals
+        ``keys`` holds ``(time_index, kind, dim)`` triples of one phase and
+        iteration.  Yields ``(rows, draws)`` per chunk of members, where
+        ``draws[q]`` is rows ``rows`` of ``draw_members(phase, iteration,
+        time_index_q, kind_q, members, dim_q)``, bit for bit.  Every key
+        and member is checked before the first chunk is drawn.
+        """
+        checked = [_checked_key(phase, iteration, time_index, kind, dim) for time_index, kind, dim in keys]
+        if not checked:
+            raise ValidationError("draw_keys needs at least one key")
+        return _draw_chunks(self.seed, _member_keys(members), checked)
 
 
 def derive_seed(root_seed: int, index: int) -> int:

@@ -18,16 +18,23 @@ def w2():
 
 @pytest.fixture
 def draw_log(monkeypatch):
-    """Every ``PerturbationStream.draw_members`` call of the test, in order,
-    as ``(seed, phase, iteration, time_index, kind, members, dim)``."""
+    """Every key drawn in the test, in order, as ``(seed, phase, iteration,
+    time_index, kind, members, dim)``: one entry per ``draw_members`` call
+    and one per key of a ``draw_keys`` call."""
     log = []
-    original = PerturbationStream.draw_members
+    original, original_keys = PerturbationStream.draw_members, PerturbationStream.draw_keys
 
     def logged(self, phase, iteration, time_index, kind, members, dim):
         log.append((self.seed, phase, iteration, time_index, kind, tuple(np.asarray(members).tolist()), dim))
         return original(self, phase, iteration, time_index, kind, members, dim)
 
+    def logged_keys(self, phase, iteration, keys, members):
+        keys, drawn = list(keys), tuple(np.asarray(members).tolist())
+        log.extend((self.seed, phase, iteration, time_index, kind, drawn, dim) for time_index, kind, dim in keys)
+        return original_keys(self, phase, iteration, keys, members)
+
     monkeypatch.setattr(PerturbationStream, "draw_members", logged)
+    monkeypatch.setattr(PerturbationStream, "draw_keys", logged_keys)
     return log
 
 

@@ -10,8 +10,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 import ensvar
+from ensvar import config
 from ensvar.cli import main
 
 W1_CONFIG = """\
@@ -192,6 +194,29 @@ def test_malformed_config_values_are_validation_errors(tmp_path, capsys, old, ne
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+_LOADERS = [yaml.SafeLoader] + [yaml.CSafeLoader] * yaml.__with_libyaml__
+
+
+@pytest.mark.parametrize("loader", _LOADERS, ids=lambda loader: loader.__name__)
+def test_yaml_syntax_error_is_validation_error(tmp_path, capsys, monkeypatch, loader):
+    # libyaml's parser and the pure-Python one refuse a syntax error alike.
+    monkeypatch.setattr(config, "_LOADER", loader)
+    path = tmp_path / "bad.yaml"
+    path.write_text(W1_CONFIG.replace("x_b: [0.0]", "x_b: [0.0"))
+    assert main(["run-ks", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid YAML")
+    assert "Traceback" not in err
+
+
+def test_yaml_loaders_read_equal_documents():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    for text in (W1_CONFIG, example):
+        docs = [yaml.load(text, Loader=loader) for loader in _LOADERS]
+        assert isinstance(docs[0], dict) and all(doc == docs[0] for doc in docs)
 
 
 def test_run_lm_non_finite_tau_is_validation_error(tmp_path, capsys):

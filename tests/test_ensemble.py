@@ -44,6 +44,14 @@ class DegenerateStream(PerturbationStream):
             return np.zeros_like(out)
         return out
 
+    def draw_keys(self, phase, iteration, keys, members):
+        keys = list(keys)
+        for rows, draws in super().draw_keys(phase, iteration, keys, members):
+            yield rows, [
+                np.zeros_like(z) if kind in (NoiseKind.INIT, NoiseKind.MODEL) else z
+                for (_, kind, _), z in zip(keys, draws)
+            ]
+
 
 def _plain_forecast(problem, keys, stream, i, x, composite):
     """Step i's forecast rows from the analysis rows ``x`` at time i - 1,

@@ -141,6 +141,7 @@ class TestExactLM:
 
         monkeypatch.setattr(fourdvar, "lm_exact_step", no_step)
         monkeypatch.setattr(PerturbationStream, "draw_members", no_step)
+        monkeypatch.setattr(PerturbationStream, "draw_keys", no_step)
         start = Trajectory([[1e153], [1e153]])
         cfg = LMConfig(gamma=1.0, mode=mode, ensemble_sizes=(8,), initial_trajectory=start)
         with pytest.raises(ValidationError, match=r"start objective is non-finite \(inf\)"):
@@ -609,6 +610,27 @@ class TestSharedPass:
         draw_log.clear()
         lm_enks_tangent_run(w2, cfg, PerturbationStream(6))
         assert shared and shared == draw_log
+
+    def test_one_draw_pass_per_iteration(self, monkeypatch):
+        # An LM iteration's init key, k model keys and k augmented-observation
+        # keys come from one kernel pass; no key is drawn on its own.
+        problem = make_toy_problem("linear-chain", m=3, k=4, seed=2)
+        passes, original = [], PerturbationStream.draw_keys
+
+        def counted(self, phase, iteration, keys, members):
+            passes.append((phase, iteration, [(time_index, kind) for time_index, kind, _ in keys]))
+            return original(self, phase, iteration, keys, members)
+
+        def alone(*args, **kwargs):
+            raise AssertionError("a key was drawn on its own")
+
+        monkeypatch.setattr(PerturbationStream, "draw_keys", counted)
+        monkeypatch.setattr(PerturbationStream, "draw_members", alone)
+        cfg = LMConfig(gamma=1.0, max_iterations=3, mode="tangent", ensemble_sizes=(8,))
+        _lm_ensemble_runs(problem, cfg, PerturbationStream(6), None, (None, 1e-2))
+        steps = range(1, problem.horizon + 1)
+        keys = [(0, NoiseKind.INIT), *((i, NoiseKind.MODEL) for i in steps), *((i, NoiseKind.OBS) for i in steps)]
+        assert passes == [(Phase.LM, j, keys) for j in (1, 2, 3)]
 
 
 class TestDispatcherAndConfig:

@@ -10,10 +10,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensvar import DrawKey, NoiseKind, PerturbationStream, Phase, ValidationError, derive_seed
+from ensvar import DrawKey, NoiseKind, PerturbationStream, Phase, ValidationError, derive_seed, streams
+from ensvar.ensemble import _noises
 from ensvar.streams import _philox_blocks
 
 
@@ -265,6 +266,93 @@ def test_draw_peak_memory_is_bounded_by_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2.75 * out.nbytes
+
+
+def _assembled(stream, phase, iteration, keys, members):
+    """A multi-key draw as one (N, dim) array per key, and its chunks' rows."""
+    outs = [np.full((len(members), dim), np.nan) for *_, dim in keys]
+    chunks = []
+    for rows, draws in stream.draw_keys(phase, iteration, keys, members):
+        chunks.append(rows)
+        for out, z in zip(outs, draws):
+            out[rows] = z
+    return outs, chunks
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    phase=st.sampled_from([Phase.SMOOTHER, Phase.LM]),
+    iteration=st.integers(0, 2**16 - 1),
+    keys=st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(list(NoiseKind)), st.integers(1, 9)),
+        min_size=1,
+        max_size=6,
+    ),
+    members=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12, unique=True),
+    budget=st.sampled_from([1, 2, 5, 16, 1 << 14]),
+)
+# One time index under every kind, with odd and even dims, unsorted members.
+@example(
+    seed=0, phase=Phase.LM, iteration=1, budget=5, members=[9, 2, 5],
+    keys=[(3, NoiseKind.INIT, 3), (3, NoiseKind.MODEL, 4), (3, NoiseKind.OBS, 1)],
+)
+# A single member, in one-block chunks.
+@example(seed=7, phase=Phase.LM, iteration=2, budget=1, members=[4], keys=[(1, NoiseKind.MODEL, 2), (1, NoiseKind.OBS, 3)])
+def test_multi_key_draws_equal_single_key_draws(seed, phase, iteration, keys, members, budget):
+    # Every key of a multi-key draw is draw_members of that key, bit for
+    # bit, whatever the keys beside it and however the members are chunked.
+    stream = PerturbationStream(seed)
+    want = [stream.draw_members(phase, iteration, t, kind, members, dim) for t, kind, dim in keys]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "_BLOCK_BUDGET", budget)
+        got, chunks = _assembled(stream, phase, iteration, keys, members)
+        chunked = [stream.draw_members(phase, iteration, t, kind, members, dim) for t, kind, dim in keys]
+    step = max(1, budget // sum((dim + 1) // 2 for *_, dim in keys))
+    assert chunks == [slice(a, min(a + step, len(members))) for a in range(0, len(members), step)]
+    for g, c, w in zip(got, chunked, want):
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(c, w)
+    for q in {0, len(keys) - 1}:
+        t, kind, dim = keys[q]
+        for r in {0, len(members) - 1}:
+            reference = _draw_reference(seed, phase, iteration, t, members[r], kind, dim, log=_numpy_log)
+            np.testing.assert_array_equal(got[q][r], reference)
+
+
+def test_draw_keys_checks_everything_before_drawing():
+    stream = PerturbationStream(0)
+    with pytest.raises(ValidationError, match="at least one key"):
+        stream.draw_keys(Phase.LM, 1, [], [0, 1])
+    with pytest.raises(ValidationError, match="draw dimension must be >= 1"):
+        stream.draw_keys(Phase.LM, 1, [(1, NoiseKind.MODEL, 2), (1, NoiseKind.OBS, 0)], [0, 1])
+    with pytest.raises(ValidationError, match="time_index"):
+        stream.draw_keys(Phase.LM, 1, [(2**32, NoiseKind.MODEL, 2)], [0, 1])
+    with pytest.raises(ValidationError, match="member indices"):
+        stream.draw_keys(Phase.LM, 1, [(1, NoiseKind.MODEL, 2)], [0, -1])
+
+
+@pytest.mark.parametrize("n_members", [2_000, 16_000])
+def test_multi_key_draw_transient_is_one_chunk(monkeypatch, n_members):
+    # A multi-key draw scaled into its outputs holds one chunk of words
+    # beside them, whatever N * sum(dim) is: the kernel's five (chunk)
+    # words at most, the previous chunk's normals (two words) until the
+    # next is drawn, and some 5 KB of Python objects (16 KB allowed).
+    budget = 1 << 8
+    monkeypatch.setattr(streams, "_BLOCK_BUDGET", budget)
+    keys = [(i, kind, 0.5 * np.eye(dim)) for i, (kind, dim) in enumerate(
+        [(NoiseKind.INIT, 3), (NoiseKind.MODEL, 4), (NoiseKind.OBS, 7), (NoiseKind.MODEL, 2)]
+    )]
+    members, stream = np.arange(n_members), PerturbationStream(0)
+    _noises(stream, Phase.LM, 1, members, keys)
+    tracemalloc.start()
+    try:
+        outs = _noises(stream, Phase.LM, 1, members, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_word = 8 * budget  # bytes of one uint64 or float64 (member x block) word of a chunk
+    assert peak <= sum(out.nbytes for out in outs) + 8 * chunk_word + 16384
 
 
 def test_derive_seed_deterministic_and_distinct():

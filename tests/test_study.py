@@ -124,42 +124,37 @@ class TestRunStudy:
         assert 0.7 <= result.slope <= 1.3
 
     @pytest.mark.parametrize("replicates", [1, 3])
-    def test_tau_sweep_draws_one_lm_run_per_replicate(self, w2, monkeypatch, replicates):
+    def test_tau_sweep_draws_one_lm_run_per_replicate(self, w2, draw_log, replicates):
         # Every tau arm shares the tangent arm's draws: one LM run's worth
-        # of draw calls per replicate, J * (1 + 2k), not (1 + T) times that.
-        calls = []
-        original = PerturbationStream.draw_members
-
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(PerturbationStream, "draw_members", counted)
+        # of keys per replicate, J * (1 + 2k), not (1 + T) times that.
         lm = LMConfig(gamma=1.0, max_iterations=2, mode="finite-difference", ensemble_sizes=(16,))
         spec = StudySpec(
             kind="tau-sweep", sweep=(1e-1, 1e-2, 1e-3, 1e-4), replicates=replicates,
             problem=w2, seed=3, lm=lm,
         )
         run_study(spec)
-        assert len(calls) == replicates * lm.max_iterations * (1 + 2 * w2.horizon)
+        assert len(draw_log) == replicates * lm.max_iterations * (1 + 2 * w2.horizon)
 
     def test_tau_sweep_wall_time_covers_the_tangent_arm(self, w2, monkeypatch):
-        # A clock that ticks once per draw: the rows' wall times must add up
-        # to every draw of the sweep, the tangent arm's included, in equal shares.
+        # A clock that ticks once per draw pass: the rows' wall times must add
+        # up to every draw of the sweep, the tangent arm's included, in equal shares.
         ticks = [0]
-        original = PerturbationStream.draw_members
 
-        def ticking(self, *args, **kwargs):
-            ticks[0] += 1
-            return original(self, *args, **kwargs)
+        def ticking(original):
+            def draw(self, *args, **kwargs):
+                ticks[0] += 1
+                return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(PerturbationStream, "draw_members", ticking)
+            return draw
+
+        for name in ("draw_members", "draw_keys"):
+            monkeypatch.setattr(PerturbationStream, name, ticking(getattr(PerturbationStream, name)))
         monkeypatch.setattr(study_module, "time", SimpleNamespace(perf_counter=lambda: float(ticks[0])))
         lm = LMConfig(gamma=1.0, max_iterations=2, mode="finite-difference", ensemble_sizes=(16,))
         spec = StudySpec(kind="tau-sweep", sweep=(1e-1, 1e-2, 1e-3), replicates=2, problem=w2, lm=lm)
         rows = run_study(spec).rows
         assert [r.wall_ms for r in rows] == [rows[0].wall_ms] * 3
-        assert sum(r.wall_ms for r in rows) == pytest.approx(1e3 * ticks[0])
+        assert ticks[0] > 0 and sum(r.wall_ms for r in rows) == pytest.approx(1e3 * ticks[0])
 
     def test_enks_study_validates_once(self, monkeypatch):
         # The problem is validated once, when it is built, and run_study
