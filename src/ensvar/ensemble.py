@@ -45,9 +45,9 @@ takes a step in three phases, each one helper:
    forecast in row blocks: ``y - w - H x`` here (:func:`_innovations`), in
    an LM arm those of its stacked [H; I] prediction.
 
-Every draw is scaled by its Cholesky factor in :func:`_noise`, one key
-per call, or, for the keys an LM iteration draws in one kernel pass, in
-:func:`_noises`.
+Every draw is scaled by its Cholesky factor in :func:`_noises`, chunk by
+chunk: the smoother and filter passes call it one key at a time, through
+:func:`_noise`, and an LM iteration with all its keys in one kernel pass.
 Here the model draw is made just before the forecast and the observation
 draw w only after the gains; a keyed draw is a pure function of its key,
 so that moves no number.  The smoother pass runs each phase over all its
@@ -168,18 +168,22 @@ def _sample_gain(forecast: np.ndarray, m: int, observe, obs_cov: np.ndarray) -> 
 
 
 def _noise(stream, phase, iteration, members):
-    """A pass's scaled draw: ``noise(i, kind, l)`` is l times the time-i
-    keyed standard normals of dimension len(l), one column per member."""
-    return lambda i, kind, l: l @ stream.draw_members(phase, iteration, i, kind, members, len(l)).T
+    """A pass's scaled draw, one key per call: ``noise(i, kind, l)`` is
+    :func:`_noises` of the one key ``(i, kind, l)``."""
+    return lambda i, kind, l: _noises(stream, phase, iteration, members, [(i, kind, l)])[0]
 
 
 def _noises(stream, phase, iteration, members, keys) -> list[np.ndarray]:
     """Several scaled draws in one kernel pass: per ``(i, kind, l)`` in
-    ``keys``, the (len(l), N) array that ``_noise``'s ``noise(i, kind, l)``
-    returns, bit for bit while the draw is one chunk.  Each member chunk
-    is scaled straight into its columns, so no unscaled draw of the whole
-    ensemble is held.  The outputs are allocated once the first chunk is
-    drawn, so they never coexist with its Philox words."""
+    ``keys``, l times the time-i keyed standard normals of dimension
+    len(l), a (len(l), N) array with one column per member.  Each member
+    chunk is scaled straight into its columns, so no unscaled draw of the
+    whole ensemble is held: a chunk's columns are l times that chunk's
+    draws, bit for bit.  A one-chunk draw is ``l @ draw_members(...).T``
+    bit for bit; over several chunks it may differ at round-off, since a
+    BLAS may give a column other bits in a wider product.  The outputs
+    are allocated once the first chunk is drawn, so they never coexist
+    with its Philox words."""
     outs = None
     for rows, draws in stream.draw_keys(phase, iteration, [(i, kind, len(l)) for i, kind, l in keys], members):
         if outs is None:

@@ -20,11 +20,12 @@ LM iteration are drawn in one vectorized pass
 (:meth:`PerturbationStream.draw_keys`), and a key's normals never depend
 on the keys drawn beside it.  The member counters are broadcast against
 the block rows, not tiled, and members are taken in chunks of at most
-``_BLOCK_BUDGET`` blocks (one member at least), so a draw's temporaries
-are bounded by one chunk whatever the ensemble size.  Within a chunk
-each Philox word and Box-Muller temporary is freed once used, and the
-later Philox rounds overwrite their words in place, so a one-chunk draw
-of even dimension peaks at about 2.5 times its output.  A normal's last
+``_BLOCK_BUDGET`` blocks (two members at least, and no chunk of one
+member unless the draw has one), so a draw's temporaries are bounded by
+one chunk whatever the ensemble size.  Within a chunk each Philox word
+and Box-Muller temporary is freed once used, and the later Philox rounds
+overwrite their words in place, so a one-chunk draw of even dimension
+peaks at about 2.5 times its output.  A normal's last
 bits are those of numpy's float64 log, cos and sin on the host, whose
 log is not libm's where numpy dispatches it to AVX-512.
 
@@ -39,7 +40,7 @@ import hashlib
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -152,15 +153,13 @@ def _philox_blocks(c0, c1, c2, c3, k0: int, k1: int) -> list:
     Python int becomes float64.  In the first three rounds each word is
     dropped as soon as its round has no further use for it.  From the
     fourth on, x0, x2 and x3 are (N, B) arrays made here, which each round
-    overwrites in place; the new x0 and the shifted x0 go to words freed
-    by the round before, so at most four words and one spare are alive at
-    once and no round after the fourth allocates.  The caller's counters
-    are never written.  Returns the four 32-bit output words as a list,
-    for :func:`_normals_from_blocks` to take over.
+    overwrites in place, so at most four words and one shifted word are
+    alive at once; the caller's counters are never written.  Returns the
+    four 32-bit output words as a list, for :func:`_normals_from_blocks`
+    to take over.
     """
     x0, x1, x2, x3 = c0, _U64(c1), _U64(c2), c3
     del c0, c3
-    spare = None
     key0, key1 = _U64(k0), _U64(k1)
     for r in range(10):
         if r < 3:
@@ -176,22 +175,15 @@ def _philox_blocks(c0, c1, c2, c3, k0: int, k1: int) -> list:
         else:
             x0 *= _M0  # p0
             x2 *= _M1  # p1
-            hi = np.right_shift(x2, _SHIFT32, out=spare)  # the new x0
+            hi = x2 >> _SHIFT32  # the new x0; x1 is still a (B,) row in the fourth round
             hi ^= x1
             hi ^= key0
-            # From the fifth round on, x1 is an (N, B) word made here, free
-            # to take the shifted x0; in the fourth it is still a (B,) row.
-            spare = x1 if r > 3 and isinstance(x1, np.ndarray) else None
             del x1
             x2 &= _MASK32  # the new x1
-            shifted = np.right_shift(x0, _SHIFT32, out=spare)
-            x3 ^= shifted  # the new x2
+            x3 ^= x0 >> _SHIFT32  # the new x2
             x3 ^= key1
             x0 &= _MASK32  # the new x3
             x0, x1, x2, x3 = hi, x2, x3, x0
-            # The shifted word takes the next round's new x0.
-            spare = shifted if isinstance(shifted, np.ndarray) else None
-            del shifted
         key0, key1 = (key0 + _W0) & _MASK32, (key1 + _W1) & _MASK32
     return [x0, x1, x2, x3]
 
@@ -241,23 +233,23 @@ def _draw_chunks(seed: int, members: np.ndarray, keys: list) -> Iterator[tuple[s
     (dim_q + 1) // 2 consecutive block rows of the counter grid: c0 counts
     its blocks from 0, c1 and c2 are its own words, c3 is the member, and
     the Philox key carries the 64-bit seed.  A chunk takes as many
-    members as fit ``_BLOCK_BUDGET`` blocks, and one at least.  Yields
-    ``(rows, draws)``: ``draws[q]`` is a (len(rows), dim_q) view of key
-    q's normals for ``members[rows]``.
+    members as fit ``_BLOCK_BUDGET`` blocks, and two at least; the last
+    takes any one member left over.  Yields ``(rows, draws)``:
+    ``draws[q]`` is a (len(rows), dim_q) view of key q's normals for
+    ``members[rows]``.
     """
-    if len(keys) == 1:
-        ((c1, c2, dim),) = keys
-        c0 = np.arange((dim + 1) // 2, dtype=np.uint64)
-    else:
-        c0, c1, c2 = np.array(
-            [(block, word, time_index) for word, time_index, dim in keys for block in range((dim + 1) // 2)],
-            dtype=np.uint64,
-        ).T
-    starts = accumulate([(dim + 1) // 2 for *_, dim in keys], initial=0)
-    columns = [slice(2 * start, 2 * start + dim) for start, (*_, dim) in zip(starts, keys)]
-    step, n = max(1, _BLOCK_BUDGET // len(c0)), members.size
-    for start in range(0, max(n, 1), step):
-        rows = slice(start, min(start + step, n))
+    c0, c1, c2 = np.array(
+        [(block, word, time_index) for word, time_index, dim in keys for block in range((dim + 1) // 2)],
+        dtype=np.uint64,
+    ).T
+    offsets = accumulate([(dim + 1) // 2 for *_, dim in keys], initial=0)
+    columns = [slice(2 * offset, 2 * offset + dim) for offset, (*_, dim) in zip(offsets, keys)]
+    # No chunk starts on the last member, so a chunk has one member only
+    # when the draw has one: scaling one member's draw would take numpy's
+    # matrix-vector path, whose bits can differ from the matrix product's.
+    starts = range(0, max(members.size - 1, 1), max(2, _BLOCK_BUDGET // len(c0)))
+    for start, stop in zip(starts, chain(starts[1:], [members.size])):
+        rows = slice(start, stop)
         normals = _normals_from_blocks(_philox_blocks(
             c0, c1, c2, members[rows].astype(np.uint64)[:, None], seed & 0xFFFFFFFF, seed >> 32
         ))

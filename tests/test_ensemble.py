@@ -36,7 +36,9 @@ from conftest import truncated
 
 class DegenerateStream(PerturbationStream):
     """Zero init and model draws: the exact-mean limit of a shrinking
-    background spread, used to force a degenerate (zero-spread) ensemble."""
+    background spread, used to force a degenerate (zero-spread) ensemble.
+    The passes draw through ``draw_keys``; the reference forecasts here
+    through ``draw_members``."""
 
     def draw_members(self, phase, iteration, time_index, kind, members, dim):
         out = super().draw_members(phase, iteration, time_index, kind, members, dim)

@@ -308,8 +308,11 @@ def test_multi_key_draws_equal_single_key_draws(seed, phase, iteration, keys, me
         patch.setattr(streams, "_BLOCK_BUDGET", budget)
         got, chunks = _assembled(stream, phase, iteration, keys, members)
         chunked = [stream.draw_members(phase, iteration, t, kind, members, dim) for t, kind, dim in keys]
-    step = max(1, budget // sum((dim + 1) // 2 for *_, dim in keys))
-    assert chunks == [slice(a, min(a + step, len(members))) for a in range(0, len(members), step)]
+    # Chunks of the budget's members, two at least; the last takes any one left over.
+    step, n = max(2, budget // sum((dim + 1) // 2 for *_, dim in keys)), len(members)
+    edges = [*range(0, max(n - 1, 1), step), n]
+    assert chunks == [slice(a, b) for a, b in zip(edges, edges[1:])]
+    assert all(rows.stop - rows.start >= 2 for rows in chunks) or n == 1
     for g, c, w in zip(got, chunked, want):
         np.testing.assert_array_equal(g, w)
         np.testing.assert_array_equal(c, w)
@@ -318,6 +321,37 @@ def test_multi_key_draws_equal_single_key_draws(seed, phase, iteration, keys, me
         for r in {0, len(members) - 1}:
             reference = _draw_reference(seed, phase, iteration, t, members[r], kind, dim, log=_numpy_log)
             np.testing.assert_array_equal(got[q][r], reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    dims=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    members=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40, unique=True),
+    budget=st.sampled_from([1, 5, 16, 1 << 14]),
+)
+# Many chunks, the last taking an odd member left over; and one member.
+@example(seed=3, dims=[4, 1, 7], members=list(range(9, 0, -1)), budget=5)
+@example(seed=3, dims=[5, 2], members=[6], budget=1)
+def test_scaled_multi_key_draws_are_scaled_chunk_by_chunk(seed, dims, members, budget):
+    # Each member chunk's columns of a key's _noises are l @ draw_members(...).T
+    # of that chunk's members, bit for bit, with a dense lower-triangular l:
+    # every chunk's product lands in its own columns, scaled by its own key's
+    # factor.  The whole draw is that product over every member up to
+    # round-off only: a BLAS may give a column other bits in a wider product.
+    rng = np.random.default_rng(seed % 2**32)
+    kinds = list(NoiseKind)
+    keys = [(q % 3, kinds[q % 3], np.tril(rng.standard_normal((dim, dim)))) for q, dim in enumerate(dims)]
+    stream = PerturbationStream(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "_BLOCK_BUDGET", budget)
+        got = _noises(stream, Phase.LM, 2, members, keys)
+        chunks = [rows for rows, _ in stream.draw_keys(Phase.LM, 2, [(i, kind, len(l)) for i, kind, l in keys], members)]
+    for g, (i, kind, l) in zip(got, keys):
+        z = stream.draw_members(Phase.LM, 2, i, kind, members, len(l))
+        for rows in chunks:
+            np.testing.assert_array_equal(g[:, rows], l @ z[rows].T)
+        np.testing.assert_allclose(g, l @ z.T, rtol=1e-12, atol=1e-12)
 
 
 def test_draw_keys_checks_everything_before_drawing():

@@ -178,19 +178,12 @@ class TestRunStudy:
         assert calls == {"_validated_factors": 1, "_column_recursion": 1}
 
     @pytest.mark.parametrize("replicates, sweep", [(1, (16, 64)), (3, (100, 20, 7))])
-    def test_enks_study_draws_each_key_once_at_max_size(self, monkeypatch, replicates, sweep):
+    def test_enks_study_draws_each_key_once_at_max_size(self, draw_log, replicates, sweep):
         # Every sweep value shares one draw per key at the largest size:
         # one coupled replicate's worth of draw calls, 1 + 2k, per replicate.
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
-        calls = []
-        original = PerturbationStream.draw_members
-
-        def counted(self, phase, iteration, time_index, kind, members, dim):
-            calls.append(tuple(np.asarray(members).tolist()))
-            return original(self, phase, iteration, time_index, kind, members, dim)
-
-        monkeypatch.setattr(PerturbationStream, "draw_members", counted)
         run_study(StudySpec(kind="enks-vs-ks", sweep=sweep, replicates=replicates, problem=problem, seed=3))
+        calls = [members for *_, members, _ in draw_log]
         assert len(calls) == replicates * (1 + 2 * problem.horizon)
         assert all(members == tuple(range(max(sweep))) for members in calls)
 
