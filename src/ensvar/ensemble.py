@@ -29,9 +29,10 @@ already ascend.  So a run whose member keys are permuted computes the
 unpermuted run's numbers bit for bit; permuting keys permutes output
 members exactly.
 
-A smoother arm fills one trajectory array in place, allocated once, so
-no trajectory is copied per step; a run copies each step's analysis out
-of it.  The filter keeps no trajectory, only one new state per step.
+Every arm fills one trajectory array in place, allocated once, so no
+trajectory is copied per step; a smoother run copies each step's analysis
+out of it.  :func:`enkf_run` is a filter pass of the same loop, which
+updates only the newest block, so its analyses are the array's blocks.
 
 Every runner, the ensemble LM arms of :mod:`ensvar.fourdvar` included,
 takes a step in three phases, each one helper:
@@ -202,22 +203,21 @@ def _trajectory(problem, initial: np.ndarray) -> np.ndarray:
     return trajectory
 
 
-def _forecast(problem, i, out, propagate, noise, previous=None, exact=False) -> None:
+def _forecast(problem, i, out, propagate, noise, exact=False) -> None:
     """Step i's forecast, in place: ``propagate`` of the time i-1 state,
-    the m rows of ``out`` before its last or else ``previous``, plus the
-    forcing and the scaled model draw ``noise``, fills the last m rows.
+    the m rows of ``out`` before its last, plus the forcing and the scaled
+    model draw ``noise``, fills the last m rows.
 
-    ``out`` is a smoother's (state, member) trajectory array through time
-    i, or the filter's new state.  A sample arm's gain refuses a non-finite
-    forecast, so numpy need not warn; an ``exact`` arm's overflow warns.
+    ``out`` is a (state, member) trajectory array through time i.  A
+    sample arm's gain refuses a non-finite forecast, so numpy need not
+    warn; an ``exact`` arm's overflow warns.
     """
     m = problem.state_dim
-    previous = out[-2 * m : -m] if previous is None else previous
     with nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
-        np.add(propagate(previous) + problem.forcings[i - 1][:, None], noise, out=out[-m:])
+        np.add(propagate(out[-2 * m : -m]) + problem.forcings[i - 1][:, None], noise, out=out[-m:])
 
 
-def _gain(problem, lin, i, out, cov_f=None, gains=None) -> np.ndarray:
+def _gain(problem, lin, i, out, cov_f, gains) -> np.ndarray:
     """Step i's K^T for the forecast ``out``: the sample gain of its
     columns, in ascending key order, or, given ``cov_f``, the exact gain of
     that composite forecast covariance or its trailing block column, kept
@@ -252,14 +252,15 @@ def _update(m, out, gain_t, innovations) -> None:
         out[start:stop] += gain_t[:, start:stop].T @ innovations
 
 
-def _smoother_pass(problem, lin, stream, members, arms, gains, analyses=None) -> list[np.ndarray]:
+def _smoother_pass(problem, lin, stream, members, arms, gains, analyses=None, filtering=False) -> list[np.ndarray]:
     """The keyed smoother pass over the draws of ``members``, for every arm.
 
     An arm ``(n, cov_fs)`` reads the first n columns of each draw with
     sample gains or, given forecast columns ``cov_fs``, exact gains, kept
     in ``gains``.  Returns each arm's trajectory array, its final
     analysis; ``analyses``, when given, receives copies of the first
-    arm's earlier analyses.
+    arm's earlier analyses.  A ``filtering`` pass updates only the newest
+    block, so every block keeps its filter analysis.
     """
     (models, _), (l_b, l_q, l_r), m = lin, problem._factors, problem.state_dim
     noise = _noise(stream, Phase.SMOOTHER, 0, members)
@@ -269,10 +270,10 @@ def _smoother_pass(problem, lin, stream, members, arms, gains, analyses=None) ->
     for i in range(1, problem.horizon + 1):
         if analyses is not None:
             analyses.append(trajectories[0][: i * m].copy())
-        outs = [trajectory[: (i + 1) * m] for trajectory in trajectories]
+        outs = [trajectory[(i * m if filtering else 0) : (i + 1) * m] for trajectory in trajectories]
         propagate, v = models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1])
-        for out, (n, cov_fs) in zip(outs, arms):
-            _forecast(problem, i, out, propagate, v[:, :n], exact=cov_fs is not None)
+        for trajectory, (n, cov_fs) in zip(trajectories, arms):
+            _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n], exact=cov_fs is not None)
         del v
         gain_ts = [
             _gain(problem, lin, i, out, None if cov_fs is None else cov_fs[i - 1], gains)
@@ -285,27 +286,14 @@ def _smoother_pass(problem, lin, stream, members, arms, gains, analyses=None) ->
     return trajectories
 
 
-def _smoother_arm(problem, lin, stream, members, exact=False) -> list[np.ndarray]:
-    """The analyses at times 0..k of one smoother arm over every member,
-    with exact gains or sample ones."""
+def _smoother_arm(problem, lin, stream, members, exact=False, filtering=False) -> list[np.ndarray]:
+    """The analyses at times 0..k of one arm over every member: the
+    smoother's composites, with exact gains or sample ones, or, when
+    ``filtering``, the filter's states, as blocks of its one array."""
     cov_fs = [col_f for col_f, *_ in _column_recursion(problem, *lin)] if exact else None
-    analyses = []
-    trajectories = _smoother_pass(problem, lin, stream, members, [(len(members), cov_fs)], {}, analyses)
-    return analyses + trajectories
-
-
-def _filter_run(problem, lin, stream, members) -> list[np.ndarray]:
-    """The keyed pass of enkf_run: a new (state, member) array per step."""
-    (models, _), (l_b, l_q, l_r), m = lin, problem._factors, problem.state_dim
-    noise = _noise(stream, Phase.SMOOTHER, 0, members)
-    analyses = [problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)]
-    for i in range(1, problem.horizon + 1):
-        out = np.empty_like(analyses[-1])
-        _forecast(problem, i, out, models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1]), analyses[-1])
-        gain_t = _gain(problem, lin, i, out)
-        _update(m, out, gain_t, _innovations(problem, lin, i, out, noise(i, NoiseKind.OBS, l_r[i - 1])))
-        analyses.append(out)
-    return analyses
+    analyses = None if filtering else []
+    (trajectory,) = _smoother_pass(problem, lin, stream, members, [(len(members), cov_fs)], {}, analyses, filtering)
+    return np.split(trajectory, problem.horizon + 1) if filtering else [*analyses, trajectory]
 
 
 def _ensemble_result(name, run, problem, n_members, stream, member_indices, fewest=2) -> EnsembleRunResult:
@@ -331,7 +319,7 @@ def enkf_run(
     observations; the observation perturbation is subtracted inside the
     innovation, ``y - W_n - H x_n``.
     """
-    return _ensemble_result("EnKF", _filter_run, problem, n_members, stream, member_indices)
+    return _ensemble_result("EnKF", partial(_smoother_arm, filtering=True), problem, n_members, stream, member_indices)
 
 
 def enks_run(
@@ -385,30 +373,32 @@ def coupled_member_diffs(
     member-1 gap between :func:`enks_run` and :func:`reference_enks_run`
     up to round-off.
     """
-    (diffs,) = _coupled_diffs(problem, (n_members,), stream, replicates)
-    return diffs
+    replicates = _integer("replicates", replicates)
+    if replicates < 1:
+        raise ValidationError(f"replicates must be >= 1, got {replicates}")
+    one_pass = _coupled_pass(problem, (n_members,))
+    return [one_pass(PerturbationStream(derive_seed(stream.seed, r)))[0] for r in range(replicates)]
 
 
-def _coupled_diffs(problem, sizes, stream, replicates) -> list[list[np.ndarray]]:
-    """:func:`coupled_member_diffs` for every ensemble size in ``sizes`` at once.
+def _coupled_pass(problem, sizes):
+    """One replicate of :func:`coupled_member_diffs` for every ensemble
+    size in ``sizes``: a function of its stream giving each size's diff.
 
     Size n uses keys 0..n-1, a prefix of the largest size's keys, so each
     replicate draws every key once, at the largest size, and each EnKS arm
     runs on the first n columns of that draw: bit for bit a separate draw.
-    One reference arm (key 0, exact gains) serves every size.  Returns one
-    list of per-replicate diffs per size.
+    One reference arm (key 0, exact gains) serves every size; its exact
+    columns and gains are computed once for all replicates.
     """
-    replicates, sizes = _integer("replicates", replicates), [_integer("ensemble size", n) for n in sizes]
-    if replicates < 1:
-        raise ValidationError(f"replicates must be >= 1, got {replicates}")
+    sizes = [_integer("ensemble size", n) for n in sizes]
     if min(sizes) < 2:
         raise ValidationError(f"EnKS needs at least 2 members, got {min(sizes)}")
     lin = _linear_matrices(problem, "ensemble Kalman runs")
     arms = [*((n, None) for n in sizes), (1, [col_f for col_f, *_ in _column_recursion(problem, *lin)])]
-    keys, gains, per_replicate = np.arange(max(sizes), dtype=np.int64), {}, []
-    for r in range(replicates):
-        replicate = PerturbationStream(derive_seed(stream.seed, r))
-        *ensembles, reference = _smoother_pass(problem, lin, replicate, keys, arms, gains)
-        per_replicate.append([ensemble[:, 0] - reference[:, 0] for ensemble in ensembles])
-        del ensembles, reference  # not alive beside the next replicate's trajectories
-    return [list(cell) for cell in zip(*per_replicate)]
+    keys, gains = np.arange(max(sizes), dtype=np.int64), {}
+
+    def one_pass(stream) -> list[np.ndarray]:
+        *ensembles, reference = _smoother_pass(problem, lin, stream, keys, arms, gains)
+        return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]
+
+    return one_pass

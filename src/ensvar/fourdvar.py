@@ -29,7 +29,8 @@ The two ensemble variants, and runs with different tau, consume identical
 keyed perturbations (same phase, iteration, time, member, kind), so
 differences between them isolate the approximation under study.  All
 arms share each draw, in one pass: a tau sweep advances the tangent arm
-and every tau arm through each LM iteration on one draw of its keys,
+and every tau arm, and an ensemble-size sweep a tangent arm per size on
+prefixes of the draw, through each LM iteration on one draw of its keys,
 each arm and iteration in a trajectory array of its own (``_trajectory``).
 An iteration's 2k+1 keys (init, k model, k augmented observation) come
 from one pass of the stream's kernel, ``ensemble._noises``, which scales
@@ -258,27 +259,29 @@ def lm_exact_run(problem: AssimilationProblem, cfg: LMConfig) -> LMRunResult:
 
 def _lm_ensemble_runs(
     problem: AssimilationProblem,
-    cfg: LMConfig,
+    arms: tuple[LMConfig, ...],
     stream: PerturbationStream,
     member_indices,
-    taus: tuple[float | None, ...],
     keep_ensembles: bool = True,
 ) -> list[LMRunResult]:
     """The only ensemble LM step: one run per arm, all arms on shared keys.
 
-    An arm is a forward-difference step tau, or ``None`` for the tangent
-    arm.  Per LM iteration j, each arm runs the EnKS's step on the system
-    linearized at its own previous iterate, with the damping realized as
-    stacked observations; only the linearization is its own.  The
-    iteration's 2k+1 keys are drawn in one kernel pass and scaled chunk
-    by chunk into their arrays (``_noises``), then the arms run one after
-    another, each in a function scope of its own, so only one working
-    trajectory array is alive at a time and no iteration's draws outlive
-    it; a kept ensemble is a view into its own array.
-    ``keep_ensembles=False`` leaves ``ensembles`` and ``max_member_norms``
-    empty.
+    An arm is a ``tangent`` or ``finite-difference`` config, whose run is
+    bit for bit its run alone; the arms share the first arm's gamma,
+    iteration count and start.  Per LM iteration j, each arm runs the
+    EnKS's step on the system linearized at its own previous iterate, with
+    the damping realized as stacked observations.  The iteration's 2k+1
+    keys are drawn in one kernel pass at the largest arm's size, scaled
+    chunk by chunk into their arrays (``_noises``); an arm of n members
+    reads the first n columns, keys 0..n-1, so arms of different sizes
+    take no caller-given keys.  The arms run one after another, each in a
+    function scope of its own, so only one working trajectory array is
+    alive at a time and no iteration's draws outlive it; a kept ensemble
+    is a view into its own array.  ``keep_ensembles=False`` leaves
+    ``ensembles`` and ``max_member_norms`` empty.
     """
     l_b, l_q, _ = problem._factors
+    cfg = arms[0]
     if cfg.gamma <= 0:
         raise ValidationError("ensemble LM modes require gamma > 0")
     m, k = problem.state_dim, problem.horizon
@@ -294,20 +297,22 @@ def _lm_ensemble_runs(
     l_r_aug = [_factor(r, "augmented obs cov") for r in r_aug]
     start, start_objective = _start(problem, cfg)
     # Per arm: iterates, objectives, final ensembles, max member norms.
-    runs = [([start], [start_objective], [], []) for _ in taus]
+    runs = [([start], [start_objective], [], []) for _ in arms]
 
-    def run_arm(tau, run, init, model_noise, obs_noise, slots) -> None:
-        """One arm's EnKS pass of one LM iteration, appended to ``run``; its
-        arrays are freed on return unless its ensemble is kept."""
+    def run_arm(arm, n, run, init, model_noise, obs_noise, slots) -> None:
+        """One arm's EnKS pass of one LM iteration, on the first n columns of
+        the draws, appended to ``run``; its arrays are freed on return
+        unless its ensemble is kept."""
         iterates, objectives, ensembles, max_norms = run
-        center, trajectory = iterates[-1], _trajectory(problem, init)
+        tau = arm.tau if arm.mode == "finite-difference" else None
+        center, trajectory = iterates[-1], _trajectory(problem, init[:, :n])
         for i in range(1, k + 1):
             c_prev, c_i = center[i - 1], center[i]
             mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
             m_c, h_c = mop(c_prev), hop(c_i)
             out = trajectory[: (i + 1) * m]
             propagate = lambda x: m_c[:, None] + directional(mop, c_prev, m_c, x - c_prev[:, None], tau)
-            _forecast(problem, i, out, propagate, model_noise[i - 1])
+            _forecast(problem, i, out, propagate, model_noise[i - 1][:, :n])
             # The stacked operator's lower block is the identity, whose
             # directional derivative is the direction itself.
             gain_t = _sample_gain(
@@ -318,7 +323,7 @@ def _lm_ensemble_runs(
                 [h_c[:, None] + directional(hop, c_i, h_c, dev_center, tau), c_i[:, None] + dev_center]
             )
             observation = np.concatenate([problem.observations[i - 1], c_i])
-            _update(m, out, gain_t, observation[:, None] - obs_noise[i - 1] - predicted)
+            _update(m, out, gain_t, observation[:, None] - obs_noise[i - 1][:, :n] - predicted)
 
         iterates.append(Trajectory.from_composite(trajectory.mean(axis=1), m))
         objectives.append(objective(problem, iterates[-1]))
@@ -329,23 +334,23 @@ def _lm_ensemble_runs(
     def run_iteration(j: int) -> None:
         """LM iteration j on every arm, from one draw of its keys, which is
         freed on return, before iteration j+1 draws."""
-        members, slots = _sorted_members(cfg.ensemble_size_for(j), member_indices)
+        sizes = [arm.ensemble_size_for(j) for arm in arms]
+        if member_indices is not None and len(set(sizes)) > 1:
+            raise ValidationError(f"arms of different ensemble sizes {sizes} cannot share member_indices")
+        members, slots = _sorted_members(max(sizes), member_indices)
         keys = [(0, NoiseKind.INIT, l_b)]
         keys += [(i, NoiseKind.MODEL, l) for i, l in enumerate(l_q, 1)]
         keys += [(i, NoiseKind.OBS, l) for i, l in enumerate(l_r_aug, 1)]
         init, *noise = _noises(stream, Phase.LM, j, members, keys)
         init += problem.background_mean[:, None]
         model_noise, obs_noise = noise[:k], noise[k:]
-        for tau, run in zip(taus, runs):
-            run_arm(tau, run, init, model_noise, obs_noise, slots)
+        for arm, n, run in zip(arms, sizes, runs):
+            run_arm(arm, n, run, init, model_noise, obs_noise, slots)
 
     for j in range(1, cfg.max_iterations + 1):
         run_iteration(j)
 
-    return [
-        LMRunResult(tuple(it), tuple(ob), "tangent" if tau is None else "finite-difference", tuple(en), tuple(mx))
-        for tau, (it, ob, en, mx) in zip(taus, runs)
-    ]
+    return [LMRunResult(tuple(it), tuple(ob), arm.mode, tuple(en), tuple(mx)) for arm, (it, ob, en, mx) in zip(arms, runs)]
 
 
 def lm_enks_tangent_run(
@@ -357,7 +362,7 @@ def lm_enks_tangent_run(
     """LM with the linearized subproblem solved by an EnKS (exact Jacobians)."""
     if cfg.mode != "tangent":
         raise ValidationError(f"lm_enks_tangent_run requires mode='tangent', got {cfg.mode!r}")
-    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (None,))[0]
+    return _lm_ensemble_runs(problem, (cfg,), stream, member_indices)[0]
 
 
 def enks_4dvar_run(
@@ -378,7 +383,7 @@ def enks_4dvar_run(
         raise ValidationError(
             f"enks_4dvar_run requires mode='finite-difference', got {cfg.mode!r}"
         )
-    return _lm_ensemble_runs(problem, cfg, stream, member_indices, (cfg.tau,))[0]
+    return _lm_ensemble_runs(problem, (cfg,), stream, member_indices)[0]
 
 
 def lm_run(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import _coupled_diffs
+from .ensemble import _coupled_pass
 from .errors import ValidationError
 from .fourdvar import LMConfig, _lm_ensemble_runs, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
@@ -86,10 +86,10 @@ class StudySpec:
 
 @dataclass(frozen=True)
 class StudyRow:
-    """One sweep cell.  ``wall_ms`` is the cell's wall time.  An
-    enks-vs-ks study runs all its ensemble sizes in one coupled pass, and
-    a tau-sweep all its cells in one lock-step pass, tangent arm included;
-    both give each row an equal share of that pass's time."""
+    """One sweep cell.  Every study kind runs all its cells in one keyed
+    pass per replicate: an enks-vs-ks or lm-enks-vs-lm study one arm per
+    ensemble size, a tau-sweep one arm per tau beside its tangent arm.
+    ``wall_ms`` is each row's equal share of those passes' time."""
 
     sweep_value: float
     error_estimate: float
@@ -159,65 +159,53 @@ def _summarize(diffs: list[np.ndarray], p_order: float) -> tuple[float, float, t
     return estimate, stderr, tuple(norms)
 
 
-def _enks_vs_ks_rows(spec: StudySpec) -> list[StudyRow]:
-    # One coupled pass runs every ensemble size on shared draws; its time
-    # is split evenly over the rows.
+def _enks_vs_ks_pass(spec: StudySpec):
+    # Every ensemble size is an EnKS arm of one coupled pass, beside one
+    # exact reference arm; the exact column recursion runs once per study.
     if not spec.problem.all_linear:
         raise ValidationError("enks-vs-ks studies require a fully linear problem")
-    t0 = time.perf_counter()
-    sizes = tuple(int(v) for v in spec.sweep)
-    cells = _coupled_diffs(spec.problem, sizes, PerturbationStream(spec.seed), spec.replicates)
-    wall = 1e3 * (time.perf_counter() - t0) / len(spec.sweep)
-    return [
-        StudyRow(value, *_summarize(cell, spec.p_order), wall)
-        for value, cell in zip(spec.sweep, cells)
+    return _coupled_pass(spec.problem, tuple(int(v) for v in spec.sweep))
+
+
+def _lm_enks_vs_lm_pass(spec: StudySpec):
+    # Every ensemble size is a tangent arm of one LM pass, against the
+    # final iterate of exact LM.
+    target = lm_exact_run(spec.problem, replace(spec.lm, mode="exact", ensemble_sizes=())).iterates[-1].composite
+    arms = tuple(replace(spec.lm, mode="tangent", ensemble_sizes=(int(v),)) for v in spec.sweep)
+    return lambda stream: [
+        run.iterates[-1].composite - target
+        for run in _lm_ensemble_runs(spec.problem, arms, stream, None, keep_ensembles=False)
     ]
 
 
-def _lm_enks_vs_lm_rows(spec: StudySpec) -> list[StudyRow]:
-    base = spec.lm
-    exact = lm_exact_run(spec.problem, replace(base, mode="exact", ensemble_sizes=()))
-    target = exact.iterates[-1].composite
-    rows = []
-    for value in spec.sweep:
-        cfg = replace(base, mode="tangent", ensemble_sizes=(int(value),))
-        t0 = time.perf_counter()
-        diffs = []
-        for r in range(spec.replicates):
-            stream = PerturbationStream(derive_seed(spec.seed, r))
-            (run,) = _lm_ensemble_runs(spec.problem, cfg, stream, None, (None,), keep_ensembles=False)
-            diffs.append(run.iterates[-1].composite - target)
-        wall = 1e3 * (time.perf_counter() - t0)
-        estimate, stderr, raw = _summarize(diffs, spec.p_order)
-        rows.append(StudyRow(float(value), estimate, stderr, raw, wall))
-    return rows
+def _tau_sweep_pass(spec: StudySpec):
+    # Every tau is a finite-difference arm of one LM pass, against its
+    # tangent arm.
+    arms = (replace(spec.lm, mode="tangent"), *(replace(spec.lm, mode="finite-difference", tau=v) for v in spec.sweep))
 
+    def one_pass(stream) -> list[np.ndarray]:
+        tangent, *fd = _lm_ensemble_runs(spec.problem, arms, stream, None, keep_ensembles=False)
+        return [run.iterates[-1].composite - tangent.iterates[-1].composite for run in fd]
 
-def _tau_sweep_rows(spec: StudySpec) -> list[StudyRow]:
-    # One keyed pass per replicate runs the tangent arm and every tau arm
-    # on shared draws; the pass's time is split evenly over the tau rows.
-    t0 = time.perf_counter()
-    diffs = [[] for _ in spec.sweep]
-    for r in range(spec.replicates):
-        stream = PerturbationStream(derive_seed(spec.seed, r))
-        tangent, *fd = _lm_ensemble_runs(spec.problem, spec.lm, stream, None, (None, *spec.sweep), keep_ensembles=False)
-        for cell, run in zip(diffs, fd):
-            cell.append(run.iterates[-1].composite - tangent.iterates[-1].composite)
-    wall = 1e3 * (time.perf_counter() - t0) / len(spec.sweep)
-    return [
-        StudyRow(value, *_summarize(cell, spec.p_order), wall)
-        for value, cell in zip(spec.sweep, diffs)
-    ]
+    return one_pass
 
 
 def run_study(spec: StudySpec) -> StudyResult:
-    """Run every cell of a study and fit the log-log rate."""
-    runner = {
-        "enks-vs-ks": _enks_vs_ks_rows,
-        "lm-enks-vs-lm": _lm_enks_vs_lm_rows,
-        "tau-sweep": _tau_sweep_rows,
-    }[spec.kind]
-    rows = runner(spec)
+    """Run every cell of a study and fit the log-log rate.
+
+    Every kind runs one keyed pass per replicate, on the replicate's
+    derived seed, that gives each cell its error; the time of the passes,
+    their set-up included, is split evenly over the rows.
+    """
+    t0 = time.perf_counter()
+    passes = {"enks-vs-ks": _enks_vs_ks_pass, "lm-enks-vs-lm": _lm_enks_vs_lm_pass, "tau-sweep": _tau_sweep_pass}
+    one_pass = passes[spec.kind](spec)
+    cells = [[] for _ in spec.sweep]
+    for r in range(spec.replicates):
+        for cell, diff in zip(cells, one_pass(PerturbationStream(derive_seed(spec.seed, r))), strict=True):
+            cell.append(diff)
+    wall = 1e3 * (time.perf_counter() - t0) / len(spec.sweep)
+    rows = [StudyRow(value, *_summarize(cell, spec.p_order), wall) for value, cell in zip(spec.sweep, cells)]
 
     slope = intercept = None
     estimates = [r.error_estimate for r in rows]

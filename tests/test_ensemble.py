@@ -1,6 +1,7 @@
 import inspect
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +30,12 @@ from ensvar import (
     sample_covariance,
 )
 from ensvar import ensemble
-from ensvar.ensemble import _coupled_diffs, _gain_transpose, _sample_gain, _slot_rows, _sorted_members, _update
+from ensvar.ensemble import _coupled_pass, _gain_transpose, _sample_gain, _slot_rows, _sorted_members, _update
 from ensvar.kalman import _linear_matrices
 from conftest import truncated
+
+
+PINNED_RUNS = Path(__file__).parent / "data" / "ensemble_runs_pinned.npz"
 
 
 class DegenerateStream(PerturbationStream):
@@ -53,6 +57,14 @@ class DegenerateStream(PerturbationStream):
                 np.zeros_like(z) if kind in (NoiseKind.INIT, NoiseKind.MODEL) else z
                 for (_, kind, _), z in zip(keys, draws)
             ]
+
+
+def coupled_cells(problem, sizes, stream, replicates):
+    """Each size's per-replicate diffs from one coupled pass per
+    replicate, on the replicates' derived seeds, as a study runs them."""
+    one_pass = _coupled_pass(problem, sizes)
+    per_replicate = [one_pass(PerturbationStream(derive_seed(stream.seed, r))) for r in range(replicates)]
+    return [list(cell) for cell in zip(*per_replicate)]
 
 
 def _plain_forecast(problem, keys, stream, i, x, composite):
@@ -100,6 +112,24 @@ class TestEnKF:
     def test_rejects_nonlinear(self, w2):
         with pytest.raises(NonlinearOperatorError):
             enkf_run(w2, 4, PerturbationStream(0))
+
+    @pytest.mark.parametrize(
+        "name, params, keys",
+        [
+            ("m1_k5", {"m": 1, "k": 5, "seed": 5}, None),
+            ("m3_k6", {"m": 3, "k": 6, "seed": 6}, None),
+            ("m3_k6_permuted", {"m": 3, "k": 6, "seed": 6}, np.random.default_rng(1).permutation(40) * 3 + 1),
+        ],
+    )
+    def test_analyses_pinned(self, name, params, keys):
+        # Pinned bit for bit, 40 members on stream seed 17: a change to the
+        # filter's arithmetic must show here and update the file on purpose.
+        run = enkf_run(make_toy_problem("linear-chain", **params), 40, PerturbationStream(17), member_indices=keys)
+        assert len(run.analysis_ensembles) == params["k"] + 1
+        with np.load(PINNED_RUNS) as pinned:
+            np.testing.assert_array_equal(run.member_indices, pinned[f"enkf_{name}_members"])
+            for i, analysis in enumerate(run.analysis_ensembles):
+                np.testing.assert_array_equal(analysis, pinned[f"enkf_{name}_analysis_{i}"])
 
 
 def _plain_enks(problem, keys, stream, composite):
@@ -531,7 +561,7 @@ class TestCoupledError:
         # Keys 0..n-1 are a prefix of the largest size's keys, so the sizes
         # of one pass reproduce separate one-size passes bit for bit.
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=4)
-        cells = _coupled_diffs(problem, sizes, PerturbationStream(9), 3)
+        cells = coupled_cells(problem, sizes, PerturbationStream(9), 3)
         assert len(cells) == len(sizes)
         for n, cell in zip(sizes, cells):
             separate = coupled_member_diffs(problem, n, PerturbationStream(9), 3)
@@ -556,10 +586,10 @@ class TestCoupledError:
     def _peak_in_trajectories(m, k, sizes):
         """Traced peak of a warm two-replicate pass, in trajectories of the largest size."""
         problem = make_toy_problem("linear-chain", m=m, k=k, seed=0)
-        _coupled_diffs(problem, sizes, PerturbationStream(20), 1)
+        coupled_cells(problem, sizes, PerturbationStream(20), 1)
         tracemalloc.start()
         try:
-            _coupled_diffs(problem, sizes, PerturbationStream(20), 2)
+            coupled_cells(problem, sizes, PerturbationStream(20), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -33,12 +33,19 @@ from ensvar import (
     objective,
 )
 from ensvar import fourdvar
-from ensvar.ensemble import _coupled_diffs
 from ensvar.fourdvar import _augmented_noise_cov, _lm_ensemble_runs
 from conftest import random_nonlinear_problem
-from test_ensemble import DegenerateStream
+from test_ensemble import PINNED_RUNS, DegenerateStream, coupled_cells
 
 W1_TARGET = np.array([1.0, 2.0])
+
+
+def _arms(cfg, taus):
+    """The LM pass's arms for ``taus``: the tangent config for None, else
+    the finite-difference config with that tau."""
+    return tuple(
+        replace(cfg, mode="tangent") if tau is None else replace(cfg, mode="finite-difference", tau=tau) for tau in taus
+    )
 
 
 class TestObjective:
@@ -333,13 +340,13 @@ def test_every_sample_covariance_step_runs_the_one_kernel(monkeypatch):
     enks_run(problem, 6, PerturbationStream(0), member_indices=[5, 1, 9, 0, 2, 7])
     assert calls == {"_forecast": k, "_sample_gain": k, "_update": k}
     calls.clear()
-    _coupled_diffs(problem, sizes, PerturbationStream(0), replicates)
+    coupled_cells(problem, sizes, PerturbationStream(0), replicates)
     # One reference arm beside the sample arms, on exact gains.
     steps = (len(sizes) + 1) * k * replicates
     assert calls == {"_forecast": steps, "_sample_gain": len(sizes) * k * replicates, "_update": steps}
     calls.clear()
     cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(6,))
-    _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, arms)
+    _lm_ensemble_runs(problem, _arms(cfg, arms), PerturbationStream(0), None)
     steps = k * iterations * len(arms)
     assert calls == {"_forecast": steps, "_sample_gain": steps, "_update": steps}
 
@@ -510,7 +517,7 @@ class TestSharedPass:
         problem = make_toy_problem(name, **params)
         taus = (1e-1, 1e-2, 1e-3)
         cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=sizes)
-        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(7), None, (None, *taus))
+        arms = _lm_ensemble_runs(problem, _arms(cfg, (None, *taus)), PerturbationStream(7), None)
         separate = [lm_enks_tangent_run(problem, cfg, PerturbationStream(7))] + [
             enks_4dvar_run(problem, replace(cfg, mode="finite-difference", tau=tau), PerturbationStream(7))
             for tau in taus
@@ -523,12 +530,63 @@ class TestSharedPass:
             assert arm.max_member_norms == run.max_member_norms
             assert len(arm.ensembles) == iterations
 
+    @pytest.mark.parametrize(
+        "name, toy, params", [("w2", "w2-quadratic", {}), ("chain_m3_k4", "linear-chain", {"m": 3, "k": 4, "seed": 2})]
+    )
+    def test_pass_pinned(self, name, toy, params):
+        # A tangent arm and two finite-difference arms over a (30, 60)
+        # schedule, pinned bit for bit: a change to the LM step's arithmetic
+        # must show here and update the file on purpose.
+        cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(30, 60))
+        arms = _lm_ensemble_runs(make_toy_problem(toy, **params), _arms(cfg, (None, 1e-1, 1e-2)), PerturbationStream(23), None)
+        with np.load(PINNED_RUNS) as pinned:
+            for a, run in enumerate(arms):
+                key = f"lm_{name}_arm{a}"
+                np.testing.assert_array_equal(np.stack([t.states for t in run.iterates]), pinned[f"{key}_iterates"])
+                np.testing.assert_array_equal(run.objectives, pinned[f"{key}_objectives"])
+                assert len(run.ensembles) == 2
+                for j, ensemble in enumerate(run.ensembles):
+                    np.testing.assert_array_equal(ensemble, pinned[f"{key}_ensemble_{j}"])
+
+    def test_arms_of_different_sizes_equal_one_size_passes(self, w2, monkeypatch):
+        # Each iteration draws its keys once, at the largest arm's 6000
+        # members (3 blocks each, so two 2^14-block member chunks), and the
+        # smaller arms read the first n columns: keys 0..n-1, bit for bit
+        # their own draws.
+        chunks, original = [], PerturbationStream.draw_keys
+
+        def counted(self, *args):
+            for chunk in original(self, *args):
+                chunks.append(chunk[0])
+                yield chunk
+
+        monkeypatch.setattr(PerturbationStream, "draw_keys", counted)
+        cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
+        arms = tuple(replace(cfg, ensemble_sizes=(n,)) for n in (50, 400, 6000))
+        shared = _lm_ensemble_runs(w2, arms, PerturbationStream(8), None)
+        assert len(chunks) == 2 * cfg.max_iterations
+        for arm, run in zip(arms, shared, strict=True):
+            (alone,) = _lm_ensemble_runs(w2, (arm,), PerturbationStream(8), None)
+            assert run.objectives == alone.objectives
+            assert all(np.array_equal(a.states, b.states) for a, b in zip(run.iterates, alone.iterates, strict=True))
+            assert all(np.array_equal(a, b) for a, b in zip(run.ensembles, alone.ensembles, strict=True))
+            assert run.max_member_norms == alone.max_member_norms
+
+    def test_arms_of_different_sizes_refuse_member_indices(self, w2):
+        # Prefix columns are keys 0..n-1, which caller-given keys are not.
+        cfg = LMConfig(gamma=1.0, max_iterations=1, mode="tangent", ensemble_sizes=(8,))
+        arms = (cfg, replace(cfg, ensemble_sizes=(16,)))
+        with pytest.raises(ValidationError, match=r"^arms of different ensemble sizes \[8, 16\] cannot share member_indices$"):
+            _lm_ensemble_runs(w2, arms, PerturbationStream(0), list(range(16)))
+        same = _lm_ensemble_runs(w2, (cfg, cfg), PerturbationStream(0), list(range(8, 0, -1)))
+        assert same[0].objectives == same[1].objectives
+
     def test_kept_ensembles_share_no_memory(self):
         # Every arm and every iteration fills an array of its own; a kept
         # ensemble must not be overwritten by a later arm or iteration.
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=2)
         cfg = LMConfig(gamma=1.0, max_iterations=3, mode="tangent", ensemble_sizes=(12,))
-        arms = _lm_ensemble_runs(problem, cfg, PerturbationStream(5), None, (None, 1e-1, 1e-2))
+        arms = _lm_ensemble_runs(problem, _arms(cfg, (None, 1e-1, 1e-2)), PerturbationStream(5), None)
         kept = [e for arm in arms for e in arm.ensembles]
         assert len(kept) == 9
         for i, a in enumerate(kept):
@@ -536,8 +594,8 @@ class TestSharedPass:
 
     def test_dropping_ensembles_keeps_iterates(self, w2):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
-        kept = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2))
-        dropped = _lm_ensemble_runs(w2, cfg, PerturbationStream(3), None, (None, 1e-2), keep_ensembles=False)
+        kept = _lm_ensemble_runs(w2, _arms(cfg, (None, 1e-2)), PerturbationStream(3), None)
+        dropped = _lm_ensemble_runs(w2, _arms(cfg, (None, 1e-2)), PerturbationStream(3), None, keep_ensembles=False)
         for a, b in zip(kept, dropped, strict=True):
             assert a.objectives == b.objectives
             assert all(np.array_equal(x.states, y.states) for x, y in zip(a.iterates, b.iterates))
@@ -551,10 +609,10 @@ class TestSharedPass:
         peaks = []
         for iterations in (1, 2):
             cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(2000,))
-            _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None,), keep_ensembles=False)
+            _lm_ensemble_runs(problem, _arms(cfg, (None,)), PerturbationStream(0), None, keep_ensembles=False)
             tracemalloc.start()
             try:
-                _lm_ensemble_runs(problem, cfg, PerturbationStream(0), None, (None,), keep_ensembles=False)
+                _lm_ensemble_runs(problem, _arms(cfg, (None,)), PerturbationStream(0), None, keep_ensembles=False)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -588,7 +646,7 @@ class TestSharedPass:
         problem = replace(problem)
         cfg = LMConfig(gamma=2.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(8,))
         taus = (None, 1e-1, 1e-2, 1e-3, 1e-4)
-        _lm_ensemble_runs(problem, cfg, PerturbationStream(4), None, taus)
+        _lm_ensemble_runs(problem, _arms(cfg, taus), PerturbationStream(4), None)
 
         # The start objective is shared by the arms; each iterate gets one.
         assert len(objectives) == 1 + arms * iterations
@@ -605,7 +663,7 @@ class TestSharedPass:
 
     def test_each_key_drawn_once(self, w2, draw_log):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(8,))
-        _lm_ensemble_runs(w2, cfg, PerturbationStream(6), None, (None, 1e-1, 1e-2, 1e-3))
+        _lm_ensemble_runs(w2, _arms(cfg, (None, 1e-1, 1e-2, 1e-3)), PerturbationStream(6), None)
         shared = draw_log.copy()
         draw_log.clear()
         lm_enks_tangent_run(w2, cfg, PerturbationStream(6))
@@ -627,7 +685,7 @@ class TestSharedPass:
         monkeypatch.setattr(PerturbationStream, "draw_keys", counted)
         monkeypatch.setattr(PerturbationStream, "draw_members", alone)
         cfg = LMConfig(gamma=1.0, max_iterations=3, mode="tangent", ensemble_sizes=(8,))
-        _lm_ensemble_runs(problem, cfg, PerturbationStream(6), None, (None, 1e-2))
+        _lm_ensemble_runs(problem, _arms(cfg, (None, 1e-2)), PerturbationStream(6), None)
         steps = range(1, problem.horizon + 1)
         keys = [(0, NoiseKind.INIT), *((i, NoiseKind.MODEL) for i in steps), *((i, NoiseKind.OBS) for i in steps)]
         assert passes == [(Phase.LM, j, keys) for j in (1, 2, 3)]

@@ -12,7 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensvar import LMConfig, PerturbationStream, StudyResult, StudySpec, ValidationError, emit, make_toy_problem, run_study
+from ensvar import (
+    LMConfig,
+    PerturbationStream,
+    StudyResult,
+    StudySpec,
+    ValidationError,
+    derive_seed,
+    emit,
+    lm_run,
+    make_toy_problem,
+    run_study,
+)
 from ensvar import study as study_module
 from ensvar.study import StudyRow, json_text, render_csv, render_json
 
@@ -77,7 +88,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("sweep", [(100, 2000, 2500.5), (1, 10)])
     def test_ensemble_sizes_checked_before_any_cell(self, w1, kind, sweep, monkeypatch):
         ran = []
-        for name in ("_coupled_diffs", "lm_exact_run", "_lm_ensemble_runs"):
+        for name in ("_coupled_pass", "lm_exact_run", "_lm_ensemble_runs"):
             monkeypatch.setattr(study_module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
         lm = LMConfig(gamma=1.0, max_iterations=1, mode="tangent", ensemble_sizes=(16,))
         with pytest.raises(ValidationError, match="sweep values must be integers >= 2"):
@@ -134,6 +145,27 @@ class TestRunStudy:
         )
         run_study(spec)
         assert len(draw_log) == replicates * lm.max_iterations * (1 + 2 * w2.horizon)
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_lm_enks_study_draws_one_lm_run_per_replicate(self, w2, draw_log, replicates):
+        # Every ensemble size is an arm of one LM pass: one run's worth of
+        # keys per replicate, each drawn once, at the largest size.
+        lm = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
+        spec = StudySpec(kind="lm-enks-vs-lm", sweep=(8, 32, 128), replicates=replicates, problem=w2, seed=3, lm=lm)
+        run_study(spec)
+        assert len(draw_log) == replicates * lm.max_iterations * (1 + 2 * w2.horizon)
+        assert {members for *_, members, _ in draw_log} == {tuple(range(128))}
+
+    def test_lm_enks_study_cells_equal_one_size_runs(self, w2):
+        # Each cell's raw errors are those of separate tangent runs at its
+        # size, on the replicates' derived seeds, against exact LM.
+        lm = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
+        spec = StudySpec(kind="lm-enks-vs-lm", sweep=(8, 64), replicates=3, problem=w2, seed=4, lm=lm)
+        target = lm_run(w2, replace(lm, mode="exact")).iterates[-1].composite
+        for row in run_study(spec).rows:
+            cfg = replace(lm, ensemble_sizes=(int(row.sweep_value),))
+            runs = [lm_run(w2, cfg, PerturbationStream(derive_seed(4, r))) for r in range(3)]
+            assert row.raw_errors == tuple(float(np.linalg.norm(run.iterates[-1].composite - target)) for run in runs)
 
     def test_tau_sweep_wall_time_covers_the_tangent_arm(self, w2, monkeypatch):
         # A clock that ticks once per draw pass: the rows' wall times must add
