@@ -13,12 +13,26 @@ products come from:
   whose member-wise difference is pure sampling error of the ensemble
   method.
 
-Every smoother is a list of arms on one pass, :func:`_smoother_pass`:
-:func:`enks_run` is one sample arm and :func:`reference_enks_run` one
-exact arm.  :func:`coupled_member_diffs` runs the pair: each key is drawn
-once for both arms, and the exact arm carries member 1 only, since with
-exact gains no member depends on another.  A study sweeping the ensemble
-size adds a sample arm per size, on prefixes of the largest size's draw.
+Every run is a list of arms on one pass, :func:`_smoother_pass`, the
+package's only forecast, gain and update loop: :func:`enks_run` is one
+sample arm and :func:`reference_enks_run` one exact arm.
+:func:`coupled_member_diffs` runs the pair: each key is drawn once for
+both, and the exact arm carries member 1 only, since with exact gains no
+member depends on another.  A study sweeping the ensemble size adds a
+sample arm per size, on prefixes of the largest size's draw.  Each arm
+of an ensemble LM iteration (:mod:`ensvar.fourdvar`) is a pass of its own.
+
+The pass reads its system from ``step(i)``, step i's ``(propagate,
+observe, obs_cov, predict, observation)``, and its draws from
+``noise(i, kind)``, the scaled draw of key (i, kind).  Each step runs in
+three phases, each one helper:
+
+1. :func:`_forecast` adds the forcing and the model draw to ``propagate``
+   of the time i-1 analysis;
+2. K^T comes from :func:`_sample_gain`, which hands ``observe`` the newest
+   block's deviations, or from an exact arm's list (:func:`_exact_gains`);
+3. :func:`_update` adds the gain times the innovations
+   ``observation - w - predict(x)`` to the forecast in row blocks.
 
 Ensembles are held state-major, as (state, member) arrays: with a state
 of a few components and thousands of members, every mean, deviation and
@@ -29,34 +43,18 @@ already ascend.  So a run whose member keys are permuted computes the
 unpermuted run's numbers bit for bit; permuting keys permutes output
 members exactly.
 
-Every arm fills one trajectory array in place, allocated once, so no
-trajectory is copied per step; a smoother run copies each step's analysis
-out of it.  :func:`enkf_run` is a filter pass of the same loop, which
-updates only the newest block, so its analyses are the array's blocks.
-
-Every runner, the ensemble LM arms of :mod:`ensvar.fourdvar` included,
-takes a step in three phases, each one helper:
-
-1. :func:`_forecast` advances the time i-1 analysis by the caller's
-   propagation (the model matrix here; in an LM arm, the model linearized
-   around its centre) and adds the step's scaled model draw;
-2. K^T comes from :func:`_sample_gain`, the package's one sample-covariance
-   analysis step, or, for an exact arm, from the exact forecast covariance;
-3. :func:`_update` adds the gain times the caller's innovations to the
-   forecast in row blocks: ``y - w - H x`` here (:func:`_innovations`), in
-   an LM arm those of its stacked [H; I] prediction.
-
-Every draw is scaled by its Cholesky factor in :func:`_noises`, chunk by
-chunk: the smoother and filter passes call it one key at a time, through
-:func:`_noise`, and an LM iteration with all its keys in one kernel pass.
-Here the model draw is made just before the forecast and the observation
-draw w only after the gains; a keyed draw is a pure function of its key,
-so that moves no number.  The smoother pass runs each phase over all its
-arms before the next, freeing the model draw before the gains.  The
-gain's P H^T and the update's product both run over the same m-row
-blocks (:func:`_row_blocks`), so every phase holds at most one state
-block of temporaries beside the trajectories: no composite deviations,
-draw or full-width update product.
+Every arm fills one trajectory array in place, allocated once and
+started with the background mean plus its prefix of the initial draw; a
+smoother run copies each step's analysis out of it, and a filtering pass
+(:func:`enkf_run`) updates only the newest block, so its analyses are the
+array's blocks.  Every draw is scaled by its Cholesky factor in
+:func:`_noises`, chunk by chunk.  The model draw is made just before the
+forecast and the observation draw w only after the gains, each phase
+running over all arms before the next; a keyed draw is a pure function
+of its key, so that moves no number.  The gain's P H^T and the update's
+product both run over the same m-row blocks (:func:`_row_blocks`), so
+every phase holds at most one state block of temporaries beside the
+trajectories: no composite deviations, draw or full-width update product.
 
 The degenerate zero-spread ensemble needs no special casing: all sample
 products vanish, the innovation covariance reduces to R (still SPD), and
@@ -168,10 +166,19 @@ def _sample_gain(forecast: np.ndarray, m: int, observe, obs_cov: np.ndarray) -> 
         return _gain_transpose(pht, 0.5 * (hpht + hpht.T), obs_cov)
 
 
-def _noise(stream, phase, iteration, members):
-    """A pass's scaled draw, one key per call: ``noise(i, kind, l)`` is
-    :func:`_noises` of the one key ``(i, kind, l)``."""
-    return lambda i, kind, l: _noises(stream, phase, iteration, members, [(i, kind, l)])[0]
+def _pass_keys(problem, obs_factors) -> dict:
+    """A pass's 2k+1 keys (i, kind) and their factors: the initial draw and
+    each step's model draw, then the observation draws, on ``obs_factors``."""
+    l_b, l_q, _ = problem._factors
+    keys = {(0, NoiseKind.INIT): l_b} | {(i, NoiseKind.MODEL): l for i, l in enumerate(l_q, 1)}
+    return keys | {(i, NoiseKind.OBS): l for i, l in enumerate(obs_factors, 1)}
+
+
+def _noise(problem, stream, members):
+    """A smoother pass's scaled draws, one key per call: ``noise(i, kind)``
+    is :func:`_noises` of the one key (i, kind) of :func:`_pass_keys`."""
+    factors = _pass_keys(problem, problem._factors[2])
+    return lambda i, kind: _noises(stream, Phase.SMOOTHER, 0, members, [(i, kind, factors[i, kind])])[0]
 
 
 def _noises(stream, phase, iteration, members, keys) -> list[np.ndarray]:
@@ -194,15 +201,6 @@ def _noises(stream, phase, iteration, members, keys) -> list[np.ndarray]:
     return outs
 
 
-def _trajectory(problem, initial: np.ndarray) -> np.ndarray:
-    """A ((k+1)m, N) trajectory array, allocated once, starting with the
-    (m, N) ``initial``; step i fills rows i*m:(i+1)*m and updates rows
-    :(i+1)*m in place."""
-    trajectory = np.empty(((problem.horizon + 1) * problem.state_dim, initial.shape[1]))
-    trajectory[: problem.state_dim] = initial
-    return trajectory
-
-
 def _forecast(problem, i, out, propagate, noise, exact=False) -> None:
     """Step i's forecast, in place: ``propagate`` of the time i-1 state,
     the m rows of ``out`` before its last, plus the forcing and the scaled
@@ -215,27 +213,6 @@ def _forecast(problem, i, out, propagate, noise, exact=False) -> None:
     m = problem.state_dim
     with nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
         np.add(propagate(out[-2 * m : -m]) + problem.forcings[i - 1][:, None], noise, out=out[-m:])
-
-
-def _gain(problem, lin, i, out, cov_f, gains) -> np.ndarray:
-    """Step i's K^T for the forecast ``out``: the sample gain of its
-    columns, in ascending key order, or, given ``cov_f``, the exact gain of
-    that composite forecast covariance or its trailing block column, kept
-    in ``gains`` (one run's dict)."""
-    m, h_i, r_i = problem.state_dim, lin[1][i - 1], problem.obs_noise_covs[i - 1]
-    if cov_f is None:
-        return _sample_gain(out, m, h_i.__matmul__, r_i)
-    if i not in gains:
-        gains[i] = _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
-    return gains[i]
-
-
-def _innovations(problem, lin, i, out, noise) -> np.ndarray:
-    """Step i's innovations of perturbed observations, ``y - noise - H x``,
-    for the forecast ``out`` and the scaled observation draw ``noise``."""
-    innovations = problem.observations[i - 1][:, None] - noise
-    innovations -= lin[1][i - 1] @ out[-problem.state_dim :]
-    return innovations
 
 
 def _update(m, out, gain_t, innovations) -> None:
@@ -252,47 +229,66 @@ def _update(m, out, gain_t, innovations) -> None:
         out[start:stop] += gain_t[:, start:stop].T @ innovations
 
 
-def _smoother_pass(problem, lin, stream, members, arms, gains, analyses=None, filtering=False) -> list[np.ndarray]:
-    """The keyed smoother pass over the draws of ``members``, for every arm.
+def _smoother_pass(problem, step, noise, arms, analyses=None, filtering=False) -> list[np.ndarray]:
+    """The package's one ensemble step loop, for every arm on one system.
 
-    An arm ``(n, cov_fs)`` reads the first n columns of each draw with
-    sample gains or, given forecast columns ``cov_fs``, exact gains, kept
-    in ``gains``.  Returns each arm's trajectory array, its final
-    analysis; ``analyses``, when given, receives copies of the first
-    arm's earlier analyses.  A ``filtering`` pass updates only the newest
-    block, so every block keeps its filter analysis.
+    ``step(i)`` gives step i's ``(propagate, observe, obs_cov, predict,
+    observation)`` and ``noise(i, kind)`` the scaled draw of key (i, kind),
+    of which an arm ``(n, gain_ts)`` reads the first n columns; its gains
+    are sample ones or the exact K^T list ``gain_ts``.  Returns each arm's
+    trajectory array, its final analysis; ``analyses``, when given,
+    receives copies of the first arm's earlier analyses.  A ``filtering``
+    pass updates only the newest block, so each keeps its filter analysis.
     """
-    (models, _), (l_b, l_q, l_r), m = lin, problem._factors, problem.state_dim
-    noise = _noise(stream, Phase.SMOOTHER, 0, members)
-    initial = problem.background_mean[:, None] + noise(0, NoiseKind.INIT, l_b)
-    trajectories = [_trajectory(problem, initial[:, :n]) for n, _ in arms]
-    del initial  # the trajectories hold copies of its prefixes
-    for i in range(1, problem.horizon + 1):
+    m, k = problem.state_dim, problem.horizon
+    draw, trajectories = noise(0, NoiseKind.INIT), []
+    for n, _ in arms:
+        trajectories.append(np.empty(((k + 1) * m, n)))
+        np.add(problem.background_mean[:, None], draw[:, :n], out=trajectories[-1][:m])
+    del draw
+    for i in range(1, k + 1):
+        propagate, observe, obs_cov, predict, observation = step(i)
         if analyses is not None:
             analyses.append(trajectories[0][: i * m].copy())
         outs = [trajectory[(i * m if filtering else 0) : (i + 1) * m] for trajectory in trajectories]
-        propagate, v = models[i - 1].__matmul__, noise(i, NoiseKind.MODEL, l_q[i - 1])
-        for trajectory, (n, cov_fs) in zip(trajectories, arms):
-            _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n], exact=cov_fs is not None)
+        v = noise(i, NoiseKind.MODEL)
+        for trajectory, (n, gain_ts) in zip(trajectories, arms):
+            _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n], exact=gain_ts is not None)
         del v
-        gain_ts = [
-            _gain(problem, lin, i, out, None if cov_fs is None else cov_fs[i - 1], gains)
-            for out, (_, cov_fs) in zip(outs, arms)
-        ]
-        w = noise(i, NoiseKind.OBS, l_r[i - 1])
-        for out, gain_t in zip(outs, gain_ts):
-            _update(m, out, gain_t, _innovations(problem, lin, i, out, w[:, : out.shape[1]]))
+        gains = [_sample_gain(out, m, observe, obs_cov) if g is None else g[i - 1] for out, (_, g) in zip(outs, arms)]
+        w = noise(i, NoiseKind.OBS)
+        for out, gain_t in zip(outs, gains):
+            innovations = observation[:, None] - w[:, : out.shape[1]]
+            innovations -= predict(out[-m:])
+            _update(m, out, gain_t, innovations)
         del w
     return trajectories
+
+
+def _linear_steps(problem, lin):
+    """``step`` of :func:`_smoother_pass` for the linear system ``lin``."""
+    rows = zip(*lin, problem.obs_noise_covs, problem.observations)
+    steps = [(a.__matmul__, h.__matmul__, r, h.__matmul__, y) for a, h, r, y in rows]
+    return lambda i: steps[i - 1]
+
+
+def _exact_gains(problem, lin) -> list[np.ndarray]:
+    """Each step's exact K^T, from the composite forecast covariance's
+    trailing block column of the Kalman smoother's recursion."""
+    m = problem.state_dim
+    return [
+        _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
+        for (cov_f, *_), h_i, r_i in zip(_column_recursion(problem, *lin), lin[1], problem.obs_noise_covs)
+    ]
 
 
 def _smoother_arm(problem, lin, stream, members, exact=False, filtering=False) -> list[np.ndarray]:
     """The analyses at times 0..k of one arm over every member: the
     smoother's composites, with exact gains or sample ones, or, when
     ``filtering``, the filter's states, as blocks of its one array."""
-    cov_fs = [col_f for col_f, *_ in _column_recursion(problem, *lin)] if exact else None
-    analyses = None if filtering else []
-    (trajectory,) = _smoother_pass(problem, lin, stream, members, [(len(members), cov_fs)], {}, analyses, filtering)
+    arms, analyses = [(len(members), _exact_gains(problem, lin) if exact else None)], None if filtering else []
+    step, noise = _linear_steps(problem, lin), _noise(problem, stream, members)
+    (trajectory,) = _smoother_pass(problem, step, noise, arms, analyses, filtering)
     return np.split(trajectory, problem.horizon + 1) if filtering else [*analyses, trajectory]
 
 
@@ -394,11 +390,11 @@ def _coupled_pass(problem, sizes):
     if min(sizes) < 2:
         raise ValidationError(f"EnKS needs at least 2 members, got {min(sizes)}")
     lin = _linear_matrices(problem, "ensemble Kalman runs")
-    arms = [*((n, None) for n in sizes), (1, [col_f for col_f, *_ in _column_recursion(problem, *lin)])]
-    keys, gains = np.arange(max(sizes), dtype=np.int64), {}
+    arms = [*((n, None) for n in sizes), (1, _exact_gains(problem, lin))]
+    keys, step = np.arange(max(sizes), dtype=np.int64), _linear_steps(problem, lin)
 
     def one_pass(stream) -> list[np.ndarray]:
-        *ensembles, reference = _smoother_pass(problem, lin, stream, keys, arms, gains)
+        *ensembles, reference = _smoother_pass(problem, step, _noise(problem, stream, keys), arms)
         return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]
 
     return one_pass

@@ -16,8 +16,9 @@ Three solver variants compute the damped Gauss-Newton (LM) iteration:
 * ``tangent``: the linearized subproblem is solved approximately by an
   ensemble Kalman smoother, with exact Jacobians applied to ensemble
   deviations and the linearization centered at the previous iterate's
-  sample mean.  Its step is the EnKS's own (``ensemble._forecast``,
-  ``_sample_gain``, ``_update``), on the same (state, member) arrays.
+  sample mean.  Each iteration of each arm is one pass of the EnKS's own
+  loop, ``ensemble._smoother_pass``, whose ``step`` is the linearized
+  system with the damping stacked under each observation.
 * ``finite-difference``: as ``tangent``, but every Jacobian-vector
   product is replaced by a forward-difference quotient with step tau
   around the same center, so no Jacobians are needed at all.  Each
@@ -28,13 +29,12 @@ Three solver variants compute the damped Gauss-Newton (LM) iteration:
 The two ensemble variants, and runs with different tau, consume identical
 keyed perturbations (same phase, iteration, time, member, kind), so
 differences between them isolate the approximation under study.  All
-arms share each draw, in one pass: a tau sweep advances the tangent arm
-and every tau arm, and an ensemble-size sweep a tangent arm per size on
-prefixes of the draw, through each LM iteration on one draw of its keys,
-each arm and iteration in a trajectory array of its own (``_trajectory``).
-An iteration's 2k+1 keys (init, k model, k augmented observation) come
-from one pass of the stream's kernel, ``ensemble._noises``, which scales
-each member chunk straight into its per-key arrays.
+arms share each draw: a tau sweep advances the tangent arm and every tau
+arm, and an ensemble-size sweep a tangent arm per size on prefixes of
+the draw, through each LM iteration, one pass per arm.  An iteration's
+2k+1 keys (init, k model, k augmented observation) come from one pass of
+the stream's kernel, ``ensemble._noises``, and each pass's ``noise``
+reads them by key.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import _forecast, _noises, _sample_gain, _slot_rows, _sorted_members, _trajectory, _update
+from .ensemble import _noises, _pass_keys, _slot_rows, _smoother_pass, _sorted_members
 from .errors import ValidationError
 from .kalman import _normal_equations_solution
 from .numerics import _factor, _solve, _triangular_solve
 from .problem import AssimilationProblem, Operator, Trajectory
-from .streams import NoiseKind, PerturbationStream, Phase, _integer
+from .streams import PerturbationStream, Phase, _integer
 
 __all__ = [
     "LMConfig",
@@ -264,91 +264,85 @@ def _lm_ensemble_runs(
     member_indices,
     keep_ensembles: bool = True,
 ) -> list[LMRunResult]:
-    """The only ensemble LM step: one run per arm, all arms on shared keys.
+    """The ensemble LM iterations: one run per arm, all arms on shared keys.
 
     An arm is a ``tangent`` or ``finite-difference`` config, whose run is
     bit for bit its run alone; the arms share the first arm's gamma,
-    iteration count and start.  Per LM iteration j, each arm runs the
-    EnKS's step on the system linearized at its own previous iterate, with
-    the damping realized as stacked observations.  The iteration's 2k+1
-    keys are drawn in one kernel pass at the largest arm's size, scaled
-    chunk by chunk into their arrays (``_noises``); an arm of n members
-    reads the first n columns, keys 0..n-1, so arms of different sizes
-    take no caller-given keys.  The arms run one after another, each in a
-    function scope of its own, so only one working trajectory array is
-    alive at a time and no iteration's draws outlive it; a kept ensemble
-    is a view into its own array.  ``keep_ensembles=False`` leaves
-    ``ensembles`` and ``max_member_norms`` empty.
+    iteration count and start.  Per LM iteration j, each arm runs one
+    ``_smoother_pass`` on the system linearized at its own previous
+    iterate, with the damping realized as stacked observations.  Every
+    iteration's sizes and member keys are checked before the first draw.
+    The iteration's 2k+1 keys are drawn in one kernel pass at the largest
+    arm's size (``_noises``); an arm of n members reads the first n
+    columns, keys 0..n-1, so arms of different sizes take no caller-given
+    keys.  The arms run one after another, each in a function scope of its
+    own, so only one working trajectory array is alive at a time and no
+    iteration's draws outlive it; a kept ensemble is a view into its own
+    array.  ``keep_ensembles=False`` leaves ``ensembles`` and
+    ``max_member_norms`` empty.
     """
-    l_b, l_q, _ = problem._factors
     cfg = arms[0]
     if cfg.gamma <= 0:
         raise ValidationError("ensemble LM modes require gamma > 0")
     m, k = problem.state_dim, problem.horizon
-
-    def directional(op: Operator, c: np.ndarray, f_c: np.ndarray, dirs: np.ndarray, tau) -> np.ndarray:
-        """Products of op's Jacobian at c with every column of dirs, f_c = op(c)."""
-        if tau is None:
-            return op.jacobian_at(c) @ dirs
-        return ((op.apply_rows(c + tau * dirs.T) - f_c) / tau).T
-
+    # Every iteration's sizes and sorted member keys, checked before any draw.
+    schedule = [[arm.ensemble_size_for(j) for arm in arms] for j in range(1, cfg.max_iterations + 1)]
+    for sizes in schedule:
+        if member_indices is not None and len(set(sizes)) > 1:
+            raise ValidationError(f"arms of different ensemble sizes {sizes} cannot share member_indices")
+    members = {n: _sorted_members(n, member_indices) for n in sorted({max(sizes) for sizes in schedule})}
     # blockdiag(R_i, I / gamma) does not depend on the linearization center.
     r_aug = [_augmented_noise_cov(problem, i, cfg.gamma) for i in range(1, k + 1)]
-    l_r_aug = [_factor(r, "augmented obs cov") for r in r_aug]
+    keys = _pass_keys(problem, [_factor(r, "augmented obs cov") for r in r_aug])
     start, start_objective = _start(problem, cfg)
     # Per arm: iterates, objectives, final ensembles, max member norms.
     runs = [([start], [start_objective], [], []) for _ in arms]
 
-    def run_arm(arm, n, run, init, model_noise, obs_noise, slots) -> None:
-        """One arm's EnKS pass of one LM iteration, on the first n columns of
-        the draws, appended to ``run``; its arrays are freed on return
-        unless its ensemble is kept."""
+    def linearized(op: Operator, c: np.ndarray, tau):
+        """op(c), and the map from directions (columns) to their products
+        with op's Jacobian at c, exact or forward differences with step tau."""
+        f_c = op(c)
+        if tau is None:
+            return f_c, op.jacobian_at(c).__matmul__
+        return f_c, lambda dirs: ((op.apply_rows(c + tau * dirs.T) - f_c) / tau).T
+
+    def run_arm(arm, n, run, noise, slots) -> None:
+        """One arm's EnKS pass of one LM iteration, on the system linearized
+        at its last iterate with the damping stacked under each observation,
+        appended to ``run``; its array is freed on return unless its
+        ensemble is kept."""
         iterates, objectives, ensembles, max_norms = run
-        tau = arm.tau if arm.mode == "finite-difference" else None
-        center, trajectory = iterates[-1], _trajectory(problem, init[:, :n])
-        for i in range(1, k + 1):
+        tau, center = arm.tau if arm.mode == "finite-difference" else None, iterates[-1]
+
+        def step(i: int):
             c_prev, c_i = center[i - 1], center[i]
-            mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
-            m_c, h_c = mop(c_prev), hop(c_i)
-            out = trajectory[: (i + 1) * m]
-            propagate = lambda x: m_c[:, None] + directional(mop, c_prev, m_c, x - c_prev[:, None], tau)
-            _forecast(problem, i, out, propagate, model_noise[i - 1][:, :n])
+            m_c, model = linearized(problem.model_ops[i - 1], c_prev, tau)
+            h_c, obs = linearized(problem.obs_ops[i - 1], c_i, tau)
             # The stacked operator's lower block is the identity, whose
             # directional derivative is the direction itself.
-            gain_t = _sample_gain(
-                out, m, lambda dev: np.vstack([directional(hop, c_i, h_c, dev, tau), dev]), r_aug[i - 1]
+            observe = lambda dev: np.concatenate([obs(dev), dev])
+            predicted_center = np.concatenate([h_c, c_i])[:, None]
+            return (
+                lambda x: m_c[:, None] + model(x - c_prev[:, None]),
+                observe,
+                r_aug[i - 1],
+                lambda x: predicted_center + observe(x - c_i[:, None]),
+                np.concatenate([problem.observations[i - 1], c_i]),
             )
-            dev_center = out[-m:] - c_i[:, None]
-            predicted = np.vstack(
-                [h_c[:, None] + directional(hop, c_i, h_c, dev_center, tau), c_i[:, None] + dev_center]
-            )
-            observation = np.concatenate([problem.observations[i - 1], c_i])
-            _update(m, out, gain_t, observation[:, None] - obs_noise[i - 1][:, :n] - predicted)
 
+        (trajectory,) = _smoother_pass(problem, step, noise, [(n, None)])
         iterates.append(Trajectory.from_composite(trajectory.mean(axis=1), m))
         objectives.append(objective(problem, iterates[-1]))
         if keep_ensembles:
             ensembles.append(_slot_rows(trajectory, slots))
             max_norms.append(float(np.max(np.linalg.norm(ensembles[-1], axis=1))))
 
-    def run_iteration(j: int) -> None:
-        """LM iteration j on every arm, from one draw of its keys, which is
-        freed on return, before iteration j+1 draws."""
-        sizes = [arm.ensemble_size_for(j) for arm in arms]
-        if member_indices is not None and len(set(sizes)) > 1:
-            raise ValidationError(f"arms of different ensemble sizes {sizes} cannot share member_indices")
-        members, slots = _sorted_members(max(sizes), member_indices)
-        keys = [(0, NoiseKind.INIT, l_b)]
-        keys += [(i, NoiseKind.MODEL, l) for i, l in enumerate(l_q, 1)]
-        keys += [(i, NoiseKind.OBS, l) for i, l in enumerate(l_r_aug, 1)]
-        init, *noise = _noises(stream, Phase.LM, j, members, keys)
-        init += problem.background_mean[:, None]
-        model_noise, obs_noise = noise[:k], noise[k:]
+    for j, sizes in enumerate(schedule, 1):
+        ordered, slots = members[max(sizes)]
+        draws = dict(zip(keys, _noises(stream, Phase.LM, j, ordered, [(*key, l) for key, l in keys.items()])))
         for arm, n, run in zip(arms, sizes, runs):
-            run_arm(arm, n, run, init, model_noise, obs_noise, slots)
-
-    for j in range(1, cfg.max_iterations + 1):
-        run_iteration(j)
+            run_arm(arm, n, run, lambda i, kind: draws[i, kind], slots)
+        del draws  # freed before iteration j+1 draws
 
     return [LMRunResult(tuple(it), tuple(ob), arm.mode, tuple(en), tuple(mx)) for arm, (it, ob, en, mx) in zip(arms, runs)]
 

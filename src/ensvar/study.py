@@ -80,6 +80,8 @@ class StudySpec:
             raise ValidationError(f"p_order must be finite and >= 1, got {self.p_order}")
         if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm is None:
             raise ValidationError(f"study kind {self.kind!r} requires an LM config")
+        if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm.gamma <= 0:
+            raise ValidationError("ensemble LM modes require gamma > 0")
         if self.kind in ("enks-vs-ks", "lm-enks-vs-lm") and not all(v == int(v) >= 2 for v in sweep):
             raise ValidationError(f"{self.kind} sweep values must be integers >= 2, got {sweep}")
 

@@ -1,4 +1,3 @@
-import inspect
 import sys
 import tracemalloc
 from pathlib import Path
@@ -435,16 +434,14 @@ def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
         corner = m_i @ cov[-m:, -m:] @ m_i.T + problem.model_noise_covs[i - 1]
         want.append(np.vstack([cov[:, -m:] @ m_i.T, 0.5 * (corner + corner.T)]))
     used = []
-    original = ensemble._gain
-    signature = inspect.signature(original)
+    original = ensemble._column_recursion
 
     def recording(*args, **kwargs):
-        cov_f = signature.bind(*args, **kwargs).arguments.get("cov_f")
-        if cov_f is not None:
-            used.append(cov_f)
-        return original(*args, **kwargs)
+        for col_f, *rest in original(*args, **kwargs):
+            used.append(col_f)
+            yield col_f, *rest
 
-    monkeypatch.setattr(ensemble, "_gain", recording)
+    monkeypatch.setattr(ensemble, "_column_recursion", recording)
     reference_enks_run(problem, 1, PerturbationStream(0))
     n_reference = len(used)
     coupled_member_diffs(problem, 4, PerturbationStream(0), 1)

@@ -321,12 +321,12 @@ def test_ensemble_lm_matches_plain_row_major_oracle(name, tau):
 
 
 def test_every_sample_covariance_step_runs_the_one_kernel(monkeypatch):
-    # EnKS, coupled study and LM passes share one forecast, one analysis
-    # step and one update; a second copy of any of them would not be
-    # counted here.
+    # EnKS, coupled study and LM passes share one step loop, with one
+    # forecast, one analysis step and one update; a second copy of any of
+    # them would not be counted here.
     calls = Counter()
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ensvar"]:
-        for helper in ("_forecast", "_sample_gain", "_update"):
+        for helper in ("_smoother_pass", "_forecast", "_sample_gain", "_update"):
             if hasattr(module, helper):
 
                 def counting(*args, _original=getattr(module, helper), _helper=helper, **kwargs):
@@ -338,17 +338,19 @@ def test_every_sample_covariance_step_runs_the_one_kernel(monkeypatch):
     k, replicates, iterations, sizes, arms = problem.horizon, 3, 2, (4, 8), (None, 1e-1, 1e-2)
 
     enks_run(problem, 6, PerturbationStream(0), member_indices=[5, 1, 9, 0, 2, 7])
-    assert calls == {"_forecast": k, "_sample_gain": k, "_update": k}
+    assert calls == {"_smoother_pass": 1, "_forecast": k, "_sample_gain": k, "_update": k}
     calls.clear()
     coupled_cells(problem, sizes, PerturbationStream(0), replicates)
     # One reference arm beside the sample arms, on exact gains.
     steps = (len(sizes) + 1) * k * replicates
-    assert calls == {"_forecast": steps, "_sample_gain": len(sizes) * k * replicates, "_update": steps}
+    samples = len(sizes) * k * replicates
+    assert calls == {"_smoother_pass": replicates, "_forecast": steps, "_sample_gain": samples, "_update": steps}
     calls.clear()
     cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(6,))
     _lm_ensemble_runs(problem, _arms(cfg, arms), PerturbationStream(0), None)
     steps = k * iterations * len(arms)
-    assert calls == {"_forecast": steps, "_sample_gain": steps, "_update": steps}
+    want = {"_smoother_pass": iterations * len(arms), "_forecast": steps, "_sample_gain": steps, "_update": steps}
+    assert calls == want
 
 
 @pytest.mark.parametrize("mode", ["tangent", "finite-difference"])
@@ -580,6 +582,18 @@ class TestSharedPass:
             _lm_ensemble_runs(w2, arms, PerturbationStream(0), list(range(16)))
         same = _lm_ensemble_runs(w2, (cfg, cfg), PerturbationStream(0), list(range(8, 0, -1)))
         assert same[0].objectives == same[1].objectives
+
+    @pytest.mark.parametrize("mode", ["tangent", "finite-difference"])
+    def test_member_indices_checked_before_the_first_draw(self, mode, monkeypatch):
+        # Iteration 2's size does not match the keys; no iteration may
+        # draw before that is refused.
+        drawn = []
+        monkeypatch.setattr(fourdvar, "_noises", lambda *args, **kwargs: drawn.append(args))
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=0)
+        cfg = LMConfig(gamma=1.0, max_iterations=2, mode=mode, ensemble_sizes=(10, 20))
+        with pytest.raises(ValidationError, match=r"^member_indices has 10 entries, expected 20$"):
+            lm_run(problem, cfg, PerturbationStream(0), member_indices=range(10))
+        assert drawn == []
 
     def test_kept_ensembles_share_no_memory(self):
         # Every arm and every iteration fills an array of its own; a kept

@@ -95,6 +95,16 @@ class TestSpecValidation:
             run_study(StudySpec(kind=kind, sweep=sweep, replicates=1, problem=w1, lm=lm))
         assert ran == []
 
+    @pytest.mark.parametrize("kind, sweep", [("lm-enks-vs-lm", (16, 32)), ("tau-sweep", (1e-1, 1e-2))])
+    def test_zero_gamma_refused_before_any_cell(self, w2, kind, sweep, monkeypatch):
+        ran = []
+        for name in ("_coupled_pass", "lm_exact_run", "_lm_ensemble_runs"):
+            monkeypatch.setattr(study_module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
+        lm = LMConfig(gamma=0.0, max_iterations=1, mode="tangent", ensemble_sizes=(16,))
+        with pytest.raises(ValidationError, match=r"^ensemble LM modes require gamma > 0$"):
+            run_study(StudySpec(kind=kind, sweep=sweep, replicates=1, problem=w2, lm=lm))
+        assert ran == []
+
     def test_enks_study_rejects_nonlinear_problem(self, w2):
         spec = StudySpec(kind="enks-vs-ks", sweep=(16,), replicates=1, problem=w2)
         with pytest.raises(ValidationError):
