@@ -1,15 +1,11 @@
 """Exact recursions for the linear-Gaussian case.
 
-The smoother is deliberately implemented as the *filter applied to the
-growing composite state* x_0:i, rather than as a backward pass: the
-ensemble algorithms in this package mirror exactly that structure, and
-the coupled convergence tests rely on the structural parity.  Since the
-composite observation operator is [0, ..., 0, H_i], one private
-recursion on the mean and the trailing block column of the covariance
-serves everything: :func:`ks_run` adds the rank-d update of the leading
-block to it, :func:`kf_run` is it with the column cut to its trailing
-m x m block, and the exact-covariance reference ensembles read its
-columns directly.
+One private recursion on the mean and the trailing block column of the
+covariance serves everything.  On x_i alone it is the Kalman filter
+(:func:`kf_run`), and :func:`ks_run` runs one Rauch–Tung–Striebel pass
+back over its estimates.  On the growing composite state x_0:i, whose
+observation operator is [0, ..., 0, H_i], its columns are the exact
+covariances that the exact-covariance reference ensembles read.
 
 An independent block least-squares oracle solves the smoothing problem by
 assembling and solving its normal equations directly; it shares no code
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonlinearOperatorError, ValidationError
-from .numerics import spd_solve
+from .numerics import _factor, _solve, spd_solve
 from .problem import AssimilationProblem, GaussianEstimate
 
 __all__ = [
@@ -64,14 +60,13 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 def _column_recursion(problem: AssimilationProblem, models, obs_mats, composite=True):
     """The exact recursion on the mean and the trailing block column.
 
-    Yields ``(col_f, pht, gain, mean, col)`` for i = 1..k, where ``col_f``
-    and ``col`` are the trailing m columns of the forecast and analysis
-    covariances of x_0:i (of x_i alone when not ``composite``).  The
-    exact-covariance ensembles read ``col_f``, :func:`ks_run` updates the
-    leading block with ``pht`` and ``gain``, and both Kalman runs return
-    ``mean`` and ``col``.  The column's update never reads the leading
-    block.  Each gain is P H^T times the d x d inverse of the innovation
-    covariance.
+    Yields ``(col_f, state, mean, col)`` for i = 1..k, where ``col_f`` and
+    ``col`` are the trailing m columns of the forecast and analysis
+    covariances of x_0:i (of x_i alone when not ``composite``), ``state``
+    is the forecast mean of x_i and ``mean`` the analysis mean.  The
+    exact-covariance ensembles read ``col_f``, and both Kalman runs read
+    the rest.  The column's update never reads the leading block.  Each
+    gain is P H^T times the d x d inverse of the innovation covariance.
     """
     m = problem.state_dim
     mean, col = problem.background_mean, problem.background_cov
@@ -95,14 +90,13 @@ def _column_recursion(problem: AssimilationProblem, models, obs_mats, composite=
             mean = mean_f + gain @ innovation
         if not np.isfinite(mean).all():
             raise ValidationError("mean contains non-finite entries")
-        yield col_f, pht, gain, mean, col
+        yield col_f, state, mean, col
 
 
 def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
     """Kalman filter for a fully linear problem.
 
-    The smoother's recursion with the column cut to its trailing m x m
-    block: the forecast/gain/update recursion on x_i alone, with the
+    The shared recursion on x_i alone: forecast, gain and update, with the
     covariance symmetrized after each update to control round-off drift.
     """
     recursion = _column_recursion(problem, *_linear_matrices(problem), composite=False)
@@ -112,26 +106,41 @@ def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
 
 
 def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
-    """Kalman smoother as the filter on the growing composite state.
+    """Kalman smoother: the filter forward, then one Rauch–Tung–Striebel
+    pass back (Rauch, Tung & Striebel, 1965).
 
-    At step i the composite state x_0:i-1 is extended by the forecast of
-    x_i, the composite covariance gains one block row/column, and the
-    observation y_i (which only sees the trailing block) updates the whole
-    composite estimate.  The trailing block column comes from the shared
-    recursion; the leading block takes the rank-d update -K (P H^T)^T.
-    The trailing block of the final mean therefore reproduces the
-    filter's final estimate.  Only the running composite covariance is
-    carried; the one estimate built is the final one.
+    With the filter's analysis (x_i, P_i) and forecast (x^f_i+1, P^f_i+1),
+    the smoother gain G_i = P_i M_i+1^T (P^f_i+1)^-1 comes from a Cholesky
+    solve against the m x m forecast covariance, never an inverse.  Then
+
+        x^s_i = x_i + G_i (x^s_i+1 - x^f_i+1)
+        P^s_ii = P_i + G_i (P^s_i+1,i+1 - P^f_i+1) G_i^T
+        P^s_il = G_i P^s_i+1,l    for l > i,
+
+    so the mean and the diagonal blocks cost O(k m^3), and the row blocks
+    O(k^2 m^3), the size of the output.  Each row block is mirrored into
+    its column and each diagonal block symmetrized, so the covariance is
+    symmetric bit for bit.  The trailing block is the filter's final
+    estimate.  The one estimate built is the final one.
     """
-    cov = problem.background_cov
-    for _, pht, gain, mean, col in _column_recursion(problem, *_linear_matrices(problem)):
-        size = cov.shape[0]
-        # Rank-d update of the leading block, symmetrized straight into place.
-        update = cov - gain[:size] @ pht[:size].T
-        cov = np.empty((col.shape[0],) * 2)
-        np.add(update, update.T, out=cov[:size, :size])
-        cov[:size, :size] *= 0.5
-        cov[:, size:], cov[size:, :size] = col, col[:size].T
+    models, _ = lin = _linear_matrices(problem)
+    m, k = problem.state_dim, problem.horizon
+    # (P^f_i, x^f_i, x_i, P_i) for i = 0..k; time 0 has no forecast.
+    steps = [(None, None, problem.background_mean, problem.background_cov)]
+    steps += _column_recursion(problem, *lin, composite=False)
+    mean, cov = np.empty(m * (k + 1)), np.empty((m * (k + 1),) * 2)
+    mean[-m:], cov[-m:, -m:] = steps[k][2:]
+    for i in range(k - 1, -1, -1):
+        (*_, mean_i, cov_i), (cov_f, state, *_) = steps[i], steps[i + 1]
+        lo, hi = m * i, m * (i + 1)
+        gain_t = _solve(_factor(cov_f, "forecast covariance"), models[i] @ cov_i.T, "forecast covariance")
+        gain = gain_t.T
+        # An overflowing mean is refused when the estimate is built.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean[lo:hi] = mean_i + gain @ (mean[hi : hi + m] - state)
+        cov[lo:hi, lo:hi] = _symmetrize(cov_i + gain @ (cov[hi : hi + m, hi : hi + m] - cov_f) @ gain_t)
+        cov[lo:hi, hi:] = gain @ cov[hi : hi + m, hi:]
+        cov[hi:, lo:hi] = cov[lo:hi, hi:].T
     return KalmanSmootherResult(GaussianEstimate(mean, cov))
 
 

@@ -8,7 +8,10 @@ side as wide as the composite state: their Kalman gain is P H^T times
 the d x d inverse, never a solve against (P H^T)^T, because at two BLAS
 threads a triangular solve with hundreds of right-hand sides stalls for
 milliseconds where the same flops as one matrix product do not.  The
-ensemble analysis kernel still solves against its (P H^T)^T.
+smoother's backward pass solves against its m x m forecast covariances
+with m right-hand sides, by ``dpotrs``, which unlike ``dtrtrs`` with a
+matrix right-hand side keeps to one thread.  The ensemble analysis
+kernel still solves against its (P H^T)^T.
 
 Every SPD factor and solve goes through :func:`_factor`/:func:`_solve`,
 direct calls of the LAPACK ``dpotrf``/``dpotrs`` behind scipy's
@@ -190,7 +193,13 @@ def empirical_lp_norm(samples, p: float) -> float:
     norms = np.array([np.linalg.norm(np.asarray(v, dtype=float).reshape(-1)) for v in samples])
     if norms.size == 0:
         raise ValidationError("empirical_lp_norm needs at least one sample")
-    return float(np.mean(norms**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        value = float(np.mean(norms**p) ** (1.0 / p))
+    if (value == 0.0 or not np.isfinite(value)) and np.isfinite(norms).all() and norms.max() > 0:
+        # norms**p under- or overflowed; the largest norm scales it back into range.
+        scale = norms.max()
+        value = float(scale * np.mean((norms / scale) ** p) ** (1.0 / p))
+    return value
 
 
 def fit_loglog_slope(xs, ys) -> tuple[float, float]:

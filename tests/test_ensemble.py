@@ -423,7 +423,9 @@ def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
     # The recursion is causal, so the step-i forecast column is built from
     # the final estimate P of the problem cut to horizon i - 1 (B at i = 1):
     # [P M_i^T; M_i P[-m:, -m:] M_i^T + Q_i] over P's trailing m columns.
-    # Both exact arms read that column bit for bit.
+    # Both exact arms read the same column bit for bit.  The smoother
+    # reaches P's leading blocks by its backward pass, not by the composite
+    # recursion, so the two agree at round-off, relative to the largest entry.
     problem = make_toy_problem(name, **params)
     m = problem.state_dim
     want, cov = [], problem.background_cov
@@ -445,10 +447,10 @@ def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
     reference_enks_run(problem, 1, PerturbationStream(0))
     n_reference = len(used)
     coupled_member_diffs(problem, 4, PerturbationStream(0), 1)
-    for columns in (used[:n_reference], used[n_reference:]):
-        assert len(columns) == problem.horizon
-        for got, expected in zip(columns, want):
-            np.testing.assert_array_equal(got, expected)
+    assert len(used) == 2 * problem.horizon
+    for got, again, expected in zip(used[:n_reference], used[n_reference:], want):
+        np.testing.assert_array_equal(got, again)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_exact_arms_do_not_run_the_smoother(monkeypatch):

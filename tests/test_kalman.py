@@ -5,6 +5,7 @@ equations: filtering (mean 2, variance 2/3); smoothing mean (1, 2) with
 covariance [[2/3, 1/3], [1/3, 2/3]].
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from ensvar import (
     ks_least_squares_oracle,
     ks_run,
     make_toy_problem,
-    spd_solve,
 )
 from ensvar import kalman
 from ensvar.problem import AssimilationProblem
@@ -155,21 +155,62 @@ class TestSmoother:
 
     @pytest.mark.parametrize("runner", [ks_run, kf_run])
     def test_solves_no_wider_than_the_observation(self, runner, monkeypatch):
-        # Each gain is P H^T times the d x d inverse; a solve against the
-        # composite-wide (P H^T)^T stalls in threaded triangular solves.
+        # Each filter gain is P H^T times the d x d inverse, and each
+        # smoother gain one solve against the m x m forecast covariance; a
+        # solve against a composite-wide right-hand side stalls in threaded
+        # triangular solves.
         problem = make_toy_problem("linear-chain", m=3, k=5, seed=0)
-        widths = []
+        widths = {"spd_solve": [], "_solve": []}
 
-        def recording(a, b, name="matrix"):
-            b = np.asarray(b)
-            widths.append(1 if b.ndim == 1 else b.shape[1])
-            return spd_solve(a, b, name)
+        def recorder(name, original):
+            def recording(a, b, *args, **kwargs):
+                b = np.asarray(b)
+                widths[name].append(1 if b.ndim == 1 else b.shape[1])
+                return original(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(kalman, "spd_solve", recording)
+            return recording
+
+        for name in widths:
+            monkeypatch.setattr(kalman, name, recorder(name, getattr(kalman, name)))
         runner(problem)
-        assert len(widths) == problem.horizon
-        for i, width in enumerate(widths, start=1):
+        m, k = problem.state_dim, problem.horizon
+        assert len(widths["spd_solve"]) == k
+        for i, width in enumerate(widths["spd_solve"], start=1):
             assert width <= problem.obs_dim(i)
+        assert widths["_solve"] == ([m] * k if runner is ks_run else [])
+        assert max(widths["spd_solve"] + widths["_solve"]) < m * (k + 1)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("w1-linear", {})] + [("linear-chain", {"m": 3, "k": 6, "seed": seed}) for seed in range(4)],
+    )
+    def test_trailing_block_is_the_filter_estimate(self, name, params):
+        # The backward pass starts from the filter's final estimate and
+        # leaves it as it is; each row block is mirrored into its column.
+        problem = make_toy_problem(name, **params)
+        m = problem.state_dim
+        smoothed, filtered = ks_run(problem).estimate, kf_run(problem).estimates[-1]
+        np.testing.assert_array_equal(smoothed.mean[-m:], filtered.mean)
+        np.testing.assert_array_equal(smoothed.covariance[-m:, -m:], filtered.covariance)
+        np.testing.assert_array_equal(smoothed.covariance, smoothed.covariance.T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_long_window_matches_the_oracle(self, seed):
+        # At C01's tolerance, over a window of k = 24.  The first block
+        # column of the covariance is the oracle's answer to x_b = B e_j
+        # with no forcing and no observation, since its normal equations
+        # then have the right-hand side e_j.
+        problem = make_toy_problem("linear-chain", m=4, k=24, seed=seed)
+        m, k = problem.state_dim, problem.horizon
+        estimate = ks_run(problem).estimate
+        oracle = ks_least_squares_oracle(problem)
+        assert np.linalg.norm(estimate.mean - oracle) <= 1e-8 * np.linalg.norm(oracle)
+        zeros = dict(forcings=(np.zeros(m),) * k, observations=tuple(np.zeros(y.size) for y in problem.observations))
+        column = np.column_stack(
+            [ks_least_squares_oracle(replace(problem, background_mean=b, **zeros)) for b in problem.background_cov.T]
+        )
+        got = estimate.covariance[:, :m]
+        assert np.linalg.norm(got - column) <= 1e-8 * np.linalg.norm(column)
 
 
 class TestLeastSquaresOracle:

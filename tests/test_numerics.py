@@ -267,6 +267,16 @@ class TestLpNorm:
         with pytest.raises(ValidationError, match=r"^p must be finite and >= 1, got (inf|nan)$"):
             empirical_lp_norm([[3.0, 4.0], [1.0]], p)
 
+    @pytest.mark.parametrize(
+        "norms, p", [((1e-7, 2e-7), 50.0), ((1e3, 2e3), 120.0), ((1e-100, 3e-100, 0.0), 4.0)]
+    )
+    def test_powers_outside_the_float_range(self, norms, p):
+        # Each norms**p under- or overflows, so the plain formula reads 0 or
+        # inf; the reference sums the powers in log space.
+        logs = p * np.log([n for n in norms if n > 0])
+        want = np.exp((np.logaddexp.reduce(logs) - np.log(len(norms))) / p)
+        assert empirical_lp_norm([[n] for n in norms], p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestSlopeFit:
     def test_exact_power_law(self):
