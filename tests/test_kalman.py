@@ -198,8 +198,8 @@ class TestSmoother:
     def test_long_window_matches_the_oracle(self, seed):
         # At C01's tolerance, over a window of k = 24.  The first block
         # column of the covariance is the oracle's answer to x_b = B e_j
-        # with no forcing and no observation, since its normal equations
-        # then have the right-hand side e_j.
+        # with zero forcings and zero observations, since its normal
+        # equations then have the right-hand side e_j.
         problem = make_toy_problem("linear-chain", m=4, k=24, seed=seed)
         m, k = problem.state_dim, problem.horizon
         estimate = ks_run(problem).estimate
