@@ -58,6 +58,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: argparse's parsers hold reference cycles, so a
+# parser built per call would stay allocated until the collector runs.
+_PARSER = _build_parser()
+
+
 def _matrix(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
@@ -117,7 +122,7 @@ def _cmd_run_lm(args) -> dict:
 def main(argv=None) -> int:
     args_list = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(args_list)
+        args = _PARSER.parse_args(args_list)
         if args.command == "study":
             cfg = load_config(args.config)
             if cfg.study is None:

@@ -8,8 +8,9 @@ The nonlinear least-squares objective over the whole trajectory is
 Three solver variants compute the damped Gauss-Newton (LM) iteration:
 
 * ``exact``: the linearized subproblem is solved exactly.  Its normal
-  equations are block tridiagonal in x_0..x_k, and a block Cholesky solve
-  costs O(k m^3) time and O(k m^2) memory.  The step is the smoothing mean
+  equations are block tridiagonal in x_0..x_k, and block elimination on
+  their Schur complements S_i, each factored once by Cholesky, costs
+  O(k m^3) time and O(k m^2) memory.  The step is the smoothing mean
   of the linearized system with the damping as an extra observation of
   each state with noise covariance (1/gamma) I, since both minimize the
   same quadratic (Bell 1994: the iterated Kalman smoother is Gauss-Newton).
@@ -47,7 +48,7 @@ import numpy as np
 from .ensemble import _noises, _pass_keys, _slot_rows, _smoother_pass, _sorted_members
 from .errors import ValidationError
 from .kalman import _normal_equations_solution
-from .numerics import _factor, _solve, _triangular_solve
+from .numerics import _factor, _solve
 from .problem import AssimilationProblem, Operator, Trajectory
 from .streams import PerturbationStream, Phase, _integer
 
@@ -188,21 +189,20 @@ def lm_exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float
         rhs[-1] = rhs[-1] + lower[-1].T @ mu
         diag.append(q_inv + hj.T @ r_inv_h + gamma * eye)
         rhs.append(q_inv @ mu + r_inv_h.T @ y_eff + gamma * c_i)
-    # Block Cholesky, forward: L_i L_i^T = D_i - C_i C_i^T and
-    # L_i z_i = b_i - C_i z_{i-1}, where C_i = A_i L_{i-1}^-T.
-    blocks, couplings, z = [], [None], []
-    for i in range(k + 1):
-        s, b = diag[i], rhs[i]
-        if i > 0:
-            couplings.append(_triangular_solve(blocks[-1], lower[i - 1].T, "normal equations").T)
-            s, b = s - couplings[i] @ couplings[i].T, b - couplings[i] @ z[-1]
-        blocks.append(_factor(0.5 * (s + s.T), "normal equations"))
-        z.append(_triangular_solve(blocks[-1], b, "normal equations"))
-    # Back substitution: L_i^T x_i = z_i - C_{i+1}^T x_{i+1}.
+    # Block elimination, forward: the Schur complements S_0 = D_0 and
+    # S_i = D_i - A_i S_{i-1}^-1 A_i^T, each factored once, with
+    # b_i <- b_i - A_i S_{i-1}^-1 b_{i-1}; one solve per step, against
+    # [A_i^T | b_{i-1}].
+    factors = [_factor(diag[0], "normal equations")]
+    for i in range(1, k + 1):
+        w = _solve(factors[-1], np.column_stack([lower[i - 1].T, rhs[i - 1]]), "normal equations")
+        rhs[i] = rhs[i] - lower[i - 1] @ w[:, m]
+        factors.append(_factor(diag[i] - lower[i - 1] @ w[:, :m], "normal equations"))
+    # Back substitution: x_k = S_k^-1 b_k, x_i = S_i^-1 (b_i - A_{i+1}^T x_{i+1}).
     x = np.empty((k + 1, m))
-    for i in range(k, -1, -1):
-        b = z[i] if i == k else z[i] - couplings[i + 1].T @ x[i + 1]
-        x[i] = _triangular_solve(blocks[i], b, "normal equations", trans=1)
+    x[k] = _solve(factors[k], rhs[k], "normal equations")
+    for i in range(k - 1, -1, -1):
+        x[i] = _solve(factors[i], rhs[i] - lower[i].T @ x[i + 1], "normal equations")
     return Trajectory(x)
 
 

@@ -8,23 +8,23 @@ side as wide as the composite state: their Kalman gain is P H^T times
 the d x d inverse, never a solve against (P H^T)^T, because at two BLAS
 threads a triangular solve with hundreds of right-hand sides stalls for
 milliseconds where the same flops as one matrix product do not.  The
-smoother's backward pass solves against its m x m forecast covariances
-with m right-hand sides, by ``dpotrs``, which (measured up to m = 24)
-stays on one thread where ``dtrtrs`` with a matrix right-hand side wakes
-scipy's pool.  The ensemble analysis kernel still solves against its
+smoother's backward pass and the exact LM step solve against m x m
+SPD blocks with m or m + 1 right-hand sides, by ``dpotrs``, which
+(measured up to m = 28) stays on one thread where ``dtrtrs`` with a
+matrix right-hand side wakes scipy's pool; from about m = 32 ``dpotrs``
+wakes it too.  The ensemble analysis kernel still solves against its
 (P H^T)^T.
 
 Every SPD factor and solve goes through :func:`_factor`/:func:`_solve`,
 direct calls of the LAPACK ``dpotrf``/``dpotrs`` behind scipy's
 ``cholesky``/``cho_factor``/``cho_solve`` (same bits), because on the
 small matrices of the LM passes scipy's wrappers cost far more than the
-arithmetic.  :func:`_triangular_solve` is likewise the ``dtrtrs`` call
-behind ``solve_triangular`` on these factors.  The three wrappers come
-from scipy's own compiled ``_flapack`` extension, loaded from its file
-(:func:`_load_lapack`): they are the objects ``scipy.linalg.lapack``
-re-exports, but importing ``scipy.linalg`` itself takes about a quarter
-of a second (its array-API layer imports ``numpy.f2py``,
-``numpy.testing`` and more), over half of the package's import time.
+arithmetic.  The two wrappers come from scipy's own compiled
+``_flapack`` extension, loaded from its file (:func:`_load_lapack`):
+they are the objects ``scipy.linalg.lapack`` re-exports, but importing
+``scipy.linalg`` itself takes about a quarter of a second (its
+array-API layer imports ``numpy.f2py``, ``numpy.testing`` and more),
+over half of the package's import time.
 The full SPD check runs once, at the public boundary: in
 :func:`cholesky_spd` and :func:`spd_solve`, and when an
 ``AssimilationProblem`` is built, which keeps the factors of its
@@ -140,18 +140,6 @@ def _solve(factor: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(b).all():
         raise ValidationError(f"right-hand side of the {name} solve contains non-finite entries")
     return _LAPACK.dpotrs(factor, b, lower=1)[0]
-
-
-def _triangular_solve(factor: np.ndarray, b: np.ndarray, name: str, trans: int = 0) -> np.ndarray:
-    """Solve factor @ x = b (``trans=0``) or factor.T @ x = b (``trans=1``) for
-    a lower factor from :func:`_factor`: scipy's ``solve_triangular`` call on
-    such an F-ordered factor, with a non-finite b a ValidationError."""
-    if not np.isfinite(b).all():
-        raise ValidationError(f"right-hand side of the {name} solve contains non-finite entries")
-    x, info = _LAPACK.dtrtrs(factor, b, lower=1, trans=trans)
-    if info != 0:
-        raise NotSPDError(f"{name} factor is singular")
-    return x
 
 
 def cholesky_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -142,6 +144,26 @@ def test_csv_format_rejected_for_runs(config_path, capsys):
 def test_bad_usage_is_validation_error(capsys):
     assert main(["run-kf"]) == 1
     assert main(["frobnicate", "--config", "x"]) == 1
+
+
+def test_one_call_leaves_no_parser_as_garbage(config_path, tmp_path):
+    # argparse's parsers hold reference cycles: one built per call would
+    # stay allocated until the collector runs.
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        assert main(["run-ks", "--config", str(config_path), "--out", str(tmp_path / "ks.json")]) == 0
+        gc.collect()
+        parsers = [obj for obj in gc.garbage if isinstance(obj, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert parsers == []
 
 
 def test_named_problem_config(tmp_path, capsys):

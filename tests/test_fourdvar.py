@@ -178,7 +178,9 @@ class TestExactLM:
         assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1e12])
-    @pytest.mark.parametrize("name", ["linear-chain", "w2-quadratic", "lorenz63"])
+    @pytest.mark.parametrize(
+        "name", ["linear-chain", "w2-quadratic", "lorenz63", "linear-chain-m4-k24", "linear-chain-m24-k24"]
+    )
     def test_banded_step_matches_oracle(self, name, gamma):
         problem = _exact_step_problem(name)
         x_prev = problem.prior_chain()
@@ -225,6 +227,9 @@ class TestExactLM:
 def _exact_step_problem(name: str):
     if name == "linear-chain":
         return make_toy_problem(name, m=4, k=6, seed=2)
+    if name.startswith("linear-chain-"):  # a long window: linear-chain-m<m>-k<k>
+        m, k = (int(part[1:]) for part in name.split("-")[2:])
+        return make_toy_problem("linear-chain", m=m, k=k, seed=2)
     if name == "w2-quadratic":
         return make_toy_problem(name)
     # Lorenz-63 registers no Jacobian; any registered matrix serves to

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,20 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensvar import (
+    LMConfig,
     NoiseKind,
     NotSPDError,
     PerturbationStream,
     Phase,
     ValidationError,
     cholesky_spd,
+    coupled_member_diffs,
     empirical_lp_norm,
+    enks_run,
     fit_loglog_slope,
+    kf_run,
+    ks_run,
+    lm_exact_run,
+    lm_run,
+    make_toy_problem,
     sample_covariance,
     sample_mean,
     spd_solve,
 )
 from ensvar import numerics
-from ensvar.numerics import _factor, _solve, _triangular_solve
+from ensvar.numerics import _factor, _solve
 
 
 def _random_spd(rng, dim):
@@ -145,12 +155,6 @@ class TestKernel:
         with pytest.raises(NotSPDError, match="gram is not positive definite"):
             _factor(np.diag([1.0, -1.0]), "gram")
 
-    def test_triangular_solve_checks_its_right_hand_side_and_factor(self):
-        with pytest.raises(ValidationError, match="right-hand side of the gram solve"):
-            _triangular_solve(np.eye(2, order="F"), np.array([1.0, np.inf]), "gram")
-        with pytest.raises(NotSPDError, match="gram factor is singular"):
-            _triangular_solve(np.asfortranarray([[0.0, 0.0], [1.0, 1.0]]), np.ones(2), "gram")
-
 
 _SIZES = (1, 2, 7, 24, 120)
 _RHS_SHAPES = ((), (5,))
@@ -164,9 +168,6 @@ def _direct_calls_match_scipy(dim, shape):
     factor = _factor(a, "a")
     assert _same_bits(factor, scipy.linalg.cholesky(a, lower=True))
     assert _same_bits(_solve(factor, b, "a"), scipy.linalg.cho_solve((factor, True), b))
-    for trans in (0, 1):
-        want = scipy.linalg.solve_triangular(factor, b, lower=True, trans=trans)
-        assert _same_bits(_triangular_solve(factor, b, "a", trans=trans), want)
 
 
 class TestLapackHandle:
@@ -192,6 +193,19 @@ class TestLapackHandle:
         for dim in _SIZES:
             for shape in _RHS_SHAPES:
                 _direct_calls_match_scipy(dim, shape)
+
+    def test_algorithms_need_only_the_spd_pair(self, monkeypatch):
+        # Every algorithm's LAPACK goes through dpotrf and dpotrs alone.
+        lapack = numerics._LAPACK
+        monkeypatch.setattr(numerics, "_LAPACK", SimpleNamespace(dpotrf=lapack.dpotrf, dpotrs=lapack.dpotrs))
+        problem = make_toy_problem("linear-chain", m=3, k=4, seed=1)
+        kf_run(problem)
+        ks_run(problem)
+        enks_run(problem, 8, PerturbationStream(0))
+        coupled_member_diffs(problem, 8, PerturbationStream(0), 2)
+        lm_exact_run(problem, LMConfig(gamma=1.0, max_iterations=2))
+        for mode in ("tangent", "finite-difference"):
+            lm_run(problem, LMConfig(gamma=1.0, mode=mode, ensemble_sizes=(8,)), PerturbationStream(0))
 
 
 class TestSampleStats:
