@@ -22,13 +22,11 @@ import numpy as np
 from .ensemble import enks_run
 from .errors import ValidationError
 from .config import load_config
-from .fourdvar import lm_run
+from .fourdvar import _MODES, lm_run
 from .kalman import kf_run, ks_run
 from .numerics import sample_covariance, sample_mean
 from .streams import PerturbationStream
 from .study import emit, run_study
-
-_MODES = ("exact", "tangent", "finite-difference")
 
 
 class _Parser(argparse.ArgumentParser):

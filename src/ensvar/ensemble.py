@@ -63,10 +63,8 @@ the gain is exactly zero.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -131,17 +129,18 @@ def _gain_transpose(pht: np.ndarray, hpht: np.ndarray, obs_cov: np.ndarray) -> n
     return _solve(factor, pht.T, "innovation covariance")
 
 
-def _row_blocks(m: int, rows: int) -> Iterator[tuple[int, int]]:
+@lru_cache(maxsize=1024)
+def _row_blocks(m: int, rows: int) -> tuple[tuple[int, int], ...]:
     """The (start, stop) row blocks of a composite with ``rows`` rows and
     time blocks of m rows: one time block each, or row pairs when m = 1,
-    the last taking any odd row.
+    the last taking any odd row.  Worked out once per (m, rows).
 
     A one-row block would take numpy's matrix-vector path, whose bits can
     differ, so a block has two rows or more unless the composite has one.
     """
     # No block starts on the last row, so a block has one row only when rows is 1.
     edges = [*range(0, max(rows - 1, 1), max(m, 2)), rows]
-    return zip(edges, edges[1:])
+    return tuple(zip(edges, edges[1:]))
 
 
 def _sample_gain(forecast: np.ndarray, m: int, observe, obs_cov: np.ndarray) -> np.ndarray:
@@ -153,17 +152,17 @@ def _sample_gain(forecast: np.ndarray, m: int, observe, obs_cov: np.ndarray) -> 
     K = P H^T (H P H^T + R)^-1 takes only these two products, so no
     covariance is formed, and P H^T is filled over :func:`_row_blocks`,
     so no deviations of the whole composite are formed either.  The
-    factor refuses a non-finite forecast's products, so numpy need not warn.
+    factor refuses a non-finite forecast's products, so the pass runs this
+    with numpy's warnings off.
     """
     n = forecast.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = forecast.mean(axis=1, keepdims=True)
-        obs_dev = observe(forecast[-m:] - mean[-m:])
-        hpht = obs_dev @ obs_dev.T / (n - 1)
-        pht = np.empty((len(forecast), len(obs_dev)))
-        for start, stop in _row_blocks(m, len(forecast)):
-            pht[start:stop] = (forecast[start:stop] - mean[start:stop]) @ obs_dev.T / (n - 1)
-        return _gain_transpose(pht, 0.5 * (hpht + hpht.T), obs_cov)
+    mean = np.add.reduce(forecast, axis=1, keepdims=True) / n  # ndarray.mean's own sum and divide
+    obs_dev = observe(forecast[-m:] - mean[-m:])
+    hpht = obs_dev @ obs_dev.T / (n - 1)
+    pht = np.empty((len(forecast), len(obs_dev)))
+    for start, stop in _row_blocks(m, len(forecast)):
+        pht[start:stop] = (forecast[start:stop] - mean[start:stop]) @ obs_dev.T / (n - 1)
+    return _gain_transpose(pht, 0.5 * (hpht + hpht.T), obs_cov)
 
 
 def _pass_keys(problem, obs_factors) -> dict:
@@ -201,18 +200,17 @@ def _noises(stream, phase, iteration, members, keys) -> list[np.ndarray]:
     return outs
 
 
-def _forecast(problem, i, out, propagate, noise, exact=False) -> None:
+def _forecast(problem, i, out, propagate, noise) -> None:
     """Step i's forecast, in place: ``propagate`` of the time i-1 state,
     the m rows of ``out`` before its last, plus the forcing and the scaled
     model draw ``noise``, fills the last m rows.
 
-    ``out`` is a (state, member) trajectory array through time i.  A
-    sample arm's gain refuses a non-finite forecast, so numpy need not
-    warn; an ``exact`` arm's overflow warns.
+    ``out`` is a (state, member) trajectory array through time i.
+    :func:`_smoother_pass` turns numpy's overflow warnings off for a
+    sample arm's forecast only, so an exact arm's overflow warns.
     """
     m = problem.state_dim
-    with nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
-        np.add(propagate(out[-2 * m : -m]) + problem.forcings[i - 1][:, None], noise, out=out[-m:])
+    np.add(propagate(out[-2 * m : -m]) + problem.forcings[i - 1][:, None], noise, out=out[-m:])
 
 
 def _update(m, out, gain_t, innovations) -> None:
@@ -252,10 +250,17 @@ def _smoother_pass(problem, step, noise, arms, analyses=None, filtering=False) -
             analyses.append(trajectories[0][: i * m].copy())
         outs = [trajectory[(i * m if filtering else 0) : (i + 1) * m] for trajectory in trajectories]
         v = noise(i, NoiseKind.MODEL)
+        # Exact arms first, under the caller's settings, so an overflow warns;
+        # a sample arm's gain refuses a non-finite forecast, so numpy need not.
         for trajectory, (n, gain_ts) in zip(trajectories, arms):
-            _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n], exact=gain_ts is not None)
-        del v
-        gains = [_sample_gain(out, m, observe, obs_cov) if g is None else g[i - 1] for out, (_, g) in zip(outs, arms)]
+            if gain_ts is not None:
+                _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for trajectory, (n, gain_ts) in zip(trajectories, arms):
+                if gain_ts is None:
+                    _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n])
+            del v
+            gains = [_sample_gain(out, m, observe, obs_cov) if g is None else g[i - 1] for out, (_, g) in zip(outs, arms)]
         w = noise(i, NoiseKind.OBS)
         for out, gain_t in zip(outs, gains):
             innovations = observation[:, None] - w[:, : out.shape[1]]

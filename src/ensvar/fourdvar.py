@@ -35,7 +35,8 @@ arm, and an ensemble-size sweep a tangent arm per size on prefixes of
 the draw, through each LM iteration, one pass per arm.  An iteration's
 2k+1 keys (init, k model, k augmented observation) come from one pass of
 the stream's kernel, ``ensemble._noises``, and each pass's ``noise``
-reads them by key.
+reads them by key.  What no draw changes (sizes, member keys, augmented
+covariances, the start) is set up once per study, not per replicate.
 """
 
 from __future__ import annotations
@@ -257,29 +258,31 @@ def lm_exact_run(problem: AssimilationProblem, cfg: LMConfig) -> LMRunResult:
     return LMRunResult(tuple(iterates), tuple(objectives), "exact")
 
 
-def _lm_ensemble_runs(
+def _lm_pass(
     problem: AssimilationProblem,
     arms: tuple[LMConfig, ...],
-    stream: PerturbationStream,
-    member_indices,
+    member_indices=None,
     keep_ensembles: bool = True,
-) -> list[LMRunResult]:
-    """The ensemble LM iterations: one run per arm, all arms on shared keys.
+) -> Callable[[PerturbationStream], list[LMRunResult]]:
+    """The ensemble LM iterations as a function of their stream: one run
+    per arm, all arms on shared keys.
 
     An arm is a ``tangent`` or ``finite-difference`` config, whose run is
     bit for bit its run alone; the arms share the first arm's gamma,
-    iteration count and start.  Per LM iteration j, each arm runs one
-    ``_smoother_pass`` on the system linearized at its own previous
-    iterate, with the damping realized as stacked observations.  Every
-    iteration's sizes and member keys are checked before the first draw.
-    The iteration's 2k+1 keys are drawn in one kernel pass at the largest
-    arm's size (``_noises``); an arm of n members reads the first n
-    columns, keys 0..n-1, so arms of different sizes take no caller-given
-    keys.  The arms run one after another, each in a function scope of its
-    own, so only one working trajectory array is alive at a time and no
-    iteration's draws outlive it; a kept ensemble is a view into its own
-    array.  ``keep_ensembles=False`` leaves ``ensembles`` and
-    ``max_member_norms`` empty.
+    iteration count and start.  What no draw changes is set up once, here,
+    and checked before any draw: every iteration's sizes and sorted member
+    keys, blockdiag(R_i, I / gamma) and its factors, and the start and its
+    objective; a study runs the returned pass once per replicate.  Per LM
+    iteration j, each arm runs one ``_smoother_pass`` on the system
+    linearized at its own previous iterate, with the damping realized as
+    stacked observations.  The iteration's 2k+1 keys are drawn in one
+    kernel pass at the largest arm's size (``_noises``); an arm of n
+    members reads the first n columns, keys 0..n-1, so arms of different
+    sizes take no caller-given keys.  The arms run one after another, each
+    in a function scope of its own, so only one working trajectory array is
+    alive at a time and no iteration's draws outlive it; a kept ensemble is
+    a view into its own array.  ``keep_ensembles=False`` leaves
+    ``ensembles`` and ``max_member_norms`` empty.
     """
     cfg = arms[0]
     if cfg.gamma <= 0:
@@ -294,9 +297,8 @@ def _lm_ensemble_runs(
     # blockdiag(R_i, I / gamma) does not depend on the linearization center.
     r_aug = [_augmented_noise_cov(problem, i, cfg.gamma) for i in range(1, k + 1)]
     keys = _pass_keys(problem, [_factor(r, "augmented obs cov") for r in r_aug])
+    scaled = [(*key, l) for key, l in keys.items()]
     start, start_objective = _start(problem, cfg)
-    # Per arm: iterates, objectives, final ensembles, max member norms.
-    runs = [([start], [start_objective], [], []) for _ in arms]
 
     def linearized(op: Operator, c: np.ndarray, tau):
         """op(c), and the map from directions (columns) to their products
@@ -331,20 +333,25 @@ def _lm_ensemble_runs(
             )
 
         (trajectory,) = _smoother_pass(problem, step, noise, [(n, None)])
-        iterates.append(Trajectory.from_composite(trajectory.mean(axis=1), m))
+        # The member mean, as ndarray.mean computes it.
+        iterates.append(Trajectory((np.add.reduce(trajectory, axis=1) / n).reshape(-1, m)))
         objectives.append(objective(problem, iterates[-1]))
         if keep_ensembles:
             ensembles.append(_slot_rows(trajectory, slots))
             max_norms.append(float(np.max(np.linalg.norm(ensembles[-1], axis=1))))
 
-    for j, sizes in enumerate(schedule, 1):
-        ordered, slots = members[max(sizes)]
-        draws = dict(zip(keys, _noises(stream, Phase.LM, j, ordered, [(*key, l) for key, l in keys.items()])))
-        for arm, n, run in zip(arms, sizes, runs):
-            run_arm(arm, n, run, lambda i, kind: draws[i, kind], slots)
-        del draws  # freed before iteration j+1 draws
+    def one_pass(stream: PerturbationStream) -> list[LMRunResult]:
+        # Per arm: iterates, objectives, final ensembles, max member norms.
+        runs = [([start], [start_objective], [], []) for _ in arms]
+        for j, sizes in enumerate(schedule, 1):
+            ordered, slots = members[max(sizes)]
+            draws = dict(zip(keys, _noises(stream, Phase.LM, j, ordered, scaled)))
+            for arm, n, run in zip(arms, sizes, runs):
+                run_arm(arm, n, run, lambda i, kind: draws[i, kind], slots)
+            del draws  # freed before iteration j+1 draws
+        return [LMRunResult(tuple(it), tuple(ob), arm.mode, tuple(en), tuple(mx)) for arm, (it, ob, en, mx) in zip(arms, runs)]
 
-    return [LMRunResult(tuple(it), tuple(ob), arm.mode, tuple(en), tuple(mx)) for arm, (it, ob, en, mx) in zip(arms, runs)]
+    return one_pass
 
 
 def lm_enks_tangent_run(
@@ -356,7 +363,7 @@ def lm_enks_tangent_run(
     """LM with the linearized subproblem solved by an EnKS (exact Jacobians)."""
     if cfg.mode != "tangent":
         raise ValidationError(f"lm_enks_tangent_run requires mode='tangent', got {cfg.mode!r}")
-    return _lm_ensemble_runs(problem, (cfg,), stream, member_indices)[0]
+    return _lm_pass(problem, (cfg,), member_indices)(stream)[0]
 
 
 def enks_4dvar_run(
@@ -377,7 +384,7 @@ def enks_4dvar_run(
         raise ValidationError(
             f"enks_4dvar_run requires mode='finite-difference', got {cfg.mode!r}"
         )
-    return _lm_ensemble_runs(problem, (cfg,), stream, member_indices)[0]
+    return _lm_pass(problem, (cfg,), member_indices)(stream)[0]
 
 
 def lm_run(

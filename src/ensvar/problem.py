@@ -124,7 +124,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         arr = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("trajectory contains non-finite entries")
         object.__setattr__(self, "states", arr)
 

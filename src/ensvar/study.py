@@ -38,7 +38,7 @@ import numpy as np
 
 from .ensemble import _coupled_pass
 from .errors import ValidationError
-from .fourdvar import LMConfig, _lm_ensemble_runs, lm_exact_run
+from .fourdvar import LMConfig, _lm_pass, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
 from .problem import AssimilationProblem
 from .streams import PerturbationStream, _integer, derive_seed
@@ -174,19 +174,18 @@ def _lm_enks_vs_lm_pass(spec: StudySpec):
     # final iterate of exact LM.
     target = lm_exact_run(spec.problem, replace(spec.lm, mode="exact", ensemble_sizes=())).iterates[-1].composite
     arms = tuple(replace(spec.lm, mode="tangent", ensemble_sizes=(int(v),)) for v in spec.sweep)
-    return lambda stream: [
-        run.iterates[-1].composite - target
-        for run in _lm_ensemble_runs(spec.problem, arms, stream, None, keep_ensembles=False)
-    ]
+    lm_pass = _lm_pass(spec.problem, arms, keep_ensembles=False)
+    return lambda stream: [run.iterates[-1].composite - target for run in lm_pass(stream)]
 
 
 def _tau_sweep_pass(spec: StudySpec):
     # Every tau is a finite-difference arm of one LM pass, against its
     # tangent arm.
     arms = (replace(spec.lm, mode="tangent"), *(replace(spec.lm, mode="finite-difference", tau=v) for v in spec.sweep))
+    lm_pass = _lm_pass(spec.problem, arms, keep_ensembles=False)
 
     def one_pass(stream) -> list[np.ndarray]:
-        tangent, *fd = _lm_ensemble_runs(spec.problem, arms, stream, None, keep_ensembles=False)
+        tangent, *fd = lm_pass(stream)
         return [run.iterates[-1].composite - tangent.iterates[-1].composite for run in fd]
 
     return one_pass
@@ -195,9 +194,9 @@ def _tau_sweep_pass(spec: StudySpec):
 def run_study(spec: StudySpec) -> StudyResult:
     """Run every cell of a study and fit the log-log rate.
 
-    Every kind runs one keyed pass per replicate, on the replicate's
-    derived seed, that gives each cell its error; the time of the passes,
-    their set-up included, is split evenly over the rows.
+    Every kind sets its keyed pass up once and runs it once per replicate,
+    on the replicate's derived seed, giving each cell its error; the time
+    of the passes, their set-up included, is split evenly over the rows.
     """
     t0 = time.perf_counter()
     passes = {"enks-vs-ks": _enks_vs_ks_pass, "lm-enks-vs-lm": _lm_enks_vs_lm_pass, "tau-sweep": _tau_sweep_pass}

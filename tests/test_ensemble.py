@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,36 @@ def test_analysis_update_non_finite_products_name_the_innovation_covariance():
     # A non-finite unobserved component leaves H P H^T finite but not P H^T.
     with pytest.raises(ValidationError, match="right-hand side of the innovation covariance solve"):
         _sample_gain(np.array([[nan, nan], [0.0, 1.0]]), 1, lambda dev: dev, np.eye(1))
+
+
+def test_exact_arm_overflow_warns_in_a_pass_with_sample_arms():
+    # Step 1 observes x1 - x2 almost exactly, which leaves the exact
+    # covariance column at step 1 all ones, bit for bit, and the mean at
+    # (2, 2).  Step 2's model row (a, -a) then cancels in every exact
+    # product, so the exact gains are finite; but a member whose x1 lands
+    # above max / a, as the reference member does at seed 1, overflows in
+    # its forecast.  Sample arms refuse their overflow in the gain with no
+    # numpy warning; the exact arm's forecast must warn even beside them.
+    eye, a = np.eye(2), np.finfo(float).max / 2.4
+    problem = AssimilationProblem(
+        state_dim=2,
+        horizon=2,
+        background_mean=np.full(2, 2.0),
+        background_cov=2.0 * eye,
+        model_ops=(Operator.from_matrix(eye), Operator.from_matrix(np.array([[a, -a], [0.0, 1.0]]))),
+        forcings=(np.zeros(2), np.zeros(2)),
+        model_noise_covs=(1e-300 * eye, eye),
+        obs_ops=(Operator.from_matrix(np.array([[1.0, -1.0]])), Operator.from_matrix(eye)),
+        obs_noise_covs=(np.array([[1e-300]]), eye),
+        observations=(np.zeros(1), np.zeros(2)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotSPDError, match="innovation covariance contains non-finite entries"):
+            enks_run(problem, 8, PerturbationStream(1))
+        with pytest.raises(RuntimeWarning, match="overflow encountered") as raised:
+            coupled_member_diffs(problem, 8, PerturbationStream(1), 1)
+    assert raised.traceback[-1].name == "_forecast"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -33,7 +33,7 @@ from ensvar import (
     objective,
 )
 from ensvar import fourdvar
-from ensvar.fourdvar import _augmented_noise_cov, _lm_ensemble_runs
+from ensvar.fourdvar import _augmented_noise_cov, _lm_pass
 from conftest import random_nonlinear_problem
 from test_ensemble import PINNED_RUNS, DegenerateStream, coupled_cells
 
@@ -352,7 +352,7 @@ def test_every_sample_covariance_step_runs_the_one_kernel(monkeypatch):
     assert calls == {"_smoother_pass": replicates, "_forecast": steps, "_sample_gain": samples, "_update": steps}
     calls.clear()
     cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(6,))
-    _lm_ensemble_runs(problem, _arms(cfg, arms), PerturbationStream(0), None)
+    _lm_pass(problem, _arms(cfg, arms))(PerturbationStream(0))
     steps = k * iterations * len(arms)
     want = {"_smoother_pass": iterations * len(arms), "_forecast": steps, "_sample_gain": steps, "_update": steps}
     assert calls == want
@@ -524,7 +524,7 @@ class TestSharedPass:
         problem = make_toy_problem(name, **params)
         taus = (1e-1, 1e-2, 1e-3)
         cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=sizes)
-        arms = _lm_ensemble_runs(problem, _arms(cfg, (None, *taus)), PerturbationStream(7), None)
+        arms = _lm_pass(problem, _arms(cfg, (None, *taus)))(PerturbationStream(7))
         separate = [lm_enks_tangent_run(problem, cfg, PerturbationStream(7))] + [
             enks_4dvar_run(problem, replace(cfg, mode="finite-difference", tau=tau), PerturbationStream(7))
             for tau in taus
@@ -545,7 +545,7 @@ class TestSharedPass:
         # schedule, pinned bit for bit: a change to the LM step's arithmetic
         # must show here and update the file on purpose.
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(30, 60))
-        arms = _lm_ensemble_runs(make_toy_problem(toy, **params), _arms(cfg, (None, 1e-1, 1e-2)), PerturbationStream(23), None)
+        arms = _lm_pass(make_toy_problem(toy, **params), _arms(cfg, (None, 1e-1, 1e-2)))(PerturbationStream(23))
         with np.load(PINNED_RUNS) as pinned:
             for a, run in enumerate(arms):
                 key = f"lm_{name}_arm{a}"
@@ -570,10 +570,10 @@ class TestSharedPass:
         monkeypatch.setattr(PerturbationStream, "draw_keys", counted)
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
         arms = tuple(replace(cfg, ensemble_sizes=(n,)) for n in (50, 400, 6000))
-        shared = _lm_ensemble_runs(w2, arms, PerturbationStream(8), None)
+        shared = _lm_pass(w2, arms)(PerturbationStream(8))
         assert len(chunks) == 2 * cfg.max_iterations
         for arm, run in zip(arms, shared, strict=True):
-            (alone,) = _lm_ensemble_runs(w2, (arm,), PerturbationStream(8), None)
+            (alone,) = _lm_pass(w2, (arm,))(PerturbationStream(8))
             assert run.objectives == alone.objectives
             assert all(np.array_equal(a.states, b.states) for a, b in zip(run.iterates, alone.iterates, strict=True))
             assert all(np.array_equal(a, b) for a, b in zip(run.ensembles, alone.ensembles, strict=True))
@@ -584,8 +584,8 @@ class TestSharedPass:
         cfg = LMConfig(gamma=1.0, max_iterations=1, mode="tangent", ensemble_sizes=(8,))
         arms = (cfg, replace(cfg, ensemble_sizes=(16,)))
         with pytest.raises(ValidationError, match=r"^arms of different ensemble sizes \[8, 16\] cannot share member_indices$"):
-            _lm_ensemble_runs(w2, arms, PerturbationStream(0), list(range(16)))
-        same = _lm_ensemble_runs(w2, (cfg, cfg), PerturbationStream(0), list(range(8, 0, -1)))
+            _lm_pass(w2, arms, list(range(16)))(PerturbationStream(0))
+        same = _lm_pass(w2, (cfg, cfg), list(range(8, 0, -1)))(PerturbationStream(0))
         assert same[0].objectives == same[1].objectives
 
     @pytest.mark.parametrize("mode", ["tangent", "finite-difference"])
@@ -605,7 +605,7 @@ class TestSharedPass:
         # ensemble must not be overwritten by a later arm or iteration.
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=2)
         cfg = LMConfig(gamma=1.0, max_iterations=3, mode="tangent", ensemble_sizes=(12,))
-        arms = _lm_ensemble_runs(problem, _arms(cfg, (None, 1e-1, 1e-2)), PerturbationStream(5), None)
+        arms = _lm_pass(problem, _arms(cfg, (None, 1e-1, 1e-2)))(PerturbationStream(5))
         kept = [e for arm in arms for e in arm.ensembles]
         assert len(kept) == 9
         for i, a in enumerate(kept):
@@ -613,8 +613,8 @@ class TestSharedPass:
 
     def test_dropping_ensembles_keeps_iterates(self, w2):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
-        kept = _lm_ensemble_runs(w2, _arms(cfg, (None, 1e-2)), PerturbationStream(3), None)
-        dropped = _lm_ensemble_runs(w2, _arms(cfg, (None, 1e-2)), PerturbationStream(3), None, keep_ensembles=False)
+        kept = _lm_pass(w2, _arms(cfg, (None, 1e-2)))(PerturbationStream(3))
+        dropped = _lm_pass(w2, _arms(cfg, (None, 1e-2)), keep_ensembles=False)(PerturbationStream(3))
         for a, b in zip(kept, dropped, strict=True):
             assert a.objectives == b.objectives
             assert all(np.array_equal(x.states, y.states) for x, y in zip(a.iterates, b.iterates))
@@ -628,10 +628,10 @@ class TestSharedPass:
         peaks = []
         for iterations in (1, 2):
             cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(2000,))
-            _lm_ensemble_runs(problem, _arms(cfg, (None,)), PerturbationStream(0), None, keep_ensembles=False)
+            _lm_pass(problem, _arms(cfg, (None,)), keep_ensembles=False)(PerturbationStream(0))
             tracemalloc.start()
             try:
-                _lm_ensemble_runs(problem, _arms(cfg, (None,)), PerturbationStream(0), None, keep_ensembles=False)
+                _lm_pass(problem, _arms(cfg, (None,)), keep_ensembles=False)(PerturbationStream(0))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -665,7 +665,7 @@ class TestSharedPass:
         problem = replace(problem)
         cfg = LMConfig(gamma=2.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(8,))
         taus = (None, 1e-1, 1e-2, 1e-3, 1e-4)
-        _lm_ensemble_runs(problem, _arms(cfg, taus), PerturbationStream(4), None)
+        _lm_pass(problem, _arms(cfg, taus))(PerturbationStream(4))
 
         # The start objective is shared by the arms; each iterate gets one.
         assert len(objectives) == 1 + arms * iterations
@@ -682,7 +682,7 @@ class TestSharedPass:
 
     def test_each_key_drawn_once(self, w2, draw_log):
         cfg = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(8,))
-        _lm_ensemble_runs(w2, _arms(cfg, (None, 1e-1, 1e-2, 1e-3)), PerturbationStream(6), None)
+        _lm_pass(w2, _arms(cfg, (None, 1e-1, 1e-2, 1e-3)))(PerturbationStream(6))
         shared = draw_log.copy()
         draw_log.clear()
         lm_enks_tangent_run(w2, cfg, PerturbationStream(6))
@@ -704,7 +704,7 @@ class TestSharedPass:
         monkeypatch.setattr(PerturbationStream, "draw_keys", counted)
         monkeypatch.setattr(PerturbationStream, "draw_members", alone)
         cfg = LMConfig(gamma=1.0, max_iterations=3, mode="tangent", ensemble_sizes=(8,))
-        _lm_ensemble_runs(problem, _arms(cfg, (None, 1e-2)), PerturbationStream(6), None)
+        _lm_pass(problem, _arms(cfg, (None, 1e-2)))(PerturbationStream(6))
         steps = range(1, problem.horizon + 1)
         keys = [(0, NoiseKind.INIT), *((i, NoiseKind.MODEL) for i in steps), *((i, NoiseKind.OBS) for i in steps)]
         assert passes == [(Phase.LM, j, keys) for j in (1, 2, 3)]

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from ensvar import (
     make_toy_problem,
     run_study,
 )
+from ensvar import fourdvar
 from ensvar import study as study_module
 from ensvar.study import StudyRow, json_text, render_csv, render_json
 
@@ -88,7 +90,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("sweep", [(100, 2000, 2500.5), (1, 10)])
     def test_ensemble_sizes_checked_before_any_cell(self, w1, kind, sweep, monkeypatch):
         ran = []
-        for name in ("_coupled_pass", "lm_exact_run", "_lm_ensemble_runs"):
+        for name in ("_coupled_pass", "lm_exact_run", "_lm_pass"):
             monkeypatch.setattr(study_module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
         lm = LMConfig(gamma=1.0, max_iterations=1, mode="tangent", ensemble_sizes=(16,))
         with pytest.raises(ValidationError, match="sweep values must be integers >= 2"):
@@ -98,7 +100,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kind, sweep", [("lm-enks-vs-lm", (16, 32)), ("tau-sweep", (1e-1, 1e-2))])
     def test_zero_gamma_refused_before_any_cell(self, w2, kind, sweep, monkeypatch):
         ran = []
-        for name in ("_coupled_pass", "lm_exact_run", "_lm_ensemble_runs"):
+        for name in ("_coupled_pass", "lm_exact_run", "_lm_pass"):
             monkeypatch.setattr(study_module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
         lm = LMConfig(gamma=0.0, max_iterations=1, mode="tangent", ensemble_sizes=(16,))
         with pytest.raises(ValidationError, match=r"^ensemble LM modes require gamma > 0$"):
@@ -176,6 +178,36 @@ class TestRunStudy:
             cfg = replace(lm, ensemble_sizes=(int(row.sweep_value),))
             runs = [lm_run(w2, cfg, PerturbationStream(derive_seed(4, r))) for r in range(3)]
             assert row.raw_errors == tuple(float(np.linalg.norm(run.iterates[-1].composite - target)) for run in runs)
+
+    def test_tau_sweep_cells_equal_separate_runs(self, w2):
+        # Each cell's raw errors are the final-iterate gaps between separate
+        # finite-difference and tangent runs on the replicates' derived seeds.
+        lm = LMConfig(gamma=1.0, max_iterations=2, mode="finite-difference", ensemble_sizes=(16,))
+        spec = StudySpec(kind="tau-sweep", sweep=(1e-1, 1e-3), replicates=3, problem=w2, seed=4, lm=lm)
+        streams = [PerturbationStream(derive_seed(4, r)) for r in range(3)]
+        tangent = [lm_run(w2, replace(lm, mode="tangent"), s).iterates[-1].composite for s in streams]
+        for row in run_study(spec).rows:
+            fd = [lm_run(w2, replace(lm, tau=row.sweep_value), s).iterates[-1].composite for s in streams]
+            assert row.raw_errors == tuple(float(np.linalg.norm(a - b)) for a, b in zip(fd, tangent, strict=True))
+
+    @pytest.mark.parametrize("kind, sweep", [("lm-enks-vs-lm", (8, 16)), ("tau-sweep", (1e-1, 1e-2))])
+    def test_lm_pass_set_up_once_per_study(self, w2, kind, sweep, monkeypatch):
+        # The start, its objective and the augmented covariances depend on no
+        # draw, so a study works them out once, whatever its replicates; an
+        # lm-enks-vs-lm study's exact target starts once more.
+        calls = Counter()
+        for name in ("_start", "_augmented_noise_cov"):
+
+            def counting(*args, _name=name, _original=getattr(fourdvar, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(fourdvar, name, counting)
+        lm = LMConfig(gamma=1.0, max_iterations=2, mode="tangent", ensemble_sizes=(16,))
+        for replicates in (1, 3):
+            calls.clear()
+            run_study(StudySpec(kind=kind, sweep=sweep, replicates=replicates, problem=w2, lm=lm))
+            assert calls == {"_start": 1 + (kind == "lm-enks-vs-lm"), "_augmented_noise_cov": w2.horizon}
 
     def test_tau_sweep_wall_time_covers_the_tangent_arm(self, w2, monkeypatch):
         # A clock that ticks once per draw pass: the rows' wall times must add
