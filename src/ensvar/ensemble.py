@@ -1,26 +1,22 @@
 """Ensemble Kalman filter and smoother with matrix-free covariance products.
 
-Three variants share one step and differ only in where the covariance
-products come from:
+Three variants differ only in where the gains come from:
 
 * :func:`enkf_run` - per-time state ensembles, sample covariances;
 * :func:`enks_run` - composite-state (trajectory) ensembles, sample
   covariances;
-* :func:`reference_enks_run` - composite ensembles whose gains use the
-  *exact* covariances of the Kalman smoother's recursion.  Its members are
-  i.i.d. draws from the smoothing distribution, and it consumes the same
-  keyed perturbations as :func:`enks_run`, so the pair forms a coupled run
-  whose member-wise difference is pure sampling error of the ensemble
-  method.
+* :func:`reference_enks_run` - composite ensembles with *exact* gains,
+  under which a member is the smoothing mean of its own perturbed data
+  (randomized maximum likelihood): a solve of ``kalman._block_factor``.
+  Its members are i.i.d. draws from the smoothing distribution, and it
+  consumes the same keyed perturbations as :func:`enks_run`, so the pair
+  is a coupled run whose member-wise difference is pure sampling error.
 
-Every run is a list of arms on one pass, :func:`_smoother_pass`, the
-package's only forecast, gain and update loop: :func:`enks_run` is one
-sample arm and :func:`reference_enks_run` one exact arm.
-:func:`coupled_member_diffs` runs the pair: each key is drawn once for
-both, and the exact arm carries member 1 only, since with exact gains no
-member depends on another.  A study sweeping the ensemble size adds a
-sample arm per size, on prefixes of the largest size's draw.  Each arm
-of an ensemble LM iteration (:mod:`ensvar.fourdvar`) is a pass of its own.
+The sample runs are arms of one pass, :func:`_smoother_pass`, the
+package's only forecast, gain and update loop, of which each arm of an
+ensemble LM iteration (:mod:`ensvar.fourdvar`) is a call of its own.
+:func:`coupled_member_diffs` runs the pair on each key drawn once, with
+an EnKS arm per ensemble size on prefixes of the largest size's draw.
 
 The pass reads its system from ``step(i)``, step i's ``(propagate,
 observe, obs_cov, predict, observation)``, and its draws from
@@ -30,7 +26,7 @@ three phases, each one helper:
 1. :func:`_forecast` adds the forcing and the model draw to ``propagate``
    of the time i-1 analysis;
 2. K^T comes from :func:`_sample_gain`, which hands ``observe`` the newest
-   block's deviations, or from an exact arm's list (:func:`_exact_gains`);
+   block's deviations;
 3. :func:`_update` adds the gain times the innovations
    ``observation - w - predict(x)`` to the forecast in row blocks.
 
@@ -43,18 +39,15 @@ already ascend.  So a run whose member keys are permuted computes the
 unpermuted run's numbers bit for bit; permuting keys permutes output
 members exactly.
 
-Every arm fills one trajectory array in place, allocated once and
-started with the background mean plus its prefix of the initial draw; a
-smoother run copies each step's analysis out of it, and a filtering pass
-(:func:`enkf_run`) updates only the newest block, so its analyses are the
-array's blocks.  Every draw is scaled by its Cholesky factor in
-:func:`_noises`, chunk by chunk.  The model draw is made just before the
-forecast and the observation draw w only after the gains, each phase
-running over all arms before the next; a keyed draw is a pure function
-of its key, so that moves no number.  The gain's P H^T and the update's
-product both run over the same m-row blocks (:func:`_row_blocks`), so
-every phase holds at most one state block of temporaries beside the
-trajectories: no composite deviations, draw or full-width update product.
+Every arm fills one trajectory array in place, started with the
+background mean plus its prefix of the initial draw; a smoother run
+copies each step's analysis out of it, and a filtering pass
+(:func:`enkf_run`) updates only the newest block.  Each draw is scaled
+chunk by chunk in :func:`_noises` and made just before the phase that
+reads it, which runs over all arms; a keyed draw is a pure function of
+its key, so that moves no number.  The gain's P H^T and the update's
+product run over m-row blocks (:func:`_row_blocks`), so each phase holds
+at most one state block of temporaries beside the trajectories.
 
 The degenerate zero-spread ensemble needs no special casing: all sample
 products vanish, the innovation covariance reduces to R (still SPD), and
@@ -69,7 +62,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ValidationError
-from .kalman import _column_recursion, _linear_matrices
+from .kalman import _block_factor, _linear_matrices
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem
 from .streams import NoiseKind, PerturbationStream, Phase, _integer, _member_keys, derive_seed
@@ -123,12 +116,6 @@ def _slot_rows(ensemble: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
     return ensemble.T if slots is None else ensemble[..., slots].T
 
 
-def _gain_transpose(pht: np.ndarray, hpht: np.ndarray, obs_cov: np.ndarray) -> np.ndarray:
-    """K^T = (hpht + R)^-1 pht^T from the lower triangle of hpht + R."""
-    factor = _factor(hpht + obs_cov, "innovation covariance")
-    return _solve(factor, pht.T, "innovation covariance")
-
-
 @lru_cache(maxsize=1024)
 def _row_blocks(m: int, rows: int) -> tuple[tuple[int, int], ...]:
     """The (start, stop) row blocks of a composite with ``rows`` rows and
@@ -162,7 +149,8 @@ def _sample_gain(forecast: np.ndarray, m: int, observe, obs_cov: np.ndarray) -> 
     pht = np.empty((len(forecast), len(obs_dev)))
     for start, stop in _row_blocks(m, len(forecast)):
         pht[start:stop] = (forecast[start:stop] - mean[start:stop]) @ obs_dev.T / (n - 1)
-    return _gain_transpose(pht, 0.5 * (hpht + hpht.T), obs_cov)
+    factor = _factor(0.5 * (hpht + hpht.T) + obs_cov, "innovation covariance")
+    return _solve(factor, pht.T, "innovation covariance")
 
 
 def _pass_keys(problem, obs_factors) -> dict:
@@ -202,13 +190,9 @@ def _noises(stream, phase, iteration, members, keys) -> list[np.ndarray]:
 
 def _forecast(problem, i, out, propagate, noise) -> None:
     """Step i's forecast, in place: ``propagate`` of the time i-1 state,
-    the m rows of ``out`` before its last, plus the forcing and the scaled
-    model draw ``noise``, fills the last m rows.
-
-    ``out`` is a (state, member) trajectory array through time i.
-    :func:`_smoother_pass` turns numpy's overflow warnings off for a
-    sample arm's forecast only, so an exact arm's overflow warns.
-    """
+    the m rows before the last of ``out``, a (state, member) trajectory
+    array through time i, plus the forcing and the scaled model draw
+    ``noise``, fills the last m rows."""
     m = problem.state_dim
     np.add(propagate(out[-2 * m : -m]) + problem.forcings[i - 1][:, None], noise, out=out[-m:])
 
@@ -227,20 +211,19 @@ def _update(m, out, gain_t, innovations) -> None:
         out[start:stop] += gain_t[:, start:stop].T @ innovations
 
 
-def _smoother_pass(problem, step, noise, arms, analyses=None, filtering=False) -> list[np.ndarray]:
+def _smoother_pass(problem, step, noise, sizes, analyses=None, filtering=False) -> list[np.ndarray]:
     """The package's one ensemble step loop, for every arm on one system.
 
     ``step(i)`` gives step i's ``(propagate, observe, obs_cov, predict,
     observation)`` and ``noise(i, kind)`` the scaled draw of key (i, kind),
-    of which an arm ``(n, gain_ts)`` reads the first n columns; its gains
-    are sample ones or the exact K^T list ``gain_ts``.  Returns each arm's
-    trajectory array, its final analysis; ``analyses``, when given,
-    receives copies of the first arm's earlier analyses.  A ``filtering``
-    pass updates only the newest block, so each keeps its filter analysis.
+    of which the arm of each size n in ``sizes`` reads the first n columns.
+    Returns each arm's trajectory array, its final analysis; ``analyses``,
+    when given, receives copies of the first arm's earlier analyses.  A
+    ``filtering`` pass updates only the newest block.
     """
     m, k = problem.state_dim, problem.horizon
     draw, trajectories = noise(0, NoiseKind.INIT), []
-    for n, _ in arms:
+    for n in sizes:
         trajectories.append(np.empty(((k + 1) * m, n)))
         np.add(problem.background_mean[:, None], draw[:, :n], out=trajectories[-1][:m])
     del draw
@@ -250,23 +233,18 @@ def _smoother_pass(problem, step, noise, arms, analyses=None, filtering=False) -
             analyses.append(trajectories[0][: i * m].copy())
         outs = [trajectory[(i * m if filtering else 0) : (i + 1) * m] for trajectory in trajectories]
         v = noise(i, NoiseKind.MODEL)
-        # Exact arms first, under the caller's settings, so an overflow warns;
-        # a sample arm's gain refuses a non-finite forecast, so numpy need not.
-        for trajectory, (n, gain_ts) in zip(trajectories, arms):
-            if gain_ts is not None:
-                _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n])
+        # The gain refuses a non-finite forecast, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            for trajectory, (n, gain_ts) in zip(trajectories, arms):
-                if gain_ts is None:
-                    _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n])
+            for trajectory, n in zip(trajectories, sizes):
+                _forecast(problem, i, trajectory[: (i + 1) * m], propagate, v[:, :n])
             del v
-            gains = [_sample_gain(out, m, observe, obs_cov) if g is None else g[i - 1] for out, (_, g) in zip(outs, arms)]
+            gains = [_sample_gain(out, m, observe, obs_cov) for out in outs]
         w = noise(i, NoiseKind.OBS)
         for out, gain_t in zip(outs, gains):
             innovations = observation[:, None] - w[:, : out.shape[1]]
             innovations -= predict(out[-m:])
             _update(m, out, gain_t, innovations)
-        del w
+        del w, innovations  # freed before step i+1 draws
     return trajectories
 
 
@@ -277,24 +255,30 @@ def _linear_steps(problem, lin):
     return lambda i: steps[i - 1]
 
 
-def _exact_gains(problem, lin) -> list[np.ndarray]:
-    """Each step's exact K^T, from the composite forecast covariance's
-    trailing block column of the Kalman smoother's recursion."""
-    m = problem.state_dim
-    return [
-        _gain_transpose(cov_f[:, -m:] @ h_i.T, h_i @ cov_f[-m:, -m:] @ h_i.T, r_i)
-        for (cov_f, *_), h_i, r_i in zip(_column_recursion(problem, *lin), lin[1], problem.obs_noise_covs)
-    ]
-
-
-def _smoother_arm(problem, lin, stream, members, exact=False, filtering=False) -> list[np.ndarray]:
-    """The analyses at times 0..k of one arm over every member: the
-    smoother's composites, with exact gains or sample ones, or, when
-    ``filtering``, the filter's states, as blocks of its one array."""
-    arms, analyses = [(len(members), _exact_gains(problem, lin) if exact else None)], None if filtering else []
+def _smoother_arm(problem, lin, stream, members, filtering=False) -> list[np.ndarray]:
+    """The analyses at times 0..k of one sample arm over every member: the
+    smoother's composites or, when ``filtering``, the filter's states, as
+    blocks of its one array."""
+    analyses = None if filtering else []
     step, noise = _linear_steps(problem, lin), _noise(problem, stream, members)
-    (trajectory,) = _smoother_pass(problem, step, noise, arms, analyses, filtering)
+    (trajectory,) = _smoother_pass(problem, step, noise, [len(members)], analyses, filtering)
     return np.split(trajectory, problem.horizon + 1) if filtering else [*analyses, trajectory]
+
+
+def _reference_arm(problem, lin, stream, members) -> list[np.ndarray]:
+    """The exact-gain analyses at times 0..k: the initial draw, then each
+    member's smoothing mean over the window 0..i of its perturbed data."""
+    solve = _block_factor(problem, *lin)
+    start, *data = _reference_data(problem, _noise(problem, stream, members))
+    return [start, *solve(start, *data, windows=True)]
+
+
+def _reference_data(problem, noise):
+    """The reference members' perturbed data from the draws ``noise(i, kind)``:
+    x_b plus the initial draw, f_i plus model draws, y_i less obs draws."""
+    start = problem.background_mean[:, None] + noise(0, NoiseKind.INIT)
+    forcings = [f[:, None] + noise(i, NoiseKind.MODEL) for i, f in enumerate(problem.forcings, 1)]
+    return start, forcings, [y[:, None] - noise(i, NoiseKind.OBS) for i, y in enumerate(problem.observations, 1)]
 
 
 def _ensemble_result(name, run, problem, n_members, stream, member_indices, fewest=2) -> EnsembleRunResult:
@@ -346,15 +330,12 @@ def reference_enks_run(
 ) -> EnsembleRunResult:
     """Composite ensemble updated with exact covariances.
 
-    Consumes the same keyed draws as :func:`enks_run` but replaces the
-    sample-covariance products in the gain with the exact composite
-    forecast covariances, the trailing block columns of the Kalman
-    smoother's recursion.  Each member then evolves independently of the
-    others, and is an exact draw from the smoothing distribution; a single
-    member (n_members=1) is valid.
+    Consumes the same keyed draws as :func:`enks_run`, but each member is
+    the smoothing mean of its own perturbed data, which is what exact
+    gains give it.  Members are independent exact draws from the smoothing
+    distribution; a single member (n_members=1) is valid.
     """
-    run = partial(_smoother_arm, exact=True)
-    return _ensemble_result("reference run", run, problem, n_members, stream, member_indices, fewest=1)
+    return _ensemble_result("reference run", _reference_arm, problem, n_members, stream, member_indices, fewest=1)
 
 
 def coupled_member_diffs(
@@ -366,13 +347,10 @@ def coupled_member_diffs(
     """Per-replicate difference of member 1 between EnKS and reference run.
 
     Each replicate derives its own seed from the stream's root seed and
-    runs both arms in one pass: every key is drawn once, for all members,
-    and both arms consume that draw, so the difference measures only the
-    effect of sample versus exact covariances.  The EnKS arm updates all
-    members; the reference arm carries member 1 (key 0) alone, which is
-    exact because its gains use no other member.  The result equals the
-    member-1 gap between :func:`enks_run` and :func:`reference_enks_run`
-    up to round-off.
+    draws every key once for both runs, so the difference measures only
+    the effect of sample versus exact covariances.  It equals the member-1
+    gap between :func:`enks_run` and :func:`reference_enks_run` up to
+    round-off.
     """
     replicates = _integer("replicates", replicates)
     if replicates < 1:
@@ -388,18 +366,26 @@ def _coupled_pass(problem, sizes):
     Size n uses keys 0..n-1, a prefix of the largest size's keys, so each
     replicate draws every key once, at the largest size, and each EnKS arm
     runs on the first n columns of that draw: bit for bit a separate draw.
-    One reference arm (key 0, exact gains) serves every size; its exact
-    columns and gains are computed once for all replicates.
+    The pass keeps column 0 of each draw, from which one solve of the
+    study's one block factorization gives reference member 1 (key 0).
     """
     sizes = [_integer("ensemble size", n) for n in sizes]
     if min(sizes) < 2:
         raise ValidationError(f"EnKS needs at least 2 members, got {min(sizes)}")
     lin = _linear_matrices(problem, "ensemble Kalman runs")
-    arms = [*((n, None) for n in sizes), (1, _exact_gains(problem, lin))]
-    keys, step = np.arange(max(sizes), dtype=np.int64), _linear_steps(problem, lin)
+    solve, step = _block_factor(problem, *lin), _linear_steps(problem, lin)
+    keys = np.arange(max(sizes), dtype=np.int64)
 
     def one_pass(stream) -> list[np.ndarray]:
-        *ensembles, reference = _smoother_pass(problem, step, _noise(problem, stream, keys), arms)
-        return [ensemble[:, 0] - reference[:, 0] for ensemble in ensembles]
+        noise, first = _noise(problem, stream, keys), {}
+
+        def kept(i, kind):
+            draw = noise(i, kind)
+            first[i, kind] = draw[:, :1].copy()
+            return draw
+
+        ensembles = _smoother_pass(problem, step, kept, sizes)
+        reference = solve(*_reference_data(problem, lambda *key: first[key]))[:, 0]
+        return [ensemble[:, 0] - reference for ensemble in ensembles]
 
     return one_pass

@@ -7,13 +7,13 @@ The nonlinear least-squares objective over the whole trajectory is
 
 Three solver variants compute the damped Gauss-Newton (LM) iteration:
 
-* ``exact``: the linearized subproblem is solved exactly.  Its normal
-  equations are block tridiagonal in x_0..x_k, and block elimination on
-  their Schur complements S_i, each factored once by Cholesky, costs
-  O(k m^3) time and O(k m^2) memory.  The step is the smoothing mean
-  of the linearized system with the damping as an extra observation of
-  each state with noise covariance (1/gamma) I, since both minimize the
-  same quadratic (Bell 1994: the iterated Kalman smoother is Gauss-Newton).
+* ``exact``: the linearized subproblem is solved exactly, by block
+  elimination of its block-tridiagonal normal equations
+  (``kalman._block_factor``) in O(k m^3) time and O(k m^2) memory.  The
+  step is the smoothing mean of the linearized system with the damping
+  as an extra observation of each state with noise covariance
+  (1/gamma) I, since both minimize the same quadratic (Bell 1994: the
+  iterated Kalman smoother is Gauss-Newton).
 * ``tangent``: the linearized subproblem is solved approximately by an
   ensemble Kalman smoother, with exact Jacobians applied to ensemble
   deviations and the linearization centered at the previous iterate's
@@ -48,7 +48,7 @@ import numpy as np
 
 from .ensemble import _noises, _pass_keys, _slot_rows, _smoother_pass, _sorted_members
 from .errors import ValidationError
-from .kalman import _normal_equations_solution
+from .kalman import _block_factor, _normal_equations_solution
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem, Operator, Trajectory
 from .streams import PerturbationStream, Phase, _integer
@@ -67,6 +67,17 @@ __all__ = [
 ]
 
 _MODES = ("exact", "tangent", "finite-difference")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValidationError(f"gamma must be finite and >= 0, got {gamma}")
+
+
+def _check_shape(problem: AssimilationProblem, x: np.ndarray) -> None:
+    shape = (problem.horizon + 1, problem.state_dim)
+    if x.shape != shape:
+        raise ValidationError(f"trajectory shape {x.shape} does not match problem {shape}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +100,7 @@ class LMConfig:
     initial_trajectory: Trajectory | None = None
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValidationError(f"tau must be finite and > 0, got {self.tau}")
         object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
@@ -133,11 +143,7 @@ class LMRunResult:
 def objective(problem: AssimilationProblem, trajectory: Trajectory) -> float:
     """Weak-constraint 4DVAR objective at a trajectory."""
     x = trajectory.states
-    if x.shape != (problem.horizon + 1, problem.state_dim):
-        raise ValidationError(
-            f"trajectory shape {x.shape} does not match problem "
-            f"({problem.horizon + 1}, {problem.state_dim})"
-        )
+    _check_shape(problem, x)
     l_b, l_q, l_r = problem._factors
     r0 = x[0] - problem.background_mean
     total = float(r0 @ _solve(l_b, r0, "background_cov"))
@@ -169,42 +175,19 @@ def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> n
 
 def lm_exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float) -> Trajectory:
     """One exact LM step: the smoothing mean of the linearized system."""
-    m, k = problem.state_dim, problem.horizon
-    eye = np.eye(m)
-    l_b, l_q, l_r = problem._factors
-    # Normal equations: diagonal blocks D_i, right-hand sides b_i, and
-    # blocks A_i = -Q_i^-1 M_i coupling x_i to x_{i-1}.
-    diag = [_solve(l_b, eye, "background_cov")]
-    rhs = [diag[0] @ problem.background_mean]
-    lower = []
-    for i in range(1, k + 1):
+    _check_gamma(gamma)
+    _check_shape(problem, x_prev.states)
+    models, obs_mats, forcings, observations = [], [], [], []
+    for i in range(1, problem.horizon + 1):
         c_prev, c_i = x_prev[i - 1], x_prev[i]
         mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
-        mj, hj = mop.jacobian_at(c_prev), hop.jacobian_at(c_i)
-        mu = mop(c_prev) + problem.forcings[i - 1] - mj @ c_prev
-        y_eff = problem.observations[i - 1] - hop(c_i) + hj @ c_i
-        q_inv = _solve(l_q[i - 1], eye, "model_noise_cov")
-        r_inv_h = _solve(l_r[i - 1], hj, "obs_noise_cov")
-        lower.append(-q_inv @ mj)
-        diag[-1] = diag[-1] - mj.T @ lower[-1]
-        rhs[-1] = rhs[-1] + lower[-1].T @ mu
-        diag.append(q_inv + hj.T @ r_inv_h + gamma * eye)
-        rhs.append(q_inv @ mu + r_inv_h.T @ y_eff + gamma * c_i)
-    # Block elimination, forward: the Schur complements S_0 = D_0 and
-    # S_i = D_i - A_i S_{i-1}^-1 A_i^T, each factored once, with
-    # b_i <- b_i - A_i S_{i-1}^-1 b_{i-1}; one solve per step, against
-    # [A_i^T | b_{i-1}].
-    factors = [_factor(diag[0], "normal equations")]
-    for i in range(1, k + 1):
-        w = _solve(factors[-1], np.column_stack([lower[i - 1].T, rhs[i - 1]]), "normal equations")
-        rhs[i] = rhs[i] - lower[i - 1] @ w[:, m]
-        factors.append(_factor(diag[i] - lower[i - 1] @ w[:, :m], "normal equations"))
-    # Back substitution: x_k = S_k^-1 b_k, x_i = S_i^-1 (b_i - A_{i+1}^T x_{i+1}).
-    x = np.empty((k + 1, m))
-    x[k] = _solve(factors[k], rhs[k], "normal equations")
-    for i in range(k - 1, -1, -1):
-        x[i] = _solve(factors[i], rhs[i] - lower[i].T @ x[i + 1], "normal equations")
-    return Trajectory(x)
+        models.append(mop.jacobian_at(c_prev))
+        obs_mats.append(hop.jacobian_at(c_i))
+        forcings.append(mop(c_prev) + problem.forcings[i - 1] - models[-1] @ c_prev)
+        observations.append(problem.observations[i - 1] - hop(c_i) + obs_mats[-1] @ c_i)
+    solve = _block_factor(problem, models, obs_mats, gamma)
+    x = solve(problem.background_mean, forcings, observations, x_prev.states[1:])
+    return Trajectory(x.reshape(-1, problem.state_dim))
 
 
 def lm_tangent_ls_oracle(
@@ -217,6 +200,8 @@ def lm_tangent_ls_oracle(
     augmented observations, and solves it in one shot.  Shares no path
     with :func:`lm_exact_step` beyond the low-level SPD solve.
     """
+    _check_gamma(gamma)
+    _check_shape(problem, x_prev.states)
     steps = []
     for i in range(1, problem.horizon + 1):
         c_prev, c_i = x_prev[i - 1], x_prev[i]
@@ -229,12 +214,8 @@ def lm_tangent_ls_oracle(
 
 
 def _start(problem: AssimilationProblem, cfg: LMConfig) -> tuple[Trajectory, float]:
-    """The initial trajectory and its objective, which must be finite."""
-    x0 = cfg.initial_trajectory
-    if x0 is None:
-        x0 = problem.prior_chain()
-    elif x0.states.shape != (problem.horizon + 1, problem.state_dim):
-        raise ValidationError(f"initial trajectory shape {x0.states.shape} does not match problem")
+    """The initial trajectory and its objective, which checks its shape and must be finite."""
+    x0 = problem.prior_chain() if cfg.initial_trajectory is None else cfg.initial_trajectory
     # A start whose objective overflows is refused below, so numpy need
     # not warn about the overflow.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -332,7 +313,7 @@ def _lm_pass(
                 np.concatenate([problem.observations[i - 1], c_i]),
             )
 
-        (trajectory,) = _smoother_pass(problem, step, noise, [(n, None)])
+        (trajectory,) = _smoother_pass(problem, step, noise, [n])
         # The member mean, as ndarray.mean computes it.
         iterates.append(Trajectory((np.add.reduce(trajectory, axis=1) / n).reshape(-1, m)))
         objectives.append(objective(problem, iterates[-1]))

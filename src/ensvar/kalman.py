@@ -1,15 +1,15 @@
 """Exact recursions for the linear-Gaussian case.
 
-One private recursion on the mean and the trailing block column of the
-covariance serves everything.  On x_i alone it is the Kalman filter
-(:func:`kf_run`), and :func:`ks_run` runs one Rauch–Tung–Striebel pass
-back over its estimates.  On the growing composite state x_0:i, whose
-observation operator is [0, ..., 0, H_i], its columns are the exact
-covariances that the exact-covariance reference ensembles read.
+One private recursion is the Kalman filter (:func:`kf_run`), and
+:func:`ks_run` runs one Rauch–Tung–Striebel pass back over its estimates.
+:func:`_block_factor` eliminates the smoothing problem's normal equations
+once, before any data, and then solves for the smoothing mean of any data:
+the exact LM step, and each exact reference member, the smoothing mean of
+its own perturbed data.
 
 An independent block least-squares oracle solves the smoothing problem by
 assembling and solving its normal equations directly; it shares no code
-path with the recursion beyond the low-level SPD solve.
+path with either solver beyond the low-level SPD solve.
 """
 
 from __future__ import annotations
@@ -57,40 +57,29 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _column_recursion(problem: AssimilationProblem, models, obs_mats, composite=True):
-    """The exact recursion on the mean and the trailing block column.
-
-    Yields ``(col_f, state, mean, col)`` for i = 1..k, where ``col_f`` and
-    ``col`` are the trailing m columns of the forecast and analysis
-    covariances of x_0:i (of x_i alone when not ``composite``), ``state``
-    is the forecast mean of x_i and ``mean`` the analysis mean.  The
-    exact-covariance ensembles read ``col_f``, and both Kalman runs read
-    the rest.  The column's update never reads the leading block.  Each
-    gain is P H^T times the d x d inverse of the innovation covariance.
-    """
-    m = problem.state_dim
-    mean, col = problem.background_mean, problem.background_cov
+def _column_recursion(problem: AssimilationProblem, models, obs_mats):
+    """The Kalman filter: yields the forecast covariance and mean and the
+    analysis mean and covariance of x_i, ``(cov_f, state, mean, cov)``,
+    for i = 1..k.  Each gain is P H^T times the d x d inverse of the
+    innovation covariance."""
+    mean, cov = problem.background_mean, problem.background_cov
     for i in range(1, problem.horizon + 1):
         m_i, h_i = models[i - 1], obs_mats[i - 1]
-        corner = _symmetrize(m_i @ col[-m:] @ m_i.T + problem.model_noise_covs[i - 1])
-        col_f = np.vstack([col @ m_i.T, corner]) if composite else corner
-        pht = col_f @ h_i.T
+        cov_f = _symmetrize(m_i @ cov @ m_i.T + problem.model_noise_covs[i - 1])
+        pht = cov_f @ h_i.T
         if not np.isfinite(pht).all():
             raise ValidationError("P H^T of the gain contains non-finite entries")
-        innovation_cov = h_i @ corner @ h_i.T + problem.obs_noise_covs[i - 1]
+        innovation_cov = h_i @ cov_f @ h_i.T + problem.obs_noise_covs[i - 1]
         inverse = spd_solve(innovation_cov, np.eye(h_i.shape[0]), name="innovation covariance")
         gain = pht @ inverse
-        col = col_f - gain @ pht[-m:].T
-        col[-m:] = _symmetrize(col[-m:])
+        cov = _symmetrize(cov_f - gain @ pht.T)
         # An overflowing mean is refused right below, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            state = m_i @ mean[-m:] + problem.forcings[i - 1]
-            mean_f = np.concatenate([mean, state]) if composite else state
-            innovation = problem.observations[i - 1] - h_i @ state
-            mean = mean_f + gain @ innovation
+            state = m_i @ mean + problem.forcings[i - 1]
+            mean = state + gain @ (problem.observations[i - 1] - h_i @ state)
         if not np.isfinite(mean).all():
             raise ValidationError("mean contains non-finite entries")
-        yield col_f, state, mean, col
+        yield cov_f, state, mean, cov
 
 
 def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
@@ -99,7 +88,7 @@ def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
     The shared recursion on x_i alone: forecast, gain and update, with the
     covariance symmetrized after each update to control round-off drift.
     """
-    recursion = _column_recursion(problem, *_linear_matrices(problem), composite=False)
+    recursion = _column_recursion(problem, *_linear_matrices(problem))
     estimates = [GaussianEstimate(problem.background_mean.copy(), problem.background_cov.copy())]
     estimates += [GaussianEstimate(mean, cov) for *_, mean, cov in recursion]
     return KalmanFilterResult(tuple(estimates))
@@ -127,7 +116,7 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
     m, k = problem.state_dim, problem.horizon
     # (P^f_i, x^f_i, x_i, P_i) for i = 0..k; time 0 has no forecast.
     steps = [(None, None, problem.background_mean, problem.background_cov)]
-    steps += _column_recursion(problem, *lin, composite=False)
+    steps += _column_recursion(problem, *lin)
     mean, cov = np.empty(m * (k + 1)), np.empty((m * (k + 1),) * 2)
     mean[-m:], cov[-m:, -m:] = steps[k][2:]
     for i in range(k - 1, -1, -1):
@@ -142,6 +131,56 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
         cov[lo:hi, hi:] = gain @ cov[hi : hi + m, hi:]
         cov[hi:, lo:hi] = cov[lo:hi, hi:].T
     return KalmanSmootherResult(GaussianEstimate(mean, cov))
+
+
+def _block_factor(problem: AssimilationProblem, models, obs_mats, gamma: float = 0.0):
+    """The smoothing problem's normal equations on the system (M_i, H_i),
+    damped by gamma |x_i - c_i|^2 for i >= 1, eliminated before any data.
+
+    They are block tridiagonal, with A_i = -Q_i^-1 M_i coupling x_i to
+    x_{i-1}.  Each Schur complement S_i = D_i - A_i C_{i-1}, with
+    C_i = S_i^-1 A_{i+1}^T, is factored once; F_i, S_i without step i+1's
+    M^T Q^-1 M, ends the window 0..i.  ``solve(background, forcings,
+    observations, centers=None, windows=False)`` maps x_b, mu_i, y_i (and
+    c_i when damped), as vectors or member columns, to the composite mean
+    x_0:k, or to each window 0..i's for i = 1..k, at O(k m^2) a column:
+    forward, b_i -= C_{i-1}^T b_{i-1} takes no solve.
+    """
+    m, k = problem.state_dim, problem.horizon
+    eye = np.eye(m)
+    l_b, l_q, l_r = problem._factors
+    # A non-finite block is refused by its factor or solve, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_inv = [_solve(l, eye, "model_noise_cov") for l in l_q]
+        r_inv_h = [_solve(l, h, "obs_noise_cov") for l, h in zip(l_r, obs_mats)]
+        lower = [-q @ a for q, a in zip(q_inv, models)]
+        last, schur, coupling = [_solve(l_b, eye, "background_cov")], [], []
+        for i in range(k):
+            schur.append(_factor(last[i] - models[i].T @ lower[i], "normal equations"))
+            coupling.append(_solve(schur[i], lower[i].T, "normal equations"))
+            last.append(q_inv[i] + obs_mats[i].T @ r_inv_h[i] + gamma * eye - lower[i] @ coupling[i])
+        schur.append(_factor(last[k], "normal equations"))
+
+    def solve(background, forcings, observations, centers=None, windows=False):
+        # rhs[i] is b_i of the window 0..i until step i+1's term is added.
+        rhs, means = [last[0] @ background], []
+
+        def back(i, factor):
+            x = np.empty((i + 1, *rhs[i].shape))
+            x[i] = _solve(factor, rhs[i], "normal equations")
+            for j in range(i - 1, -1, -1):
+                x[j] = _solve(schur[j], rhs[j] - lower[j].T @ x[j + 1], "normal equations")
+            return x.reshape(-1, *rhs[i].shape[1:])
+
+        centers = [0.0] * k if centers is None else centers
+        for i, (mu, y, c) in enumerate(zip(forcings, observations, centers)):
+            rhs[i] = rhs[i] + lower[i].T @ mu
+            rhs.append(q_inv[i] @ mu + r_inv_h[i].T @ y + gamma * c - coupling[i].T @ rhs[i])
+            if windows:
+                means.append(back(i + 1, _factor(last[i + 1], "normal equations")))
+        return means if windows else back(k, schur[k])
+
+    return solve
 
 
 def ks_least_squares_oracle(problem: AssimilationProblem) -> np.ndarray:

@@ -3,17 +3,11 @@
 Ensembles are plain float arrays of shape (N, q): one member per row.
 Every matrix inverse in the package comes from a Cholesky solve.  Small
 d x d or m x m inverses may be formed explicitly (the innovation
-inverse, Q^-1).  The exact recursions take no solve with a right-hand
-side as wide as the composite state: their Kalman gain is P H^T times
-the d x d inverse, never a solve against (P H^T)^T, because at two BLAS
-threads a triangular solve with hundreds of right-hand sides stalls for
-milliseconds where the same flops as one matrix product do not.  The
-smoother's backward pass and the exact LM step solve against m x m
-SPD blocks with m or m + 1 right-hand sides, by ``dpotrs``, which
-(measured up to m = 28) stays on one thread where ``dtrtrs`` with a
-matrix right-hand side wakes scipy's pool; from about m = 32 ``dpotrs``
-wakes it too.  The ensemble analysis kernel still solves against its
-(P H^T)^T.
+inverse, Q^-1): the Kalman filter's gain is P H^T times the d x d
+inverse.  The smoother's backward pass and the exact block solver solve
+against m x m SPD blocks by ``dpotrs``, which with m right-hand sides
+stays on one thread up to about m = 28 and wakes scipy's pool from about
+m = 32.  The ensemble analysis kernel solves against its (P H^T)^T.
 
 Every SPD factor and solve goes through :func:`_factor`/:func:`_solve`,
 direct calls of the LAPACK ``dpotrf``/``dpotrs`` behind scipy's

@@ -162,8 +162,8 @@ def _summarize(diffs: list[np.ndarray], p_order: float) -> tuple[float, float, t
 
 
 def _enks_vs_ks_pass(spec: StudySpec):
-    # Every ensemble size is an EnKS arm of one coupled pass, beside one
-    # exact reference arm; the exact column recursion runs once per study.
+    # Every ensemble size is an EnKS arm of one coupled pass, against one
+    # exact reference member; the normal equations are factored once per study.
     if not spec.problem.all_linear:
         raise ValidationError("enks-vs-ks studies require a fully linear problem")
     return _coupled_pass(spec.problem, tuple(int(v) for v in spec.sweep))

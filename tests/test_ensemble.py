@@ -1,6 +1,8 @@
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +31,26 @@ from ensvar import (
     reference_enks_run,
     sample_covariance,
 )
-from ensvar import ensemble
-from ensvar.ensemble import _coupled_pass, _gain_transpose, _sample_gain, _slot_rows, _sorted_members, _update
+from ensvar import ensemble, ks_least_squares_oracle
+from ensvar.ensemble import (
+    _coupled_pass,
+    _linear_steps,
+    _noise,
+    _sample_gain,
+    _slot_rows,
+    _smoother_pass,
+    _sorted_members,
+    _update,
+)
 from ensvar.kalman import _linear_matrices
+from ensvar.numerics import _factor, _solve
 from conftest import truncated
 
 
 PINNED_RUNS = Path(__file__).parent / "data" / "ensemble_runs_pinned.npz"
+# Reference members written by the exact-gain ensemble step (the composite
+# Kalman recursion's gains) before the normal-equations solve replaced it.
+PINNED_REFERENCE = Path(__file__).parent / "data" / "reference_members_pinned.npz"
 
 
 class DegenerateStream(PerturbationStream):
@@ -301,7 +316,8 @@ def _full_deviation_gain(forecast, m, observe, obs_cov):
     dev = forecast - forecast.mean(axis=1, keepdims=True)
     obs_dev = observe(dev[-m:])
     hpht = obs_dev @ obs_dev.T / (n - 1)
-    return _gain_transpose(dev @ obs_dev.T / (n - 1), 0.5 * (hpht + hpht.T), obs_cov)
+    factor = _factor(0.5 * (hpht + hpht.T) + obs_cov, "innovation covariance")
+    return _solve(factor, (dev @ obs_dev.T / (n - 1)).T, "innovation covariance")
 
 
 @pytest.mark.parametrize("m,k,n,tol", [(3, 6, 200, 1e-13), (1, 1, 50, 0.0), (1, 1, 2000, 0.0)])
@@ -336,14 +352,11 @@ def test_analysis_update_non_finite_products_name_the_innovation_covariance():
         _sample_gain(np.array([[nan, nan], [0.0, 1.0]]), 1, lambda dev: dev, np.eye(1))
 
 
-def test_exact_arm_overflow_warns_in_a_pass_with_sample_arms():
-    # Step 1 observes x1 - x2 almost exactly, which leaves the exact
-    # covariance column at step 1 all ones, bit for bit, and the mean at
-    # (2, 2).  Step 2's model row (a, -a) then cancels in every exact
-    # product, so the exact gains are finite; but a member whose x1 lands
-    # above max / a, as the reference member does at seed 1, overflows in
-    # its forecast.  Sample arms refuse their overflow in the gain with no
-    # numpy warning; the exact arm's forecast must warn even beside them.
+def test_exact_reference_refuses_an_overflowing_system_before_any_draw(draw_log):
+    # Step 2's model row (a, -a) with a near the largest float overflows
+    # M^T Q^-1 M in the normal equations.  Their factorization refuses the
+    # system at set-up, with no numpy warning and before any key is drawn;
+    # the EnKS alone runs until its gain refuses the overflowing forecast.
     eye, a = np.eye(2), np.finfo(float).max / 2.4
     problem = AssimilationProblem(
         state_dim=2,
@@ -359,11 +372,13 @@ def test_exact_arm_overflow_warns_in_a_pass_with_sample_arms():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotSPDError, match="normal equations contains non-finite entries"):
+            reference_enks_run(problem, 8, PerturbationStream(1))
+        with pytest.raises(NotSPDError, match="normal equations contains non-finite entries"):
+            coupled_member_diffs(problem, 8, PerturbationStream(1), 1)
+        assert draw_log == []
         with pytest.raises(NotSPDError, match="innovation covariance contains non-finite entries"):
             enks_run(problem, 8, PerturbationStream(1))
-        with pytest.raises(RuntimeWarning, match="overflow encountered") as raised:
-            coupled_member_diffs(problem, 8, PerturbationStream(1), 1)
-    assert raised.traceback[-1].name == "_forecast"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -426,17 +441,6 @@ class TestReferenceRun:
         )
         assert np.abs(sample_covariance(final) - smoother.covariance).max() < 0.1
 
-    def test_injected_sample_covariances_reproduce_enks(self, w1, monkeypatch):
-        # Forcing the reference gain to use the EnKS's own sample
-        # covariances makes the two updates identical.
-        n = 40
-        enks = enks_run(w1, n, PerturbationStream(12))
-        injected = tuple(sample_covariance(f) for f in _forecasts(w1, enks, PerturbationStream(12), composite=True))
-        monkeypatch.setattr(ensemble, "_column_recursion", lambda *args, **kwargs: ((cov,) for cov in injected))
-        ref = reference_enks_run(w1, n, PerturbationStream(12))
-        diff = np.abs(ref.analysis_ensembles[-1] - enks.analysis_ensembles[-1]).max()
-        assert diff <= 1e-12
-
     def test_single_member_matches_row_of_full_run(self, w1):
         # With exact gains no member depends on another: member 0 alone
         # evolves as row 0 of an N-member run.
@@ -447,41 +451,78 @@ class TestReferenceRun:
 
 
 @pytest.mark.parametrize(
-    "name, params",
-    [("w1-linear", {})] + [("linear-chain", {"m": 3, "k": 5, "seed": seed}) for seed in range(4)],
+    "name, params, keys",
+    [("w1-linear", {}, None)]
+    + [("linear-chain", {"m": 3, "k": 5, "seed": seed}, None) for seed in range(3)]
+    + [("linear-chain", {"m": 2, "k": 6, "seed": 3}, [9, 2, 5])],
 )
-def test_reference_columns_are_smoother_columns(name, params, monkeypatch):
-    # The recursion is causal, so the step-i forecast column is built from
-    # the final estimate P of the problem cut to horizon i - 1 (B at i = 1):
-    # [P M_i^T; M_i P[-m:, -m:] M_i^T + Q_i] over P's trailing m columns.
-    # Both exact arms read the same column bit for bit.  The smoother
-    # reaches P's leading blocks by its backward pass, not by the composite
-    # recursion, so the two agree at round-off, relative to the largest entry.
+def test_reference_windows_are_smoothing_means_of_perturbed_data(name, params, keys):
+    # With exact gains a member at time i is the smoothing mean over the
+    # window 0..i of its own perturbed data: background plus its initial
+    # draw, forcings plus its model draws, observations less its
+    # observation draws.  The dense oracle of the problem cut to horizon i,
+    # with that data put in, must give every window of every member.
     problem = make_toy_problem(name, **params)
-    m = problem.state_dim
-    want, cov = [], problem.background_cov
+    m, n = problem.state_dim, 3
+    keys = list(range(n)) if keys is None else keys
+    run = reference_enks_run(problem, n, PerturbationStream(4), member_indices=keys)
+
+    def draw(i, kind, cov):
+        z = PerturbationStream(4).draw_members(Phase.SMOOTHER, 0, i, kind, keys, len(cov))
+        return z @ np.linalg.cholesky(cov).T
+
+    start = problem.background_mean + draw(0, NoiseKind.INIT, problem.background_cov)
+    model = [draw(i, NoiseKind.MODEL, q) for i, q in enumerate(problem.model_noise_covs, 1)]
+    obs = [draw(i, NoiseKind.OBS, r) for i, r in enumerate(problem.obs_noise_covs, 1)]
+    np.testing.assert_allclose(run.analysis_ensembles[0], start, rtol=1e-14, atol=0)
     for i in range(1, problem.horizon + 1):
-        if i > 1:
-            cov = ks_run(truncated(problem, i - 1)).estimate.covariance
-        m_i = problem.model_ops[i - 1].as_matrix(m)
-        corner = m_i @ cov[-m:, -m:] @ m_i.T + problem.model_noise_covs[i - 1]
-        want.append(np.vstack([cov[:, -m:] @ m_i.T, 0.5 * (corner + corner.T)]))
-    used = []
-    original = ensemble._column_recursion
+        for member in range(n):
+            perturbed = replace(
+                truncated(problem, i),
+                background_mean=start[member],
+                forcings=tuple(f + v[member] for f, v in zip(problem.forcings[:i], model)),
+                observations=tuple(y - w[member] for y, w in zip(problem.observations[:i], obs)),
+            )
+            want = ks_least_squares_oracle(perturbed)
+            got = run.analysis_ensembles[i][member]
+            assert got.shape == (m * (i + 1),)
+            assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
 
-    def recording(*args, **kwargs):
-        for col_f, *rest in original(*args, **kwargs):
-            used.append(col_f)
-            yield col_f, *rest
 
-    monkeypatch.setattr(ensemble, "_column_recursion", recording)
-    reference_enks_run(problem, 1, PerturbationStream(0))
-    n_reference = len(used)
-    coupled_member_diffs(problem, 4, PerturbationStream(0), 1)
-    assert len(used) == 2 * problem.horizon
-    for got, again, expected in zip(used[:n_reference], used[n_reference:], want):
-        np.testing.assert_array_equal(got, again)
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+def test_reference_members_pinned():
+    # Reference members at k >= 20, every window, and coupled diffs, as the
+    # exact-gain ensemble step wrote them; the block solve must agree to
+    # 1e-13 relative to each array's largest entry.
+    cases = {
+        "m3_k20": ({"m": 3, "k": 20, "seed": 7}, 5, 5, [7, 2, 11, 0, 4]),
+        "m2_k24": ({"m": 2, "k": 24, "seed": 3}, 3, 8, None),
+    }
+    with np.load(PINNED_REFERENCE) as pinned:
+        for name, (params, n, seed, keys) in cases.items():
+            problem = make_toy_problem("linear-chain", **params)
+            run = reference_enks_run(problem, n, PerturbationStream(seed), member_indices=keys)
+            np.testing.assert_array_equal(run.member_indices, pinned[f"reference_{name}_members"])
+            assert len(run.analysis_ensembles) == params["k"] + 1
+            for i, got in enumerate(run.analysis_ensembles):
+                want = pinned[f"reference_{name}_analysis_{i}"]
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        problem = make_toy_problem("linear-chain", m=2, k=24, seed=3)
+        got = np.array(coupled_member_diffs(problem, 20, PerturbationStream(9), 3))
+        want = pinned["coupled_m2_k24_n20"]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("keys", [None, [5, 1, 9, 0, 2, 7]])
+def test_reference_start_is_the_enks_start_bitwise(keys):
+    # Time 0 is the initial draw itself, not a solve, so the coupled pair
+    # starts from the same ensemble bit for bit.
+    problem = make_toy_problem("linear-chain", m=2, k=3, seed=11)
+    enks = enks_run(problem, 6, PerturbationStream(2024), member_indices=keys)
+    reference = reference_enks_run(problem, 6, PerturbationStream(2024), member_indices=keys)
+    np.testing.assert_array_equal(reference.analysis_ensembles[0], enks.analysis_ensembles[0])
+    np.testing.assert_array_equal(reference.sample_means[0], enks.sample_means[0])
 
 
 def test_exact_arms_do_not_run_the_smoother(monkeypatch):
@@ -498,18 +539,19 @@ def test_exact_arms_do_not_run_the_smoother(monkeypatch):
 
 def test_coupled_reference_gains_computed_once(monkeypatch):
     # The EnKS arm needs a new gain per replicate and step; the exact
-    # reference gains depend on the step alone.
-    calls = []
-    original = ensemble._gain_transpose
+    # reference needs one block factorization per study.
+    calls = Counter()
+    for name in ("_block_factor", "_sample_gain"):
+        original = getattr(ensemble, name)
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(ensemble, "_gain_transpose", counting)
+        monkeypatch.setattr(ensemble, name, counting)
     problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
     coupled_member_diffs(problem, 4, PerturbationStream(0), 5)
-    assert len(calls) == problem.horizon * (5 + 1)
+    assert calls == {"_block_factor": 1, "_sample_gain": problem.horizon * 5}
 
 
 class TestCoupledError:
@@ -641,3 +683,18 @@ class TestCoupledError:
     def test_enks_rate_pass_peak_memory_is_bounded_by_its_trajectories(self):
         # The enks-rate study's shape: three arms sharing each draw.
         assert self._peak_in_trajectories(2, 3, (100, 1000, 10000)) <= 2.15
+
+    def test_one_arm_pass_frees_its_innovations_before_the_next_draws(self):
+        # One arm of 10^4 members at the enks-rate shape: a step's d x N
+        # innovations must be gone before the next step's model draw, or
+        # the peak holds both beside the trajectory (2.01 trajectories).
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=0)
+        step, keys = _linear_steps(problem, _linear_matrices(problem)), np.arange(10_000)
+        _smoother_pass(problem, step, _noise(problem, PerturbationStream(20), keys), [keys.size])
+        tracemalloc.start()
+        try:
+            _smoother_pass(problem, step, _noise(problem, PerturbationStream(20), keys), [keys.size])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ((problem.horizon + 1) * problem.state_dim * keys.size * 8) <= 1.85

@@ -108,6 +108,26 @@ class TestFdDirectional:
 
 
 class TestExactLM:
+    @pytest.mark.parametrize("step", [lm_exact_step, lm_tangent_ls_oracle])
+    def test_step_refuses_what_config_and_objective_refuse(self, step):
+        # Both take a raw gamma and center: a negative or non-finite gamma,
+        # and a trajectory one row short, are refused with LMConfig's and
+        # objective's messages, not solved at gamma = 0 or left to an
+        # IndexError or a misleading NotSPDError.
+        problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
+        for gamma in (-0.3, np.nan, np.inf):
+            message = f"gamma must be finite and >= 0, got {gamma}"
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                LMConfig(gamma=gamma)
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                step(problem, problem.prior_chain(), gamma)
+        short = Trajectory(problem.prior_chain().states[:-1])
+        message = re.escape("trajectory shape (3, 2) does not match problem (4, 2)")
+        with pytest.raises(ValidationError, match=message):
+            objective(problem, short)
+        with pytest.raises(ValidationError, match=message):
+            step(problem, short, 1.0)
+
     def test_linear_one_shot(self, w1):
         cfg = LMConfig(gamma=0.0, max_iterations=1, mode="exact",
                        initial_trajectory=Trajectory([[5.0], [-3.0]]))
@@ -204,7 +224,7 @@ class TestExactLM:
 
         problem = make_toy_problem(name, **params)
         for module in [m for mod_name, m in sys.modules.items() if mod_name.split(".")[0] == "ensvar"]:
-            for attr in ("_column_recursion", "ks_run", "lm_exact_step"):
+            for attr in ("_column_recursion", "_block_factor", "ks_run", "lm_exact_step"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
         x_prev = Trajectory(np.random.default_rng(3).standard_normal((problem.horizon + 1, problem.state_dim)))
@@ -346,10 +366,9 @@ def test_every_sample_covariance_step_runs_the_one_kernel(monkeypatch):
     assert calls == {"_smoother_pass": 1, "_forecast": k, "_sample_gain": k, "_update": k}
     calls.clear()
     coupled_cells(problem, sizes, PerturbationStream(0), replicates)
-    # One reference arm beside the sample arms, on exact gains.
-    steps = (len(sizes) + 1) * k * replicates
-    samples = len(sizes) * k * replicates
-    assert calls == {"_smoother_pass": replicates, "_forecast": steps, "_sample_gain": samples, "_update": steps}
+    # The sample arms alone: the reference member is a solve, not a step.
+    steps = len(sizes) * k * replicates
+    assert calls == {"_smoother_pass": replicates, "_forecast": steps, "_sample_gain": steps, "_update": steps}
     calls.clear()
     cfg = LMConfig(gamma=1.0, max_iterations=iterations, mode="tangent", ensemble_sizes=(6,))
     _lm_pass(problem, _arms(cfg, arms))(PerturbationStream(0))

@@ -232,10 +232,10 @@ class TestRunStudy:
 
     def test_enks_study_validates_once(self, monkeypatch):
         # The problem is validated once, when it is built, and run_study
-        # runs no check; the exact recursion runs once and the coupled pass
-        # serves every sweep value.
+        # runs no check; the exact normal equations are factored once and
+        # the coupled pass serves every sweep value.
         problem = make_toy_problem("linear-chain", m=2, k=3, seed=1)
-        calls = {"_validated_factors": 0, "_column_recursion": 0}
+        calls = {"_validated_factors": 0, "_block_factor": 0}
         for name in calls:
             for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ensvar"]:
                 original = getattr(module, name, None)
@@ -247,9 +247,9 @@ class TestRunStudy:
 
                     monkeypatch.setattr(module, name, counted)
         problem = replace(problem)
-        assert calls == {"_validated_factors": 1, "_column_recursion": 0}
+        assert calls == {"_validated_factors": 1, "_block_factor": 0}
         run_study(StudySpec(kind="enks-vs-ks", sweep=(8, 16, 32), replicates=2, problem=problem, seed=3))
-        assert calls == {"_validated_factors": 1, "_column_recursion": 1}
+        assert calls == {"_validated_factors": 1, "_block_factor": 1}
 
     @pytest.mark.parametrize("replicates, sweep", [(1, (16, 64)), (3, (100, 20, 7))])
     def test_enks_study_draws_each_key_once_at_max_size(self, draw_log, replicates, sweep):
