@@ -17,8 +17,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .ensemble import enks_run
 from .errors import ValidationError
 from .config import load_config
@@ -61,17 +59,13 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _matrix(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=float)
-
-
 def _cmd_run_kf(args) -> dict:
     cfg = load_config(args.config)
     result = kf_run(cfg.problem)
     return {
         "algorithm": "kf",
-        "means": [_matrix(e.mean) for e in result.estimates],
-        "covariances": [_matrix(e.covariance) for e in result.estimates],
+        "means": [e.mean for e in result.estimates],
+        "covariances": [e.covariance for e in result.estimates],
     }
 
 
@@ -80,8 +74,8 @@ def _cmd_run_ks(args) -> dict:
     result = ks_run(cfg.problem)
     return {
         "algorithm": "ks",
-        "mean": _matrix(result.estimate.mean),
-        "covariance": _matrix(result.estimate.covariance),
+        "mean": result.estimate.mean,
+        "covariance": result.estimate.covariance,
     }
 
 
@@ -94,8 +88,8 @@ def _cmd_run_enks(args) -> dict:
         "algorithm": "enks",
         "n_members": args.members,
         "seed": seed,
-        "sample_mean": _matrix(sample_mean(final)),
-        "sample_covariance": _matrix(sample_covariance(final)),
+        "sample_mean": sample_mean(final),
+        "sample_covariance": sample_covariance(final),
     }
 
 
@@ -111,7 +105,7 @@ def _cmd_run_lm(args) -> dict:
         "algorithm": "lm",
         "mode": result.mode,
         "seed": seed,
-        "iterates": [_matrix(t.states) for t in result.iterates],
+        "iterates": [t.states for t in result.iterates],
         "objectives": list(result.objectives),
         "max_member_norms": list(result.max_member_norms),
     }

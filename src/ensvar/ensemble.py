@@ -268,9 +268,10 @@ def _smoother_arm(problem, lin, stream, members, filtering=False) -> list[np.nda
 def _reference_arm(problem, lin, stream, members) -> list[np.ndarray]:
     """The exact-gain analyses at times 0..k: the initial draw, then each
     member's smoothing mean over the window 0..i of its perturbed data."""
-    solve = _block_factor(problem, *lin)
+    sweep, back, *_ = _block_factor(problem, *lin)
     start, *data = _reference_data(problem, _noise(problem, stream, members))
-    return [start, *solve(start, *data, windows=True)]
+    rhs, ends = sweep(start, *data)
+    return [start, *(back(rhs[:i], ends) for i in range(1, len(ends)))]
 
 
 def _reference_data(problem, noise):
@@ -373,7 +374,7 @@ def _coupled_pass(problem, sizes):
     if min(sizes) < 2:
         raise ValidationError(f"EnKS needs at least 2 members, got {min(sizes)}")
     lin = _linear_matrices(problem, "ensemble Kalman runs")
-    solve, step = _block_factor(problem, *lin), _linear_steps(problem, lin)
+    (sweep, back, *_), step = _block_factor(problem, *lin), _linear_steps(problem, lin)
     keys = np.arange(max(sizes), dtype=np.int64)
 
     def one_pass(stream) -> list[np.ndarray]:
@@ -385,7 +386,7 @@ def _coupled_pass(problem, sizes):
             return draw
 
         ensembles = _smoother_pass(problem, step, kept, sizes)
-        reference = solve(*_reference_data(problem, lambda *key: first[key]))[:, 0]
+        reference = back(*sweep(*_reference_data(problem, lambda *key: first[key])))[:, 0]
         return [ensemble[:, 0] - reference for ensemble in ensembles]
 
     return one_pass

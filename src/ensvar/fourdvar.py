@@ -178,15 +178,17 @@ def lm_exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float
     _check_gamma(gamma)
     _check_shape(problem, x_prev.states)
     models, obs_mats, forcings, observations = [], [], [], []
-    for i in range(1, problem.horizon + 1):
-        c_prev, c_i = x_prev[i - 1], x_prev[i]
-        mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
-        models.append(mop.jacobian_at(c_prev))
-        obs_mats.append(hop.jacobian_at(c_i))
-        forcings.append(mop(c_prev) + problem.forcings[i - 1] - models[-1] @ c_prev)
-        observations.append(problem.observations[i - 1] - hop(c_i) + obs_mats[-1] @ c_i)
-    solve = _block_factor(problem, models, obs_mats, gamma)
-    x = solve(problem.background_mean, forcings, observations, x_prev.states[1:])
+    # An overflowing linearization is refused by the solve, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, problem.horizon + 1):
+            c_prev, c_i = x_prev[i - 1], x_prev[i]
+            mop, hop = problem.model_ops[i - 1], problem.obs_ops[i - 1]
+            models.append(mop.jacobian_at(c_prev))
+            obs_mats.append(hop.jacobian_at(c_i))
+            forcings.append(mop(c_prev) + problem.forcings[i - 1] - models[-1] @ c_prev)
+            observations.append(problem.observations[i - 1] - hop(c_i) + obs_mats[-1] @ c_i)
+    sweep, back, *_ = _block_factor(problem, models, obs_mats, gamma)
+    x = back(*sweep(problem.background_mean, forcings, observations, x_prev.states[1:]))
     return Trajectory(x.reshape(-1, problem.state_dim))
 
 

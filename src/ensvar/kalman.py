@@ -1,15 +1,15 @@
 """Exact recursions for the linear-Gaussian case.
 
-One private recursion is the Kalman filter (:func:`kf_run`), and
-:func:`ks_run` runs one Rauch–Tung–Striebel pass back over its estimates.
-:func:`_block_factor` eliminates the smoothing problem's normal equations
-once, before any data, and then solves for the smoothing mean of any data:
-the exact LM step, and each exact reference member, the smoothing mean of
-its own perturbed data.
+Every exact solver runs on :func:`_block_factor`, which eliminates the
+smoothing problem's block-tridiagonal normal equations once, before any
+data.  Its forward sweep is the information filter (:func:`kf_run`).  Its
+back substitution gives the smoothing mean, the exact LM step and each
+exact reference member; :func:`ks_run` adds the smoothing covariance by
+the Rauch–Tung–Striebel recursion in information form.
 
 An independent block least-squares oracle solves the smoothing problem by
 assembling and solving its normal equations directly; it shares no code
-path with either solver beyond the low-level SPD solve.
+path with the elimination beyond the low-level SPD solve.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonlinearOperatorError, ValidationError
+from .errors import NonlinearOperatorError
 from .numerics import _factor, _solve, spd_solve
 from .problem import AssimilationProblem, GaussianEstimate
 
@@ -57,79 +57,42 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _column_recursion(problem: AssimilationProblem, models, obs_mats):
-    """The Kalman filter: yields the forecast covariance and mean and the
-    analysis mean and covariance of x_i, ``(cov_f, state, mean, cov)``,
-    for i = 1..k.  Each gain is P H^T times the d x d inverse of the
-    innovation covariance."""
-    mean, cov = problem.background_mean, problem.background_cov
-    for i in range(1, problem.horizon + 1):
-        m_i, h_i = models[i - 1], obs_mats[i - 1]
-        cov_f = _symmetrize(m_i @ cov @ m_i.T + problem.model_noise_covs[i - 1])
-        pht = cov_f @ h_i.T
-        if not np.isfinite(pht).all():
-            raise ValidationError("P H^T of the gain contains non-finite entries")
-        innovation_cov = h_i @ cov_f @ h_i.T + problem.obs_noise_covs[i - 1]
-        inverse = spd_solve(innovation_cov, np.eye(h_i.shape[0]), name="innovation covariance")
-        gain = pht @ inverse
-        cov = _symmetrize(cov_f - gain @ pht.T)
-        # An overflowing mean is refused right below, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = m_i @ mean + problem.forcings[i - 1]
-            mean = state + gain @ (problem.observations[i - 1] - h_i @ state)
-        if not np.isfinite(mean).all():
-            raise ValidationError("mean contains non-finite entries")
-        yield cov_f, state, mean, cov
-
-
 def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
-    """Kalman filter for a fully linear problem.
-
-    The shared recursion on x_i alone: forecast, gain and update, with the
-    covariance symmetrized after each update to control round-off drift.
-    """
-    recursion = _column_recursion(problem, *_linear_matrices(problem))
+    """Kalman filter for a fully linear problem, in information form: the
+    estimate at time i >= 1 is F_i^-1 b_i with the covariance F_i^-1,
+    symmetrized, from the end of the window 0..i of :func:`_block_factor`'s
+    forward sweep.  Time 0 is the background."""
+    sweep, *_, last = _block_factor(problem, *_linear_matrices(problem))
+    _, ends = sweep(problem.background_mean, problem.forcings, problem.observations)
     estimates = [GaussianEstimate(problem.background_mean.copy(), problem.background_cov.copy())]
-    estimates += [GaussianEstimate(mean, cov) for *_, mean, cov in recursion]
+    for information, b in zip(last[1:], ends[1:]):
+        factor = _factor(information, "normal equations")
+        cov = _symmetrize(_solve(factor, np.eye(problem.state_dim), "normal equations"))
+        estimates.append(GaussianEstimate(_solve(factor, b, "normal equations"), cov))
     return KalmanFilterResult(tuple(estimates))
 
 
 def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
-    """Kalman smoother: the filter forward, then one Rauch–Tung–Striebel
-    pass back (Rauch, Tung & Striebel, 1965).
-
-    With the filter's analysis (x_i, P_i) and forecast (x^f_i+1, P^f_i+1),
-    the smoother gain G_i = P_i M_i+1^T (P^f_i+1)^-1 comes from a Cholesky
-    solve against the m x m forecast covariance, never an inverse.  Then
-
-        x^s_i = x_i + G_i (x^s_i+1 - x^f_i+1)
-        P^s_ii = P_i + G_i (P^s_i+1,i+1 - P^f_i+1) G_i^T
-        P^s_il = G_i P^s_i+1,l    for l > i,
-
-    so the mean and the diagonal blocks cost O(k m^3), and the row blocks
-    O(k^2 m^3), the size of the output.  Each row block is mirrored into
-    its column and each diagonal block symmetrized, so the covariance is
-    symmetric bit for bit.  The trailing block is the filter's final
-    estimate.  The one estimate built is the final one.
-    """
-    models, _ = lin = _linear_matrices(problem)
+    """Kalman smoother: the mean by back substitution, the covariance by the
+    Rauch–Tung–Striebel recursion (1965) in information form: with the
+    Schur complements S_i and couplings C_i of :func:`_block_factor`,
+    P_kk = S_k^-1, P_il = -C_i P_i+1,l for l > i, P_ii = S_i^-1 - P_i,i+1 C_i^T.
+    The mean and diagonal blocks cost O(k m^3), the row blocks O(k^2 m^3),
+    the output's size.  Row blocks are mirrored and diagonal blocks
+    symmetrized, so the covariance is symmetric bit for bit; its trailing
+    block is the filter's final estimate, and the only estimate built."""
+    sweep, back, schur, coupling, _ = _block_factor(problem, *_linear_matrices(problem))
     m, k = problem.state_dim, problem.horizon
-    # (P^f_i, x^f_i, x_i, P_i) for i = 0..k; time 0 has no forecast.
-    steps = [(None, None, problem.background_mean, problem.background_cov)]
-    steps += _column_recursion(problem, *lin)
-    mean, cov = np.empty(m * (k + 1)), np.empty((m * (k + 1),) * 2)
-    mean[-m:], cov[-m:, -m:] = steps[k][2:]
+    eye = np.eye(m)
+    mean = back(*sweep(problem.background_mean, problem.forcings, problem.observations))
+    cov = np.empty((m * (k + 1),) * 2)
+    cov[-m:, -m:] = _symmetrize(_solve(schur[k], eye, "normal equations"))
     for i in range(k - 1, -1, -1):
-        (*_, mean_i, cov_i), (cov_f, state, *_) = steps[i], steps[i + 1]
         lo, hi = m * i, m * (i + 1)
-        gain_t = _solve(_factor(cov_f, "forecast covariance"), models[i] @ cov_i.T, "forecast covariance")
-        gain = gain_t.T
-        # An overflowing mean is refused when the estimate is built.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean[lo:hi] = mean_i + gain @ (mean[hi : hi + m] - state)
-        cov[lo:hi, lo:hi] = _symmetrize(cov_i + gain @ (cov[hi : hi + m, hi : hi + m] - cov_f) @ gain_t)
-        cov[lo:hi, hi:] = gain @ cov[hi : hi + m, hi:]
+        cov[lo:hi, hi:] = -coupling[i] @ cov[hi : hi + m, hi:]
         cov[hi:, lo:hi] = cov[lo:hi, hi:].T
+        inverse = _solve(schur[i], eye, "normal equations")
+        cov[lo:hi, lo:hi] = _symmetrize(inverse - cov[lo:hi, hi : hi + m] @ coupling[i].T)
     return KalmanSmootherResult(GaussianEstimate(mean, cov))
 
 
@@ -140,16 +103,20 @@ def _block_factor(problem: AssimilationProblem, models, obs_mats, gamma: float =
     They are block tridiagonal, with A_i = -Q_i^-1 M_i coupling x_i to
     x_{i-1}.  Each Schur complement S_i = D_i - A_i C_{i-1}, with
     C_i = S_i^-1 A_{i+1}^T, is factored once; F_i, S_i without step i+1's
-    M^T Q^-1 M, ends the window 0..i.  ``solve(background, forcings,
-    observations, centers=None, windows=False)`` maps x_b, mu_i, y_i (and
-    c_i when damped), as vectors or member columns, to the composite mean
-    x_0:k, or to each window 0..i's for i = 1..k, at O(k m^2) a column:
-    forward, b_i -= C_{i-1}^T b_{i-1} takes no solve.
+    M^T Q^-1 M, ends the window 0..i and is the filter's information
+    matrix at time i.  Returns ``(sweep, back, schur, coupling, last)``:
+    the data path, the factors of S_0..S_k, C_0..C_k-1 and F_0..F_k.
+    ``sweep(background, forcings, observations, centers=None)`` maps x_b,
+    mu_i, y_i (and c_i when damped), as vectors or member columns, to the
+    eliminated right-hand sides r_0..r_k-1 and b_0..b_k, each window 0..i's
+    own (r_i before step i+1's term), at O(k m^2) a column with no solve.
+    ``back(rhs[:i], ends)`` solves F_i x_i = b_i and substitutes back to the
+    window's mean x_0:i, so ``back(*sweep(...))`` is the composite mean.
     """
     m, k = problem.state_dim, problem.horizon
     eye = np.eye(m)
     l_b, l_q, l_r = problem._factors
-    # A non-finite block is refused by its factor or solve, so numpy need not warn.
+    # A non-finite block or right-hand side is refused by its factor or solve: numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         q_inv = [_solve(l, eye, "model_noise_cov") for l in l_q]
         r_inv_h = [_solve(l, h, "obs_noise_cov") for l, h in zip(l_r, obs_mats)]
@@ -161,26 +128,26 @@ def _block_factor(problem: AssimilationProblem, models, obs_mats, gamma: float =
             last.append(q_inv[i] + obs_mats[i].T @ r_inv_h[i] + gamma * eye - lower[i] @ coupling[i])
         schur.append(_factor(last[k], "normal equations"))
 
-    def solve(background, forcings, observations, centers=None, windows=False):
-        # rhs[i] is b_i of the window 0..i until step i+1's term is added.
-        rhs, means = [last[0] @ background], []
-
-        def back(i, factor):
-            x = np.empty((i + 1, *rhs[i].shape))
-            x[i] = _solve(factor, rhs[i], "normal equations")
-            for j in range(i - 1, -1, -1):
-                x[j] = _solve(schur[j], rhs[j] - lower[j].T @ x[j + 1], "normal equations")
-            return x.reshape(-1, *rhs[i].shape[1:])
-
+    @np.errstate(over="ignore", invalid="ignore")
+    def sweep(background, forcings, observations, centers=None):
+        ends, rhs = [last[0] @ background], []
         centers = [0.0] * k if centers is None else centers
         for i, (mu, y, c) in enumerate(zip(forcings, observations, centers)):
-            rhs[i] = rhs[i] + lower[i].T @ mu
-            rhs.append(q_inv[i] @ mu + r_inv_h[i].T @ y + gamma * c - coupling[i].T @ rhs[i])
-            if windows:
-                means.append(back(i + 1, _factor(last[i + 1], "normal equations")))
-        return means if windows else back(k, schur[k])
+            rhs.append(ends[i] + lower[i].T @ mu)
+            ends.append(q_inv[i] @ mu + r_inv_h[i].T @ y + gamma * c - coupling[i].T @ rhs[i])
+        return rhs, ends
 
-    return solve
+    @np.errstate(over="ignore", invalid="ignore")
+    def back(rhs, ends):
+        i = len(rhs)
+        x = np.empty((i + 1, *ends[i].shape))
+        top = schur[k] if i == k else _factor(last[i], "normal equations")  # F_k = S_k
+        x[i] = _solve(top, ends[i], "normal equations")
+        for j in range(i - 1, -1, -1):
+            x[j] = _solve(schur[j], rhs[j] - lower[j].T @ x[j + 1], "normal equations")
+        return x.reshape(-1, *ends[i].shape[1:])
+
+    return sweep, back, schur, coupling, last
 
 
 def ks_least_squares_oracle(problem: AssimilationProblem) -> np.ndarray:

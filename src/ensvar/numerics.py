@@ -2,12 +2,13 @@
 
 Ensembles are plain float arrays of shape (N, q): one member per row.
 Every matrix inverse in the package comes from a Cholesky solve.  Small
-d x d or m x m inverses may be formed explicitly (the innovation
-inverse, Q^-1): the Kalman filter's gain is P H^T times the d x d
-inverse.  The smoother's backward pass and the exact block solver solve
-against m x m SPD blocks by ``dpotrs``, which with m right-hand sides
-stays on one thread up to about m = 28 and wakes scipy's pool from about
-m = 32.  The ensemble analysis kernel solves against its (P H^T)^T.
+m x m inverses may be formed explicitly (Q^-1, and the filter's and
+smoother's covariance blocks F_i^-1 and S_i^-1).  The exact block
+elimination behind the Kalman filter, the smoother, the exact LM step
+and the reference members solves against m x m SPD blocks by ``dpotrs``,
+which with m right-hand sides stays on one thread up to about m = 28 and
+wakes scipy's pool from about m = 32.  The ensemble analysis kernel
+solves against its (P H^T)^T.
 
 Every SPD factor and solve goes through :func:`_factor`/:func:`_solve`,
 direct calls of the LAPACK ``dpotrf``/``dpotrs`` behind scipy's
@@ -96,7 +97,9 @@ def _frobenius_norm(a: np.ndarray) -> float:
     return amax * np.linalg.norm(a / amax)
 
 
-def _as_spd_input(a: np.ndarray, name: str) -> np.ndarray:
+def _as_spd_input(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """``a`` as a float array and its Frobenius norm; NotSPDError naming
+    ``a`` if it is not square, has a non-finite entry or is not symmetric."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise NotSPDError(f"{name} is not square: shape {a.shape}")
@@ -105,7 +108,7 @@ def _as_spd_input(a: np.ndarray, name: str) -> np.ndarray:
         raise NotSPDError(f"{name} has a non-finite Frobenius norm ({norm})")
     if np.linalg.norm(a - a.T) > _SYMMETRY_RTOL * max(norm, 1.0):
         raise NotSPDError(f"{name} is not symmetric")
-    return a
+    return a, norm
 
 
 def _factor(a: np.ndarray, name: str) -> np.ndarray:
@@ -138,12 +141,14 @@ def _solve(factor: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
 
 def cholesky_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower-triangular L with a = L @ L.T; raises NotSPDError otherwise."""
-    return _factor(_as_spd_input(a, name), name)
+    a, _ = _as_spd_input(a, name)
+    return _factor(a, name)
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve a @ x = b for SPD a via its Cholesky factorization."""
-    return _solve(_factor(_as_spd_input(a, name), name), np.asarray(b, dtype=float), name)
+    a, _ = _as_spd_input(a, name)
+    return _solve(_factor(a, name), np.asarray(b, dtype=float), name)
 
 
 def sample_mean(members: np.ndarray) -> np.ndarray:

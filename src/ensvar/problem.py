@@ -28,7 +28,7 @@ from .errors import (
     NonlinearOperatorError,
     ValidationError,
 )
-from .numerics import _SYMMETRY_RTOL, _as_spd_input, _factor, _frobenius_norm, _positive_definite
+from .numerics import _as_spd_input, _factor, _frobenius_norm, _positive_definite
 
 __all__ = [
     "Operator",
@@ -171,11 +171,7 @@ class GaussianEstimate:
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
         _check_finite(mean, "mean")
-        scale = _frobenius_norm(cov)
-        if not np.isfinite(scale):  # only a non-finite entry makes the norm non-finite
-            raise ValidationError(f"covariance has a non-finite Frobenius norm ({scale})")
-        if np.linalg.norm(cov - cov.T) > _SYMMETRY_RTOL * max(scale, 1.0):
-            raise ValidationError("covariance is not symmetric")
+        _, scale = _as_spd_input(cov, "covariance")
         if scale > 0:
             # No eigenvalue below -tol * scale <=> cov + tol * scale * I is PSD,
             # which one Cholesky checks up to round-off; eigvalsh only reports.
@@ -271,7 +267,8 @@ def _check_finite(a: np.ndarray, name: str) -> None:
 def _check_spd(a: np.ndarray, name: str) -> np.ndarray:
     """Read-only lower Cholesky factor of a shape-checked covariance, by the public SPD check."""
     _check_finite(a, name)
-    return _frozen(_factor(_as_spd_input(a, name), name))
+    a, _ = _as_spd_input(a, name)
+    return _frozen(_factor(a, name))
 
 
 @functools.lru_cache(maxsize=64)

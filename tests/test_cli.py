@@ -293,11 +293,12 @@ def test_non_finite_observation_is_validation_error(tmp_path, capsys, verb):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("verb", ["run-kf", "run-ks", "run-enks"])
 def test_non_finite_result_is_not_written(tmp_path, capsys, verb):
-    # Finite inputs whose forecast overflows: the mean, or the ensemble's
-    # sample products, become non-finite.  The run is refused with one
-    # error line, and no numpy warning comes before it.
+    # Finite inputs whose unobserved forecast overflows: the mean, or the
+    # ensemble's sample products, become non-finite.  The run is refused
+    # with one error line, and no numpy warning comes before it.
     path = tmp_path / "overflow.yaml"
-    path.write_text(W1_CONFIG.replace("x_b: [0.0]", "x_b: [1.0e308]").replace("M: [[[1.0]]]", "M: [[[10.0]]]"))
+    unobserved = W1_CONFIG.replace("H: [[[1.0]]]", "H: [[[0.0]]]")
+    path.write_text(unobserved.replace("x_b: [0.0]", "x_b: [1.0e308]").replace("M: [[[1.0]]]", "M: [[[10.0]]]"))
     out = tmp_path / "out.json"
     assert main([verb, "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from ensvar import (
+    LMConfig,
     NonlinearOperatorError,
     Operator,
     ValidationError,
     kf_run,
     ks_least_squares_oracle,
     ks_run,
+    lm_exact_run,
     make_toy_problem,
 )
 from ensvar import kalman
@@ -45,6 +47,12 @@ def _w1_variant(**overrides) -> AssimilationProblem:
     return AssimilationProblem(**fields)
 
 
+def _scaled(problem: AssimilationProblem, b_scale: float, q_scale: float) -> AssimilationProblem:
+    """The problem with B scaled by ``b_scale`` and every Q_i by ``q_scale``."""
+    model_noise_covs = tuple(q * q_scale for q in problem.model_noise_covs)
+    return replace(problem, background_cov=problem.background_cov * b_scale, model_noise_covs=model_noise_covs)
+
+
 class TestFilter:
     def test_w1_ground_truth(self, w1):
         result = kf_run(w1)
@@ -69,6 +77,16 @@ class TestFilter:
     def test_rejects_nonlinear(self, w2):
         with pytest.raises(NonlinearOperatorError):
             kf_run(w2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_forecast_with_a_finite_analysis(self):
+        # The forecast mean 10 * 1e308 overflows, but the analysis
+        # (1e309 + 101 * 3) / 102 with variance 101/102 does not, and the
+        # information form never forms the forecast.
+        problem = _w1_variant(background_mean=np.array([1e308]), model_ops=(Operator.from_matrix([[10.0]]),))
+        final = kf_run(problem).estimates[-1]
+        assert final.mean[0] == pytest.approx(1e308 * (10 / 102), rel=1e-12)
+        assert final.covariance[0, 0] == pytest.approx(101 / 102, rel=1e-12)
 
 
 @pytest.mark.parametrize("runner", [kf_run, ks_run])
@@ -146,7 +164,7 @@ class TestSmoother:
 
     def test_final_estimate_pinned(self):
         # The final estimate is pinned bit for bit: a change to the
-        # recursion's arithmetic must show here and update the file on purpose.
+        # elimination's arithmetic must show here and update the file on purpose.
         problem = make_toy_problem("linear-chain", m=6, k=6, seed=0)
         estimate = ks_run(problem).estimate
         with np.load(DATA / "ks_linear_chain_m6_k6.npz") as pinned:
@@ -154,11 +172,10 @@ class TestSmoother:
             np.testing.assert_array_equal(estimate.covariance, pinned["covariance"])
 
     @pytest.mark.parametrize("runner", [ks_run, kf_run])
-    def test_solves_no_wider_than_the_observation(self, runner, monkeypatch):
-        # Each filter gain is P H^T times the d x d inverse, and each
-        # smoother gain one solve against the m x m forecast covariance; a
-        # solve against a composite-wide right-hand side stalls in threaded
-        # triangular solves.
+    def test_solves_no_wider_than_the_state(self, runner, monkeypatch):
+        # Both run on the block elimination: no public SPD solve, and no
+        # right-hand side wider than m, since a solve against a
+        # composite-wide right-hand side stalls in threaded triangular solves.
         problem = make_toy_problem("linear-chain", m=3, k=5, seed=0)
         widths = {"spd_solve": [], "_solve": []}
 
@@ -173,20 +190,17 @@ class TestSmoother:
         for name in widths:
             monkeypatch.setattr(kalman, name, recorder(name, getattr(kalman, name)))
         runner(problem)
-        m, k = problem.state_dim, problem.horizon
-        assert len(widths["spd_solve"]) == k
-        for i, width in enumerate(widths["spd_solve"], start=1):
-            assert width <= problem.obs_dim(i)
-        assert widths["_solve"] == ([m] * k if runner is ks_run else [])
-        assert max(widths["spd_solve"] + widths["_solve"]) < m * (k + 1)
+        assert widths["spd_solve"] == []
+        assert widths["_solve"] and max(widths["_solve"]) <= problem.state_dim
 
     @pytest.mark.parametrize(
         "name, params",
         [("w1-linear", {})] + [("linear-chain", {"m": 3, "k": 6, "seed": seed}) for seed in range(4)],
     )
     def test_trailing_block_is_the_filter_estimate(self, name, params):
-        # The backward pass starts from the filter's final estimate and
-        # leaves it as it is; each row block is mirrored into its column.
+        # Both take the trailing block from one factor of F_k = S_k, the
+        # final window's information matrix; each row block is mirrored
+        # into its column.
         problem = make_toy_problem(name, **params)
         m = problem.state_dim
         smoothed, filtered = ks_run(problem).estimate, kf_run(problem).estimates[-1]
@@ -211,6 +225,30 @@ class TestSmoother:
         )
         got = estimate.covariance[:, :m]
         assert np.linalg.norm(got - column) <= 1e-8 * np.linalg.norm(column)
+
+    @pytest.mark.parametrize("b_scale, q_scale", [(1e4, 1), (1e6, 1), (1e8, 1), (1, 1e-4), (1, 1e-6)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_diffuse_background_or_tight_model_noise_matches_the_oracle(self, seed, b_scale, q_scale):
+        # At C01's tolerance.  A covariance-form filter with an RTS pass
+        # cancels catastrophically on a diffuse background (1.8e-5 from
+        # the oracle at B x 1e8); block elimination does not.
+        problem = _scaled(make_toy_problem("linear-chain", m=4, k=8, seed=seed), b_scale, q_scale)
+        m = problem.state_dim
+        oracle = ks_least_squares_oracle(problem)
+        mean, final = ks_run(problem).estimate.mean, kf_run(problem).estimates[-1].mean
+        assert np.linalg.norm(mean - oracle) <= 1e-8 * np.linalg.norm(oracle)
+        assert np.linalg.norm(final - oracle[-m:]) <= 1e-8 * np.linalg.norm(oracle[-m:])
+
+    @pytest.mark.parametrize("b_scale", [1, 1e8])
+    @pytest.mark.parametrize("q_scale", [1, 1e-6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_one_shot_exact_lm_iterate(self, seed, b_scale, q_scale):
+        # On a linear problem one undamped Gauss-Newton step from any start
+        # is the smoothing mean (Bell 1994).
+        problem = _scaled(make_toy_problem("linear-chain", m=4, k=8, seed=seed), b_scale, q_scale)
+        iterate = lm_exact_run(problem, LMConfig(gamma=0.0, max_iterations=1, mode="exact")).iterates[1].composite
+        mean = ks_run(problem).estimate.mean
+        assert np.linalg.norm(mean - iterate) <= 1e-10 * np.linalg.norm(iterate)
 
 
 class TestLeastSquaresOracle:

@@ -259,13 +259,15 @@ def test_gaussian_estimate_accepts_huge_finite_covariance():
 
 
 def test_kf_run_overflow_raises_instead_of_returning_nan():
-    # Finite inputs whose forecast overflows: 10 * 1e308 = inf.
+    # Finite inputs whose analysis overflows: x_1 is unobserved, so its
+    # analysis is the forecast 10 * 1e308 = inf.  No numpy warning either.
     problem = _w1_with(
-        background_mean=np.array([1e308]), model_ops=(Operator.from_matrix([[10.0]]),)
+        background_mean=np.array([1e308]),
+        model_ops=(Operator.from_matrix([[10.0]]),),
+        obs_ops=(Operator.from_matrix([[0.0]]),),
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValidationError, match="^mean contains non-finite"):
-            kf_run(problem)
+    with pytest.raises(ValidationError, match="^mean contains non-finite"):
+        kf_run(problem)
 
 
 def test_prior_chain(w2):
