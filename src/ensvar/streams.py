@@ -22,12 +22,14 @@ on the keys drawn beside it.  The member counters are broadcast against
 the block rows, not tiled, and members are taken in chunks of at most
 ``_BLOCK_BUDGET`` blocks (two members at least, and no chunk of one
 member unless the draw has one), so a draw's temporaries are bounded by
-one chunk whatever the ensemble size.  Within a chunk each Philox word
-and Box-Muller temporary is freed once used, and the later Philox rounds
-overwrite their words in place, so a one-chunk draw of even dimension
-peaks at about 2.5 times its output.  A normal's last
-bits are those of numpy's float64 log, cos and sin on the host, whose
-log is not libm's where numpy dispatches it to AVX-512.
+one chunk whatever the ensemble size.  Within a chunk each temporary is
+freed once used, so a one-chunk draw of even dimension peaks at about
+2.5 times its output.  Given two or more usable CPUs, one long-lived
+helper thread computes the cos half of each Box-Muller chunk of at least
+``_PARALLEL_PAIRS`` pairs while the drawing thread computes the sin half.
+A normal's last bits are those of numpy's float64 log, cos and sin on
+the host, whichever thread ran them; its log is not libm's where numpy
+dispatches it to AVX-512.
 
 Key components, members, seeds and derivation indices must be whole
 numbers (an integral float passes): anything else is refused, never
@@ -38,6 +40,9 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import accumulate, chain
@@ -70,6 +75,11 @@ _INDEX_LIMIT = 1 << 32
 # Counter blocks per member chunk of a draw: a draw of 10**4 members at
 # one block each, the largest of the coupled EnKS study, stays one chunk.
 _BLOCK_BUDGET = 1 << 14
+# Normal pairs from which a chunk's cos half runs on a helper thread while
+# the caller runs its sin half: 1.5x the measured break-even, and above
+# the tau-rate study's largest chunk (1,200 pairs).
+_PARALLEL_PAIRS = 1 << 11
+_helper: tuple = (None, None)  # (pid, its helper's job queue or None on one CPU)
 
 
 class Phase(IntEnum):
@@ -196,6 +206,11 @@ def _normals_from_blocks(words: list) -> np.ndarray:
     independent of ensemble size and of each other.  Empties ``words`` and
     overwrites the words, dropping each once it is used: x1 and x3 once
     the 53-bit uniforms exist, x0 and x2 once ``radius`` and ``angle`` do.
+
+    From ``_PARALLEL_PAIRS`` pairs on, the helper thread writes the cos
+    half with the serial loop's ufunc and inputs, so the bits stay.  It
+    runs under numpy's default ``np.errstate`` (which is per thread): no
+    matter, as ``angle`` lies in [0, 2*pi) and ``radius`` is finite.
     """
     x0, x1, x2, x3 = words
     words.clear()
@@ -215,10 +230,42 @@ def _normals_from_blocks(words: list) -> np.ndarray:
     del x2
     angle *= 2.0 * np.pi
     pairs = np.empty(shape + (2,))
-    for half, trig in enumerate((np.cos, np.sin)):
-        trig(angle, out=pairs[..., half])
-        pairs[..., half] *= radius
+    halves = [(np.cos, pairs[..., 0]), (np.sin, pairs[..., 1])]
+    if angle.size >= _PARALLEL_PAIRS and (jobs := _trig_jobs()) is not None:
+        done = queue.SimpleQueue()
+        jobs.put((*halves.pop(0), angle, radius, done))  # the cos half
+    for trig, out in halves:
+        trig(angle, out=out)
+        out *= radius
+    if len(halves) == 1 and (error := done.get()) is not None:
+        raise error
     return pairs.reshape(shape[0], 2 * shape[1])
+
+
+def _trig_jobs() -> queue.SimpleQueue | None:
+    """This process's helper job queue, None on one CPU; a forked child starts its own."""
+    global _helper
+    if _helper[0] != os.getpid():
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        _helper = os.getpid(), queue.SimpleQueue() if cpus > 1 else None
+        if cpus > 1:
+            threading.Thread(target=_serve, args=(_helper[1],), daemon=True).start()
+    return _helper[1]
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The helper thread: drops each job's arrays before it signals ``done``."""
+    while True:
+        trig, out, angle, radius, done = jobs.get()
+        error = None
+        try:
+            trig(angle, out=out)
+            out *= radius
+        except Exception as exc:  # raised again in the drawing thread
+            error = exc
+        del out, angle, radius
+        done.put(error)
+        del error, done
 
 
 def _key_word(phase: int, kind: int, iteration: int) -> int:
@@ -283,11 +330,11 @@ class PerturbationStream:
 
     def draw(self, key: DrawKey | Sequence[int], dim: int) -> np.ndarray:
         """Standard-normal vector of length ``dim`` for one key."""
-        key = DrawKey(*key)
-        out = self.draw_members(
-            key.phase, key.iteration, key.time_index, key.kind, [key.member], dim
-        )
-        return out[0]
+        try:
+            phase, iteration, time_index, member, kind = key
+        except (TypeError, ValueError):
+            raise ValidationError(f"a draw key has five components, got {key!r}") from None
+        return self.draw_members(phase, iteration, time_index, kind, [member], dim)[0]
 
     def draw_members(
         self,
@@ -342,7 +389,7 @@ def derive_seed(root_seed: int, index: int) -> int:
     root_seed, index = _integer("seed", root_seed), _integer("derivation index", index)
     if not 0 <= root_seed < _SEED_LIMIT:
         raise ValidationError(f"seed {root_seed} outside [0, 2**64)")
-    if index < 0:
-        raise ValidationError(f"derivation index must be >= 0, got {index}")
+    if not 0 <= index < _SEED_LIMIT:
+        raise ValidationError(f"derivation index {index} outside [0, 2**64)")
     payload = root_seed.to_bytes(8, "little") + index.to_bytes(8, "little")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")

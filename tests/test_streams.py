@@ -5,7 +5,12 @@ scalar Philox 4x32-10 + Box-Muller reference written here from the
 published round function, sharing no code with the package.
 """
 
+import hashlib
 import math
+import os
+import select
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensvar import DrawKey, NoiseKind, PerturbationStream, Phase, ValidationError, derive_seed, streams
+from ensvar import DrawKey, NoiseKind, PerturbationStream, Phase, ValidationError, derive_seed, run_study, streams
+from ensvar.config import load_config
 from ensvar.ensemble import _noises
 from ensvar.streams import _philox_blocks
 
@@ -394,3 +400,140 @@ def test_derive_seed_deterministic_and_distinct():
     seeds = {derive_seed(42, r) for r in range(100)}
     assert len(seeds) == 100
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def test_derive_seed_refuses_an_index_beyond_64_bits():
+    assert 0 <= derive_seed(42, 2**64 - 1) < 2**64
+    for bad in (2**64, 2**70, -1):
+        with pytest.raises(ValidationError, match="derivation index"):
+            derive_seed(42, bad)
+
+
+@pytest.mark.parametrize("key", [(0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (), 5])
+def test_draw_refuses_a_key_without_five_components(key):
+    with pytest.raises(ValidationError, match="five components"):
+        PerturbationStream(0).draw(key, 2)
+
+
+def _two_cpus(monkeypatch):
+    """Let the next large draw start a trig helper, whatever CPUs the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(streams, "_helper", (None, None))
+
+
+def test_parallel_draws_equal_serial_draws(monkeypatch):
+    # The helper thread runs the cos half through the same ufunc on the same
+    # angles as the serial loop, so a draw's bits do not depend on the path.
+    stream, members = PerturbationStream(2**63 + 5), np.arange(10_000) * 7919
+    keys = [(t, NoiseKind(t % 3), dim) for t, dim in enumerate(range(1, 6))]
+
+    def draws():
+        single = [stream.draw_members(Phase.LM, 3, t, kind, members, dim) for t, kind, dim in keys]
+        return single, _assembled(stream, Phase.LM, 3, keys, members)[0]
+
+    monkeypatch.setattr(streams, "_PARALLEL_PAIRS", 2**62)
+    serial = draws()
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(streams, "_PARALLEL_PAIRS", 1)
+    parallel = draws()
+    assert streams._helper[1] is not None
+    for got, want in zip(parallel, serial):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    for q, (t, kind, dim) in enumerate(keys):
+        for r in (0, -1):
+            reference = _draw_reference(stream.seed, Phase.LM, 3, t, int(members[r]), kind, dim, log=_numpy_log)
+            np.testing.assert_array_equal(parallel[0][q][r], reference)
+            np.testing.assert_array_equal(parallel[1][q][r], reference)
+
+
+def test_small_draws_never_touch_the_helper(monkeypatch, tmp_path):
+    # Chunks below _PARALLEL_PAIRS stay serial; the tau-rate benchmark's study,
+    # whose largest chunk is 1,200 pairs, never reaches the helper.
+    def refuse():
+        raise AssertionError("a small draw reached the trig helper")
+
+    monkeypatch.setattr(streams, "_trig_jobs", refuse)
+    stream = PerturbationStream(0)
+    stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.MODEL, np.arange(streams._PARALLEL_PAIRS - 1), 2)
+    list(stream.draw_keys(Phase.LM, 1, [(1, NoiseKind.MODEL, 3), (1, NoiseKind.OBS, 1)], np.arange(600)))
+    config = tmp_path / "tau.yaml"
+    config.write_text(
+        "problem: {name: w2-quadratic}\n"
+        "lm: {gamma: 1, max_iterations: 2, mode: finite-difference, ensemble_sizes: [400]}\n"
+        "study: {kind: tau-sweep, sweep: [1.0e-1, 1.0e-2], replicates: 2, p_order: 2, seed: 22}\n"
+    )
+    run_study(load_config(config).study)
+    with pytest.raises(AssertionError, match="trig helper"):
+        stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.MODEL, np.arange(streams._PARALLEL_PAIRS), 2)
+
+
+def test_helper_exception_reaches_the_drawing_thread(monkeypatch):
+    _two_cpus(monkeypatch)
+    stream, members = PerturbationStream(3), np.arange(10_000)
+    want = stream.draw_members(Phase.LM, 1, 2, NoiseKind.OBS, members, 4)
+    threads = []
+
+    def broken_cos(*args, **kwargs):
+        threads.append(threading.current_thread())
+        raise RuntimeError("cos failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "cos", broken_cos)
+        with pytest.raises(RuntimeError, match="cos failed"):
+            stream.draw_members(Phase.LM, 1, 2, NoiseKind.OBS, members, 4)
+    assert threads and threading.main_thread() not in threads
+    np.testing.assert_array_equal(stream.draw_members(Phase.LM, 1, 2, NoiseKind.OBS, members, 4), want)
+
+
+def test_large_draw_leaves_nothing_behind_in_the_helper(monkeypatch):
+    # The helper drops the draw's arrays before it signals, so freeing a
+    # draw frees all of it: current traced memory returns to its baseline
+    # (a few hundred bytes of queue bookkeeping allowed, against 160 KB).
+    _two_cpus(monkeypatch)
+    stream, members = PerturbationStream(0), np.arange(10_000)
+    stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.MODEL, members, 2)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        out = stream.draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.MODEL, members, 2)
+        drawn = tracemalloc.get_traced_memory()[0]
+        del out
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert drawn - baseline >= 160_000
+    assert left - baseline <= 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_starts_its_own_helper(monkeypatch):
+    # A forked child inherits the parent's helper only as a dead thread; it
+    # starts its own, and its large draw equals the parent's.
+    _two_cpus(monkeypatch)
+    stream, members = PerturbationStream(11), np.arange(10_000)
+    want = stream.draw_members(Phase.LM, 2, 5, NoiseKind.MODEL, members, 3)
+    assert streams._helper[1] is not None
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report its draw's digest, then leave at once
+        code = 1
+        try:
+            got = stream.draw_members(Phase.LM, 2, 5, NoiseKind.MODEL, members, 3)
+            os.write(write, hashlib.sha256(got.tobytes()).digest())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        ready, _, _ = select.select([read], [], [], 30)
+        digest = os.read(read, 64) if ready else b""
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    assert ready, "the forked child's large draw did not finish within 30 s"
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert digest == hashlib.sha256(want.tobytes()).digest()
