@@ -8,7 +8,13 @@ One verb per algorithm plus one for convergence studies:
     ensvar run-lm   --config cfg.yaml [--mode MODE] [--seed S] ...
     ensvar study    --config cfg.yaml [--seed S] [--out PATH] [--format csv|json]
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Every verb takes one path: :func:`main` parses, loads the config once,
+runs the verb's ``(config, args)`` function from ``_VERBS`` and writes
+its result once (:func:`ensvar.study.emit`).  ``study`` writes csv (the
+default) or json and keeps the config's seed unless ``--seed`` is given;
+the run verbs write json only and default ``--seed`` to 0.
+
+Exit codes: 0 success, 1 validation error (bad config or usage), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -33,24 +39,75 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _run_kf(cfg, args) -> dict:
+    estimates = kf_run(cfg.problem).estimates
+    return {"algorithm": "kf", "means": [e.mean for e in estimates], "covariances": [e.covariance for e in estimates]}
+
+
+def _run_ks(cfg, args) -> dict:
+    estimate = ks_run(cfg.problem).estimate
+    return {"algorithm": "ks", "mean": estimate.mean, "covariance": estimate.covariance}
+
+
+def _run_enks(cfg, args) -> dict:
+    result = enks_run(cfg.problem, args.members, PerturbationStream(args.seed))
+    final = result.analysis_ensembles[-1]
+    return {
+        "algorithm": "enks",
+        "n_members": args.members,
+        "seed": args.seed,
+        "sample_mean": sample_mean(final),
+        "sample_covariance": sample_covariance(final),
+    }
+
+
+def _run_lm(cfg, args) -> dict:
+    if cfg.lm is None:
+        raise ValidationError("run-lm requires an lm section in the config")
+    lm_cfg = cfg.lm if args.mode is None else replace(cfg.lm, mode=args.mode)
+    stream = None if lm_cfg.mode == "exact" else PerturbationStream(args.seed)
+    result = lm_run(cfg.problem, lm_cfg, stream)
+    return {
+        "algorithm": "lm",
+        "mode": result.mode,
+        "seed": args.seed,
+        "iterates": [t.states for t in result.iterates],
+        "objectives": list(result.objectives),
+        "max_member_norms": list(result.max_member_norms),
+    }
+
+
+def _study(cfg, args):
+    if cfg.study is None:
+        raise ValidationError("study command requires a study section in the config")
+    return run_study(cfg.study if args.seed is None else replace(cfg.study, seed=args.seed))
+
+
+# Each verb: its function of (config, arguments), its --format choices
+# (the first is the default), its --seed default (None keeps the config's
+# seed) and the options only it takes.
+_VERBS = {
+    "run-kf": (_run_kf, ("json",), 0, {}),
+    "run-ks": (_run_ks, ("json",), 0, {}),
+    "run-enks": (_run_enks, ("json",), 0, {"--members": dict(type=int, default=100, help="ensemble size")}),
+    "run-lm": (_run_lm, ("json",), 0, {"--mode": dict(choices=_MODES, default=None, help="solver variant")}),
+    "study": (_study, ("csv", "json"), None, {}),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ensvar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run-kf", "run-ks", "run-enks", "run-lm", "study"):
+    for name, (run, formats, seed, options) in _VERBS.items():
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="YAML config path")
-        p.add_argument("--seed", type=int, default=None, help="root seed (u64)")
+        seed_help = "the config's seed" if seed is None else seed
+        p.add_argument("--seed", type=int, default=seed, help=f"root seed (u64; default: {seed_help})")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default=None,
-            help="output format (study: csv or json; runs: json)",
-        )
-        if name == "run-enks":
-            p.add_argument("--members", type=int, default=100, help="ensemble size")
-        if name == "run-lm":
-            p.add_argument("--mode", choices=_MODES, default=None, help="solver variant")
+        p.add_argument("--format", choices=formats, default=formats[0], help="output format (default: %(default)s)")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -59,80 +116,12 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _cmd_run_kf(args) -> dict:
-    cfg = load_config(args.config)
-    result = kf_run(cfg.problem)
-    return {
-        "algorithm": "kf",
-        "means": [e.mean for e in result.estimates],
-        "covariances": [e.covariance for e in result.estimates],
-    }
-
-
-def _cmd_run_ks(args) -> dict:
-    cfg = load_config(args.config)
-    result = ks_run(cfg.problem)
-    return {
-        "algorithm": "ks",
-        "mean": result.estimate.mean,
-        "covariance": result.estimate.covariance,
-    }
-
-
-def _cmd_run_enks(args) -> dict:
-    cfg = load_config(args.config)
-    seed = 0 if args.seed is None else args.seed
-    result = enks_run(cfg.problem, args.members, PerturbationStream(seed))
-    final = result.analysis_ensembles[-1]
-    return {
-        "algorithm": "enks",
-        "n_members": args.members,
-        "seed": seed,
-        "sample_mean": sample_mean(final),
-        "sample_covariance": sample_covariance(final),
-    }
-
-
-def _cmd_run_lm(args) -> dict:
-    cfg = load_config(args.config)
-    if cfg.lm is None:
-        raise ValidationError("run-lm requires an lm section in the config")
-    lm_cfg = cfg.lm if args.mode is None else replace(cfg.lm, mode=args.mode)
-    seed = 0 if args.seed is None else args.seed
-    stream = None if lm_cfg.mode == "exact" else PerturbationStream(seed)
-    result = lm_run(cfg.problem, lm_cfg, stream)
-    return {
-        "algorithm": "lm",
-        "mode": result.mode,
-        "seed": seed,
-        "iterates": [t.states for t in result.iterates],
-        "objectives": list(result.objectives),
-        "max_member_norms": list(result.max_member_norms),
-    }
-
-
 def main(argv=None) -> int:
-    args_list = sys.argv[1:] if argv is None else list(argv)
+    """Parse ``argv`` (default: ``sys.argv[1:]``), load the config, run the
+    verb and write its result; returns the exit code."""
     try:
-        args = _PARSER.parse_args(args_list)
-        if args.command == "study":
-            cfg = load_config(args.config)
-            if cfg.study is None:
-                raise ValidationError("study command requires a study section in the config")
-            spec = cfg.study
-            if args.seed is not None:
-                spec = replace(spec, seed=args.seed)
-            emit(run_study(spec), args.format or "csv", args.out)
-            return 0
-        if args.format == "csv":
-            raise ValidationError("csv output is only defined for the study command")
-        doc = {
-            "run-kf": _cmd_run_kf,
-            "run-ks": _cmd_run_ks,
-            "run-enks": _cmd_run_enks,
-            "run-lm": _cmd_run_lm,
-        }[args.command](args)
-        emit(doc, "json", args.out)
+        args = _PARSER.parse_args(argv)
+        emit(args.run(load_config(args.config), args), args.format, args.out)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

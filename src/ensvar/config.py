@@ -34,6 +34,12 @@ row-major nested lists:
 
 Nonlinear operators cannot be written in a text file; nonlinear problems
 are reached through the named zoo entries.
+
+One reader, ``_fields``, reads the explicit ``problem``, ``lm`` and
+``study`` sections: a mapping of known keys holding the required ones,
+each value converted by its key's converter or refused with a
+``ValidationError`` naming the field.  YAML's ``true``/``false`` and
+quoted numbers (``"2"``) are refused wherever a number is read.
 """
 
 from __future__ import annotations
@@ -63,10 +69,17 @@ def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _number(value, kind=float):
+    # YAML's true/false and quoted numbers read as bool and str: neither is a number.
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return kind(value)
+
+
 def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
+    return _number(value, int)
 
 
 # Each section's keys with the converter of their YAML values.
@@ -78,8 +91,8 @@ _PROBLEM_FIELDS = {
     **dict.fromkeys(_PER_STEP_FIELDS, lambda steps: tuple(_float_array(v) for v in steps)),
 }
 _LM_FIELDS = {
-    "gamma": float,
-    "tau": float,
+    "gamma": _number,
+    "tau": _number,
     "ensemble_sizes": lambda v: tuple(_integer(n) for n in v),
     "max_iterations": _integer,
     "mode": str,
@@ -87,9 +100,9 @@ _LM_FIELDS = {
 }
 _STUDY_FIELDS = {
     "kind": str,
-    "sweep": lambda v: tuple(float(x) for x in v),
+    "sweep": lambda v: tuple(_number(x) for x in v),
     "replicates": _integer,
-    "p_order": float,
+    "p_order": _number,
     "seed": _integer,
 }
 
@@ -108,18 +121,28 @@ def _reject_unknown(section: dict, allowed, name: str) -> None:
 
 
 def _converted(what: str, convert: Callable, value):
-    """``convert(value)``; a TypeError or ValueError from a malformed YAML
-    value becomes a ValidationError naming ``what`` (the field or the toy).
+    """``convert(value)``; a TypeError, ValueError or OverflowError from a
+    malformed YAML value becomes a ValidationError naming ``what`` (the
+    field or the toy).
     """
     try:
         return convert(value)
     except EnsvarError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what}: {exc}") from None
 
 
-def _converted_fields(section: dict, converters: dict, name: str) -> dict:
+def _fields(section, name: str, converters: dict, required) -> dict:
+    """A section's values by key, each converted: the one reader of the
+    explicit ``problem`` section and the ``lm`` and ``study`` sections.
+    The section must be a mapping of known keys holding every required one."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"{name} section must be a mapping")
+    _reject_unknown(section, converters, name)
+    for key in required:
+        if key not in section:
+            raise ValidationError(f"{name} section requires a {key} value")
     return {
         key: _converted(f"{name} field {key}", convert, section[key])
         for key, convert in converters.items()
@@ -133,27 +156,19 @@ def _toy_problem(name, params: dict) -> AssimilationProblem:
     bound = _converted(f"toy {name!r}", lambda p: signature.bind(**p), params)
     kwargs = {}
     for key, value in bound.arguments.items():
-        annotation = signature.parameters[key].annotation
-        kwargs[key] = _converted(f"toy {name!r} parameter {key}", _integer if annotation is int else annotation, value)
+        convert = _integer if signature.parameters[key].annotation is int else _number
+        kwargs[key] = _converted(f"toy {name!r} parameter {key}", convert, value)
     return make_toy_problem(name, **kwargs)
 
 
 def _problem_from_section(section) -> AssimilationProblem:
-    if not isinstance(section, dict):
-        raise ValidationError("problem section must be a mapping")
-    if "name" in section:
+    if isinstance(section, dict) and "name" in section:
         return _toy_problem(section["name"], {k: v for k, v in section.items() if k != "name"})
-    _reject_unknown(section, _PROBLEM_FIELDS, "problem")
-    missing = _PROBLEM_FIELDS.keys() - set(section)
-    if missing:
-        raise ValidationError(f"problem section missing keys: {sorted(missing)}")
-    fields = _converted_fields(section, _PROBLEM_FIELDS, "problem")
+    fields = _fields(section, "problem", _PROBLEM_FIELDS, _PROBLEM_FIELDS)
     horizon = fields["horizon"]
     for key in _PER_STEP_FIELDS:
         if len(fields[key]) != horizon:
-            raise ValidationError(
-                f"problem field {key} has {len(fields[key])} entries, expected {horizon}"
-            )
+            raise ValidationError(f"problem field {key} has {len(fields[key])} entries, expected {horizon}")
     return AssimilationProblem(
         state_dim=fields["state_dim"],
         horizon=horizon,
@@ -166,25 +181,6 @@ def _problem_from_section(section) -> AssimilationProblem:
         obs_noise_covs=fields["R"],
         observations=fields["y"],
     )
-
-
-def _lm_from_section(section) -> LMConfig:
-    if not isinstance(section, dict):
-        raise ValidationError("lm section must be a mapping")
-    _reject_unknown(section, _LM_FIELDS, "lm")
-    if "gamma" not in section:
-        raise ValidationError("lm section requires a gamma value")
-    return LMConfig(**_converted_fields(section, _LM_FIELDS, "lm"))
-
-
-def _study_from_section(section, problem, lm) -> StudySpec:
-    if not isinstance(section, dict):
-        raise ValidationError("study section must be a mapping")
-    _reject_unknown(section, _STUDY_FIELDS, "study")
-    for key in ("kind", "sweep", "replicates"):
-        if key not in section:
-            raise ValidationError(f"study section requires a {key} value")
-    return StudySpec(**_converted_fields(section, _STUDY_FIELDS, "study"), problem=problem, lm=lm)
 
 
 def load_config(path) -> LoadedConfig:
@@ -200,6 +196,9 @@ def load_config(path) -> LoadedConfig:
     if "problem" not in doc:
         raise ValidationError("config requires a problem section")
     problem = _problem_from_section(doc["problem"])
-    lm = _lm_from_section(doc["lm"]) if "lm" in doc else None
-    study = _study_from_section(doc["study"], problem, lm) if "study" in doc else None
+    lm = LMConfig(**_fields(doc["lm"], "lm", _LM_FIELDS, ("gamma",))) if "lm" in doc else None
+    study = None
+    if "study" in doc:
+        fields = _fields(doc["study"], "study", _STUDY_FIELDS, ("kind", "sweep", "replicates"))
+        study = StudySpec(**fields, problem=problem, lm=lm)
     return LoadedConfig(problem=problem, lm=lm, study=study)

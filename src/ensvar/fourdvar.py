@@ -51,7 +51,7 @@ from .errors import ValidationError
 from .kalman import _block_factor, _normal_equations_solution
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem, Operator, Trajectory
-from .streams import PerturbationStream, Phase, _integer
+from .streams import PerturbationStream, Phase, _integer, _items, _real
 
 __all__ = [
     "LMConfig",
@@ -70,8 +70,13 @@ _MODES = ("exact", "tangent", "finite-difference")
 
 
 def _check_gamma(gamma: float) -> None:
-    if not (np.isfinite(gamma) and gamma >= 0):
+    if not (np.isfinite(_real("gamma", gamma)) and gamma >= 0):
         raise ValidationError(f"gamma must be finite and >= 0, got {gamma}")
+
+
+def _check_tau(tau: float) -> None:
+    if not (np.isfinite(_real("tau", tau)) and tau > 0):
+        raise ValidationError(f"tau must be finite and > 0, got {tau}")
 
 
 def _check_shape(problem: AssimilationProblem, x: np.ndarray) -> None:
@@ -101,16 +106,18 @@ class LMConfig:
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValidationError(f"tau must be finite and > 0, got {self.tau}")
+        _check_tau(self.tau)
         object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "ensemble_sizes", tuple(_integer("ensemble size", n) for n in self.ensemble_sizes))
-        if any(n < 2 for n in self.ensemble_sizes):
+        sizes = tuple(_integer("ensemble size", n) for n in _items("ensemble_sizes", self.ensemble_sizes))
+        object.__setattr__(self, "ensemble_sizes", sizes)
+        if any(n < 2 for n in sizes):
             raise ValidationError("every ensemble size must be >= 2")
+        if not isinstance(self.initial_trajectory, (Trajectory, type(None))):
+            raise ValidationError(f"initial_trajectory must be a Trajectory or None, got {self.initial_trajectory!r}")
 
     def ensemble_size_for(self, iteration: int) -> int:
         if not self.ensemble_sizes:
@@ -166,8 +173,7 @@ def _augmented_noise_cov(problem: AssimilationProblem, i: int, gamma: float) -> 
 
 def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> np.ndarray:
     """Forward-difference directional derivative (f(x + tau y) - f(x)) / tau."""
-    if not (np.isfinite(tau) and tau > 0):
-        raise ValidationError(f"tau must be finite and > 0, got {tau}")
+    _check_tau(tau)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return (np.asarray(f(x + tau * y), dtype=float) - np.asarray(f(x), dtype=float)) / tau

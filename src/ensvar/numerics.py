@@ -39,6 +39,7 @@ import numpy as np
 import scipy  # cheap; runs scipy's shared-library set-up for its extensions
 
 from .errors import NotSPDError, ValidationError
+from .streams import _real
 
 __all__ = [
     "cholesky_spd",
@@ -176,7 +177,7 @@ def empirical_lp_norm(samples, p: float) -> float:
     |.| is the Euclidean norm; each element of ``samples`` is one
     replicate (a vector or scalar).
     """
-    if not (np.isfinite(p) and p >= 1):
+    if not (np.isfinite(_real("p", p)) and p >= 1):
         raise ValidationError(f"p must be finite and >= 1, got {p}")
     norms = np.array([np.linalg.norm(np.asarray(v, dtype=float).reshape(-1)) for v in samples])
     if norms.size == 0:

@@ -32,13 +32,18 @@ the host, whichever thread ran them; its log is not libm's where numpy
 dispatches it to AVX-512.
 
 Key components, members, seeds and derivation indices must be whole
-numbers (an integral float passes): anything else is refused, never
-truncated, since two keys truncated to one would alias one draw.
+numbers (an integral float passes): anything else, a boolean included,
+is refused, never truncated, since two keys truncated to one would alias
+one draw.  The package's settings types read their integers, real
+numbers and sequences through this module's ``_integer``, ``_real`` and
+``_items``, and their seeds through ``_seed``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import operator
 import os
 import queue
@@ -111,13 +116,43 @@ class DrawKey(NamedTuple):
 
 def _integer(name: str, value) -> int:
     """``value`` as an int.  A number that is not whole is refused, not
-    truncated: two keys truncated to one would alias one draw."""
+    truncated: two keys truncated to one would alias one draw.  A boolean
+    is not a number."""
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float: an int or float of Python or numpy, never a
+    boolean; an int beyond the float range reads as an infinity."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     try:
-        return operator.index(value)
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _items(name: str, value) -> tuple:
+    """The items of a sequence (or any iterable) as a tuple."""
+    try:
+        return tuple(value)
     except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _seed(value) -> int:
+    """A root seed: a whole number in [0, 2**64)."""
+    seed = _integer("seed", value)
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValidationError(f"seed {seed} outside [0, 2**64)")
+    return seed
 
 
 def _check_component(name: str, value, limit: int) -> int:
@@ -324,9 +359,7 @@ class PerturbationStream:
     seed: int
 
     def __post_init__(self) -> None:
-        self.seed = _integer("seed", self.seed)
-        if not 0 <= self.seed < _SEED_LIMIT:
-            raise ValidationError(f"seed {self.seed} outside [0, 2**64)")
+        self.seed = _seed(self.seed)
 
     def draw(self, key: DrawKey | Sequence[int], dim: int) -> np.ndarray:
         """Standard-normal vector of length ``dim`` for one key."""
@@ -386,9 +419,7 @@ class PerturbationStream:
 
 def derive_seed(root_seed: int, index: int) -> int:
     """Derive an independent 64-bit seed, e.g. one per study replicate."""
-    root_seed, index = _integer("seed", root_seed), _integer("derivation index", index)
-    if not 0 <= root_seed < _SEED_LIMIT:
-        raise ValidationError(f"seed {root_seed} outside [0, 2**64)")
+    root_seed, index = _seed(root_seed), _integer("derivation index", index)
     if not 0 <= index < _SEED_LIMIT:
         raise ValidationError(f"derivation index {index} outside [0, 2**64)")
     payload = root_seed.to_bytes(8, "little") + index.to_bytes(8, "little")

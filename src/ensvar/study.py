@@ -41,7 +41,7 @@ from .errors import ValidationError
 from .fourdvar import LMConfig, _lm_pass, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
 from .problem import AssimilationProblem
-from .streams import PerturbationStream, _integer, derive_seed
+from .streams import PerturbationStream, _integer, _items, _real, _seed, derive_seed
 
 __all__ = ["StudySpec", "StudyRow", "StudyResult", "run_study", "emit", "render_csv", "render_json", "json_text"]
 
@@ -64,7 +64,7 @@ class StudySpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValidationError(f"study kind must be one of {_KINDS}, got {self.kind!r}")
-        sweep = tuple(float(v) for v in self.sweep)
+        sweep = tuple(_real("sweep value", v) for v in _items("sweep", self.sweep))
         object.__setattr__(self, "sweep", sweep)
         if len(sweep) < 1:
             raise ValidationError("sweep must contain at least one value")
@@ -76,8 +76,13 @@ class StudySpec:
         object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
-        if not (np.isfinite(self.p_order) and self.p_order >= 1):
+        if not (np.isfinite(_real("p_order", self.p_order)) and self.p_order >= 1):
             raise ValidationError(f"p_order must be finite and >= 1, got {self.p_order}")
+        object.__setattr__(self, "seed", _seed(self.seed))
+        if not isinstance(self.problem, AssimilationProblem):
+            raise ValidationError(f"study problem must be an AssimilationProblem, got {self.problem!r}")
+        if not isinstance(self.lm, (LMConfig, type(None))):
+            raise ValidationError(f"study lm must be an LMConfig or None, got {self.lm!r}")
         if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm is None:
             raise ValidationError(f"study kind {self.kind!r} requires an LM config")
         if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm.gamma <= 0:

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -218,6 +219,87 @@ def test_malformed_config_values_are_validation_errors(tmp_path, capsys, old, ne
     assert "Traceback" not in err
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        ("run-ks", "problem: 3\n", "problem section must be a mapping"),
+        ("run-ks", W1_CONFIG.replace("  state_dim: 1\n", ""), "problem section requires a state_dim value"),
+        ("run-ks", W1_CONFIG.replace("  horizon: 1\n", "  horizon: 1\n  extra: 1\n"), "unknown keys in problem section: ['extra']"),
+        ("run-ks", W1_CONFIG.replace("M: [[[1.0]]]", "M: [[[1.0]], [[1.0]]]"), "problem field M has 2 entries, expected 1"),
+        ("run-ks", W1_CONFIG.split("lm:")[0] + "lm: 3\n", "lm section must be a mapping"),
+        (
+            "run-ks",
+            W1_CONFIG.replace("  gamma: 1.0\n", "  gamma: 1.0\n  initial_trajectory: [[.nan], [0.0]]\n"),
+            "trajectory contains non-finite entries",
+        ),
+        ("run-ks", W1_CONFIG.replace("  gamma: 1.0\n", ""), "lm section requires a gamma value"),
+        ("run-ks", W1_CONFIG.replace("  gamma: 1.0\n", "  gamma: 1.0\n  gama: 1.0\n"), "unknown keys in lm section: ['gama']"),
+        ("run-ks", W1_CONFIG.split("study:")[0] + "study: [1]\n", "study section must be a mapping"),
+        ("run-ks", W1_CONFIG.replace("  kind: enks-vs-ks\n", ""), "study section requires a kind value"),
+        ("run-ks", W1_CONFIG.replace("  sweep: [32, 128]\n", ""), "study section requires a sweep value"),
+        ("run-ks", W1_CONFIG.replace("  replicates: 5\n", ""), "study section requires a replicates value"),
+        ("run-ks", "[1, 2]\n", "config must be a mapping with a problem section"),
+        ("run-ks", "lm: {gamma: 1.0}\n", "config requires a problem section"),
+        ("run-ks", W1_CONFIG + "extra: 1\n", "unknown keys in top-level section: ['extra']"),
+        ("run-lm", W1_CONFIG.split("lm:")[0], "run-lm requires an lm section in the config"),
+        ("study", W1_CONFIG.split("study:")[0], "study command requires a study section in the config"),
+    ],
+)
+def test_every_config_refusal_is_one_error_line(tmp_path, capsys, verb, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main([verb, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("replicates: 5", "replicates: true", "study field replicates: True is not a number"),
+        ("replicates: 5", 'replicates: "2"', "study field replicates: '2' is not a number"),
+        ("sweep: [32, 128]", "sweep: [32, true]", "study field sweep: True is not a number"),
+        ("p_order: 2", 'p_order: "2"', "study field p_order: '2' is not a number"),
+        ("gamma: 1.0", "gamma: true", "lm field gamma: True is not a number"),
+        ("max_iterations: 2", "max_iterations: false", "lm field max_iterations: False is not a number"),
+        ("ensemble_sizes: [64]", 'ensemble_sizes: ["64"]', "lm field ensemble_sizes: '64' is not a number"),
+        ("gamma: 1.0", f"gamma: {_HUGE}", "lm field gamma: int too large to convert to float"),
+        ("horizon: 1", "horizon: true", "problem field horizon: True is not a number"),
+    ],
+)
+def test_booleans_and_quoted_numbers_are_not_numbers(tmp_path, capsys, old, new, message):
+    # YAML reads true and "2" as a bool and a str; neither is taken as 1 or 2.
+    path = tmp_path / "bad.yaml"
+    assert old in W1_CONFIG
+    path.write_text(W1_CONFIG.replace(old, new))
+    assert main(["study", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        ("{name: linear-chain, m: true, k: 3, seed: 1}", "toy 'linear-chain' parameter m: True is not a number"),
+        ('{name: linear-chain, m: "2", k: 3, seed: 1}', "toy 'linear-chain' parameter m: '2' is not a number"),
+        ('{name: lorenz63, k: 2, dt: "0.1"}', "toy 'lorenz63' parameter dt: '0.1' is not a number"),
+        ("{name: lorenz63, k: 2, dt: true}", "toy 'lorenz63' parameter dt: True is not a number"),
+    ],
+)
+def test_toy_parameters_refuse_booleans_and_quoted_numbers(tmp_path, capsys, problem, message):
+    path = tmp_path / "toy.yaml"
+    path.write_text(f"problem: {problem}\n")
+    assert main(["run-ks", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_given_csv_gets_the_parsers_refusal(config_path, capsys):
+    assert main(["run-ks", "--config", str(config_path), "--format", "csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: argument --format: invalid choice: 'csv'")
+
+
 _LOADERS = [yaml.SafeLoader] + [yaml.CSafeLoader] * yaml.__with_libyaml__
 
 
@@ -399,3 +481,45 @@ def test_cli_runs_never_import_scipy_linalg(config_path, tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _entry_point(*args) -> subprocess.CompletedProcess:
+    """``python -m ensvar.cli`` in a fresh process on this checkout's sources."""
+    src = str(Path(ensvar.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "ensvar.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "verb, formats",
+    [("run-kf", {"json"}), ("run-ks", {"json"}), ("run-enks", {"json"}), ("run-lm", {"json"}), ("study", {"csv", "json"})],
+)
+def test_entry_point_help_lists_the_formats_of_its_verb(verb, formats):
+    proc = _entry_point(verb, "--help")
+    assert proc.returncode == 0, proc.stderr
+    choices = re.findall(r"--format \{([^}]*)\}", proc.stdout)
+    assert choices and all(set(c.split(",")) == formats for c in choices)
+
+
+def test_entry_point_writes_the_bytes_of_main(config_path, tmp_path):
+    out, in_process = tmp_path / "ks-process.json", tmp_path / "ks-main.json"
+    proc = _entry_point("run-ks", "--config", str(config_path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run-ks", "--config", str(config_path), "--out", str(in_process)]) == 0
+    assert out.read_bytes() == in_process.read_bytes()
+
+
+@pytest.mark.parametrize("case, status", [("bad-config", 1), ("missing-config", 2), ("unwritable-out", 2)])
+def test_entry_point_exit_status(config_path, tmp_path, case, status):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(W1_CONFIG.replace("R: [[[1.0]]]", "R: [[[0.0]]]"))
+    config, out = {
+        "bad-config": (bad, tmp_path / "out.json"),
+        "missing-config": (tmp_path / "nope.yaml", tmp_path / "out.json"),
+        "unwritable-out": (config_path, tmp_path / "no-such-dir" / "out.json"),
+    }[case]
+    proc = _entry_point("run-kf", "--config", str(config), "--out", str(out))
+    assert proc.returncode == status
+    assert proc.stderr.startswith(("error: ", "i/o error: ")) and "Traceback" not in proc.stderr

@@ -106,6 +106,11 @@ class TestFdDirectional:
         with pytest.raises(ValidationError, match="tau"):
             fd_directional(lambda x: x, np.zeros(1), np.ones(1), tau)
 
+    @pytest.mark.parametrize("tau", ["x", None, True])
+    def test_rejects_a_tau_that_is_not_a_real_number(self, tau):
+        with pytest.raises(ValidationError, match=r"^tau must be a real number, got "):
+            fd_directional(lambda x: x, np.zeros(1), np.ones(1), tau)
+
 
 class TestExactLM:
     @pytest.mark.parametrize("step", [lm_exact_step, lm_tangent_ls_oracle])
@@ -770,6 +775,26 @@ class TestDispatcherAndConfig:
         cfg = LMConfig(gamma=1.0, max_iterations=2.0, ensemble_sizes=(np.float64(16.0), 8))
         assert cfg.max_iterations == 2 and cfg.ensemble_sizes == (16, 8)
         assert type(cfg.max_iterations) is int and all(type(n) is int for n in cfg.ensemble_sizes)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iterations": True}, "max_iterations must be an integer, got True"),
+            ({"ensemble_sizes": (16, np.True_)}, f"ensemble size must be an integer, got {np.True_!r}"),
+            ({"gamma": True}, "gamma must be a real number, got True"),
+            ({"gamma": "abc"}, "gamma must be a real number, got 'abc'"),
+            ({"gamma": None}, "gamma must be a real number, got None"),
+            ({"tau": "x"}, "tau must be a real number, got 'x'"),
+            ({"tau": np.False_}, f"tau must be a real number, got {np.False_!r}"),
+            ({"ensemble_sizes": 5}, "ensemble_sizes must be a sequence, got 5"),
+            ({"initial_trajectory": [[0.0], [1.0]]}, "initial_trajectory must be a Trajectory or None, got [[0.0], [1.0]]"),
+        ],
+    )
+    def test_config_refuses_fields_of_the_wrong_type(self, kwargs, message):
+        # Each was a raw TypeError or AttributeError, or a boolean read as
+        # a number, before the fields were read by type.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            LMConfig(**{"gamma": 1.0, "mode": "tangent", **kwargs})
 
     @pytest.mark.parametrize("field", ["gamma", "tau"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -275,6 +275,11 @@ class TestLpNorm:
         with pytest.raises(ValidationError):
             empirical_lp_norm([], 2.0)
 
+    @pytest.mark.parametrize("p", ["x", None, True])
+    def test_rejects_a_p_that_is_not_a_real_number(self, p):
+        with pytest.raises(ValidationError, match=r"^p must be a real number, got "):
+            empirical_lp_norm([[3.0, 4.0]], p)
+
     @pytest.mark.parametrize("p", [np.inf, np.nan])
     def test_rejects_non_finite_p(self, p):
         # The formula gives 1.0 at p = inf and nan at p = nan, neither a norm.

@@ -322,3 +322,43 @@ def test_apply_rows_from_matrix_matches_per_row_apply():
     batched = op.apply_rows(x)
     assert batched.shape == (50, 3)
     assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+_IDENTITY = Operator.from_matrix(np.eye(1))
+_TALL = Operator.from_matrix(np.ones((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "overrides, error, message",
+    [
+        ({"state_dim": 0}, ValidationError, r"^state_dim must be positive, got 0$"),
+        ({"horizon": 0}, ValidationError, r"^horizon must be positive, got 0$"),
+        ({"background_cov": np.eye(2)}, DimensionMismatchError, r"^background_cov has shape \(2, 2\), expected \(1, 1\)$"),
+        ({"model_ops": (_IDENTITY, _IDENTITY)}, DimensionMismatchError, r"^model_ops has 2 entries, expected 1$"),
+        ({"forcings": (np.zeros(2),)}, DimensionMismatchError, r"^forcings\[1\] has length 2, expected 1$"),
+        (
+            {"model_noise_covs": (np.eye(2),)},
+            DimensionMismatchError,
+            r"^model_noise_covs\[1\] has shape \(2, 2\), expected \(1, 1\)$",
+        ),
+        (
+            {"model_ops": (_TALL,)},
+            DimensionMismatchError,
+            r"^model_ops\[1\] maps length-1 input to shape \(2,\), expected \(1,\)$",
+        ),
+        (
+            {"obs_ops": (_TALL,)},
+            DimensionMismatchError,
+            r"^obs_ops\[1\] output has shape \(2,\) but observations\[1\] has length 1$",
+        ),
+        (
+            {"obs_noise_covs": (np.eye(2),)},
+            DimensionMismatchError,
+            r"^obs_noise_covs\[1\] has shape \(2, 2\), expected \(1, 1\)$",
+        ),
+    ],
+)
+def test_dimension_refusals(overrides, error, message):
+    # Each structural refusal of a problem being built, by its exception type and message.
+    with pytest.raises(error, match=message):
+        _w1_with(**overrides)

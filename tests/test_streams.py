@@ -258,6 +258,32 @@ def test_derive_seed_refuses_non_integer_index(bad):
     assert derive_seed(42, 3.0) == derive_seed(42, np.int64(3)) == derive_seed(42, 3)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_booleans_are_not_integers(flag):
+    # bool is an int subclass: without the check True would read as seed,
+    # index or key component 1.
+    with pytest.raises(ValidationError, match=r"^seed must be an integer, got "):
+        PerturbationStream(flag)
+    with pytest.raises(ValidationError, match=r"^seed must be an integer, got "):
+        derive_seed(flag, 0)
+    with pytest.raises(ValidationError, match=r"^derivation index must be an integer, got "):
+        derive_seed(0, flag)
+    with pytest.raises(ValidationError, match="member"):
+        PerturbationStream(0).draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.OBS, [flag], 2)
+
+
+@pytest.mark.parametrize("value", [1, 2.5, np.int64(3), np.float32(0.5), 10**400, -(10**400)])
+def test_real_reads_every_number_of_python_and_numpy(value):
+    got = streams._real("x", value)
+    assert type(got) is float and (got == value or math.isinf(got) and (got > 0) == (value > 0))
+
+
+@pytest.mark.parametrize("bad", [True, np.False_, "1.0", None, [1.0], np.array(1.0), 1j])
+def test_real_refuses_what_is_not_a_real_number(bad):
+    with pytest.raises(ValidationError, match=r"^x must be a real number, got "):
+        streams._real("x", bad)
+
+
 def test_draw_peak_memory_is_bounded_by_its_output():
     # Each Philox word and each Box-Muller temporary is freed once used,
     # and the later Philox rounds work in place, so the draw holds at most

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -73,6 +74,29 @@ class TestSpecValidation:
     def test_replicates_must_be_a_whole_number(self, w1, replicates):
         with pytest.raises(ValidationError, match=r"^replicates must be an integer, got "):
             StudySpec(kind="enks-vs-ks", sweep=(10,), replicates=replicates, problem=w1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"replicates": True}, "replicates must be an integer, got True"),
+            ({"sweep": 5}, "sweep must be a sequence, got 5"),
+            ({"sweep": ("a",)}, "sweep value must be a real number, got 'a'"),
+            ({"sweep": (16, True)}, "sweep value must be a real number, got True"),
+            ({"p_order": "x"}, "p_order must be a real number, got 'x'"),
+            ({"lm": "x"}, "study lm must be an LMConfig or None, got 'x'"),
+            ({"problem": None}, "study problem must be an AssimilationProblem, got None"),
+            ({"seed": -1}, "seed -1 outside [0, 2**64)"),
+            ({"seed": 2**64}, "seed 18446744073709551616 outside [0, 2**64)"),
+            ({"seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"seed": False}, "seed must be an integer, got False"),
+        ],
+    )
+    def test_refuses_fields_of_the_wrong_type_when_built(self, w1, kwargs, message):
+        # Each was a raw TypeError, ValueError or AttributeError, a boolean
+        # read as a number, or (the seeds) a refusal only once the study ran.
+        spec = {"kind": "enks-vs-ks", "sweep": (16, 32), "replicates": 2, "problem": w1, **kwargs}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            StudySpec(**spec)
 
     def test_whole_float_replicates_become_an_int(self, w1):
         spec = StudySpec(kind="enks-vs-ks", sweep=(10,), replicates=np.float64(3.0), problem=w1)
@@ -544,3 +568,31 @@ class TestNoPartialOutput:
         with pytest.raises(ValidationError, match="non-finite"):
             emit(bad, "csv", path)
         assert not path.exists()
+
+
+# Any value a JSON or YAML document can hold, nan and the infinities included.
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_LM_FIELDS = {"gamma": 1.0, "max_iterations": 2, "mode": "tangent", "ensemble_sizes": (8,), "tau": 1e-3,
+              "initial_trajectory": None}
+_STUDY_FIELDS = {"kind": "tau-sweep", "sweep": (0.1, 0.01), "replicates": 2, "p_order": 2.0, "seed": 3,
+                 "problem": make_toy_problem("w2-quadratic"), "lm": LMConfig(**_LM_FIELDS)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from([(LMConfig, name) for name in _LM_FIELDS] + [(StudySpec, name) for name in _STUDY_FIELDS]),
+    value=_JSON_LIKE,
+)
+def test_any_json_like_field_gives_an_instance_or_a_validation_error(field, value):
+    # The settings types check their own fields: whatever one field holds,
+    # the constructor returns or raises ValidationError, never another error.
+    cls, name = field
+    base = _LM_FIELDS if cls is LMConfig else _STUDY_FIELDS
+    try:
+        cls(**{**base, name: value})
+    except ValidationError:
+        pass
