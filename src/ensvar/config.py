@@ -37,72 +37,66 @@ are reached through the named zoo entries.
 
 One reader, ``_fields``, reads the explicit ``problem``, ``lm`` and
 ``study`` sections: a mapping of known keys holding the required ones,
-each value converted by its key's converter or refused with a
-``ValidationError`` naming the field.  YAML's ``true``/``false`` and
-quoted numbers (``"2"``) are refused wherever a number is read.
+each value read by its key's reader from ``streams`` under its YAML name
+(``lm field gamma``) or refused with a ``ValidationError`` naming the
+field.  YAML's ``true``/``false`` and quoted numbers (``"2"``) are not
+numbers, inside vectors and matrices too.  A toy section's parameters
+are read by ``make_toy_problem``, as they are for a Python caller.
 """
 
 from __future__ import annotations
 
-import inspect
+import re
 from dataclasses import dataclass
-from typing import Callable
 
-import numpy as np
 import yaml
 
-from .errors import EnsvarError, ValidationError
+from .errors import ValidationError
 from .fourdvar import LMConfig
 from .problem import AssimilationProblem, Operator, Trajectory
+from .streams import _each, _integer, _real, _reals
 from .study import StudySpec
-from .toys import _toy_builder, make_toy_problem
+from .toys import make_toy_problem
 
 __all__ = ["LoadedConfig", "load_config"]
 
 _PER_STEP_FIELDS = ("M", "mu", "Q", "H", "R", "y")
-# libyaml's C parser where PyYAML was built with it: the same documents,
-# about seven times faster on a workload config.
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """libyaml's C parser where PyYAML was built with it (the same documents,
+    about seven times faster on a workload config), reading a plain scalar
+    with an exponent as YAML 1.2 does: ``1e5`` and ``1.0e308`` are floats,
+    where YAML 1.1 wants a dot and a signed exponent and reads them as text."""
 
 
-def _number(value, kind=float):
-    # YAML's true/false and quoted numbers read as bool and str: neither is a number.
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"{value!r} is not a number")
-    return kind(value)
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
+_LOADER = _Loader
 
 
-def _integer(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return _number(value, int)
-
-
-# Each section's keys with the converter of their YAML values.
+# Each section's keys with the reader of their YAML values, called as
+# ``read(field name, value)``.
 _PROBLEM_FIELDS = {
     "state_dim": _integer,
     "horizon": _integer,
-    "x_b": _float_array,
-    "B": _float_array,
-    **dict.fromkeys(_PER_STEP_FIELDS, lambda steps: tuple(_float_array(v) for v in steps)),
+    "x_b": _reals,
+    "B": _reals,
+    **dict.fromkeys(_PER_STEP_FIELDS, _each(_reals)),
 }
 _LM_FIELDS = {
-    "gamma": _number,
-    "tau": _number,
-    "ensemble_sizes": lambda v: tuple(_integer(n) for n in v),
+    "gamma": _real,
+    "tau": _real,
+    "ensemble_sizes": _each(_integer),
     "max_iterations": _integer,
-    "mode": str,
-    "initial_trajectory": lambda v: Trajectory(_float_array(v)),
+    "mode": lambda name, value: str(value),
+    "initial_trajectory": lambda name, value: Trajectory(_reals(name, value)),
 }
 _STUDY_FIELDS = {
-    "kind": str,
-    "sweep": lambda v: tuple(_number(x) for x in v),
+    "kind": lambda name, value: str(value),
+    "sweep": _each(_real),
     "replicates": _integer,
-    "p_order": _number,
+    "p_order": _real,
     "seed": _integer,
 }
 
@@ -120,50 +114,23 @@ def _reject_unknown(section: dict, allowed, name: str) -> None:
         raise ValidationError(f"unknown keys in {name} section: {sorted(unknown, key=str)}")
 
 
-def _converted(what: str, convert: Callable, value):
-    """``convert(value)``; a TypeError, ValueError or OverflowError from a
-    malformed YAML value becomes a ValidationError naming ``what`` (the
-    field or the toy).
-    """
-    try:
-        return convert(value)
-    except EnsvarError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what}: {exc}") from None
-
-
-def _fields(section, name: str, converters: dict, required) -> dict:
-    """A section's values by key, each converted: the one reader of the
+def _fields(section, name: str, readers: dict, required) -> dict:
+    """A section's values by key, each read by its key's reader: the one reader of the
     explicit ``problem`` section and the ``lm`` and ``study`` sections.
     The section must be a mapping of known keys holding every required one."""
     if not isinstance(section, dict):
         raise ValidationError(f"{name} section must be a mapping")
-    _reject_unknown(section, converters, name)
+    _reject_unknown(section, readers, name)
     for key in required:
         if key not in section:
             raise ValidationError(f"{name} section requires a {key} value")
-    return {
-        key: _converted(f"{name} field {key}", convert, section[key])
-        for key, convert in converters.items()
-        if key in section
-    }
-
-
-def _toy_problem(name, params: dict) -> AssimilationProblem:
-    """Bind the toy parameters to the builder's signature, converting each by its annotation."""
-    signature = inspect.signature(_toy_builder(name), eval_str=True)
-    bound = _converted(f"toy {name!r}", lambda p: signature.bind(**p), params)
-    kwargs = {}
-    for key, value in bound.arguments.items():
-        convert = _integer if signature.parameters[key].annotation is int else _number
-        kwargs[key] = _converted(f"toy {name!r} parameter {key}", convert, value)
-    return make_toy_problem(name, **kwargs)
+    return {key: read(f"{name} field {key}", section[key]) for key, read in readers.items() if key in section}
 
 
 def _problem_from_section(section) -> AssimilationProblem:
     if isinstance(section, dict) and "name" in section:
-        return _toy_problem(section["name"], {k: v for k, v in section.items() if k != "name"})
+        # A key that is not a string names no parameter: the toy refuses it as unknown.
+        return make_toy_problem(section["name"], **{str(k): v for k, v in section.items() if k != "name"})
     fields = _fields(section, "problem", _PROBLEM_FIELDS, _PROBLEM_FIELDS)
     horizon = fields["horizon"]
     for key in _PER_STEP_FIELDS:

@@ -12,6 +12,8 @@ are flagged and the linearity claim is checked at validation time.
 A problem is validated once, when it is built, and keeps the Cholesky
 factors its checks computed; its arrays are read-only copies, so it stays
 valid for as long as it lives and every algorithm reads its factors.
+Every type here reads its whole numbers and arrays through ``streams``'
+``_integer`` and ``_reals``: a boolean or a string is not a number.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_spd_input, _factor, _frobenius_norm, _positive_definite
+from .streams import _each, _integer, _reals
 
 __all__ = [
     "Operator",
@@ -67,7 +70,7 @@ class Operator:
         # A copy, so that writing to the caller's array cannot make a built
         # problem's checks stale.
         if self.matrix is not None:
-            object.__setattr__(self, "matrix", _mat(self.matrix))
+            object.__setattr__(self, "matrix", _mat("operator matrix", self.matrix))
             if self.apply is None:
                 object.__setattr__(self, "apply", self.matrix.__matmul__)
         if self.apply is None:
@@ -123,7 +126,7 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.atleast_2d(np.asarray(self.states, dtype=float))
+        arr = np.atleast_2d(_reals("trajectory states", self.states))
         if not np.isfinite(arr).all():
             raise ValidationError("trajectory contains non-finite entries")
         object.__setattr__(self, "states", arr)
@@ -143,11 +146,11 @@ class Trajectory:
 
     @classmethod
     def from_composite(cls, vec: np.ndarray, state_dim: int) -> "Trajectory":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size % state_dim != 0:
-            raise DimensionMismatchError(
-                f"composite length {vec.size} not a multiple of state_dim {state_dim}"
-            )
+        vec, state_dim = _reals("composite", vec), _integer("state_dim", state_dim)
+        if state_dim < 1:
+            raise ValidationError(f"state_dim must be >= 1, got {state_dim}")
+        if vec.size % state_dim != 0 or vec.size == 0:
+            raise DimensionMismatchError(f"composite length {vec.size} not a positive multiple of state_dim {state_dim}")
         return cls(vec.reshape(-1, state_dim))
 
     def __getitem__(self, i: int) -> np.ndarray:
@@ -162,8 +165,8 @@ class GaussianEstimate:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
+        mean = _reals("mean", self.mean).reshape(-1)
+        cov = np.atleast_2d(_reals("covariance", self.covariance))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         if cov.shape != (mean.size, mean.size):
@@ -199,7 +202,9 @@ class AssimilationProblem:
     NotSPDError
         Naming the covariance, when a Cholesky factorization fails.
     ValidationError
-        Naming the field, when an input array holds a non-finite number;
+        Naming the field, when it is not of its type (``state_dim`` and
+        ``horizon`` whole numbers, arrays of real numbers, sequences of
+        ``Operator``), when an input array holds a non-finite number,
         and when a linearity flag is contradicted by the operator itself.
     """
 
@@ -215,14 +220,8 @@ class AssimilationProblem:
     observations: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "background_mean", _vec(self.background_mean))
-        object.__setattr__(self, "background_cov", _mat(self.background_cov))
-        object.__setattr__(self, "model_ops", tuple(self.model_ops))
-        object.__setattr__(self, "forcings", tuple(_vec(v) for v in self.forcings))
-        object.__setattr__(self, "model_noise_covs", tuple(_mat(a) for a in self.model_noise_covs))
-        object.__setattr__(self, "obs_ops", tuple(self.obs_ops))
-        object.__setattr__(self, "obs_noise_covs", tuple(_mat(a) for a in self.obs_noise_covs))
-        object.__setattr__(self, "observations", tuple(_vec(v) for v in self.observations))
+        for name, read in _FIELD_READERS.items():
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         object.__setattr__(self, "_factors", _validated_factors(self))
 
     def obs_dim(self, i: int) -> int:
@@ -251,12 +250,24 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-def _vec(v) -> np.ndarray:
-    return _frozen(np.asarray(v, dtype=float).reshape(-1))
+def _vec(name: str, v) -> np.ndarray:
+    return _frozen(_reals(name, v).reshape(-1))
 
 
-def _mat(a) -> np.ndarray:
-    return _frozen(np.atleast_2d(np.asarray(a, dtype=float)))
+def _mat(name: str, a) -> np.ndarray:
+    return _frozen(np.atleast_2d(_reals(name, a)))
+
+
+def _operator(name: str, op) -> Operator:
+    if not isinstance(op, Operator):
+        raise ValidationError(f"{name} must be an Operator, got {op!r}")
+    return op
+
+
+# AssimilationProblem's fields, each with the reader that checks its type.
+_FIELD_READERS = {"state_dim": _integer, "horizon": _integer, "background_mean": _vec, "background_cov": _mat,
+                  "model_ops": _each(_operator), "forcings": _each(_vec), "model_noise_covs": _each(_mat),
+                  "obs_ops": _each(_operator), "obs_noise_covs": _each(_mat), "observations": _each(_vec)}
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:

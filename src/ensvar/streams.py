@@ -34,9 +34,12 @@ dispatches it to AVX-512.
 Key components, members, seeds and derivation indices must be whole
 numbers (an integral float passes): anything else, a boolean included,
 is refused, never truncated, since two keys truncated to one would alias
-one draw.  The package's settings types read their integers, real
-numbers and sequences through this module's ``_integer``, ``_real`` and
-``_items``, and their seeds through ``_seed``.
+one draw.  This module decides what a number is for the whole package:
+every integer, real number, array of reals and sequence that reaches
+ensvar, from Python or from a YAML config, is read through ``_integer``,
+``_real``, ``_reals``, ``_items`` and ``_each``, and every seed through
+``_seed``.  A boolean or a string is never a number, inside an array
+neither.
 """
 
 from __future__ import annotations
@@ -139,12 +142,40 @@ def _real(name: str, value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _reals(name: str, value) -> np.ndarray:
+    """``value`` as ``np.asarray(value, dtype=float)`` reads it, once every
+    entry of its nested lists, tuples and arrays is known to be a real
+    number: a boolean, a string or None anywhere in it is refused, where
+    numpy would read ``[1, True]`` as ``[1, 1]``.  So is ragged nesting.
+    An int or float ndarray takes only its dtype check."""
+    todo = [] if isinstance(value, np.ndarray) and value.dtype.kind in "fiu" else [value]
+    while todo:
+        entry = todo.pop()
+        if isinstance(entry, (list, tuple)):
+            todo.extend(reversed(entry))
+        elif isinstance(entry, np.ndarray):
+            if entry.dtype.kind not in "fiu":
+                todo.append(entry.tolist())
+        elif not isinstance(entry, numbers.Real) or isinstance(entry, bool):
+            raise ValidationError(f"{name} must hold real numbers, got {entry!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged, or an int beyond the float range
+        raise ValidationError(f"{name}: {exc}") from None
+
+
 def _items(name: str, value) -> tuple:
     """The items of a sequence (or any iterable) as a tuple."""
     try:
         return tuple(value)
     except TypeError:
         raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _each(read):
+    """The reader of a sequence: item i (from 1) of sequence ``name`` read by
+    ``read`` as ``name[i]``; a tuple of the items read."""
+    return lambda name, values: tuple(read(f"{name}[{i}]", v) for i, v in enumerate(_items(name, values), 1))
 
 
 def _seed(value) -> int:

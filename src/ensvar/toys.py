@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .errors import ValidationError
 from .numerics import cholesky_spd
 from .problem import AssimilationProblem, Operator
+from .streams import _integer, _real
 
 __all__ = ["make_toy_problem"]
 
@@ -38,16 +41,22 @@ def make_toy_problem(name: str, **params) -> AssimilationProblem:
         only derivative-free solvers apply, and the tangent-LM rate
         claims cannot be checked on it; this fixture is for qualitative
         demos only.
+
+    The parameters are bound to the builder's signature and each is read
+    by its annotation through ``streams``' ``_integer`` or ``_real``, so a
+    boolean or a string is refused as a number, from Python as from YAML.
     """
-    return _toy_builder(name)(**params)
-
-
-def _toy_builder(name):
-    """The function that builds the named toy; ValidationError if unknown."""
     builder = _BUILDERS.get(name) if isinstance(name, str) else None
     if builder is None:
         raise ValidationError(f"unknown toy problem {name!r}; known: {sorted(_BUILDERS)}")
-    return builder
+    signature = inspect.signature(builder, eval_str=True)
+    try:
+        bound = signature.bind(**params)
+    except TypeError as exc:
+        raise ValidationError(f"toy {name!r}: {exc}") from None
+    read = {int: _integer, float: _real}
+    return builder(**{key: read[signature.parameters[key].annotation](f"toy {name!r} parameter {key}", value)
+                      for key, value in bound.arguments.items()})
 
 
 def _w1_linear() -> AssimilationProblem:
@@ -163,8 +172,8 @@ def _rk4_map(x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _lorenz63(k: int, dt: float = 0.05) -> AssimilationProblem:
-    if k < 1 or dt <= 0:
-        raise ValidationError(f"lorenz63 needs k >= 1 and dt > 0, got k={k}, dt={dt}")
+    if k < 1 or not 0 < dt < np.inf:
+        raise ValidationError(f"lorenz63 needs k >= 1 and a finite dt > 0, got k={k}, dt={dt}")
     m = 3
     rng = np.random.default_rng(0)
 

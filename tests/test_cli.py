@@ -18,6 +18,7 @@ import yaml
 import ensvar
 from ensvar import config
 from ensvar.cli import main
+from ensvar.config import load_config
 
 W1_CONFIG = """\
 # scalar one-step linear fixture
@@ -182,7 +183,7 @@ def test_named_problem_config(tmp_path, capsys):
     [
         ("{name: linear-chain, m: 2}", "toy 'linear-chain': missing a required argument: 'k'"),
         ("{name: linear-chain, m: two, k: 3, seed: 1}", "toy 'linear-chain' parameter m"),
-        ("{name: linear-chain, m: 2.5, k: 3, seed: 1}", "toy 'linear-chain' parameter m: 2.5 is not a whole number"),
+        ("{name: linear-chain, m: 2.5, k: 3, seed: 1}", "toy 'linear-chain' parameter m must be an integer, got 2.5"),
         ("{name: linear-chain, m: 2, k: 3, seed: -1}", "seed >= 0"),
         ("{name: w1-linear, 1: 2}", "toy 'w1-linear'"),
         ("{name: [w1-linear]}", "unknown toy problem"),
@@ -259,15 +260,15 @@ def test_every_config_refusal_is_one_error_line(tmp_path, capsys, verb, text, me
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("replicates: 5", "replicates: true", "study field replicates: True is not a number"),
-        ("replicates: 5", 'replicates: "2"', "study field replicates: '2' is not a number"),
-        ("sweep: [32, 128]", "sweep: [32, true]", "study field sweep: True is not a number"),
-        ("p_order: 2", 'p_order: "2"', "study field p_order: '2' is not a number"),
-        ("gamma: 1.0", "gamma: true", "lm field gamma: True is not a number"),
-        ("max_iterations: 2", "max_iterations: false", "lm field max_iterations: False is not a number"),
-        ("ensemble_sizes: [64]", 'ensemble_sizes: ["64"]', "lm field ensemble_sizes: '64' is not a number"),
-        ("gamma: 1.0", f"gamma: {_HUGE}", "lm field gamma: int too large to convert to float"),
-        ("horizon: 1", "horizon: true", "problem field horizon: True is not a number"),
+        ("replicates: 5", "replicates: true", "study field replicates must be an integer, got True"),
+        ("replicates: 5", 'replicates: "2"', "study field replicates must be an integer, got '2'"),
+        ("sweep: [32, 128]", "sweep: [32, true]", "study field sweep[2] must be a real number, got True"),
+        ("p_order: 2", 'p_order: "2"', "study field p_order must be a real number, got '2'"),
+        ("gamma: 1.0", "gamma: true", "lm field gamma must be a real number, got True"),
+        ("max_iterations: 2", "max_iterations: false", "lm field max_iterations must be an integer, got False"),
+        ("ensemble_sizes: [64]", 'ensemble_sizes: ["64"]', "lm field ensemble_sizes[1] must be an integer, got '64'"),
+        ("gamma: 1.0", f"gamma: {_HUGE}", "gamma must be finite and >= 0, got inf"),
+        ("horizon: 1", "horizon: true", "problem field horizon must be an integer, got True"),
     ],
 )
 def test_booleans_and_quoted_numbers_are_not_numbers(tmp_path, capsys, old, new, message):
@@ -282,10 +283,10 @@ def test_booleans_and_quoted_numbers_are_not_numbers(tmp_path, capsys, old, new,
 @pytest.mark.parametrize(
     "problem, message",
     [
-        ("{name: linear-chain, m: true, k: 3, seed: 1}", "toy 'linear-chain' parameter m: True is not a number"),
-        ('{name: linear-chain, m: "2", k: 3, seed: 1}', "toy 'linear-chain' parameter m: '2' is not a number"),
-        ('{name: lorenz63, k: 2, dt: "0.1"}', "toy 'lorenz63' parameter dt: '0.1' is not a number"),
-        ("{name: lorenz63, k: 2, dt: true}", "toy 'lorenz63' parameter dt: True is not a number"),
+        ("{name: linear-chain, m: true, k: 3, seed: 1}", "toy 'linear-chain' parameter m must be an integer, got True"),
+        ('{name: linear-chain, m: "2", k: 3, seed: 1}', "toy 'linear-chain' parameter m must be an integer, got '2'"),
+        ('{name: lorenz63, k: 2, dt: "0.1"}', "toy 'lorenz63' parameter dt must be a real number, got '0.1'"),
+        ("{name: lorenz63, k: 2, dt: true}", "toy 'lorenz63' parameter dt must be a real number, got True"),
     ],
 )
 def test_toy_parameters_refuse_booleans_and_quoted_numbers(tmp_path, capsys, problem, message):
@@ -293,6 +294,57 @@ def test_toy_parameters_refuse_booleans_and_quoted_numbers(tmp_path, capsys, pro
     path.write_text(f"problem: {problem}\n")
     assert main(["run-ks", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("x_b: [0.0]", "x_b: [true]", "problem field x_b must hold real numbers, got True"),
+        ("y: [[3.0]]", 'y: [["3.0"]]', "problem field y[1] must hold real numbers, got '3.0'"),
+        ("B: [[1.0]]", "B: [[1, true]]", "problem field B must hold real numbers, got True"),
+        ("M: [[[1.0]]]", "M: [[[null]]]", "problem field M[1] must hold real numbers, got None"),
+        ("H: [[[1.0]]]", "H: [[[yes]]]", "problem field H[1] must hold real numbers, got True"),
+        (
+            "  gamma: 1.0\n",
+            "  gamma: 1.0\n  initial_trajectory: [[0.0], [false]]\n",
+            "lm field initial_trajectory must hold real numbers, got False",
+        ),
+    ],
+)
+def test_booleans_and_quoted_numbers_inside_arrays_are_not_numbers(tmp_path, capsys, old, new, message):
+    # numpy would read [true] as [1.0], [["3.0"]] as [[3.0]] and [[1, true]] as [[1.0, 1.0]].
+    path = tmp_path / "bad.yaml"
+    assert old in W1_CONFIG
+    path.write_text(W1_CONFIG.replace(old, new))
+    assert main(["run-kf", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_ragged_matrix_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(W1_CONFIG.replace("B: [[1.0]]", "B: [[1.0], [1.0, 2.0]]"))
+    assert main(["run-kf", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: problem field B: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_plain_numbers_with_an_exponent_are_floats(tmp_path):
+    # YAML 1.1 reads 1e0 and 3.0e0 as text (it wants a dot and a signed
+    # exponent); the config reads them as YAML 1.2 does, as floats.
+    plain, reference, quoted = tmp_path / "plain.yaml", tmp_path / "reference.yaml", tmp_path / "quoted.yaml"
+    plain.write_text(
+        W1_CONFIG.replace("y: [[3.0]]", "y: [[3.0e0]]").replace("gamma: 1.0", "gamma: 1e0")
+        .replace("sweep: [32, 128]", "sweep: [3.2E1, 1.28e2]").replace("p_order: 2", "p_order: .2e1")
+    )
+    reference.write_text(W1_CONFIG)
+    got, want = load_config(plain), load_config(reference)
+    assert got.problem.observations[0].tolist() == want.problem.observations[0].tolist() == [3.0]
+    assert got.lm == want.lm and got.study.sweep == (32.0, 128.0) and got.study.p_order == 2.0
+    quoted.write_text(W1_CONFIG.replace("y: [[3.0]]", 'y: [["3.0e0"]]'))
+    with pytest.raises(ensvar.ValidationError, match=r"^problem field y\[1\] must hold real numbers, got '3\.0e0'$"):
+        load_config(quoted)
 
 
 def test_run_given_csv_gets_the_parsers_refusal(config_path, capsys):
@@ -509,6 +561,14 @@ def test_entry_point_writes_the_bytes_of_main(config_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert main(["run-ks", "--config", str(config_path), "--out", str(in_process)]) == 0
     assert out.read_bytes() == in_process.read_bytes()
+
+
+def test_entry_point_refuses_a_boolean_inside_an_array(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(W1_CONFIG.replace("x_b: [0.0]", "x_b: [true]"))
+    proc = _entry_point("run-kf", "--config", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: problem field x_b must hold real numbers, got True\n" and proc.stdout == ""
 
 
 @pytest.mark.parametrize("case, status", [("bad-config", 1), ("missing-config", 2), ("unwritable-out", 2)])

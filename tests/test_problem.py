@@ -362,3 +362,83 @@ def test_dimension_refusals(overrides, error, message):
     # Each structural refusal of a problem being built, by its exception type and message.
     with pytest.raises(error, match=message):
         _w1_with(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"state_dim": "1"}, r"^state_dim must be an integer, got '1'$"),
+        ({"state_dim": True}, r"^state_dim must be an integer, got True$"),
+        ({"state_dim": None}, r"^state_dim must be an integer, got None$"),
+        ({"state_dim": 1.5}, r"^state_dim must be an integer, got 1\.5$"),
+        ({"horizon": "1"}, r"^horizon must be an integer, got '1'$"),
+        ({"horizon": np.True_}, r"^horizon must be an integer, got (np\.)?True_?$"),
+        ({"background_mean": [True]}, r"^background_mean must hold real numbers, got True$"),
+        ({"background_cov": [["1.0"]]}, r"^background_cov must hold real numbers, got '1\.0'$"),
+        ({"background_cov": np.array([[1, True]], dtype=object)}, r"^background_cov must hold real numbers, got True$"),
+        ({"forcings": ([None],)}, r"^forcings\[1\] must hold real numbers, got None$"),
+        ({"model_noise_covs": (np.eye(1, dtype=bool),)}, r"^model_noise_covs\[1\] must hold real numbers, got True$"),
+        ({"obs_noise_covs": 1.0}, r"^obs_noise_covs must be a sequence, got 1\.0$"),
+        ({"observations": (["3.0"],)}, r"^observations\[1\] must hold real numbers, got '3\.0'$"),
+        ({"model_ops": ([[1.0]],)}, r"^model_ops\[1\] must be an Operator, got \[\[1\.0\]\]$"),
+        ({"obs_ops": None}, r"^obs_ops must be a sequence, got None$"),
+    ],
+)
+def test_fields_are_read_by_type(overrides, message):
+    # A boolean, a string or None is not a number, alone or inside an array:
+    # numpy would read [True] as [1.0] and ["3.0"] as [3.0].
+    with pytest.raises(ValidationError, match=message):
+        _w1_with(**overrides)
+
+
+def test_integral_float_dimensions_are_read_as_ints():
+    problem = _w1_with(state_dim=1.0, horizon=np.int64(1))
+    assert type(problem.state_dim) is int and type(problem.horizon) is int
+
+
+@pytest.mark.parametrize(
+    "vec, state_dim, error, message",
+    [
+        ([1.0, 2.0], 0, ValidationError, r"^state_dim must be >= 1, got 0$"),
+        ([1.0, 2.0], -2, ValidationError, r"^state_dim must be >= 1, got -2$"),
+        ([1.0, 2.0], "2", ValidationError, r"^state_dim must be an integer, got '2'$"),
+        ([1.0, 2.0], True, ValidationError, r"^state_dim must be an integer, got True$"),
+        ([1.0, 2.0, 3.0], 2, DimensionMismatchError, r"^composite length 3 not a positive multiple of state_dim 2$"),
+        ([], 10**30, DimensionMismatchError, r"^composite length 0 not a positive multiple"),
+        ([1.0, True], 1, ValidationError, r"^composite must hold real numbers, got True$"),
+    ],
+)
+def test_from_composite_refusals(vec, state_dim, error, message):
+    with pytest.raises(error, match=message):
+        Trajectory.from_composite(vec, state_dim)
+
+
+def test_from_composite_reads_an_integral_float_state_dim():
+    assert Trajectory.from_composite([1.0, 2.0, 3.0, 4.0], 2.0).states.shape == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Trajectory([[0.0], [True]]), r"^trajectory states must hold real numbers, got True$"),
+        (lambda: Trajectory([[0.0], [0.0, 1.0]]), r"^trajectory states: "),
+        (lambda: Trajectory({"a": 1.0}), r"^trajectory states must hold real numbers, got \{'a': 1\.0\}$"),
+        (lambda: GaussianEstimate([False], [[1.0]]), r"^mean must hold real numbers, got False$"),
+        (lambda: GaussianEstimate([0.0], [["1"]]), r"^covariance must hold real numbers, got '1'$"),
+        (lambda: GaussianEstimate([10**400], [[1.0]]), r"^mean: int too large to convert to float$"),
+        (lambda: Operator.from_matrix([[1.0, "2"]]), r"^operator matrix must hold real numbers, got '2'$"),
+        (lambda: Operator.from_matrix(np.array([[1 + 0j]])), r"^operator matrix must hold real numbers, got \(1\+0j\)$"),
+    ],
+)
+def test_arrays_of_the_other_types_are_read_by_type(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_numeric_arrays_read_as_before():
+    # Lists of ints and floats, numpy scalars and int arrays read as
+    # np.asarray(..., dtype=float) reads them.
+    problem = _w1_with(background_mean=[np.int32(2)], background_cov=[[np.float32(0.5)]], forcings=(np.arange(1),))
+    assert problem.background_mean.tolist() == [2.0] and problem.background_cov.tolist() == [[0.5]]
+    assert problem.forcings[0].dtype == float
+    assert Trajectory([[1, 2], [3, 4]]).states.dtype == float

@@ -8,6 +8,7 @@ published round function, sharing no code with the package.
 import hashlib
 import math
 import os
+import re
 import select
 import signal
 import threading
@@ -282,6 +283,66 @@ def test_real_reads_every_number_of_python_and_numpy(value):
 def test_real_refuses_what_is_not_a_real_number(bad):
     with pytest.raises(ValidationError, match=r"^x must be a real number, got "):
         streams._real("x", bad)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.arange(6.0).reshape(2, 3),
+        np.arange(4, dtype=np.int32),
+        np.arange(3, dtype=np.uint8),
+        np.float32(0.1),
+        [[1, 2.5], [np.int64(3), np.float16(0.5)]],
+        (1, 2),
+        [np.arange(2.0), [3, 4]],
+        np.array([1, 2.5], dtype=object),
+        [],
+        7,
+        [[-0.0, np.inf, np.nan]],
+    ],
+)
+def test_reals_reads_numbers_as_asarray_does(value):
+    got, want = streams._reals("x", value), np.asarray(value, dtype=float)
+    assert got.dtype == want.dtype == float and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_reals_returns_a_float_array_itself():
+    # The ndarray path is a dtype check: no copy of a float64 array.
+    a = np.arange(4.0)
+    assert streams._reals("x", a) is a
+
+
+@pytest.mark.parametrize(
+    "bad, entry",
+    [
+        (True, "True"),
+        ("3.0", "'3.0'"),
+        (None, "None"),
+        ([1, True], "True"),
+        ([[1.0], [np.True_]], re.escape(repr(np.True_))),
+        ([["3.0"]], "'3.0'"),
+        ([1.0, None], "None"),
+        (np.array([True, False]), "True"),
+        (np.array(["1.0"]), "'1.0'"),
+        (np.array([1.0, "x"], dtype=object), "'x'"),
+        ([np.arange(2.0), np.array([False])], "False"),
+        ([1.0, 1j], "1j"),
+        ({"a": 1.0}, r"\{'a': 1\.0\}"),
+        ([b"1"], "b'1'"),
+        ([[1.0, 2.0], "ab"], "'ab'"),
+    ],
+)
+def test_reals_refuses_what_is_not_a_real_number(bad, entry):
+    # numpy reads [1, True] as [1, 1] and ["3.0"] as [3.0]; the reader names the first entry that is not a number.
+    with pytest.raises(ValidationError, match=rf"^x must hold real numbers, got {entry}$"):
+        streams._reals("x", bad)
+
+
+@pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], [1.0, [2.0]], [10**400], [[1.0], np.zeros(2)]])
+def test_reals_refuses_ragged_and_overflowing_arrays(bad):
+    with pytest.raises(ValidationError, match=r"^x: "):
+        streams._reals("x", bad)
 
 
 def test_draw_peak_memory_is_bounded_by_its_output():

@@ -15,10 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensvar import (
+    AssimilationProblem,
+    EnsvarError,
+    GaussianEstimate,
     LMConfig,
+    Operator,
     PerturbationStream,
     StudyResult,
     StudySpec,
+    Trajectory,
     ValidationError,
     derive_seed,
     emit,
@@ -576,23 +581,54 @@ _JSON_LIKE = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
+# The same with small finite numbers: a valid toy size or step builds a
+# problem that large (k=10**30 never returns), so sizes stay small enough
+# to build in milliseconds.
+_SMALL_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-1.0, 1.0)
+    | st.sampled_from([np.nan, np.inf, -np.inf]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
 _LM_FIELDS = {"gamma": 1.0, "max_iterations": 2, "mode": "tangent", "ensemble_sizes": (8,), "tau": 1e-3,
               "initial_trajectory": None}
 _STUDY_FIELDS = {"kind": "tau-sweep", "sweep": (0.1, 0.01), "replicates": 2, "p_order": 2.0, "seed": 3,
                  "problem": make_toy_problem("w2-quadratic"), "lm": LMConfig(**_LM_FIELDS)}
+_W1 = make_toy_problem("w1-linear")
+_TOY_PARAMETERS = {"w1-linear": {}, "linear-chain": {"m": 2, "k": 2, "seed": 0}, "lorenz63": {"k": 1, "dt": 0.05}}
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    field=st.sampled_from([(LMConfig, name) for name in _LM_FIELDS] + [(StudySpec, name) for name in _STUDY_FIELDS]),
-    value=_JSON_LIKE,
+def _one_field_replaced(build, fields: dict) -> list:
+    """(label, make) per field: ``make(value)`` calls ``build`` with that one field replaced."""
+    return [(f"{build.__qualname__} {name}", lambda value, name=name: build(**{**fields, name: value})) for name in fields]
+
+
+_CASES = (
+    _one_field_replaced(LMConfig, _LM_FIELDS)
+    + _one_field_replaced(StudySpec, _STUDY_FIELDS)
+    + _one_field_replaced(AssimilationProblem, {name: getattr(_W1, name) for name in _W1.__dataclass_fields__})
+    + _one_field_replaced(Trajectory, {"states": np.zeros((2, 1))})
+    + _one_field_replaced(Trajectory.from_composite, {"vec": [1.0, 2.0], "state_dim": 1})
+    + _one_field_replaced(GaussianEstimate, {"mean": np.zeros(1), "covariance": np.eye(1)})
+    + _one_field_replaced(Operator.from_matrix, {"a": np.eye(1)})
 )
-def test_any_json_like_field_gives_an_instance_or_a_validation_error(field, value):
-    # The settings types check their own fields: whatever one field holds,
-    # the constructor returns or raises ValidationError, never another error.
-    cls, name = field
-    base = _LM_FIELDS if cls is LMConfig else _STUDY_FIELDS
+_TOY_CASES = _one_field_replaced(make_toy_problem, {"name": "w1-linear"}) + [
+    (f"{toy} {name}", lambda value, toy=toy, name=name, params=params: make_toy_problem(toy, **{**params, name: value}))
+    for toy, params in _TOY_PARAMETERS.items()
+    for name in [*params, "extra"]
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    case=st.tuples(st.sampled_from(_CASES), _JSON_LIKE) | st.tuples(st.sampled_from(_TOY_CASES), _SMALL_JSON_LIKE),
+)
+def test_any_json_like_field_gives_an_instance_or_a_validation_error(case):
+    # Each type checks its own fields: whatever one field (or one toy
+    # parameter) holds, the constructor returns or raises an EnsvarError,
+    # never another error.
+    (_, make), value = case
     try:
-        cls(**{**base, name: value})
-    except ValidationError:
+        make(value)
+    except EnsvarError:
         pass

@@ -63,3 +63,34 @@ def test_batched_model_rows_bit_equal_to_row_loop(name, params):
     assert op.rows is not None
     x = p.background_mean + np.random.default_rng(3).standard_normal((64, p.state_dim))
     np.testing.assert_array_equal(op.apply_rows(x), np.stack([op(row) for row in x]))
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("linear-chain", {"m": True, "k": 1, "seed": 0}, r"^toy 'linear-chain' parameter m must be an integer, got True$"),
+        ("linear-chain", {"m": "2", "k": 1, "seed": 0}, r"^toy 'linear-chain' parameter m must be an integer, got '2'$"),
+        ("linear-chain", {"m": 2, "k": 1.5, "seed": 0}, r"^toy 'linear-chain' parameter k must be an integer, got 1\.5$"),
+        ("linear-chain", {"m": 2, "k": 1, "seed": None}, r"^toy 'linear-chain' parameter seed must be an integer, got None$"),
+        ("linear-chain", {"m": 2, "k": 1}, r"^toy 'linear-chain': missing a required argument: 'seed'$"),
+        ("w1-linear", {"m": 2}, r"^toy 'w1-linear': got an unexpected keyword argument 'm'$"),
+        ("lorenz63", {"k": 2, "dt": "0.1"}, r"^toy 'lorenz63' parameter dt must be a real number, got '0\.1'$"),
+        ("lorenz63", {"k": 2, "dt": np.False_}, r"^toy 'lorenz63' parameter dt must be a real number, got "),
+        ("lorenz63", {"k": 2, "dt": float("inf")}, r"^lorenz63 needs k >= 1 and a finite dt > 0, got k=2, dt=inf$"),
+        ("lorenz63", {"k": 2, "dt": float("nan")}, r"^lorenz63 needs k >= 1 and a finite dt > 0, got k=2, dt=nan$"),
+    ],
+)
+def test_parameters_are_read_by_their_annotation(name, params, message):
+    # Python callers get the refusals a YAML config gets; numpy would have
+    # read m=True as a 1 and ended a string in a TypeError.
+    with pytest.raises(ValidationError, match=message):
+        make_toy_problem(name, **params)
+
+
+def test_integral_float_parameters_build_the_same_problem():
+    a = make_toy_problem("linear-chain", m=2.0, k=np.int64(3), seed=7.0)
+    b = make_toy_problem("linear-chain", m=2, k=3, seed=7)
+    assert a.state_dim == 2 and type(a.state_dim) is int
+    np.testing.assert_array_equal(a.background_cov, b.background_cov)
+    c = make_toy_problem("lorenz63", k=2, dt=1)
+    np.testing.assert_array_equal(c.observations[1], make_toy_problem("lorenz63", k=2, dt=1.0).observations[1])
