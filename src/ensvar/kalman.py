@@ -7,6 +7,13 @@ back substitution gives the smoothing mean, the exact LM step and each
 exact reference member; :func:`ks_run` adds the smoothing covariance by
 the Rauch–Tung–Striebel recursion in information form.
 
+Every covariance these solvers return is the inverse, or a diagonal block
+of the inverse, of the block-tridiagonal precision matrix whose Schur
+complements all took a ``dpotrf`` factor with positive pivots, which
+proves it SPD.  So they build their estimates by
+``problem._certified_estimate``: shapes, finite entries and bit-for-bit
+symmetry, at O(n^2) with no BLAS call, and no dense O((k m)^3) PSD check.
+
 An independent block least-squares oracle solves the smoothing problem by
 assembling and solving its normal equations directly; it shares no code
 path with the elimination beyond the low-level SPD solve.
@@ -20,7 +27,7 @@ import numpy as np
 
 from .errors import NonlinearOperatorError
 from .numerics import _factor, _solve, spd_solve
-from .problem import AssimilationProblem, GaussianEstimate
+from .problem import AssimilationProblem, GaussianEstimate, _certified_estimate
 
 __all__ = [
     "KalmanFilterResult",
@@ -61,14 +68,15 @@ def kf_run(problem: AssimilationProblem) -> KalmanFilterResult:
     """Kalman filter for a fully linear problem, in information form: the
     estimate at time i >= 1 is F_i^-1 b_i with the covariance F_i^-1,
     symmetrized, from the end of the window 0..i of :func:`_block_factor`'s
-    forward sweep.  Time 0 is the background."""
+    forward sweep.  Time 0 is the background, its covariance symmetrized
+    (the same bits for a B symmetric bit for bit)."""
     sweep, *_, last = _block_factor(problem, *_linear_matrices(problem))
     _, ends = sweep(problem.background_mean, problem.forcings, problem.observations)
-    estimates = [GaussianEstimate(problem.background_mean.copy(), problem.background_cov.copy())]
+    estimates = [_certified_estimate(problem.background_mean.copy(), _symmetrize(problem.background_cov))]
     for information, b in zip(last[1:], ends[1:]):
         factor = _factor(information, "normal equations")
         cov = _symmetrize(_solve(factor, np.eye(problem.state_dim), "normal equations"))
-        estimates.append(GaussianEstimate(_solve(factor, b, "normal equations"), cov))
+        estimates.append(_certified_estimate(_solve(factor, b, "normal equations"), cov))
     return KalmanFilterResult(tuple(estimates))
 
 
@@ -80,7 +88,8 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
     The mean and diagonal blocks cost O(k m^3), the row blocks O(k^2 m^3),
     the output's size.  Row blocks are mirrored and diagonal blocks
     symmetrized, so the covariance is symmetric bit for bit; its trailing
-    block is the filter's final estimate, and the only estimate built."""
+    block is the filter's final estimate, and the only estimate built,
+    certified by the factors of S_0..S_k rather than a dense check."""
     sweep, back, schur, coupling, _ = _block_factor(problem, *_linear_matrices(problem))
     m, k = problem.state_dim, problem.horizon
     eye = np.eye(m)
@@ -93,7 +102,7 @@ def ks_run(problem: AssimilationProblem) -> KalmanSmootherResult:
         cov[hi:, lo:hi] = cov[lo:hi, hi:].T
         inverse = _solve(schur[i], eye, "normal equations")
         cov[lo:hi, lo:hi] = _symmetrize(inverse - cov[lo:hi, hi : hi + m] @ coupling[i].T)
-    return KalmanSmootherResult(GaussianEstimate(mean, cov))
+    return KalmanSmootherResult(_certified_estimate(mean, cov))
 
 
 def _block_factor(problem: AssimilationProblem, models, obs_mats, gamma: float = 0.0):

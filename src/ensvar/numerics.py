@@ -24,9 +24,12 @@ The full SPD check runs once, at the public boundary: in
 :func:`cholesky_spd` and :func:`spd_solve`, and when an
 ``AssimilationProblem`` is built, which keeps the factors of its
 covariances for every algorithm to reuse.  Each kernel call checks only
-that its input is finite, which LAPACK does not.  A pass/fail test that
-yields no numbers, on matrices up to composite size, is
-:func:`_positive_definite`.
+that its input is finite, which LAPACK does not.  The public helpers
+read their arrays through ``streams._reals``, so a boolean or a string
+is not a number here either.  :func:`_positive_definite`, a pass/fail
+Cholesky that yields no numbers, serves the public boundary only: a
+``GaussianEstimate`` built by a caller.  The estimates of ``kf_run``
+and ``ks_run`` are certified by the Schur factors they came from.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 import scipy  # cheap; runs scipy's shared-library set-up for its extensions
 
 from .errors import NotSPDError, ValidationError
-from .streams import _real
+from .streams import _real, _reals
 
 __all__ = [
     "cholesky_spd",
@@ -99,9 +102,10 @@ def _frobenius_norm(a: np.ndarray) -> float:
 
 
 def _as_spd_input(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """``a`` as a float array and its Frobenius norm; NotSPDError naming
-    ``a`` if it is not square, has a non-finite entry or is not symmetric."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    """``a`` as a float array and its Frobenius norm; ValidationError naming
+    ``a`` if it is not an array of real numbers, NotSPDError if it is not
+    square, has a non-finite entry or is not symmetric."""
+    a = np.atleast_2d(_reals(name, a))
     if a.shape[0] != a.shape[1]:
         raise NotSPDError(f"{name} is not square: shape {a.shape}")
     norm = _frobenius_norm(a)
@@ -149,12 +153,12 @@ def cholesky_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve a @ x = b for SPD a via its Cholesky factorization."""
     a, _ = _as_spd_input(a, name)
-    return _solve(_factor(a, name), np.asarray(b, dtype=float), name)
+    return _solve(_factor(a, name), _reals(f"right-hand side of the {name} solve", b), name)
 
 
 def sample_mean(members: np.ndarray) -> np.ndarray:
     """Arithmetic mean over ensemble members (rows)."""
-    members = np.atleast_2d(np.asarray(members, dtype=float))
+    members = np.atleast_2d(_reals("members", members))
     if members.shape[0] < 1:
         raise ValidationError("sample_mean needs at least one member")
     return members.mean(axis=0)
@@ -162,7 +166,7 @@ def sample_mean(members: np.ndarray) -> np.ndarray:
 
 def sample_covariance(members: np.ndarray) -> np.ndarray:
     """Sample covariance with the 1/(N-1) normalization; symmetric PSD."""
-    members = np.atleast_2d(np.asarray(members, dtype=float))
+    members = np.atleast_2d(_reals("members", members))
     n = members.shape[0]
     if n < 2:
         raise ValidationError(f"sample_covariance needs at least 2 members, got {n}")
@@ -179,7 +183,7 @@ def empirical_lp_norm(samples, p: float) -> float:
     """
     if not (np.isfinite(_real("p", p)) and p >= 1):
         raise ValidationError(f"p must be finite and >= 1, got {p}")
-    norms = np.array([np.linalg.norm(np.asarray(v, dtype=float).reshape(-1)) for v in samples])
+    norms = np.array([np.linalg.norm(_reals(f"samples[{i}]", v).reshape(-1)) for i, v in enumerate(samples, 1)])
     if norms.size == 0:
         raise ValidationError("empirical_lp_norm needs at least one sample")
     with np.errstate(over="ignore"):
@@ -197,8 +201,8 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float]:
     Returns (slope, intercept).  Both inputs must be positive and contain
     at least two points.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
+    xs = _reals("xs", xs).reshape(-1)
+    ys = _reals("ys", ys).reshape(-1)
     if xs.size != ys.size:
         raise ValidationError(f"xs and ys lengths differ: {xs.size} vs {ys.size}")
     if xs.size < 2:

@@ -127,8 +127,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         arr = np.atleast_2d(_reals("trajectory states", self.states))
-        if not np.isfinite(arr).all():
-            raise ValidationError("trajectory contains non-finite entries")
+        _check_finite(arr, "trajectory")
         object.__setattr__(self, "states", arr)
 
     @property
@@ -159,14 +158,40 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class GaussianEstimate:
-    """A mean/covariance pair; the covariance must be symmetric PSD."""
+    """A mean/covariance pair; the covariance must be symmetric PSD.
+
+    Every estimate checks its shapes and that it is finite.  Built by a
+    caller, it also runs the full check: a covariance symmetric within
+    round-off and with no eigenvalue below ``-_PSD_RTOL`` times its
+    Frobenius norm, by one dense Cholesky.  ``kf_run`` and ``ks_run``
+    build theirs by :func:`_certified_estimate`, which asks for bit-for-bit
+    symmetry instead and makes no BLAS or LAPACK call: each covariance is
+    the inverse, or a diagonal block of the inverse, of a block-tridiagonal
+    precision matrix whose Schur complements all took a ``dpotrf`` factor
+    with positive pivots.  That block LDL^T proves the precision matrix
+    SPD, so its inverse and every principal block of it are SPD too.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = _reals("mean", self.mean).reshape(-1)
-        cov = np.atleast_2d(_reals("covariance", self.covariance))
+        _, scale = _as_spd_input(self._read(self.mean, self.covariance), "covariance")
+        if scale > 0:
+            # No eigenvalue below -tol * scale <=> cov + tol * scale * I is PSD,
+            # which one Cholesky checks up to round-off; eigvalsh only reports.
+            shifted = self.covariance.copy()
+            shifted.flat[:: self.mean.size + 1] += _PSD_RTOL * scale
+            if not _positive_definite(shifted):
+                min_eig = np.linalg.eigvalsh(self.covariance)[0]
+                raise ValidationError(f"covariance has eigenvalue {min_eig:.3e} below PSD tolerance")
+
+    def _read(self, mean, covariance) -> np.ndarray:
+        """Set the fields to ``mean`` and ``covariance`` read as float arrays,
+        with the checks every estimate runs (shapes, a finite mean); returns
+        the covariance."""
+        mean = _reals("mean", mean).reshape(-1)
+        cov = np.atleast_2d(_reals("covariance", covariance))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         if cov.shape != (mean.size, mean.size):
@@ -174,15 +199,22 @@ class GaussianEstimate:
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
         _check_finite(mean, "mean")
-        _, scale = _as_spd_input(cov, "covariance")
-        if scale > 0:
-            # No eigenvalue below -tol * scale <=> cov + tol * scale * I is PSD,
-            # which one Cholesky checks up to round-off; eigvalsh only reports.
-            shifted = cov.copy()
-            shifted.flat[:: mean.size + 1] += _PSD_RTOL * scale
-            if not _positive_definite(shifted):
-                min_eig = np.linalg.eigvalsh(cov)[0]
-                raise ValidationError(f"covariance has eigenvalue {min_eig:.3e} below PSD tolerance")
+        return cov
+
+
+def _certified_estimate(mean: np.ndarray, covariance: np.ndarray) -> GaussianEstimate:
+    """An estimate whose covariance the package built from SPD factors it
+    checked (see :class:`GaussianEstimate`): the shape checks, then finite
+    and bit-for-bit symmetric entries.  They run on blocks of 128 rows, so
+    no temporary grows with the whole matrix, and by no BLAS call: one
+    would wake OpenBLAS's pool, whose worker then spins through the writer."""
+    estimate = object.__new__(GaussianEstimate)
+    bits = estimate._read(mean, covariance).view(np.uint64)
+    for lo in range(0, len(bits), 128):  # each block of rows against its mirrored columns
+        if not (bits[lo : lo + 128, lo:] == bits[lo:, lo : lo + 128].T).all():
+            raise ValidationError("covariance is not symmetric bit for bit")
+        _check_finite(estimate.covariance[lo : lo + 128, lo:], "covariance")  # so its mirror is too
+    return estimate
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,8 @@ __all__ = ["make_toy_problem"]
 _LORENZ_SIGMA = 10.0
 _LORENZ_RHO = 28.0
 _LORENZ_BETA = 8.0 / 3.0
+# The largest composite size m*(k+1) a toy may have; see make_toy_problem.
+_MAX_COMPOSITE = 1 << 15
 
 
 def make_toy_problem(name: str, **params) -> AssimilationProblem:
@@ -45,6 +47,18 @@ def make_toy_problem(name: str, **params) -> AssimilationProblem:
     The parameters are bound to the builder's signature and each is read
     by its annotation through ``streams``' ``_integer`` or ``_real``, so a
     boolean or a string is refused as a number, from Python as from YAML.
+
+    A toy's composite size m*(k+1), with m = 3 for ``lorenz63``, is at
+    most 32,768 (``_MAX_COMPOSITE``), checked before anything is
+    allocated.  The bound is on the composite size because that is what
+    the package holds: the exact smoother's covariance and the oracles'
+    normal equations are dense m(k+1)-square matrices (8.6 GB at the
+    bound), and each ensemble member is a trajectory of that length.  It
+    lies ten times past the largest problem measured so far (m=40, k=80,
+    3,240), and turns a huge m or k into a ``ValidationError`` rather
+    than numpy's raw error or a loop over k that does not return.  It does
+    not bound a build's own cost: ``linear-chain`` takes O(k m^3) time and
+    O(k m^2) memory, so an accepted m in the thousands is slow to build.
     """
     builder = _BUILDERS.get(name) if isinstance(name, str) else None
     if builder is None:
@@ -101,6 +115,11 @@ def _w2_quadratic() -> AssimilationProblem:
     )
 
 
+def _check_size(name: str, m: int, k: int) -> None:
+    if m * (k + 1) > _MAX_COMPOSITE:
+        raise ValidationError(f"{name} needs m*(k+1) <= {_MAX_COMPOSITE}, got m={m}, k={k}")
+
+
 def _random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim))
     return g @ g.T / dim + 0.5 * np.eye(dim)
@@ -115,6 +134,7 @@ def _stable_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _linear_chain(m: int, k: int, seed: int) -> AssimilationProblem:
     if m < 1 or k < 1 or seed < 0:
         raise ValidationError(f"linear-chain needs m >= 1, k >= 1 and seed >= 0, got m={m}, k={k}, seed={seed}")
+    _check_size("linear-chain", m, k)
     rng = np.random.default_rng(seed)
     background_mean = rng.standard_normal(m)
     background_cov = _random_spd(rng, m)
@@ -175,6 +195,7 @@ def _lorenz63(k: int, dt: float = 0.05) -> AssimilationProblem:
     if k < 1 or not 0 < dt < np.inf:
         raise ValidationError(f"lorenz63 needs k >= 1 and a finite dt > 0, got k={k}, dt={dt}")
     m = 3
+    _check_size("lorenz63", m, k)
     rng = np.random.default_rng(0)
 
     def step(x):

@@ -296,6 +296,14 @@ def test_toy_parameters_refuse_booleans_and_quoted_numbers(tmp_path, capsys, pro
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_toy_past_the_size_bound_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "huge.yaml"
+    path.write_text("problem: {name: linear-chain, m: 1000000000000000000000000000000, k: 1, seed: 0}\n")
+    assert main(["run-ks", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: linear-chain needs m*(k+1) <= 32768, got m={10**30}, k=1\n" and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

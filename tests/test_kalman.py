@@ -5,6 +5,7 @@ equations: filtering (mean 2, variance 2/3); smoothing mean (1, 2) with
 covariance [[2/3, 1/3], [1/3, 2/3]].
 """
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from ensvar import (
+    GaussianEstimate,
     LMConfig,
     NonlinearOperatorError,
     Operator,
@@ -22,7 +24,8 @@ from ensvar import (
     lm_exact_run,
     make_toy_problem,
 )
-from ensvar import kalman
+from ensvar import kalman, numerics
+from ensvar import problem as problem_module
 from ensvar.problem import AssimilationProblem
 from conftest import truncated
 
@@ -151,13 +154,13 @@ class TestSmoother:
     def test_builds_one_estimate(self, monkeypatch):
         # Only the final composite estimate is built, and checked.
         built = []
-        original = kalman.GaussianEstimate
+        original = kalman._certified_estimate
 
         def counting(*args, **kwargs):
             built.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(kalman, "GaussianEstimate", counting)
+        monkeypatch.setattr(kalman, "_certified_estimate", counting)
         problem = make_toy_problem("linear-chain", m=2, k=5, seed=0)
         assert ks_run(problem).estimate.mean.shape == (2 * 6,)
         assert len(built) == 1
@@ -249,6 +252,66 @@ class TestSmoother:
         iterate = lm_exact_run(problem, LMConfig(gamma=0.0, max_iterations=1, mode="exact")).iterates[1].composite
         mean = ks_run(problem).estimate.mean
         assert np.linalg.norm(mean - iterate) <= 1e-10 * np.linalg.norm(iterate)
+
+
+class TestCertificate:
+    """kf_run and ks_run certify their covariances by _block_factor's SPD
+    Schur factors, not by the public constructor's dense PSD check."""
+
+    @pytest.mark.parametrize("b_scale, q_scale", [(1e8, 1), (1, 1e-6)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_covariances_pass_the_public_check(self, seed, b_scale, q_scale):
+        # Where the dense check is cheap, it agrees with the certificate,
+        # on a diffuse background and on a near-perfect model too.
+        problem = _scaled(make_toy_problem("linear-chain", m=4, k=8, seed=seed), b_scale, q_scale)
+        estimates = [ks_run(problem).estimate, *kf_run(problem).estimates]
+        for estimate in estimates:
+            GaussianEstimate(estimate.mean, estimate.covariance)
+
+    def test_background_symmetric_to_round_off_is_symmetrized_at_time_0(self):
+        # A problem takes a B symmetric within its tolerance; the filter's
+        # time-0 estimate, certified bit for bit, carries (B + B^T) / 2.
+        base = make_toy_problem("linear-chain", m=3, k=2, seed=1)
+        b = base.background_cov.copy()
+        b[0, 1] = np.nextafter(b[0, 1], np.inf)
+        covariance = kf_run(replace(base, background_cov=b)).estimates[0].covariance
+        np.testing.assert_array_equal(covariance, 0.5 * (b + b.T))
+        assert covariance[0, 1] == covariance[1, 0]
+
+    @pytest.mark.parametrize("runner", [ks_run, kf_run])
+    def test_no_dense_psd_check(self, runner, monkeypatch):
+        def refuse(a):
+            raise AssertionError(f"dense PSD check of a {a.shape} matrix")
+
+        monkeypatch.setattr(numerics, "_positive_definite", refuse)
+        monkeypatch.setattr(problem_module, "_positive_definite", refuse)
+        runner(make_toy_problem("linear-chain", m=3, k=5, seed=0))
+
+    def test_peak_memory_is_about_the_output(self):
+        # Beside its output ks_run holds only m-row blocks: the certificate
+        # copies nothing and compares in row blocks.
+        problem = make_toy_problem("linear-chain", m=20, k=40, seed=3)
+        ks_run(problem)  # import-time and first-call allocations do not count
+        tracemalloc.start()
+        try:
+            covariance = ks_run(problem).estimate.covariance
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * covariance.nbytes
+
+    @pytest.mark.parametrize(
+        "upper, lower, message",
+        [(0.5, np.nextafter(0.5, 1.0), "is not symmetric bit for bit"), (0.0, -0.0, "is not symmetric bit for bit"),
+         (np.inf, np.inf, "contains non-finite entries"), (np.nan, np.nan, "contains non-finite entries")],
+    )
+    def test_refuses_what_the_cheap_checks_catch(self, upper, lower, message):
+        # Entry (130, 290) lies in the second block of 128 rows, outside its
+        # diagonal square, and its mirror in the third.
+        cov = np.eye(300)
+        cov[130, 290], cov[290, 130] = upper, lower
+        with pytest.raises(ValidationError, match=f"^covariance {message}$"):
+            problem_module._certified_estimate(np.zeros(300), cov)
 
 
 class TestLeastSquaresOracle:

@@ -324,3 +324,25 @@ class TestSlopeFit:
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError):
             fit_loglog_slope([1.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: cholesky_spd([[True]]), "matrix"),
+        (lambda: cholesky_spd([["4"]], name="B"), "B"),
+        (lambda: spd_solve([[2.0]], [True]), "right-hand side of the matrix solve"),
+        (lambda: spd_solve([[None]], [1.0], name="R"), "R"),
+        (lambda: sample_mean([["1"], ["3"]]), "members"),
+        (lambda: sample_covariance([[1.0], [False]]), "members"),
+        (lambda: fit_loglog_slope([True, 10], [1.0, 0.1]), "xs"),
+        (lambda: fit_loglog_slope([1, 10], ["1", "0.1"]), "ys"),
+        (lambda: empirical_lp_norm([[3.0], [True]], 2.0), r"samples\[2\]"),
+    ],
+    ids=["cholesky_spd", "cholesky_spd-name", "spd_solve-b", "spd_solve-a", "sample_mean", "sample_covariance",
+         "fit_loglog_slope-xs", "fit_loglog_slope-ys", "empirical_lp_norm"],
+)
+def test_public_helpers_read_only_real_numbers(call, named):
+    # numpy would read True as 1 and "3" as 3; the package's number rule does not.
+    with pytest.raises(ValidationError, match=rf"^{named} must hold real numbers, got "):
+        call()

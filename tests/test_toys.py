@@ -94,3 +94,19 @@ def test_integral_float_parameters_build_the_same_problem():
     np.testing.assert_array_equal(a.background_cov, b.background_cov)
     c = make_toy_problem("lorenz63", k=2, dt=1)
     np.testing.assert_array_equal(c.observations[1], make_toy_problem("lorenz63", k=2, dt=1.0).observations[1])
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("linear-chain", {"m": 10**30, "k": 1, "seed": 0}, r"^linear-chain needs m\*\(k\+1\) <= 32768, got m=10{30}, k=1$"),
+        ("linear-chain", {"m": 1, "k": 10**30, "seed": 0}, r"^linear-chain needs m\*\(k\+1\) <= 32768, got m=1, k=10{30}$"),
+        ("linear-chain", {"m": 2, "k": 16384, "seed": 0}, r"^linear-chain needs m\*\(k\+1\) <= 32768, got m=2, k=16384$"),
+        ("lorenz63", {"k": 10922}, r"^lorenz63 needs m\*\(k\+1\) <= 32768, got m=3, k=10922$"),
+    ],
+)
+def test_sizes_past_the_composite_bound_are_refused_before_allocation(name, params, message):
+    # numpy ended m=10**30 in "Maximum allowed dimension exceeded", and a
+    # loop over k=10**30 steps never returned; just past the bound is refused too.
+    with pytest.raises(ValidationError, match=message):
+        make_toy_problem(name, **params)
