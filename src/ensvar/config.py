@@ -35,11 +35,11 @@ row-major nested lists:
 Nonlinear operators cannot be written in a text file; nonlinear problems
 are reached through the named zoo entries.
 
-One reader, ``_fields``, reads the explicit ``problem``, ``lm`` and
-``study`` sections: a mapping of known keys holding the required ones,
-each value read by its key's reader from ``streams`` under its YAML name
-(``lm field gamma``) or refused with a ``ValidationError`` naming the
-field.  YAML's ``true``/``false`` and quoted numbers (``"2"``) are not
+One reader, ``streams._fields``, reads the explicit ``problem``, ``lm``
+and ``study`` sections: a mapping of known keys holding the required
+ones, each value read by its key's reader from ``streams`` under its YAML
+name (``lm field gamma``) or refused with a ``ValidationError`` naming
+the field.  YAML's ``true``/``false`` and quoted numbers (``"2"``) are not
 numbers, inside vectors and matrices too.  A toy section's parameters
 are read by ``make_toy_problem``, as they are for a Python caller.
 """
@@ -54,7 +54,7 @@ import yaml
 from .errors import ValidationError
 from .fourdvar import LMConfig
 from .problem import AssimilationProblem, Operator, Trajectory
-from .streams import _each, _integer, _real, _reals
+from .streams import _each, _fields, _integer, _real, _reject_unknown, _reals
 from .study import StudySpec
 from .toys import make_toy_problem
 
@@ -106,25 +106,6 @@ class LoadedConfig:
     problem: AssimilationProblem
     lm: LMConfig | None
     study: StudySpec | None
-
-
-def _reject_unknown(section: dict, allowed, name: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown keys in {name} section: {sorted(unknown, key=str)}")
-
-
-def _fields(section, name: str, readers: dict, required) -> dict:
-    """A section's values by key, each read by its key's reader: the one reader of the
-    explicit ``problem`` section and the ``lm`` and ``study`` sections.
-    The section must be a mapping of known keys holding every required one."""
-    if not isinstance(section, dict):
-        raise ValidationError(f"{name} section must be a mapping")
-    _reject_unknown(section, readers, name)
-    for key in required:
-        if key not in section:
-            raise ValidationError(f"{name} section requires a {key} value")
-    return {key: read(f"{name} field {key}", section[key]) for key, read in readers.items() if key in section}
 
 
 def _problem_from_section(section) -> AssimilationProblem:

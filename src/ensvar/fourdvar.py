@@ -51,7 +51,7 @@ from .errors import ValidationError
 from .kalman import _block_factor, _normal_equations_solution
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem, Operator, Trajectory
-from .streams import PerturbationStream, Phase, _integer, _items, _real
+from .streams import PerturbationStream, Phase, _integer, _items, _real, _reals
 
 __all__ = [
     "LMConfig",
@@ -174,8 +174,7 @@ def _augmented_noise_cov(problem: AssimilationProblem, i: int, gamma: float) -> 
 def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> np.ndarray:
     """Forward-difference directional derivative (f(x + tau y) - f(x)) / tau."""
     _check_tau(tau)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _reals("fd_directional x", x), _reals("fd_directional y", y)
     return (np.asarray(f(x + tau * y), dtype=float) - np.asarray(f(x), dtype=float)) / tau
 
 

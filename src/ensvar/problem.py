@@ -355,6 +355,11 @@ def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
     return problem
 
 
+def _expect_shape(name: str, shape: tuple, expected: tuple) -> None:
+    if shape != expected:
+        raise DimensionMismatchError(f"{name} has shape {shape}, expected {expected}")
+
+
 def _validated_factors(problem: AssimilationProblem):
     """Every structural check of a problem being built; returns the lower
     Cholesky factors ``(l_b, l_q, l_r)`` of B, each Q_i and each R_i that
@@ -364,62 +369,31 @@ def _validated_factors(problem: AssimilationProblem):
         raise ValidationError(f"state_dim must be positive, got {m}")
     if k < 1:
         raise ValidationError(f"horizon must be positive, got {k}")
-    if problem.background_mean.size != m:
-        raise DimensionMismatchError(
-            f"background_mean has length {problem.background_mean.size}, expected {m}"
-        )
-    if problem.background_cov.shape != (m, m):
-        raise DimensionMismatchError(
-            f"background_cov has shape {problem.background_cov.shape}, expected {(m, m)}"
-        )
+    _expect_shape("background_mean", problem.background_mean.shape, (m,))
+    _expect_shape("background_cov", problem.background_cov.shape, (m, m))
     _check_finite(problem.background_mean, "background_mean")
     l_b = _check_spd(problem.background_cov, "background_cov")
     l_q, l_r = [], []
 
-    for name, seq in (
-        ("model_ops", problem.model_ops),
-        ("forcings", problem.forcings),
-        ("model_noise_covs", problem.model_noise_covs),
-        ("obs_ops", problem.obs_ops),
-        ("obs_noise_covs", problem.obs_noise_covs),
-        ("observations", problem.observations),
-    ):
-        if len(seq) != k:
-            raise DimensionMismatchError(f"{name} has {len(seq)} entries, expected {k}")
+    for name in ("model_ops", "forcings", "model_noise_covs", "obs_ops", "obs_noise_covs", "observations"):
+        if (entries := len(getattr(problem, name))) != k:
+            raise DimensionMismatchError(f"{name} has {entries} entries, expected {k}")
 
     probe = np.zeros(m)
     for i in range(1, k + 1):
-        if problem.forcings[i - 1].size != m:
-            raise DimensionMismatchError(f"forcings[{i}] has length {problem.forcings[i - 1].size}, expected {m}")
+        model_op, obs_op, d = problem.model_ops[i - 1], problem.obs_ops[i - 1], problem.observations[i - 1].size
+        _expect_shape(f"forcings[{i}]", problem.forcings[i - 1].shape, (m,))
         _check_finite(problem.forcings[i - 1], f"forcings[{i}]")
-        if problem.model_noise_covs[i - 1].shape != (m, m):
-            raise DimensionMismatchError(
-                f"model_noise_covs[{i}] has shape {problem.model_noise_covs[i - 1].shape}, expected {(m, m)}"
-            )
+        _expect_shape(f"model_noise_covs[{i}]", problem.model_noise_covs[i - 1].shape, (m, m))
         l_q.append(_check_spd(problem.model_noise_covs[i - 1], f"model_noise_covs[{i}]"))
-
-        out = problem.model_ops[i - 1](probe)
-        if out.shape != (m,):
-            raise DimensionMismatchError(
-                f"model_ops[{i}] maps length-{m} input to shape {out.shape}, expected ({m},)"
-            )
-        if problem.model_ops[i - 1].linear:
-            _check_linear_flag(problem.model_ops[i - 1], m, f"model_ops[{i}]")
-
-        d = problem.observations[i - 1].size
+        _expect_shape(f"model_ops[{i}] output", model_op(probe).shape, (m,))
+        if model_op.linear:
+            _check_linear_flag(model_op, m, f"model_ops[{i}]")
         _check_finite(problem.observations[i - 1], f"observations[{i}]")
-        h_out = problem.obs_ops[i - 1](probe)
-        if h_out.shape != (d,):
-            raise DimensionMismatchError(
-                f"obs_ops[{i}] output has shape {h_out.shape} but observations[{i}] "
-                f"has length {d}"
-            )
-        if problem.obs_noise_covs[i - 1].shape != (d, d):
-            raise DimensionMismatchError(
-                f"obs_noise_covs[{i}] has shape {problem.obs_noise_covs[i - 1].shape}, expected {(d, d)}"
-            )
+        _expect_shape(f"obs_ops[{i}] output", obs_op(probe).shape, (d,))
+        _expect_shape(f"obs_noise_covs[{i}]", problem.obs_noise_covs[i - 1].shape, (d, d))
         l_r.append(_check_spd(problem.obs_noise_covs[i - 1], f"obs_noise_covs[{i}]"))
-        if problem.obs_ops[i - 1].linear:
-            _check_linear_flag(problem.obs_ops[i - 1], m, f"obs_ops[{i}]")
+        if obs_op.linear:
+            _check_linear_flag(obs_op, m, f"obs_ops[{i}]")
 
     return l_b, tuple(l_q), tuple(l_r)

@@ -39,7 +39,9 @@ every integer, real number, array of reals and sequence that reaches
 ensvar, from Python or from a YAML config, is read through ``_integer``,
 ``_real``, ``_reals``, ``_items`` and ``_each``, and every seed through
 ``_seed``.  A boolean or a string is never a number, inside an array
-neither.
+neither.  Every mapping read from a document, a config section or a
+study result's JSON, is read by ``_fields``: known keys only, the
+required ones present, each value by its key's reader.
 """
 
 from __future__ import annotations
@@ -176,6 +178,25 @@ def _each(read):
     """The reader of a sequence: item i (from 1) of sequence ``name`` read by
     ``read`` as ``name[i]``; a tuple of the items read."""
     return lambda name, values: tuple(read(f"{name}[{i}]", v) for i, v in enumerate(_items(name, values), 1))
+
+
+def _reject_unknown(section: dict, allowed, name: str) -> None:
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ValidationError(f"unknown keys in {name} section: {sorted(unknown, key=str)}")
+
+
+def _fields(section, name: str, readers: dict, required) -> dict:
+    """A mapping's values by key, each read by its key's reader as ``{name}
+    field {key}``.  The mapping must hold only known keys and every
+    required one."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"{name} section must be a mapping")
+    _reject_unknown(section, readers, name)
+    for key in required:
+        if key not in section:
+            raise ValidationError(f"{name} section requires a {key} value")
+    return {key: read(f"{name} field {key}", section[key]) for key, read in readers.items() if key in section}
 
 
 def _seed(value) -> int:

@@ -23,6 +23,11 @@ written row by row and each mirrored pair is formatted once: only the
 formatted upper-triangle entries that later rows still need stay in
 memory.  A document holding a non-finite number is refused before its
 first byte is written.
+
+A study result is declared once, by its dataclasses: its JSON document
+is their fields in order (``to_dict`` is ``dataclasses.asdict``), its
+CSV looks each column up by name, and ``from_dict`` reads a document
+through ``streams``' mapping reader, ``_fields``, by the number rule.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import math
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .errors import ValidationError
 from .fourdvar import LMConfig, _lm_pass, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
 from .problem import AssimilationProblem
-from .streams import PerturbationStream, _integer, _items, _real, _seed, derive_seed
+from .streams import PerturbationStream, _each, _fields, _integer, _items, _real, _seed, derive_seed
 
 __all__ = ["StudySpec", "StudyRow", "StudyResult", "run_study", "emit", "render_csv", "render_json", "json_text"]
 
@@ -62,8 +67,7 @@ class StudySpec:
     lm: LMConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValidationError(f"study kind must be one of {_KINDS}, got {self.kind!r}")
+        _kind("study kind", self.kind)
         sweep = tuple(_real("sweep value", v) for v in _items("sweep", self.sweep))
         object.__setattr__(self, "sweep", sweep)
         if len(sweep) < 1:
@@ -101,69 +105,76 @@ class StudyRow:
     sweep_value: float
     error_estimate: float
     stderr_estimate: float
-    raw_errors: tuple[float, ...]
     wall_ms: float
+    raw_errors: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class StudyResult:
+    """A study's outcome.  Its JSON document is its fields in order, each
+    row a mapping of the row's fields in order, so a field added here is
+    written and read with no other edit but its reader in ``_READERS``."""
+
     kind: str
     p_order: float
     replicates: int
     seed: int
-    rows: tuple[StudyRow, ...]
     slope: float | None
     intercept: float | None
+    rows: tuple[StudyRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p_order": self.p_order,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rows": [
-                {
-                    "sweep_value": r.sweep_value,
-                    "error_estimate": r.error_estimate,
-                    "stderr_estimate": r.stderr_estimate,
-                    "wall_ms": r.wall_ms,
-                    "raw_errors": list(r.raw_errors),
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyResult":
-        rows = tuple(
-            StudyRow(
-                sweep_value=float(r["sweep_value"]),
-                error_estimate=float(r["error_estimate"]),
-                stderr_estimate=float(r["stderr_estimate"]),
-                raw_errors=tuple(float(v) for v in r["raw_errors"]),
-                wall_ms=float(r["wall_ms"]),
-            )
-            for r in doc["rows"]
-        )
-        return cls(
-            kind=doc["kind"],
-            p_order=float(doc["p_order"]),
-            replicates=int(doc["replicates"]),
-            seed=int(doc["seed"]),
-            rows=rows,
-            slope=None if doc["slope"] is None else float(doc["slope"]),
-            intercept=None if doc["intercept"] is None else float(doc["intercept"]),
-        )
+        """The result a document holds, read by the number rule of ``streams``:
+        a boolean or a string is not a number, a count or seed must be whole
+        and a seed in [0, 2**64).  A missing or unknown key, or a value of
+        the wrong type, raises ``ValidationError`` naming the field."""
+        return _record(cls, "study result", doc)
 
 
-def _summarize(diffs: list[np.ndarray], p_order: float) -> tuple[float, float, tuple[float, ...]]:
+def _record(cls, name: str, doc):
+    """The ``cls`` a document mapping holds: exactly its fields, each read by ``_READERS``."""
+    readers = {field.name: _READERS[field.name] for field in fields(cls)}
+    return cls(**_fields(doc, name, readers, readers))
+
+
+def _kind(name: str, value) -> str:
+    if not (isinstance(value, str) and value in _KINDS):
+        raise ValidationError(f"{name} must be one of {_KINDS}, got {value!r}")
+    return value
+
+
+def _optional_real(name: str, value) -> float | None:
+    return None if value is None else _real(name, value)
+
+
+# Each field of a study document with the reader of its JSON value, called
+# as ``read(name, value)``.
+_READERS = {
+    "kind": _kind,
+    "p_order": _real,
+    "replicates": _integer,
+    "seed": lambda name, value: _seed(value),
+    "slope": _optional_real,
+    "intercept": _optional_real,
+    "rows": _each(lambda name, row: _record(StudyRow, name, row)),
+    "sweep_value": _real,
+    "error_estimate": _real,
+    "stderr_estimate": _real,
+    "wall_ms": _real,
+    "raw_errors": _each(_real),
+}
+
+
+def _summarize(value: float, diffs: list[np.ndarray], p_order: float, wall_ms: float) -> StudyRow:
     norms = [float(np.linalg.norm(np.asarray(d).reshape(-1))) for d in diffs]
     estimate = empirical_lp_norm(diffs, p_order)
     # Descriptive spread: standard error of the mean per-replicate norm.
     stderr = float(np.std(norms, ddof=1) / np.sqrt(len(norms))) if len(norms) > 1 else 0.0
-    return estimate, stderr, tuple(norms)
+    return StudyRow(value, estimate, stderr, wall_ms, tuple(norms))
 
 
 def _enks_vs_ks_pass(spec: StudySpec):
@@ -211,7 +222,7 @@ def run_study(spec: StudySpec) -> StudyResult:
         for cell, diff in zip(cells, one_pass(PerturbationStream(derive_seed(spec.seed, r))), strict=True):
             cell.append(diff)
     wall = 1e3 * (time.perf_counter() - t0) / len(spec.sweep)
-    rows = [StudyRow(value, *_summarize(cell, spec.p_order), wall) for value, cell in zip(spec.sweep, cells)]
+    rows = [_summarize(value, cell, spec.p_order, wall) for value, cell in zip(spec.sweep, cells)]
 
     slope = intercept = None
     estimates = [r.error_estimate for r in rows]
@@ -330,15 +341,8 @@ def render_csv(result: StudyResult) -> str:
     is quoted and the lines are the fields joined by commas."""
     lines = [",".join(_CSV_COLUMNS)]
     for row in result.rows:
-        fields = [
-            _fmt(row.sweep_value),
-            _fmt(result.p_order),
-            str(result.replicates),
-            _fmt(row.error_estimate),
-            _fmt(row.stderr_estimate),
-            _fmt(row.wall_ms),
-        ]
-        lines.append(",".join(fields))
+        cells = vars(result) | vars(row)  # each column by name, from the row or the result
+        lines.append(",".join(_fmt(cells[column]) for column in _CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import inspect
+import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,6 +20,8 @@ _LORENZ_RHO = 28.0
 _LORENZ_BETA = 8.0 / 3.0
 # The largest composite size m*(k+1) a toy may have; see make_toy_problem.
 _MAX_COMPOSITE = 1 << 15
+# The most RK4 substeps one lorenz63 model step may take; see make_toy_problem.
+_MAX_SUBSTEPS = 1000
 
 
 def make_toy_problem(name: str, **params) -> AssimilationProblem:
@@ -59,6 +63,15 @@ def make_toy_problem(name: str, **params) -> AssimilationProblem:
     than numpy's raw error or a loop over k that does not return.  It does
     not bound a build's own cost: ``linear-chain`` takes O(k m^3) time and
     O(k m^2) memory, so an accepted m in the thousands is slow to build.
+
+    A ``lorenz63`` step takes ceil(dt / 0.01) RK4 substeps, at most 1,000
+    (``_MAX_SUBSTEPS``, so dt up to 10), checked before any step runs.  Ten
+    time units are about nine Lyapunov times of Lorenz-63 (leading exponent
+    near 0.9), past which a step's output has forgotten its input, so no
+    longer step makes a problem worth assimilating; and the bound turns a
+    huge dt (1e300 took 1e302 substeps a step) into a ``ValidationError``.
+    A step at the bound takes about 45 ms a state, and a build takes 2k of
+    them.
     """
     builder = _BUILDERS.get(name) if isinstance(name, str) else None
     if builder is None:
@@ -90,8 +103,6 @@ def _w1_linear() -> AssimilationProblem:
 
 
 def _w2_quadratic() -> AssimilationProblem:
-    base = _w1_linear()
-
     def quadratic(x):
         return x + 0.1 * x**2
 
@@ -101,18 +112,7 @@ def _w2_quadratic() -> AssimilationProblem:
         linear=False,
         rows=quadratic,  # elementwise, so rows map exactly as single states do
     )
-    return AssimilationProblem(
-        state_dim=1,
-        horizon=1,
-        background_mean=base.background_mean,
-        background_cov=base.background_cov,
-        model_ops=(model,),
-        forcings=base.forcings,
-        model_noise_covs=base.model_noise_covs,
-        obs_ops=base.obs_ops,
-        obs_noise_covs=base.obs_noise_covs,
-        observations=base.observations,
-    )
+    return replace(_w1_linear(), model_ops=(model,))
 
 
 def _check_size(name: str, m: int, k: int) -> None:
@@ -178,9 +178,13 @@ def _lorenz_rhs(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _rk4_map(x: np.ndarray, dt: float) -> np.ndarray:
+def _substeps(dt: float) -> int:
     # Substeps capped at 0.01 time units for stability on the attractor.
-    n_sub = max(1, int(np.ceil(dt / 0.01)))
+    return max(1, math.ceil(dt / 0.01))
+
+
+def _rk4_map(x: np.ndarray, dt: float) -> np.ndarray:
+    n_sub = _substeps(dt)
     h = dt / n_sub
     for _ in range(n_sub):
         k1 = _lorenz_rhs(x)
@@ -194,6 +198,8 @@ def _rk4_map(x: np.ndarray, dt: float) -> np.ndarray:
 def _lorenz63(k: int, dt: float = 0.05) -> AssimilationProblem:
     if k < 1 or not 0 < dt < np.inf:
         raise ValidationError(f"lorenz63 needs k >= 1 and a finite dt > 0, got k={k}, dt={dt}")
+    if _substeps(dt) > _MAX_SUBSTEPS:
+        raise ValidationError(f"lorenz63 needs ceil(dt / 0.01) <= {_MAX_SUBSTEPS} RK4 substeps a step, got dt={dt}")
     m = 3
     _check_size("lorenz63", m, k)
     rng = np.random.default_rng(0)

@@ -304,6 +304,15 @@ def test_a_toy_past_the_size_bound_is_one_error_line(tmp_path, capsys):
     assert captured.err == f"error: linear-chain needs m*(k+1) <= 32768, got m={10**30}, k=1\n" and captured.out == ""
 
 
+def test_a_lorenz63_step_past_the_substep_bound_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "long_step.yaml"
+    path.write_text("problem: {name: lorenz63, k: 1, dt: 1.0e300}\n")
+    assert main(["run-ks", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: lorenz63 needs ceil(dt / 0.01) <= 1000 RK4 substeps a step, got dt=1e+300\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

@@ -111,6 +111,13 @@ class TestFdDirectional:
         with pytest.raises(ValidationError, match=r"^tau must be a real number, got "):
             fd_directional(lambda x: x, np.zeros(1), np.ones(1), tau)
 
+    def test_reads_x_and_y_by_the_number_rule(self):
+        # Both were read by np.asarray, so this returned [3.].
+        with pytest.raises(ValidationError, match=r"^fd_directional x must hold real numbers, got True$"):
+            fd_directional(lambda x: 2 * x, [True], [1.5], 0.1)
+        with pytest.raises(ValidationError, match=r"^fd_directional y must hold real numbers, got '1\.5'$"):
+            fd_directional(lambda x: 2 * x, [1.0], ["1.5"], 0.1)
+
 
 class TestExactLM:
     @pytest.mark.parametrize("step", [lm_exact_step, lm_tangent_ls_oracle])

@@ -125,7 +125,7 @@ def test_operator_built_with_a_matrix_keeps_a_read_only_copy():
 def test_replace_runs_the_checks_again(w1):
     with pytest.raises(NotSPDError, match=r"^obs_noise_covs\[1\] is not positive definite"):
         replace(w1, obs_noise_covs=(np.zeros((1, 1)),))
-    with pytest.raises(DimensionMismatchError, match="^background_mean has length 2"):
+    with pytest.raises(DimensionMismatchError, match=r"^background_mean has shape \(2,\), expected \(1,\)$"):
         replace(w1, background_mean=np.zeros(2))
     np.testing.assert_array_equal(replace(w1, background_cov=[[9.0]])._factors[0], [[3.0]])
 
@@ -335,7 +335,7 @@ _TALL = Operator.from_matrix(np.ones((2, 1)))
         ({"horizon": 0}, ValidationError, r"^horizon must be positive, got 0$"),
         ({"background_cov": np.eye(2)}, DimensionMismatchError, r"^background_cov has shape \(2, 2\), expected \(1, 1\)$"),
         ({"model_ops": (_IDENTITY, _IDENTITY)}, DimensionMismatchError, r"^model_ops has 2 entries, expected 1$"),
-        ({"forcings": (np.zeros(2),)}, DimensionMismatchError, r"^forcings\[1\] has length 2, expected 1$"),
+        ({"forcings": (np.zeros(2),)}, DimensionMismatchError, r"^forcings\[1\] has shape \(2,\), expected \(1,\)$"),
         (
             {"model_noise_covs": (np.eye(2),)},
             DimensionMismatchError,
@@ -344,12 +344,12 @@ _TALL = Operator.from_matrix(np.ones((2, 1)))
         (
             {"model_ops": (_TALL,)},
             DimensionMismatchError,
-            r"^model_ops\[1\] maps length-1 input to shape \(2,\), expected \(1,\)$",
+            r"^model_ops\[1\] output has shape \(2,\), expected \(1,\)$",
         ),
         (
             {"obs_ops": (_TALL,)},
             DimensionMismatchError,
-            r"^obs_ops\[1\] output has shape \(2,\) but observations\[1\] has length 1$",
+            r"^obs_ops\[1\] output has shape \(2,\), expected \(1,\)$",
         ),
         (
             {"obs_noise_covs": (np.eye(2),)},

@@ -5,7 +5,7 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,6 +42,12 @@ _PINNED_ENKS_CSV = Path(__file__).parent / "data" / "enks_vs_ks_linear_chain_m2_
 def _pinned_enks_spec() -> StudySpec:
     problem = make_toy_problem("linear-chain", m=2, k=3, seed=11)
     return StudySpec(kind="enks-vs-ks", sweep=(16, 64), replicates=4, problem=problem, seed=20)
+
+
+# A study document as StudyResult.to_dict writes it.
+_ROW_DOC = {"sweep_value": 16.0, "error_estimate": 0.5, "stderr_estimate": 0.1, "wall_ms": 2.0, "raw_errors": [0.4, 0.6]}
+_RESULT_DOC = {"kind": "enks-vs-ks", "p_order": 2.0, "replicates": 2, "seed": 3, "slope": None, "intercept": None,
+               "rows": [_ROW_DOC]}
 
 
 def _strip_wall(csv_text: str) -> list[list[str]]:
@@ -324,6 +330,46 @@ class TestEmission:
         doc = json.loads(path.read_text())
         assert StudyResult.from_dict(doc) == result
 
+    def test_json_keys_are_the_dataclass_fields_in_order(self, w1):
+        # The document is the dataclasses, so a field added later is written with no other edit.
+        result = run_study(StudySpec(kind="enks-vs-ks", sweep=(16, 32), replicates=2, problem=w1))
+        doc = json.loads(render_json(result))
+        assert list(doc) == [field.name for field in fields(StudyResult)]
+        assert [list(row) for row in doc["rows"]] == [[field.name for field in fields(StudyRow)]] * 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"p_order": True}, "study result field p_order must be a real number, got True"),
+            ({"replicates": "3"}, "study result field replicates must be an integer, got '3'"),
+            ({"replicates": 2.7}, "study result field replicates must be an integer, got 2.7"),
+            ({"seed": -1}, "seed -1 outside [0, 2**64)"),
+            ({"slope": None, "intercept": "0"}, "study result field intercept must be a real number, got '0'"),
+            ({"kind": "enkf"}, "study result field kind must be one of ('enks-vs-ks', 'lm-enks-vs-lm', 'tau-sweep'), got 'enkf'"),
+            ({"extra": 1}, "unknown keys in study result section: ['extra']"),
+            ({"rows": 5}, "study result field rows must be a sequence, got 5"),
+            ({"rows": _ROW_DOC}, "study result field rows[1] section must be a mapping"),
+            ({"rows": [{**_ROW_DOC, "sweep_value": "16"}]},
+             "study result field rows[1] field sweep_value must be a real number, got '16'"),
+            ({"rows": [{**_ROW_DOC, "raw_errors": [0.5, False]}]},
+             "study result field rows[1] field raw_errors[2] must be a real number, got False"),
+        ],
+    )
+    def test_from_dict_refuses_a_field_of_the_wrong_type(self, edit, message):
+        # At the parent each was read as a number, truncated, or a raw TypeError.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            StudyResult.from_dict({**_RESULT_DOC, **edit})
+
+    @pytest.mark.parametrize("in_row", [False, True])
+    def test_from_dict_refuses_a_missing_key(self, in_row):
+        # Each was a raw KeyError.
+        keys, name = (_ROW_DOC, "study result field rows[1]") if in_row else (_RESULT_DOC, "study result")
+        for key in keys:
+            short = {k: v for k, v in keys.items() if k != key}
+            doc = {**_RESULT_DOC, "rows": [short]} if in_row else short
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} section requires a {key} value')}$"):
+                StudyResult.from_dict(doc)
+
     def test_json_17_digit_numbers(self, w1):
         spec = StudySpec(kind="enks-vs-ks", sweep=(16,), replicates=2, problem=w1)
         result = run_study(spec)
@@ -342,8 +388,8 @@ class TestEmission:
     def test_csv_matches_csv_module_writer(self, values, replicates):
         # The csv module's writer is the oracle: render_csv joins the same
         # fields by hand and must give the same bytes.
-        rows = tuple(StudyRow(v, e, se, (), wall) for v, e, se, wall in values)
-        result = StudyResult("tau-sweep", 2.0, replicates, 0, rows, None, None)
+        rows = tuple(StudyRow(v, e, se, wall, ()) for v, e, se, wall in values)
+        result = StudyResult("tau-sweep", 2.0, replicates, 0, None, None, rows)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["sweep_value", "p_order", "replicates", "error_estimate", "stderr_estimate", "wall_ms"])
@@ -352,8 +398,8 @@ class TestEmission:
         assert render_csv(result) == buf.getvalue()
 
     def test_csv_peak_memory_is_small(self):
-        rows = tuple(StudyRow(10.0**n, -(2.0**-n), 5e-324, (), 1e300) for n in range(4))
-        result = StudyResult("enks-vs-ks", 2.0, 50, 0, rows, None, None)
+        rows = tuple(StudyRow(10.0**n, -(2.0**-n), 5e-324, 1e300, ()) for n in range(4))
+        result = StudyResult("enks-vs-ks", 2.0, 50, 0, None, None, rows)
         render_csv(result)
         tracemalloc.start()
         try:
@@ -603,6 +649,14 @@ def _one_field_replaced(build, fields: dict) -> list:
     return [(f"{build.__qualname__} {name}", lambda value, name=name: build(**{**fields, name: value})) for name in fields]
 
 
+def _study_document(**doc) -> StudyResult:
+    return StudyResult.from_dict(doc)
+
+
+def _study_row(**row) -> StudyResult:
+    return StudyResult.from_dict({**_RESULT_DOC, "rows": [row]})
+
+
 _CASES = (
     _one_field_replaced(LMConfig, _LM_FIELDS)
     + _one_field_replaced(StudySpec, _STUDY_FIELDS)
@@ -611,6 +665,8 @@ _CASES = (
     + _one_field_replaced(Trajectory.from_composite, {"vec": [1.0, 2.0], "state_dim": 1})
     + _one_field_replaced(GaussianEstimate, {"mean": np.zeros(1), "covariance": np.eye(1)})
     + _one_field_replaced(Operator.from_matrix, {"a": np.eye(1)})
+    + _one_field_replaced(_study_document, _RESULT_DOC)
+    + _one_field_replaced(_study_row, _ROW_DOC)
 )
 _TOY_CASES = _one_field_replaced(make_toy_problem, {"name": "w1-linear"}) + [
     (f"{toy} {name}", lambda value, toy=toy, name=name, params=params: make_toy_problem(toy, **{**params, name: value}))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,13 @@ def test_sizes_past_the_composite_bound_are_refused_before_allocation(name, para
     # loop over k=10**30 steps never returned; just past the bound is refused too.
     with pytest.raises(ValidationError, match=message):
         make_toy_problem(name, **params)
+
+
+@pytest.mark.parametrize("dt", [1e300, 1e6, 10.02])
+def test_a_step_past_the_substep_bound_is_refused_before_any_step(dt):
+    # dt=1e300 took 1e302 RK4 substeps a step and never returned.
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"^lorenz63 needs ceil\(dt / 0\.01\) <= 1000 RK4 substeps a step, got dt="):
+        make_toy_problem("lorenz63", k=1, dt=dt)
+    assert time.perf_counter() - start < 1.0
+    assert make_toy_problem("lorenz63", k=1, dt=10.0).horizon == 1  # 1,000 substeps: at the bound
