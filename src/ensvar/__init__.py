@@ -55,7 +55,6 @@ from .problem import (
     GaussianEstimate,
     Operator,
     Trajectory,
-    validate_problem,
 )
 from .streams import DrawKey, NoiseKind, PerturbationStream, Phase, derive_seed
 from .study import StudyResult, StudyRow, StudySpec, emit, run_study
@@ -111,5 +110,4 @@ __all__ = [
     "sample_covariance",
     "sample_mean",
     "spd_solve",
-    "validate_problem",
 ]

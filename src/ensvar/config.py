@@ -35,13 +35,19 @@ row-major nested lists:
 Nonlinear operators cannot be written in a text file; nonlinear problems
 are reached through the named zoo entries.
 
-One reader, ``streams._fields``, reads the explicit ``problem``, ``lm``
-and ``study`` sections: a mapping of known keys holding the required
-ones, each value read by its key's reader from ``streams`` under its YAML
-name (``lm field gamma``) or refused with a ``ValidationError`` naming
-the field.  YAML's ``true``/``false`` and quoted numbers (``"2"``) are not
-numbers, inside vectors and matrices too.  A toy section's parameters
-are read by ``make_toy_problem``, as they are for a Python caller.
+A section is a mapping of known keys holding the required ones, each
+value read under its YAML name (``lm field gamma``) or refused with a
+``ValidationError`` naming the field.  ``streams._fields`` reads the
+explicit ``problem`` section by this module's key table.  The ``lm`` and
+``study`` sections are read by ``streams._record`` through the reader
+tables of ``LMConfig`` and ``StudySpec`` (``fourdvar._LM_READERS``,
+``study._STUDY_READERS``), which their constructors run too: a field's
+type and range are checked in one place, and a section requires the
+fields that have no default.  A nested list in ``initial_trajectory``
+becomes a ``Trajectory`` in its reader.  YAML's ``true``/``false`` and
+quoted numbers (``"2"``) are not numbers, inside vectors and matrices
+too.  A toy section's parameters are read by ``make_toy_problem``, as
+they are for a Python caller.
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ from dataclasses import dataclass
 import yaml
 
 from .errors import ValidationError
-from .fourdvar import LMConfig
-from .problem import AssimilationProblem, Operator, Trajectory
-from .streams import _each, _fields, _integer, _real, _reject_unknown, _reals
-from .study import StudySpec
+from .fourdvar import _LM_READERS, LMConfig
+from .problem import AssimilationProblem, Operator
+from .streams import _each, _fields, _integer, _record, _reject_unknown, _reals
+from .study import _STUDY_READERS, StudySpec
 from .toys import make_toy_problem
 
 __all__ = ["LoadedConfig", "load_config"]
@@ -75,29 +81,14 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("
 _LOADER = _Loader
 
 
-# Each section's keys with the reader of their YAML values, called as
-# ``read(field name, value)``.
+# The explicit problem section's keys with the reader of their YAML
+# values, called as ``read(field name, value)``.
 _PROBLEM_FIELDS = {
     "state_dim": _integer,
     "horizon": _integer,
     "x_b": _reals,
     "B": _reals,
     **dict.fromkeys(_PER_STEP_FIELDS, _each(_reals)),
-}
-_LM_FIELDS = {
-    "gamma": _real,
-    "tau": _real,
-    "ensemble_sizes": _each(_integer),
-    "max_iterations": _integer,
-    "mode": lambda name, value: str(value),
-    "initial_trajectory": lambda name, value: Trajectory(_reals(name, value)),
-}
-_STUDY_FIELDS = {
-    "kind": lambda name, value: str(value),
-    "sweep": _each(_real),
-    "replicates": _integer,
-    "p_order": _real,
-    "seed": _integer,
 }
 
 
@@ -144,9 +135,6 @@ def load_config(path) -> LoadedConfig:
     if "problem" not in doc:
         raise ValidationError("config requires a problem section")
     problem = _problem_from_section(doc["problem"])
-    lm = LMConfig(**_fields(doc["lm"], "lm", _LM_FIELDS, ("gamma",))) if "lm" in doc else None
-    study = None
-    if "study" in doc:
-        fields = _fields(doc["study"], "study", _STUDY_FIELDS, ("kind", "sweep", "replicates"))
-        study = StudySpec(**fields, problem=problem, lm=lm)
+    lm = _record(LMConfig, _LM_READERS, "lm", doc["lm"]) if "lm" in doc else None
+    study = _record(StudySpec, _STUDY_READERS, "study", doc["study"], problem=problem, lm=lm) if "study" in doc else None
     return LoadedConfig(problem=problem, lm=lm, study=study)

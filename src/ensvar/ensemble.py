@@ -65,7 +65,7 @@ from .errors import ValidationError
 from .kalman import _block_factor, _linear_matrices
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem
-from .streams import NoiseKind, PerturbationStream, Phase, _integer, _member_keys, derive_seed
+from .streams import NoiseKind, PerturbationStream, Phase, _count, _integer, _member_keys, derive_seed
 
 __all__ = [
     "EnsembleRunResult",
@@ -353,9 +353,7 @@ def coupled_member_diffs(
     gap between :func:`enks_run` and :func:`reference_enks_run` up to
     round-off.
     """
-    replicates = _integer("replicates", replicates)
-    if replicates < 1:
-        raise ValidationError(f"replicates must be >= 1, got {replicates}")
+    replicates = _count("replicates", replicates)
     one_pass = _coupled_pass(problem, (n_members,))
     return [one_pass(PerturbationStream(derive_seed(stream.seed, r)))[0] for r in range(replicates)]
 

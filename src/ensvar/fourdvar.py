@@ -37,10 +37,18 @@ the draw, through each LM iteration, one pass per arm.  An iteration's
 the stream's kernel, ``ensemble._noises``, and each pass's ``noise``
 reads them by key.  What no draw changes (sizes, member keys, augmented
 covariances, the start) is set up once per study, not per replicate.
+
+``LMConfig`` reads each field by its reader in ``_LM_READERS``, type and
+range together; a config's ``lm`` section is read by the same table.
+Its one rule between fields, that an ensemble mode needs gamma > 0 and a
+nonempty schedule, is checked when it is built, so no solver checks it
+again.  The gamma and tau readers also check the raw arguments of
+``lm_exact_step``, ``lm_tangent_ls_oracle`` and ``fd_directional``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +59,7 @@ from .errors import ValidationError
 from .kalman import _block_factor, _normal_equations_solution
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem, Operator, Trajectory
-from .streams import PerturbationStream, Phase, _integer, _items, _real, _reals
+from .streams import PerturbationStream, Phase, _count, _each, _integer, _read_fields, _real, _reals, _rule
 
 __all__ = [
     "LMConfig",
@@ -67,22 +75,36 @@ __all__ = [
 ]
 
 _MODES = ("exact", "tangent", "finite-difference")
-
-
-def _check_gamma(gamma: float) -> None:
-    if not (np.isfinite(_real("gamma", gamma)) and gamma >= 0):
-        raise ValidationError(f"gamma must be finite and >= 0, got {gamma}")
-
-
-def _check_tau(tau: float) -> None:
-    if not (np.isfinite(_real("tau", tau)) and tau > 0):
-        raise ValidationError(f"tau must be finite and > 0, got {tau}")
+_gamma = _rule(_real, "finite and >= 0", lambda gamma: math.isfinite(gamma) and gamma >= 0)
+_tau = _rule(_real, "finite and > 0", lambda tau: math.isfinite(tau) and tau > 0)
 
 
 def _check_shape(problem: AssimilationProblem, x: np.ndarray) -> None:
     shape = (problem.horizon + 1, problem.state_dim)
     if x.shape != shape:
         raise ValidationError(f"trajectory shape {x.shape} does not match problem {shape}")
+
+
+def _initial_trajectory(name: str, value) -> Trajectory | None:
+    """None, a Trajectory, or the nested lists of one (as a config holds
+    them) made a Trajectory: the one place a document's list becomes one."""
+    if value is None or isinstance(value, Trajectory):
+        return value
+    states = _reals(name, value)
+    if not np.isfinite(states).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return Trajectory(states)
+
+
+# LMConfig's fields, each with the reader that checks its type and range.
+_LM_READERS = {
+    "gamma": _gamma,
+    "max_iterations": _count,
+    "mode": _rule(None, f"one of {_MODES}", lambda mode: isinstance(mode, str) and mode in _MODES),
+    "ensemble_sizes": _each(_rule(_integer, ">= 2", lambda n: n >= 2)),
+    "tau": _tau,
+    "initial_trajectory": _initial_trajectory,
+}
 
 
 @dataclass(frozen=True)
@@ -92,9 +114,11 @@ class LMConfig:
     ``ensemble_sizes`` is the per-iteration schedule N_j; a shorter
     schedule than ``max_iterations`` repeats its last entry.  ``gamma`` is
     the constant damping weight (ensemble modes require gamma > 0 so that
-    the augmented observation covariance stays SPD; ``exact`` accepts
-    gamma = 0, i.e. pure Gauss-Newton).  ``tau`` is the forward-difference
-    step of the ``finite-difference`` mode.
+    the augmented observation covariance stays SPD, and a nonempty
+    schedule; ``exact`` accepts gamma = 0, i.e. pure Gauss-Newton).
+    ``tau`` is the forward-difference step of the ``finite-difference``
+    mode.  Each field is read by its reader in ``_LM_READERS``, which a
+    config's ``lm`` section is read by too.
     """
 
     gamma: float
@@ -105,24 +129,11 @@ class LMConfig:
     initial_trajectory: Trajectory | None = None
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
-        _check_tau(self.tau)
-        object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.mode not in _MODES:
-            raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        sizes = tuple(_integer("ensemble size", n) for n in _items("ensemble_sizes", self.ensemble_sizes))
-        object.__setattr__(self, "ensemble_sizes", sizes)
-        if any(n < 2 for n in sizes):
-            raise ValidationError("every ensemble size must be >= 2")
-        if not isinstance(self.initial_trajectory, (Trajectory, type(None))):
-            raise ValidationError(f"initial_trajectory must be a Trajectory or None, got {self.initial_trajectory!r}")
-
-    def ensemble_size_for(self, iteration: int) -> int:
-        if not self.ensemble_sizes:
+        _read_fields(self, _LM_READERS)
+        if self.mode != "exact" and self.gamma <= 0:
+            raise ValidationError("ensemble LM modes require gamma > 0")
+        if self.mode != "exact" and not self.ensemble_sizes:
             raise ValidationError("ensemble mode requires a nonempty ensemble_sizes schedule")
-        return self.ensemble_sizes[min(iteration - 1, len(self.ensemble_sizes) - 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,14 +184,14 @@ def _augmented_noise_cov(problem: AssimilationProblem, i: int, gamma: float) -> 
 
 def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> np.ndarray:
     """Forward-difference directional derivative (f(x + tau y) - f(x)) / tau."""
-    _check_tau(tau)
+    tau = _tau("tau", tau)
     x, y = _reals("fd_directional x", x), _reals("fd_directional y", y)
     return (np.asarray(f(x + tau * y), dtype=float) - np.asarray(f(x), dtype=float)) / tau
 
 
 def lm_exact_step(problem: AssimilationProblem, x_prev: Trajectory, gamma: float) -> Trajectory:
     """One exact LM step: the smoothing mean of the linearized system."""
-    _check_gamma(gamma)
+    gamma = _gamma("gamma", gamma)
     _check_shape(problem, x_prev.states)
     models, obs_mats, forcings, observations = [], [], [], []
     # An overflowing linearization is refused by the solve, so numpy need not warn.
@@ -207,7 +218,7 @@ def lm_tangent_ls_oracle(
     augmented observations, and solves it in one shot.  Shares no path
     with :func:`lm_exact_step` beyond the low-level SPD solve.
     """
-    _check_gamma(gamma)
+    gamma = _gamma("gamma", gamma)
     _check_shape(problem, x_prev.states)
     steps = []
     for i in range(1, problem.horizon + 1):
@@ -273,11 +284,10 @@ def _lm_pass(
     ``ensembles`` and ``max_member_norms`` empty.
     """
     cfg = arms[0]
-    if cfg.gamma <= 0:
-        raise ValidationError("ensemble LM modes require gamma > 0")
     m, k = problem.state_dim, problem.horizon
-    # Every iteration's sizes and sorted member keys, checked before any draw.
-    schedule = [[arm.ensemble_size_for(j) for arm in arms] for j in range(1, cfg.max_iterations + 1)]
+    # Every iteration's sizes (a schedule repeats its last size) and sorted
+    # member keys, checked before any draw.
+    schedule = [[arm.ensemble_sizes[min(j, len(arm.ensemble_sizes) - 1)] for arm in arms] for j in range(cfg.max_iterations)]
     for sizes in schedule:
         if member_indices is not None and len(set(sizes)) > 1:
             raise ValidationError(f"arms of different ensemble sizes {sizes} cannot share member_indices")

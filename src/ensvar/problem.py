@@ -31,14 +31,13 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_spd_input, _factor, _frobenius_norm, _positive_definite
-from .streams import _each, _integer, _reals
+from .streams import _count, _each, _integer, _read_fields, _reals, _rule
 
 __all__ = [
     "Operator",
     "AssimilationProblem",
     "Trajectory",
     "GaussianEstimate",
-    "validate_problem",
 ]
 
 _LINEARITY_RTOL = 1e-12
@@ -145,9 +144,7 @@ class Trajectory:
 
     @classmethod
     def from_composite(cls, vec: np.ndarray, state_dim: int) -> "Trajectory":
-        vec, state_dim = _reals("composite", vec), _integer("state_dim", state_dim)
-        if state_dim < 1:
-            raise ValidationError(f"state_dim must be >= 1, got {state_dim}")
+        vec, state_dim = _reals("composite", vec), _count("state_dim", state_dim)
         if vec.size % state_dim != 0 or vec.size == 0:
             raise DimensionMismatchError(f"composite length {vec.size} not a positive multiple of state_dim {state_dim}")
         return cls(vec.reshape(-1, state_dim))
@@ -252,8 +249,7 @@ class AssimilationProblem:
     observations: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        for name, read in _FIELD_READERS.items():
-            object.__setattr__(self, name, read(name, getattr(self, name)))
+        _read_fields(self, _FIELD_READERS)
         object.__setattr__(self, "_factors", _validated_factors(self))
 
     def obs_dim(self, i: int) -> int:
@@ -290,11 +286,7 @@ def _mat(name: str, a) -> np.ndarray:
     return _frozen(np.atleast_2d(_reals(name, a)))
 
 
-def _operator(name: str, op) -> Operator:
-    if not isinstance(op, Operator):
-        raise ValidationError(f"{name} must be an Operator, got {op!r}")
-    return op
-
+_operator = _rule(None, "an Operator", lambda op: isinstance(op, Operator))
 
 # AssimilationProblem's fields, each with the reader that checks its type.
 _FIELD_READERS = {"state_dim": _integer, "horizon": _integer, "background_mean": _vec, "background_cov": _mat,
@@ -347,12 +339,6 @@ def _check_linear_flag(op: Operator, in_dim: int, name: str) -> None:
             raise ValidationError(
                 f"{name} is flagged linear but violates linearity on probe vectors"
             )
-
-
-def validate_problem(problem: AssimilationProblem) -> AssimilationProblem:
-    """Return ``problem``, which was checked when it was built; see
-    :class:`AssimilationProblem` for what a check refuses."""
-    return problem
 
 
 def _expect_shape(name: str, shape: tuple, expected: tuple) -> None:

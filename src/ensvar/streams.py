@@ -39,9 +39,18 @@ every integer, real number, array of reals and sequence that reaches
 ensvar, from Python or from a YAML config, is read through ``_integer``,
 ``_real``, ``_reals``, ``_items`` and ``_each``, and every seed through
 ``_seed``.  A boolean or a string is never a number, inside an array
-neither.  Every mapping read from a document, a config section or a
-study result's JSON, is read by ``_fields``: known keys only, the
-required ones present, each value by its key's reader.
+neither, and a string or a mapping is not a sequence.  ``_rule`` adds a
+range to a reader, so one reader checks a field's type and range.
+
+A record type (``AssimilationProblem``, ``LMConfig``, ``StudySpec``,
+``StudyResult``, ``StudyRow``) keeps one table of its fields' readers.
+Its constructor runs the table through ``_read_fields``, and ``_record``
+reads the record from a document mapping (a config's ``lm`` or
+``study`` section, a study result's JSON) by the same table, naming each
+value ``<section> field <key>``; the fields without defaults are
+required.  Every mapping read from a document is read by ``_fields``:
+known keys only, the required ones present, each value by its key's
+reader.
 """
 
 from __future__ import annotations
@@ -53,7 +62,8 @@ import operator
 import os
 import queue
 import threading
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
 from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Sequence
@@ -167,17 +177,37 @@ def _reals(name: str, value) -> np.ndarray:
 
 
 def _items(name: str, value) -> tuple:
-    """The items of a sequence (or any iterable) as a tuple."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
+    """The items of a sequence (or any iterable but a string or a mapping,
+    whose characters or keys are no sequence's items) as a tuple."""
+    if not isinstance(value, (str, bytes, Mapping)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be a sequence, got {value!r}")
 
 
 def _each(read):
     """The reader of a sequence: item i (from 1) of sequence ``name`` read by
     ``read`` as ``name[i]``; a tuple of the items read."""
     return lambda name, values: tuple(read(f"{name}[{i}]", v) for i, v in enumerate(_items(name, values), 1))
+
+
+def _rule(read, rule: str, holds):
+    """The reader of a value read by ``read`` (None: taken as it is) that is
+    refused as ``{name} must be {rule}`` unless ``holds(value)``."""
+
+    def read_by_rule(name: str, value):
+        value = value if read is None else read(name, value)
+        if not holds(value):
+            raise ValidationError(f"{name} must be {rule}, got {value!r}")
+        return value
+
+    return read_by_rule
+
+
+# A count: a whole number, at least 1.
+_count = _rule(_integer, ">= 1", lambda n: n >= 1)
 
 
 def _reject_unknown(section: dict, allowed, name: str) -> None:
@@ -199,11 +229,27 @@ def _fields(section, name: str, readers: dict, required) -> dict:
     return {key: read(f"{name} field {key}", section[key]) for key, read in readers.items() if key in section}
 
 
-def _seed(value) -> int:
+def _read_fields(record, readers: dict) -> None:
+    """Set each field of the frozen dataclass instance ``record`` to its value
+    read by the field's reader in ``readers``, under the field's name."""
+    for field in fields(record):
+        object.__setattr__(record, field.name, readers[field.name](field.name, getattr(record, field.name)))
+
+
+def _record(cls, readers: dict, name: str, doc, **given):
+    """The ``cls`` a document mapping holds, with the fields ``given``: each
+    other field is a key, read by its reader in ``readers`` as ``{name}
+    field {key}`` and required unless the field has a default."""
+    keys = [field for field in fields(cls) if field.name not in given]
+    required = [field.name for field in keys if field.default is MISSING]
+    return cls(**_fields(doc, name, {field.name: readers[field.name] for field in keys}, required), **given)
+
+
+def _seed(name: str, value) -> int:
     """A root seed: a whole number in [0, 2**64)."""
-    seed = _integer("seed", value)
+    seed = _integer(name, value)
     if not 0 <= seed < _SEED_LIMIT:
-        raise ValidationError(f"seed {seed} outside [0, 2**64)")
+        raise ValidationError(f"{name} {seed} outside [0, 2**64)")
     return seed
 
 
@@ -411,7 +457,7 @@ class PerturbationStream:
     seed: int
 
     def __post_init__(self) -> None:
-        self.seed = _seed(self.seed)
+        self.seed = _seed("seed", self.seed)
 
     def draw(self, key: DrawKey | Sequence[int], dim: int) -> np.ndarray:
         """Standard-normal vector of length ``dim`` for one key."""
@@ -471,7 +517,7 @@ class PerturbationStream:
 
 def derive_seed(root_seed: int, index: int) -> int:
     """Derive an independent 64-bit seed, e.g. one per study replicate."""
-    root_seed, index = _seed(root_seed), _integer("derivation index", index)
+    root_seed, index = _seed("seed", root_seed), _integer("derivation index", index)
     if not 0 <= index < _SEED_LIMIT:
         raise ValidationError(f"derivation index {index} outside [0, 2**64)")
     payload = root_seed.to_bytes(8, "little") + index.to_bytes(8, "little")

@@ -27,7 +27,11 @@ first byte is written.
 A study result is declared once, by its dataclasses: its JSON document
 is their fields in order (``to_dict`` is ``dataclasses.asdict``), its
 CSV looks each column up by name, and ``from_dict`` reads a document
-through ``streams``' mapping reader, ``_fields``, by the number rule.
+through ``streams._record``.  ``StudySpec``, ``StudyResult`` and
+``StudyRow`` share one reader table, ``_STUDY_READERS``, that checks
+each field's type and range; their constructors run it, and so do
+``from_dict`` and the config's ``study`` section, so a document is read
+by the rules a spec applies.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import math
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .errors import ValidationError
 from .fourdvar import LMConfig, _lm_pass, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
 from .problem import AssimilationProblem
-from .streams import PerturbationStream, _each, _fields, _integer, _items, _real, _seed, derive_seed
+from .streams import PerturbationStream, _count, _each, _read_fields, _real, _record, _rule, _seed, derive_seed
 
 __all__ = ["StudySpec", "StudyRow", "StudyResult", "run_study", "emit", "render_csv", "render_json", "json_text"]
 
@@ -54,9 +58,60 @@ _KINDS = ("enks-vs-ks", "lm-enks-vs-lm", "tau-sweep")
 _CSV_COLUMNS = ("sweep_value", "p_order", "replicates", "error_estimate", "stderr_estimate", "wall_ms")
 
 
+def _sweep(name: str, value) -> tuple[float, ...]:
+    """Sweep values: at least one, each finite and positive, strictly monotone."""
+    sweep = _each(_real)(name, value)
+    if len(sweep) < 1:
+        raise ValidationError(f"{name} must contain at least one value")
+    if not all(math.isfinite(v) and v > 0 for v in sweep):
+        raise ValidationError(f"{name} values must be finite and positive, got {sweep}")
+    diffs = np.diff(sweep)
+    if len(sweep) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValidationError(f"{name} values must be strictly monotone")
+    return sweep
+
+
+def _row(name: str, value) -> "StudyRow":
+    """A study row, or the mapping of one a document holds read as one."""
+    return value if isinstance(value, StudyRow) else _record(StudyRow, _STUDY_READERS, name, value)
+
+
+def _optional_real(name: str, value) -> float | None:
+    return None if value is None else _real(name, value)
+
+
+# The fields of StudySpec, StudyResult and StudyRow, each with the reader
+# that checks its type and range, called as ``read(name, value)``.  A name
+# two records share (kind, replicates, p_order, seed) has one reader, so a
+# study result's document is read by its spec's rules.
+_STUDY_READERS = {
+    "kind": _rule(None, f"one of {_KINDS}", lambda kind: isinstance(kind, str) and kind in _KINDS),
+    "sweep": _sweep,
+    "replicates": _count,
+    "problem": _rule(None, "an AssimilationProblem", lambda problem: isinstance(problem, AssimilationProblem)),
+    "p_order": _rule(_real, "finite and >= 1", lambda p: math.isfinite(p) and p >= 1),
+    "seed": _seed,
+    "lm": _rule(None, "an LMConfig or None", lambda lm: isinstance(lm, (LMConfig, type(None)))),
+    "slope": _optional_real,
+    "intercept": _optional_real,
+    "rows": _each(_row),
+    "sweep_value": _real,
+    "error_estimate": _real,
+    "stderr_estimate": _real,
+    "wall_ms": _real,
+    "raw_errors": _each(_real),
+}
+
+
 @dataclass(frozen=True)
 class StudySpec:
-    """One convergence study: what to sweep, how often, on which problem."""
+    """One convergence study: what to sweep, how often, on which problem.
+
+    Each field is read by its reader in ``_STUDY_READERS``, which a config's
+    ``study`` section is read by too.  An LM study's arms are ensemble-mode
+    copies of ``lm``, which check their own rules (gamma > 0 among them)
+    when :func:`run_study` builds them, before any cell runs.
+    """
 
     kind: str
     sweep: tuple[float, ...]
@@ -67,32 +122,11 @@ class StudySpec:
     lm: LMConfig | None = None
 
     def __post_init__(self) -> None:
-        _kind("study kind", self.kind)
-        sweep = tuple(_real("sweep value", v) for v in _items("sweep", self.sweep))
-        object.__setattr__(self, "sweep", sweep)
-        if len(sweep) < 1:
-            raise ValidationError("sweep must contain at least one value")
-        if not all(np.isfinite(v) and v > 0 for v in sweep):
-            raise ValidationError(f"sweep values must be finite and positive, got {sweep}")
-        diffs = np.diff(sweep)
-        if len(sweep) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValidationError("sweep values must be strictly monotone")
-        object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
-        if self.replicates < 1:
-            raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
-        if not (np.isfinite(_real("p_order", self.p_order)) and self.p_order >= 1):
-            raise ValidationError(f"p_order must be finite and >= 1, got {self.p_order}")
-        object.__setattr__(self, "seed", _seed(self.seed))
-        if not isinstance(self.problem, AssimilationProblem):
-            raise ValidationError(f"study problem must be an AssimilationProblem, got {self.problem!r}")
-        if not isinstance(self.lm, (LMConfig, type(None))):
-            raise ValidationError(f"study lm must be an LMConfig or None, got {self.lm!r}")
+        _read_fields(self, _STUDY_READERS)
         if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm is None:
             raise ValidationError(f"study kind {self.kind!r} requires an LM config")
-        if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm.gamma <= 0:
-            raise ValidationError("ensemble LM modes require gamma > 0")
-        if self.kind in ("enks-vs-ks", "lm-enks-vs-lm") and not all(v == int(v) >= 2 for v in sweep):
-            raise ValidationError(f"{self.kind} sweep values must be integers >= 2, got {sweep}")
+        if self.kind in ("enks-vs-ks", "lm-enks-vs-lm") and not all(v == int(v) >= 2 for v in self.sweep):
+            raise ValidationError(f"{self.kind} sweep values must be integers >= 2, got {self.sweep}")
 
 
 @dataclass(frozen=True)
@@ -108,12 +142,15 @@ class StudyRow:
     wall_ms: float
     raw_errors: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        _read_fields(self, _STUDY_READERS)
+
 
 @dataclass(frozen=True)
 class StudyResult:
     """A study's outcome.  Its JSON document is its fields in order, each
     row a mapping of the row's fields in order, so a field added here is
-    written and read with no other edit but its reader in ``_READERS``."""
+    written and read with no other edit but its reader in ``_STUDY_READERS``."""
 
     kind: str
     p_order: float
@@ -123,50 +160,21 @@ class StudyResult:
     intercept: float | None
     rows: tuple[StudyRow, ...]
 
+    def __post_init__(self) -> None:
+        _read_fields(self, _STUDY_READERS)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyResult":
-        """The result a document holds, read by the number rule of ``streams``:
-        a boolean or a string is not a number, a count or seed must be whole
-        and a seed in [0, 2**64).  A missing or unknown key, or a value of
-        the wrong type, raises ``ValidationError`` naming the field."""
-        return _record(cls, "study result", doc)
-
-
-def _record(cls, name: str, doc):
-    """The ``cls`` a document mapping holds: exactly its fields, each read by ``_READERS``."""
-    readers = {field.name: _READERS[field.name] for field in fields(cls)}
-    return cls(**_fields(doc, name, readers, readers))
-
-
-def _kind(name: str, value) -> str:
-    if not (isinstance(value, str) and value in _KINDS):
-        raise ValidationError(f"{name} must be one of {_KINDS}, got {value!r}")
-    return value
-
-
-def _optional_real(name: str, value) -> float | None:
-    return None if value is None else _real(name, value)
-
-
-# Each field of a study document with the reader of its JSON value, called
-# as ``read(name, value)``.
-_READERS = {
-    "kind": _kind,
-    "p_order": _real,
-    "replicates": _integer,
-    "seed": lambda name, value: _seed(value),
-    "slope": _optional_real,
-    "intercept": _optional_real,
-    "rows": _each(lambda name, row: _record(StudyRow, name, row)),
-    "sweep_value": _real,
-    "error_estimate": _real,
-    "stderr_estimate": _real,
-    "wall_ms": _real,
-    "raw_errors": _each(_real),
-}
+        """The result a document holds, each field read by the rule its
+        constructor and ``StudySpec`` apply: a boolean or a string is not a
+        number, a count or seed must be whole, replicates at least 1, p_order
+        finite and at least 1, and a seed in [0, 2**64).  A missing or
+        unknown key, or a value of the wrong type or range, raises
+        ``ValidationError`` naming the field."""
+        return _record(cls, _STUDY_READERS, "study result", doc)
 
 
 def _summarize(value: float, diffs: list[np.ndarray], p_order: float, wall_ms: float) -> StudyRow:
@@ -187,9 +195,10 @@ def _enks_vs_ks_pass(spec: StudySpec):
 
 def _lm_enks_vs_lm_pass(spec: StudySpec):
     # Every ensemble size is a tangent arm of one LM pass, against the
-    # final iterate of exact LM.
-    target = lm_exact_run(spec.problem, replace(spec.lm, mode="exact", ensemble_sizes=())).iterates[-1].composite
+    # final iterate of exact LM; the arms are built first, so that their
+    # own rules (gamma > 0) refuse a study before the exact run.
     arms = tuple(replace(spec.lm, mode="tangent", ensemble_sizes=(int(v),)) for v in spec.sweep)
+    target = lm_exact_run(spec.problem, replace(spec.lm, mode="exact", ensemble_sizes=())).iterates[-1].composite
     lm_pass = _lm_pass(spec.problem, arms, keep_ensembles=False)
     return lambda stream: [run.iterates[-1].composite - target for run in lm_pass(stream)]
 

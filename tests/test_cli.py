@@ -234,7 +234,7 @@ _HUGE = "1" + "0" * 400
         (
             "run-ks",
             W1_CONFIG.replace("  gamma: 1.0\n", "  gamma: 1.0\n  initial_trajectory: [[.nan], [0.0]]\n"),
-            "trajectory contains non-finite entries",
+            "lm field initial_trajectory contains non-finite entries",
         ),
         ("run-ks", W1_CONFIG.replace("  gamma: 1.0\n", ""), "lm section requires a gamma value"),
         ("run-ks", W1_CONFIG.replace("  gamma: 1.0\n", "  gamma: 1.0\n  gama: 1.0\n"), "unknown keys in lm section: ['gama']"),
@@ -267,7 +267,7 @@ def test_every_config_refusal_is_one_error_line(tmp_path, capsys, verb, text, me
         ("gamma: 1.0", "gamma: true", "lm field gamma must be a real number, got True"),
         ("max_iterations: 2", "max_iterations: false", "lm field max_iterations must be an integer, got False"),
         ("ensemble_sizes: [64]", 'ensemble_sizes: ["64"]', "lm field ensemble_sizes[1] must be an integer, got '64'"),
-        ("gamma: 1.0", f"gamma: {_HUGE}", "gamma must be finite and >= 0, got inf"),
+        ("gamma: 1.0", f"gamma: {_HUGE}", "lm field gamma must be finite and >= 0, got inf"),
         ("horizon: 1", "horizon: true", "problem field horizon must be an integer, got True"),
     ],
 )
@@ -278,6 +278,36 @@ def test_booleans_and_quoted_numbers_are_not_numbers(tmp_path, capsys, old, new,
     path.write_text(W1_CONFIG.replace(old, new))
     assert main(["study", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_MODES, _KINDS = "('exact', 'tangent', 'finite-difference')", "('enks-vs-ks', 'lm-enks-vs-lm', 'tau-sweep')"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("gamma: 1.0", "gamma: -1", "lm field gamma must be finite and >= 0, got -1.0"),
+        ("gamma: 1.0\n", "gamma: 1.0\n  tau: 0\n", "lm field tau must be finite and > 0, got 0.0"),
+        ("max_iterations: 2", "max_iterations: 0", "lm field max_iterations must be >= 1, got 0"),
+        ("ensemble_sizes: [64]", "ensemble_sizes: [1]", "lm field ensemble_sizes[1] must be >= 2, got 1"),
+        ("ensemble_sizes: [64]", 'ensemble_sizes: ""', "lm field ensemble_sizes must be a sequence, got ''"),
+        ("mode: tangent", "mode: newton", f"lm field mode must be one of {_MODES}, got 'newton'"),
+        ("replicates: 5", "replicates: 0", "study field replicates must be >= 1, got 0"),
+        ("p_order: 2", "p_order: 0.5", "study field p_order must be finite and >= 1, got 0.5"),
+        ("seed: 12", "seed: -1", "study field seed -1 outside [0, 2**64)"),
+        ("sweep: [32, 128]", 'sweep: "ab"', "study field sweep must be a sequence, got 'ab'"),
+        ("kind: enks-vs-ks", "kind: 5", f"study field kind must be one of {_KINDS}, got 5"),
+    ],
+)
+def test_every_range_refusal_names_its_section_and_field(tmp_path, capsys, old, new, message):
+    # Each range was checked by the constructor alone, under the bare field
+    # name ("gamma must be ..."); "" read as no sizes, and "ab" as two values.
+    path = tmp_path / "bad.yaml"
+    assert old in W1_CONFIG
+    path.write_text(W1_CONFIG.replace(old, new))
+    assert main(["study", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -410,7 +440,7 @@ def test_non_finite_p_order_is_refused_before_the_study_runs(tmp_path, capsys, m
     path = tmp_path / "inf_p.yaml"
     path.write_text(W1_CONFIG.replace("p_order: 2", "p_order: .inf"))
     assert main(["study", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == "error: p_order must be finite and >= 1, got inf\n"
+    assert capsys.readouterr().err == "error: study field p_order must be finite and >= 1, got inf\n"
     assert ran == []
 
 

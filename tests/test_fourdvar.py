@@ -429,10 +429,10 @@ class TestTangentEnsembleLM:
         for a, b in zip(base.iterates, permuted.iterates):
             np.testing.assert_array_equal(a.states, b.states)
 
-    def test_requires_positive_gamma(self, w1):
-        cfg = LMConfig(gamma=0.0, max_iterations=1, mode="tangent", ensemble_sizes=(4,))
-        with pytest.raises(ValidationError):
-            lm_enks_tangent_run(w1, cfg, PerturbationStream(0))
+    def test_requires_positive_gamma(self):
+        # Refused when the config is built, not when it runs.
+        with pytest.raises(ValidationError, match=r"^ensemble LM modes require gamma > 0$"):
+            LMConfig(gamma=0.0, max_iterations=1, mode="tangent", ensemble_sizes=(4,))
 
     def test_ensemble_size_schedule(self, w2):
         cfg = LMConfig(gamma=1.0, max_iterations=3, mode="tangent", ensemble_sizes=(8, 16))
@@ -481,12 +481,11 @@ class TestFiniteDifferenceLM:
         run = enks_4dvar_run(problem, cfg, PerturbationStream(0))
         assert all(np.isfinite(v) for v in run.objectives)
 
-    def test_rejects_bad_tau_or_gamma(self, w1):
+    def test_rejects_bad_tau_or_gamma(self):
         with pytest.raises(ValidationError):
             LMConfig(gamma=1.0, tau=0.0, mode="finite-difference", ensemble_sizes=(4,))
-        cfg = LMConfig(gamma=0.0, max_iterations=1, mode="finite-difference", ensemble_sizes=(4,))
-        with pytest.raises(ValidationError):
-            enks_4dvar_run(w1, cfg, PerturbationStream(0))
+        with pytest.raises(ValidationError, match=r"^ensemble LM modes require gamma > 0$"):
+            LMConfig(gamma=0.0, max_iterations=1, mode="finite-difference", ensemble_sizes=(4,))
 
     @pytest.mark.parametrize("name, params", [("w2-quadratic", {}), ("lorenz63", {"k": 3})])
     def test_row_loop_fallback_matches_batched_rows(self, name, params):
@@ -754,6 +753,22 @@ class TestDispatcherAndConfig:
         with pytest.raises(ValidationError):
             lm_run(w1, LMConfig(gamma=1.0, mode="tangent", ensemble_sizes=(4,)))
 
+    @pytest.mark.parametrize("mode", ["tangent", "finite-difference"])
+    def test_ensemble_modes_need_a_schedule_when_built(self, mode):
+        # Both were built and refused only once run, and "" read as no sizes.
+        with pytest.raises(ValidationError, match=r"^ensemble mode requires a nonempty ensemble_sizes schedule$"):
+            LMConfig(gamma=1.0, mode=mode)
+        with pytest.raises(ValidationError, match=r"^ensemble_sizes must be a sequence, got ''$"):
+            LMConfig(gamma=1.0, mode=mode, ensemble_sizes="")
+        assert LMConfig(gamma=0.0).ensemble_sizes == ()  # the exact mode needs neither
+
+    def test_initial_trajectory_reads_nested_lists(self):
+        # The one reader of the field serves a config's nested lists and a Python caller alike.
+        cfg = LMConfig(gamma=1.0, initial_trajectory=[[0.0], [1.0]])
+        np.testing.assert_array_equal(cfg.initial_trajectory.states, [[0.0], [1.0]])
+        with pytest.raises(ValidationError, match=r"^initial_trajectory contains non-finite entries$"):
+            LMConfig(gamma=1.0, initial_trajectory=[[np.nan], [1.0]])
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             LMConfig(gamma=-1.0)
@@ -769,8 +784,8 @@ class TestDispatcherAndConfig:
         [
             ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
             ({"max_iterations": "2"}, "max_iterations must be an integer, got '2'"),
-            ({"ensemble_sizes": (16.7,)}, "ensemble size must be an integer, got 16.7"),
-            ({"ensemble_sizes": (16, "8")}, "ensemble size must be an integer, got '8'"),
+            ({"ensemble_sizes": (16.7,)}, "ensemble_sizes[1] must be an integer, got 16.7"),
+            ({"ensemble_sizes": (16, "8")}, "ensemble_sizes[2] must be an integer, got '8'"),
         ],
     )
     def test_config_refuses_a_count_that_is_not_whole(self, kwargs, message):
@@ -787,14 +802,14 @@ class TestDispatcherAndConfig:
         "kwargs, message",
         [
             ({"max_iterations": True}, "max_iterations must be an integer, got True"),
-            ({"ensemble_sizes": (16, np.True_)}, f"ensemble size must be an integer, got {np.True_!r}"),
+            ({"ensemble_sizes": (16, np.True_)}, f"ensemble_sizes[2] must be an integer, got {np.True_!r}"),
             ({"gamma": True}, "gamma must be a real number, got True"),
             ({"gamma": "abc"}, "gamma must be a real number, got 'abc'"),
             ({"gamma": None}, "gamma must be a real number, got None"),
             ({"tau": "x"}, "tau must be a real number, got 'x'"),
             ({"tau": np.False_}, f"tau must be a real number, got {np.False_!r}"),
             ({"ensemble_sizes": 5}, "ensemble_sizes must be a sequence, got 5"),
-            ({"initial_trajectory": [[0.0], [1.0]]}, "initial_trajectory must be a Trajectory or None, got [[0.0], [1.0]]"),
+            ({"initial_trajectory": "x"}, "initial_trajectory must hold real numbers, got 'x'"),
         ],
     )
     def test_config_refuses_fields_of_the_wrong_type(self, kwargs, message):

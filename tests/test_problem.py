@@ -15,7 +15,6 @@ from ensvar import (
     kf_run,
     ks_run,
     make_toy_problem,
-    validate_problem,
 )
 from ensvar.problem import _PSD_RTOL, _linearity_probes
 
@@ -38,23 +37,23 @@ def _w1_with(**overrides) -> AssimilationProblem:
     return AssimilationProblem(**fields)
 
 
-def test_w1_accepted(w1):
-    assert validate_problem(w1) is w1
+def test_w1_accepted():
+    assert isinstance(_w1_with(), AssimilationProblem)
 
 
 def test_zero_obs_cov_rejected():
     with pytest.raises(NotSPDError, match="obs_noise_covs"):
-        validate_problem(_w1_with(obs_noise_covs=(np.zeros((1, 1)),)))
+        _w1_with(obs_noise_covs=(np.zeros((1, 1)),))
 
 
 def test_wrong_obs_length_rejected():
     with pytest.raises(DimensionMismatchError, match="obs"):
-        validate_problem(_w1_with(observations=(np.array([3.0, 1.0]),)))
+        _w1_with(observations=(np.array([3.0, 1.0]),))
 
 
 def test_wrong_background_length_rejected():
     with pytest.raises(DimensionMismatchError, match="background_mean"):
-        validate_problem(_w1_with(background_mean=np.zeros(2)))
+        _w1_with(background_mean=np.zeros(2))
 
 
 def test_asymmetric_cov_rejected():
@@ -132,11 +131,11 @@ def test_replace_runs_the_checks_again(w1):
 
 def test_false_linear_flag_rejected():
     bogus = Operator(apply=lambda x: x**2, linear=True)
-    validate_problem(_w1_with())  # the probes for in_dim 1 are now cached
+    _w1_with()  # the probes for in_dim 1 are now cached
     with pytest.raises(ValidationError, match="model_ops.*linear"):
-        validate_problem(_w1_with(model_ops=(bogus,)))
+        _w1_with(model_ops=(bogus,))
     with pytest.raises(ValidationError, match="obs_ops.*linear"):
-        validate_problem(_w1_with(obs_ops=(bogus,)))
+        _w1_with(obs_ops=(bogus,))
 
 
 def test_linear_flag_check_of_a_huge_finite_operator_does_not_overflow():
@@ -144,10 +143,10 @@ def test_linear_flag_check_of_a_huge_finite_operator_does_not_overflow():
     # squares overflow; the suite turns an overflow warning into an error.
     huge = Operator.from_matrix(1e200 * np.eye(2))
     problem = make_toy_problem("linear-chain", m=2, k=1, seed=0)
-    validate_problem(replace(problem, model_ops=(huge,), obs_ops=(huge,)))
+    replace(problem, model_ops=(huge,), obs_ops=(huge,))
     bogus = Operator(apply=lambda x: 1e200 * x**2, linear=True)
     with pytest.raises(ValidationError, match="model_ops.*linear"):
-        validate_problem(replace(problem, model_ops=(bogus,)))
+        replace(problem, model_ops=(bogus,))
 
 
 def test_linear_flag_check_refuses_an_operator_whose_probe_images_overflow():
@@ -156,7 +155,7 @@ def test_linear_flag_check_refuses_an_operator_whose_probe_images_overflow():
     problem = make_toy_problem("linear-chain", m=2, k=3, seed=0)
     model_ops = (Operator.from_matrix(1e308 * np.eye(2)), *problem.model_ops[1:])
     with pytest.raises(ValidationError, match=r"^model_ops\[1\] maps a linearity probe vector to non-finite"):
-        validate_problem(replace(problem, model_ops=model_ops))
+        replace(problem, model_ops=model_ops)
 
 
 @pytest.mark.parametrize("in_dim", [1, 3])
@@ -185,7 +184,7 @@ def test_linearity_probes_are_the_default_rng_0_sequence(in_dim):
 )
 def test_non_finite_data_rejected(field, name, value, bad):
     with pytest.raises(ValidationError, match=rf"^{re.escape(name)} contains non-finite"):
-        validate_problem(_w1_with(**{field: value(bad)}))
+        _w1_with(**{field: value(bad)})
 
 
 def test_operator_from_matrix_carries_jacobian():
@@ -291,7 +290,6 @@ def test_per_step_obs_dims_allowed():
         obs_noise_covs=(np.eye(2), np.eye(1)),
         observations=(np.zeros(2), np.zeros(1)),
     )
-    validate_problem(problem)
     assert problem.obs_dim(1) == 2 and problem.obs_dim(2) == 1
 
 

@@ -33,7 +33,9 @@ from ensvar import (
 )
 from ensvar import fourdvar
 from ensvar import study as study_module
-from ensvar.study import StudyRow, json_text, render_csv, render_json
+from ensvar.fourdvar import _LM_READERS
+from ensvar.streams import _record
+from ensvar.study import _STUDY_READERS, StudyRow, json_text, render_csv, render_json
 
 
 _PINNED_ENKS_CSV = Path(__file__).parent / "data" / "enks_vs_ks_linear_chain_m2_k3.csv"
@@ -91,11 +93,12 @@ class TestSpecValidation:
         [
             ({"replicates": True}, "replicates must be an integer, got True"),
             ({"sweep": 5}, "sweep must be a sequence, got 5"),
-            ({"sweep": ("a",)}, "sweep value must be a real number, got 'a'"),
-            ({"sweep": (16, True)}, "sweep value must be a real number, got True"),
+            ({"sweep": ("a",)}, "sweep[1] must be a real number, got 'a'"),
+            ({"sweep": (16, True)}, "sweep[2] must be a real number, got True"),
+            ({"sweep": "ab"}, "sweep must be a sequence, got 'ab'"),
             ({"p_order": "x"}, "p_order must be a real number, got 'x'"),
-            ({"lm": "x"}, "study lm must be an LMConfig or None, got 'x'"),
-            ({"problem": None}, "study problem must be an AssimilationProblem, got None"),
+            ({"lm": "x"}, "lm must be an LMConfig or None, got 'x'"),
+            ({"problem": None}, "problem must be an AssimilationProblem, got None"),
             ({"seed": -1}, "seed -1 outside [0, 2**64)"),
             ({"seed": 2**64}, "seed 18446744073709551616 outside [0, 2**64)"),
             ({"seed": "x"}, "seed must be an integer, got 'x'"),
@@ -137,9 +140,12 @@ class TestSpecValidation:
         ran = []
         for name in ("_coupled_pass", "lm_exact_run", "_lm_pass"):
             monkeypatch.setattr(study_module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
-        lm = LMConfig(gamma=0.0, max_iterations=1, mode="tangent", ensemble_sizes=(16,))
+        # An exact-mode config takes gamma = 0; the study's ensemble arms
+        # are refused by LMConfig's own rule when run_study builds them.
+        lm = LMConfig(gamma=0.0, max_iterations=1, mode="exact", ensemble_sizes=(16,))
+        spec = StudySpec(kind=kind, sweep=sweep, replicates=1, problem=w2, lm=lm)
         with pytest.raises(ValidationError, match=r"^ensemble LM modes require gamma > 0$"):
-            run_study(StudySpec(kind=kind, sweep=sweep, replicates=1, problem=w2, lm=lm))
+            run_study(spec)
         assert ran == []
 
     def test_enks_study_rejects_nonlinear_problem(self, w2):
@@ -343,12 +349,16 @@ class TestEmission:
             ({"p_order": True}, "study result field p_order must be a real number, got True"),
             ({"replicates": "3"}, "study result field replicates must be an integer, got '3'"),
             ({"replicates": 2.7}, "study result field replicates must be an integer, got 2.7"),
-            ({"seed": -1}, "seed -1 outside [0, 2**64)"),
+            ({"seed": -1}, "study result field seed -1 outside [0, 2**64)"),
             ({"slope": None, "intercept": "0"}, "study result field intercept must be a real number, got '0'"),
             ({"kind": "enkf"}, "study result field kind must be one of ('enks-vs-ks', 'lm-enks-vs-lm', 'tau-sweep'), got 'enkf'"),
             ({"extra": 1}, "unknown keys in study result section: ['extra']"),
             ({"rows": 5}, "study result field rows must be a sequence, got 5"),
-            ({"rows": _ROW_DOC}, "study result field rows[1] section must be a mapping"),
+            ({"rows": _ROW_DOC}, f"study result field rows must be a sequence, got {_ROW_DOC!r}"),
+            ({"rows": ""}, "study result field rows must be a sequence, got ''"),
+            ({"rows": {}}, "study result field rows must be a sequence, got {}"),
+            ({"rows": [{**_ROW_DOC, "raw_errors": {}}]},
+             "study result field rows[1] field raw_errors must be a sequence, got {}"),
             ({"rows": [{**_ROW_DOC, "sweep_value": "16"}]},
              "study result field rows[1] field sweep_value must be a real number, got '16'"),
             ({"rows": [{**_ROW_DOC, "raw_errors": [0.5, False]}]},
@@ -359,6 +369,18 @@ class TestEmission:
         # At the parent each was read as a number, truncated, or a raw TypeError.
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             StudyResult.from_dict({**_RESULT_DOC, **edit})
+
+    @pytest.mark.parametrize("field, value", [("replicates", -5), ("p_order", 0.5), ("p_order", np.nan)])
+    def test_from_dict_refuses_what_a_spec_refuses(self, w1, field, value):
+        # Each was read into a result, and a result built directly checked
+        # nothing: both are read by the rule StudySpec applies.
+        with pytest.raises(ValidationError) as refused:
+            StudySpec(**{"kind": "enks-vs-ks", "sweep": (16, 32), "replicates": 2, "problem": w1, field: value})
+        message = f"study result field {refused.value}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            StudyResult.from_dict({**_RESULT_DOC, field: value})
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(refused.value))}$"):
+            replace(StudyResult.from_dict(_RESULT_DOC), **{field: value})
 
     @pytest.mark.parametrize("in_row", [False, True])
     def test_from_dict_refuses_a_missing_key(self, in_row):
@@ -657,8 +679,30 @@ def _study_row(**row) -> StudyResult:
     return StudyResult.from_dict({**_RESULT_DOC, "rows": [row]})
 
 
+# A config's lm and study sections as YAML gives them, each read by its
+# section reader as load_config reads it.
+_LM_SECTION = {"gamma": 1.0, "max_iterations": 2, "mode": "tangent", "ensemble_sizes": [8], "tau": 1e-3,
+               "initial_trajectory": [[0.0], [1.0]]}
+_STUDY_SECTION = {"kind": "tau-sweep", "sweep": [0.1, 0.01], "replicates": 2, "p_order": 2, "seed": 3}
+_SECTION_READERS = {
+    "lm": lambda section: _record(LMConfig, _LM_READERS, "lm", section),
+    "study": lambda section: _record(StudySpec, _STUDY_READERS, "study", section,
+                                     problem=_STUDY_FIELDS["problem"], lm=_STUDY_FIELDS["lm"]),
+}
+# What a rule between two fields refuses, which names no one field.
+_CROSS_FIELD_RULES = re.compile(
+    r"^(ensemble LM modes require gamma > 0|ensemble mode requires a nonempty ensemble_sizes schedule"
+    r"|(enks-vs-ks|lm-enks-vs-lm) sweep values must be integers >= 2, got .*)$"
+)
+_SECTION_CASES = [
+    (f"{section} field {name}", lambda value, read=_SECTION_READERS[section], doc=doc, name=name: read({**doc, name: value}))
+    for section, doc in (("lm", _LM_SECTION), ("study", _STUDY_SECTION))
+    for name in doc
+]
+
 _CASES = (
-    _one_field_replaced(LMConfig, _LM_FIELDS)
+    _SECTION_CASES
+    + _one_field_replaced(LMConfig, _LM_FIELDS)
     + _one_field_replaced(StudySpec, _STUDY_FIELDS)
     + _one_field_replaced(AssimilationProblem, {name: getattr(_W1, name) for name in _W1.__dataclass_fields__})
     + _one_field_replaced(Trajectory, {"states": np.zeros((2, 1))})
@@ -675,16 +719,18 @@ _TOY_CASES = _one_field_replaced(make_toy_problem, {"name": "w1-linear"}) + [
 ]
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=750, deadline=None)
 @given(
     case=st.tuples(st.sampled_from(_CASES), _JSON_LIKE) | st.tuples(st.sampled_from(_TOY_CASES), _SMALL_JSON_LIKE),
 )
 def test_any_json_like_field_gives_an_instance_or_a_validation_error(case):
     # Each type checks its own fields: whatever one field (or one toy
     # parameter) holds, the constructor returns or raises an EnsvarError,
-    # never another error.
-    (_, make), value = case
+    # never another error.  A config section's refusal names the section
+    # and the field, unless a rule between two fields refused it.
+    (label, make), value = case
     try:
         make(value)
-    except EnsvarError:
-        pass
+    except EnsvarError as exc:
+        if label.startswith(("lm field ", "study field ")):
+            assert str(exc).startswith(label) or _CROSS_FIELD_RULES.match(str(exc)), str(exc)

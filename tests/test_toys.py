@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from ensvar import ValidationError, make_toy_problem, validate_problem
+from ensvar import ValidationError, make_toy_problem
 
 
 def test_w1_fixture_values():
@@ -35,7 +35,6 @@ def test_linear_chain_deterministic():
 
 def test_linear_chain_stable_and_valid():
     p = make_toy_problem("linear-chain", m=3, k=4, seed=1)
-    validate_problem(p)
     for op in p.model_ops:
         assert np.max(np.abs(np.linalg.eigvals(op.matrix))) <= 0.95
 
