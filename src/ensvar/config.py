@@ -60,7 +60,7 @@ import yaml
 from .errors import ValidationError
 from .fourdvar import _LM_READERS, LMConfig
 from .problem import AssimilationProblem, Operator
-from .streams import _each, _fields, _integer, _record, _reject_unknown, _reals
+from .streams import _count, _each, _fields, _record, _reject_unknown, _reals
 from .study import _STUDY_READERS, StudySpec
 from .toys import make_toy_problem
 
@@ -84,8 +84,8 @@ _LOADER = _Loader
 # The explicit problem section's keys with the reader of their YAML
 # values, called as ``read(field name, value)``.
 _PROBLEM_FIELDS = {
-    "state_dim": _integer,
-    "horizon": _integer,
+    "state_dim": _count,
+    "horizon": _count,
     "x_b": _reals,
     "B": _reals,
     **dict.fromkeys(_PER_STEP_FIELDS, _each(_reals)),

@@ -65,7 +65,7 @@ from .errors import ValidationError
 from .kalman import _block_factor, _linear_matrices
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem
-from .streams import NoiseKind, PerturbationStream, Phase, _count, _integer, _member_keys, derive_seed
+from .streams import NoiseKind, PerturbationStream, Phase, _count, _member_keys, _size, derive_seed
 
 __all__ = [
     "EnsembleRunResult",
@@ -282,11 +282,9 @@ def _reference_data(problem, noise):
     return start, forcings, [y[:, None] - noise(i, NoiseKind.OBS) for i, y in enumerate(problem.observations, 1)]
 
 
-def _ensemble_result(name, run, problem, n_members, stream, member_indices, fewest=2) -> EnsembleRunResult:
-    n_members = _integer("ensemble size", n_members)
-    if n_members < fewest:
-        raise ValidationError(f"{name} needs at least {fewest} member{'s' * (fewest > 1)}, got {n_members}")
-    members, slots = _sorted_members(n_members, member_indices)
+def _ensemble_result(run, problem, n_members, stream, member_indices, size=_size) -> EnsembleRunResult:
+    """A run's result, its ensemble size read by ``size``."""
+    members, slots = _sorted_members(size("n_members", n_members), member_indices)
     analyses = run(problem, _linear_matrices(problem, "ensemble Kalman runs"), stream, members)
     rows, keys = tuple(_slot_rows(a, slots) for a in analyses), tuple(_slot_rows(members, slots).tolist())
     return EnsembleRunResult(rows, tuple(a.mean(axis=1) for a in analyses), keys)
@@ -305,7 +303,7 @@ def enkf_run(
     observations; the observation perturbation is subtracted inside the
     innovation, ``y - W_n - H x_n``.
     """
-    return _ensemble_result("EnKF", partial(_smoother_arm, filtering=True), problem, n_members, stream, member_indices)
+    return _ensemble_result(partial(_smoother_arm, filtering=True), problem, n_members, stream, member_indices)
 
 
 def enks_run(
@@ -320,7 +318,7 @@ def enks_run(
     composite trajectory, so the time-i marginal of the smoother ensemble
     coincides with the filter ensemble member for member.
     """
-    return _ensemble_result("EnKS", _smoother_arm, problem, n_members, stream, member_indices)
+    return _ensemble_result(_smoother_arm, problem, n_members, stream, member_indices)
 
 
 def reference_enks_run(
@@ -336,7 +334,7 @@ def reference_enks_run(
     gains give it.  Members are independent exact draws from the smoothing
     distribution; a single member (n_members=1) is valid.
     """
-    return _ensemble_result("reference run", _reference_arm, problem, n_members, stream, member_indices, fewest=1)
+    return _ensemble_result(_reference_arm, problem, n_members, stream, member_indices, size=_count)
 
 
 def coupled_member_diffs(
@@ -354,7 +352,7 @@ def coupled_member_diffs(
     round-off.
     """
     replicates = _count("replicates", replicates)
-    one_pass = _coupled_pass(problem, (n_members,))
+    one_pass = _coupled_pass(problem, (_size("n_members", n_members),))
     return [one_pass(PerturbationStream(derive_seed(stream.seed, r)))[0] for r in range(replicates)]
 
 
@@ -367,10 +365,8 @@ def _coupled_pass(problem, sizes):
     runs on the first n columns of that draw: bit for bit a separate draw.
     The pass keeps column 0 of each draw, from which one solve of the
     study's one block factorization gives reference member 1 (key 0).
+    Each size is an int its caller read by ``streams._size``.
     """
-    sizes = [_integer("ensemble size", n) for n in sizes]
-    if min(sizes) < 2:
-        raise ValidationError(f"EnKS needs at least 2 members, got {min(sizes)}")
     lin = _linear_matrices(problem, "ensemble Kalman runs")
     (sweep, back, *_), step = _block_factor(problem, *lin), _linear_steps(problem, lin)
     keys = np.arange(max(sizes), dtype=np.int64)

@@ -40,6 +40,9 @@ covariances, the start) is set up once per study, not per replicate.
 
 ``LMConfig`` reads each field by its reader in ``_LM_READERS``, type and
 range together; a config's ``lm`` section is read by the same table.
+Its quantities are read by ``streams``' readers: each ensemble size by
+``_size``, ``tau`` by ``_positive`` and the states of a nested-list
+``initial_trajectory`` by ``_states``, the reader ``Trajectory`` uses.
 Its one rule between fields, that an ensemble mode needs gamma > 0 and a
 nonempty schedule, is checked when it is built, so no solver checks it
 again.  The gamma and tau readers also check the raw arguments of
@@ -59,7 +62,8 @@ from .errors import ValidationError
 from .kalman import _block_factor, _normal_equations_solution
 from .numerics import _factor, _solve
 from .problem import AssimilationProblem, Operator, Trajectory
-from .streams import PerturbationStream, Phase, _count, _each, _integer, _read_fields, _real, _reals, _rule
+from .streams import (PerturbationStream, Phase, _count, _each, _positive, _read_fields, _real, _reals, _rule, _size,
+                      _states)
 
 __all__ = [
     "LMConfig",
@@ -76,7 +80,6 @@ __all__ = [
 
 _MODES = ("exact", "tangent", "finite-difference")
 _gamma = _rule(_real, "finite and >= 0", lambda gamma: math.isfinite(gamma) and gamma >= 0)
-_tau = _rule(_real, "finite and > 0", lambda tau: math.isfinite(tau) and tau > 0)
 
 
 def _check_shape(problem: AssimilationProblem, x: np.ndarray) -> None:
@@ -88,12 +91,7 @@ def _check_shape(problem: AssimilationProblem, x: np.ndarray) -> None:
 def _initial_trajectory(name: str, value) -> Trajectory | None:
     """None, a Trajectory, or the nested lists of one (as a config holds
     them) made a Trajectory: the one place a document's list becomes one."""
-    if value is None or isinstance(value, Trajectory):
-        return value
-    states = _reals(name, value)
-    if not np.isfinite(states).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    return Trajectory(states)
+    return value if value is None or isinstance(value, Trajectory) else Trajectory(_states(name, value))
 
 
 # LMConfig's fields, each with the reader that checks its type and range.
@@ -101,8 +99,8 @@ _LM_READERS = {
     "gamma": _gamma,
     "max_iterations": _count,
     "mode": _rule(None, f"one of {_MODES}", lambda mode: isinstance(mode, str) and mode in _MODES),
-    "ensemble_sizes": _each(_rule(_integer, ">= 2", lambda n: n >= 2)),
-    "tau": _tau,
+    "ensemble_sizes": _each(_size),
+    "tau": _positive,
     "initial_trajectory": _initial_trajectory,
 }
 
@@ -184,7 +182,7 @@ def _augmented_noise_cov(problem: AssimilationProblem, i: int, gamma: float) -> 
 
 def fd_directional(f: Callable[[np.ndarray], np.ndarray], x, y, tau: float) -> np.ndarray:
     """Forward-difference directional derivative (f(x + tau y) - f(x)) / tau."""
-    tau = _tau("tau", tau)
+    tau = _positive("tau", tau)
     x, y = _reals("fd_directional x", x), _reals("fd_directional y", y)
     return (np.asarray(f(x + tau * y), dtype=float) - np.asarray(f(x), dtype=float)) / tau
 

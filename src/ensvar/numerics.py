@@ -26,7 +26,10 @@ The full SPD check runs once, at the public boundary: in
 covariances for every algorithm to reuse.  Each kernel call checks only
 that its input is finite, which LAPACK does not.  The public helpers
 read their arrays through ``streams._reals``, so a boolean or a string
-is not a number here either.  :func:`_positive_definite`, a pass/fail
+is not a number here either; ``empirical_lp_norm`` reads p by the rule a
+study's ``p_order`` is read by (``streams._p_order``), and the number of
+members, samples or points each helper needs is read as a count
+(``_count``) or, where two are needed, by ``_size``.  :func:`_positive_definite`, a pass/fail
 Cholesky that yields no numbers, serves the public boundary only: a
 ``GaussianEstimate`` built by a caller.  The estimates of ``kf_run``
 and ``ks_run`` are certified by the Schur factors they came from.
@@ -42,7 +45,7 @@ import numpy as np
 import scipy  # cheap; runs scipy's shared-library set-up for its extensions
 
 from .errors import NotSPDError, ValidationError
-from .streams import _real, _reals
+from .streams import _count, _p_order, _reals, _size
 
 __all__ = [
     "cholesky_spd",
@@ -159,17 +162,14 @@ def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
 def sample_mean(members: np.ndarray) -> np.ndarray:
     """Arithmetic mean over ensemble members (rows)."""
     members = np.atleast_2d(_reals("members", members))
-    if members.shape[0] < 1:
-        raise ValidationError("sample_mean needs at least one member")
+    _count("len(members)", members.shape[0])
     return members.mean(axis=0)
 
 
 def sample_covariance(members: np.ndarray) -> np.ndarray:
     """Sample covariance with the 1/(N-1) normalization; symmetric PSD."""
     members = np.atleast_2d(_reals("members", members))
-    n = members.shape[0]
-    if n < 2:
-        raise ValidationError(f"sample_covariance needs at least 2 members, got {n}")
+    n = _size("len(members)", members.shape[0])
     dev = members - members.mean(axis=0)
     cov = dev.T @ dev / (n - 1)
     return 0.5 * (cov + cov.T)
@@ -181,11 +181,9 @@ def empirical_lp_norm(samples, p: float) -> float:
     |.| is the Euclidean norm; each element of ``samples`` is one
     replicate (a vector or scalar).
     """
-    if not (np.isfinite(_real("p", p)) and p >= 1):
-        raise ValidationError(f"p must be finite and >= 1, got {p}")
+    p = _p_order("p", p)
     norms = np.array([np.linalg.norm(_reals(f"samples[{i}]", v).reshape(-1)) for i, v in enumerate(samples, 1)])
-    if norms.size == 0:
-        raise ValidationError("empirical_lp_norm needs at least one sample")
+    _count("len(samples)", norms.size)
     with np.errstate(over="ignore"):
         value = float(np.mean(norms**p) ** (1.0 / p))
     if (value == 0.0 or not np.isfinite(value)) and np.isfinite(norms).all() and norms.max() > 0:
@@ -198,15 +196,14 @@ def empirical_lp_norm(samples, p: float) -> float:
 def fit_loglog_slope(xs, ys) -> tuple[float, float]:
     """Ordinary least-squares fit of log(y) against log(x).
 
-    Returns (slope, intercept).  Both inputs must be positive and contain
-    at least two points.
+    Returns (slope, intercept).  Both inputs must hold the same number of
+    points, at least two, and every point must be > 0.
     """
     xs = _reals("xs", xs).reshape(-1)
     ys = _reals("ys", ys).reshape(-1)
     if xs.size != ys.size:
         raise ValidationError(f"xs and ys lengths differ: {xs.size} vs {ys.size}")
-    if xs.size < 2:
-        raise ValidationError("slope fit needs at least two points")
+    _size("len(xs)", xs.size)
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValidationError("slope fit requires strictly positive inputs")
     slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)

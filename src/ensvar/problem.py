@@ -7,13 +7,19 @@ The hidden-state system is
     y_i = obs_i(X_i) + W_i,                     W_i ~ N(0, obs_noise_cov_i)
 
 for time steps i = 1..horizon.  Operators may be nonlinear; linear ones
-are flagged and the linearity claim is checked at validation time.
+are flagged.  When a problem is built, each operator is probed against
+its own claims on fixed probe vectors: a ``matrix`` must agree with
+``apply`` (which makes the operator linear), a linear flag without one
+must hold, and ``rows`` must agree with ``apply`` bit for bit.  So every
+algorithm applies the one map, whichever of the three it reads.
 
 A problem is validated once, when it is built, and keeps the Cholesky
 factors its checks computed; its arrays are read-only copies, so it stays
 valid for as long as it lives and every algorithm reads its factors.
-Every type here reads its whole numbers and arrays through ``streams``'
-``_integer`` and ``_reals``: a boolean or a string is not a number.
+Every type here reads its counts, arrays and trajectory states through
+``streams``' ``_count``, ``_reals`` and ``_states``: a boolean or a
+string is not a number, and a trajectory is finite, non-empty and at most
+2-d.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_spd_input, _factor, _frobenius_norm, _positive_definite
-from .streams import _count, _each, _integer, _read_fields, _reals, _rule
+from .streams import _count, _each, _read_fields, _reals, _rule, _states
 
 __all__ = [
     "Operator",
@@ -56,7 +62,8 @@ class Operator:
     or a Jacobian fail fast instead of silently substituting an
     approximation.  ``rows``, if registered, is ``apply`` vectorized over
     the rows of an (N, in_dim) array; it must agree with ``apply`` row by
-    row, bit for bit.
+    row, bit for bit.  A problem built with the operator checks both
+    claims on probe vectors, and that ``apply`` agrees with ``matrix``.
     """
 
     apply: Callable[[np.ndarray], np.ndarray] | None = None
@@ -120,14 +127,14 @@ class Operator:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A composite state: the stacked states x_0..x_k, one row per time."""
+    """A composite state: the stacked states x_0..x_k, one row per time,
+    read by ``streams._states``: real numbers, finite, non-empty and at
+    most 2-d (a 1-d array is one state)."""
 
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.atleast_2d(_reals("trajectory states", self.states))
-        _check_finite(arr, "trajectory")
-        object.__setattr__(self, "states", arr)
+        object.__setattr__(self, "states", _states("trajectory states", self.states))
 
     @property
     def horizon(self) -> int:
@@ -232,9 +239,10 @@ class AssimilationProblem:
         Naming the covariance, when a Cholesky factorization fails.
     ValidationError
         Naming the field, when it is not of its type (``state_dim`` and
-        ``horizon`` whole numbers, arrays of real numbers, sequences of
+        ``horizon`` counts, arrays of real numbers, sequences of
         ``Operator``), when an input array holds a non-finite number,
-        and when a linearity flag is contradicted by the operator itself.
+        and when an operator's matrix, rows or linearity flag is
+        contradicted by its own ``apply``.
     """
 
     state_dim: int
@@ -289,7 +297,7 @@ def _mat(name: str, a) -> np.ndarray:
 _operator = _rule(None, "an Operator", lambda op: isinstance(op, Operator))
 
 # AssimilationProblem's fields, each with the reader that checks its type.
-_FIELD_READERS = {"state_dim": _integer, "horizon": _integer, "background_mean": _vec, "background_cov": _mat,
+_FIELD_READERS = {"state_dim": _count, "horizon": _count, "background_mean": _vec, "background_cov": _mat,
                   "model_ops": _each(_operator), "forcings": _each(_vec), "model_noise_covs": _each(_mat),
                   "obs_ops": _each(_operator), "obs_noise_covs": _each(_mat), "observations": _each(_vec)}
 
@@ -310,8 +318,9 @@ def _check_spd(a: np.ndarray, name: str) -> np.ndarray:
 def _linearity_probes(in_dim: int) -> tuple[tuple[np.ndarray, np.ndarray, float, float], ...]:
     """Three (u, v, alpha, beta) probes drawn in order from ``default_rng(0)``.
 
-    Cached per dimension, since validation probes every linear operator at
-    every step; the arrays are read-only because every caller shares them.
+    Cached per dimension, since validation probes every operator with a
+    matrix, rows or linear flag; the arrays are read-only because every
+    caller shares them.
     """
     rng = np.random.default_rng(0)
     probes = []
@@ -324,21 +333,38 @@ def _linearity_probes(in_dim: int) -> tuple[tuple[np.ndarray, np.ndarray, float,
     return tuple(probes)
 
 
-def _check_linear_flag(op: Operator, in_dim: int, name: str) -> None:
-    # Deterministic probe vectors; tolerance per the linearity contract.
-    # A non-finite image is refused right below, and a gap that overflows
-    # between finite images fails the test, so numpy need not warn.
-    for u, v, alpha, beta in _linearity_probes(in_dim):
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = op(alpha * u + beta * v)
-            rhs = alpha * op(u) + beta * op(v)
-            gap = lhs - rhs
+def _check_operator(op: Operator, in_dim: int, out_dim: int, name: str, probed: set) -> None:
+    """Probe an operator, unless it is in ``probed``, against its own claims.
+
+    On the linearity probes, a ``matrix`` must agree with ``apply`` within
+    ``_LINEARITY_RTOL``, which makes the operator linear; one flagged linear
+    without a matrix must map each probe combination linearly; and ``rows``
+    must agree with ``apply`` bit for bit.  A non-finite image is refused,
+    and a gap that overflows between finite images fails its test, so numpy
+    need not warn.
+    """
+    if id(op) in probed:
+        return
+    probed.add(id(op))
+    probes = _linearity_probes(in_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        claim, images = "is flagged linear but violates linearity", []
+        if op.matrix is not None:
+            _expect_shape(f"{name} matrix", op.matrix.shape, (out_dim, in_dim))
+            claim, images = "apply disagrees with its matrix", [(op(u), op.matrix @ u) for u, *_ in probes]
+        elif op.linear:
+            images = [(op(alpha * u + beta * v), alpha * op(u) + beta * op(v)) for u, v, alpha, beta in probes]
+        gaps = [lhs - rhs for lhs, rhs in images]
+    for (lhs, rhs), gap in zip(images, gaps):
         if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
             raise ValidationError(f"{name} maps a linearity probe vector to non-finite entries")
         if _frobenius_norm(gap) > _LINEARITY_RTOL * max(_frobenius_norm(rhs), 1.0):
-            raise ValidationError(
-                f"{name} is flagged linear but violates linearity on probe vectors"
-            )
+            raise ValidationError(f"{name} {claim} on probe vectors")
+    if op.rows is not None:
+        points = np.stack([u for u, *_ in probes])
+        rows, each = np.asarray(op.rows(points), dtype=float), np.stack([op(u) for u in points])
+        if not np.array_equal(rows.view(np.uint64), each.view(np.uint64)):
+            raise ValidationError(f"{name} rows disagrees with apply on probe vectors")
 
 
 def _expect_shape(name: str, shape: tuple, expected: tuple) -> None:
@@ -351,10 +377,6 @@ def _validated_factors(problem: AssimilationProblem):
     Cholesky factors ``(l_b, l_q, l_r)`` of B, each Q_i and each R_i that
     they computed, read-only."""
     m, k = problem.state_dim, problem.horizon
-    if m < 1:
-        raise ValidationError(f"state_dim must be positive, got {m}")
-    if k < 1:
-        raise ValidationError(f"horizon must be positive, got {k}")
     _expect_shape("background_mean", problem.background_mean.shape, (m,))
     _expect_shape("background_cov", problem.background_cov.shape, (m, m))
     _check_finite(problem.background_mean, "background_mean")
@@ -365,7 +387,7 @@ def _validated_factors(problem: AssimilationProblem):
         if (entries := len(getattr(problem, name))) != k:
             raise DimensionMismatchError(f"{name} has {entries} entries, expected {k}")
 
-    probe = np.zeros(m)
+    probe, probed = np.zeros(m), set()
     for i in range(1, k + 1):
         model_op, obs_op, d = problem.model_ops[i - 1], problem.obs_ops[i - 1], problem.observations[i - 1].size
         _expect_shape(f"forcings[{i}]", problem.forcings[i - 1].shape, (m,))
@@ -373,13 +395,11 @@ def _validated_factors(problem: AssimilationProblem):
         _expect_shape(f"model_noise_covs[{i}]", problem.model_noise_covs[i - 1].shape, (m, m))
         l_q.append(_check_spd(problem.model_noise_covs[i - 1], f"model_noise_covs[{i}]"))
         _expect_shape(f"model_ops[{i}] output", model_op(probe).shape, (m,))
-        if model_op.linear:
-            _check_linear_flag(model_op, m, f"model_ops[{i}]")
+        _check_operator(model_op, m, m, f"model_ops[{i}]", probed)
         _check_finite(problem.observations[i - 1], f"observations[{i}]")
         _expect_shape(f"obs_ops[{i}] output", obs_op(probe).shape, (d,))
         _expect_shape(f"obs_noise_covs[{i}]", problem.obs_noise_covs[i - 1].shape, (d, d))
         l_r.append(_check_spd(problem.obs_noise_covs[i - 1], f"obs_noise_covs[{i}]"))
-        if obs_op.linear:
-            _check_linear_flag(obs_op, m, f"obs_ops[{i}]")
+        _check_operator(obs_op, m, d, f"obs_ops[{i}]", probed)
 
     return l_b, tuple(l_q), tuple(l_r)

@@ -37,10 +37,28 @@ is refused, never truncated, since two keys truncated to one would alias
 one draw.  This module decides what a number is for the whole package:
 every integer, real number, array of reals and sequence that reaches
 ensvar, from Python or from a YAML config, is read through ``_integer``,
-``_real``, ``_reals``, ``_items`` and ``_each``, and every seed through
-``_seed``.  A boolean or a string is never a number, inside an array
-neither, and a string or a mapping is not a sequence.  ``_rule`` adds a
-range to a reader, so one reader checks a field's type and range.
+``_real``, ``_reals``, ``_items`` and ``_each``.  A boolean or a string
+is never a number, inside an array neither, and a string or a mapping is
+not a sequence.  ``_rule`` adds a range to a reader, so one reader checks
+a value's type and range and refuses it as ``<name> must be <rule>, got
+<value>``.
+
+Each quantity the package reads has one such reader here, whichever
+module reads it:
+
+* ``_count``, a whole number >= 1: ``state_dim``, ``horizon``,
+  ``replicates``, ``max_iterations``, a toy's ``m`` and ``k``, a draw's
+  dimension, and the number of members, samples or keys given;
+* ``_size``, a whole number >= 2: an ensemble size (``n_members``,
+  ``ensemble_sizes``, an N sweep), since a sample covariance needs two
+  members;
+* ``_below``, a whole number in [0, 2**b): a seed or derivation index
+  (``_seed``, [0, 2**64)) and each draw-key component;
+* ``_positive``, finite and > 0: ``tau``, a ``lorenz63`` ``dt`` and each
+  sweep value;
+* ``_p_order``, finite and >= 1: the order p of an L^p norm;
+* ``_states``, a trajectory's states: real numbers, finite, at least
+  one, in at most two dimensions.
 
 A record type (``AssimilationProblem``, ``LMConfig``, ``StudySpec``,
 ``StudyResult``, ``StudyRow``) keeps one table of its fields' readers.
@@ -195,19 +213,35 @@ def _each(read):
 
 def _rule(read, rule: str, holds):
     """The reader of a value read by ``read`` (None: taken as it is) that is
-    refused as ``{name} must be {rule}`` unless ``holds(value)``."""
+    refused as ``{name} must be {rule}, got {value}`` unless ``holds(value)``;
+    an array is shown on one line."""
 
     def read_by_rule(name: str, value):
         value = value if read is None else read(name, value)
         if not holds(value):
-            raise ValidationError(f"{name} must be {rule}, got {value!r}")
+            shown = " ".join(repr(value).split()) if isinstance(value, np.ndarray) else repr(value)
+            raise ValidationError(f"{name} must be {rule}, got {shown}")
         return value
 
     return read_by_rule
 
 
-# A count: a whole number, at least 1.
-_count = _rule(_integer, ">= 1", lambda n: n >= 1)
+def _below(limit: int):
+    """The reader of a whole number in [0, limit), for a limit 2**b."""
+    return _rule(_integer, f"in [0, 2**{limit.bit_length() - 1})", lambda n: 0 <= n < limit)
+
+
+# One reader per quantity, each refusing as ``{name} must be {rule}, got {value}``:
+_count = _rule(_integer, ">= 1", lambda n: n >= 1)  # a count
+_size = _rule(_integer, ">= 2", lambda n: n >= 2)  # an ensemble size: a sample covariance needs two members
+_seed = _below(_SEED_LIMIT)  # a root seed or a seed derivation index
+_positive = _rule(_real, "finite and > 0", lambda x: math.isfinite(x) and x > 0)  # a step: tau, dt, a sweep value
+_p_order = _rule(_real, "finite and >= 1", lambda p: math.isfinite(p) and p >= 1)  # the order of an L^p norm
+# A trajectory's states x_0..x_k, one row per time, as a 2-d float array.
+_states = _rule(lambda name, value: np.atleast_2d(_reals(name, value)), "finite, non-empty and at most 2-d",
+                lambda states: states.ndim == 2 and states.size > 0 and np.isfinite(states).all())
+# The draw-key components: phase and kind take a byte each of the c1 word.
+_byte, _iteration, _index = _below(1 << 8), _below(_ITER_LIMIT), _below(_INDEX_LIMIT)
 
 
 def _reject_unknown(section: dict, allowed, name: str) -> None:
@@ -245,30 +279,12 @@ def _record(cls, readers: dict, name: str, doc, **given):
     return cls(**_fields(doc, name, {field.name: readers[field.name] for field in keys}, required), **given)
 
 
-def _seed(name: str, value) -> int:
-    """A root seed: a whole number in [0, 2**64)."""
-    seed = _integer(name, value)
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValidationError(f"{name} {seed} outside [0, 2**64)")
-    return seed
-
-
-def _check_component(name: str, value, limit: int) -> int:
-    value = _integer(f"draw key component {name}", value)
-    if not 0 <= value < limit:
-        raise ValidationError(f"draw key component {name}={value} outside [0, {limit})")
-    return value
-
-
 def _checked_key(phase, iteration, time_index, kind, dim) -> tuple[int, int, int]:
     """A key's (c1 word, time index, dim), each component checked."""
-    phase = _check_component("phase", phase, 256)
-    kind = _check_component("kind", kind, 256)
-    iteration = _check_component("iteration", iteration, _ITER_LIMIT)
-    time_index = _check_component("time_index", time_index, _INDEX_LIMIT)
-    dim = _integer("draw dimension", dim)
-    if dim < 1:
-        raise ValidationError(f"draw dimension must be >= 1, got {dim}")
+    phase, kind = _byte("draw key component phase", phase), _byte("draw key component kind", kind)
+    iteration = _iteration("draw key component iteration", iteration)
+    time_index = _index("draw key component time_index", time_index)
+    dim = _count("draw dimension", dim)
     if (dim + 1) // 2 >= _INDEX_LIMIT:
         raise ValidationError(f"draw dimension {dim} too large")
     return _key_word(phase, kind, iteration), time_index, dim
@@ -281,8 +297,8 @@ def _member_keys(members) -> np.ndarray:
         raise ValidationError("members must be a 1-d sequence of indices")
     if keys.dtype.kind not in "iu":
         keys = np.array([_integer("draw key component member", v) for v in keys.tolist()], dtype=object)
-    if keys.size and (keys.min() < 0 or keys.max() >= _INDEX_LIMIT):
-        raise ValidationError("member indices must lie in [0, 2**32)")
+    if keys.size and (keys.min() < 0 or keys.max() >= _INDEX_LIMIT):  # the first key out of range refused
+        _index("draw key component member", int(keys[(keys < 0) | (keys >= _INDEX_LIMIT)][0]))
     return keys.astype(np.int64, copy=False)
 
 
@@ -510,15 +526,12 @@ class PerturbationStream:
         and member is checked before the first chunk is drawn.
         """
         checked = [_checked_key(phase, iteration, time_index, kind, dim) for time_index, kind, dim in keys]
-        if not checked:
-            raise ValidationError("draw_keys needs at least one key")
+        _count("len(keys)", len(checked))
         return _draw_chunks(self.seed, _member_keys(members), checked)
 
 
 def derive_seed(root_seed: int, index: int) -> int:
     """Derive an independent 64-bit seed, e.g. one per study replicate."""
-    root_seed, index = _seed("seed", root_seed), _integer("derivation index", index)
-    if not 0 <= index < _SEED_LIMIT:
-        raise ValidationError(f"derivation index {index} outside [0, 2**64)")
+    root_seed, index = _seed("seed", root_seed), _seed("derivation index", index)
     payload = root_seed.to_bytes(8, "little") + index.to_bytes(8, "little")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")

@@ -31,7 +31,11 @@ through ``streams._record``.  ``StudySpec``, ``StudyResult`` and
 ``StudyRow`` share one reader table, ``_STUDY_READERS``, that checks
 each field's type and range; their constructors run it, and so do
 ``from_dict`` and the config's ``study`` section, so a document is read
-by the rules a spec applies.
+by the rules a spec applies.  The quantities are read by ``streams``'
+readers: each sweep value is finite and > 0 (``_positive``), an N sweep
+is also checked by the ensemble-size rule (``_size``) though it keeps its
+floats, ``p_order`` is the L^p order ``numerics.empirical_lp_norm`` reads
+(``_p_order``), and ``seed`` is a seed in [0, 2**64) (``_seed``).
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from .errors import ValidationError
 from .fourdvar import LMConfig, _lm_pass, lm_exact_run
 from .numerics import empirical_lp_norm, fit_loglog_slope
 from .problem import AssimilationProblem
-from .streams import PerturbationStream, _count, _each, _read_fields, _real, _record, _rule, _seed, derive_seed
+from .streams import (PerturbationStream, _count, _each, _p_order, _positive, _read_fields, _real, _record, _rule, _seed,
+                      _size, derive_seed)
 
 __all__ = ["StudySpec", "StudyRow", "StudyResult", "run_study", "emit", "render_csv", "render_json", "json_text"]
 
@@ -59,12 +64,11 @@ _CSV_COLUMNS = ("sweep_value", "p_order", "replicates", "error_estimate", "stder
 
 
 def _sweep(name: str, value) -> tuple[float, ...]:
-    """Sweep values: at least one, each finite and positive, strictly monotone."""
-    sweep = _each(_real)(name, value)
+    """Sweep values: at least one, each finite and > 0 (``streams._positive``),
+    strictly monotone."""
+    sweep = _each(_positive)(name, value)
     if len(sweep) < 1:
         raise ValidationError(f"{name} must contain at least one value")
-    if not all(math.isfinite(v) and v > 0 for v in sweep):
-        raise ValidationError(f"{name} values must be finite and positive, got {sweep}")
     diffs = np.diff(sweep)
     if len(sweep) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValidationError(f"{name} values must be strictly monotone")
@@ -89,7 +93,7 @@ _STUDY_READERS = {
     "sweep": _sweep,
     "replicates": _count,
     "problem": _rule(None, "an AssimilationProblem", lambda problem: isinstance(problem, AssimilationProblem)),
-    "p_order": _rule(_real, "finite and >= 1", lambda p: math.isfinite(p) and p >= 1),
+    "p_order": _p_order,
     "seed": _seed,
     "lm": _rule(None, "an LMConfig or None", lambda lm: isinstance(lm, (LMConfig, type(None)))),
     "slope": _optional_real,
@@ -108,7 +112,8 @@ class StudySpec:
     """One convergence study: what to sweep, how often, on which problem.
 
     Each field is read by its reader in ``_STUDY_READERS``, which a config's
-    ``study`` section is read by too.  An LM study's arms are ensemble-mode
+    ``study`` section is read by too.  An N sweep is checked by the rule
+    of an ensemble size.  An LM study's arms are ensemble-mode
     copies of ``lm``, which check their own rules (gamma > 0 among them)
     when :func:`run_study` builds them, before any cell runs.
     """
@@ -125,8 +130,8 @@ class StudySpec:
         _read_fields(self, _STUDY_READERS)
         if self.kind in ("lm-enks-vs-lm", "tau-sweep") and self.lm is None:
             raise ValidationError(f"study kind {self.kind!r} requires an LM config")
-        if self.kind in ("enks-vs-ks", "lm-enks-vs-lm") and not all(v == int(v) >= 2 for v in self.sweep):
-            raise ValidationError(f"{self.kind} sweep values must be integers >= 2, got {self.sweep}")
+        if self.kind in ("enks-vs-ks", "lm-enks-vs-lm"):
+            _each(_size)("sweep", self.sweep)  # checked only: the sweep keeps its floats
 
 
 @dataclass(frozen=True)
@@ -187,9 +192,8 @@ def _summarize(value: float, diffs: list[np.ndarray], p_order: float, wall_ms: f
 
 def _enks_vs_ks_pass(spec: StudySpec):
     # Every ensemble size is an EnKS arm of one coupled pass, against one
-    # exact reference member; the normal equations are factored once per study.
-    if not spec.problem.all_linear:
-        raise ValidationError("enks-vs-ks studies require a fully linear problem")
+    # exact reference member; the normal equations are factored once per
+    # study.  The pass reads the problem's matrices, refusing a nonlinear one.
     return _coupled_pass(spec.problem, tuple(int(v) for v in spec.sweep))
 
 

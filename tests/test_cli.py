@@ -184,7 +184,7 @@ def test_named_problem_config(tmp_path, capsys):
         ("{name: linear-chain, m: 2}", "toy 'linear-chain': missing a required argument: 'k'"),
         ("{name: linear-chain, m: two, k: 3, seed: 1}", "toy 'linear-chain' parameter m"),
         ("{name: linear-chain, m: 2.5, k: 3, seed: 1}", "toy 'linear-chain' parameter m must be an integer, got 2.5"),
-        ("{name: linear-chain, m: 2, k: 3, seed: -1}", "seed >= 0"),
+        ("{name: linear-chain, m: 2, k: 3, seed: -1}", "toy 'linear-chain' parameter seed must be in [0, 2**64), got -1"),
         ("{name: w1-linear, 1: 2}", "toy 'w1-linear'"),
         ("{name: [w1-linear]}", "unknown toy problem"),
     ],
@@ -234,7 +234,7 @@ _HUGE = "1" + "0" * 400
         (
             "run-ks",
             W1_CONFIG.replace("  gamma: 1.0\n", "  gamma: 1.0\n  initial_trajectory: [[.nan], [0.0]]\n"),
-            "lm field initial_trajectory contains non-finite entries",
+            "lm field initial_trajectory must be finite, non-empty and at most 2-d, got array([[nan], [ 0.]])",
         ),
         ("run-ks", W1_CONFIG.replace("  gamma: 1.0\n", ""), "lm section requires a gamma value"),
         ("run-ks", W1_CONFIG.replace("  gamma: 1.0\n", "  gamma: 1.0\n  gama: 1.0\n"), "unknown keys in lm section: ['gama']"),
@@ -294,7 +294,7 @@ _MODES, _KINDS = "('exact', 'tangent', 'finite-difference')", "('enks-vs-ks', 'l
         ("mode: tangent", "mode: newton", f"lm field mode must be one of {_MODES}, got 'newton'"),
         ("replicates: 5", "replicates: 0", "study field replicates must be >= 1, got 0"),
         ("p_order: 2", "p_order: 0.5", "study field p_order must be finite and >= 1, got 0.5"),
-        ("seed: 12", "seed: -1", "study field seed -1 outside [0, 2**64)"),
+        ("seed: 12", "seed: -1", "study field seed must be in [0, 2**64), got -1"),
         ("sweep: [32, 128]", 'sweep: "ab"', "study field sweep must be a sequence, got 'ab'"),
         ("kind: enks-vs-ks", "kind: 5", f"study field kind must be one of {_KINDS}, got 5"),
     ],

@@ -254,7 +254,7 @@ class TestEnKS:
     def test_rejects_non_whole_ensemble_size(self, w1):
         # 16.7 members would otherwise run as 17, and 2.5 as 3.
         for runner, n in ((enks_run, 16.7), (enkf_run, 16.7), (reference_enks_run, 2.5)):
-            with pytest.raises(ValidationError, match="ensemble size must be an integer"):
+            with pytest.raises(ValidationError, match=r"^n_members must be an integer, got "):
                 runner(w1, n, PerturbationStream(0))
         np.testing.assert_array_equal(
             enks_run(w1, 4.0, PerturbationStream(0)).analysis_ensembles[-1],
@@ -648,7 +648,7 @@ class TestCoupledError:
     def test_rejects_non_whole_sizes_and_replicates(self, w1):
         with pytest.raises(ValidationError, match="replicates must be an integer"):
             coupled_member_diffs(w1, 10, PerturbationStream(1), 2.5)
-        with pytest.raises(ValidationError, match="ensemble size must be an integer"):
+        with pytest.raises(ValidationError, match=r"^n_members must be an integer, got 10\.5$"):
             coupled_member_diffs(w1, 10.5, PerturbationStream(1), 2)
         whole = coupled_member_diffs(w1, 10.0, PerturbationStream(1), 2.0)
         for a, b in zip(whole, coupled_member_diffs(w1, 10, PerturbationStream(1), 2)):

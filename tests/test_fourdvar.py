@@ -766,7 +766,7 @@ class TestDispatcherAndConfig:
         # The one reader of the field serves a config's nested lists and a Python caller alike.
         cfg = LMConfig(gamma=1.0, initial_trajectory=[[0.0], [1.0]])
         np.testing.assert_array_equal(cfg.initial_trajectory.states, [[0.0], [1.0]])
-        with pytest.raises(ValidationError, match=r"^initial_trajectory contains non-finite entries$"):
+        with pytest.raises(ValidationError, match=r"^initial_trajectory must be finite, non-empty and at most 2-d, got "):
             LMConfig(gamma=1.0, initial_trajectory=[[np.nan], [1.0]])
 
     def test_config_validation(self):

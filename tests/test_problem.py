@@ -8,6 +8,7 @@ from ensvar import (
     AssimilationProblem,
     DimensionMismatchError,
     GaussianEstimate,
+    LMConfig,
     NotSPDError,
     Operator,
     Trajectory,
@@ -329,8 +330,8 @@ _TALL = Operator.from_matrix(np.ones((2, 1)))
 @pytest.mark.parametrize(
     "overrides, error, message",
     [
-        ({"state_dim": 0}, ValidationError, r"^state_dim must be positive, got 0$"),
-        ({"horizon": 0}, ValidationError, r"^horizon must be positive, got 0$"),
+        ({"state_dim": 0}, ValidationError, r"^state_dim must be >= 1, got 0$"),
+        ({"horizon": 0}, ValidationError, r"^horizon must be >= 1, got 0$"),
         ({"background_cov": np.eye(2)}, DimensionMismatchError, r"^background_cov has shape \(2, 2\), expected \(1, 1\)$"),
         ({"model_ops": (_IDENTITY, _IDENTITY)}, DimensionMismatchError, r"^model_ops has 2 entries, expected 1$"),
         ({"forcings": (np.zeros(2),)}, DimensionMismatchError, r"^forcings\[1\] has shape \(2,\), expected \(1,\)$"),
@@ -440,3 +441,55 @@ def test_numeric_arrays_read_as_before():
     assert problem.background_mean.tolist() == [2.0] and problem.background_cov.tolist() == [[0.5]]
     assert problem.forcings[0].dtype == float
     assert Trajectory([[1, 2], [3, 4]]).states.dtype == float
+
+
+def test_an_operator_whose_apply_disagrees_with_its_matrix_is_refused():
+    # Built, ks_run smoothed with the matrix I while objective and the LM
+    # forecast applied 2x.
+    doubling = Operator(apply=lambda x: 2 * x, linear=True, matrix=np.eye(1))
+    for field in ("model_ops", "obs_ops"):
+        with pytest.raises(ValidationError, match=rf"^{field}\[1\] apply disagrees with its matrix on probe vectors$"):
+            _w1_with(**{field: (doubling,)})
+    # A matrix of another shape than the operator's map is refused by name, not by numpy.
+    with pytest.raises(DimensionMismatchError, match=r"^model_ops\[1\] matrix has shape \(1, 2\), expected \(1, 1\)$"):
+        _w1_with(model_ops=(Operator(apply=lambda x: x, matrix=np.ones((1, 2))),))
+    # A matrix that agrees makes the operator linear: it needs no second probe.
+    _w1_with(model_ops=(Operator(apply=lambda x: np.array(x), matrix=np.eye(1)),))
+
+
+def test_an_operator_whose_rows_disagree_with_its_apply_is_refused():
+    # Built, the finite-difference LM pass read rows (3x) and every other caller apply (2x).
+    tripling_rows = Operator(apply=lambda x: 2 * x, rows=lambda x: 3 * x)
+    with pytest.raises(ValidationError, match=r"^model_ops\[1\] rows disagrees with apply on probe vectors$"):
+        _w1_with(model_ops=(tripling_rows,))
+    # Bit for bit: a last-bit difference is a disagreement too.
+    nudged = Operator(apply=lambda x: 2 * x, rows=lambda x: np.nextafter(2 * x, np.inf))
+    with pytest.raises(ValidationError, match=r"^obs_ops\[1\] rows disagrees with apply on probe vectors$"):
+        _w1_with(obs_ops=(nudged,))
+    _w1_with(model_ops=(Operator(apply=lambda x: 2 * x, rows=lambda x: 2 * x),))
+
+
+def test_each_operator_is_probed_once_per_problem():
+    calls = []
+    shared = Operator(apply=lambda x: calls.append(x.shape) or 2 * x, rows=lambda x: 2 * x)
+    problem = make_toy_problem("linear-chain", m=2, k=4, seed=0)
+    replace(problem, model_ops=(shared,) * 4)
+    # The output check at each of the four steps, and the three probe points once.
+    assert len(calls) == 4 + 3
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Trajectory(np.zeros((2, 2, 2))), r"^trajectory states must be finite, non-empty and at most 2-d, got "),
+        (lambda: Trajectory([]), r"^trajectory states must be finite, non-empty and at most 2-d, got array\(\[\], shape=\(1, 0\)"),
+        (lambda: Trajectory([[0.0], [np.inf]]), r"^trajectory states must be finite, non-empty and at most 2-d, got "),
+        (lambda: LMConfig(gamma=1.0, initial_trajectory=[[[0.0]]]),
+         r"^initial_trajectory must be finite, non-empty and at most 2-d, got array\(\[\[\[0\.\]\]\]\)$"),
+    ],
+)
+def test_trajectory_states_are_read_by_one_rule(build, message):
+    # Built, the first, second and last would have a horizon and state_dim
+    # that their data does not have.
+    with pytest.raises(ValidationError, match=message):
+        build()

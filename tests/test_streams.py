@@ -13,13 +13,31 @@ import select
 import signal
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensvar import DrawKey, NoiseKind, PerturbationStream, Phase, ValidationError, derive_seed, run_study, streams
+from ensvar import (
+    DrawKey,
+    LMConfig,
+    NoiseKind,
+    PerturbationStream,
+    Phase,
+    StudySpec,
+    ValidationError,
+    coupled_member_diffs,
+    derive_seed,
+    empirical_lp_norm,
+    enkf_run,
+    enks_run,
+    make_toy_problem,
+    reference_enks_run,
+    run_study,
+    streams,
+)
 from ensvar.config import load_config
 from ensvar.ensemble import _noises
 from ensvar.streams import _philox_blocks
@@ -449,13 +467,13 @@ def test_scaled_multi_key_draws_are_scaled_chunk_by_chunk(seed, dims, members, b
 
 def test_draw_keys_checks_everything_before_drawing():
     stream = PerturbationStream(0)
-    with pytest.raises(ValidationError, match="at least one key"):
+    with pytest.raises(ValidationError, match=r"^len\(keys\) must be >= 1, got 0$"):
         stream.draw_keys(Phase.LM, 1, [], [0, 1])
     with pytest.raises(ValidationError, match="draw dimension must be >= 1"):
         stream.draw_keys(Phase.LM, 1, [(1, NoiseKind.MODEL, 2), (1, NoiseKind.OBS, 0)], [0, 1])
     with pytest.raises(ValidationError, match="time_index"):
         stream.draw_keys(Phase.LM, 1, [(2**32, NoiseKind.MODEL, 2)], [0, 1])
-    with pytest.raises(ValidationError, match="member indices"):
+    with pytest.raises(ValidationError, match=r"^draw key component member must be in \[0, 2\*\*32\), got -1$"):
         stream.draw_keys(Phase.LM, 1, [(1, NoiseKind.MODEL, 2)], [0, -1])
 
 
@@ -624,3 +642,67 @@ def test_forked_child_starts_its_own_helper(monkeypatch):
     assert ready, "the forked child's large draw did not finish within 30 s"
     assert os.waitstatus_to_exitcode(status) == 0
     assert digest == hashlib.sha256(want.tobytes()).digest()
+
+
+# One reader per quantity: each bad value is refused as ``<name> must be
+# <rule>, got <value>`` by its quantity's reader in streams, wherever it
+# is read.
+def test_one_ensemble_size_below_two_is_refused_in_one_form_at_every_site():
+    # Every site that reads an ensemble size reads it by the one rule, so
+    # N = 1 reads one way wherever it is given, under the value's own name.
+    w1 = make_toy_problem("w1-linear")
+    sites = [
+        ("n_members", lambda: enks_run(w1, 1, PerturbationStream(0))),
+        ("n_members", lambda: enkf_run(w1, 1, PerturbationStream(0))),
+        ("n_members", lambda: coupled_member_diffs(w1, 1, PerturbationStream(0), 1)),
+        ("ensemble_sizes[1]", lambda: LMConfig(gamma=1.0, mode="tangent", ensemble_sizes=(1,))),
+        ("sweep[1]", lambda: StudySpec(kind="enks-vs-ks", sweep=(1.0, 4.0), replicates=1, problem=w1)),
+    ]
+    for name, build in sites:
+        with pytest.raises(ValidationError, match=rf"^{re.escape(name)} must be >= 2, got 1$"):
+            build()
+    # A reference member is exact, so one is a valid ensemble: its size is a count.
+    with pytest.raises(ValidationError, match=r"^n_members must be >= 1, got 0$"):
+        reference_enks_run(w1, 0, PerturbationStream(0))
+    # The N-sweep is only checked: the sweep keeps its floats.
+    assert StudySpec(kind="enks-vs-ks", sweep=(2.0, 4.0), replicates=1, problem=w1).sweep == (2.0, 4.0)
+
+
+@pytest.mark.parametrize("p, shown", [(0.5, "0.5"), (0, "0.0"), (10**400, "inf")])
+def test_p_below_one_gets_one_rule_from_the_norm_and_the_study(p, shown):
+    # The norm reads p by the rule the study reads p_order by, so both echo
+    # p as read: an int as a float, an int beyond the float range as inf.
+    with pytest.raises(ValidationError) as norm:
+        empirical_lp_norm([[1.0]], p)
+    with pytest.raises(ValidationError) as spec:
+        StudySpec(kind="enks-vs-ks", sweep=(4,), replicates=1, problem=make_toy_problem("w1-linear"), p_order=p)
+    assert str(norm.value) == f"p must be finite and >= 1, got {shown}"
+    assert str(spec.value) == f"p_order must be finite and >= 1, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: replace(make_toy_problem("w1-linear"), horizon=0), "horizon must be >= 1, got 0"),
+        (lambda: make_toy_problem("lorenz63", k=1, dt=-1), "toy 'lorenz63' parameter dt must be finite and > 0, got -1.0"),
+        (lambda: make_toy_problem("linear-chain", m=0, k=1, seed=0), "toy 'linear-chain' parameter m must be >= 1, got 0"),
+        (lambda: make_toy_problem("linear-chain", m=1, k=1, seed=2**64),
+         "toy 'linear-chain' parameter seed must be in [0, 2**64), got 18446744073709551616"),
+        (lambda: PerturbationStream(-1), "seed must be in [0, 2**64), got -1"),
+        (lambda: derive_seed(0, -1), "derivation index must be in [0, 2**64), got -1"),
+        (lambda: PerturbationStream(0).draw_members(256, 0, 0, 0, [0], 2),
+         "draw key component phase must be in [0, 2**8), got 256"),
+        (lambda: PerturbationStream(0).draw_members(0, 2**16, 0, 0, [0], 2),
+         "draw key component iteration must be in [0, 2**16), got 65536"),
+        (lambda: PerturbationStream(0).draw_members(0, 0, 0, 0, [2**32], 2),
+         "draw key component member must be in [0, 2**32), got 4294967296"),
+        (lambda: StudySpec(kind="tau-sweep", sweep=(0.1, -0.1), replicates=1, problem=make_toy_problem("w1-linear"),
+                           lm=LMConfig(gamma=1.0, mode="tangent", ensemble_sizes=(4,))),
+         "sweep[2] must be finite and > 0, got -0.1"),
+    ],
+)
+def test_each_quantity_is_refused_by_its_one_rule(build, message):
+    # Each value is refused by its quantity's one reader, in the one form,
+    # whichever module reads it; a toy seed is a seed, below 2**64.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()

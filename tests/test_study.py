@@ -25,8 +25,11 @@ from ensvar import (
     StudySpec,
     Trajectory,
     ValidationError,
+    coupled_member_diffs,
     derive_seed,
     emit,
+    empirical_lp_norm,
+    enks_run,
     lm_run,
     make_toy_problem,
     run_study,
@@ -99,8 +102,8 @@ class TestSpecValidation:
             ({"p_order": "x"}, "p_order must be a real number, got 'x'"),
             ({"lm": "x"}, "lm must be an LMConfig or None, got 'x'"),
             ({"problem": None}, "problem must be an AssimilationProblem, got None"),
-            ({"seed": -1}, "seed -1 outside [0, 2**64)"),
-            ({"seed": 2**64}, "seed 18446744073709551616 outside [0, 2**64)"),
+            ({"seed": -1}, "seed must be in [0, 2**64), got -1"),
+            ({"seed": 2**64}, "seed must be in [0, 2**64), got 18446744073709551616"),
             ({"seed": "x"}, "seed must be an integer, got 'x'"),
             ({"seed": False}, "seed must be an integer, got False"),
         ],
@@ -131,7 +134,7 @@ class TestSpecValidation:
         for name in ("_coupled_pass", "lm_exact_run", "_lm_pass"):
             monkeypatch.setattr(study_module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
         lm = LMConfig(gamma=1.0, max_iterations=1, mode="tangent", ensemble_sizes=(16,))
-        with pytest.raises(ValidationError, match="sweep values must be integers >= 2"):
+        with pytest.raises(ValidationError, match=r"^sweep\[[13]\] must be (an integer|>= 2), got (2500\.5|1)$"):
             run_study(StudySpec(kind=kind, sweep=sweep, replicates=1, problem=w1, lm=lm))
         assert ran == []
 
@@ -349,7 +352,7 @@ class TestEmission:
             ({"p_order": True}, "study result field p_order must be a real number, got True"),
             ({"replicates": "3"}, "study result field replicates must be an integer, got '3'"),
             ({"replicates": 2.7}, "study result field replicates must be an integer, got 2.7"),
-            ({"seed": -1}, "study result field seed -1 outside [0, 2**64)"),
+            ({"seed": -1}, "study result field seed must be in [0, 2**64), got -1"),
             ({"slope": None, "intercept": "0"}, "study result field intercept must be a real number, got '0'"),
             ({"kind": "enkf"}, "study result field kind must be one of ('enks-vs-ks', 'lm-enks-vs-lm', 'tau-sweep'), got 'enkf'"),
             ({"extra": 1}, "unknown keys in study result section: ['extra']"),
@@ -692,7 +695,7 @@ _SECTION_READERS = {
 # What a rule between two fields refuses, which names no one field.
 _CROSS_FIELD_RULES = re.compile(
     r"^(ensemble LM modes require gamma > 0|ensemble mode requires a nonempty ensemble_sizes schedule"
-    r"|(enks-vs-ks|lm-enks-vs-lm) sweep values must be integers >= 2, got .*)$"
+    r"|sweep\[\d+\] must be (an integer|>= 2), got .*)$"
 )
 _SECTION_CASES = [
     (f"{section} field {name}", lambda value, read=_SECTION_READERS[section], doc=doc, name=name: read({**doc, name: value}))
@@ -705,7 +708,6 @@ _CASES = (
     + _one_field_replaced(LMConfig, _LM_FIELDS)
     + _one_field_replaced(StudySpec, _STUDY_FIELDS)
     + _one_field_replaced(AssimilationProblem, {name: getattr(_W1, name) for name in _W1.__dataclass_fields__})
-    + _one_field_replaced(Trajectory, {"states": np.zeros((2, 1))})
     + _one_field_replaced(Trajectory.from_composite, {"vec": [1.0, 2.0], "state_dim": 1})
     + _one_field_replaced(GaussianEstimate, {"mean": np.zeros(1), "covariance": np.eye(1)})
     + _one_field_replaced(Operator.from_matrix, {"a": np.eye(1)})
@@ -717,20 +719,41 @@ _TOY_CASES = _one_field_replaced(make_toy_problem, {"name": "w1-linear"}) + [
     for toy, params in _TOY_PARAMETERS.items()
     for name in [*params, "extra"]
 ]
+# Callers of the quantity readers: label, call, and the name every refusal
+# of the value begins with.  An ensemble size is drawn small, since a valid
+# one runs an ensemble that large.
+_KEY = {"phase": 1, "iteration": 2, "time_index": 3, "kind": 1}
+_READER_CASES = [
+    *[(f"draw_members {c}", lambda v, c=c: PerturbationStream(0).draw_members(**{**_KEY, c: v}, members=[0, 1], dim=2),
+       f"draw key component {c}") for c in _KEY],
+    ("derive_seed root_seed", lambda v: derive_seed(v, 0), "seed"),
+    ("derive_seed index", lambda v: derive_seed(0, v), "derivation index"),
+    ("empirical_lp_norm p", lambda v: empirical_lp_norm([[3.0, 4.0], [1.0]], v), "p"),
+    ("Trajectory", Trajectory, "trajectory states"),
+]
+_SIZE_CASES = [
+    ("enks_run n_members", lambda v: enks_run(_W1, v, PerturbationStream(0)), "n_members"),
+    ("coupled_member_diffs n_members", lambda v: coupled_member_diffs(_W1, v, PerturbationStream(0), 1), "n_members"),
+]
+_NAMES = {label: name for label, _, name in _READER_CASES + _SIZE_CASES}
 
 
-@settings(max_examples=750, deadline=None)
+@settings(max_examples=900, deadline=None)
 @given(
-    case=st.tuples(st.sampled_from(_CASES), _JSON_LIKE) | st.tuples(st.sampled_from(_TOY_CASES), _SMALL_JSON_LIKE),
+    case=st.tuples(st.sampled_from(_CASES + [case[:2] for case in _READER_CASES]), _JSON_LIKE)
+    | st.tuples(st.sampled_from(_TOY_CASES + [case[:2] for case in _SIZE_CASES]), _SMALL_JSON_LIKE),
 )
 def test_any_json_like_field_gives_an_instance_or_a_validation_error(case):
     # Each type checks its own fields: whatever one field (or one toy
     # parameter) holds, the constructor returns or raises an EnsvarError,
     # never another error.  A config section's refusal names the section
-    # and the field, unless a rule between two fields refused it.
+    # and the field, unless a rule between two fields refused it; a
+    # quantity reader's refusal begins with the value's name.
     (label, make), value = case
     try:
         make(value)
     except EnsvarError as exc:
         if label.startswith(("lm field ", "study field ")):
             assert str(exc).startswith(label) or _CROSS_FIELD_RULES.match(str(exc)), str(exc)
+        if label in _NAMES:
+            assert str(exc).startswith((f"{_NAMES[label]} ", f"{_NAMES[label]}:")), str(exc)

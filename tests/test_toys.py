@@ -77,13 +77,14 @@ def test_batched_model_rows_bit_equal_to_row_loop(name, params):
         ("w1-linear", {"m": 2}, r"^toy 'w1-linear': got an unexpected keyword argument 'm'$"),
         ("lorenz63", {"k": 2, "dt": "0.1"}, r"^toy 'lorenz63' parameter dt must be a real number, got '0\.1'$"),
         ("lorenz63", {"k": 2, "dt": np.False_}, r"^toy 'lorenz63' parameter dt must be a real number, got "),
-        ("lorenz63", {"k": 2, "dt": float("inf")}, r"^lorenz63 needs k >= 1 and a finite dt > 0, got k=2, dt=inf$"),
-        ("lorenz63", {"k": 2, "dt": float("nan")}, r"^lorenz63 needs k >= 1 and a finite dt > 0, got k=2, dt=nan$"),
+        ("lorenz63", {"k": 2, "dt": float("inf")}, r"^toy 'lorenz63' parameter dt must be finite and > 0, got inf$"),
+        ("lorenz63", {"k": 2, "dt": float("nan")}, r"^toy 'lorenz63' parameter dt must be finite and > 0, got nan$"),
     ],
 )
 def test_parameters_are_read_by_their_annotation(name, params, message):
     # Python callers get the refusals a YAML config gets; numpy would have
-    # read m=True as a 1 and ended a string in a TypeError.
+    # read m=True as a 1 and ended a string in a TypeError.  Each parameter
+    # is read by its name's reader in toys._PARAMETERS, type and range.
     with pytest.raises(ValidationError, match=message):
         make_toy_problem(name, **params)
 
