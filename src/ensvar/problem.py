@@ -58,11 +58,12 @@ class Operator:
     registered, maps a state vector to the (out_dim, in_dim) Jacobian
     matrix at that point.  Operators flagged ``linear`` may carry their
     matrix directly, of which they keep a read-only copy; given no
-    ``apply``, they apply that copy.  Algorithms that require linearity
-    or a Jacobian fail fast instead of silently substituting an
-    approximation.  ``rows``, if registered, is ``apply`` vectorized over
-    the rows of an (N, in_dim) array; it must agree with ``apply`` row by
-    row, bit for bit.  A problem built with the operator checks both
+    ``apply``, they apply that copy.  A linear operator's Jacobian is its
+    matrix, built by :meth:`as_matrix` if none was given.  Algorithms that
+    require linearity or a Jacobian fail fast instead of silently
+    substituting an approximation.  ``rows``, if registered, is ``apply``
+    vectorized over the rows of an (N, in_dim) array; it must agree with
+    ``apply`` row by row, bit for bit.  A problem built with the operator checks both
     claims on probe vectors, and that ``apply`` agrees with ``matrix``.
     """
 
@@ -105,9 +106,12 @@ class Operator:
         return np.stack([self(row) for row in x])
 
     def jacobian_at(self, x: np.ndarray) -> np.ndarray:
-        """Exact Jacobian at ``x``; raises if none was registered."""
+        """Exact Jacobian at ``x``: a linear operator's matrix, or the
+        registered ``jacobian``; raises if there is neither."""
         if self.matrix is not None:
             return self.matrix
+        if self.linear:
+            return self.as_matrix(np.size(x))
         if self.jacobian is None:
             raise MissingJacobianError(
                 "operator has no registered Jacobian; register one or use a "
@@ -367,6 +371,15 @@ def _check_operator(op: Operator, in_dim: int, out_dim: int, name: str, probed: 
             raise ValidationError(f"{name} rows disagrees with apply on probe vectors")
 
 
+def _expect_output(op: Operator, in_dim: int, out_dim: int, name: str) -> None:
+    """An operator maps a state to ``out_dim`` numbers; a matrix whose
+    column count is not ``in_dim`` is refused by its shape before it is
+    applied."""
+    if op.matrix is not None and op.matrix.shape[1] != in_dim:
+        _expect_shape(f"{name} matrix", op.matrix.shape, (out_dim, in_dim))
+    _expect_shape(f"{name} output", op(np.zeros(in_dim)).shape, (out_dim,))
+
+
 def _expect_shape(name: str, shape: tuple, expected: tuple) -> None:
     if shape != expected:
         raise DimensionMismatchError(f"{name} has shape {shape}, expected {expected}")
@@ -387,17 +400,17 @@ def _validated_factors(problem: AssimilationProblem):
         if (entries := len(getattr(problem, name))) != k:
             raise DimensionMismatchError(f"{name} has {entries} entries, expected {k}")
 
-    probe, probed = np.zeros(m), set()
+    probed = set()
     for i in range(1, k + 1):
         model_op, obs_op, d = problem.model_ops[i - 1], problem.obs_ops[i - 1], problem.observations[i - 1].size
         _expect_shape(f"forcings[{i}]", problem.forcings[i - 1].shape, (m,))
         _check_finite(problem.forcings[i - 1], f"forcings[{i}]")
         _expect_shape(f"model_noise_covs[{i}]", problem.model_noise_covs[i - 1].shape, (m, m))
         l_q.append(_check_spd(problem.model_noise_covs[i - 1], f"model_noise_covs[{i}]"))
-        _expect_shape(f"model_ops[{i}] output", model_op(probe).shape, (m,))
+        _expect_output(model_op, m, m, f"model_ops[{i}]")
         _check_operator(model_op, m, m, f"model_ops[{i}]", probed)
         _check_finite(problem.observations[i - 1], f"observations[{i}]")
-        _expect_shape(f"obs_ops[{i}] output", obs_op(probe).shape, (d,))
+        _expect_output(obs_op, m, d, f"obs_ops[{i}]")
         _expect_shape(f"obs_noise_covs[{i}]", problem.obs_noise_covs[i - 1].shape, (d, d))
         l_r.append(_check_spd(problem.obs_noise_covs[i - 1], f"obs_noise_covs[{i}]"))
         _check_operator(obs_op, m, d, f"obs_ops[{i}]", probed)

@@ -79,6 +79,7 @@ import numbers
 import operator
 import os
 import queue
+import re
 import threading
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
@@ -273,10 +274,18 @@ def _read_fields(record, readers: dict) -> None:
 def _record(cls, readers: dict, name: str, doc, **given):
     """The ``cls`` a document mapping holds, with the fields ``given``: each
     other field is a key, read by its reader in ``readers`` as ``{name}
-    field {key}`` and required unless the field has a default."""
+    field {key}`` and required unless the field has a default.  A rule
+    between fields that refuses a key's value by the field's bare name
+    names it as ``{name} field {key}`` too."""
     keys = [field for field in fields(cls) if field.name not in given]
     required = [field.name for field in keys if field.default is MISSING]
-    return cls(**_fields(doc, name, {field.name: readers[field.name] for field in keys}, required), **given)
+    values = _fields(doc, name, {field.name: readers[field.name] for field in keys}, required)
+    try:
+        return cls(**values, **given)
+    except ValidationError as exc:
+        if re.match(r"\w*", str(exc)).group() not in values:
+            raise
+        raise type(exc)(f"{name} field {exc}") from None
 
 
 def _checked_key(phase, iteration, time_index, kind, dim) -> tuple[int, int, int]:

@@ -18,11 +18,14 @@ draws.
 Every output of the package, study CSV and JSON and the CLI's run
 documents, is written by :func:`emit`, to a file or to stdout.  JSON is
 streamed piece by piece through one writer, which :func:`json_text` also
-uses, so the document never exists as one string.  A symmetric matrix is
-written row by row and each mirrored pair is formatted once: only the
-formatted upper-triangle entries that later rows still need stay in
-memory.  A document holding a non-finite number is refused before its
-first byte is written.
+uses, so the document never exists as one string.  The numbers of a
+float64 array are formatted by one numpy kernel, byte for byte as
+``'%.17g'`` formats them, each into a fixed-width slot of bytes; a row
+is joined from its slots by one boolean compress and written as soon as
+it is joined, so no Python string is built per number.  A symmetric
+matrix has its upper triangle formatted once, and each row gathers its
+slots from it.  A document holding a non-finite number is refused before
+its first byte is written.
 
 A study result is declared once, by its dataclasses: its JSON document
 is their fields in order (``to_dict`` is ``dataclasses.asdict``), its
@@ -40,6 +43,7 @@ floats, ``p_order`` is the L^p order ``numerics.empirical_lp_norm`` reads
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -283,22 +287,178 @@ def _check_finite(value) -> None:
         _fmt(value)
 
 
-def _write_symmetric(a: np.ndarray, write, pad: str) -> None:
-    """A square matrix equal to its transpose, as ``_write_json`` writes it.
+# The %.17g kernel: the bytes of f"{v:.17g}" for a chunk of finite float64
+# values at once, each left-aligned in a zero-padded _SLOT-byte slot.  The
+# 17 digits of |v| are the integer nearest y = |v| * 10**p, for
+# p = 16 - floor(log10 |v|).  y is summed from Dekker's (1971) exact product
+# of |v| and the hi part of 10**p, plus |v| times its lo part, to within
+# 1e-14.  '%.17g' formats, one by one, the values the kernel cannot vouch
+# for: those outside [_SMALLEST, _LARGEST], those whose y lies within
+# _TIE_MARGIN of a half, and those whose y is below 10**16 or rounds to
+# 10**17 (floor(log10) can be one off beside a power of ten).
+_SLOT = 24  # the longest %.17g of a float64: -1.2345678901234567e-308
+_CHUNK = 4096  # values per kernel call, which bounds its temporaries
+_GATHER = 512  # slots per gather
+_SMALLEST, _LARGEST = 1e-280, 1e290  # |v| and 10**p stay clear of under- and overflow
+_POWERS = range(16 - 290, 16 + 282)  # every p = 16 - floor(log10 |v|) of that range
+_TIE_MARGIN = 1e-9
+_LAST_DIGIT = np.arange(1, 18, dtype=np.uint8)[:, None]  # each digit's place, from 1
 
-    Each mirrored pair is formatted once, from the upper triangle, and each
-    row is written as soon as it is assembled.  A row's entries right of
-    the diagonal are held only until the rows below have used them.
+
+def _split(v):
+    """Dekker's split of ``v`` into two halves of 26 significant bits each."""
+    c = v * 134217729.0  # 2**27 + 1
+    high = c - (c - v)
+    return high, v - high
+
+
+def _template(negative: int, case: int, kept: int) -> list[int]:
+    """The source row of each character of a slot: digits 0-16, then '.',
+    '0', '-', 'e', the exponent's sign and its three digits.  ``case`` 0-20
+    is fixed notation with exponent case - 4; 21 and 22 are exponent
+    notation with two and three exponent digits.  ``kept`` digits remain
+    once trailing zeros go, but a fixed number keeps its whole digits."""
+    if case > 20:  # d.ddde+dd
+        body = [0] + [17] * (kept > 1) + list(range(1, kept)) + [20, 21] + [22] * (case == 22) + [23, 24]
+    elif case < 4:  # 0.0ddd
+        body = [18, 17] + [18] * (3 - case) + list(range(kept))
+    else:  # ddd.ddd
+        whole = case - 3
+        body = list(range(whole)) + [17] * (kept > whole) + list(range(whole, kept))
+    return [19] * negative + body
+
+
+@functools.cache
+def _kernel_tables():
+    """Per p in ``_POWERS``: 10**p as hi, hi's two halves and lo, its
+    notation case (times 17) and its exponent's four characters.  And the
+    templates, as offsets into a chunk's (26, _CHUNK) source block.
+
+    Python's int/int division and int-to-float conversion round correctly,
+    so hi is the double nearest 10**p and lo the double nearest 10**p - hi.
     """
-    row_pad = pad + "  "
-    sep = ",\n" + row_pad + "  "
-    pending = []  # per written row, its unused upper entries, last column first
-    for i in range(len(a)):
-        upper = ("%.17g\n" * (len(a) - i) % tuple(a[i, i:].tolist())).split("\n")[:-1]
-        row = sep.join([p.pop() for p in pending] + upper)
-        write(("[\n" if i == 0 else ",\n") + row_pad + "[\n" + row_pad + "  " + row + "\n" + row_pad + "]")
-        pending.append(upper[:0:-1])
-    write("\n" + pad + "]")
+    powers, cases, exponents = [], [], b""
+    for p in _POWERS:
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        powers.append((hi, *_split(hi), (num * hi_den - hi_num * den) / (den * hi_den)))
+        e = 16 - p
+        cases.append(17 * (e + 4 if -4 <= e < 17 else 21 if abs(e) < 100 else 22))
+        exponents += b"%c%03d" % (b"-+"[e >= 0], abs(e))
+    templates = [
+        (columns := _template(negative, case, kept)) + [25] * (_SLOT - len(columns))
+        for negative in range(2)
+        for case in range(23)
+        for kept in range(1, 18)
+    ]
+    exponents = np.frombuffer(exponents, np.uint8).reshape(-1, 4).T.copy()
+    return np.array(powers).T.copy(), np.array(cases), exponents, np.array(templates) * _CHUNK
+
+
+def _nearest(x: np.ndarray):
+    """Per value of ``x``: the integer n nearest |x| * 10**p, the row of p in
+    the kernel's tables, and whether '%.17g' must format the value instead.
+    Zero has n = 0 and p = 16."""
+    powers = _kernel_tables()[0]
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= _SMALLEST) & (a <= _LARGEST)
+    a[~fast] = 1.0  # zero and the fallbacks: n then comes out finite
+    row = (16 - _POWERS.start - np.floor(np.log10(a))).astype(np.intp)
+    hi, hi_high, hi_low, lo = np.take(powers, row, axis=1)
+    h = a * hi
+    a_high, a_low = _split(a)
+    t = (((a_high * hi_high - h) + a_high * hi_low + a_low * hi_high) + a_low * hi_low) + a * lo  # y - h
+    nearest = np.rint(t)
+    n = h.astype(np.int64) + nearest.astype(np.int64)
+    fallback = ~(fast | zero) | (np.abs(t - nearest) > 0.5 - _TIE_MARGIN)
+    fallback |= (n < 10**16) | ((n == 10**16) & (t < nearest)) | (n >= 10**17)
+    n[zero] = 0
+    return n, row, fallback
+
+
+def _format_chunk(x: np.ndarray, slots: np.ndarray) -> None:
+    """Write the slots of at most ``_CHUNK`` finite float64 values to ``slots``."""
+    _, cases, exponents, templates = _kernel_tables()
+    n, row, fallback = _nearest(x)
+    size = len(x)
+    source = np.empty((26, _CHUNK), np.uint8)
+    digits = source[:17, :size]
+    place = 0
+    for part, count in ((n // 10**9, 8), (n % 10**9, 9)):
+        part = part.astype(np.int32)
+        for unit in (10**k for k in range(count - 1, -1, -1)):
+            digit = part // unit
+            digits[place] = digit
+            part -= digit * unit
+            place += 1
+    kept = np.max((digits != 0) * _LAST_DIGIT, axis=0, initial=1)
+    digits += ord("0")
+    source[17:21, :size] = np.frombuffer(b".0-e", np.uint8)[:, None]
+    source[21:25, :size] = np.take(exponents, row, axis=1)
+    source[25] = 0
+    keys = cases[row] + 23 * 17 * np.signbit(x) + kept - 1  # the template of (sign, case, kept)
+    for first in range(0, size, _GATHER):  # in parts: an index takes 8 bytes per character
+        index = np.take(templates, keys[first : first + _GATHER], axis=0)
+        index += np.arange(first, first + len(index))[:, None]
+        np.take(source.reshape(-1), index, out=slots[first : first + _GATHER], mode="clip")
+    for i in np.flatnonzero(fallback):
+        text = b"%.17g" % x[i]
+        slots[i] = 0
+        slots[i, : len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _slots(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """Each of the finite float64 ``values`` as its slot followed by ``sep``."""
+    slots = np.empty((len(values), _SLOT + len(sep)), np.uint8)
+    slots[:, _SLOT:] = np.frombuffer(sep, np.uint8)
+    for start in range(0, len(values), _CHUNK):
+        _format_chunk(values[start : start + _CHUNK], slots[start : start + _CHUNK, :_SLOT])
+    return slots
+
+
+def _joined(block: np.ndarray, cut: int) -> list[str]:
+    """Each row of a (rows, entries, width) block of slots as one string: its
+    padding dropped by one boolean compress, and its last ``cut`` bytes (the
+    last entry's separator) cut."""
+    keep = block != 0
+    text = str(block[keep], "ascii")
+    ends = np.cumsum(np.count_nonzero(keep.reshape(len(block), -1), axis=1)).tolist()
+    return [text[start : end - cut] for start, end in zip([0, *ends], ends)]
+
+
+def _write_array(a: np.ndarray, write, pad: str) -> None:
+    """A float64 vector or matrix with no empty axis, as ``_write_json``
+    writes its ``tolist()``, each row written as soon as it is joined.
+
+    Each block of rows is formatted by the kernel, or, for a matrix equal to
+    its transpose bit for bit, gathered from its upper triangle, which is
+    formatted once.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    n, m = rows.shape
+    row_pad = pad if a.ndim == 1 else pad + "  "
+    sep = (",\n" + row_pad + "  ").encode()
+    # Compared as bits, so a 0.0 mirrored by a -0.0 is not symmetric.
+    bits = rows.view(np.uint64)
+    upper = None
+    if a.ndim == 2 and n == m and (bits == bits.T).all():
+        upper = _slots(a[np.triu(np.ones((n, n), bool))], sep)
+        offsets = np.cumsum(np.arange(n, 0, -1)) - n  # (i, j) for i <= j is at offsets[i] + j
+    step = max(1, _CHUNK // m)
+    for first in range(0, n, step):
+        last = min(n, first + step)
+        if upper is None:
+            block = _slots(rows[first:last].reshape(-1), sep).reshape(last - first, m, -1)
+        else:
+            i, j = np.arange(first, last)[:, None], np.arange(m)
+            block = np.take(upper, offsets[np.minimum(i, j)] + np.maximum(i, j), axis=0)
+        for k, text in enumerate(_joined(block, len(sep))):
+            opening = "" if a.ndim == 1 else ("[\n" if first + k == 0 else ",\n") + row_pad
+            write(opening + "[\n" + row_pad + "  " + text + "\n" + row_pad + "]")
+    if a.ndim == 2:
+        write("\n" + pad + "]")
 
 
 def _write_json(value, write, pad: str) -> None:
@@ -306,16 +466,12 @@ def _write_json(value, write, pad: str) -> None:
     everywhere but before its first character."""
     inner = pad + "  "
     if isinstance(value, np.ndarray):
-        # Compared as bits, so a 0.0 mirrored by a -0.0 is not symmetric.
-        if (
-            value.dtype == np.float64
-            and value.ndim == 2
-            and value.shape[0] == value.shape[1] > 0
-            and (value.view(np.uint64) == value.view(np.uint64).T).all()
-        ):
-            _write_symmetric(value, write, pad)
-        else:
+        if value.dtype != np.float64 or value.size == 0 or value.ndim == 0:
             _write_json(value.tolist(), write, pad)
+        elif value.ndim > 2:
+            _write_json(list(value), write, pad)
+        else:
+            _write_array(value, write, pad)
     elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {float}:
         # A row of floats, formatted in one pass exactly as _fmt would.
         write("[\n" + inner + (",\n" + inner).join(["%.17g"] * len(value)) % tuple(value) + "\n" + pad + "]")

@@ -311,6 +311,23 @@ def test_every_range_refusal_names_its_section_and_field(tmp_path, capsys, old, 
 
 
 @pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ("[1, 128]", "study field sweep[1] must be >= 2, got 1"),
+        ("[16.5, 128]", "study field sweep[1] must be an integer, got 16.5"),
+    ],
+)
+def test_an_ensemble_size_sweep_refusal_names_its_section_and_field(tmp_path, capsys, sweep, message):
+    # The N-sweep rule depends on the kind, so StudySpec runs it after its
+    # fields are read; it printed "error: sweep[1] must be >= 2, got 1".
+    path = tmp_path / "bad.yaml"
+    path.write_text(W1_CONFIG.replace("sweep: [32, 128]", f"sweep: {sweep}"))
+    assert main(["study", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "problem, message",
     [
         ("{name: linear-chain, m: true, k: 3, seed: 1}", "toy 'linear-chain' parameter m must be an integer, got True"),

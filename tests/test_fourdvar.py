@@ -192,6 +192,19 @@ class TestExactLM:
         with pytest.raises(MissingJacobianError):
             lm_exact_run(problem, cfg)
 
+    def test_linear_operator_without_a_matrix_has_its_matrix_as_jacobian(self):
+        # ks_run ran on such an operator through as_matrix; exact LM raised
+        # MissingJacobianError.
+        base = make_toy_problem("linear-chain", m=2, k=3, seed=5)
+        cfg = LMConfig(gamma=1.0, max_iterations=2, mode="exact")
+        runs = [
+            lm_exact_run(replace(base, model_ops=(op,) * base.horizon), cfg)
+            for op in (Operator(apply=lambda x: 2 * x, linear=True), Operator.from_matrix(2 * np.eye(2)))
+        ]
+        assert runs[0].objectives == runs[1].objectives
+        for flagged, matrix in zip(runs[0].iterates, runs[1].iterates):
+            np.testing.assert_array_equal(flagged.states, matrix.states)
+
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
     def test_step_matches_normal_equations_oracle_w2(self, w2, gamma):
         x_prev = Trajectory([[0.3], [0.7]])

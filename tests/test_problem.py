@@ -457,6 +457,13 @@ def test_an_operator_whose_apply_disagrees_with_its_matrix_is_refused():
     _w1_with(model_ops=(Operator(apply=lambda x: np.array(x), matrix=np.eye(1)),))
 
 
+@pytest.mark.parametrize("field", ["model_ops", "obs_ops"])
+def test_a_matrix_with_another_column_count_is_refused_by_its_shape(field):
+    # Applied first, it ended in numpy's raw matmul ValueError.
+    with pytest.raises(DimensionMismatchError, match=rf"^{field}\[1\] matrix has shape \(1, 2\), expected \(1, 1\)$"):
+        _w1_with(**{field: (Operator.from_matrix(np.ones((1, 2))),)})
+
+
 def test_an_operator_whose_rows_disagree_with_its_apply_is_refused():
     # Built, the finite-difference LM pass read rows (3x) and every other caller apply (2x).
     tripling_rows = Operator(apply=lambda x: 2 * x, rows=lambda x: 3 * x)

@@ -558,6 +558,66 @@ class TestJsonText:
             render_csv(bad)
 
 
+def _kernel_texts(values) -> list[str]:
+    """What the %.17g kernel writes for each value, its padding dropped."""
+    slots = study_module._slots(np.asarray(values, dtype=float), b"")
+    return [bytes(slot[slot != 0]).decode("ascii") for slot in slots]
+
+
+def _around_powers_of_ten(ulps: int) -> np.ndarray:
+    """Every power of ten a float64 holds, with its ``ulps`` neighbours on each side."""
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    steps = [powers]
+    for direction in (0.0, np.inf):
+        v = powers
+        for _ in range(ulps):
+            v = np.nextafter(v, direction)
+            steps.append(v)
+    return np.concatenate(steps)
+
+
+class TestFormatKernel:
+    """The kernel writes each float64 exactly as f"{v:.17g}" does, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_FINITE, min_size=1, max_size=40))
+    def test_matches_python_on_any_finite_floats(self, values):
+        assert _kernel_texts(values) == [f"{v:.17g}" for v in values]
+
+    def test_matches_python_on_random_bit_patterns(self):
+        values = np.random.default_rng(11).integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert _kernel_texts(values) == [f"{v:.17g}" for v in values.tolist()]
+
+    def test_matches_python_at_the_edges(self):
+        edges = [
+            0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            1e16, np.nextafter(1e16, 0), np.nextafter(1e16, np.inf),
+            1e17, np.nextafter(1e17, 0), np.nextafter(1e17, np.inf),
+            9.9999999999999999e-5, 1e-4, 1e-5, 1e-280, 1e290,
+            1125899906842624.25, 3 * 2.0**-24, 0.5, 2.5, 1.0, 100.0, 123456789012345678.0,
+        ]
+        values = np.concatenate([edges, _around_powers_of_ten(40)])
+        values = np.concatenate([values, -values])
+        assert _kernel_texts(values) == [f"{v:.17g}" for v in values.tolist()]
+
+    def test_values_it_cannot_vouch_for_fall_back_and_still_match(self):
+        # Subnormal, beyond the table, an exact tie, a tie beside a power of ten,
+        # and floor(log10) one too high just below a power of ten.
+        values = np.array([5e-324, 1e300, 1125899906842624.25, 3 * 2.0**-24, 9.9999999999999997e-65])
+        assert study_module._nearest(values)[2].all()
+        assert _kernel_texts(values) == [f"{v:.17g}" for v in values.tolist()]
+        assert _kernel_texts(values)[2:4] == ["1125899906842624.2", "1.7881393432617188e-07"]
+
+    @pytest.mark.parametrize("shape", [(130, 130), (70, 130), (3, 9000)])
+    def test_arrays_spanning_several_chunks_match_recursive_writer(self, shape):
+        a = np.random.default_rng(5).standard_normal(shape) * np.logspace(-30, 30, shape[1])
+        if shape[0] == shape[1]:
+            a = a + a.T
+            assert a.size // 2 > 2 * study_module._CHUNK
+        assert json_text({"a": a}, 1) == _recursive_json_text({"a": a.tolist()}, 1)
+
+
 def _plain(value):
     """A document with its arrays as nested lists, for _recursive_json_text."""
     if isinstance(value, np.ndarray):
