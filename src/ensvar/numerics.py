@@ -5,21 +5,20 @@ Every matrix inverse in the package comes from a Cholesky solve.  Small
 m x m inverses may be formed explicitly (Q^-1, and the filter's and
 smoother's covariance blocks F_i^-1 and S_i^-1).  The exact block
 elimination behind the Kalman filter, the smoother, the exact LM step
-and the reference members solves against m x m SPD blocks by ``dpotrs``,
-which with m right-hand sides stays on one thread up to about m = 28 and
-wakes scipy's pool from about m = 32.  The ensemble analysis kernel
-solves against its (P H^T)^T.
+and the reference members solves against m x m SPD blocks by ``dpotrs``.
+The ensemble analysis kernel solves against its (P H^T)^T.
 
 Every SPD factor and solve goes through :func:`_factor`/:func:`_solve`,
-direct calls of the LAPACK ``dpotrf``/``dpotrs`` behind scipy's
-``cholesky``/``cho_factor``/``cho_solve`` (same bits), because on the
-small matrices of the LM passes scipy's wrappers cost far more than the
-arithmetic.  The two wrappers come from scipy's own compiled
-``_flapack`` extension, loaded from its file (:func:`_load_lapack`):
-they are the objects ``scipy.linalg.lapack`` re-exports, but importing
-``scipy.linalg`` itself takes about a quarter of a second (its
-array-API layer imports ``numpy.f2py``, ``numpy.testing`` and more),
-over half of the package's import time.
+ctypes calls of LAPACK's ``dpotrf``/``dpotrs`` in the OpenBLAS that
+numpy's own linalg extension links (:func:`_load_lapack`), so every BLAS
+and LAPACK call of a run goes to numpy's one thread pool: a second
+OpenBLAS, such as scipy's, brings a second pool, and at 2 threads the
+two stall each other.  The routines are looked up
+by the names numpy builds export them under (``_LAPACK_SYMBOLS``); a
+numpy that exports none of them is refused at import.  On the 1 x 1 and
+2 x 2 matrices of the LM passes a call's Python overhead outweighs the
+arithmetic, so each call hands LAPACK the data pointers of Fortran-ordered
+arrays read by :func:`_address`, and its sizes from a cache.
 The full SPD check runs once, at the public boundary: in
 :func:`cholesky_spd` and :func:`spd_solve`, and when an
 ``AssimilationProblem`` is built, which keeps the factors of its
@@ -30,19 +29,19 @@ is not a number here either; ``empirical_lp_norm`` reads p by the rule a
 study's ``p_order`` is read by (``streams._p_order``), and the number of
 members, samples or points each helper needs is read as a count
 (``_count``) or, where two are needed, by ``_size``.  :func:`_positive_definite`, a pass/fail
-Cholesky that yields no numbers, serves the public boundary only: a
+Cholesky on the same kernel, serves the public boundary only: a
 ``GaussianEstimate`` built by a caller.  The estimates of ``kf_run``
 and ``ks_run`` are certified by the Schur factors they came from.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
+import ctypes
+import functools
+import math
 
 import numpy as np
-import scipy  # cheap; runs scipy's shared-library set-up for its extensions
+from numpy.linalg import _umath_linalg
 
 from .errors import NotSPDError, ValidationError
 from .streams import _count, _p_order, _reals, _size
@@ -58,35 +57,47 @@ __all__ = [
 
 _SYMMETRY_RTOL = 1e-12
 
-
-def _flapack_path() -> str | None:
-    """The file of scipy's compiled LAPACK wrappers, if it is where scipy installs it."""
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
-        if os.path.isfile(path):
-            return path
-    return None
-
-
-def _load_lapack():
-    """scipy's ``_flapack`` module without importing ``scipy.linalg``, or
-    ``scipy.linalg.lapack`` (the same wrappers) if that file will not load."""
-    path = _flapack_path()
-    if path is not None:
-        try:
-            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-        except (ImportError, OSError):
-            pass
-    from scipy.linalg import lapack
-
-    return lapack
+# A LAPACK routine's name in the numpy builds that bring one, with the
+# integer type of its sizes: numpy >= 2 wheels (scipy-openblas64), numpy
+# 1.x wheels (openblas64_), 32-bit-integer scipy-openblas builds, and a
+# system OpenBLAS, MKL or reference LAPACK.
+_LAPACK_SYMBOLS = (
+    ("scipy_{}_64_", ctypes.c_int64),
+    ("{}_64_", ctypes.c_int64),
+    ("scipy_{}_", ctypes.c_int32),
+    ("{}_", ctypes.c_int32),
+)
+_STRING_LENGTH = ctypes.c_size_t(1)  # the hidden length of the Fortran "L"
 
 
-_LAPACK = _load_lapack()
+def _load_lapack(path: str):
+    """``(dpotrf, dpotrs, int type)`` by the first names in ``_LAPACK_SYMBOLS``
+    that the library at ``path`` (or one it links) exports; ImportError if none.
+
+    ``argtypes`` stay unset: every call passes ctypes objects of the exact C
+    types (one-element arrays for Fortran's integer pointers, ``c_void_p``
+    data pointers), which ctypes passes as they are, while ``argtypes``
+    conversion costs more than the arithmetic on a 2 x 2 matrix.
+    """
+    library = ctypes.CDLL(path)
+    for pattern, integer in _LAPACK_SYMBOLS:
+        names = [pattern.format(routine) for routine in ("dpotrf", "dpotrs")]
+        if all(hasattr(library, name) for name in names):
+            potrf, potrs = (getattr(library, name) for name in names)
+            potrf.restype = potrs.restype = None
+            return potrf, potrs, integer
+    tried = ", ".join(pattern.format(name) for pattern, _ in _LAPACK_SYMBOLS for name in ("dpotrf", "dpotrs"))
+    raise ImportError(f"numpy's LAPACK ({path}) exports none of {tried}: ensvar needs a numpy linked against LAPACK")
+
+
+_POTRF, _POTRS, _INT = _load_lapack(_umath_linalg.__file__)
+
+
+@functools.lru_cache(maxsize=64)
+def _lapack_int(value: int):
+    """A LAPACK size argument: a one-element integer array, which ctypes
+    passes by reference.  LAPACK only reads it, so calls share it."""
+    return (_INT * 1)(value)
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
@@ -119,32 +130,83 @@ def _as_spd_input(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     return a, norm
 
 
+@functools.lru_cache(maxsize=16)
+def _lower_triangle(n: int) -> np.ndarray:
+    """The n x n mask of the lower triangle, diagonal included (shared: do not write)."""
+    return np.tri(n, dtype=bool)
+
+
+def _address(a: np.ndarray) -> ctypes.c_void_p:
+    """The data pointer of the contiguous float array ``a``, for a LAPACK
+    argument; the caller keeps ``a`` alive over the call.
+
+    It is read from the array object itself, where numpy keeps it right
+    after the object header: ``ndarray.ctypes`` and ``from_buffer`` cost
+    more than the arithmetic of a 2 x 2 solve.  The import checks the read.
+    """
+    return ctypes.c_void_p.from_address(id(a) + object.__basicsize__)
+
+
+_PROBE = np.zeros(2)
+if _address(_PROBE).value != _PROBE.ctypes.data:
+    raise ImportError("ensvar cannot read numpy's array data pointers on this interpreter")
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array ``a`` is finite.
+
+    Its sum of squares is finite unless an entry is not or the sum
+    overflows, and only then does the exact test run: on the kernel's
+    small inputs ``np.vdot`` costs half of ``np.isfinite(a).all()``, and
+    unlike ``np.dot`` or ``@`` it raises no overflow warning.
+    """
+    v = a.ravel(order="K")
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+
+
 def _factor(a: np.ndarray, name: str) -> np.ndarray:
     """Lower Cholesky factor of a square float array from its lower triangle
-    (symmetry is the caller's); NotSPDError naming ``a`` if not finite or PD."""
-    if not np.isfinite(a).all():
+    (symmetry is the caller's), in Fortran order with a zero upper triangle;
+    NotSPDError naming ``a`` if not finite or PD."""
+    if not _finite(a):
         raise NotSPDError(f"{name} contains non-finite entries")
-    factor, info = _LAPACK.dpotrf(a, lower=1, clean=1)
-    if info != 0:
-        raise NotSPDError(f"{name} is not positive definite")
+    n = len(a)
+    factor = np.zeros((n, n), order="F")
+    # A large mask costs little to build next to its factorization, and much to keep.
+    np.copyto(factor, a, where=_lower_triangle(n) if n <= 64 else np.tri(n, dtype=bool))
+    if n:
+        size, info = _lapack_int(n), (_INT * 1)()
+        _POTRF(b"L", size, _address(factor), size, info, _STRING_LENGTH)
+        if info[0]:
+            raise NotSPDError(f"{name} is not positive definite")
     return factor
 
 
 def _positive_definite(a: np.ndarray) -> bool:
-    """Cholesky pass/fail test by numpy's LAPACK: on a large matrix, scipy's
-    own OpenBLAS wakes a second thread pool that competes with numpy's."""
+    """Cholesky pass/fail test of a finite square float array."""
     try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+        _factor(a, "matrix")
+    except NotSPDError:
         return False
     return True
 
 
 def _solve(factor: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
-    """Solve (factor @ factor.T) @ x = b for a 1-D or 2-D float array b."""
-    if not np.isfinite(b).all():
+    """Solve (factor @ factor.T) @ x = b for a float array b whose first axis
+    matches the square ``factor``; x has b's shape."""
+    if not _finite(b):
         raise ValidationError(f"right-hand side of the {name} solve contains non-finite entries")
-    return _LAPACK.dpotrs(factor, b, lower=1)[0]
+    # Column-major: the factor as it is if it is, and a copy of b that
+    # LAPACK overwrites with x.
+    lower = np.asfortranarray(factor, dtype=float)
+    n = len(lower)
+    if lower.shape != (n, n) or b.shape[:1] != (n,):
+        raise ValueError(f"the {name} solve got a factor of shape {lower.shape} and a right-hand side of shape {b.shape}")
+    x = np.array(b, dtype=float, order="F")
+    if x.size:
+        size = _lapack_int(n)
+        _POTRS(b"L", size, _lapack_int(x.size // n), _address(lower), size, _address(x), size, (_INT * 1)(), _STRING_LENGTH)
+    return x
 
 
 def cholesky_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:

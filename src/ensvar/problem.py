@@ -25,7 +25,7 @@ string is not a number, and a trajectory is finite, non-empty and at most
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,7 +59,7 @@ class Operator:
     matrix at that point.  Operators flagged ``linear`` may carry their
     matrix directly, of which they keep a read-only copy; given no
     ``apply``, they apply that copy.  A linear operator's Jacobian is its
-    matrix, built by :meth:`as_matrix` if none was given.  Algorithms that
+    matrix, built once by :meth:`as_matrix` if none was given.  Algorithms that
     require linearity or a Jacobian fail fast instead of silently
     substituting an approximation.  ``rows``, if registered, is ``apply``
     vectorized over the rows of an (N, in_dim) array; it must agree with
@@ -72,6 +72,7 @@ class Operator:
     linear: bool = False
     matrix: np.ndarray | None = None
     rows: Callable[[np.ndarray], np.ndarray] | None = None
+    _built: dict = field(default_factory=dict, init=False, repr=False)  # in_dim -> as_matrix
 
     def __post_init__(self) -> None:
         # A copy, so that writing to the caller's array cannot make a built
@@ -120,13 +121,15 @@ class Operator:
         return np.atleast_2d(np.asarray(self.jacobian(np.asarray(x, dtype=float)), dtype=float))
 
     def as_matrix(self, in_dim: int) -> np.ndarray:
-        """Materialize a linear operator's matrix by applying it to a basis."""
+        """Materialize a linear operator's matrix, read-only, by applying it to
+        a basis once per ``in_dim``."""
         if not self.linear:
             raise NonlinearOperatorError("operator is not flagged linear")
         if self.matrix is not None:
             return self.matrix
-        cols = [self(e) for e in np.eye(in_dim)]
-        return np.stack(cols, axis=1)
+        if in_dim not in self._built:
+            self._built[in_dim] = _frozen(np.stack([self(e) for e in np.eye(in_dim)], axis=1))
+        return self._built[in_dim]
 
 
 @dataclass(frozen=True, eq=False)

@@ -576,14 +576,16 @@ for verb in runs:
     assert main([verb[0], "--config", str(config), *verb[1:]]) == 0, verb
 for path in (config, tau):
     assert main(["study", "--config", str(path)]) == 0, path
-assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
-def test_cli_runs_never_import_scipy_linalg(config_path, tmp_path):
-    # scipy.linalg costs a quarter second of start-up; its LAPACK wrappers
-    # are loaded without it.  One fresh process runs every verb, so the
-    # import can be neither present at start nor deferred into a pass.
+def test_cli_runs_never_import_scipy(config_path, tmp_path):
+    # The SPD kernel takes its LAPACK from numpy's OpenBLAS: loading scipy
+    # would bring a second OpenBLAS thread pool and cost start-up.  One
+    # fresh process runs every verb, so the import can be neither present
+    # at start nor deferred into a pass.
     tau = tmp_path / "tau.yaml"
     tau.write_text(
         "problem: {name: w2-quadratic}\n"

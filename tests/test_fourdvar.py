@@ -205,6 +205,21 @@ class TestExactLM:
         for flagged, matrix in zip(runs[0].iterates, runs[1].iterates):
             np.testing.assert_array_equal(flagged.states, matrix.states)
 
+    def test_linear_operator_without_a_matrix_is_materialized_once(self):
+        # Its matrix was rebuilt, m applications, at every step of every iteration.
+        base = make_toy_problem("linear-chain", m=3, k=4, seed=5)
+        basis = {tuple(e) for e in np.eye(base.state_dim)}
+        calls = []
+
+        def apply(x):
+            calls.append(tuple(x) in basis)
+            return 0.9 * x
+
+        op = Operator(apply=apply, linear=True)
+        lm_exact_run(replace(base, model_ops=(op,) * base.horizon), LMConfig(gamma=1.0, max_iterations=2))
+        assert sum(calls) == base.state_dim
+        assert not op.as_matrix(base.state_dim).flags.writeable
+
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
     def test_step_matches_normal_equations_oracle_w2(self, w2, gamma):
         x_prev = Trajectory([[0.3], [0.7]])

@@ -1,10 +1,11 @@
-from types import SimpleNamespace
+import ctypes
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from ensvar import (
     LMConfig,
@@ -111,12 +112,8 @@ class TestSpdSolve:
             spd_solve(np.eye(2), [1.0, np.nan], name="gram")
 
 
-def _same_bits(x, y):
-    return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
 class TestKernel:
-    """The private factor/solve pair is scipy's Cholesky path, bit for bit."""
+    """The private factor/solve pair: numpy's LAPACK, checked against scipy's."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -124,7 +121,7 @@ class TestKernel:
         dim=st.integers(1, 12),
         rhs=st.sampled_from(["1-D", "2-D", "F-ordered view"]),
     )
-    def test_bits_equal_scipy(self, seed, dim, rhs):
+    def test_matches_scipy(self, seed, dim, rhs):
         rng = np.random.default_rng(seed)
         a = _random_spd(rng, dim)
         b = {
@@ -134,11 +131,11 @@ class TestKernel:
             "F-ordered view": lambda: rng.standard_normal((7, dim)).T,
         }[rhs]()
         factor = _factor(a, "a")
-        assert _same_bits(factor, scipy.linalg.cholesky(a, lower=True))
-        assert _same_bits(cholesky_spd(a), factor)
+        _assert_close(factor, scipy.linalg.cholesky(a, lower=True))
+        np.testing.assert_array_equal(cholesky_spd(a), factor)
         want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
-        assert _same_bits(_solve(factor, b, "a"), want)
-        assert _same_bits(spd_solve(a, b), want)
+        _assert_close(_solve(factor, b, "a"), want)
+        np.testing.assert_array_equal(spd_solve(a, b), _solve(factor, b, "a"))
 
     def test_reads_only_the_lower_triangle(self):
         a = np.array([[4.0, 99.0], [2.0, 5.0]])
@@ -155,57 +152,118 @@ class TestKernel:
         with pytest.raises(NotSPDError, match="gram is not positive definite"):
             _factor(np.diag([1.0, -1.0]), "gram")
 
+    def test_shapes_that_do_not_match(self):
+        for factor, b in [(np.eye(2), np.ones(3)), (np.eye(2), np.ones(1)), (np.eye(2), np.float64(1.0)), (np.ones((2, 1)), np.ones(2))]:
+            with pytest.raises(ValueError, match="the gram solve got a factor of shape"):
+                _solve(factor, b, "gram")
 
-_SIZES = (1, 2, 7, 24, 120)
+    def test_empty_inputs(self):
+        assert _factor(np.zeros((0, 0)), "a").shape == (0, 0)
+        assert _solve(np.eye(2), np.zeros((2, 0)), "a").shape == (2, 0)
+
+
+def _assert_close(x, y):
+    """x equals y within 1e-14 relative to y's largest entry, shape and all."""
+    assert x.shape == y.shape
+    assert np.abs(x - y).max(initial=0.0) <= 1e-14 * np.abs(y).max(initial=0.0)
+
+
+_SIZES = (1, 2, 24, 120)
 _RHS_SHAPES = ((), (5,))
-
-
-def _direct_calls_match_scipy(dim, shape):
-    """Each direct call against its scipy function, bit for bit, on one SPD matrix."""
-    rng = np.random.default_rng(dim)
-    a = _random_spd(rng, dim)
-    b = rng.standard_normal((dim, *shape))
-    factor = _factor(a, "a")
-    assert _same_bits(factor, scipy.linalg.cholesky(a, lower=True))
-    assert _same_bits(_solve(factor, b, "a"), scipy.linalg.cho_solve((factor, True), b))
+_LAYOUTS = {
+    "C": lambda a: np.ascontiguousarray(a),
+    "F": lambda a: np.asfortranarray(a),
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+    "read-only": lambda a: np.frombuffer(np.ascontiguousarray(a).tobytes()).reshape(a.shape),
+}
 
 
 class TestLapackHandle:
-    """The wrappers loaded from scipy's extension file give scipy's bits."""
+    """dpotrf and dpotrs come from numpy's own LAPACK, and no other routine."""
 
+    @pytest.mark.parametrize("layout", _LAYOUTS)
     @pytest.mark.parametrize("dim", _SIZES)
     @pytest.mark.parametrize("shape", _RHS_SHAPES, ids=["1-D", "2-D"])
-    def test_direct_calls_bit_equal_scipy(self, dim, shape):
-        _direct_calls_match_scipy(dim, shape)
+    def test_direct_calls_match_scipy(self, dim, shape, layout):
+        rng = np.random.default_rng(dim)
+        a = _random_spd(rng, dim)
+        b = rng.standard_normal((dim, *shape))
+        as_layout = _LAYOUTS[layout]
+        want = scipy.linalg.cholesky(a, lower=True)
+        factor = _factor(as_layout(a), "a")
+        assert factor.flags.f_contiguous and factor.flags.writeable
+        _assert_close(factor, want)
+        x = _solve(as_layout(want), as_layout(b), "a")
+        _assert_close(x, scipy.linalg.cho_solve((want, True), b))
+        assert x.flags.writeable
 
-    def test_handle_is_scipys_extension(self):
-        assert scipy.linalg.lapack.dpotrf is numerics._LAPACK.dpotrf
-        assert numerics._LAPACK is not scipy.linalg.lapack
+    def test_routines_are_numpys(self):
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        address = lambda routine: ctypes.cast(routine, ctypes.c_void_p).value  # noqa: E731
+        found = [
+            pattern for pattern, _ in numerics._LAPACK_SYMBOLS if hasattr(library, pattern.format("dpotrf"))
+        ]
+        assert found, "numpy's LAPACK exports no name in the table"
+        assert address(numerics._POTRF) == address(getattr(library, found[0].format("dpotrf")))
+        assert address(numerics._POTRS) == address(getattr(library, found[0].format("dpotrs")))
 
-    @pytest.mark.parametrize("lookup", ["missing", "not a library"])
-    def test_fallback_gives_the_same_bits(self, lookup, tmp_path, monkeypatch):
-        bogus = tmp_path / "_flapack.so"
-        bogus.write_text("not a shared library")
-        monkeypatch.setattr(numerics, "_flapack_path", lambda: None if lookup == "missing" else str(bogus))
-        handle = numerics._load_lapack()
-        assert handle is scipy.linalg.lapack
-        monkeypatch.setattr(numerics, "_LAPACK", handle)
-        for dim in _SIZES:
-            for shape in _RHS_SHAPES:
-                _direct_calls_match_scipy(dim, shape)
+    def test_refused_when_no_name_resolves(self, monkeypatch):
+        table = (("no_such_{}_64_", ctypes.c_int64), ("no_such_{}", ctypes.c_int32))
+        monkeypatch.setattr(numerics, "_LAPACK_SYMBOLS", table)
+        with pytest.raises(ImportError, match="exports none of no_such_dpotrf_64_, no_such_dpotrs_64_, no_such_dpotrf, no_such_dpotrs"):
+            numerics._load_lapack(_umath_linalg.__file__)
 
     def test_algorithms_need_only_the_spd_pair(self, monkeypatch):
-        # Every algorithm's LAPACK goes through dpotrf and dpotrs alone.
-        lapack = numerics._LAPACK
-        monkeypatch.setattr(numerics, "_LAPACK", SimpleNamespace(dpotrf=lapack.dpotrf, dpotrs=lapack.dpotrs))
+        # Every algorithm's LAPACK goes through dpotrf and dpotrs alone, the
+        # only routines the kernel loads.
+        calls = {"dpotrf": 0, "dpotrs": 0}
+
+        def counting(name, routine):
+            def call(*args):
+                calls[name] += 1
+                return routine(*args)
+
+            return call
+
+        monkeypatch.setattr(numerics, "_POTRF", counting("dpotrf", numerics._POTRF))
+        monkeypatch.setattr(numerics, "_POTRS", counting("dpotrs", numerics._POTRS))
         problem = make_toy_problem("linear-chain", m=3, k=4, seed=1)
-        kf_run(problem)
-        ks_run(problem)
-        enks_run(problem, 8, PerturbationStream(0))
-        coupled_member_diffs(problem, 8, PerturbationStream(0), 2)
-        lm_exact_run(problem, LMConfig(gamma=1.0, max_iterations=2))
-        for mode in ("tangent", "finite-difference"):
-            lm_run(problem, LMConfig(gamma=1.0, mode=mode, ensemble_sizes=(8,)), PerturbationStream(0))
+        runs = [
+            lambda: kf_run(problem),
+            lambda: ks_run(problem),
+            lambda: enks_run(problem, 8, PerturbationStream(0)),
+            lambda: coupled_member_diffs(problem, 8, PerturbationStream(0), 2),
+            lambda: lm_exact_run(problem, LMConfig(gamma=1.0, max_iterations=2)),
+            *(
+                lambda mode=mode: lm_run(problem, LMConfig(gamma=1.0, mode=mode, ensemble_sizes=(8,)), PerturbationStream(0))
+                for mode in ("tangent", "finite-difference")
+            ),
+        ]
+        for run in runs:
+            before = dict(calls)
+            run()
+            assert calls["dpotrs"] > before["dpotrs"]
+
+
+class TestPositiveDefinite:
+    """The pass/fail Cholesky test behind GaussianEstimate, on the same kernel."""
+
+    def test_large_inputs(self):
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((600, 600))
+        pd = g @ g.T + np.eye(600)
+        assert numerics._positive_definite(pd)
+        not_pd = pd.copy()
+        not_pd[-1, -1] = -1.0
+        assert not numerics._positive_definite(not_pd)
+        assert not numerics._positive_definite(pd - 1e6 * np.eye(600))
+
+    @pytest.mark.parametrize(
+        "a, expected",
+        [(np.eye(3), True), (np.zeros((2, 2)), False), (np.diag([1.0, -1.0]), False), ([[2.0, 1.0], [1.0, 2.0]], True)],
+    )
+    def test_small_inputs(self, a, expected):
+        assert numerics._positive_definite(np.asarray(a)) is expected
 
 
 class TestSampleStats:
