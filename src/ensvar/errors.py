@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["EnsvarError", "ValidationError", "DimensionMismatchError", "NotSPDError", "MissingJacobianError",
+           "NonlinearOperatorError"]
+
 
 class EnsvarError(Exception):
     """Base class for all errors raised by this package."""

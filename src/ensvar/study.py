@@ -24,8 +24,9 @@ float64 array are formatted by one numpy kernel, byte for byte as
 is joined from its slots by one boolean compress and written as soon as
 it is joined, so no Python string is built per number.  A symmetric
 matrix has its upper triangle formatted once, and each row gathers its
-slots from it.  A document holding a non-finite number is refused before
-its first byte is written.
+slots from it.  A document holding a non-finite number, a value of no
+JSON type or a key that is not a string is refused before its first byte
+is written.
 
 A study result is declared once, by its dataclasses: its JSON document
 is their fields in order (``to_dict`` is ``dataclasses.asdict``), its
@@ -273,17 +274,23 @@ def _fmt(value) -> str:
     raise TypeError(f"unsupported scalar {type(value)!r}")
 
 
-def _check_finite(value) -> None:
-    """Refuse a document holding a non-finite number, before any of it is written."""
+def _check_document(value) -> None:
+    """Refuse a document holding a non-finite number, a scalar ``_fmt`` cannot
+    write or a key that is not a string, before any of it is written."""
     if isinstance(value, np.ndarray):
         if value.dtype.kind != "f":
-            _check_finite(value.tolist())
+            _check_document(value.tolist())
         elif not np.isfinite(value).all():
             _fmt(float(value[~np.isfinite(value)][0]))
-    elif isinstance(value, (dict, list, tuple)):
-        for v in value.values() if isinstance(value, dict) else value:
-            _check_finite(v)
-    elif isinstance(value, float) and not math.isfinite(value):
+    elif isinstance(value, dict):
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise ValidationError(f"cannot write non-string key {key!r} to the output")
+            _check_document(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _check_document(v)
+    elif not isinstance(value, str):
         _fmt(value)
 
 
@@ -466,15 +473,10 @@ def _write_json(value, write, pad: str) -> None:
     everywhere but before its first character."""
     inner = pad + "  "
     if isinstance(value, np.ndarray):
-        if value.dtype != np.float64 or value.size == 0 or value.ndim == 0:
+        if value.dtype != np.float64 or value.size == 0 or value.ndim not in (1, 2):
             _write_json(value.tolist(), write, pad)
-        elif value.ndim > 2:
-            _write_json(list(value), write, pad)
         else:
             _write_array(value, write, pad)
-    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {float}:
-        # A row of floats, formatted in one pass exactly as _fmt would.
-        write("[\n" + inner + (",\n" + inner).join(["%.17g"] * len(value)) % tuple(value) + "\n" + pad + "]")
     elif isinstance(value, dict):
         write("{\n")
         for n, (k, v) in enumerate(value.items()):
@@ -498,7 +500,7 @@ def _write_json(value, write, pad: str) -> None:
 
 def json_text(value, indent: int = 0) -> str:
     """A document as JSON text, two spaces per level, starting at ``indent``."""
-    _check_finite(value)
+    _check_document(value)
     pieces = ["  " * indent]
     _write_json(value, pieces.append, pieces[0])
     return "".join(pieces)
@@ -534,7 +536,7 @@ def emit(result, format: str, path=None) -> None:
         text = render_csv(result)
     else:
         doc = result.to_dict() if study else result
-        _check_finite(doc)
+        _check_document(doc)
     with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
         if format == "csv":
             fh.write(text)

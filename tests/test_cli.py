@@ -242,6 +242,11 @@ _HUGE = "1" + "0" * 400
         ("run-ks", W1_CONFIG.replace("  kind: enks-vs-ks\n", ""), "study section requires a kind value"),
         ("run-ks", W1_CONFIG.replace("  sweep: [32, 128]\n", ""), "study section requires a sweep value"),
         ("run-ks", W1_CONFIG.replace("  replicates: 5\n", ""), "study section requires a replicates value"),
+        (
+            "run-ks",
+            W1_CONFIG.split("lm:")[0] + "study: {kind: tau-sweep, sweep: [0.1], replicates: 1}\n",
+            "study kind 'tau-sweep' requires an LM config",
+        ),
         ("run-ks", "[1, 2]\n", "config must be a mapping with a problem section"),
         ("run-ks", "lm: {gamma: 1.0}\n", "config requires a problem section"),
         ("run-ks", W1_CONFIG + "extra: 1\n", "unknown keys in top-level section: ['extra']"),

@@ -274,6 +274,12 @@ class TestEnKS:
             whole.analysis_ensembles[-1], enks_run(w1, 2, PerturbationStream(0), member_indices=[1, 0]).analysis_ensembles[-1]
         )
 
+    def test_rejects_repeated_member_keys(self, w1):
+        # Two slots with one key would draw the same noise and be one member twice.
+        for runner in (enks_run, enkf_run, reference_enks_run):
+            with pytest.raises(ValidationError, match=r"^member_indices must be distinct$"):
+                runner(w1, 3, PerturbationStream(0), member_indices=[0, 2, 0])
+
     @pytest.mark.parametrize("problem_args", [("w1-linear", {}), ("linear-chain", {"m": 2, "k": 3, "seed": 4})])
     def test_marginals_match_enkf_members(self, problem_args):
         # The trailing (time-i) block of the EnKS analysis at time i equals

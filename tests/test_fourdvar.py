@@ -11,6 +11,7 @@ import pytest
 from ensvar import (
     fit_loglog_slope,
     LMConfig,
+    LMRunResult,
     MissingJacobianError,
     NoiseKind,
     NotSPDError,
@@ -780,6 +781,28 @@ class TestDispatcherAndConfig:
         assert tangent.mode == "tangent"
         with pytest.raises(ValidationError):
             lm_run(w1, LMConfig(gamma=1.0, mode="tangent", ensemble_sizes=(4,)))
+
+    @pytest.mark.parametrize(
+        "runner, mode, message",
+        [
+            (lambda p, cfg: lm_exact_run(p, cfg), "tangent", "lm_exact_run requires mode='exact', got 'tangent'"),
+            (lambda p, cfg: lm_enks_tangent_run(p, cfg, PerturbationStream(0)), "exact",
+             "lm_enks_tangent_run requires mode='tangent', got 'exact'"),
+            (lambda p, cfg: enks_4dvar_run(p, cfg, PerturbationStream(0)), "tangent",
+             "enks_4dvar_run requires mode='finite-difference', got 'tangent'"),
+        ],
+        ids=["exact", "tangent", "finite-difference"],
+    )
+    def test_each_runner_refuses_another_mode(self, w1, runner, mode, message):
+        cfg = LMConfig(gamma=1.0, mode=mode, ensemble_sizes=(4,) if mode != "exact" else ())
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            runner(w1, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_result_refuses_a_non_finite_objective(self, w1, bad):
+        start = Trajectory(np.zeros((w1.horizon + 1, w1.state_dim)))
+        with pytest.raises(ValidationError, match=r"^LM run produced a non-finite objective value$"):
+            LMRunResult(iterates=(start, start), objectives=(1.0, bad), mode="exact")
 
     @pytest.mark.parametrize("mode", ["tangent", "finite-difference"])
     def test_ensemble_modes_need_a_schedule_when_built(self, mode):

@@ -57,6 +57,10 @@ class TestCholesky:
         with pytest.raises(NotSPDError):
             cholesky_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_not_square(self):
+        with pytest.raises(NotSPDError, match=r"^B is not square: shape \(2, 3\)$"):
+            cholesky_spd(np.ones((2, 3)), name="B")
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(1, 6))
     def test_reconstruction_random(self, seed, dim):
@@ -75,6 +79,14 @@ class TestSpdSolve:
     def test_two_by_two(self):
         x = spd_solve(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
+
+    @pytest.mark.parametrize("b", [np.array([3.0, 3.0]), np.asfortranarray([[3.0, 1.0], [3.0, 2.0]])], ids=["1-D", "F-order"])
+    def test_right_hand_side_is_left_as_it_was(self, b):
+        # LAPACK overwrites its right-hand side with x; the caller's b must not be that buffer.
+        before = b.copy()
+        x = spd_solve(np.array([[2.0, 1.0], [1.0, 2.0]]), b)
+        np.testing.assert_array_equal(b, before)
+        assert not np.shares_memory(x, b)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(1, 6))
@@ -382,6 +394,10 @@ class TestSlopeFit:
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError):
             fit_loglog_slope([1.0], [1.0])
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValidationError, match=r"^xs and ys lengths differ: 3 vs 2$"):
+            fit_loglog_slope([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 @pytest.mark.parametrize(

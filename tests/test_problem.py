@@ -9,6 +9,7 @@ from ensvar import (
     DimensionMismatchError,
     GaussianEstimate,
     LMConfig,
+    NonlinearOperatorError,
     NotSPDError,
     Operator,
     Trajectory,
@@ -198,6 +199,11 @@ def test_operator_from_matrix_carries_jacobian():
 def test_linear_operator_matrix_materialized_from_basis():
     op = Operator(apply=lambda x: np.array([x[0] + x[1]]), linear=True)
     np.testing.assert_allclose(op.as_matrix(2), [[1.0, 1.0]])
+
+
+def test_nonlinear_operator_has_no_matrix():
+    with pytest.raises(NonlinearOperatorError, match=r"^operator is not flagged linear$"):
+        Operator(apply=np.sin).as_matrix(2)
 
 
 def test_trajectory_rejects_nonfinite():

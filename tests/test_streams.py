@@ -261,6 +261,24 @@ def test_draw_members_refuses_non_integer_members():
     )
 
 
+def test_draw_members_refuses_a_dimension_beyond_its_counter_before_allocating():
+    # 2**33 normals need 2**32 pairs, one past the counter's last index.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^draw dimension 8589934592 too large$"):
+            PerturbationStream(0).draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.OBS, [0, 1], 2**33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_draw_members_refuses_members_that_are_not_1d():
+    for members in ([[0, 1]], np.zeros((2, 2), np.int64), 3):
+        with pytest.raises(ValidationError, match=r"^members must be a 1-d sequence of indices$"):
+            PerturbationStream(0).draw_members(Phase.SMOOTHER, 0, 1, NoiseKind.OBS, members, 2)
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.5, float("inf"), "7"])
 def test_stream_seed_refuses_non_integers(bad):
     with pytest.raises(ValidationError, match="seed"):

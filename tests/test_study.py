@@ -70,6 +70,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             StudySpec(kind="enks-vs-ks", sweep=(0, 10), replicates=2, problem=w1)
 
+    @pytest.mark.parametrize("sweep", [(), []])
+    def test_requires_a_sweep_value(self, w1, sweep):
+        with pytest.raises(ValidationError, match=r"^sweep must contain at least one value$"):
+            StudySpec(kind="enks-vs-ks", sweep=sweep, replicates=2, problem=w1)
+
     @pytest.mark.parametrize("sweep", [(np.nan,), (1e-2, np.inf), (np.nan, 1e-3)])
     def test_rejects_non_finite_sweep(self, w1, sweep):
         with pytest.raises(ValidationError, match="sweep"):
@@ -520,12 +525,19 @@ class TestJsonText:
             np.array([[1.0, 0.0], [-0.0, 1.0]]),
             np.array([[1.0, -0.0], [-0.0, 1.0]]),
             np.array([[1, 2], [2, 1]]),
+            np.arange(24.0).reshape(2, 3, 4) / 7,
         ],
     )
     def test_arrays_match_recursive_writer(self, array):
         for indent in (0, 2):
             assert json_text(array, indent) == _recursive_json_text(array.tolist(), indent)
             assert json_text({"a": array}, indent) == _recursive_json_text({"a": array.tolist()}, indent)
+
+    @pytest.mark.parametrize("doc, key", [({1: 2.0}, "1"), ({"a": [{"b": 1, 2.5: None}]}, "2.5"), ({None: 1}, "None")])
+    def test_refuses_a_key_that_is_not_a_string(self, doc, key):
+        # json.dumps(1) is 1, which would be written bare: a document no JSON reader accepts.
+        with pytest.raises(ValidationError, match=f"^cannot write non-string key {re.escape(key)} to the output$"):
+            json_text(doc)
 
     def test_mirrored_zeros_keep_their_signs(self):
         text = json_text(np.array([[1.0, 0.0], [-0.0, 1.0]]))
@@ -694,6 +706,22 @@ class TestNoPartialOutput:
             emit(doc, "json", path)
         assert not path.exists()
         with pytest.raises(ValidationError, match="cannot write non-finite number"):
+            emit(doc, "json")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "doc, error, message",
+        [
+            ({"first": np.eye(30), 1: 2.0}, ValidationError, "cannot write non-string key 1 to the output"),
+            ({"first": np.eye(30), "last": [1.0, 1j]}, TypeError, "unsupported scalar <class 'complex'>"),
+        ],
+    )
+    def test_a_document_of_no_json_type_is_refused_before_the_first_byte(self, tmp_path, capsys, doc, error, message):
+        path = tmp_path / "doc.json"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            emit(doc, "json", path)
+        assert not path.exists()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             emit(doc, "json")
         assert capsys.readouterr().out == ""
 

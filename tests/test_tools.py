@@ -1,15 +1,21 @@
-"""The repository's own tooling: ``tools/code_lines.py``."""
+"""The repository's own tooling: ``tools/code_lines.py`` and ``tools/mutants.py``."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _TOOL)
-code_lines_module = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines_module)
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines_module = _tool("code_lines")
 code_lines = code_lines_module.code_lines
+mutants = _tool("mutants")
 
 
 @pytest.mark.parametrize(
@@ -39,3 +45,16 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "bb.py").write_text("def f(): return 1\n\n# end\n")
     assert code_lines_module.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "a          1\nbb         1\ntotal      2\n"
+
+
+def test_each_mutant_edit_applies_exactly_once():
+    # A mutant whose text moved or went would no longer check anything.
+    assert len({m.id for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert m.old != m.new and m.tests, m.id
+        assert mutants.occurrences(m) == 1, f"{m.id}: old text occurs {mutants.occurrences(m)} times in {m.file}"
+
+
+def test_each_mutant_selection_collects_a_test():
+    counts = mutants.collected(node for m in mutants.MUTANTS for node in m.tests)
+    assert {node for node, count in counts.items() if count < 1} == set()
